@@ -98,13 +98,13 @@ def test_equilibrium_speedup(record_table):
     record_table("equilibrium_speedup", table)
 
     # Acceptance floor: the 50-market stacked solve must clearly beat 50
-    # per-market solves. The loop baseline is no pushover anymore — small
-    # solves refine through the scalar fast path (_refine_rows_scalar),
-    # which cut the per-market solve ~4x — so the ratio sits around 7-8x
-    # (it was 16x+ against the pre-fast-path baseline). Assert a floor
-    # that still proves the batch removes per-market overhead while
-    # leaving headroom for shared noisy runners.
-    assert speedups[50] >= 4.0
+    # per-market solves. The loop baseline is no pushover: every M = 1
+    # solve refines through the scalar fast path (_refine_rows_scalar)
+    # inside the one chunked solve, so the ratio sits around 4x (median
+    # 4.0x over three runs on a 2-core x86 box). The floor is about half
+    # that median: it still proves the batch removes per-market overhead
+    # while leaving headroom for shared noisy runners.
+    assert speedups[50] >= 2.0
 
 
 def test_seam_overhead(record_json):

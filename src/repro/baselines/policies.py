@@ -147,11 +147,10 @@ class OraclePricing:
 
         Accepts a :class:`repro.core.marketstack.MarketStack` or a market
         sequence. All ``M`` equilibria come from one
-        :meth:`MarketStack.equilibria_stacked` call — bitwise-equal to
-        ``[OraclePricing(m) for m in markets]``, which solves per market.
-        With either chunk knob set, the solve streams through
-        :meth:`MarketStack.equilibria_stacked_chunked` (same bits, memory
-        bounded by the chunk — for city-scale oracle grids). With a
+        :meth:`MarketStack.equilibria_stacked_chunked` call — bitwise-equal
+        to ``[OraclePricing(m) for m in markets]``, which solves per
+        market. The chunk knobs set the solve's memory budget (same bits
+        at any budget — for city-scale oracle grids). With a
         ``cache`` (a :class:`repro.service.EquilibriumCache`), rows are
         served by market content — rebuilding an oracle grid after a few
         cells changed re-solves only the changed cells, same bits.
@@ -175,12 +174,9 @@ class OraclePricing:
                 cls(market, price=row.price)
                 for market, row in zip(stack.markets, rows)
             ]
-        if chunk_size is not None or chunk_bytes is not None:
-            solved = stack.equilibria_stacked_chunked(
-                chunk_size=chunk_size, chunk_bytes=chunk_bytes
-            )
-        else:
-            solved = stack.equilibria_stacked()
+        solved = stack.equilibria_stacked_chunked(
+            chunk_size=chunk_size, chunk_bytes=chunk_bytes
+        )
         return [
             cls(market, price=solved.equilibrium(m).price)
             for m, market in enumerate(stack.markets)

@@ -291,7 +291,7 @@ class BayesianStackelbergMarket:
                 price (scenarios that are individually infeasible merely
                 contribute their realised utility to the expectation).
         """
-        candidates, feasible = self._stack._candidate_matrix()
+        candidates, feasible = self._stack._candidate_rows(slice(None))
         if not bool(np.any(feasible)):
             raise InfeasibleMarketError(
                 "no scenario in the distribution admits a profitable price"

@@ -26,30 +26,29 @@ A stacked solve agrees **bitwise** with ``M`` separate per-market solves:
 this path — the single-market price batch delegates here, so the two
 entry points cannot diverge.
 
-Chunking contract
+Equilibrium solve
 -----------------
-:meth:`MarketStack.equilibria_stacked_chunked` streams the equilibrium
-solve over row ranges of the stack so peak memory is bounded by the chunk,
-not by ``M``. Every operation of the solve — the Theorem-2 candidate
-matrix, the candidate evaluation, and the lockstep golden refinement — is
-row-local (reductions run along the population or candidate axis, never
-across markets), so solving rows ``[lo, hi)`` alone produces bitwise the
-same numbers those rows get inside the full stacked solve. The per-chunk
-evaluation writes into one set of preallocated scratch buffers
-(:class:`_ChunkScratch`) reused across all chunks, and results stream into
-preallocated ``(M,)``/``(M, N_max)`` output arrays — memory scales with
-``chunk_size``, results are bitwise-equal to :meth:`equilibria_stacked`
-for *every* chunk size. See ``sim/README.md`` for the budget semantics.
+One solve streams the stack through row ranges ("chunks"), so peak memory
+is bounded by the chunk, not by ``M``: :meth:`MarketStack.equilibria_stacked`
+runs it at the :data:`DEFAULT_CHUNK_BYTES` budget,
+:meth:`MarketStack.equilibria_stacked_chunked` at an explicit one. Every
+step — the Theorem-2 candidate matrix, its evaluation, the golden
+refinement, the final outcome — is row-local (reductions run along the
+population or candidate axis, never across markets), so every chunk size
+gives bitwise the same rows. Each chunk evaluates the leader utility
+through one scratch kernel (:meth:`_ChunkScratch.leader_utilities`). See
+``sim/README.md`` for the budget semantics.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.backend import xp
 
-from repro.channel.ofdma import _rationing_rows, proportional_rationing_stacked
+from repro.channel.ofdma import _rationing_rows
 from repro.core.stackelberg import (
     MarketOutcome,
     PriceBatchOutcome,
@@ -60,9 +59,6 @@ from repro.core.utilities import (
     _follower_best_response_rows,
     _msp_utilities_rows,
     _vmu_utilities_rows,
-    follower_best_response_stacked,
-    msp_utilities_stacked,
-    vmu_utilities_stacked,
 )
 from repro.errors import ConfigurationError, InfeasibleMarketError
 from repro.game.solvers import (
@@ -92,9 +88,12 @@ _SCALAR_REFINE_MAX_ROWS = 8
 """Row-count ceiling for the scalar refinement fast path. The batched
 golden loop costs a fixed ~50 sequential rounds of numpy dispatch no
 matter how few rows it refines, so chunks at or below this many rows
-(dirty-row re-solves, mostly) refine row by row through the scalar
-:func:`golden_section_maximize` instead — linear in rows, and bitwise
-the same sequence (see :meth:`MarketStack._refine_rows_scalar`)."""
+refine row by row through the scalar :func:`golden_section_maximize`
+instead — linear in rows, and bitwise the same sequence (see
+:meth:`MarketStack._refine_rows_scalar`). The input size picks the path:
+every ``M = 1`` solve (``StackelbergMarket.equilibrium()``) takes the
+scalar one at about half the batched cost, and the live service's
+dirty-row re-solves fall on both sides of the gate."""
 
 
 def solve_scratch_bytes_per_market(n_max: int) -> int:
@@ -139,56 +138,83 @@ def resolve_chunk_size(
     return max(1, min(num_markets, budget // per_market))
 
 
+def _population_groups(
+    counts: xp.ndarray, *, ragged: bool
+) -> list[tuple[int, xp.ndarray]] | None:
+    """The ragged-reduction grouping of :func:`_per_market_totals`: one
+    ``(n, member rows)`` pair per distinct population size, or ``None``
+    when the full-width row sum already returns the per-market bits."""
+    if not ragged:
+        return None
+    # xp.unique is sorted, so the group order is deterministic.
+    return [(int(n), xp.flatnonzero(counts == n)) for n in xp.unique(counts)]
+
+
 def _per_market_totals(
-    values: xp.ndarray, counts: xp.ndarray, *, ragged: bool
+    values: xp.ndarray, groups: list[tuple[int, xp.ndarray]] | None
 ) -> xp.ndarray:
     """Row sums over the trailing population axis, one per market.
 
     Ragged stacks reduce each market over its *own* ``N`` so the summation
     order is identical to the per-market solve; zero-padded rows could
     associate differently inside numpy's pairwise reduction and drift a
-    ulp. Markets are grouped by population size — one numpy reduction per
-    *distinct* ``N`` instead of one Python iteration per market; within a
-    group each row reduces over the same contiguous ``[:n]`` slice the
-    per-market loop reduced, so the grouping is bitwise-invisible. The
-    single implementation behind ``MarketStack._row_totals`` and
-    ``StackedOutcome.total_vmu_utilities``.
+    ulp. Markets are grouped by population size (``groups`` from
+    :func:`_population_groups`) — one numpy reduction per *distinct* ``N``
+    instead of one Python iteration per market; within a group each row
+    reduces over the same contiguous ``[:n]`` slice the per-market loop
+    reduced, so the grouping is bitwise-invisible.
     """
-    if not ragged:
+    if groups is None:
         return values.sum(axis=-1)
     totals = xp.empty(values.shape[:-1], dtype=xp.float64)
-    for n in xp.unique(counts):
-        members = xp.flatnonzero(counts == n)
-        totals[members] = values[members, ..., : int(n)].sum(axis=-1)
+    for n, members in groups:
+        totals[members] = values[members, ..., :n].sum(axis=-1)
     return totals
 
 
-class _ProbeContext:
-    """Price-independent invariants of one row range's probe evaluations.
+class _ChunkScratch:
+    """The equilibrium solve's leader-utility kernel and its scratch.
 
-    The golden refinement evaluates the leader utility at ~50 sequential
-    per-market price vectors; every quantity here is constant across those
-    probes — sliced parameter views, the ``D/SE`` ratio matrix, effective
-    capacities, and the ragged-reduction grouping (which
-    :func:`_per_market_totals` would otherwise rebuild per probe via
-    ``xp.unique``). Built once per ``(start, stop)`` row range and cached
-    on the (immutable) stack, it makes each probe a handful of elementwise
-    numpy ops — the fixed-overhead floor of a small dirty-row sub-solve.
+    Allocated once per solve and reused by every chunk. The flat ``_band``
+    buffer holds the widest ``(chunk, width, N_max)`` evaluation of the
+    solve (best responses overwritten in place by allocations) and
+    ``_scales`` its ``(chunk, width)`` rationing factors; every evaluation
+    runs in a contiguous leading view of them, so no probe allocates
+    band-sized arrays. :meth:`load` points the scratch at one row range
+    and prepares what does not depend on the price — the row views, the
+    ``D/SE`` ratio, the padding mask, the effective capacities, and the
+    ragged-reduction grouping — once per chunk rather than once per probe
+    (the golden refinement probes ~50 times in sequence).
     """
 
-    def __init__(self, stack: "MarketStack", sl: slice) -> None:
-        self.alphas = stack._alphas[sl]
-        self.mask = stack._mask[sl]
+    def __init__(self, chunk_size: int, n_max: int) -> None:
+        width = max(_REFINE_GRID_POINTS, 3 * n_max + 4)
+        self._band = xp.empty(chunk_size * width * n_max, dtype=xp.float64)
+        self._scales = xp.empty(chunk_size * width, dtype=xp.float64)
+        self._ratio = xp.empty((chunk_size, n_max), dtype=xp.float64)
+        self._pad = xp.empty((chunk_size, n_max), dtype=bool)
+
+    def load(self, stack: "MarketStack", sl: slice) -> None:
+        """Prepare the price-independent invariants of rows ``sl``."""
+        alphas = stack._alphas[sl]
+        num_rows = alphas.shape[0]
+        self.alphas = alphas
         self.unit_costs = stack._unit_costs[sl]
-        se = stack._se[sl]
-        # Same division the per-probe kernel performed — computing it once
-        # yields the identical bits every probe.
-        self.ratio = stack._data[sl] / se[:, xp.newaxis]
-        self.effective_caps = xp.where(
-            stack._enforce[sl], stack._caps[sl], xp.inf
+        self.effective_caps = stack._effective_caps[sl]
+        self.counts = stack._counts[sl]
+        # The division the best-response kernel performs, hoisted: the
+        # same operands give the same bits on every probe.
+        self.ratio = xp.divide(
+            stack._data[sl], stack._se[sl][:, xp.newaxis], out=self._ratio[:num_rows]
         )
-        counts = stack._counts[sl]
-        self.ragged = stack._ragged
+        pad = xp.logical_not(stack._mask[sl], out=self._pad[:num_rows])
+        # The row operands, broadcast per price rank: (m,) probes evaluate
+        # an (m, N) band, (m, R) grids an (m, R, N) one.
+        rows = (alphas, self.ratio, pad, self.effective_caps, self.unit_costs)
+        self._operands = {1: rows, 2: tuple(a[:, xp.newaxis] for a in rows)}
+        # The ~50 sequential golden probes all have shape (m,): build
+        # their views once per chunk.
+        self._probe_views = self._views((num_rows,))
         # Full-width row sums are bitwise-equal to the per-market ``[:n]``
         # reductions when the row holds non-negative values with trailing
         # ``+0.0`` padding AND both widths reduce in numpy's sequential
@@ -197,52 +223,52 @@ class _ProbeContext:
         # with ``a, b >= 0``, which never rounds to ``-0.0``). At width 8
         # numpy switches to an 8-accumulator pairwise kernel that
         # associates differently, so wider ragged stacks keep the grouped
-        # reduction. ``tests/test_core_equilibria_stacked.py`` pins the
-        # stacked-vs-scalar bits that would drift if numpy moved this
-        # regime boundary.
-        self.flat = not stack._ragged or stack._alphas.shape[1] < 8
-        # xp.unique is sorted, so the group order (and therefore every
-        # grouped reduction) matches _per_market_totals exactly.
-        self.groups = (
-            []
-            if self.flat
-            else [
-                (int(n), xp.flatnonzero(counts == n))
-                for n in xp.unique(counts)
-            ]
+        # reduction. ``tests/test_core_solve_kernel.py`` pins both sides
+        # of this boundary against the validating ``outcomes_stacked``.
+        self.groups = _population_groups(
+            self.counts, ragged=stack._ragged and stack.max_vmus >= 8
         )
-        self.pad = ~self.mask
-        # Per-probe scratch, overwritten (and fully consumed) every call.
-        self.band = xp.empty(self.alphas.shape, dtype=xp.float64)
-        self.scales = xp.empty(self.alphas.shape[0], dtype=xp.float64)
 
-    def totals(self, values: xp.ndarray) -> xp.ndarray:
-        """Row sums — bitwise :func:`_per_market_totals` with the ragged
-        grouping precomputed (or skipped entirely when the full-width
-        reduction provably returns the same bits)."""
-        if self.flat:
-            return values.sum(axis=-1)
-        out = xp.empty(values.shape[:-1], dtype=xp.float64)
-        for n, members in self.groups:
-            out[members] = values[members, ..., :n].sum(axis=-1)
-        return out
+    def _views(self, shape: tuple[int, ...]) -> tuple[xp.ndarray, xp.ndarray]:
+        """Contiguous band ``shape + (N_max,)`` and scales ``shape`` views
+        at the start of the scratch buffers."""
+        size = math.prod(shape)
+        n_max = self._ratio.shape[1]
+        return (
+            self._band[: size * n_max].reshape(*shape, n_max),
+            self._scales[:size].reshape(shape),
+        )
 
+    def leader_utilities(self, prices: xp.ndarray) -> xp.ndarray:
+        """Leader utilities of the loaded rows at prices ``(m,)`` (one per
+        row) or ``(m, R)`` (a grid per row), in ``prices``' shape.
 
-class _ChunkScratch:
-    """Preallocated per-chunk buffers, reused across every chunk.
-
-    ``band`` holds the widest ``(chunk, width, N_max)`` evaluation of the
-    solve (best responses overwritten in place by allocations); ``ratio``
-    holds the per-chunk ``D/SE`` matrix; ``pad`` the inverted population
-    mask. Chunks narrower than the buffers use leading-axis views, so no
-    chunk allocates fresh band-sized arrays.
-    """
-
-    def __init__(self, chunk_size: int, n_max: int) -> None:
-        width = max(_REFINE_GRID_POINTS, 3 * n_max + 4)
-        self.band = xp.empty((chunk_size, width, n_max), dtype=xp.float64)
-        self.ratio = xp.empty((chunk_size, n_max), dtype=xp.float64)
-        self.pad = xp.empty((chunk_size, n_max), dtype=bool)
+        Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
+        every expression is the elementwise
+        ``follower_best_response_stacked`` → ``proportional_rationing_stacked``
+        → ``msp_utilities_stacked`` chain, evaluated in place in the
+        scratch band with the input validation dropped — the stack
+        validated its parameters at construction, and the solve's prices
+        lie inside ``[C, p_max]``.
+        """
+        alphas, ratio, pad, caps, costs = self._operands[prices.ndim]
+        band, scales = (
+            self._probe_views if prices.ndim == 1 else self._views(prices.shape)
+        )
+        # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
+        xp.divide(alphas, prices[..., xp.newaxis], out=band)
+        xp.subtract(band, ratio, out=band)
+        xp.maximum(band, 0.0, out=band)
+        xp.copyto(band, 0.0, where=pad)
+        demand_totals = _per_market_totals(band, self.groups)
+        # Proportional rationing in place: the quotient is evaluated only
+        # where totals exceed the capacity (the same bits as the
+        # where-guarded scale expression); rows within capacity keep
+        # exactly 1.0.
+        scales.fill(1.0)
+        xp.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
+        xp.multiply(band, scales[..., xp.newaxis], out=band)
+        return (prices - costs) * _per_market_totals(band, self.groups)
 
 
 @dataclass(frozen=True)
@@ -298,7 +324,9 @@ class StackedOutcome:
         numpy's pairwise reduction.
         """
         ragged = bool((self.counts != self.mask.shape[1]).any())
-        return _per_market_totals(self.vmu_utilities, self.counts, ragged=ragged)
+        return _per_market_totals(
+            self.vmu_utilities, _population_groups(self.counts, ragged=ragged)
+        )
 
     def row(self, market_index: int) -> MarketOutcome:
         """Market ``market_index``'s outcome as a scalar
@@ -398,7 +426,9 @@ class StackedEquilibria:
         Always reduces each market over its own population — the same sum
         the scalar ``StackelbergEquilibrium.total_bandwidth`` evaluates.
         """
-        return _per_market_totals(self.demands, self.counts, ragged=True)
+        return _per_market_totals(
+            self.demands, _population_groups(self.counts, ragged=True)
+        )
 
     def equilibrium(self, market_index: int) -> StackelbergEquilibrium:
         """Market ``market_index``'s equilibrium as a scalar
@@ -454,8 +484,7 @@ class MarketStack:
     at construction; :meth:`outcomes_stacked` then solves all ``M`` markets
     at ``M`` different prices (or ``M`` whole price grids) in one numpy
     pass. See the module docstring for the bitwise exactness contract and
-    :meth:`equilibria_stacked_chunked` for the memory-bounded city-scale
-    path.
+    :meth:`equilibria_stacked` for the (memory-bounded) equilibrium solve.
     """
 
     def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
@@ -517,17 +546,10 @@ class MarketStack:
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
         # Static, so built once — outcomes_stacked runs every env round.
         self._effective_caps = xp.where(self._enforce, self._caps, xp.inf)
-        # Lazy equilibrium-solve caches: the candidate matrix depends only
-        # on the (immutable) stacked parameters, and solved equilibria are
-        # memoised per refine flag (markets and configs are frozen, so the
-        # solve can never go stale). Chunked and unchunked solves are
-        # bitwise-equal, so they share the memo.
-        self._candidates: tuple[xp.ndarray, xp.ndarray] | None = None
+        # Solved equilibria, memoised per refine flag (markets and configs
+        # are frozen, so a solve can never go stale). Every chunk size
+        # returns the same bits, so every chunking shares the memo.
         self._equilibria: dict[bool, StackedEquilibria] = {}
-        # Per-row-range probe contexts for the golden-refinement loop
-        # (price-independent invariants hoisted out of the ~50 sequential
-        # probe evaluations every refined solve performs).
-        self._probe_contexts: dict[tuple[int, int], _ProbeContext] = {}
 
     @classmethod
     def from_markets(
@@ -669,11 +691,6 @@ class MarketStack:
             )
         return p
 
-    def _row_totals(self, values: xp.ndarray) -> xp.ndarray:
-        """Per-market row sums over the trailing population axis
-        (see :func:`_per_market_totals` for the ragged-summation contract)."""
-        return _per_market_totals(values, self._counts, ragged=self._ragged)
-
     def outcomes_stacked(self, prices: xp.ndarray) -> StackedOutcome:
         """Play one trading round in every market of the stack, vectorised.
 
@@ -691,38 +708,43 @@ class MarketStack:
         p = self._validate_prices(prices)
         return self._outcomes_trusted(p)
 
-    def _outcomes_trusted(self, p: xp.ndarray) -> StackedOutcome:
-        """Body of :meth:`outcomes_stacked` for already-validated prices.
+    def _outcomes_trusted(
+        self, p: xp.ndarray, sl: slice = slice(None)
+    ) -> StackedOutcome:
+        """Body of :meth:`outcomes_stacked` for already-validated prices,
+        over rows ``sl`` of the stack (``p`` holds those rows' prices).
 
         The vector environment calls this directly each round: its prices
         come out of its own ``[C, p_max]`` clamp, so they are finite and
         positive by construction and re-validating them every step is pure
-        overhead on the training hot path.
+        overhead on the training hot path. The equilibrium solve calls it
+        per chunk for the outcome at the winning prices.
         """
         grid = p.ndim == 2
-        mask = self._mask[:, xp.newaxis, :] if grid else self._mask
+        row_mask = self._mask[sl]
+        mask = row_mask[:, xp.newaxis, :] if grid else row_mask
+        alphas, data, se = self._alphas[sl], self._data[sl], self._se[sl]
+        caps, enforce = self._caps[sl], self._enforce[sl]
+        counts = self._counts[sl]
+        groups = _population_groups(counts, ragged=self._ragged)
         # Trusted-input kernels: the stack's static parameters were
         # validated once at construction, and ``p`` by the caller —
         # re-running the public wrappers' input checks every round is pure
         # overhead on this path (the vector env steps through here each
         # round).
-        raw = _follower_best_response_rows(
-            self._alphas, self._data, p, self._se
-        )
+        raw = _follower_best_response_rows(alphas, data, p, se)
         demands = raw if self._fullmask else xp.where(mask, raw, 0.0)
-        demand_totals = self._row_totals(demands)
+        demand_totals = _per_market_totals(demands, groups)
         allocations = _rationing_rows(
-            demands, self._effective_caps, demand_totals
+            demands, self._effective_caps[sl], demand_totals
         )
-        caps_rows = self._caps[:, xp.newaxis] if grid else self._caps
-        enforce_rows = self._enforce[:, xp.newaxis] if grid else self._enforce
+        caps_rows = caps[:, xp.newaxis] if grid else caps
+        enforce_rows = enforce[:, xp.newaxis] if grid else enforce
         binding = enforce_rows & (demand_totals >= caps_rows * (1.0 - 1e-9))
         utilities = _msp_utilities_rows(
-            p, self._unit_costs, self._row_totals(allocations)
+            p, self._unit_costs[sl], _per_market_totals(allocations, groups)
         )
-        vmu_raw = _vmu_utilities_rows(
-            self._alphas, self._data, allocations, p, self._se
-        )
+        vmu_raw = _vmu_utilities_rows(alphas, data, allocations, p, se)
         follower_utilities = (
             vmu_raw if self._fullmask else xp.where(mask, vmu_raw, 0.0)
         )
@@ -733,8 +755,8 @@ class MarketStack:
             msp_utilities=utilities,
             vmu_utilities=follower_utilities,
             capacity_binding=binding,
-            mask=self._mask.copy(),
-            counts=self._counts.copy(),
+            mask=row_mask.copy(),
+            counts=counts.copy(),
         )
 
     def leader_landscapes(self, grid_points: int = 256) -> StackedOutcome:
@@ -760,22 +782,8 @@ class MarketStack:
         return self.outcomes_stacked(grids)
 
     # ------------------------------------------------------------------ #
-    # the stacked equilibrium solve
+    # the equilibrium solve
     # ------------------------------------------------------------------ #
-    def _msp_objective(self, prices: xp.ndarray) -> xp.ndarray:
-        """Leader utilities at per-market prices ``(M,)`` or grids ``(M, R)``.
-
-        The 1-D case is the golden-refinement probe: it runs through
-        :meth:`_vector_utilities`' cached probe context rather than
-        materialising a full :class:`StackedOutcome` per probe (same
-        utility chain, same bits — the chunked-vs-unchunked tests pin
-        this equivalence).
-        """
-        p = xp.asarray(prices, dtype=xp.float64)
-        if p.ndim == 1:
-            return self._vector_utilities(slice(0, self.num_markets), p)
-        return self.outcomes_stacked(p).msp_utilities
-
     def _candidate_rows(self, sl: slice) -> tuple[xp.ndarray, xp.ndarray]:
         """Theorem 2's closed-form candidate prices for rows ``sl``.
 
@@ -797,7 +805,8 @@ class MarketStack:
         it picks alone. Every operation is row-local (sorts, prefix sums,
         and reductions run along axis 1), so the rows of a slice are
         bitwise the rows of the full matrix — the property the chunked
-        solve streams on.
+        solve streams on. ``sl = slice(None)`` gives the whole stack's
+        matrix.
 
         Returns ``(candidates (m, K), feasible (m,))``.
         """
@@ -856,93 +865,6 @@ class MarketStack:
         )
         return candidates, feasible
 
-    def _candidate_matrix(self) -> tuple[xp.ndarray, xp.ndarray]:
-        """The full-stack candidate matrix (cached; see
-        :meth:`_candidate_rows` for the construction)."""
-        if self._candidates is None:
-            self._candidates = self._candidate_rows(slice(None))
-        return self._candidates
-
-    def equilibria_stacked(
-        self,
-        *,
-        refine: bool = True,
-        warm_lows: xp.ndarray | None = None,
-        warm_highs: xp.ndarray | None = None,
-    ) -> StackedEquilibria:
-        """Solve every market's Stackelberg equilibrium in one stacked pass.
-
-        The market-axis form of :meth:`StackelbergMarket.equilibrium`
-        (which is itself the ``M = 1`` case of this solve, so the two
-        cannot diverge): evaluate the exact leader utility at every
-        market's closed-form candidate matrix in one
-        :meth:`outcomes_stacked` call, argmax per market, then — with
-        ``refine`` — cross-check with a lockstep batched golden-section
-        search (:func:`repro.game.solvers.grid_then_golden_batch`, all
-        ``M`` brackets per iteration in one stacked evaluation); the better
-        price wins per market. Infeasible markets are masked in the result
-        instead of aborting the solve (see :class:`StackedEquilibria`).
-
-        Results are memoised per ``refine`` flag — markets are immutable,
-        so repeated solves of one stack are free. For stacks too wide to
-        materialise the full candidate evaluation, use
-        :meth:`equilibria_stacked_chunked` (bitwise-equal).
-
-        ``warm_lows``/``warm_highs`` (given together, shape ``(M,)``,
-        ``refine`` only) warm-start the golden refinement per row — see
-        :func:`repro.game.solvers.grid_then_golden_batch`. Warm results
-        agree with the cold solve to refinement tolerance (not bitwise),
-        so they are returned frozen but **never memoised**; rows with
-        non-finite warm endpoints take the cold refinement path.
-        """
-        warm = warm_lows is not None or warm_highs is not None
-        if warm and not refine:
-            raise ConfigurationError(
-                "warm brackets only apply to the refined solve "
-                "(refine=True)"
-            )
-        if not warm:
-            cached = self._equilibria.get(refine)
-            if cached is not None:
-                return cached
-        candidates, feasible = self._candidate_matrix()
-        candidate_values = self.outcomes_stacked(candidates).msp_utilities
-        best_idx = xp.argmax(candidate_values, axis=1)[:, xp.newaxis]
-        best_prices = xp.take_along_axis(candidates, best_idx, axis=1)[:, 0]
-        best_values = xp.take_along_axis(candidate_values, best_idx, axis=1)[:, 0]
-        if refine:
-            refined_prices, refined_values = grid_then_golden_batch(
-                self._msp_objective,
-                self._unit_costs,
-                self._max_prices,
-                bracket_lows=warm_lows,
-                bracket_highs=warm_highs,
-            )
-            best_prices = xp.where(
-                refined_values > best_values, refined_prices, best_prices
-            )
-        outcome = self.outcomes_stacked(best_prices)
-        price_cap_binding = xp.abs(best_prices - self._max_prices) < 1e-9
-        rows = feasible[:, xp.newaxis]
-        result = StackedEquilibria(
-            prices=xp.where(feasible, best_prices, xp.nan),
-            demands=xp.where(rows, outcome.allocations, xp.nan),
-            msp_utilities=xp.where(feasible, outcome.msp_utilities, xp.nan),
-            vmu_utilities=xp.where(rows, outcome.vmu_utilities, xp.nan),
-            capacity_binding=outcome.capacity_binding & feasible,
-            price_cap_binding=price_cap_binding & feasible,
-            feasible=feasible,
-            mask=self._mask.copy(),
-            counts=self._counts.copy(),
-            unit_costs=self._unit_costs.copy(),
-        )
-        if warm:
-            return _freeze_result(result)
-        return self._memoise(refine, result)
-
-    # ------------------------------------------------------------------ #
-    # the chunked (memory-bounded) equilibrium solve
-    # ------------------------------------------------------------------ #
     def resolve_chunk_size(
         self,
         *,
@@ -958,105 +880,132 @@ class MarketStack:
             chunk_bytes=chunk_bytes,
         )
 
-    def _grid_utilities(
-        self, sl: slice, prices: xp.ndarray, scratch: _ChunkScratch
-    ) -> xp.ndarray:
-        """Leader utilities of rows ``sl`` at per-market price grids,
-        evaluated into the chunk's scratch buffers.
+    def equilibria_stacked(
+        self,
+        *,
+        refine: bool = True,
+        warm_lows: xp.ndarray | None = None,
+        warm_highs: xp.ndarray | None = None,
+    ) -> StackedEquilibria:
+        """Solve every market's Stackelberg equilibrium, stacked.
 
-        The scratch-buffered replica of
-        ``outcomes_stacked(prices).msp_utilities`` for a row range: best
-        responses, mask zeroing, and rationing are the identical
-        elementwise expressions, computed in place in ``scratch.band``
-        instead of freshly allocated ``(M, R, N)`` arrays. Only the
-        ``(m, R)``-shaped totals/scales remain ordinary allocations.
+        The market-axis form of :meth:`StackelbergMarket.equilibrium`
+        (which is itself the ``M = 1`` case of this solve, so the two
+        cannot diverge). Per market: evaluate the exact leader utility at
+        every closed-form candidate of Theorem 2, take the argmax, then —
+        with ``refine`` — cross-check with a grid-then-golden-section
+        search over ``[C, p_max]``; the better price wins. Infeasible
+        markets are masked in the result instead of aborting the solve
+        (see :class:`StackedEquilibria`).
+
+        This is the :data:`DEFAULT_CHUNK_BYTES`-budget solve of
+        :meth:`equilibria_stacked_chunked`: both run the one chunked
+        solve, and every chunk size gives the same bits. Results are
+        memoised per ``refine`` flag and shared with the chunked entry
+        point — markets are immutable, so repeated solves of one stack are
+        free.
+
+        ``warm_lows``/``warm_highs`` (given together, shape ``(M,)``,
+        ``refine`` only) warm-start the golden refinement per row — see
+        :func:`repro.game.solvers.grid_then_golden_batch`. Warm results
+        agree with the cold solve to refinement tolerance (not bitwise),
+        so they are returned frozen but **never memoised**; rows with
+        non-finite warm endpoints take the cold refinement path.
         """
-        alphas = self._alphas[sl]
-        data = self._data[sl]
-        se = self._se[sl]
-        counts = self._counts[sl]
-        m, width = prices.shape
-        band = scratch.band[:m, :width]
-        # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed — identical
-        # operands (and therefore bits) to follower_best_response_stacked
-        # plus the xp.where(mask, ·, 0.0) of outcomes_stacked.
-        xp.divide(alphas[:, xp.newaxis, :], prices[:, :, xp.newaxis], out=band)
-        ratio = scratch.ratio[:m]
-        xp.divide(data, se[:, xp.newaxis], out=ratio)
-        xp.subtract(band, ratio[:, xp.newaxis, :], out=band)
-        xp.maximum(band, 0.0, out=band)
-        xp.copyto(band, 0.0, where=scratch.pad[:m, xp.newaxis, :])
-        # Same flat-reduction shortcut as _ProbeContext: the band holds
-        # non-negative values with +0.0 padding, so below numpy's width-8
-        # pairwise regime the full-width sum returns the grouped bits.
-        flat = not self._ragged or self._alphas.shape[1] < 8
-        demand_totals = (
-            band.sum(axis=-1)
-            if flat
-            else _per_market_totals(band, counts, ragged=self._ragged)
-        )
-        # Proportional rationing in place (demands are not needed after
-        # their totals): the same where-guarded scale expression as
-        # proportional_rationing_stacked, rows within capacity scaled by
-        # exactly 1.0.
-        caps_rows = xp.where(self._enforce[sl], self._caps[sl], xp.inf)[
-            :, xp.newaxis
-        ]
-        with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scales = xp.where(
-                demand_totals > caps_rows, caps_rows / demand_totals, 1.0
+        if warm_lows is None and warm_highs is None:
+            return self._solve(refine)
+        if not refine:
+            raise ConfigurationError(
+                "warm brackets only apply to the refined solve "
+                "(refine=True)"
             )
-        xp.multiply(band, scales[:, :, xp.newaxis], out=band)
-        return msp_utilities_stacked(
-            prices,
-            self._unit_costs[sl],
-            band.sum(axis=-1)
-            if flat
-            else _per_market_totals(band, counts, ragged=self._ragged),
-        )
+        lows = xp.asarray(warm_lows, dtype=xp.float64)
+        highs = xp.asarray(warm_highs, dtype=xp.float64)
+        if lows.shape != (self.num_markets,) or highs.shape != lows.shape:
+            raise ConfigurationError(
+                "warm_lows and warm_highs must be given together, each of "
+                f"shape ({self.num_markets},)"
+            )
+        return self._solve(refine, warm=(lows, highs))
 
-    def _vector_utilities(self, sl: slice, prices: xp.ndarray) -> xp.ndarray:
-        """Leader utilities of rows ``sl`` at one price per market — the
-        row-sliced replica of the ``(M,)``-priced ``outcomes_stacked``
-        utility chain.
+    def equilibria_stacked_chunked(
+        self,
+        *,
+        refine: bool = True,
+        chunk_size: int | None = None,
+        chunk_bytes: int | None = None,
+    ) -> StackedEquilibria:
+        """:meth:`equilibria_stacked` at an explicit memory budget.
 
-        This is the golden-refinement probe, called ~50 times sequentially
-        per solve, so it runs on a cached :class:`_ProbeContext` instead of
-        the validating kernels: every expression below is elementwise
-        identical to the ``follower_best_response_stacked`` →
-        ``proportional_rationing_stacked`` → ``msp_utilities_stacked``
-        chain (the context pre-divides ``D/SE`` and pre-groups the ragged
-        reduction; neither changes a bit), with the per-probe input
-        re-validation dropped — the stack validated its parameters at
-        construction and ``prices`` lie inside ``[C, p_max]`` by the
-        solver's bracket contract.
+        Partitions the stack into chunks of :meth:`resolve_chunk_size`
+        rows (explicit ``chunk_size`` wins over the ``chunk_bytes`` scratch
+        budget; neither set uses :data:`DEFAULT_CHUNK_BYTES`, which is
+        :meth:`equilibria_stacked`). Peak memory scales with the chunk,
+        never with ``M``, and the result is **bitwise** the same for every
+        chunk size (the solve is row-local end to end; see the module
+        docstring).
+
+        Shares the per-``refine`` memo with :meth:`equilibria_stacked`:
+        solving a stack twice — at any chunk size — returns the identical
+        cached object.
         """
-        key = (sl.start, sl.stop)
-        ctx = self._probe_contexts.get(key)
-        if ctx is None:
-            ctx = self._probe_contexts[key] = _ProbeContext(self, sl)
-        band = ctx.band
-        xp.divide(ctx.alphas, prices[:, xp.newaxis], out=band)
-        xp.subtract(band, ctx.ratio, out=band)
-        xp.maximum(band, 0.0, out=band)
-        xp.copyto(band, 0.0, where=ctx.pad)
-        demand_totals = ctx.totals(band)
-        # Guarded division replica of proportional_rationing_stacked's
-        # xp.where(totals > caps, caps / totals, 1.0): the quotient is
-        # evaluated only where the condition holds (same bits, no errstate
-        # round-trip per probe). The ``1.0``-filled output buffer lives on
-        # the context — it is fully consumed by the multiply below, so
-        # reuse across probes is invisible.
-        out = ctx.scales
-        out.fill(1.0)
-        scales = xp.divide(
-            ctx.effective_caps,
-            demand_totals,
-            out=out,
-            where=demand_totals > ctx.effective_caps,
+        return self._solve(refine, chunk_size, chunk_bytes)
+
+    def _solve(
+        self,
+        refine: bool,
+        chunk_size: int | None = None,
+        chunk_bytes: int | None = None,
+        warm: tuple[xp.ndarray, xp.ndarray] | None = None,
+    ) -> StackedEquilibria:
+        """The equilibrium solve, streamed in :meth:`resolve_chunk_size`
+        chunks, behind both public entry points.
+
+        One :class:`_ChunkScratch` serves every chunk, and each chunk's
+        rows stream into preallocated ``(M,)``/``(M, N_max)`` result
+        arrays. Warm brackets ``(lows, highs)`` are sliced per chunk.
+
+        Cold results are memoised per ``refine`` flag, warm ones never.
+        Either way the result's arrays are frozen: a caller writing
+        through a memoised result would silently poison every later
+        equilibrium() solve of this stack. equilibrium(m) hands out
+        read-only copies; whole-array consumers get read-only views.
+        """
+        if warm is None:
+            cached = self._equilibria.get(refine)
+            if cached is not None:
+                return cached
+        size = self.resolve_chunk_size(
+            chunk_size=chunk_size, chunk_bytes=chunk_bytes
         )
-        xp.multiply(band, scales[:, xp.newaxis], out=band)
-        return (prices - ctx.unit_costs) * ctx.totals(band)
+        num_markets, n_max = self.num_markets, self.max_vmus
+        out = {
+            "prices": xp.empty(num_markets, dtype=xp.float64),
+            "demands": xp.empty((num_markets, n_max), dtype=xp.float64),
+            "msp_utilities": xp.empty(num_markets, dtype=xp.float64),
+            "vmu_utilities": xp.empty((num_markets, n_max), dtype=xp.float64),
+            "capacity_binding": xp.empty(num_markets, dtype=bool),
+            "price_cap_binding": xp.empty(num_markets, dtype=bool),
+            "feasible": xp.empty(num_markets, dtype=bool),
+        }
+        scratch = _ChunkScratch(size, n_max)
+        for start in range(0, num_markets, size):
+            sl = slice(start, min(start + size, num_markets))
+            rows_warm = None if warm is None else (warm[0][sl], warm[1][sl])
+            chunk = self._solve_rows(sl, refine, scratch, rows_warm)
+            for key, values in chunk.items():
+                out[key][sl] = values
+        result = _freeze_result(
+            StackedEquilibria(
+                mask=self._mask.copy(),
+                counts=self._counts.copy(),
+                unit_costs=self._unit_costs.copy(),
+                **out,
+            )
+        )
+        if warm is None:
+            self._equilibria[refine] = result
+        return result
 
     def _refine_rows_scalar(
         self, sl: slice, scratch: _ChunkScratch
@@ -1064,13 +1013,12 @@ class MarketStack:
         """Golden refinement of a tiny row range, one scalar search per row.
 
         Bitwise replica of the cold ``grid_then_golden_batch`` call in
-        :meth:`_solve_rows`, restructured for latency: the batched golden
-        loop pays ~50 sequential rounds of numpy dispatch regardless of
-        row count, which is the latency floor of a dirty-row re-solve.
-        Here the coarse scan stays vectorised (same grid, argmax, and
-        bracket expressions as ``scan_brackets``), then each row refines
-        through the scalar :func:`golden_section_maximize` — the reference
-        the batch is pinned against — with a pure-Python objective.
+        :meth:`_solve_rows`, restructured for latency (see
+        :data:`_SCALAR_REFINE_MAX_ROWS`): the coarse scan stays vectorised
+        (same grid, argmax, and bracket expressions as ``scan_brackets``),
+        then each row refines through the scalar
+        :func:`golden_section_maximize` — the reference the batch is
+        pinned against — with a pure-Python objective.
 
         Why the bits match: IEEE-754 arithmetic is identical between
         Python floats and numpy float64 scalars, the clamp ``d = 0.0 if
@@ -1078,10 +1026,9 @@ class MarketStack:
         impossible: ``a - b`` with ``a, b >= 0`` never rounds to it), and
         the sequential Python sums match numpy's sequential reduction
         regime, which is why this path is gated on stack width < 8 —
-        the same boundary :class:`_ProbeContext` documents. The caller
-        gates on ``_SCALAR_REFINE_MAX_ROWS``;
-        ``tests/test_core_equilibria_stacked.py`` pins chunked-vs-unchunked
-        equality across this threshold.
+        the same boundary :meth:`_ChunkScratch.load` documents.
+        ``tests/test_core_equilibria_stacked.py`` pins equality across
+        chunk sizes on both sides of the row gate.
         """
         low_v = self._unit_costs[sl]
         high_v = self._max_prices[sl]
@@ -1090,26 +1037,23 @@ class MarketStack:
             low_v[:, xp.newaxis]
             + steps[:, xp.newaxis] * xp.arange(_REFINE_GRID_POINTS)
         )
-        values = self._grid_utilities(sl, grids, scratch)
+        values = scratch.leader_utilities(grids)
         best_idx = xp.argmax(values, axis=1)
         bracket_lows = low_v + xp.maximum(0, best_idx - 1) * steps
         bracket_highs = (
             low_v + xp.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
         )
 
-        key = (sl.start, sl.stop)
-        ctx = self._probe_contexts.get(key)
-        if ctx is None:
-            ctx = self._probe_contexts[key] = _ProbeContext(self, sl)
         num_rows = bracket_lows.shape[0]
         prices = xp.empty(num_rows, dtype=xp.float64)
         utilities = xp.empty(num_rows, dtype=xp.float64)
-        counts = self._counts[sl]
         for i in range(num_rows):
-            n = int(counts[i])
-            pairs = list(zip(ctx.alphas[i, :n].tolist(), ctx.ratio[i, :n].tolist()))
-            cap = float(ctx.effective_caps[i])
-            cost = float(ctx.unit_costs[i])
+            n = int(scratch.counts[i])
+            pairs = list(
+                zip(scratch.alphas[i, :n].tolist(), scratch.ratio[i, :n].tolist())
+            )
+            cap = float(scratch.effective_caps[i])
+            cost = float(scratch.unit_costs[i])
 
             def objective(
                 p: float, pairs=pairs, cap=cap, cost=cost
@@ -1135,20 +1079,22 @@ class MarketStack:
         return prices, utilities
 
     def _solve_rows(
-        self, sl: slice, refine: bool, scratch: _ChunkScratch
+        self,
+        sl: slice,
+        refine: bool,
+        scratch: _ChunkScratch,
+        warm: tuple[xp.ndarray, xp.ndarray] | None,
     ) -> dict[str, xp.ndarray]:
         """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
 
-        Runs the identical candidate-argmax + golden-refinement sequence
-        :meth:`equilibria_stacked` runs, restricted to a row range and
-        evaluated through the chunk scratch buffers. Because every
-        operation is row-local, the returned arrays are bitwise the
-        corresponding rows of the unchunked result.
+        Candidate argmax, then (with ``refine``) the golden cross-check —
+        warm-started from ``warm = (lows, highs)`` when given — then the
+        full outcome at the winning prices. Every step is row-local, so
+        the arrays are bitwise the rows any other chunking produces.
         """
-        num_rows = len(range(*sl.indices(self.num_markets)))
-        xp.logical_not(self._mask[sl], out=scratch.pad[:num_rows])
+        scratch.load(self, sl)
         candidates, feasible = self._candidate_rows(sl)
-        candidate_values = self._grid_utilities(sl, candidates, scratch)
+        candidate_values = scratch.leader_utilities(candidates)
         best_idx = xp.argmax(candidate_values, axis=1)[:, xp.newaxis]
         best_prices = xp.take_along_axis(candidates, best_idx, axis=1)[:, 0]
         best_values = xp.take_along_axis(candidate_values, best_idx, axis=1)[
@@ -1156,135 +1102,36 @@ class MarketStack:
         ]
         if refine:
             if (
-                num_rows <= _SCALAR_REFINE_MAX_ROWS
-                and self._alphas.shape[1] < 8
+                warm is None
+                and feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS
+                and self.max_vmus < 8
             ):
                 refined_prices, refined_values = self._refine_rows_scalar(
                     sl, scratch
                 )
             else:
-
-                def objective(prices: xp.ndarray) -> xp.ndarray:
-                    p = xp.asarray(prices, dtype=xp.float64)
-                    if p.ndim == 2:
-                        return self._grid_utilities(sl, p, scratch)
-                    return self._vector_utilities(sl, p)
-
                 refined_prices, refined_values = grid_then_golden_batch(
-                    objective, self._unit_costs[sl], self._max_prices[sl]
+                    scratch.leader_utilities,
+                    self._unit_costs[sl],
+                    self._max_prices[sl],
+                    bracket_lows=None if warm is None else warm[0],
+                    bracket_highs=None if warm is None else warm[1],
                 )
             best_prices = xp.where(
                 refined_values > best_values, refined_prices, best_prices
             )
-        # Full outcome fields at the winning prices — the row-sliced
-        # replica of the final outcomes_stacked(best_prices) evaluation
-        # (small (m, N_max) arrays, so no scratch indirection).
-        mask = self._mask[sl]
-        counts = self._counts[sl]
-        raw = follower_best_response_stacked(
-            self._alphas[sl], self._data[sl], best_prices, self._se[sl]
-        )
-        demands = xp.where(mask, raw, 0.0)
-        demand_totals = _per_market_totals(demands, counts, ragged=self._ragged)
-        effective_caps = xp.where(self._enforce[sl], self._caps[sl], xp.inf)
-        allocations = proportional_rationing_stacked(
-            demands, effective_caps, totals=demand_totals
-        )
-        binding = self._enforce[sl] & (
-            demand_totals >= self._caps[sl] * (1.0 - 1e-9)
-        )
-        utilities = msp_utilities_stacked(
-            best_prices,
-            self._unit_costs[sl],
-            _per_market_totals(allocations, counts, ragged=self._ragged),
-        )
-        follower_utilities = xp.where(
-            mask,
-            vmu_utilities_stacked(
-                self._alphas[sl],
-                self._data[sl],
-                allocations,
-                best_prices,
-                self._se[sl],
-            ),
-            0.0,
-        )
+        outcome = self._outcomes_trusted(best_prices, sl)
         price_cap_binding = xp.abs(best_prices - self._max_prices[sl]) < 1e-9
         rows = feasible[:, xp.newaxis]
         return {
             "prices": xp.where(feasible, best_prices, xp.nan),
-            "demands": xp.where(rows, allocations, xp.nan),
-            "msp_utilities": xp.where(feasible, utilities, xp.nan),
-            "vmu_utilities": xp.where(rows, follower_utilities, xp.nan),
-            "capacity_binding": binding & feasible,
+            "demands": xp.where(rows, outcome.allocations, xp.nan),
+            "msp_utilities": xp.where(feasible, outcome.msp_utilities, xp.nan),
+            "vmu_utilities": xp.where(rows, outcome.vmu_utilities, xp.nan),
+            "capacity_binding": outcome.capacity_binding & feasible,
             "price_cap_binding": price_cap_binding & feasible,
             "feasible": feasible,
         }
-
-    def equilibria_stacked_chunked(
-        self,
-        *,
-        refine: bool = True,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
-    ) -> StackedEquilibria:
-        """The memory-bounded streaming form of :meth:`equilibria_stacked`.
-
-        Partitions the stack into chunks of :meth:`resolve_chunk_size`
-        rows (explicit ``chunk_size`` wins over the ``chunk_bytes`` scratch
-        budget; neither set uses :data:`DEFAULT_CHUNK_BYTES`), solves each
-        chunk through the candidate-matrix + golden-refinement path into
-        one set of preallocated scratch buffers reused across chunks, and
-        streams the per-chunk rows into preallocated result arrays. Peak
-        memory scales with the chunk, never with ``M`` — and the result is
-        **bitwise-equal** to the unchunked solve for every chunk size (the
-        solve is row-local end to end; see the module docstring).
-
-        Shares the per-``refine`` memo with :meth:`equilibria_stacked`:
-        solving a stack twice — chunked or not, any chunk size — returns
-        the identical cached object.
-        """
-        cached = self._equilibria.get(refine)
-        if cached is not None:
-            return cached
-        size = self.resolve_chunk_size(
-            chunk_size=chunk_size, chunk_bytes=chunk_bytes
-        )
-        num_markets, n_max = self.num_markets, self.max_vmus
-        out = {
-            "prices": xp.empty(num_markets, dtype=xp.float64),
-            "demands": xp.empty((num_markets, n_max), dtype=xp.float64),
-            "msp_utilities": xp.empty(num_markets, dtype=xp.float64),
-            "vmu_utilities": xp.empty((num_markets, n_max), dtype=xp.float64),
-            "capacity_binding": xp.empty(num_markets, dtype=bool),
-            "price_cap_binding": xp.empty(num_markets, dtype=bool),
-            "feasible": xp.empty(num_markets, dtype=bool),
-        }
-        scratch = _ChunkScratch(size, n_max)
-        for start in range(0, num_markets, size):
-            sl = slice(start, min(start + size, num_markets))
-            chunk = self._solve_rows(sl, refine, scratch)
-            for key, values in chunk.items():
-                out[key][sl] = values
-        result = StackedEquilibria(
-            mask=self._mask.copy(),
-            counts=self._counts.copy(),
-            unit_costs=self._unit_costs.copy(),
-            **out,
-        )
-        return self._memoise(refine, result)
-
-    def _memoise(self, refine: bool, result: StackedEquilibria) -> StackedEquilibria:
-        """Freeze a solved result's arrays and store it in the per-refine
-        memo.
-
-        The result is memoised, so its backing arrays are frozen: a caller
-        writing through them would silently poison every later
-        equilibrium() solve of this stack. equilibrium(m) hands out
-        read-only copies; whole-array consumers get read-only views.
-        """
-        self._equilibria[refine] = _freeze_result(result)
-        return result
 
 
 def _freeze_result(result: StackedEquilibria) -> StackedEquilibria:

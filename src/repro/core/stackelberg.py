@@ -396,7 +396,7 @@ class StackelbergMarket:
 
         This is the readable scalar reference of the candidate enumeration;
         the solve itself runs through the vectorised
-        :meth:`repro.core.marketstack.MarketStack._candidate_matrix`, which
+        :meth:`repro.core.marketstack.MarketStack._candidate_rows`, which
         replaces the per-probe ``O(N)`` active-set reductions here with
         prefix sums over the threshold-sorted population.
         """

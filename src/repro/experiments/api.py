@@ -398,7 +398,7 @@ CHUNK_PARAMS: tuple[ParamSpec, ...] = (
 )
 """The memory-bounding knobs of every stacked-solve experiment: forwarded
 to :meth:`repro.core.marketstack.MarketStack.equilibria_stacked_chunked`,
-which is bitwise-equal to the unchunked solve at every setting."""
+which returns the same bits at every setting."""
 
 _PRESETS: dict[str, Callable[..., ExperimentConfig]] = {
     "quick": ExperimentConfig.quick,

@@ -62,9 +62,9 @@ def _solve_grid(
     one stacked solve over the whole grid (the specs' direct path; the
     scheduled path runs one ``equilibrium_cell`` job per market instead —
     same numbers, scalar equilibrium == ``M = 1`` stacked solve, pinned
-    in ``tests/test_core_equilibria_stacked.py``). With either chunk knob
-    set, the solve streams through ``equilibria_stacked_chunked`` — same
-    bits, memory bounded by the chunk instead of the grid. With ``cache``
+    in ``tests/test_core_equilibria_stacked.py``). The chunk knobs set the
+    solve's memory budget (unset: the default one) — same bits at any
+    budget. With ``cache``
     set, rows come from the content-keyed
     :class:`~repro.service.cache.EquilibriumCache` instead: only markets
     the cache has never seen are solved (as one sub-stack), so repeated
@@ -76,13 +76,9 @@ def _solve_grid(
             markets, chunk_size=chunk_size, chunk_bytes=chunk_bytes
         )
         return [(row.price, row.msp_utility) for row in rows]
-    stack = MarketStack(markets)
-    if chunk_size is not None or chunk_bytes is not None:
-        solved = stack.equilibria_stacked_chunked(
-            chunk_size=chunk_size, chunk_bytes=chunk_bytes
-        )
-    else:
-        solved = stack.equilibria_stacked()
+    solved = MarketStack(markets).equilibria_stacked_chunked(
+        chunk_size=chunk_size, chunk_bytes=chunk_bytes
+    )
     cells = []
     for m in range(len(markets)):
         equilibrium = solved.equilibrium(m)

@@ -111,8 +111,8 @@ class EquilibriumCache:
         """Ensure every market's row is cached.
 
         The unseen markets (deduplicated by key) are solved together as
-        one sub-stack — chunked when either knob is set — and their scalar
-        rows stored. Already-cached markets cost a key computation only.
+        one sub-stack — at the chunk knobs' budget, or the default one —
+        and their scalar rows stored. Already-cached markets cost a key computation only.
         """
         keys = [self.market_key(m) for m in markets]
         unseen: dict[str, StackelbergMarket] = {}
@@ -123,15 +123,9 @@ class EquilibriumCache:
         self._hits += len(keys) - len(unseen)
         if not unseen:
             return
-        sub = MarketStack(list(unseen.values()))
-        if chunk_size is not None or chunk_bytes is not None:
-            solved = sub.equilibria_stacked_chunked(
-                refine=self._refine,
-                chunk_size=chunk_size,
-                chunk_bytes=chunk_bytes,
-            )
-        else:
-            solved = sub.equilibria_stacked(refine=self._refine)
+        solved = MarketStack(list(unseen.values())).equilibria_stacked_chunked(
+            refine=self._refine, chunk_size=chunk_size, chunk_bytes=chunk_bytes
+        )
         for row, key in enumerate(unseen):
             if bool(solved.feasible[row]):
                 self._rows[key] = solved.equilibrium(row)

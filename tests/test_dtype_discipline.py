@@ -104,7 +104,7 @@ class TestMarketStackDtype:
         assert_hot(stack.mask, dtype=np.bool_)
 
     def test_candidate_matrix(self, stack):
-        candidates, feasible = stack._candidate_matrix()
+        candidates, feasible = stack._candidate_rows(slice(None))
         assert_hot(candidates)
         assert_hot(feasible, dtype=np.bool_)
 
