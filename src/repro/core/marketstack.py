@@ -577,11 +577,13 @@ class MarketStack:
     ) -> "MarketStack":
         """A city-scale stack: one migration market per RSU-grid junction.
 
-        Builds a Manhattan grid (:func:`repro.mobility.road.grid_city`)
-        with one :class:`~repro.entities.rsu.RoadsideUnit` per junction,
-        derives each junction's migration-demand profile from the mobility
-        models (handover rate of ``vehicles_per_cell`` vehicles crossing
-        the cell at ``speed_limit_mps``), sizes the market's ``B_max`` via
+        Lays out a Manhattan grid of RSU junctions, with the geometry
+        derived analytically from the junction index (no road graph is
+        built; :func:`repro.mobility.citygrid.city_coverage` is the graph
+        view), derives each junction's migration-demand profile from the
+        mobility models (handover rate of ``vehicles_per_cell`` vehicles
+        crossing the cell at ``speed_limit_mps``), sizes the market's
+        ``B_max`` via
         :func:`repro.mobility.demand.capacity_for_demand`, and samples the
         VMU population per cell. Each market is a pure function of the
         grid parameters and its junction index (per-index seeding), so a

@@ -8,6 +8,7 @@ size ``D_n`` and values migration freshness with immersion coefficient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro import constants
@@ -50,19 +51,30 @@ def sample_population(
     data_range_mb: tuple[float, float] = constants.VT_DATA_SIZE_RANGE_MB,
     immersion_range: tuple[float, float] = constants.IMMERSION_COEF_RANGE,
 ) -> list[VmuProfile]:
-    """Sample ``count`` VMUs uniformly from the paper's parameter ranges."""
+    """Sample ``count`` VMUs uniformly from the paper's parameter ranges.
+
+    The whole population is one ``rng.random(2 * count)`` draw, mapped by
+    ``low + (high - low) * u``: the same doubles, in the same order
+    (``D_0, α_0, D_1, α_1, …``), and the same arithmetic as ``2 * count``
+    scalar ``rng.uniform`` calls, so both give the same bits and leave
+    the generator in the same state.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    lo_d, hi_d = data_range_mb
-    lo_a, hi_a = immersion_range
+    lo_d, hi_d = map(float, data_range_mb)
+    lo_a, hi_a = map(float, immersion_range)
     if lo_d > hi_d or lo_a > hi_a:
         raise ValueError("ranges must satisfy low <= high")
-    rng = as_generator(seed)
+    span_d, span_a = hi_d - lo_d, hi_a - lo_a
+    # Generator.uniform's own range check, kept: inf/NaN bounds overflow.
+    if not (math.isfinite(span_d) and math.isfinite(span_a)):
+        raise OverflowError("Range exceeds valid bounds")
+    u = as_generator(seed).random(2 * count).tolist()
     return [
         VmuProfile(
             vmu_id=f"vmu-{i}",
-            data_size_mb=float(rng.uniform(lo_d, hi_d)),
-            immersion_coef=float(rng.uniform(lo_a, hi_a)),
+            data_size_mb=lo_d + span_d * u[2 * i],
+            immersion_coef=lo_a + span_a * u[2 * i + 1],
         )
         for i in range(count)
     ]

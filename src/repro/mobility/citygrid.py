@@ -4,12 +4,19 @@ The paper's migration scenarios play out on a city street grid: every
 junction hosts an RSU, vehicles crossing a cell hand their VT over to the
 next RSU, and each junction's handover stream is one bandwidth market.
 :func:`city_markets` turns a :class:`CityGridSpec` into that market
-population using the existing mobility substrate — the road grid from
-:func:`repro.mobility.road.grid_city`, per-junction
-:class:`~repro.entities.rsu.RoadsideUnit` coverage to decide whether a
-cell crossing forces a hard migration, and
-:func:`repro.mobility.demand.capacity_for_demand` to size each market's
-``B_max`` from its migration rate.
+population, and :func:`repro.mobility.demand.capacity_for_demand` sizes
+each market's ``B_max`` from its migration rate.
+
+The grid is regular, so :func:`city_markets` builds no road graph: the
+junction geometry is analytic in the ``(row, col)`` index. Junction
+``(r, c)`` sits at ``(c * block_m, r * block_m)``, its road neighbours are
+the up-to-four in-grid junctions beside it, and one ``math.hypot`` of two
+junction positions is both the road length
+(:meth:`repro.mobility.road.RoadNetwork.distance`) and the coverage
+distance (:meth:`repro.entities.rsu.RoadsideUnit.covers`) — the values the
+graph view gives, bit for bit. :func:`city_coverage` is that graph view:
+the :func:`repro.mobility.road.grid_city` network with one
+:class:`~repro.entities.rsu.RoadsideUnit` per junction, for diagnostics.
 
 Determinism contract
 --------------------
@@ -17,9 +24,9 @@ Market ``i`` is a pure function of ``(spec, i)``: every random draw uses
 ``np.random.default_rng([spec.seed, i])``, and the junction geometry is
 derived from the grid parameters alone. Building markets ``[start, stop)``
 therefore yields objects identical to the same index range of the full
-build — which is what lets scheduler jobs and chunked solves construct
-only their own slice of a 10k-market city from a payload of a dozen
-scalars.
+build, at a cost of O(stop − start) — which is what lets scheduler jobs
+and chunked solves construct only their own slice of a 10k-market city
+from a payload of a dozen scalars.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.coverage import CoverageMap
 from repro.mobility.demand import DemandProfile, capacity_for_demand
 from repro.mobility.road import RoadNetwork, grid_city
+from repro.utils.validation import require_positive
 
 __all__ = ["CityGridSpec", "city_markets", "city_coverage"]
 
@@ -84,10 +92,9 @@ class CityGridSpec:
             )
         for name in ("block_m", "speed_limit_mps", "vehicles_per_cell",
                      "target_aotm", "horizon_s"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(
-                    f"{name} must be > 0, got {getattr(self, name)}"
-                )
+            require_positive(name, getattr(self, name))
+        if self.coverage_radius_m is not None:
+            require_positive("coverage_radius_m", self.coverage_radius_m)
 
     @classmethod
     def for_markets(
@@ -147,28 +154,6 @@ class CityGridSpec:
         return cls(**dict(payload))
 
 
-def _junction_id(spec: CityGridSpec, index: int) -> str:
-    return f"g{index // spec.cols}-{index % spec.cols}"
-
-
-def _nearest_neighbor(
-    network: RoadNetwork, junction: str
-) -> tuple[str, float]:
-    """The road-adjacent junction closest to ``junction`` (O(degree) —
-    never a scan over all RSUs, so a 10k-junction city stays O(M) total).
-
-    Ties break on the neighbour id so the choice is deterministic.
-    """
-    best: tuple[float, str] | None = None
-    for _, neighbor, length in network.graph.out_edges(junction, data="length_m"):
-        key = (float(length), neighbor)
-        if best is None or key < best:
-            best = key
-    if best is None:  # grid_city always wires >= 2x2, so unreachable
-        raise ConfigurationError(f"junction {junction!r} has no roads")
-    return best[1], best[0]
-
-
 def city_markets(
     spec: CityGridSpec, start: int = 0, stop: int | None = None
 ) -> list[StackelbergMarket]:
@@ -183,6 +168,18 @@ def city_markets(
     spectral efficiency — sets the market's ``B_max``. The VMU population
     and per-cell congestion are drawn from the per-index generator (see the
     module docstring's determinism contract).
+
+    The geometry is analytic: junction ``(r, c)`` sits at
+    ``(float(c * block_m), float(r * block_m))`` and the nearest neighbour
+    is the least ``(road length, junction id)`` over the up-to-four in-grid
+    junctions beside it, so ties break on the id *string*
+    (``"g10-5" < "g9-5"``). The road length is one ``math.hypot`` of the
+    two positions' differences, the value of both
+    ``RoadNetwork.distance`` (``hypot(bx - ax, by - ay)``) and the
+    ``RoadsideUnit.covers`` distance (``hypot(dx, dy)`` from the RSU), so
+    it also decides coverage. No road graph is built, so a slice costs
+    O(stop − start); :func:`city_coverage` is the graph view of the same
+    grid.
     """
     if stop is None:
         stop = spec.num_markets
@@ -191,17 +188,22 @@ def city_markets(
             f"invalid market range [{start}, {stop}) for "
             f"{spec.num_markets} markets"
         )
-    network = grid_city(
-        spec.rows,
-        spec.cols,
-        block_m=spec.block_m,
-        speed_limit_mps=spec.speed_limit_mps,
-    )
+    rows, cols, block_m = spec.rows, spec.cols, spec.block_m
+    coverage_radius = spec.coverage_radius
+    report_scale = MarketConfig().bandwidth_report_scale
     base_link = paper_link()
     markets: list[StackelbergMarket] = []
     for index in range(start, stop):
-        junction = _junction_id(spec, index)
-        neighbor, road_length = _nearest_neighbor(network, junction)
+        row, col = divmod(index, cols)
+        junction = f"g{row}-{col}"
+        x, y = float(col * block_m), float(row * block_m)
+        road_length, neighbor = min(
+            (math.hypot(float(c * block_m) - x, float(r * block_m) - y),
+             f"g{r}-{c}")
+            for r, c in ((row, col - 1), (row, col + 1),
+                         (row - 1, col), (row + 1, col))
+            if 0 <= r < rows and 0 <= c < cols
+        )
         rng = np.random.default_rng([spec.seed, index])
         population = sample_population(
             int(rng.integers(1, spec.max_vmus + 1)), seed=rng
@@ -210,13 +212,8 @@ def city_markets(
         # VTs migrate at the coverage boundary, somewhere along the road —
         # the RSU-to-RSU link distance is a per-cell fraction of the block.
         link = base_link.with_distance(road_length * float(rng.uniform(0.6, 1.0)))
-        source_rsu = RoadsideUnit(
-            rsu_id=f"rsu-{junction}",
-            position_m=network.position(junction),
-            coverage_radius_m=spec.coverage_radius,
-        )
         crossing_rate_hz = vehicles * spec.speed_limit_mps / road_length
-        if source_rsu.covers(network.position(neighbor)):
+        if road_length <= coverage_radius:  # neighbour inside RSU coverage
             crossing_rate_hz *= _SOFT_HANDOVER_FACTOR
         profile = DemandProfile(
             duration_s=spec.horizon_s,
@@ -240,9 +237,7 @@ def city_markets(
             target_aotm=spec.target_aotm,
             spectral_efficiency=link.spectral_efficiency,
         )
-        config = MarketConfig(
-            max_bandwidth=capacity_natural * MarketConfig().bandwidth_report_scale
-        )
+        config = MarketConfig(max_bandwidth=capacity_natural * report_scale)
         markets.append(
             StackelbergMarket(population, config=config, link=link)
         )
@@ -252,10 +247,11 @@ def city_markets(
 def city_coverage(spec: CityGridSpec) -> tuple[RoadNetwork, CoverageMap]:
     """The city's road network and full-city RSU coverage map.
 
-    Diagnostics companion to :func:`city_markets` (which deliberately never
-    queries the full map — :class:`CoverageMap` lookups scan all RSUs, and
-    a per-market scan would be O(M²) at city scale). Useful for asserting
-    the grid leaves no coverage holes at junctions.
+    The graph view of the grid :func:`city_markets` derives analytically:
+    a :func:`grid_city` network with one :class:`RoadsideUnit` per
+    junction. A diagnostics companion (:class:`CoverageMap` lookups scan
+    all RSUs, so a per-market query would be O(M²) at city scale), useful
+    for asserting the grid leaves no coverage holes at junctions.
     """
     network = grid_city(
         spec.rows,

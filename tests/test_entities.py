@@ -1,5 +1,8 @@
 """Entity tests: VT payloads/blocks, RSUs, the MSP ledger, populations."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -202,3 +205,69 @@ class TestPopulations:
             VmuProfile("x", data_size_mb=0.0, immersion_coef=5.0)
         with pytest.raises(ConfigurationError):
             VmuProfile("x", data_size_mb=100.0, immersion_coef=-1.0)
+
+
+def scalar_uniform_population(count, rng, data_range_mb, immersion_range):
+    """The reference draw: two scalar ``rng.uniform`` calls per VMU."""
+    return [
+        VmuProfile(
+            vmu_id=f"vmu-{i}",
+            data_size_mb=float(rng.uniform(*data_range_mb)),
+            immersion_coef=float(rng.uniform(*immersion_range)),
+        )
+        for i in range(count)
+    ]
+
+
+class TestOneDrawPopulation:
+    RANGES = [
+        ((100.0, 300.0), (5.0, 20.0)),
+        ((1, 2), (7.25, 7.25)),
+    ]
+
+    @pytest.mark.parametrize("data_range_mb, immersion_range", RANGES)
+    def test_bitwise_equal_to_scalar_uniform_draws(
+        self, data_range_mb, immersion_range
+    ):
+        for seed in range(1000):
+            count = 1 + seed % 12
+            got_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = sample_population(
+                count, seed=got_rng, data_range_mb=data_range_mb,
+                immersion_range=immersion_range,
+            )
+            ref = scalar_uniform_population(
+                count, ref_rng, data_range_mb, immersion_range
+            )
+            assert [v.vmu_id for v in got] == [v.vmu_id for v in ref]
+            assert [
+                (v.data_size_mb.hex(), v.immersion_coef.hex()) for v in got
+            ] == [(v.data_size_mb.hex(), v.immersion_coef.hex()) for v in ref]
+            # Shared streams (e.g. a city market's later draws) continue
+            # exactly where the scalar calls would have left them.
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert got_rng.poisson(400.0) == ref_rng.poisson(400.0)
+            assert got_rng.uniform(0.6, 1.0) == ref_rng.uniform(0.6, 1.0)
+
+    @pytest.mark.parametrize(
+        "data_range_mb, immersion_range",
+        [
+            ((100.0, math.inf), (5.0, 20.0)),
+            ((math.nan, 300.0), (5.0, 20.0)),
+            ((100.0, 300.0), (-math.inf, math.inf)),
+            ((100.0, 300.0), (5.0, math.nan)),
+        ],
+    )
+    def test_non_finite_range_overflows_like_uniform(
+        self, data_range_mb, immersion_range
+    ):
+        with pytest.raises(OverflowError):
+            scalar_uniform_population(
+                1, np.random.default_rng(0), data_range_mb, immersion_range
+            )
+        with pytest.raises(OverflowError):
+            sample_population(
+                1, seed=0, data_range_mb=data_range_mb,
+                immersion_range=immersion_range,
+            )
