@@ -19,12 +19,12 @@ import time
 
 import pytest
 import numpy as np
+from game_oracle import scalar_landscape
 
-from repro.core.stackelberg import StackelbergMarket
+from repro.core.stackelberg import StackelbergMarket, uniform_price_grid
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.entities.vmu import paper_fig2_population
 from repro.env import MigrationGameEnv, VectorMigrationEnv
-from repro.sim import batched_landscape, price_grid, scalar_landscape
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -46,9 +46,11 @@ def best_of(fn, repeats: int) -> float:
 
 def market_evaluation_table() -> tuple[Table, float]:
     market = StackelbergMarket(paper_fig2_population())
-    grid = price_grid(market, GRID_POINTS)
+    grid = uniform_price_grid(
+        market.config.unit_cost, market.config.max_price, GRID_POINTS
+    )
 
-    batched = best_of(lambda: batched_landscape(market, grid), repeats=5)
+    batched = best_of(lambda: market.outcomes_batch(grid), repeats=5)
     scalar = best_of(lambda: scalar_landscape(market, grid), repeats=5)
     speedup = scalar / batched
 

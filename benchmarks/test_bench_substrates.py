@@ -1,13 +1,10 @@
-"""E9 — substrate benchmarks: performance and behaviour of the simulators.
+"""E9 — substrate benchmarks: latency of the game and training substrates.
 
 These are not paper figures; they are regression benches for the
 substrates the reproduction is built on:
 
 - equilibrium-solver latency (it is called inside every env round);
-- PPO update throughput (dominates training time);
-- mobility simulation throughput (handover events per simulated minute);
-- pre-copy vs stop-and-copy AoTM/downtime trade-off across dirty rates
-  (the live-migration claim the paper's AoTM metric abstracts).
+- PPO update throughput (dominates training time).
 """
 
 import pytest
@@ -18,12 +15,6 @@ from repro.core.stackelberg import StackelbergMarket
 from repro.drl.policy import ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.entities.vmu import paper_fig2_population, sample_population
-from repro.entities.vt import VehicularTwin, VtPayload
-from repro.migration.precopy import simulate_precopy, simulate_stop_and_copy
-from repro.mobility.models import RandomWaypoint
-from repro.mobility.road import grid_city
-from repro.mobility.trace import deploy_rsus_along_highway, simulate_handovers
-from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
 
@@ -53,68 +44,3 @@ def test_ppo_update_speed(benchmark):
     stats = benchmark(agent.update, batch)
     assert np.isfinite(stats.policy_loss)
 
-
-def test_mobility_throughput(benchmark, record_table):
-    """20 random-waypoint vehicles on a 5x5 grid city for 5 sim-minutes."""
-    network = grid_city(5, 5, block_m=300.0)
-    rsus = deploy_rsus_along_highway(
-        1200.0, spacing_m=400.0, coverage_radius_m=650.0
-    )
-
-    def run():
-        agents = [
-            RandomWaypoint(f"veh-{i}", network, seed=i) for i in range(20)
-        ]
-        return simulate_handovers(agents, rsus, duration_s=300.0, tick_s=1.0)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = Table(
-        headers=("vehicles", "sim seconds", "events", "migrations"),
-        title="E9 — mobility substrate throughput",
-    )
-    table.add_row(20, 300.0, len(result.events), len(result.migrations))
-    record_table("substrate_mobility", table)
-    assert len(result.events) >= 20  # everyone at least attaches
-
-
-def test_precopy_vs_stop_and_copy(benchmark, record_table):
-    """AoTM and downtime across dirty rates — the live-migration trade."""
-
-    def run():
-        table = Table(
-            headers=(
-                "dirty (MB/s)",
-                "precopy AoTM (s)",
-                "precopy downtime (s)",
-                "stopcopy AoTM (s)",
-                "stopcopy downtime (s)",
-                "overhead x",
-            ),
-            title="E9 — pre-copy vs stop-and-copy (200 MB twin, 100 MB/s link)",
-        )
-        for dirty in (0.0, 10.0, 30.0, 60.0):
-            twin = VehicularTwin(
-                vt_id="vt:bench",
-                vmu_id="bench",
-                payload=VtPayload.with_total(200.0),
-                dirty_rate_mb_s=dirty,
-            )
-            live = simulate_precopy(twin, 100.0)
-            cold = simulate_stop_and_copy(twin, 100.0)
-            table.add_row(
-                dirty,
-                live.total_time_s,
-                live.downtime_s,
-                cold.total_time_s,
-                cold.downtime_s,
-                live.overhead_ratio,
-            )
-        return table
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table("substrate_precopy", table)
-    downtimes = table.column("precopy downtime (s)")
-    cold_downtimes = table.column("stopcopy downtime (s)")
-    # Live migration always has (weakly) lower downtime; strictly lower
-    # once memory dominates the payload.
-    assert all(live < cold for live, cold in zip(downtimes, cold_downtimes))

@@ -8,7 +8,7 @@ using the exact population of the paper's Fig. 2 (two VMUs, D = 200/100 MB,
 α = 5).
 """
 
-from repro.core import StackelbergMarket, aotm_mb
+from repro.core import StackelbergMarket
 from repro.entities import paper_fig2_population
 from repro.utils import Table
 
@@ -31,12 +31,14 @@ def main() -> None:
     for vmu, bandwidth, utility in zip(
         market.vmus, equilibrium.demands, equilibrium.vmu_utilities
     ):
+        # Eq. (1): A_n = D_n / (b_n · SE), in natural units.
+        aotm = vmu.data_units / (float(bandwidth) * market.spectral_efficiency)
         table.add_row(
             vmu.vmu_id,
             vmu.data_size_mb,
             vmu.immersion_coef,
             float(market.to_market_units(bandwidth)),
-            aotm_mb(vmu.data_size_mb, float(bandwidth), link=market.link),
+            aotm,
             float(utility),
         )
     print(table)

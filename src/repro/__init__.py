@@ -3,10 +3,11 @@ Freshness-aware Vehicular Twin Migration" (ICDCS 2023, arXiv:2309.04929).
 
 Public API map:
 
-- :mod:`repro.core` — AoTM metric, immersion, the Stackelberg market and
-  its equilibrium (the paper's contribution);
-- :mod:`repro.channel` / :mod:`repro.entities` / :mod:`repro.mobility` /
-  :mod:`repro.migration` — the vehicular-metaverse substrates;
+- :mod:`repro.core` — the AoTM-priced Stackelberg market and its
+  equilibrium (the paper's contribution);
+- :mod:`repro.channel` / :mod:`repro.entities` / :mod:`repro.mobility` —
+  the vehicular-metaverse substrates (RSU links, VMU profiles, city-grid
+  market generation);
 - :mod:`repro.nn` / :mod:`repro.drl` / :mod:`repro.env` — the from-scratch
   DRL stack (PPO over the pricing POMDP);
 - :mod:`repro.baselines` — random/greedy/fixed/oracle pricing;

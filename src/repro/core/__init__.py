@@ -1,4 +1,4 @@
-"""The paper's core contribution: AoTM + the Stackelberg incentive market.
+"""The paper's core contribution: the AoTM-priced Stackelberg incentive market.
 
 Solve entry points, scalar to stacked:
 
@@ -13,17 +13,7 @@ Solve entry points, scalar to stacked:
   ``M = 1`` case of the stacked solve, so the two agree bitwise).
 """
 
-from repro.core.aotm import aotm, aotm_mb, bandwidth_for_target_aotm, freshness_gain
-from repro.core.immersion import immersion, immersion_from_bandwidth, marginal_immersion
 from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord, run_rounds
-from repro.core.metrics import (
-    ImmersionModel,
-    LogImmersion,
-    SigmoidImmersion,
-    average_aoi,
-    deadline_violation_probability,
-    peak_aoi,
-)
 from repro.core.marketstack import (
     MarketStack,
     MutableMarketStack,
@@ -72,19 +62,6 @@ from repro.core.utilities import (
 )
 
 __all__ = [
-    "aotm",
-    "aotm_mb",
-    "bandwidth_for_target_aotm",
-    "freshness_gain",
-    "immersion",
-    "immersion_from_bandwidth",
-    "marginal_immersion",
-    "ImmersionModel",
-    "LogImmersion",
-    "SigmoidImmersion",
-    "average_aoi",
-    "deadline_violation_probability",
-    "peak_aoi",
     "MarketStack",
     "MutableMarketStack",
     "StackedEquilibria",

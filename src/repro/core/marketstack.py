@@ -60,6 +60,7 @@ from repro.core.utilities import (
     _msp_utilities_rows,
     _vmu_utilities_rows,
 )
+from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError, InfeasibleMarketError
 from repro.game.solvers import (
     golden_section_maximize,
@@ -579,11 +580,9 @@ class MarketStack:
 
         Lays out a Manhattan grid of RSU junctions, with the geometry
         derived analytically from the junction index (no road graph is
-        built; :func:`repro.mobility.citygrid.city_coverage` is the graph
-        view), derives each junction's migration-demand profile from the
-        mobility models (handover rate of ``vehicles_per_cell`` vehicles
-        crossing the cell at ``speed_limit_mps``), sizes the market's
-        ``B_max`` via
+        built), derives each junction's migration rate (handover rate of
+        ``vehicles_per_cell`` vehicles crossing the cell at
+        ``speed_limit_mps``), sizes the market's ``B_max`` via
         :func:`repro.mobility.demand.capacity_for_demand`, and samples the
         VMU population per cell. Each market is a pure function of the
         grid parameters and its junction index (per-index seeding), so a
@@ -789,7 +788,8 @@ class MarketStack:
     def _candidate_rows(self, sl: slice) -> tuple[xp.ndarray, xp.ndarray]:
         """Theorem 2's closed-form candidate prices for rows ``sl``.
 
-        Vectorises :meth:`StackelbergMarket._segment_candidates` across the
+        Vectorises the scalar per-segment enumeration (the test oracle
+        ``segment_candidates`` in ``tests/game_oracle.py``) across the
         stack. Per market the layout is: the ``N_max + 2`` segment
         boundaries (``C``, the drop-out thresholds inside ``(C, p_max)``
         sorted ascending, ``p_max``), then each of the ``N_max + 1``
@@ -1309,9 +1309,22 @@ class MutableMarketStack:
         self._counts[index] = market.num_vmus
         self._touch(index)
 
-    def join(self, index: int, vmu) -> None:
-        """A VMU joins market ``index`` (dirties that row)."""
+    def join(self, index: int, vmu: VmuProfile) -> None:
+        """A VMU joins market ``index`` (dirties that row).
+
+        Raises:
+            ConfigurationError: if ``vmu`` is not a :class:`VmuProfile`,
+                or a VMU with its id is already in the market.
+        """
         market = self._market_at(index)
+        if not isinstance(vmu, VmuProfile):
+            raise ConfigurationError(
+                f"expected a VmuProfile, got {type(vmu).__name__}"
+            )
+        if any(v.vmu_id == vmu.vmu_id for v in market.vmus):
+            raise ConfigurationError(
+                f"VMU {vmu.vmu_id!r} is already in market {index}"
+            )
         self.update_market(index, market.with_vmus((*market.vmus, vmu)))
 
     def leave(self, index: int, vmu_id: str) -> None:

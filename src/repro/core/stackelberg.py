@@ -210,7 +210,6 @@ class StackelbergMarket:
         self._alphas = np.array([v.immersion_coef for v in vmus], dtype=float)
         self._data_units = np.array([v.data_units for v in vmus], dtype=float)
         self._stack = None  # lazy M = 1 MarketStack behind outcomes_batch
-        self._thresholds = None  # lazy drop-out threshold cache
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -257,19 +256,10 @@ class StackelbergMarket:
     # ------------------------------------------------------------------ #
     # follower stage
     # ------------------------------------------------------------------ #
-    def _dropout_thresholds_cached(self) -> np.ndarray:
-        """The threshold vector, computed once (do not mutate)."""
-        if self._thresholds is None:
-            self._thresholds = (
-                self._alphas * self.spectral_efficiency / self._data_units
-            )
-        return self._thresholds
-
     def dropout_thresholds(self) -> np.ndarray:
         """Per-VMU price above which the best response hits zero:
-        ``t_n = α_n · SE / D_n`` (copy; cached — the population and link
-        are immutable)."""
-        return self._dropout_thresholds_cached().copy()
+        ``t_n = α_n · SE / D_n``."""
+        return self._alphas * self.spectral_efficiency / self._data_units
 
     def best_response(self, price: float) -> np.ndarray:
         """Follower best responses at ``price`` (Eq. 8), natural units."""
@@ -381,46 +371,6 @@ class StackelbergMarket:
             grid_points,
         )
         return self.outcomes_batch(grid)
-
-    def _active_set(self, price: float) -> np.ndarray:
-        return self._dropout_thresholds_cached() > price
-
-    def _segment_candidates(self) -> list[float]:
-        """Closed-form candidate prices per active-set segment.
-
-        On a segment where the active set A is constant, the unconstrained
-        optimum is ``p_A = sqrt(C·SE·Σ_A α / Σ_A D)`` (Theorem 2) and the
-        capacity-saturating price is ``p_cap = Σ_A α / (B + Σ_A D/SE)``
-        with B the natural capacity. The equilibrium price is one of these
-        (clamped to the segment) or a segment boundary.
-
-        This is the readable scalar reference of the candidate enumeration;
-        the solve itself runs through the vectorised
-        :meth:`repro.core.marketstack.MarketStack._candidate_rows`, which
-        replaces the per-probe ``O(N)`` active-set reductions here with
-        prefix sums over the threshold-sorted population.
-        """
-        config = self._config
-        se = self.spectral_efficiency
-        thresholds = np.unique(self._dropout_thresholds_cached())
-        boundaries = sorted(
-            {config.unit_cost, config.max_price}
-            | {float(t) for t in thresholds if config.unit_cost < t < config.max_price}
-        )
-        candidates: set[float] = set(boundaries)
-        for low, high in zip(boundaries[:-1], boundaries[1:]):
-            probe = 0.5 * (low + high)
-            active = self._active_set(probe)
-            if not active.any():
-                continue
-            alpha_sum = float(self._alphas[active].sum())
-            data_sum = float(self._data_units[active].sum())
-            p_unconstrained = math.sqrt(config.unit_cost * se * alpha_sum / data_sum)
-            candidates.add(min(max(p_unconstrained, low), high))
-            if config.enforce_capacity:
-                p_cap = alpha_sum / (config.capacity_natural + data_sum / se)
-                candidates.add(min(max(p_cap, low), high))
-        return sorted(candidates)
 
     def equilibrium(self, *, refine: bool = True) -> StackelbergEquilibrium:
         """Compute the unique Stackelberg equilibrium.

@@ -1,27 +1,15 @@
-"""Metaverse entities: VMUs, VTs, RSUs, the MSP, and the world registry."""
+"""Metaverse entities: the VMU profiles that trade in every market."""
 
-from repro.entities.msp import MetaverseServiceProvider, TradeRecord
-from repro.entities.registry import World
-from repro.entities.rsu import EdgeServer, RoadsideUnit
 from repro.entities.vmu import (
     VmuProfile,
     paper_fig2_population,
     sample_population,
     uniform_population,
 )
-from repro.entities.vt import VehicularTwin, VtBlock, VtPayload
 
 __all__ = [
-    "MetaverseServiceProvider",
-    "TradeRecord",
-    "World",
-    "EdgeServer",
-    "RoadsideUnit",
     "VmuProfile",
     "paper_fig2_population",
     "sample_population",
     "uniform_population",
-    "VehicularTwin",
-    "VtBlock",
-    "VtPayload",
 ]

@@ -1,14 +1,9 @@
 """POMDP environments for the pricing game."""
 
-from repro.env.base import Environment, StepResult
 from repro.env.migration_game import MigrationGameEnv
-from repro.env.stochastic import StochasticMarketEnv
 from repro.env.vector import VectorMigrationEnv
 
 __all__ = [
-    "Environment",
-    "StepResult",
     "MigrationGameEnv",
-    "StochasticMarketEnv",
     "VectorMigrationEnv",
 ]

@@ -1,12 +1,5 @@
-"""Game-theory toolkit: concave solvers, best-response dynamics, analysis."""
+"""Game-theory toolkit: concave solvers and best-response dynamics."""
 
-from repro.game.analysis import (
-    is_concave_on,
-    numerical_derivative,
-    numerical_second_derivative,
-    verify_best_response,
-    verify_no_profitable_deviation,
-)
 from repro.game.best_response import (
     BatchBestResponseResult,
     BestResponseResult,
@@ -22,11 +15,6 @@ from repro.game.solvers import (
 )
 
 __all__ = [
-    "is_concave_on",
-    "numerical_derivative",
-    "numerical_second_derivative",
-    "verify_best_response",
-    "verify_no_profitable_deviation",
     "BatchBestResponseResult",
     "BestResponseResult",
     "iterate_best_response",

@@ -30,9 +30,8 @@ def uniform_price_grid(low: float, high: float, grid_points: int) -> xp.ndarray:
     """A uniform ``(grid_points,)`` grid on ``[low, high]``.
 
     The one grid construction every landscape scan shares: the leader's
-    scan (:meth:`StackelbergMarket.leader_landscape`), the engine-level
-    :func:`repro.sim.price_grid`, and :func:`grid_then_golden`'s coarse
-    pass all build their grids here.
+    scan (:meth:`StackelbergMarket.leader_landscape`) and
+    :func:`grid_then_golden`'s coarse pass both build their grids here.
     """
     if grid_points < 2:
         raise ConfigurationError(f"grid_points must be >= 2, got {grid_points}")

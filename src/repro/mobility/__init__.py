@@ -1,37 +1,11 @@
-"""Vehicular mobility substrate: roads, mobility models, coverage, traces."""
+"""Vehicular mobility substrate: city-grid market generation and the
+demand-driven capacity sizing behind each market's ``B_max``."""
 
-from repro.mobility.citygrid import CityGridSpec, city_coverage, city_markets
-from repro.mobility.coverage import CoverageMap, HandoverDetector, HandoverEvent
-from repro.mobility.demand import DemandProfile, analyze_demand, capacity_for_demand
-from repro.mobility.models import RandomWaypoint, RouteFollower, VehicleState
-from repro.mobility.road import RoadNetwork, grid_city, straight_highway
-from repro.mobility.trace import (
-    SimulationResult,
-    TracePoint,
-    VehicleTrace,
-    deploy_rsus_along_highway,
-    simulate_handovers,
-)
+from repro.mobility.citygrid import CityGridSpec, city_markets
+from repro.mobility.demand import capacity_for_demand
 
 __all__ = [
     "CityGridSpec",
-    "city_coverage",
     "city_markets",
-    "DemandProfile",
-    "analyze_demand",
     "capacity_for_demand",
-    "CoverageMap",
-    "HandoverDetector",
-    "HandoverEvent",
-    "RandomWaypoint",
-    "RouteFollower",
-    "VehicleState",
-    "RoadNetwork",
-    "grid_city",
-    "straight_highway",
-    "SimulationResult",
-    "TracePoint",
-    "VehicleTrace",
-    "deploy_rsus_along_highway",
-    "simulate_handovers",
 ]

@@ -11,12 +11,8 @@ The grid is regular, so :func:`city_markets` builds no road graph: the
 junction geometry is analytic in the ``(row, col)`` index. Junction
 ``(r, c)`` sits at ``(c * block_m, r * block_m)``, its road neighbours are
 the up-to-four in-grid junctions beside it, and one ``math.hypot`` of two
-junction positions is both the road length
-(:meth:`repro.mobility.road.RoadNetwork.distance`) and the coverage
-distance (:meth:`repro.entities.rsu.RoadsideUnit.covers`) — the values the
-graph view gives, bit for bit. :func:`city_coverage` is that graph view:
-the :func:`repro.mobility.road.grid_city` network with one
-:class:`~repro.entities.rsu.RoadsideUnit` per junction, for diagnostics.
+junction positions is both the road length to a neighbour and the
+distance that decides whether the source RSU's coverage disc reaches it.
 
 Determinism contract
 --------------------
@@ -39,15 +35,12 @@ import numpy as np
 
 from repro.channel.link import paper_link
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.entities.rsu import RoadsideUnit
 from repro.entities.vmu import sample_population
 from repro.errors import ConfigurationError
-from repro.mobility.coverage import CoverageMap
-from repro.mobility.demand import DemandProfile, capacity_for_demand
-from repro.mobility.road import RoadNetwork, grid_city
+from repro.mobility.demand import capacity_for_demand
 from repro.utils.validation import require_positive
 
-__all__ = ["CityGridSpec", "city_markets", "city_coverage"]
+__all__ = ["CityGridSpec", "city_markets"]
 
 _SOFT_HANDOVER_FACTOR = 0.5
 """Migration-rate multiplier when the neighbouring junction is still inside
@@ -163,23 +156,18 @@ def city_markets(
     crossing at the speed limit) sets the handover rate towards the nearest
     road neighbour; crossings that exit the source RSU's coverage are hard
     VT migrations, soft handovers (neighbour still covered) migrate at half
-    that rate. The rate becomes a :class:`DemandProfile` whose
-    :func:`capacity_for_demand` sizing — at the junction link's actual
-    spectral efficiency — sets the market's ``B_max``. The VMU population
-    and per-cell congestion are drawn from the per-index generator (see the
-    module docstring's determinism contract).
+    that rate. :func:`capacity_for_demand` sizes the market's ``B_max``
+    from that rate at the junction link's actual spectral efficiency. The
+    VMU population and per-cell congestion are drawn from the per-index
+    generator (see the module docstring's determinism contract).
 
     The geometry is analytic: junction ``(r, c)`` sits at
-    ``(float(c * block_m), float(r * block_m))`` and the nearest neighbour
-    is the least ``(road length, junction id)`` over the up-to-four in-grid
-    junctions beside it, so ties break on the id *string*
-    (``"g10-5" < "g9-5"``). The road length is one ``math.hypot`` of the
-    two positions' differences, the value of both
-    ``RoadNetwork.distance`` (``hypot(bx - ax, by - ay)``) and the
-    ``RoadsideUnit.covers`` distance (``hypot(dx, dy)`` from the RSU), so
-    it also decides coverage. No road graph is built, so a slice costs
-    O(stop − start); :func:`city_coverage` is the graph view of the same
-    grid.
+    ``(float(c * block_m), float(r * block_m))`` and the road length is
+    the least ``math.hypot`` of the position differences to the
+    up-to-four in-grid junctions beside it. That same length decides
+    coverage (the neighbour is covered when it is at most
+    ``spec.coverage_radius`` away). No road graph is built, so a slice
+    costs O(stop − start).
     """
     if stop is None:
         stop = spec.num_markets
@@ -195,11 +183,9 @@ def city_markets(
     markets: list[StackelbergMarket] = []
     for index in range(start, stop):
         row, col = divmod(index, cols)
-        junction = f"g{row}-{col}"
         x, y = float(col * block_m), float(row * block_m)
-        road_length, neighbor = min(
-            (math.hypot(float(c * block_m) - x, float(r * block_m) - y),
-             f"g{r}-{c}")
+        road_length = min(
+            math.hypot(float(c * block_m) - x, float(r * block_m) - y)
             for r, c in ((row, col - 1), (row, col + 1),
                          (row - 1, col), (row + 1, col))
             if 0 <= r < rows and 0 <= c < cols
@@ -215,24 +201,11 @@ def city_markets(
         crossing_rate_hz = vehicles * spec.speed_limit_mps / road_length
         if road_length <= coverage_radius:  # neighbour inside RSU coverage
             crossing_rate_hz *= _SOFT_HANDOVER_FACTOR
-        profile = DemandProfile(
-            duration_s=spec.horizon_s,
-            total_migrations=int(round(crossing_rate_hz * spec.horizon_s)),
-            arrival_rate_hz=crossing_rate_hz,
-            per_vehicle_rate_hz=crossing_rate_hz / vehicles,
-            mean_interarrival_s=1.0 / crossing_rate_hz,
-            interarrival_cv=1.0,
-            busiest_pair=(
-                junction,
-                neighbor,
-                int(round(crossing_rate_hz * spec.horizon_s)),
-            ),
-        )
         mean_data_units = float(
             np.mean([vmu.data_units for vmu in population])
         )
         capacity_natural = capacity_for_demand(
-            profile,
+            crossing_rate_hz,
             mean_data_units=mean_data_units,
             target_aotm=spec.target_aotm,
             spectral_efficiency=link.spectral_efficiency,
@@ -243,28 +216,3 @@ def city_markets(
         )
     return markets
 
-
-def city_coverage(spec: CityGridSpec) -> tuple[RoadNetwork, CoverageMap]:
-    """The city's road network and full-city RSU coverage map.
-
-    The graph view of the grid :func:`city_markets` derives analytically:
-    a :func:`grid_city` network with one :class:`RoadsideUnit` per
-    junction. A diagnostics companion (:class:`CoverageMap` lookups scan
-    all RSUs, so a per-market query would be O(M²) at city scale), useful
-    for asserting the grid leaves no coverage holes at junctions.
-    """
-    network = grid_city(
-        spec.rows,
-        spec.cols,
-        block_m=spec.block_m,
-        speed_limit_mps=spec.speed_limit_mps,
-    )
-    rsus = [
-        RoadsideUnit(
-            rsu_id=f"rsu-{junction}",
-            position_m=network.position(junction),
-            coverage_radius_m=spec.coverage_radius,
-        )
-        for junction in network.junctions()
-    ]
-    return network, CoverageMap(rsus)

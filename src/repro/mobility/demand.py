@@ -1,96 +1,20 @@
-"""Migration-demand statistics from handover event streams.
+"""Demand-driven capacity sizing for a migration market.
 
-Bridges the mobility substrate and the market: given the handover events
-of a scenario, estimate the arrival process of migration tasks — per
-vehicle, per RSU pair, and in aggregate — and size the bandwidth the MSP
-must hold to serve that demand at a target AoTM. This is the capacity-
-planning question hiding behind the paper's fixed ``B_max``.
+Bridges the mobility substrate and the market: given the arrival rate of
+migration tasks at an RSU, size the bandwidth the MSP must hold to serve
+that demand at a target AoTM. This is the capacity-planning question
+hiding behind the paper's fixed ``B_max``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.mobility.coverage import HandoverEvent
 from repro.utils.validation import require_positive
 
-__all__ = ["DemandProfile", "analyze_demand", "capacity_for_demand"]
-
-
-@dataclass(frozen=True)
-class DemandProfile:
-    """Summary of a migration-task arrival stream.
-
-    Attributes:
-        duration_s: observation window.
-        total_migrations: migration (non-attach) events observed.
-        arrival_rate_hz: aggregate migrations per second.
-        per_vehicle_rate_hz: mean migrations per second per vehicle.
-        mean_interarrival_s: mean gap between consecutive migrations
-            (NaN with fewer than two events).
-        interarrival_cv: coefficient of variation of the gaps — ≈1 for a
-            Poisson stream, <1 for regular (deterministic) streams like
-            constant-speed highway driving.
-        busiest_pair: (source, destination, count) of the hottest RSU pair.
-    """
-
-    duration_s: float
-    total_migrations: int
-    arrival_rate_hz: float
-    per_vehicle_rate_hz: float
-    mean_interarrival_s: float
-    interarrival_cv: float
-    busiest_pair: tuple[str, str, int] | None
-
-
-def analyze_demand(
-    events: list[HandoverEvent], duration_s: float
-) -> DemandProfile:
-    """Summarise the migration-task arrival process of an event stream."""
-    require_positive("duration_s", duration_s)
-    migrations = sorted(
-        (e for e in events if e.is_migration), key=lambda e: e.time_s
-    )
-    vehicles = {e.vehicle_id for e in events}
-    pair_counts: Counter[tuple[str, str]] = Counter(
-        (e.source_rsu_id, e.destination_rsu_id) for e in migrations
-    )
-    busiest = None
-    if pair_counts:
-        (src, dst), count = pair_counts.most_common(1)[0]
-        busiest = (src, dst, count)
-
-    times = np.array([e.time_s for e in migrations])
-    if len(times) >= 2:
-        gaps = np.diff(times)
-        positive = gaps[gaps > 0]
-        if positive.size >= 2:
-            mean_gap = float(positive.mean())
-            cv = float(positive.std() / mean_gap) if mean_gap > 0 else 0.0
-        elif positive.size == 1:
-            mean_gap, cv = float(positive[0]), 0.0
-        else:
-            mean_gap, cv = 0.0, 0.0
-    else:
-        mean_gap, cv = float("nan"), float("nan")
-
-    rate = len(migrations) / duration_s
-    return DemandProfile(
-        duration_s=duration_s,
-        total_migrations=len(migrations),
-        arrival_rate_hz=rate,
-        per_vehicle_rate_hz=rate / max(1, len(vehicles)),
-        mean_interarrival_s=mean_gap,
-        interarrival_cv=cv,
-        busiest_pair=busiest,
-    )
+__all__ = ["capacity_for_demand"]
 
 
 def capacity_for_demand(
-    profile: DemandProfile,
+    arrival_rate_hz: float,
     *,
     mean_data_units: float,
     target_aotm: float,
@@ -101,8 +25,8 @@ def capacity_for_demand(
 
     Little's-law sizing: migrations in flight ≈ arrival_rate × AoTM; each
     in-flight migration needs ``b = D / (A_target · SE)`` (Eq. 1 inverted).
-    The concurrency margin absorbs burstiness (use ~1 for CV ≈ 0 streams,
-    higher for Poisson-like arrivals).
+    The concurrency margin absorbs burstiness (use ~1 for regular
+    streams, higher for Poisson-like arrivals).
 
     Returns bandwidth in natural units.
     """
@@ -110,6 +34,6 @@ def capacity_for_demand(
     require_positive("target_aotm", target_aotm)
     require_positive("spectral_efficiency", spectral_efficiency)
     require_positive("concurrency_margin", concurrency_margin)
-    in_flight = profile.arrival_rate_hz * target_aotm
+    in_flight = arrival_rate_hz * target_aotm
     per_flow = mean_data_units / (target_aotm * spectral_efficiency)
     return concurrency_margin * in_flight * per_flow

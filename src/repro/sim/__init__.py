@@ -3,8 +3,9 @@
 One import point for everything that runs the Stackelberg pricing game on a
 batch axis instead of a Python loop:
 
-- price-batch market evaluation (:class:`PriceBatchOutcome`,
-  :func:`batched_landscape`, :func:`scalar_landscape`, :func:`price_grid`);
+- price-batch market evaluation (:class:`PriceBatchOutcome` from
+  :meth:`StackelbergMarket.outcomes_batch` over a
+  :func:`uniform_price_grid`);
 - the market-stack axis (:class:`MarketStack`, :class:`StackedOutcome`) —
   ``M`` *different* markets solved in one pass, re-exported from
   :mod:`repro.core.marketstack`;
@@ -20,7 +21,6 @@ from repro.core.stackelberg import PriceBatchOutcome, uniform_price_grid
 from repro.drl.trainer import VectorTrainer
 from repro.env.vector import VectorMigrationEnv
 from repro.sim.engine import plan_prices, play_policies_stacked, play_policy
-from repro.sim.landscape import batched_landscape, price_grid, scalar_landscape
 
 __all__ = [
     "MarketStack",
@@ -31,8 +31,5 @@ __all__ = [
     "plan_prices",
     "play_policy",
     "play_policies_stacked",
-    "batched_landscape",
-    "price_grid",
-    "scalar_landscape",
     "uniform_price_grid",
 ]

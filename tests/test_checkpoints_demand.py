@@ -1,4 +1,4 @@
-"""Checkpointing and demand-statistics tests."""
+"""Checkpointing and demand-driven capacity-sizing tests."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from repro.drl.checkpoints import load_agent, save_agent
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.errors import ConfigurationError
-from repro.mobility.coverage import HandoverEvent
-from repro.mobility.demand import analyze_demand, capacity_for_demand
-from repro.mobility.models import RouteFollower
-from repro.mobility.road import straight_highway
-from repro.mobility.trace import deploy_rsus_along_highway, simulate_handovers
+from repro.mobility.demand import capacity_for_demand
 
 
 class TestCheckpoints:
@@ -160,97 +156,34 @@ class TestCheckpoints:
         assert np.isfinite(stats.policy_loss)
 
 
-def _event(vehicle, time, src, dst):
-    return HandoverEvent(
-        vehicle_id=vehicle,
-        time_s=time,
-        source_rsu_id=src,
-        destination_rsu_id=dst,
-        position_m=(0.0, 0.0),
-    )
-
-
-class TestAnalyzeDemand:
-    def test_counts_and_rate(self):
-        events = [
-            _event("v0", 0.0, None, "r0"),  # attach: not a migration
-            _event("v0", 10.0, "r0", "r1"),
-            _event("v0", 30.0, "r1", "r2"),
-            _event("v1", 20.0, "r0", "r1"),
-        ]
-        profile = analyze_demand(events, duration_s=100.0)
-        assert profile.total_migrations == 3
-        assert profile.arrival_rate_hz == pytest.approx(0.03)
-        assert profile.per_vehicle_rate_hz == pytest.approx(0.015)
-
-    def test_busiest_pair(self):
-        events = [
-            _event("v0", 1.0, "r0", "r1"),
-            _event("v1", 2.0, "r0", "r1"),
-            _event("v0", 3.0, "r1", "r2"),
-        ]
-        profile = analyze_demand(events, duration_s=10.0)
-        assert profile.busiest_pair == ("r0", "r1", 2)
-
-    def test_interarrival_statistics(self):
-        events = [_event("v0", float(t), "a", "b") for t in (0.0, 10.0, 20.0, 30.0)]
-        profile = analyze_demand(events, duration_s=40.0)
-        assert profile.mean_interarrival_s == pytest.approx(10.0)
-        assert profile.interarrival_cv == pytest.approx(0.0)  # deterministic
-
-    def test_too_few_events_gives_nan(self):
-        profile = analyze_demand([_event("v0", 1.0, "a", "b")], duration_s=10.0)
-        assert np.isnan(profile.mean_interarrival_s)
-
-    def test_highway_demand_is_regular(self):
-        """Constant-speed highway driving yields a low-CV arrival stream."""
-        net = straight_highway(5000.0, num_junctions=11, speed_limit_mps=25.0)
-        rsus = deploy_rsus_along_highway(5000.0)
-        agents = [RouteFollower("v0", net, [f"j{k}" for k in range(11)])]
-        sim = simulate_handovers(agents, rsus, duration_s=220.0)
-        profile = analyze_demand(sim.events, duration_s=220.0)
-        assert profile.total_migrations == 5
-        assert profile.interarrival_cv < 0.3
-
-
 class TestCapacitySizing:
-    def _profile(self, rate):
-        return analyze_demand(
-            [_event("v0", float(i) / rate, "a", "b") for i in range(1, 50)],
-            duration_s=49.0 / rate,
-        )
-
     def test_scales_with_rate(self):
         se = paper_link().spectral_efficiency
         slow = capacity_for_demand(
-            self._profile(0.02), mean_data_units=2.0, target_aotm=0.5,
-            spectral_efficiency=se,
+            0.02, mean_data_units=2.0, target_aotm=0.5, spectral_efficiency=se,
         )
         fast = capacity_for_demand(
-            self._profile(0.08), mean_data_units=2.0, target_aotm=0.5,
-            spectral_efficiency=se,
+            0.08, mean_data_units=2.0, target_aotm=0.5, spectral_efficiency=se,
         )
-        assert fast == pytest.approx(4.0 * slow, rel=0.1)
+        assert fast == pytest.approx(4.0 * slow)
 
     def test_littles_law_formula(self):
         se = paper_link().spectral_efficiency
-        profile = self._profile(0.1)
         capacity = capacity_for_demand(
-            profile, mean_data_units=2.0, target_aotm=0.5,
+            0.1, mean_data_units=2.0, target_aotm=0.5,
             spectral_efficiency=se, concurrency_margin=1.0,
         )
-        expected = (profile.arrival_rate_hz * 0.5) * (2.0 / (0.5 * se))
+        expected = (0.1 * 0.5) * (2.0 / (0.5 * se))
         assert capacity == pytest.approx(expected)
 
     def test_margin_multiplies(self):
         se = paper_link().spectral_efficiency
-        profile = self._profile(0.1)
         base = capacity_for_demand(
-            profile, mean_data_units=2.0, target_aotm=0.5,
+            0.1, mean_data_units=2.0, target_aotm=0.5,
             spectral_efficiency=se, concurrency_margin=1.0,
         )
         padded = capacity_for_demand(
-            profile, mean_data_units=2.0, target_aotm=0.5,
+            0.1, mean_data_units=2.0, target_aotm=0.5,
             spectral_efficiency=se, concurrency_margin=2.0,
         )
         assert padded == pytest.approx(2.0 * base)

@@ -1,45 +1,65 @@
-"""AoTM metric and immersion-function tests (Eqs. 1-2)."""
+"""AoTM metric and immersion-function tests (Eqs. 1-2).
+
+Production code carries Eq. (1) as the link's transfer time
+(:meth:`RsuLink.transfer_time`) and the immersion gain inside the follower
+utility (:func:`vmu_utility`, whose gain at price 0 is
+``α·ln(1 + b·SE/D)``). Both are checked here against the scalar
+``aotm``/``immersion`` oracle of ``test_core_equilibrium_oracle``.
+"""
 
 import math
 
 import pytest
+from game_oracle import numerical_derivative
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.channel.link import paper_link
-from repro.core.aotm import aotm, aotm_mb, bandwidth_for_target_aotm, freshness_gain
-from repro.core.immersion import immersion, immersion_from_bandwidth, marginal_immersion
+from repro.core.utilities import vmu_utility
+from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
-from repro.game.analysis import numerical_derivative
 
-SE = paper_link().spectral_efficiency
+from test_core_equilibrium_oracle import aotm, immersion
+
+LINK = paper_link()
+SE = LINK.spectral_efficiency
+
+
+def gain(alpha, data, bandwidth):
+    """The immersion ``G(b)`` inside production Eq. (2) (price 0)."""
+    return vmu_utility(alpha, data, bandwidth, 0.0, SE)
+
+
+def bandwidth_at_age(data, age):
+    """The bandwidth whose Eq. (1) AoTM is ``age``."""
+    return data / (age * SE)
 
 
 class TestAotm:
     def test_eq1_value(self):
         # A = D / (b SE).
-        assert aotm(2.0, 0.5, SE) == pytest.approx(2.0 / (0.5 * SE))
+        assert LINK.transfer_time(2.0, 0.5) == pytest.approx(2.0 / (0.5 * SE))
+        assert LINK.transfer_time(2.0, 0.5) == aotm(2.0, 0.5, SE)
 
     def test_zero_bandwidth_infinite(self):
-        assert aotm(1.0, 0.0, SE) == math.inf
+        assert LINK.transfer_time(1.0, 0.0) == math.inf
 
     def test_zero_data_zero_aotm(self):
-        assert aotm(0.0, 1.0, SE) == 0.0
+        assert LINK.transfer_time(0.0, 1.0) == 0.0
 
     def test_aotm_mb_uses_100mb_units(self):
-        assert aotm_mb(200.0, 0.5) == pytest.approx(aotm(2.0, 0.5, SE))
+        data = VmuProfile("v", data_size_mb=200.0, immersion_coef=5.0).data_units
+        assert LINK.transfer_time(data, 0.5) == pytest.approx(aotm(2.0, 0.5, SE))
 
     def test_aotm_mb_custom_link(self):
-        far = paper_link().with_distance(1000.0)
-        assert aotm_mb(100.0, 0.5, link=far) > aotm_mb(100.0, 0.5)
+        far = LINK.with_distance(1000.0)
+        assert far.transfer_time(1.0, 0.5) > LINK.transfer_time(1.0, 0.5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            aotm(-1.0, 1.0, SE)
+            LINK.transfer_time(-1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            aotm(1.0, -1.0, SE)
-        with pytest.raises(ConfigurationError):
-            aotm(1.0, 1.0, 0.0)
+            LINK.transfer_time(1.0, -1.0)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
@@ -47,57 +67,70 @@ class TestAotm:
     )
     def test_monotone(self, data, bandwidth):
         # More data -> staler; more bandwidth -> fresher.
-        assert aotm(data * 2.0, bandwidth, SE) > aotm(data, bandwidth, SE)
-        assert aotm(data, bandwidth * 2.0, SE) < aotm(data, bandwidth, SE)
+        aotm_at = LINK.transfer_time
+        assert aotm_at(data * 2.0, bandwidth) > aotm_at(data, bandwidth)
+        assert aotm_at(data, bandwidth * 2.0) < aotm_at(data, bandwidth)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
         st.floats(min_value=0.01, max_value=5.0),
     )
     def test_bandwidth_inversion_round_trip(self, data, target):
-        bandwidth = bandwidth_for_target_aotm(data, target, SE)
-        assert aotm(data, bandwidth, SE) == pytest.approx(target, rel=1e-12)
+        bandwidth = bandwidth_at_age(data, target)
+        assert LINK.transfer_time(data, bandwidth) == pytest.approx(
+            target, rel=1e-12
+        )
 
 
 class TestFreshnessGain:
+    """``ln(1 + 1/A)``: the immersion gain of a unit-coefficient VMU."""
+
     def test_zero_at_infinite_age(self):
-        assert freshness_gain(math.inf) == 0.0
+        assert gain(1.0, 2.0, 0.0) == 0.0
+        assert immersion(1.0, math.inf) == 0.0
 
     def test_ln2_at_unit_age(self):
-        assert freshness_gain(1.0) == pytest.approx(math.log(2.0))
+        assert gain(1.0, 2.0, bandwidth_at_age(2.0, 1.0)) == pytest.approx(
+            math.log(2.0)
+        )
 
     def test_monotone_decreasing(self):
-        assert freshness_gain(0.5) > freshness_gain(1.0) > freshness_gain(2.0)
+        ages = (0.5, 1.0, 2.0)
+        gains = [gain(1.0, 2.0, bandwidth_at_age(2.0, age)) for age in ages]
+        assert gains[0] > gains[1] > gains[2]
 
     def test_nonpositive_rejected(self):
+        # A = 0 needs a zero-size twin, which the follower stage rejects.
         with pytest.raises(ConfigurationError):
-            freshness_gain(0.0)
+            vmu_utility(1.0, 0.0, 1.0, 0.0, SE)
 
 
 class TestImmersion:
     def test_scales_with_alpha(self):
-        assert immersion(10.0, 1.0) == pytest.approx(2.0 * immersion(5.0, 1.0))
+        assert gain(10.0, 2.0, 0.5) == pytest.approx(2.0 * gain(5.0, 2.0, 0.5))
 
     def test_from_bandwidth_closed_form(self):
-        # G(b) = α ln(1 + b SE / D).
+        # G(b) = α ln(1 + b SE / D) = α ln(1 + 1/A).
         expected = 5.0 * math.log1p(0.5 * SE / 2.0)
-        assert immersion_from_bandwidth(5.0, 2.0, 0.5, SE) == pytest.approx(expected)
+        assert gain(5.0, 2.0, 0.5) == pytest.approx(expected)
+        assert gain(5.0, 2.0, 0.5) == pytest.approx(
+            immersion(5.0, aotm(2.0, 0.5, SE))
+        )
 
     def test_zero_bandwidth_zero_immersion(self):
-        assert immersion_from_bandwidth(5.0, 2.0, 0.0, SE) == 0.0
+        assert gain(5.0, 2.0, 0.0) == 0.0
 
     def test_marginal_is_derivative(self):
+        # dG/db = α SE / (D + b SE), the follower's marginal benefit.
         for b in (0.05, 0.2, 1.0):
-            numeric = numerical_derivative(
-                lambda x: immersion_from_bandwidth(5.0, 2.0, x, SE), b
-            )
-            analytic = marginal_immersion(5.0, 2.0, b, SE)
+            numeric = numerical_derivative(lambda x: gain(5.0, 2.0, x), b)
+            analytic = 5.0 * SE / (2.0 + b * SE)
             assert analytic == pytest.approx(numeric, rel=1e-5)
 
     def test_marginal_decreasing(self):
         # Diminishing returns: d^2 G / db^2 < 0.
-        m1 = marginal_immersion(5.0, 2.0, 0.1, SE)
-        m2 = marginal_immersion(5.0, 2.0, 0.5, SE)
+        m1 = numerical_derivative(lambda x: gain(5.0, 2.0, x), 0.1)
+        m2 = numerical_derivative(lambda x: gain(5.0, 2.0, x), 0.5)
         assert m2 < m1
 
     @given(
@@ -106,6 +139,6 @@ class TestImmersion:
         st.floats(min_value=0.001, max_value=5.0),
     )
     def test_immersion_positive_and_increasing(self, alpha, data, bandwidth):
-        low = immersion_from_bandwidth(alpha, data, bandwidth, SE)
-        high = immersion_from_bandwidth(alpha, data, bandwidth * 1.5, SE)
+        low = gain(alpha, data, bandwidth)
+        high = gain(alpha, data, bandwidth * 1.5)
         assert 0.0 < low < high

@@ -9,6 +9,7 @@ evaluation, lockstep golden refinement — reproduces the per-market
 
 import numpy as np
 import pytest
+from game_oracle import segment_candidates
 
 from repro.baselines import OraclePricing
 from repro.core import MarketStack, welfare_report, welfare_reports_stacked
@@ -114,7 +115,7 @@ class TestStackedEqualsPerMarket:
         """The scalar reference enumeration brackets the same optimum the
         stacked candidate matrix finds."""
         for market in dropout_markets():
-            candidates = np.asarray(market._segment_candidates())
+            candidates = np.asarray(segment_candidates(market))
             best_reference = float(market.msp_utilities(candidates).max())
             equilibrium = market.equilibrium()
             assert equilibrium.msp_utility == pytest.approx(

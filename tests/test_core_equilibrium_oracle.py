@@ -16,13 +16,21 @@ Assertions per market:
   ``msp_utility`` (rel 1e-12), and Eq. (2) at the solver's allocation its
   follower utilities — so the solver's price is scored by the model, not
   by itself.
+
+The paper states the follower's payoff through its freshness metric:
+Eq. (1)'s AoTM ``A = D / (b·SE)`` and the immersion ``α·ln(1 + 1/A)``.
+:func:`aotm` and :func:`immersion` keep that scalar form, and the
+production ``vmu_utilities`` must equal ``immersion − p·b`` on every
+lattice market across its price range.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
+from repro.core.utilities import vmu_utilities
 from repro.entities.vmu import VmuProfile, paper_fig2_population
 
 from test_core_equilibria_stacked import dropout_markets, random_markets
@@ -44,6 +52,19 @@ def oracle_model(market):
             else math.inf
         ),
     }
+
+
+def aotm(data_units, bandwidth, spectral_efficiency):
+    """Eq. (1): the Age of Twin Migration ``A = D / (b·SE)``, ``inf`` when
+    no bandwidth is bought."""
+    if bandwidth == 0.0:
+        return math.inf
+    return data_units / (bandwidth * spectral_efficiency)
+
+
+def immersion(immersion_coef, aotm_value):
+    """The VMU's immersion ``G = α·ln(1 + 1/A)`` (zero at infinite age)."""
+    return immersion_coef * math.log(1.0 + 1.0 / aotm_value)
 
 
 def allocations(model, price):
@@ -109,6 +130,16 @@ def price_cap_markets():
     ]
 
 
+def lattice_markets():
+    """Every market the lattice tests below solve."""
+    return (
+        [random_markets(1, root_seed=900 + seed)[0] for seed in range(30)]
+        + dropout_markets()
+        + capacity_bound_markets()
+        + price_cap_markets()
+    )
+
+
 def check_against_oracle(market):
     model = oracle_model(market)
     equilibrium = market.equilibrium()
@@ -145,3 +176,26 @@ def test_binding_capacity_matches_lattice_oracle(index):
 def test_binding_price_cap_matches_lattice_oracle(index):
     equilibrium = check_against_oracle(price_cap_markets()[index])
     assert equilibrium.price_cap_binding
+
+
+def test_vmu_utilities_match_aotm_immersion_form():
+    """Production Eq. (2) equals ``α·ln(1 + 1/A) − p·b`` with Eq. (1)'s
+    AoTM, at nine prices spanning ``[C, p_max]`` of every lattice market."""
+    for market in lattice_markets():
+        model = oracle_model(market)
+        low, high = model["cost"], model["max_price"]
+        prices = [low + k * (high - low) / 8 for k in range(9)]
+        bandwidths = [allocations(model, price) for price in prices]
+        got = vmu_utilities(
+            np.array(model["alphas"]),
+            np.array(model["data"]),
+            np.array(bandwidths),
+            np.array(prices),
+            model["se"],
+        )
+        for price, row, got_row in zip(prices, bandwidths, got.tolist()):
+            expected = [
+                immersion(alpha, aotm(d, b, model["se"])) - price * b
+                for alpha, d, b in zip(model["alphas"], model["data"], row)
+            ]
+            assert got_row == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -16,7 +16,7 @@ from test_core_equilibria_stacked import infeasible_market, random_markets
 
 from repro.core import MarketStack, MutableMarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.entities.vmu import VmuProfile
+from repro.entities.vmu import VmuProfile, paper_fig2_population
 from repro.errors import ConfigurationError, InfeasibleMarketError
 
 ARRAY_FIELDS = (
@@ -238,6 +238,22 @@ class TestMutationApi:
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
         with pytest.raises(ConfigurationError):
             mutable.update_market(0, "not a market")
+
+    def test_join_duplicate_vmu_id_rejected(self):
+        mutable = MutableMarketStack([StackelbergMarket(paper_fig2_population())])
+        twin = VmuProfile("vmu-0", data_size_mb=50.0, immersion_coef=9.0)
+        with pytest.raises(ConfigurationError, match="already in market 0"):
+            mutable.join(0, twin)
+        # The rejected join left the row as it was, clean and leavable.
+        assert mutable.market(0).num_vmus == 2
+        assert mutable.dirty_indices() == ()
+        mutable.leave(0, "vmu-0")
+        assert [v.vmu_id for v in mutable.market(0).vmus] == ["vmu-1"]
+
+    def test_join_requires_vmu_profile(self):
+        mutable = MutableMarketStack(random_markets(3, root_seed=2))
+        with pytest.raises(ConfigurationError, match="VmuProfile"):
+            mutable.join(0, "not a vmu")
 
 
 class TestWarmStart:

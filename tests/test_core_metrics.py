@@ -1,57 +1,45 @@
-"""Extended-metric tests: AoI family and alternative immersion shapes."""
+"""AoTM-derived metrics on production code.
+
+- The risk that a migration misses an AoTM deadline under fading, measured
+  on the per-draw links :func:`repro.experiments.robustness.run_fading_sweep`
+  builds (``paper_link().with_fading_gain(g)``, Eq. 1 via
+  :meth:`RsuLink.transfer_time`).
+- The log immersion ``α·ln(1 + 1/A)`` a VMU gets from a production market
+  round (its utility plus what it paid), against the Eq. 1/2 oracle of
+  ``test_core_equilibrium_oracle``.
+"""
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.channel.fading import NoFading, RayleighFading
-from repro.core.metrics import (
-    LogImmersion,
-    SigmoidImmersion,
-    average_aoi,
-    deadline_violation_probability,
-    peak_aoi,
-)
-from repro.core.immersion import immersion_from_bandwidth
 from repro.channel.link import paper_link
+from repro.core.stackelberg import StackelbergMarket
+from repro.entities.vmu import paper_fig2_population
+from repro.utils.rng import as_generator
+
+from test_core_equilibrium_oracle import aotm, immersion
 
 SE = paper_link().spectral_efficiency
 
 
-class TestAverageAoi:
-    def test_zero_migration_is_classic_sawtooth(self):
-        assert average_aoi(2.0, 0.0) == pytest.approx(1.0)
-
-    def test_migration_adds_age(self):
-        assert average_aoi(2.0, 0.5) > average_aoi(2.0, 0.0)
-
-    def test_formula(self):
-        # period/2 + A + A^2/(2 period).
-        assert average_aoi(4.0, 1.0) == pytest.approx(2.0 + 1.0 + 0.125)
-
-    @given(
-        st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=0.0, max_value=10.0),
+def deadline_violation_probability(
+    data_units, bandwidth, deadline, *, fading, samples, seed
+):
+    """Share of fading draws whose link misses ``deadline``."""
+    gains = fading.sample(as_generator(seed), size=samples)
+    link = paper_link()
+    ages = np.array(
+        [
+            link.with_fading_gain(float(max(gain, 1e-6))).transfer_time(
+                data_units, bandwidth
+            )
+            for gain in gains
+        ]
     )
-    def test_monotone_in_aotm(self, period, aotm):
-        assert average_aoi(period, aotm + 0.1) > average_aoi(period, aotm)
-
-    def test_invalid(self):
-        with pytest.raises(Exception):
-            average_aoi(0.0, 1.0)
-        with pytest.raises(Exception):
-            average_aoi(1.0, -1.0)
-
-
-class TestPeakAoi:
-    def test_formula(self):
-        assert peak_aoi(2.0, 0.5) == 2.5
-
-    def test_bounds_average(self):
-        # peak age always exceeds the time-average age
-        assert peak_aoi(2.0, 0.5) > average_aoi(2.0, 0.5)
+    return float(np.mean(ages > deadline))
 
 
 class TestDeadlineViolation:
@@ -95,35 +83,48 @@ class TestDeadlineViolation:
         ) == deadline_violation_probability(1.0, 0.5, seed=7, **kwargs)
 
 
+def round_immersion(market, price):
+    """Each VMU's immersion in a production round: utility plus payment."""
+    outcome = market.round_outcome(price)
+    return outcome.vmu_utilities + price * outcome.allocations, outcome
+
+
 class TestImmersionModels:
+    MARKET = StackelbergMarket(paper_fig2_population())
+
     def test_log_matches_core_function(self):
-        model = LogImmersion()
-        assert model.from_bandwidth(5.0, 2.0, 0.5, SE) == pytest.approx(
-            immersion_from_bandwidth(5.0, 2.0, 0.5, SE)
-        )
+        for price in (6.0, 12.0, 40.0):
+            gains, outcome = round_immersion(self.MARKET, price)
+            expected = [
+                immersion(alpha, aotm(data, bandwidth, SE))
+                for alpha, data, bandwidth in zip(
+                    self.MARKET.immersion_coefs,
+                    self.MARKET.data_units,
+                    outcome.allocations,
+                )
+            ]
+            assert list(gains) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_bandwidth_zero_immersion(self):
-        for model in (LogImmersion(), SigmoidImmersion()):
-            assert model.from_bandwidth(5.0, 2.0, 0.0, SE) == 0.0
-
-    def test_sigmoid_threshold_behaviour(self):
-        model = SigmoidImmersion(midpoint=0.5, steepness=0.05)
-        fresh = model.immersion(5.0, 0.1)   # well inside the deadline
-        stale = model.immersion(5.0, 1.0)   # well past it
-        assert fresh > 0.9 * 5.0
-        assert stale < 0.1 * 5.0
-
-    def test_sigmoid_midpoint_half_value(self):
-        model = SigmoidImmersion(midpoint=0.5, steepness=0.1)
-        assert model.immersion(8.0, 0.5) == pytest.approx(4.0)
+        # Above its drop-out threshold α·SE/D the 200 MB twin buys nothing.
+        price = 150.0
+        assert self.MARKET.dropout_thresholds()[0] < price
+        gains, outcome = round_immersion(self.MARKET, price)
+        assert outcome.allocations[0] == 0.0
+        assert gains[0] == 0.0
+        assert immersion(5.0, aotm(2.0, 0.0, SE)) == 0.0
+        assert outcome.allocations[1] > 0.0 and gains[1] > 0.0
 
     def test_both_monotone_decreasing_in_aotm(self):
-        for model in (LogImmersion(), SigmoidImmersion()):
-            values = [model.immersion(5.0, a) for a in (0.1, 0.5, 2.0)]
+        # Off the capacity bound, a higher price buys less bandwidth, so the
+        # twin is staler and every VMU's immersion falls.
+        rounds = [round_immersion(self.MARKET, p) for p in (24.0, 48.0, 90.0)]
+        assert not any(o.capacity_binding for _, o in rounds)
+        for vmu in range(2):
+            ages = [
+                aotm(self.MARKET.data_units[vmu], o.allocations[vmu], SE)
+                for _, o in rounds
+            ]
+            values = [gains[vmu] for gains, _ in rounds]
+            assert ages[0] < ages[1] < ages[2] < math.inf
             assert values[0] > values[1] > values[2]
-
-    def test_sigmoid_validation(self):
-        with pytest.raises(Exception):
-            SigmoidImmersion(midpoint=0.0)
-        with pytest.raises(Exception):
-            SigmoidImmersion(steepness=-1.0)

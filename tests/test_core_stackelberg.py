@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from game_oracle import is_concave_on, verify_best_response
 
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.core.utilities import vmu_utility
 from repro.entities.vmu import VmuProfile, paper_fig2_population, uniform_population
 from repro.errors import ConfigurationError, InfeasibleMarketError
-from repro.game.analysis import is_concave_on, verify_best_response
 from repro.game.solvers import grid_then_golden
 
 

@@ -2,7 +2,7 @@
 
 The generic property tests draw (α, D) from the paper's ranges, where
 every drop-out threshold ``α·SE/D`` sits far above ``p_max`` — so the
-active-set machinery in ``_segment_candidates`` never gets exercised
+active-set machinery of the candidate enumeration never gets exercised
 there. These tests construct markets whose thresholds fall *inside*
 ``[C, p_max]`` and verify the solver handles the kinked leader utility:
 pricing some VMUs out can be optimal, and the closed-form-per-segment

@@ -1,170 +1,83 @@
-"""Entity tests: VT payloads/blocks, RSUs, the MSP ledger, populations."""
+"""Entity tests: VMU profiles and populations, and the MSP and RSU rules
+that production keeps in the market, the env and the city grid."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.entities.msp import MetaverseServiceProvider
-from repro.entities.rsu import EdgeServer, RoadsideUnit
+from repro.core.stackelberg import MarketConfig, StackelbergMarket
+from repro.core.utilities import msp_utility
 from repro.entities.vmu import (
     VmuProfile,
     paper_fig2_population,
     sample_population,
     uniform_population,
 )
-from repro.entities.vt import VehicularTwin, VtPayload
-from repro.errors import ConfigurationError, MigrationError
-
-
-class TestVtPayload:
-    def test_total(self):
-        payload = VtPayload(config_mb=10.0, memory_mb=80.0, realtime_mb=10.0)
-        assert payload.total_mb == 100.0
-
-    def test_with_total_default_split(self):
-        payload = VtPayload.with_total(200.0)
-        assert payload.memory_mb == pytest.approx(160.0)
-        assert payload.config_mb == pytest.approx(20.0)
-        assert payload.total_mb == pytest.approx(200.0)
-
-    def test_with_total_bad_fractions(self):
-        with pytest.raises(ValueError):
-            VtPayload.with_total(100.0, memory_fraction=0.9, config_fraction=0.2)
-
-    def test_negative_component_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VtPayload(config_mb=-1.0, memory_mb=0.0, realtime_mb=0.0)
-
-    @given(st.floats(min_value=1.0, max_value=1e4))
-    def test_with_total_conserves(self, total):
-        assert VtPayload.with_total(total).total_mb == pytest.approx(total)
-
-
-class TestVehicularTwin:
-    def _twin(self, total=100.0):
-        return VehicularTwin(
-            vt_id="vt:x", vmu_id="x", payload=VtPayload.with_total(total)
-        )
-
-    def test_data_size(self):
-        assert self._twin(150.0).data_size_mb == pytest.approx(150.0)
-
-    def test_blocks_conserve_size(self):
-        twin = self._twin(123.0)
-        blocks = twin.blocks(block_size_mb=7.0)
-        assert sum(b.size_mb for b in blocks) == pytest.approx(123.0)
-
-    def test_blocks_sequential(self):
-        blocks = self._twin().blocks(10.0)
-        assert [b.sequence for b in blocks] == list(range(len(blocks)))
-
-    def test_blocks_respect_max_size(self):
-        blocks = self._twin(100.0).blocks(8.0)
-        assert all(b.size_mb <= 8.0 + 1e-12 for b in blocks)
-
-    def test_blocks_ordered_by_kind(self):
-        kinds = [b.kind for b in self._twin().blocks(5.0)]
-        # config blocks come before memory blocks before realtime blocks
-        assert kinds == sorted(
-            kinds, key=lambda k: {"config": 0, "memory": 1, "realtime": 2}[k]
-        )
-
-    def test_record_migration(self):
-        twin = self._twin()
-        twin.record_migration("rsu-9")
-        assert twin.host_rsu_id == "rsu-9"
-        assert twin.migration_count == 1
-
-    @given(st.floats(min_value=0.5, max_value=50.0))
-    def test_blocks_conservation_property(self, block_size):
-        twin = self._twin(217.0)
-        blocks = twin.blocks(block_size)
-        assert sum(b.size_mb for b in blocks) == pytest.approx(217.0)
+from repro.env.vector import VectorMigrationEnv
+from repro.errors import ConfigurationError
+from repro.mobility.citygrid import CityGridSpec, city_markets
 
 
 class TestEdgeServerAndRsu:
-    def test_admit_and_evict(self):
-        edge = EdgeServer(storage_mb=100.0, compute_units=4.0)
-        edge.admit(60.0)
-        assert edge.free_storage_mb == pytest.approx(40.0)
-        edge.evict(60.0)
-        assert edge.free_storage_mb == pytest.approx(100.0)
-
-    def test_storage_exhaustion(self):
-        edge = EdgeServer(storage_mb=100.0, compute_units=4.0)
-        with pytest.raises(MigrationError, match="storage"):
-            edge.admit(150.0)
-
-    def test_compute_exhaustion(self):
-        edge = EdgeServer(storage_mb=1000.0, compute_units=1.0)
-        edge.admit(1.0, compute=1.0)
-        with pytest.raises(MigrationError, match="compute"):
-            edge.admit(1.0, compute=0.5)
-
-    def test_evict_never_negative(self):
-        edge = EdgeServer(storage_mb=100.0, compute_units=4.0)
-        edge.evict(50.0)
-        assert edge.free_storage_mb == pytest.approx(100.0)
+    """An RSU's coverage disc, as ``city_markets`` applies it."""
 
     def test_rsu_coverage(self):
-        rsu = RoadsideUnit("r", position_m=(0.0, 0.0), coverage_radius_m=100.0)
-        assert rsu.covers((60.0, 80.0))  # distance exactly 100
-        assert not rsu.covers((60.0, 80.1))
-
-    def test_rsu_distance(self):
-        rsu = RoadsideUnit("r", position_m=(3.0, 0.0), coverage_radius_m=10.0)
-        assert rsu.distance_to((0.0, 4.0)) == pytest.approx(5.0)
-
-    def test_rsu_host_unhost(self):
-        rsu = RoadsideUnit("r", position_m=(0.0, 0.0), coverage_radius_m=100.0)
-        rsu.host("vt:1", 100.0)
-        assert "vt:1" in rsu.hosted_vt_ids
-        with pytest.raises(MigrationError):
-            rsu.host("vt:1", 100.0)
-        rsu.unhost("vt:1", 100.0)
-        assert "vt:1" not in rsu.hosted_vt_ids
-
-    def test_unhost_unknown_rejected(self):
-        rsu = RoadsideUnit("r", position_m=(0.0, 0.0), coverage_radius_m=100.0)
-        with pytest.raises(MigrationError):
-            rsu.unhost("vt:ghost", 10.0)
+        # The disc is closed: a neighbour exactly one radius away is covered,
+        # so its crossings are soft handovers at half the migration rate.
+        spec = CityGridSpec(
+            num_markets=4, rows=2, cols=2, block_m=100.0, coverage_radius_m=100.0
+        )
+        short = dataclasses.replace(
+            spec, coverage_radius_m=math.nextafter(100.0, 0.0)
+        )
+        for covered, uncovered in zip(city_markets(spec), city_markets(short)):
+            assert covered.config.max_bandwidth == (
+                0.5 * uncovered.config.max_bandwidth
+            )
 
 
 class TestMsp:
-    def test_ledger_accounting(self):
-        msp = MetaverseServiceProvider(unit_cost=5.0, max_price=50.0)
-        msp.record_sale("vmu-0", bandwidth=2.0, unit_price=25.0)
-        msp.record_sale("vmu-1", bandwidth=1.0, unit_price=25.0)
-        assert msp.total_bandwidth_sold == pytest.approx(3.0)
-        assert msp.total_revenue == pytest.approx(75.0)
-        assert msp.total_cost == pytest.approx(15.0)
-        assert msp.profit == pytest.approx(60.0)  # Eq. (4)
+    """The MSP's pricing rules: the ``[C, p_max]`` interval of
+    ``MarketConfig``, the Eq. (4) ``msp_utility`` and the env's clamp."""
 
-    def test_clear_ledger(self):
-        msp = MetaverseServiceProvider()
-        msp.record_sale("a", 1.0, 10.0)
-        msp.clear_ledger()
-        assert msp.profit == 0.0
+    def test_ledger_accounting(self):
+        # Eq. (4): revenue 25·3 minus cost 5·3.
+        assert msp_utility(25.0, 5.0, np.array([2.0, 1.0])) == pytest.approx(60.0)
+        batch = msp_utility(
+            np.array([25.0, 30.0]), 5.0, np.array([[2.0, 1.0], [1.0, 1.0]])
+        )
+        np.testing.assert_allclose(batch, [60.0, 50.0])
 
     def test_price_validation(self):
-        msp = MetaverseServiceProvider(unit_cost=5.0, max_price=50.0)
-        with pytest.raises(Exception):
-            msp.record_sale("a", 1.0, 4.0)  # below cost
-        with pytest.raises(Exception):
-            msp.record_sale("a", 1.0, 51.0)  # above cap
+        market = StackelbergMarket(paper_fig2_population())
+        for price in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                market.round_outcome(price)
+        with pytest.raises(ValueError):
+            msp_utility(-1.0, 5.0, np.array([1.0]))
 
     def test_clamp_price(self):
-        msp = MetaverseServiceProvider(unit_cost=5.0, max_price=50.0)
-        assert msp.clamp_price(1.0) == 5.0
-        assert msp.clamp_price(99.0) == 50.0
-        assert msp.clamp_price(20.0) == 20.0
+        # Each env clamps the posted price to its own market's [C, p_max].
+        base = StackelbergMarket(paper_fig2_population())
+        env = VectorMigrationEnv.from_markets(
+            [base, base.with_unit_cost(9.0)], seed=0, rounds_per_episode=3
+        )
+        env.reset()
+        for action, expected in (
+            (1.0, [5.0, 9.0]),
+            (99.0, [50.0, 50.0]),
+            (20.0, [20.0, 20.0]),
+        ):
+            _, _, _, infos = env.step(np.full(2, action))
+            assert [info["price"] for info in infos] == expected
 
     def test_cost_above_cap_rejected(self):
         with pytest.raises(ValueError):
-            MetaverseServiceProvider(unit_cost=60.0, max_price=50.0)
+            MarketConfig(unit_cost=60.0, max_price=50.0)
+        with pytest.raises(ValueError):
+            StackelbergMarket(paper_fig2_population()).with_unit_cost(60.0)
 
 
 class TestPopulations:

@@ -17,7 +17,6 @@ EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 FAST_EXAMPLES = [
     "quickstart.py",
     "custom_market.py",
-    "highway_migration.py",
     "multi_msp_competition.py",
 ]
 
@@ -43,25 +42,14 @@ def test_quickstart_reports_equilibrium():
     )
     assert "25.34" in result.stdout  # the paper-anchored price
 
-def test_highway_example_reports_aotm():
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "highway_migration.py")],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert "AoTM" in result.stdout
-    assert "invariants hold" in result.stdout
-
 
 def test_all_examples_present():
-    """The README promises six runnable examples."""
+    """The README promises five runnable examples."""
     scripts = {p.name for p in EXAMPLES_DIR.glob("*.py")}
     assert scripts >= {
         "quickstart.py",
         "train_drl_pricing.py",
         "cost_sweep.py",
-        "highway_migration.py",
         "custom_market.py",
         "multi_msp_competition.py",
     }

@@ -1,16 +1,21 @@
-"""Coverage for the numerical game-analysis helpers (Theorems 1–2 checks)."""
+"""Coverage for the numerical game-analysis checks (Theorems 1–2) that
+``tests/game_oracle.py`` holds for the market tests, and the follower
+stage of a production market checked with them."""
 
 import math
 
 import pytest
-
-from repro.game.analysis import (
+from game_oracle import (
     is_concave_on,
     numerical_derivative,
     numerical_second_derivative,
     verify_best_response,
     verify_no_profitable_deviation,
 )
+
+from repro.core.stackelberg import StackelbergMarket
+from repro.core.utilities import vmu_utility
+from repro.entities.vmu import paper_fig2_population
 from repro.errors import GameError
 
 
@@ -87,3 +92,31 @@ class TestNashVerification:
             verify_no_profitable_deviation(
                 [lambda x: x], [0.0, 1.0], [(0.0, 1.0)]
             )
+
+
+class TestFollowerStage:
+    """Theorem 1 on the production follower utility and best response."""
+
+    def test_vmu_utility_strictly_concave_in_bandwidth(self):
+        # d²U/db² = −α·SE² / (D + b·SE)².
+        se = StackelbergMarket(paper_fig2_population()).spectral_efficiency
+        for b in (0.05, 0.2, 1.0):
+            numeric = numerical_second_derivative(
+                lambda x: vmu_utility(5.0, 2.0, x, 10.0, se), b
+            )
+            analytic = -5.0 * se**2 / (2.0 + b * se) ** 2
+            assert numeric == pytest.approx(analytic, rel=1e-4)
+
+    def test_follower_best_responses_are_nash(self):
+        market = StackelbergMarket(paper_fig2_population())
+        se = market.spectral_efficiency
+        price = 12.0
+        demands = market.best_response(price)
+        utilities = [
+            lambda b, a=a, d=d: vmu_utility(a, d, b, price, se)
+            for a, d in zip(market.immersion_coefs, market.data_units)
+        ]
+        bounds = [(0.0, 2.0 * float(demands.max()))] * len(utilities)
+        assert verify_no_profitable_deviation(utilities, list(demands), bounds)
+        shifted = [float(demands[0]) * 1.5, float(demands[1])]
+        assert not verify_no_profitable_deviation(utilities, shifted, bounds)

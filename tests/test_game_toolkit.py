@@ -1,4 +1,5 @@
-"""Game-toolkit tests: solvers, analysis helpers, best-response dynamics."""
+"""Game-toolkit tests: solvers, best-response dynamics, and the analysis
+checks in ``tests/game_oracle.py``."""
 
 import math
 
@@ -6,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from repro.errors import GameError
-from repro.game.analysis import (
+from game_oracle import (
     is_concave_on,
     numerical_derivative,
     numerical_second_derivative,
     verify_best_response,
     verify_no_profitable_deviation,
 )
+
+from repro.errors import GameError
 from repro.game.best_response import (
     iterate_best_response,
     iterate_best_response_batch,

@@ -2,8 +2,7 @@
 
 These exercise the library the way the paper's evaluation does: train the
 DRL mechanism under incomplete information and check it reaches the
-complete-information equilibrium; verify no player can deviate profitably;
-run the full mobility -> pricing -> migration pipeline.
+complete-information equilibrium; verify no player can deviate profitably.
 
 The DRL test uses a reduced-but-real budget (~10 s), so it asserts actual
 learning quality, not just plumbing.
@@ -11,19 +10,14 @@ learning quality, not just plumbing.
 
 import numpy as np
 import pytest
+from game_oracle import verify_best_response
 
 from repro.baselines import OraclePricing, RandomPricing
 from repro.core.mechanism import run_rounds
 from repro.core.stackelberg import StackelbergMarket
 from repro.core.utilities import vmu_utility
-from repro.entities.registry import World
-from repro.entities.vmu import VmuProfile, paper_fig2_population
+from repro.entities.vmu import paper_fig2_population
 from repro.experiments import ExperimentConfig, evaluate_policy, train_drl
-from repro.game.analysis import verify_best_response
-from repro.migration.pipeline import run_migration_pipeline
-from repro.mobility.models import RouteFollower
-from repro.mobility.road import straight_highway
-from repro.mobility.trace import deploy_rsus_along_highway, simulate_handovers
 
 
 @pytest.fixture(scope="module")
@@ -111,59 +105,3 @@ class TestEquilibriumIsNash:
         eq = market.equilibrium()
         np.testing.assert_allclose(outcomes[0].allocations, eq.demands)
 
-
-class TestEndToEndPipeline:
-    def test_highway_scenario(self):
-        network = straight_highway(4000.0, num_junctions=9, speed_limit_mps=25.0)
-        rsus = deploy_rsus_along_highway(
-            4000.0, spacing_m=1000.0, coverage_radius_m=700.0
-        )
-        vmus = [
-            VmuProfile("car-0", 200.0, 5.0),
-            VmuProfile("car-1", 100.0, 5.0),
-        ]
-        world = World()
-        for rsu in rsus:
-            world.add_rsu(rsu)
-        for vmu in vmus:
-            world.add_vmu(vmu, host_rsu_id="rsu-0", dirty_rate_mb_s=1.0)
-        route = [f"j{k}" for k in range(9)]
-        agents = [
-            RouteFollower(vmu.vmu_id, network, route, speed_factor=1.0 - 0.2 * i)
-            for i, vmu in enumerate(vmus)
-        ]
-        simulation = simulate_handovers(agents, rsus, duration_s=250.0)
-        assert len(simulation.migrations) >= 4
-
-        market = StackelbergMarket(vmus)
-        result = run_migration_pipeline(
-            world, market, OraclePricing(market), simulation.events
-        )
-        assert len(result.completed) == len(simulation.migrations)
-        assert result.total_msp_profit > 0.0
-        # every measured AoTM respects the analytic Eq. (1) lower bound
-        for step in result.completed:
-            assert (
-                step.report.measured_aotm_s
-                >= step.report.analytic_aotm_s - 1e-12
-            )
-        world.check_invariants()
-
-    def test_twins_end_on_final_rsu(self):
-        network = straight_highway(3000.0, num_junctions=7, speed_limit_mps=30.0)
-        rsus = deploy_rsus_along_highway(
-            3000.0, spacing_m=1000.0, coverage_radius_m=700.0
-        )
-        vmus = [VmuProfile("car-0", 100.0, 5.0)]
-        world = World()
-        for rsu in rsus:
-            world.add_rsu(rsu)
-        world.add_vmu(vmus[0], host_rsu_id="rsu-0")
-        agents = [RouteFollower("car-0", network, [f"j{k}" for k in range(7)])]
-        simulation = simulate_handovers(agents, rsus, duration_s=150.0)
-        market = StackelbergMarket(vmus)
-        run_migration_pipeline(
-            world, market, OraclePricing(market), simulation.events
-        )
-        # the vehicle drove the full road: its twin should sit on the last RSU
-        assert world.twin_of("car-0").host_rsu_id == "rsu-3"

@@ -1,9 +1,10 @@
-"""City-grid market construction: bitwise pin against the road-graph builder.
+"""City-grid market construction: bitwise pin against a road-graph builder.
 
 ``city_markets`` derives the grid geometry analytically. The oracle below
-is the graph-based builder it replaced: a networkx ``grid_city``, the
-nearest neighbour from an ``out_edges`` scan, a ``RoadsideUnit`` per
-market for the coverage test, and VMU populations drawn with scalar
+builds the road graph it replaced, in pure Python: every junction's
+position, its out-roads with their lengths, the nearest neighbour from a
+scan of those roads, a coverage-disc test from the source RSU, the
+Little's-law capacity written out, and VMU populations drawn with scalar
 ``rng.uniform`` calls. Every market must match it field for field and bit
 for bit.
 """
@@ -11,22 +12,25 @@ for bit.
 import dataclasses
 import functools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import constants
 from repro.channel.link import paper_link
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.entities.rsu import RoadsideUnit
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
 from repro.mobility.citygrid import CityGridSpec, city_markets
-from repro.mobility.demand import DemandProfile, capacity_for_demand
-from repro.mobility.road import RoadNetwork, grid_city
 
 SOFT_HANDOVER_FACTOR = 0.5
+CONCURRENCY_MARGIN = 1.5
 
 
 def oracle_population(count, rng):
@@ -40,10 +44,33 @@ def oracle_population(count, rng):
     ]
 
 
-def oracle_nearest_neighbor(network, junction):
+def oracle_grid(spec):
+    """A Manhattan road grid: each junction's position, and per junction
+    its out-roads as ``(neighbour, length)``. A road joins each junction
+    to its right and lower neighbours, in both directions, and is as long
+    as the distance between its ends."""
+    position = {
+        f"g{r}-{c}": (float(c * spec.block_m), float(r * spec.block_m))
+        for r in range(spec.rows)
+        for c in range(spec.cols)
+    }
+    roads = {junction: [] for junction in position}
+    for r in range(spec.rows):
+        for c in range(spec.cols):
+            start = f"g{r}-{c}"
+            for end in (f"g{r}-{c + 1}", f"g{r + 1}-{c}"):
+                if end in position:
+                    (ax, ay), (bx, by) = position[start], position[end]
+                    length = math.hypot(bx - ax, by - ay)
+                    roads[start].append((end, length))
+                    roads[end].append((start, length))
+    return position, roads
+
+
+def oracle_nearest_neighbor(roads, junction):
     best = None
-    for _, neighbor, length in network.graph.out_edges(junction, data="length_m"):
-        key = (float(length), neighbor)
+    for neighbor, length in roads[junction]:
+        key = (length, neighbor)
         if best is None or key < best:
             best = key
     return best[1], best[0]
@@ -53,52 +80,34 @@ def oracle_nearest_neighbor(network, junction):
 def oracle_city(spec):
     """The graph-based build of every market of ``spec``, plus per market
     the chosen neighbour, its candidates' ids, and the coverage verdict."""
-    network = grid_city(
-        spec.rows, spec.cols, block_m=spec.block_m,
-        speed_limit_mps=spec.speed_limit_mps,
-    )
+    position, roads = oracle_grid(spec)
     base_link = paper_link()
     markets, choices = [], []
     for index in range(spec.num_markets):
         junction = f"g{index // spec.cols}-{index % spec.cols}"
-        neighbor, road_length = oracle_nearest_neighbor(network, junction)
+        neighbor, road_length = oracle_nearest_neighbor(roads, junction)
         rng = np.random.default_rng([spec.seed, index])
         population = oracle_population(
             int(rng.integers(1, spec.max_vmus + 1)), rng
         )
         vehicles = 1 + int(rng.poisson(spec.vehicles_per_cell))
         link = base_link.with_distance(road_length * float(rng.uniform(0.6, 1.0)))
-        source_rsu = RoadsideUnit(
-            rsu_id=f"rsu-{junction}",
-            position_m=network.position(junction),
-            coverage_radius_m=spec.coverage_radius,
-        )
         crossing_rate_hz = vehicles * spec.speed_limit_mps / road_length
-        covered = source_rsu.covers(network.position(neighbor))
+        (rsu_x, rsu_y), (nx, ny) = position[junction], position[neighbor]
+        covered = math.hypot(rsu_x - nx, rsu_y - ny) <= spec.coverage_radius
         if covered:
             crossing_rate_hz *= SOFT_HANDOVER_FACTOR
-        profile = DemandProfile(
-            duration_s=spec.horizon_s,
-            total_migrations=int(round(crossing_rate_hz * spec.horizon_s)),
-            arrival_rate_hz=crossing_rate_hz,
-            per_vehicle_rate_hz=crossing_rate_hz / vehicles,
-            mean_interarrival_s=1.0 / crossing_rate_hz,
-            interarrival_cv=1.0,
-            busiest_pair=(
-                junction, neighbor, int(round(crossing_rate_hz * spec.horizon_s))
-            ),
+        # Little's law: rate·A migrations in flight, each needing D/(A·SE).
+        in_flight = crossing_rate_hz * spec.target_aotm
+        per_flow = float(np.mean([v.data_units for v in population])) / (
+            spec.target_aotm * link.spectral_efficiency
         )
-        capacity_natural = capacity_for_demand(
-            profile,
-            mean_data_units=float(np.mean([v.data_units for v in population])),
-            target_aotm=spec.target_aotm,
-            spectral_efficiency=link.spectral_efficiency,
-        )
+        capacity_natural = CONCURRENCY_MARGIN * in_flight * per_flow
         config = MarketConfig(
             max_bandwidth=capacity_natural * MarketConfig().bandwidth_report_scale
         )
         markets.append(StackelbergMarket(population, config=config, link=link))
-        candidates = [n for _, n in network.graph.out_edges(junction)]
+        candidates = [n for n, _ in roads[junction]]
         choices.append((neighbor, candidates, covered))
     return markets, choices
 
@@ -176,16 +185,27 @@ def test_specs_reach_the_branches_they_pin():
         assert all(covered for _, _, covered in choices)
 
 
-def test_slice_builds_no_road_graph(monkeypatch):
-    expected, _ = oracle_city(SPEC_100x100)
-
-    def refuse(self):
-        raise AssertionError("city_markets built a road graph")
-
-    monkeypatch.setattr(RoadNetwork, "__init__", refuse)
-    assert_markets_bitwise_equal(
-        city_markets(SPEC_100x100, 5000, 5001), expected[5000:5001]
+def test_slice_builds_no_road_graph():
+    """Importing the experiments layer and building a ``city_markets``
+    slice never loads networkx: no road graph exists on that path."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
     )
+    script = (
+        "import sys\n"
+        "import repro.experiments\n"
+        "from repro.mobility.citygrid import CityGridSpec, city_markets\n"
+        "spec = CityGridSpec.for_markets(10000, seed=0)\n"
+        "assert len(city_markets(spec, 5000, 5001)) == 1\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 FLOAT_FIELDS = (

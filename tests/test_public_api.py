@@ -13,7 +13,6 @@ PACKAGES = [
     "repro.channel",
     "repro.entities",
     "repro.mobility",
-    "repro.migration",
     "repro.game",
     "repro.core",
     "repro.nn",

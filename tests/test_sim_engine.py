@@ -8,6 +8,7 @@ on the policy-evaluation fast paths.
 
 import numpy as np
 import pytest
+from game_oracle import scalar_landscape
 
 from repro.baselines import FixedPricing, GreedyPricing, OraclePricing, RandomPricing
 from repro.channel.ofdma import proportional_rationing
@@ -18,11 +19,9 @@ from repro.entities.vmu import VmuProfile, paper_fig2_population
 from repro.errors import ConfigurationError
 from repro.sim import (
     PriceBatchOutcome,
-    batched_landscape,
     plan_prices,
     play_policy,
-    price_grid,
-    scalar_landscape,
+    uniform_price_grid,
 )
 
 
@@ -58,8 +57,10 @@ class TestVectorizedLandscapeProperty:
         rng = np.random.default_rng(20230429)
         for _ in range(50):
             market = random_market(rng)
-            grid = price_grid(market, 64)
-            batched = batched_landscape(market, grid)
+            grid = uniform_price_grid(
+                market.config.unit_cost, market.config.max_price, 64
+            )
+            batched = market.outcomes_batch(grid)
             scalar = scalar_landscape(market, grid)
             np.testing.assert_allclose(
                 batched.msp_utilities, scalar.msp_utilities, rtol=0.0, atol=1e-9
@@ -82,7 +83,9 @@ class TestVectorizedLandscapeProperty:
         for _ in range(10):
             market = random_market(rng)
             eq = market.equilibrium()
-            grid = price_grid(market, 2048)
+            grid = uniform_price_grid(
+                market.config.unit_cost, market.config.max_price, 2048
+            )
             brute = float(market.msp_utilities(grid).max())
             assert eq.msp_utility >= brute - 1e-6
 
