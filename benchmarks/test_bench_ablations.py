@@ -11,11 +11,7 @@ history the agent actually needs.
 
 import pytest
 
-from repro.experiments import (
-    ExperimentConfig,
-    run_history_ablation,
-    run_reward_ablation,
-)
+from repro.experiments import ExperimentConfig, run_experiment
 
 pytestmark = pytest.mark.slow
 
@@ -27,13 +23,15 @@ ABLATION_CONFIG = ExperimentConfig(
     entropy_coef=1e-3,
     evaluation_rounds=50,
     seed=0,
-    reward_mode="utility",  # run_reward_ablation overrides per mode
+    reward_mode="utility",  # the reward ablation overrides it per mode
 )
 
 
 def test_reward_shaping_ablation(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_reward_ablation(ABLATION_CONFIG), rounds=1, iterations=1
+        lambda: run_experiment("reward_ablation", {"config": ABLATION_CONFIG}),
+        rounds=1,
+        iterations=1,
     )
     record_table("ablation_reward", result.table())
 
@@ -47,7 +45,10 @@ def test_reward_shaping_ablation(benchmark, record_table):
 
 def test_history_length_ablation(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_history_ablation(ABLATION_CONFIG, lengths=(1, 2, 4, 8)),
+        lambda: run_experiment(
+            "history_ablation",
+            {"config": ABLATION_CONFIG, "lengths": (1, 2, 4, 8)},
+        ),
         rounds=1,
         iterations=1,
     )

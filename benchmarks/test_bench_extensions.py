@@ -11,7 +11,7 @@ from repro.core.multimsp import MspSpec, MultiMspMarket
 from repro.core.stackelberg import StackelbergMarket
 from repro.core.welfare import welfare_report
 from repro.entities.vmu import paper_fig2_population
-from repro.experiments import ExperimentConfig, run_multiseed_comparison
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -84,8 +84,14 @@ def test_multiseed_drl_vs_random(benchmark, record_table):
     )
 
     result = benchmark.pedantic(
-        lambda: run_multiseed_comparison(
-            market, config, seeds=(0, 1, 2), schemes=("drl", "random")
+        lambda: run_experiment(
+            "multiseed",
+            {
+                "market": market,
+                "config": config,
+                "seeds": (0, 1, 2),
+                "schemes": ("drl", "random"),
+            },
         ),
         rounds=1,
         iterations=1,

@@ -8,14 +8,14 @@ equilibrium utility.
 Budget note (EXPERIMENTS.md): the paper trains E = 500 episodes of K = 100
 rounds at lr = 1e-5; the bench uses 150 episodes at lr = 1e-3 with γ = 0
 (the game is a contextual bandit), which converges to the same equilibrium
-in ~20 s. Run ``python -m repro.experiments.run --figure fig2 --paper`` for
-the full-budget version.
+in ~20 s. Run ``python -m repro.experiments.run run fig2 --param
+preset=paper`` for the full-budget version.
 """
 
 import pytest
 import numpy as np
 
-from repro.experiments import ExperimentConfig, run_fig2
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -33,7 +33,9 @@ FIG2A_CONFIG = ExperimentConfig(
 
 def test_fig2_convergence(benchmark, record_table):
     result = benchmark.pedantic(
-        lambda: run_fig2(FIG2A_CONFIG), rounds=1, iterations=1
+        lambda: run_experiment("fig2", {"config": FIG2A_CONFIG}),
+        rounds=1,
+        iterations=1,
     )
 
     table = result.table(stride=15)

@@ -15,7 +15,7 @@ paper's qualitative shape:
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_fig3_cost, run_fig3_vmus
+from repro.experiments import ExperimentConfig, run_experiment
 
 pytestmark = pytest.mark.slow
 
@@ -29,13 +29,13 @@ _CACHE: dict[str, object] = {}
 
 def cost_sweep():
     if "cost" not in _CACHE:
-        _CACHE["cost"] = run_fig3_cost(QUICK)
+        _CACHE["cost"] = run_experiment("fig3_cost", {"config": QUICK})
     return _CACHE["cost"]
 
 
 def vmu_sweep():
     if "vmus" not in _CACHE:
-        _CACHE["vmus"] = run_fig3_vmus(QUICK)
+        _CACHE["vmus"] = run_experiment("fig3_vmus", {"config": QUICK})
     return _CACHE["vmus"]
 
 

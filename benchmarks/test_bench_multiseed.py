@@ -8,8 +8,8 @@ Times the two scale levers this PR adds and records the evidence in
   through one ``MarketStack.outcomes_stacked`` pass vs. ``M`` per-market
   ``outcomes_batch`` calls (which are themselves already vectorised over
   ``R`` — the baseline here is the *strong* one).
-- **Sharded multiseed** — ``run_multiseed_comparison`` fanning its
-  per-seed runs over worker processes vs. the sequential path.
+- **Sharded multiseed** — the ``multiseed`` spec fanning its per-seed
+  runs over a ``JobScheduler(workers=k)`` pool vs. the in-process run.
 
 Both comparisons are exact by construction (see
 ``tests/test_core_marketstack.py`` and
@@ -27,7 +27,7 @@ import pytest
 from repro.core import MarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import paper_fig2_population, sample_population
-from repro.experiments import ExperimentConfig, run_multiseed_comparison
+from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -103,14 +103,19 @@ def shard_table() -> tuple[Table, float]:
     # that the process fan-out dominates worker start-up, light enough to
     # keep the benchmark in tens of seconds.
     config = replace(ExperimentConfig.quick(), num_episodes=40)
-    kwargs = dict(seeds=SEEDS, schemes=("drl", "random"))
+    params = {
+        "market": market,
+        "config": config,
+        "seeds": SEEDS,
+        "schemes": ("drl", "random"),
+    }
 
     start = time.perf_counter()
-    sequential_result = run_multiseed_comparison(market, config, **kwargs)
+    sequential_result = run_experiment("multiseed", params)
     sequential = time.perf_counter() - start
     start = time.perf_counter()
-    sharded_result = run_multiseed_comparison(
-        market, config, shards=SHARDS, **kwargs
+    sharded_result = run_experiment(
+        "multiseed", params, scheduler=JobScheduler(workers=SHARDS)
     )
     sharded = time.perf_counter() - start
     assert sharded_result == sequential_result  # sharding never changes data

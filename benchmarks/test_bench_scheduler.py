@@ -3,8 +3,8 @@
 Times a Fig. 3 cost sweep's per-market DRL trainings executed three ways
 and records the evidence in ``benchmarks/results/scheduler_speedup.txt``:
 
-- **Sequential** — the historical in-process path (one market after the
-  next).
+- **Sequential** — no scheduler: the plan's jobs run in-process, one
+  market after the next.
 - **Scheduled, multi-worker** — the same markets as ``market_scheme``
   jobs over a worker pool (the PR's fan-out path). Exact by construction:
   each job runs the identical seeded training, floats survive the JSON
@@ -21,8 +21,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentConfig, JobScheduler
-from repro.experiments.fig3_cost import run_fig3_cost
+from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -44,6 +43,14 @@ def _evaluations(result):
     }
 
 
+def fig3_cost_sweep(config, *, costs, schemes, scheduler=None):
+    return run_experiment(
+        "fig3_cost",
+        {"config": config, "costs": costs, "schemes": schemes},
+        scheduler=scheduler,
+    )
+
+
 def test_scheduler_speedup(record_table, tmp_path):
     # The multiseed bench's reduced quick budget: heavy enough per market
     # (~seconds of DRL training) that fan-out dominates pool start-up,
@@ -51,12 +58,12 @@ def test_scheduler_speedup(record_table, tmp_path):
     config = replace(ExperimentConfig.quick(), num_episodes=40)
 
     start = time.perf_counter()
-    sequential = run_fig3_cost(config, costs=COSTS, schemes=SCHEMES)
+    sequential = fig3_cost_sweep(config, costs=COSTS, schemes=SCHEMES)
     sequential_s = time.perf_counter() - start
 
     scheduler = JobScheduler(workers=WORKERS, cache_dir=tmp_path)
     start = time.perf_counter()
-    scheduled = run_fig3_cost(
+    scheduled = fig3_cost_sweep(
         config, costs=COSTS, schemes=SCHEMES, scheduler=scheduler
     )
     scheduled_s = time.perf_counter() - start
@@ -66,7 +73,7 @@ def test_scheduler_speedup(record_table, tmp_path):
 
     resumed_scheduler = JobScheduler(workers=WORKERS, cache_dir=tmp_path)
     start = time.perf_counter()
-    resumed = run_fig3_cost(
+    resumed = fig3_cost_sweep(
         config, costs=COSTS, schemes=SCHEMES, scheduler=resumed_scheduler
     )
     resumed_s = time.perf_counter() - start

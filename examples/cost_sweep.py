@@ -12,7 +12,7 @@ tracks the equilibrium while beating both baselines.
 
 import argparse
 
-from repro.experiments import ExperimentConfig, run_fig3_cost
+from repro.experiments import ExperimentConfig, run_experiment
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
         if args.paper
         else ExperimentConfig.quick(seed=args.seed)
     )
-    result = run_fig3_cost(config)
+    result = run_experiment("fig3_cost", {"config": config})
     print(result.msp_table())
     print()
     print(result.vmu_table())

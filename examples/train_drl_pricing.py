@@ -12,7 +12,12 @@ import argparse
 
 from repro.core import StackelbergMarket
 from repro.entities import paper_fig2_population
-from repro.experiments import ExperimentConfig, evaluate_policy, run_fig2, train_drl
+from repro.experiments import (
+    ExperimentConfig,
+    evaluate_policy,
+    run_experiment,
+    train_drl,
+)
 
 
 def main() -> None:
@@ -27,7 +32,7 @@ def main() -> None:
         else ExperimentConfig.quick(seed=args.seed)
     )
 
-    result = run_fig2(config)
+    result = run_experiment("fig2", {"config": config})
     print(result.table())
     print(
         f"\nconverged best utility : {result.converged_utility:.4f}"

@@ -141,7 +141,6 @@ class OraclePricing:
         *,
         chunk_size: int | None = None,
         chunk_bytes: int | None = None,
-        cache=None,
     ) -> list["OraclePricing"]:
         """One oracle per market of a stack, solved in a single pass.
 
@@ -150,10 +149,7 @@ class OraclePricing:
         :meth:`MarketStack.equilibria_stacked_chunked` call — bitwise-equal
         to ``[OraclePricing(m) for m in markets]``, which solves per
         market. The chunk knobs set the solve's memory budget (same bits
-        at any budget — for city-scale oracle grids). With a
-        ``cache`` (a :class:`repro.service.EquilibriumCache`), rows are
-        served by market content — rebuilding an oracle grid after a few
-        cells changed re-solves only the changed cells, same bits.
+        at any budget — for city-scale oracle grids).
 
         Raises:
             InfeasibleMarketError: if any member market admits no
@@ -166,14 +162,6 @@ class OraclePricing:
             if isinstance(stack_or_markets, MarketStack)
             else MarketStack(stack_or_markets)
         )
-        if cache is not None:
-            rows = cache.equilibria(
-                stack.markets, chunk_size=chunk_size, chunk_bytes=chunk_bytes
-            )
-            return [
-                cls(market, price=row.price)
-                for market, row in zip(stack.markets, rows)
-            ]
         solved = stack.equilibria_stacked_chunked(
             chunk_size=chunk_size, chunk_bytes=chunk_bytes
         )

@@ -34,7 +34,6 @@ from repro.core.multimsp import (
     MultiMspMarket,
     OligopolyEquilibrium,
     OligopolyOutcome,
-    oligopoly_equilibria_batch,
     oligopoly_from_market,
 )
 from repro.core.welfare import (
@@ -77,7 +76,6 @@ __all__ = [
     "MultiMspMarket",
     "OligopolyEquilibrium",
     "OligopolyOutcome",
-    "oligopoly_equilibria_batch",
     "oligopoly_from_market",
     "WelfareReport",
     "social_welfare",

@@ -38,7 +38,6 @@ from repro.channel.ofdma import proportional_rationing
 from repro.core.utilities import follower_best_response, vmu_utilities
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError, GameError
-from repro.game.best_response import iterate_best_response_batch
 from repro.utils.validation import require_in_range, require_positive
 
 if TYPE_CHECKING:
@@ -50,7 +49,6 @@ __all__ = [
     "OligopolyEquilibrium",
     "BestResponseTrace",
     "MultiMspMarket",
-    "oligopoly_equilibria_batch",
     "oligopoly_from_market",
 ]
 
@@ -452,156 +450,6 @@ class MultiMspMarket:
             cycle_high=cycle_high,
             trace=trace,
         )
-
-
-def oligopoly_equilibria_batch(
-    markets: Sequence[MultiMspMarket],
-    *,
-    initial_prices: Sequence[Sequence[float] | None] | None = None,
-    max_iterations: int = 1000,
-    tolerance: float = 1e-3,
-    damping: float = 1.0,
-    record_trace: bool = False,
-) -> list[OligopolyEquilibrium]:
-    """Solve ``M`` independent oligopolies in lockstep on the stack.
-
-    Drives :func:`repro.game.best_response.iterate_best_response_batch`
-    with one Gauss-Seidel sweep per game per round (profiles padded to
-    the widest game; padded columns masked out). Each game's trajectory
-    — sweeps, convergence round, cycle detection, final profile — is
-    bitwise-equal to calling :meth:`MultiMspMarket.equilibrium` on it
-    alone; games that converge or cycle early freeze while the rest keep
-    iterating.
-    """
-    if max_iterations < 1:
-        raise GameError("max_iterations must be >= 1")
-    require_in_range("damping", damping, 0.0, 1.0, inclusive=True)
-    if damping == 0.0:
-        raise GameError("damping must be > 0 (0 never moves)")
-    games = list(markets)
-    if not games:
-        return []
-    if initial_prices is None:
-        starts = [game._initial_prices(None) for game in games]
-    else:
-        if len(initial_prices) != len(games):
-            raise ConfigurationError(
-                f"expected {len(games)} initial price vectors, got {len(initial_prices)}"
-            )
-        starts = [
-            game._initial_prices(start)
-            for game, start in zip(games, initial_prices)
-        ]
-    width = max(game.num_msps for game in games)
-    stacked = np.zeros((len(games), width))
-    mask = np.zeros((len(games), width), dtype=bool)
-    for row, (game, start) in enumerate(zip(games, starts)):
-        stacked[row, : game.num_msps] = start
-        mask[row, : game.num_msps] = True
-
-    # Per-game bookkeeping mirroring the scalar `equilibrium()` loop:
-    # cycle detection runs inside the sweep map (after the convergence
-    # check, exactly as in the scalar loop), and a cycled game freezes so
-    # the lockstep iterator retires its row.
-    rounds = 0
-    done = [False] * len(games)
-    seen = [{tuple(start.tolist()): 0} for start in starts]
-    profiles = [[start.copy()] for start in starts]
-    residual_logs: list[list[float]] = [[] for _ in games]
-    converged_flags = [False] * len(games)
-    iteration_counts = [max_iterations] * len(games)
-    cycle_info: list[tuple[int, float, float] | None] = [None] * len(games)
-
-    def sweep_stack(current: np.ndarray) -> np.ndarray:
-        nonlocal rounds
-        rounds += 1
-        if rounds > max_iterations:
-            # Budget exhausted: freeze every remaining game exactly where
-            # the scalar loop would have stopped. The zero residual this
-            # produces retires the rows in the lockstep iterator.
-            for row in range(len(games)):
-                done[row] = True
-            return current
-        swept = current.copy()
-        for row, game in enumerate(games):
-            if done[row]:
-                continue
-            width_row = game.num_msps
-            prices = swept[row, :width_row].copy()
-            previous = prices.copy()
-            game._sweep(prices, damping=damping)
-            swept[row, :width_row] = prices
-            residual = float(np.max(np.abs(prices - previous)))
-            profiles[row].append(prices.copy())
-            residual_logs[row].append(residual)
-            if residual <= tolerance:
-                done[row] = True
-                converged_flags[row] = True
-                iteration_counts[row] = rounds
-                continue
-            key = tuple(prices.tolist())
-            if key in seen[row]:
-                start = seen[row][key]
-                states = np.asarray(profiles[row][start:rounds])
-                cycle_info[row] = (
-                    rounds - start,
-                    float(states.min()),
-                    float(states.max()),
-                )
-                done[row] = True
-                iteration_counts[row] = rounds
-                continue
-            seen[row][key] = rounds
-        return swept
-
-    # Game damping is applied inside each sweep (per component, exactly
-    # as in the scalar loop); the iterator itself runs undamped. Cycled
-    # rows freeze and need one extra round to register residual 0, hence
-    # the +1 budget; their fields are overridden below.
-    result = iterate_best_response_batch(
-        sweep_stack,
-        stacked,
-        damping=1.0,
-        tolerance=tolerance,
-        max_iterations=max_iterations + 1,
-        mask=mask,
-    )
-
-    equilibria: list[OligopolyEquilibrium] = []
-    for row, game in enumerate(games):
-        prices = result.strategies[row, : game.num_msps].copy()
-        outcome = game.outcome(prices)
-        iterations = iteration_counts[row]
-        converged = converged_flags[row]
-        residual = residual_logs[row][-1] if residual_logs[row] else 0.0
-        info = cycle_info[row]
-        if info is not None:
-            cycle_length, cycle_low, cycle_high = info
-        else:
-            cycle_length = 0
-            cycle_low = cycle_high = 0.0
-        trace = (
-            BestResponseTrace(
-                profiles=np.asarray(profiles[row]),
-                residuals=np.asarray(residual_logs[row]),
-            )
-            if record_trace
-            else None
-        )
-        equilibria.append(
-            OligopolyEquilibrium(
-                prices=prices,
-                msp_utilities=outcome.msp_utilities,
-                converged=converged,
-                iterations=iterations,
-                residual=residual,
-                cycle_length=cycle_length,
-                cycle_low=cycle_low,
-                cycle_high=cycle_high,
-                trace=trace,
-            )
-        )
-    return equilibria
 
 
 def oligopoly_from_market(

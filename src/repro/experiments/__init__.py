@@ -5,17 +5,15 @@ welfare analysis, multiseed comparison — is a registered
 :class:`~repro.experiments.api.ExperimentSpec`:
 :func:`~repro.experiments.api.run_experiment` is the one entry point, a
 spec's ``plan()`` compiles it into scheduler :class:`Job`s (per seed /
-per market point / per grid cell), and the historical ``run_*`` functions
-are thin shims kept for convenience (bitwise-equal either way).
+per market point / per grid cell / per chunk) that run in-process or
+through a scheduler (bitwise-equal either way), and its ``assemble()``
+merges their results.
 """
 
 from repro.experiments.ablations import (
     CapacityAblationResult,
     HistoryAblationResult,
     RewardAblationResult,
-    run_capacity_ablation,
-    run_history_ablation,
-    run_reward_ablation,
 )
 from repro.experiments.api import (
     ExperimentPlan,
@@ -28,35 +26,25 @@ from repro.experiments.api import (
     run_experiment,
     schedule,
 )
-from repro.experiments.bayesian import BayesianPricingResult, run_bayesian_pricing
-from repro.experiments.cityscale import CityScaleResult, run_city_sweep
+from repro.experiments.bayesian import BayesianPricingResult
+from repro.experiments.cityscale import CityScaleResult
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3_cost import CostSweepResult, run_fig3_cost
-from repro.experiments.fig3_vmus import VmuSweepResult, run_fig3_vmus
-from repro.experiments.multiseed import MultiSeedResult, run_multiseed_comparison
-from repro.experiments.price_of_anarchy import (
-    PriceOfAnarchyResult,
-    run_price_of_anarchy,
-)
-from repro.experiments.pricing_service import (
-    PricingServiceResult,
-    run_pricing_service,
-)
+from repro.experiments.fig2 import Fig2Result
+from repro.experiments.fig3_cost import CostSweepResult
+from repro.experiments.fig3_vmus import VmuSweepResult
+from repro.experiments.multiseed import MultiSeedResult
+from repro.experiments.price_of_anarchy import PriceOfAnarchyResult
+from repro.experiments.pricing_service import PricingServiceResult
 from repro.experiments.robustness import (
     DistanceSweepResult,
     FadingSweepResult,
     PopulationSweepResult,
-    run_distance_sweep,
-    run_fading_sweep,
-    run_population_sweep,
 )
 from repro.experiments.runner import (
     FleetTrainedPricing,
     PolicyEvaluation,
     TrainedPricing,
     compare_schemes,
-    compare_schemes_scheduled,
     compare_schemes_stacked,
     evaluate_policies_stacked,
     evaluate_policy,
@@ -73,15 +61,12 @@ from repro.experiments.scheduler import (
     market_to_payload,
     register_job_kind,
 )
-from repro.experiments.welfare import WelfareResult, run_welfare
+from repro.experiments.welfare import WelfareResult
 
 __all__ = [
     "CapacityAblationResult",
     "HistoryAblationResult",
     "RewardAblationResult",
-    "run_capacity_ablation",
-    "run_history_ablation",
-    "run_reward_ablation",
     "ExperimentPlan",
     "ExperimentSpec",
     "ParamSpec",
@@ -93,32 +78,20 @@ __all__ = [
     "schedule",
     "ExperimentConfig",
     "BayesianPricingResult",
-    "run_bayesian_pricing",
     "Fig2Result",
-    "run_fig2",
     "PriceOfAnarchyResult",
-    "run_price_of_anarchy",
     "CityScaleResult",
-    "run_city_sweep",
     "CostSweepResult",
-    "run_fig3_cost",
     "VmuSweepResult",
-    "run_fig3_vmus",
     "MultiSeedResult",
-    "run_multiseed_comparison",
     "PricingServiceResult",
-    "run_pricing_service",
     "DistanceSweepResult",
     "FadingSweepResult",
     "PopulationSweepResult",
-    "run_distance_sweep",
-    "run_fading_sweep",
-    "run_population_sweep",
     "FleetTrainedPricing",
     "PolicyEvaluation",
     "TrainedPricing",
     "compare_schemes",
-    "compare_schemes_scheduled",
     "compare_schemes_stacked",
     "evaluate_policies_stacked",
     "evaluate_policy",
@@ -133,5 +106,4 @@ __all__ = [
     "market_to_payload",
     "register_job_kind",
     "WelfareResult",
-    "run_welfare",
 ]

@@ -10,15 +10,14 @@ stationary follower population.
 
 E9 — sellable-capacity B_max: the paper fixes B_max = 50; this ablation
 sweeps it and reports how the equilibrium moves between the
-capacity-binding and slack regimes. The whole sweep's market grid is one
-:meth:`repro.core.marketstack.MarketStack.equilibria_stacked` solve.
+capacity-binding and slack regimes, one ``equilibrium_cell`` job per
+capacity (E7 and E8 plan one ``training_run`` job per mode / length).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.marketstack import MarketStack
 from repro.core.stackelberg import StackelbergMarket
 from repro.experiments import api
 from repro.experiments.api import (
@@ -28,22 +27,13 @@ from repro.experiments.api import (
     ParamSpec,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import evaluate_policy, train_drl
-from repro.experiments.scheduler import (
-    Job,
-    JobScheduler,
-    config_to_payload,
-    market_to_payload,
-)
+from repro.experiments.scheduler import Job, config_to_payload, market_to_payload
 from repro.utils.tables import Table
 
 __all__ = [
     "RewardAblationResult",
     "HistoryAblationResult",
     "CapacityAblationResult",
-    "run_reward_ablation",
-    "run_history_ablation",
-    "run_capacity_ablation",
     "REWARD_ABLATION",
     "HISTORY_ABLATION",
     "CAPACITY_ABLATION",
@@ -118,20 +108,6 @@ def _training_job(market: StackelbergMarket, config: ExperimentConfig) -> Job:
     )
 
 
-def _train_and_evaluate(
-    market: StackelbergMarket, config: ExperimentConfig
-) -> tuple[float, float]:
-    """One ablation cell, in-process: (train tail utility, eval utility)."""
-    trained = train_drl(market, config)
-    evaluation = evaluate_policy(
-        market, trained.policy, rounds=config.evaluation_rounds
-    )
-    return (
-        trained.training.tail_mean_best_utility(),
-        evaluation.best_msp_utility,
-    )
-
-
 def _cell_from_payload(payload) -> tuple[float, float]:
     return (
         float(payload["tail_mean_best_utility"]),
@@ -165,18 +141,6 @@ def _reward_assemble(plan: ExperimentPlan, results: list) -> RewardAblationResul
     return result
 
 
-def _reward_direct(params) -> RewardAblationResult:
-    config = api.resolve_config(params)
-    market = api.resolve_market(params)
-    equilibrium = market.equilibrium()
-    result = RewardAblationResult(equilibrium_utility=equilibrium.msp_utility)
-    for mode in params["modes"]:
-        result.rows.append(
-            (mode, *_train_and_evaluate(market, config.with_reward_mode(mode)))
-        )
-    return result
-
-
 REWARD_ABLATION = api.register(
     api.ExperimentSpec(
         name="reward_ablation",
@@ -193,7 +157,6 @@ REWARD_ABLATION = api.register(
         result_type=RewardAblationResult,
         plan=_reward_plan,
         assemble=_reward_assemble,
-        direct=_reward_direct,
     )
 )
 
@@ -227,23 +190,6 @@ def _history_assemble(
     return result
 
 
-def _history_direct(params) -> HistoryAblationResult:
-    config = api.resolve_config(params)
-    market = api.resolve_market(params)
-    equilibrium = market.equilibrium()
-    result = HistoryAblationResult(equilibrium_utility=equilibrium.msp_utility)
-    for length in params["lengths"]:
-        result.rows.append(
-            (
-                length,
-                *_train_and_evaluate(
-                    market, config.with_history_length(length)
-                ),
-            )
-        )
-    return result
-
-
 HISTORY_ABLATION = api.register(
     api.ExperimentSpec(
         name="history_ablation",
@@ -259,7 +205,6 @@ HISTORY_ABLATION = api.register(
         result_type=HistoryAblationResult,
         plan=_history_plan,
         assemble=_history_assemble,
-        direct=_history_direct,
     )
 )
 
@@ -314,22 +259,6 @@ def _capacity_assemble(
     return _capacity_pack(plan.params, cells)
 
 
-def _capacity_direct(params) -> CapacityAblationResult:
-    markets = _capacity_markets(params)
-    solved = MarketStack(markets).equilibria_stacked()
-    cells = []
-    for m in range(len(markets)):
-        equilibrium = solved.equilibrium(m)
-        cells.append(
-            (
-                equilibrium.price,
-                equilibrium.msp_utility,
-                equilibrium.capacity_binding,
-            )
-        )
-    return _capacity_pack(params, cells)
-
-
 CAPACITY_ABLATION = api.register(
     api.ExperimentSpec(
         name="capacity_ablation",
@@ -344,68 +273,6 @@ CAPACITY_ABLATION = api.register(
         result_type=CapacityAblationResult,
         plan=_capacity_plan,
         assemble=_capacity_assemble,
-        direct=_capacity_direct,
     )
 )
 
-
-def run_capacity_ablation(
-    *,
-    market: StackelbergMarket | None = None,
-    capacities: tuple[float, ...] = DEFAULT_CAPACITIES,
-    scheduler: JobScheduler | None = None,
-) -> CapacityAblationResult:
-    """Sweep ``B_max`` and solve every capacity's equilibrium.
-
-    Thin shim over the ``capacity_ablation`` spec: without a scheduler
-    the swept markets — same population and link, capacity varied — solve
-    as one ragged-free :meth:`MarketStack.equilibria_stacked` pass; with
-    one, each capacity is one cached ``equilibrium_cell`` job. Per
-    capacity the result equals a per-market ``equilibrium()`` call
-    bitwise.
-    """
-    return api.run_experiment(
-        CAPACITY_ABLATION,
-        {"market": market, "capacities": capacities},
-        scheduler=scheduler,
-    )
-
-
-def run_reward_ablation(
-    config: ExperimentConfig | None = None,
-    *,
-    market: StackelbergMarket | None = None,
-    modes: tuple[str, ...] = ("paper", "utility"),
-    scheduler: JobScheduler | None = None,
-) -> RewardAblationResult:
-    """Train with each reward formulation on the same market.
-
-    Thin shim over the ``reward_ablation`` spec; with ``scheduler`` each
-    mode's training is one ``training_run`` job (parallel, cached,
-    resumable, bitwise-equal to the sequential loop).
-    """
-    return api.run_experiment(
-        REWARD_ABLATION,
-        {"config": config, "market": market, "modes": modes},
-        scheduler=scheduler,
-    )
-
-
-def run_history_ablation(
-    config: ExperimentConfig | None = None,
-    *,
-    market: StackelbergMarket | None = None,
-    lengths: tuple[int, ...] = (1, 2, 4, 8),
-    scheduler: JobScheduler | None = None,
-) -> HistoryAblationResult:
-    """Train with each observation history length on the same market.
-
-    Thin shim over the ``history_ablation`` spec; with ``scheduler`` each
-    length's training is one ``training_run`` job (parallel, cached,
-    resumable, bitwise-equal to the sequential loop).
-    """
-    return api.run_experiment(
-        HISTORY_ABLATION,
-        {"config": config, "market": market, "lengths": lengths},
-        scheduler=scheduler,
-    )

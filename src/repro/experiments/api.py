@@ -1,4 +1,4 @@
-"""Declarative experiment specs: one registry, one entry point.
+"""Declarative experiment specs: one registry, one entry point, one path.
 
 Every experiment in this package — the paper figures (Fig. 2 convergence,
 the Fig. 3 cost/VMU sweeps), the robustness sweeps, the ablations, the
@@ -9,30 +9,31 @@ welfare analysis, and the multi-seed comparison — is registered here as an
   with a JSON codec, so a spec invocation serialises for the CLI and for
   cross-machine wire formats);
 - a ``plan()`` that compiles the validated parameters into
-  :class:`~repro.experiments.scheduler.Job`s for the experiment scheduler
-  (decomposing per seed / per market point / per grid cell);
+  :class:`~repro.experiments.scheduler.Job`s (decomposing per seed / per
+  market point / per grid cell / per chunk);
 - an ``assemble()`` that merges the job results back into the experiment's
-  result dataclass;
-- an optional ``direct()`` fast path used when no scheduler is supplied
-  (e.g. the stacked equilibrium solve over a whole sweep grid). The two
-  paths are **bitwise-equal** by contract — floats survive the JSON job
-  wire exactly — which is pinned by ``tests/test_experiments_api.py``.
+  result dataclass.
 
-:func:`run_experiment` is the one entry point; the historical ``run_*``
-functions are thin shims over it. :func:`schedule` compiles a spec into an
-:class:`ExperimentPlan` without executing it — the plan's job specs are the
-``[{"kind", "payload"}]`` wire format the ``schedule`` CLI subcommand (and
-the planned remote backend) consumes.
+Every run takes that one path: :func:`run_experiment` plans the jobs,
+executes them — in-process through
+:func:`~repro.experiments.scheduler.execute_job` when no scheduler is
+given, else through the scheduler — and assembles the result. Floats
+survive the JSON job wire exactly, so the in-process, pooled and queued
+runs are **bitwise-equal**, which ``tests/test_experiments_api.py`` pins.
+:func:`schedule` compiles a spec into an :class:`ExperimentPlan` without
+executing it — the plan's job specs are the ``[{"kind", "payload"}]`` wire
+format the ``schedule`` CLI subcommand consumes.
 
 Result payload round-trips are generated uniformly for every registered
 result type from its dataclass type hints: :func:`result_to_payload` /
 :func:`result_from_payload` turn any result into a JSON-able dict and back,
 bitwise — so ``save_json``/``load_json`` persistence works for every
-experiment, not just the multiseed comparison.
+experiment.
 
 Unknown parameter keys are rejected with a
 :class:`~repro.errors.ConfigurationError` naming the key — a typo'd kwarg
-can never silently fall back to a default.
+can never silently fall back to a default — and so is an empty sweep axis
+(any tuple-typed parameter).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     SchedulerLike,
     config_from_payload,
     config_to_payload,
@@ -251,12 +251,17 @@ class _ParamType:
 
 
 def _tuple_of(function: Callable) -> Callable:
+    # Every tuple-typed parameter is a sweep axis (or the seed list): an
+    # empty one would plan no jobs and assemble an empty result.
     def convert(value: object) -> tuple:
         if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
             raise ValueError(
                 f"expected a sequence, got {type(value).__name__}"
             )
-        return tuple(function(v) for v in value)
+        values = tuple(function(v) for v in value)
+        if not values:
+            raise ValueError("expected a non-empty sequence")
+        return values
 
     return convert
 
@@ -336,7 +341,7 @@ class ParamSpec:
         return PARAM_TYPES[self.type]
 
     def coerce(self, value: object) -> object:
-        """Coerce a Python value (e.g. a shim kwarg) onto this type."""
+        """Coerce a Python value (e.g. an API caller's) onto this type."""
         try:
             return self._kind().coerce(value)
         except (TypeError, ValueError) as exc:
@@ -396,9 +401,10 @@ CHUNK_PARAMS: tuple[ParamSpec, ...] = (
         "scratch-memory budget per solve chunk in bytes (default 64 MiB)",
     ),
 )
-"""The memory-bounding knobs of every stacked-solve experiment: forwarded
-to :meth:`repro.core.marketstack.MarketStack.equilibria_stacked_chunked`,
-which returns the same bits at every setting."""
+"""The memory-bounding knobs of the city-scale experiments (``city_sweep``
+sizes its ``city_chunk`` jobs with them, ``pricing_service`` its solves):
+forwarded to :func:`repro.core.marketstack.resolve_chunk_size`; the same
+bits come out at every setting."""
 
 _PRESETS: dict[str, Callable[..., ExperimentConfig]] = {
     "quick": ExperimentConfig.quick,
@@ -468,7 +474,7 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: schema + plan/assemble (+ fast path)."""
+    """One registered experiment: schema + plan/assemble."""
 
     name: str
     description: str
@@ -476,7 +482,6 @@ class ExperimentSpec:
     result_type: type
     plan: Callable[[Mapping], ExperimentPlan]
     assemble: Callable[[ExperimentPlan, list], object]
-    direct: Callable[[Mapping], object] | None = None
     render: Callable[[object], str] | None = None
 
     def param(self, name: str) -> ParamSpec:
@@ -614,27 +619,26 @@ def run_experiment(
 ):
     """Run one registered experiment; returns its result dataclass.
 
-    With ``scheduler`` — anything satisfying the
+    The spec's ``plan()`` compiles the run into jobs and ``assemble()``
+    merges their results. Without ``scheduler`` the jobs execute
+    in-process, one after another. With one — anything satisfying the
     :class:`~repro.experiments.scheduler.SchedulerLike` contract: a
     :class:`JobScheduler` (process fan-out + per-job result caching under
     its cache dir) or a :class:`repro.queue.QueueScheduler` (the same jobs
     batch-run against a shared queue directory and content-addressed
-    artifact store, drainable by worker fleets on other machines) — the
-    spec's ``plan()`` compiles the run into jobs executed through it, with
-    caching and kill-resume for free, for **every** experiment. Without
-    one, the spec's ``direct()`` fast path (stacked solves, sequential
-    loops) runs in-process; specs without a fast path execute their plan
-    in-process. All paths return bitwise-equal results.
+    artifact store, drainable by worker fleets on other machines) — they
+    run through it, with caching and kill-resume for free. Every way
+    returns a bitwise-equal result.
 
     Specs with a ``shards`` parameter (multiseed) fan out per shard: when
     a scheduler is supplied and ``shards`` is unset, it defaults to the
     scheduler's worker count so ``--workers N`` actually yields ``N``
-    jobs (the same defaulting the ``run_multiseed_comparison`` shim
-    applies).
+    jobs.
 
     Raises:
         ConfigurationError: on an unknown experiment, an unknown parameter
-            key (named in the message), or an ill-typed parameter value.
+            key (named in the message), an ill-typed parameter value, or
+            an empty sweep axis.
     """
     spec = _resolve_spec(experiment)
     params = dict(params or {})
@@ -644,10 +648,7 @@ def run_experiment(
         and any(p.name == "shards" for p in spec.params)
     ):
         params["shards"] = scheduler.workers
-    validated = spec.validate(params)
-    if scheduler is None and spec.direct is not None:
-        return spec.direct(validated)
-    plan = spec.plan(validated)
+    plan = spec.plan(spec.validate(params))
     if scheduler is None:
         results = [execute_job(job) for job in plan.jobs]
     else:

@@ -6,8 +6,8 @@ is a pure function of ``(market, seed, i)``), solves the leader's
 expected-utility price in one stacked pass, and compares it against the
 per-scenario full-information oracles (the ``equilibria_stacked`` solve
 of the same stack). The single work unit is one ``bayesian_pricing``
-job, so the scheduled path is the in-process computation run in a worker
-— bitwise-equal by construction.
+job; it rebuilds the market from its exact payload, so the result is
+bitwise the same wherever the job runs.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bayesian import ScenarioSpec, sample_market_distribution
-from repro.core.stackelberg import StackelbergMarket
 from repro.experiments import api
 from repro.experiments.api import MARKET_PARAM, ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     market_from_payload,
     market_to_payload,
 )
@@ -31,7 +29,6 @@ from repro.utils.tables import Table
 
 __all__ = [
     "BayesianPricingResult",
-    "run_bayesian_pricing",
     "run_bayesian_pricing_job",
     "BAYESIAN_PRICING",
 ]
@@ -164,10 +161,6 @@ def _assemble(plan: ExperimentPlan, results: list) -> BayesianPricingResult:
     return api.result_from_payload(BayesianPricingResult, results[0])
 
 
-def _direct(params: Mapping) -> BayesianPricingResult:
-    return _compute(params)
-
-
 BAYESIAN_PRICING = api.register(
     api.ExperimentSpec(
         name="bayesian_pricing",
@@ -180,24 +173,5 @@ BAYESIAN_PRICING = api.register(
         result_type=BayesianPricingResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
     )
 )
-
-
-def run_bayesian_pricing(
-    *,
-    market: StackelbergMarket | None = None,
-    num_scenarios: int = 16,
-    seed: int = 0,
-    scheduler: JobScheduler | None = None,
-) -> BayesianPricingResult:
-    """Robust pricing against a sampled distribution around ``market``.
-
-    Thin shim over the ``bayesian_pricing`` spec.
-    """
-    return api.run_experiment(
-        BAYESIAN_PRICING,
-        {"market": market, "num_scenarios": num_scenarios, "seed": seed},
-        scheduler=scheduler,
-    )

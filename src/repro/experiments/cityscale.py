@@ -7,18 +7,18 @@ chunked stacked solver
 so ``run city_sweep --param m=10000`` completes with peak memory bounded
 by the chunk budget, not by ``M``.
 
-Scheduled decomposition
------------------------
-``plan()`` partitions the market index range into the same chunks the
-direct solve uses and emits one ``city_chunk`` job per range. A job's
-payload is just the :class:`~repro.mobility.citygrid.CityGridSpec` payload
-plus ``[start, stop)`` — a dozen scalars, not 10k market payloads —
-because every grid market is a pure function of ``(spec, index)``. Each
-job rebuilds only its own slice of the city and solves it as its own
-stack; per-market equilibria are invariant to which stack a market is
-solved inside (row-locality plus padding-width invariance, pinned by the
-property suite), so the assembled result is bitwise-equal to the direct
-path.
+Job decomposition
+-----------------
+``plan()`` partitions the market index range into chunks sized by the
+chunk knobs and emits one ``city_chunk`` job per range. A job's payload is
+just the :class:`~repro.mobility.citygrid.CityGridSpec` payload plus
+``[start, stop)`` — a dozen scalars, not 10k market payloads — because
+every grid market is a pure function of ``(spec, index)``. Each job
+rebuilds only its own slice of the city and solves it as its own stack,
+so at most one chunk's markets are live at a time; per-market equilibria
+are invariant to which stack a market is solved inside (row-locality plus
+padding-width invariance, pinned by the property suite), so the assembled
+result equals one solve of the whole city bitwise.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from repro.core.marketstack import MarketStack, resolve_chunk_size
 from repro.experiments import api
 from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.scheduler import Job, JobScheduler
+from repro.experiments.scheduler import Job
 from repro.mobility.citygrid import CityGridSpec, city_markets
 from repro.utils.stats import SummaryStats, summarize
 from repro.utils.tables import Table
 
-__all__ = ["CityScaleResult", "run_city_sweep", "run_city_chunk_job", "CITY_SWEEP"]
+__all__ = ["CityScaleResult", "run_city_chunk_job", "CITY_SWEEP"]
 
 
 @dataclass
@@ -106,10 +106,10 @@ def _city_spec(params: Mapping) -> CityGridSpec:
 
 
 def _chunk_markets(spec: CityGridSpec, params: Mapping) -> int:
-    # Both paths size chunks from the spec's max_vmus bound (the solve's
-    # padded width can only be narrower), so direct and scheduled runs
-    # agree on the partition — and on the reported chunk_markets — even
-    # when the drawn populations never reach the bound.
+    # Chunks are sized from the spec's max_vmus bound (the solve's padded
+    # width can only be narrower), so the partition — and the reported
+    # chunk_markets — is a pure function of the parameters, even when the
+    # drawn populations never reach the bound.
     return resolve_chunk_size(
         spec.num_markets,
         spec.max_vmus,
@@ -164,21 +164,15 @@ def run_city_chunk_job(payload: Mapping) -> dict:
 
     Rebuilds its index slice from the spec payload (pure function of the
     spec — see the citygrid determinism contract), solves it as one stack,
-    and returns per-market equilibrium scalars. Infeasible markets ride
+    and returns the per-market equilibrium arrays (``execute_job`` turns
+    each into a JSON list in one ``tolist()``). Infeasible markets ride
     the JSON wire as NaN prices/utilities with ``feasible`` false.
     """
     spec = CityGridSpec.from_payload(payload["spec"])
     start, stop = int(payload["start"]), int(payload["stop"])
     stack = MarketStack(city_markets(spec, start, stop))
     solved = stack.equilibria_stacked_chunked(chunk_size=len(stack))
-    return {
-        "prices": [float(p) for p in solved.prices],
-        "msp_utilities": [float(u) for u in solved.msp_utilities],
-        "total_bandwidths": [float(b) for b in solved.total_bandwidths],
-        "capacity_binding": [bool(b) for b in solved.capacity_binding],
-        "price_cap_binding": [bool(b) for b in solved.price_cap_binding],
-        "feasible": [bool(f) for f in solved.feasible],
-    }
+    return {key: getattr(solved, key) for key in _CELL_KEYS}
 
 
 def _city_plan(params: Mapping) -> ExperimentPlan:
@@ -212,23 +206,6 @@ def _city_assemble(plan: ExperimentPlan, results: list) -> CityScaleResult:
     return _pack(plan.context["spec"], plan.context["chunk_markets"], cells)
 
 
-def _city_direct(params: Mapping) -> CityScaleResult:
-    spec = _city_spec(params)
-    chunk = _chunk_markets(spec, params)
-    solved = MarketStack(city_markets(spec)).equilibria_stacked_chunked(
-        chunk_size=chunk
-    )
-    cells = {
-        "prices": solved.prices,
-        "msp_utilities": solved.msp_utilities,
-        "total_bandwidths": solved.total_bandwidths,
-        "capacity_binding": solved.capacity_binding,
-        "price_cap_binding": solved.price_cap_binding,
-        "feasible": solved.feasible,
-    }
-    return _pack(spec, chunk, cells)
-
-
 CITY_SWEEP = api.register(
     api.ExperimentSpec(
         name="city_sweep",
@@ -241,37 +218,5 @@ CITY_SWEEP = api.register(
         result_type=CityScaleResult,
         plan=_city_plan,
         assemble=_city_assemble,
-        direct=_city_direct,
     )
 )
-
-
-def run_city_sweep(
-    m: int | None = None,
-    *,
-    rows: int | None = None,
-    cols: int | None = None,
-    seed: int = 0,
-    chunk_size: int | None = None,
-    chunk_bytes: int | None = None,
-    scheduler: JobScheduler | None = None,
-) -> CityScaleResult:
-    """Solve a city grid's markets through the chunked stacked path.
-
-    Thin shim over the ``city_sweep`` spec: without a scheduler the whole
-    city solves as one chunk-streamed stack; with one, each chunk range
-    becomes a cached ``city_chunk`` job rebuilding only its own slice of
-    the city (bitwise-equal either way).
-    """
-    return api.run_experiment(
-        CITY_SWEEP,
-        {
-            "m": m,
-            "rows": rows,
-            "cols": cols,
-            "seed": seed,
-            "chunk_size": chunk_size,
-            "chunk_bytes": chunk_bytes,
-        },
-        scheduler=scheduler,
-    )

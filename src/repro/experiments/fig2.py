@@ -8,7 +8,7 @@ the Stackelberg-equilibrium utility.
 Training runs through the batched simulation engine (:mod:`repro.sim`):
 ``config.num_envs`` widens the env-batch axis, in which case the series
 carry ``num_envs`` episode entries per training iteration (env order).
-The equilibrium reference line (Fig. 2(b)'s dashed optimum) comes from the
+The training is one ``training_run`` job; the equilibrium reference line (Fig. 2(b)'s dashed optimum) comes from the
 stacked equilibrium solver — ``market.equilibrium()`` is the ``M = 1``
 case of :meth:`repro.core.marketstack.MarketStack.equilibria_stacked`, and
 the memoised solve is shared with the oracle baseline.
@@ -20,20 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stackelberg import StackelbergMarket
 from repro.experiments import api
 from repro.experiments.api import CONFIG_PARAMS, MARKET_PARAM, ExperimentPlan
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import train_drl
-from repro.experiments.scheduler import (
-    Job,
-    JobScheduler,
-    config_to_payload,
-    market_to_payload,
-)
+from repro.experiments.scheduler import Job, config_to_payload, market_to_payload
 from repro.utils.tables import Table
 
-__all__ = ["Fig2Result", "run_fig2", "FIG2"]
+__all__ = ["Fig2Result", "FIG2"]
 
 
 @dataclass
@@ -92,22 +84,6 @@ class Fig2Result:
         return table
 
 
-def _result(
-    market: StackelbergMarket,
-    config: ExperimentConfig,
-    episode_returns: list[float],
-    episode_best_utilities: list[float],
-) -> Fig2Result:
-    equilibrium = market.equilibrium()
-    return Fig2Result(
-        episode_returns=episode_returns,
-        episode_best_utilities=episode_best_utilities,
-        equilibrium_utility=equilibrium.msp_utility,
-        equilibrium_price=equilibrium.price,
-        max_round=config.rounds_per_episode,
-    )
-
-
 def _plan(params) -> ExperimentPlan:
     config = api.resolve_config(params)
     market = api.resolve_market(params)
@@ -129,23 +105,15 @@ def _plan(params) -> ExperimentPlan:
 
 def _assemble(plan: ExperimentPlan, results: list) -> Fig2Result:
     series = results[0]
-    return _result(
-        plan.context["market"],
-        plan.context["config"],
-        [float(v) for v in series["episode_returns"]],
-        [float(v) for v in series["episode_best_utilities"]],
-    )
-
-
-def _direct(params) -> Fig2Result:
-    config = api.resolve_config(params)
-    market = api.resolve_market(params)
-    trained = train_drl(market, config)
-    return _result(
-        market,
-        config,
-        list(trained.training.episode_returns),
-        list(trained.training.episode_best_utilities),
+    equilibrium = plan.context["market"].equilibrium()
+    return Fig2Result(
+        episode_returns=[float(v) for v in series["episode_returns"]],
+        episode_best_utilities=[
+            float(v) for v in series["episode_best_utilities"]
+        ],
+        equilibrium_utility=equilibrium.msp_utility,
+        equilibrium_price=equilibrium.price,
+        max_round=plan.context["config"].rounds_per_episode,
     )
 
 
@@ -161,23 +129,6 @@ FIG2 = api.register(
         result_type=Fig2Result,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
     )
 )
 
-
-def run_fig2(
-    config: ExperimentConfig | None = None,
-    *,
-    market: StackelbergMarket | None = None,
-    scheduler: JobScheduler | None = None,
-) -> Fig2Result:
-    """Train the DRL mechanism on the Fig. 2 market and collect the series.
-
-    Thin shim over :func:`repro.experiments.api.run_experiment` with the
-    ``fig2`` spec; with ``scheduler``, the training runs as one
-    ``training_run`` job (cached, resumable, bitwise-equal).
-    """
-    return api.run_experiment(
-        FIG2, {"config": config, "market": market}, scheduler=scheduler
-    )

@@ -12,7 +12,8 @@ one :class:`repro.core.marketstack.MarketStack`, and every scheme that
 commits to its price vector (random, equilibrium) evaluates the *entire*
 grid of cost-varied markets as a single stacked solve —
 ``(M costs, R rounds, N VMUs)`` in one numpy pass — via
-:func:`repro.experiments.runner.compare_schemes_stacked`. Per cost, the
+:func:`repro.experiments.runner.assemble_scheme_results`; ``drl`` and
+``greedy`` run one ``market_scheme`` job per market point. Per cost, the
 results equal the historical per-market loop exactly.
 """
 
@@ -24,17 +25,14 @@ from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import paper_fig2_population
 from repro.experiments import api
 from repro.experiments.api import CONFIG_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     PolicyEvaluation,
     assemble_scheme_results,
-    compare_schemes_stacked,
     plan_scheme_jobs,
 )
-from repro.experiments.scheduler import JobScheduler
 from repro.utils.tables import Table
 
-__all__ = ["CostSweepResult", "run_fig3_cost", "FIG3_COST"]
+__all__ = ["CostSweepResult", "FIG3_COST"]
 
 DEFAULT_COSTS = (5.0, 6.0, 7.0, 8.0, 9.0)
 DEFAULT_SCHEMES = ("drl", "greedy", "random", "equilibrium")
@@ -130,14 +128,6 @@ def _assemble(plan: ExperimentPlan, results: list) -> CostSweepResult:
     return _pack(plan.params, evaluations)
 
 
-def _direct(params) -> CostSweepResult:
-    config = api.resolve_config(params)
-    evaluations = compare_schemes_stacked(
-        _markets(params), config, schemes=tuple(params["schemes"])
-    )
-    return _pack(params, evaluations)
-
-
 FIG3_COST = api.register(
     api.ExperimentSpec(
         name="fig3_cost",
@@ -154,31 +144,7 @@ FIG3_COST = api.register(
         result_type=CostSweepResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
         render=lambda r: f"{r.msp_table()}\n\n{r.vmu_table()}",
     )
 )
 
-
-def run_fig3_cost(
-    config: ExperimentConfig | None = None,
-    *,
-    costs: tuple[float, ...] = DEFAULT_COSTS,
-    schemes: tuple[str, ...] = DEFAULT_SCHEMES,
-    scheduler: JobScheduler | None = None,
-) -> CostSweepResult:
-    """Sweep the unit transmission cost and evaluate every scheme.
-
-    Thin shim over :func:`repro.experiments.api.run_experiment` with the
-    ``fig3_cost`` spec. Without a scheduler the swept markets are
-    evaluated as one stacked market grid (see the module docstring); with
-    one, each market point's independent DRL (and greedy)
-    training/evaluation becomes one ``market_scheme`` job — parallel
-    across the scheduler's workers, cached and resumable with its cache
-    dir, bitwise-equal to the sequential path.
-    """
-    return api.run_experiment(
-        FIG3_COST,
-        {"config": config, "costs": costs, "schemes": schemes},
-        scheduler=scheduler,
-    )

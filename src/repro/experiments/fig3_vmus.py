@@ -12,7 +12,8 @@ with N = 1..6 VMUs stack into one padded-and-masked
 :class:`repro.core.marketstack.MarketStack`, and every scheme that commits
 to its price vector (random, equilibrium) evaluates the entire grid of
 populations as a single stacked solve via
-:func:`repro.experiments.runner.compare_schemes_stacked`. Per N, the
+:func:`repro.experiments.runner.assemble_scheme_results`; ``drl`` and
+``greedy`` run one ``market_scheme`` job per market point. Per N, the
 results equal the historical per-market loop exactly — the stack reduces
 each market over its own population, so padding never leaks into totals.
 """
@@ -25,17 +26,14 @@ from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import paper_fig2_population, uniform_population
 from repro.experiments import api
 from repro.experiments.api import CONFIG_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     PolicyEvaluation,
     assemble_scheme_results,
-    compare_schemes_stacked,
     plan_scheme_jobs,
 )
-from repro.experiments.scheduler import JobScheduler
 from repro.utils.tables import Table
 
-__all__ = ["VmuSweepResult", "run_fig3_vmus", "FIG3_VMUS"]
+__all__ = ["VmuSweepResult", "FIG3_VMUS"]
 
 DEFAULT_COUNTS = (1, 2, 3, 4, 5, 6)
 DEFAULT_SCHEMES = ("drl", "greedy", "random", "equilibrium")
@@ -141,14 +139,6 @@ def _assemble(plan: ExperimentPlan, results: list) -> VmuSweepResult:
     return _pack(plan.params, evaluations)
 
 
-def _direct(params) -> VmuSweepResult:
-    config = api.resolve_config(params)
-    evaluations = compare_schemes_stacked(
-        _markets(params), config, schemes=tuple(params["schemes"])
-    )
-    return _pack(params, evaluations)
-
-
 FIG3_VMUS = api.register(
     api.ExperimentSpec(
         name="fig3_vmus",
@@ -167,38 +157,7 @@ FIG3_VMUS = api.register(
         result_type=VmuSweepResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
         render=lambda r: f"{r.msp_table()}\n\n{r.vmu_table()}",
     )
 )
 
-
-def run_fig3_vmus(
-    config: ExperimentConfig | None = None,
-    *,
-    counts: tuple[int, ...] = DEFAULT_COUNTS,
-    schemes: tuple[str, ...] = DEFAULT_SCHEMES,
-    data_size_mb: float = 100.0,
-    immersion_coef: float = 5.0,
-    scheduler: JobScheduler | None = None,
-) -> VmuSweepResult:
-    """Sweep the population size and evaluate every scheme.
-
-    Thin shim over :func:`repro.experiments.api.run_experiment` with the
-    ``fig3_vmus`` spec. Without a scheduler the (ragged)
-    population-swept markets are evaluated as one stacked market grid;
-    with one, each population point's independent DRL (and greedy)
-    training/evaluation becomes one ``market_scheme`` job — parallel,
-    cached, resumable, bitwise-equal to the sequential path.
-    """
-    return api.run_experiment(
-        FIG3_VMUS,
-        {
-            "config": config,
-            "counts": counts,
-            "schemes": schemes,
-            "data_size_mb": data_size_mb,
-            "immersion_coef": immersion_coef,
-        },
-        scheduler=scheduler,
-    )

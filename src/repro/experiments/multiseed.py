@@ -7,14 +7,13 @@ claims — the statistical backing the paper's single-run figures lack.
 
 Sharding
 --------
-Per-seed runs are fully independent, so :func:`run_multiseed_comparison`
-can fan them out across worker processes (``shards=k``). The runner is a
-thin client of the experiment scheduler
-(:mod:`repro.experiments.scheduler`): each shard is one serializable
-``multiseed_shard`` :class:`~repro.experiments.scheduler.Job`, so shards
-inherit the scheduler's result caching/resume and can be exported through
-the ``schedule`` CLI for cross-machine fan-out. The contract is
-**determinism, not approximation**:
+Per-seed runs are fully independent, so the ``multiseed`` spec plans
+them as ``shards=k`` serializable ``multiseed_shard``
+:class:`~repro.experiments.scheduler.Job`s. Run through a scheduler
+(``run multiseed --workers k``, where ``shards`` defaults to the worker
+count) they fan out across worker processes and inherit its result
+caching/resume; the ``schedule`` CLI exports them for cross-machine
+fan-out. The contract is **determinism, not approximation**:
 
 - seeds are partitioned round-robin (shard ``i`` takes ``seeds[i::k]``) —
   a pure function of ``(seeds, shards)``;
@@ -35,14 +34,17 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.stackelberg import StackelbergMarket
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import api
 from repro.experiments.api import CONFIG_PARAMS, MARKET_PARAM, ExperimentPlan, ParamSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PolicyEvaluation, compare_schemes
+from repro.experiments.runner import (
+    PolicyEvaluation,
+    compare_schemes,
+    validate_schemes,
+)
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     config_from_payload,
     config_to_payload,
     market_from_payload,
@@ -53,7 +55,6 @@ from repro.utils.tables import Table
 
 __all__ = [
     "MultiSeedResult",
-    "run_multiseed_comparison",
     "run_shard_job",
     "MULTISEED",
 ]
@@ -64,8 +65,7 @@ class MultiSeedResult:
     """Per-scheme metric samples across seeds.
 
     ``samples[scheme][i]`` is the metric of ``scheme`` under ``seeds[i]``
-    (when the result came from :func:`run_multiseed_comparison`, which
-    always records the seed axis).
+    (the ``multiseed`` spec always records the seed axis).
     """
 
     metric: str
@@ -147,12 +147,12 @@ def _validate_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
     """Reject degenerate seed sets; duplicates would silently double-count
     samples and shrink every confidence interval."""
     if len(seeds) < 2:
-        raise ValueError("need at least two seeds for statistics")
+        raise ConfigurationError("need at least two seeds for statistics")
     duplicates = sorted(
         seed for seed, count in Counter(seeds).items() if count > 1
     )
     if duplicates:
-        raise ValueError(
+        raise ConfigurationError(
             f"duplicate seeds {duplicates} would double-count samples; "
             "every seed must appear once"
         )
@@ -166,7 +166,7 @@ def _run_sequential(
     schemes: tuple[str, ...],
     metric: str,
 ) -> MultiSeedResult:
-    """The reference per-seed loop (also the body every shard executes)."""
+    """The per-seed loop every shard executes on its seed slice."""
     result = MultiSeedResult(metric=metric, seeds=tuple(seeds))
     for scheme in schemes:
         result.samples[scheme] = []
@@ -283,7 +283,7 @@ def _validate_metric(metric: str) -> str:
     name would otherwise die in ``getattr`` (possibly inside a worker)."""
     names = {spec.name for spec in dataclasses.fields(PolicyEvaluation)}
     if metric not in names:
-        raise ValueError(
+        raise ConfigurationError(
             f"metric must be a PolicyEvaluation field "
             f"({', '.join(sorted(names))}), got {metric!r}"
         )
@@ -292,12 +292,10 @@ def _validate_metric(metric: str) -> str:
 
 def _plan(params) -> ExperimentPlan:
     shards = int(params["shards"])
-    # shards is checked before seed validation (and any other work) so a
-    # bad shard count never reaches the pool path.
     if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     seeds = _validate_seeds(tuple(params["seeds"]))
-    schemes = tuple(params["schemes"])
+    schemes = validate_schemes(tuple(params["schemes"]))
     metric = _validate_metric(str(params["metric"]))
     market = api.resolve_market(params)
     config = api.resolve_config(params)
@@ -334,27 +332,6 @@ def _assemble(plan: ExperimentPlan, results: list) -> MultiSeedResult:
     )
 
 
-def _direct(params) -> MultiSeedResult:
-    shards = int(params["shards"])
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        seeds = _validate_seeds(tuple(params["seeds"]))
-        return _run_sequential(
-            api.resolve_market(params),
-            api.resolve_config(params),
-            seeds,
-            tuple(params["schemes"]),
-            _validate_metric(str(params["metric"])),
-        )
-    # Sharded without an explicit scheduler: one worker process per shard.
-    plan = _plan(params)
-    scheduler = JobScheduler(
-        workers=min(shards, len(plan.context["seeds"]))
-    )
-    return _assemble(plan, scheduler.run(plan.jobs))
-
-
 MULTISEED = api.register(
     api.ExperimentSpec(
         name="multiseed",
@@ -366,69 +343,12 @@ MULTISEED = api.register(
             ParamSpec("seeds", "ints", (0, 1, 2, 3, 4), "seed list (>= 2 distinct seeds)"),
             ParamSpec("schemes", "strs", ("drl", "random"), "pricing schemes to compare"),
             ParamSpec("metric", "str", "mean_msp_utility", "PolicyEvaluation field to aggregate"),
-            ParamSpec("shards", "int", 1, "shard count for the per-seed fan-out"),
+            ParamSpec("shards", "int", 1, "multiseed_shard jobs for the per-seed fan-out (with a scheduler, unset means its worker count)"),
             MARKET_PARAM,
             *CONFIG_PARAMS,
         ),
         result_type=MultiSeedResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
     )
 )
-
-
-def run_multiseed_comparison(
-    market: StackelbergMarket,
-    base_config: ExperimentConfig,
-    *,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    schemes: tuple[str, ...] = ("drl", "random"),
-    metric: str = "mean_msp_utility",
-    num_envs: int | None = None,
-    shards: int | None = None,
-    scheduler: JobScheduler | None = None,
-) -> MultiSeedResult:
-    """Evaluate ``schemes`` on ``market`` across ``seeds``.
-
-    Thin shim over the ``multiseed`` spec. Each seed re-trains the DRL
-    scheme and re-draws the baselines' randomness; the metric is any
-    :class:`PolicyEvaluation` field name. Every per-seed run goes through
-    the batched simulation engine; ``num_envs`` (default: whatever
-    ``base_config`` carries) widens the engine's env-batch axis so each
-    seed's training collects that many episodes per iteration
-    concurrently.
-
-    ``shards=k`` partitions the (independent) per-seed runs into ``k``
-    ``multiseed_shard`` jobs and hands them to the experiment scheduler —
-    by default a fresh :class:`JobScheduler` with one worker process per
-    shard; pass ``scheduler`` to reuse a configured one (its cache dir
-    makes interrupted multiseed runs resumable). The merged result is
-    *exactly* the sequential result, only faster on multi-core machines
-    (see the module docstring for the determinism contract).
-    ``shards=None`` or ``1`` without a scheduler keeps everything
-    in-process.
-
-    Raises:
-        ValueError: on ``shards < 1`` (checked before any other work, so
-            a bad shard count never reaches the pool path), fewer than two
-            seeds, or duplicate seeds (they would silently double-count
-            samples).
-    """
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    # shards=None with a scheduler defaults to scheduler.workers inside
-    # run_experiment (the one place that rule lives).
-    return api.run_experiment(
-        MULTISEED,
-        {
-            "market": market,
-            "config": base_config,
-            "seeds": seeds,
-            "schemes": schemes,
-            "metric": metric,
-            "num_envs": num_envs,
-            "shards": shards,
-        },
-        scheduler=scheduler,
-    )

@@ -8,9 +8,8 @@ price equilibrium, and reports welfare / efficiency / PoA against the
 monopoly and planner baselines of :func:`repro.core.welfare.welfare_report`.
 
 Work units: one ``welfare_report`` job (the baselines) plus one
-``oligopoly_cell`` job per N. The direct path solves all N-cells in
-lockstep through :func:`repro.core.multimsp.oligopoly_equilibria_batch`,
-which is bitwise-equal to the per-game solves the workers run.
+``oligopoly_cell`` job per N, each a :meth:`MultiMspMarket.equilibrium`
+solve.
 """
 
 from __future__ import annotations
@@ -18,28 +17,19 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.core.multimsp import (
-    MultiMspMarket,
-    OligopolyEquilibrium,
-    oligopoly_equilibria_batch,
-    oligopoly_from_market,
-)
-from repro.core.stackelberg import StackelbergMarket
-from repro.core.welfare import welfare_report
+from repro.core.multimsp import oligopoly_from_market
 from repro.experiments import api
 from repro.experiments.api import MARKET_PARAM, ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     market_from_payload,
     market_to_payload,
 )
-from repro.experiments.welfare import WelfareResult, _result_from_report
+from repro.experiments.welfare import WelfareResult
 from repro.utils.tables import Table
 
 __all__ = [
     "PriceOfAnarchyResult",
-    "run_price_of_anarchy",
     "run_oligopoly_cell_job",
     "PRICE_OF_ANARCHY",
 ]
@@ -120,24 +110,6 @@ _PARAMS = (
 )
 
 
-def _cell_summary(game: MultiMspMarket, equilibrium: OligopolyEquilibrium) -> dict:
-    """The per-N result row — shared verbatim by the worker job and the
-    lockstep direct path, so the two produce identical floats."""
-    outcome = game.outcome(equilibrium.prices)
-    profit = float(outcome.msp_utilities.sum())
-    surplus = float(outcome.vmu_utilities.sum())
-    return {
-        "n": game.num_msps,
-        "price": float(equilibrium.prices.min()),
-        "profit": profit,
-        "surplus": surplus,
-        "welfare": profit + surplus,
-        "converged": bool(equilibrium.converged),
-        "iterations": int(equilibrium.iterations),
-        "cycle_length": int(equilibrium.cycle_length),
-    }
-
-
 def run_oligopoly_cell_job(payload: Mapping) -> dict:
     """Job kind ``oligopoly_cell``: one N-MSP equilibrium solve."""
     market = market_from_payload(payload["market"])
@@ -153,24 +125,23 @@ def run_oligopoly_cell_job(payload: Mapping) -> dict:
         damping=float(payload["damping"]),
         record_trace=False,
     )
-    return _cell_summary(game, equilibrium)
+    outcome = game.outcome(equilibrium.prices)
+    profit = float(outcome.msp_utilities.sum())
+    surplus = float(outcome.vmu_utilities.sum())
+    return {
+        "n": game.num_msps,
+        "price": float(equilibrium.prices.min()),
+        "profit": profit,
+        "surplus": surplus,
+        "welfare": profit + surplus,
+        "converged": bool(equilibrium.converged),
+        "iterations": int(equilibrium.iterations),
+        "cycle_length": int(equilibrium.cycle_length),
+    }
 
 
-def _games(params: Mapping, market: StackelbergMarket) -> list[MultiMspMarket]:
-    return [
-        oligopoly_from_market(
-            market,
-            int(n),
-            split_capacity=bool(params["split_capacity"]),
-            price_tick=float(params["price_tick"]),
-        )
-        for n in params["ns"]
-    ]
-
-
-def _assemble_result(
-    params: Mapping, welfare_payload: Mapping, cells: list[Mapping]
-) -> PriceOfAnarchyResult:
+def _assemble(plan: ExperimentPlan, results: list) -> PriceOfAnarchyResult:
+    welfare_payload, cells = results[0], results[1:]
     baseline = api.result_from_payload(WelfareResult, welfare_payload)
     planner_welfare = float(baseline.planner_welfare)
     welfares = [float(cell["welfare"]) for cell in cells]
@@ -220,59 +191,17 @@ def _plan(params: Mapping) -> ExperimentPlan:
     return ExperimentPlan("price_of_anarchy", dict(params), jobs)
 
 
-def _assemble(plan: ExperimentPlan, results: list) -> PriceOfAnarchyResult:
-    return _assemble_result(plan.params, results[0], results[1:])
-
-
-def _direct(params: Mapping) -> PriceOfAnarchyResult:
-    market = api.resolve_market(params)
-    games = _games(params, market)
-    equilibria = oligopoly_equilibria_batch(
-        games,
-        max_iterations=int(params["max_iterations"]),
-        tolerance=float(params["tolerance"]),
-        damping=float(params["damping"]),
-    )
-    cells = [
-        _cell_summary(game, equilibrium)
-        for game, equilibrium in zip(games, equilibria)
-    ]
-    welfare_payload = api.result_to_payload(
-        _result_from_report(welfare_report(market))
-    )
-    return _assemble_result(params, welfare_payload, cells)
-
-
 PRICE_OF_ANARCHY = api.register(
     api.ExperimentSpec(
         name="price_of_anarchy",
         description=(
             "Price of anarchy vs N — N-MSP oligopoly welfare against the "
-            "monopoly and planner baselines (lockstep batched solve; "
-            "Edgeworth cycles diagnosed per N)"
+            "monopoly and planner baselines (one Gauss-Seidel solve per "
+            "N; Edgeworth cycles diagnosed per N)"
         ),
         params=_PARAMS,
         result_type=PriceOfAnarchyResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
     )
 )
-
-
-def run_price_of_anarchy(
-    *,
-    market: StackelbergMarket | None = None,
-    ns: tuple[int, ...] = tuple(range(1, 9)),
-    split_capacity: bool = True,
-    scheduler: JobScheduler | None = None,
-) -> PriceOfAnarchyResult:
-    """Welfare and PoA vs the number of MSPs over ``market``.
-
-    Thin shim over the ``price_of_anarchy`` spec.
-    """
-    return api.run_experiment(
-        PRICE_OF_ANARCHY,
-        {"market": market, "ns": ns, "split_capacity": split_capacity},
-        scheduler=scheduler,
-    )

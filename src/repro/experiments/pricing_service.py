@@ -31,7 +31,7 @@ from repro.entities.vmu import VmuProfile, sample_population
 from repro.errors import ConfigurationError
 from repro.experiments import api
 from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.scheduler import Job, JobScheduler
+from repro.experiments.scheduler import Job
 from repro.mobility.citygrid import CityGridSpec, city_markets
 from repro.service import (
     FadingDrift,
@@ -45,7 +45,6 @@ from repro.utils.tables import Table
 
 __all__ = [
     "PricingServiceResult",
-    "run_pricing_service",
     "run_pricing_service_job",
     "PRICING_SERVICE",
     "SCENARIOS",
@@ -275,7 +274,7 @@ def run_pricing_service_job(payload: Mapping) -> dict:
 
     The payload is the validated parameter dict (all JSON scalars). The
     scenario replays identically in any process, so every counting field
-    of the result is bitwise-equal to the direct path; latency fields are
+    of the result is bitwise-equal to an in-process run; latency fields are
     re-measured wherever the job runs.
     """
     return api.result_to_payload(_run_service(payload))
@@ -303,43 +302,5 @@ PRICING_SERVICE = api.register(
         result_type=PricingServiceResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_run_service,
     )
 )
-
-
-def run_pricing_service(
-    m: int = 64,
-    *,
-    windows: int = 20,
-    queries_per_window: int = 32,
-    churn: float = 0.05,
-    scenario: str = "mixed",
-    warm_start: bool = False,
-    seed: int = 0,
-    chunk_size: int | None = None,
-    chunk_bytes: int | None = None,
-    scheduler: JobScheduler | None = None,
-) -> PricingServiceResult:
-    """Serve one churn scenario against the live pricing service.
-
-    Thin shim over the ``pricing_service`` spec: the event stream is a
-    pure function of the parameters, so with ``scheduler`` the whole
-    scenario runs as one cached, resumable ``pricing_service`` job —
-    counting fields bitwise-equal to the in-process path.
-    """
-    return api.run_experiment(
-        PRICING_SERVICE,
-        {
-            "m": m,
-            "windows": windows,
-            "queries_per_window": queries_per_window,
-            "churn": churn,
-            "scenario": scenario,
-            "warm_start": warm_start,
-            "seed": seed,
-            "chunk_size": chunk_size,
-            "chunk_bytes": chunk_bytes,
-        },
-        scheduler=scheduler,
-    )

@@ -7,9 +7,10 @@ Usage::
     python -m repro.experiments.run run fig2 --param episodes=2
     python -m repro.experiments.run run fig3_cost --param costs=5,7,9 \
         --workers 4 --cache-dir .cache --resume
+    python -m repro.experiments.run run multiseed --param seeds=0,1,2,3 \
+        --workers 2
     python -m repro.experiments.run schedule --jobs jobs.json --workers 4 \
         --cache-dir .cache --resume
-    python -m repro.experiments.run multiseed --seeds 0,1,2,3 --shards 2
 
     # shared-queue path: enqueue a plan, drain it with a worker fleet
     python -m repro.experiments.run schedule --jobs jobs.json \
@@ -18,34 +19,23 @@ Usage::
         --ttl 60 --drain
     python -m repro.experiments.run run fig3_cost --queue-dir /shared/queue
 
-    # legacy figure interface (flags kept; --output JSON payloads are now
-    # the uniform spec payloads, reloadable via result_from_payload):
-    python -m repro.experiments.run --figure fig2 [--quick | --paper]
-    python -m repro.experiments.run --figure fig3a --workers 4 --cache-dir .cache
-    python -m repro.experiments.run --list
-
-The ``run`` subcommand is the generic path: ``run <name> --param k=v``
-works for **every** experiment in the
+The ``run`` subcommand works for **every** experiment in the
 :mod:`repro.experiments.api` registry (``list`` names them, ``describe
-<name>`` prints the typed parameter schema). ``--workers``, ``--cache-dir``
-and ``--resume`` — defined once, in a parent parser shared by every
-subcommand, so the flags cannot drift — route any experiment through the
-job scheduler (:mod:`repro.experiments.scheduler`): independent units
+<name>`` prints the typed parameter schema): the spec's plan compiles the
+run into jobs, which execute in-process by default. ``--workers``,
+``--cache-dir`` and ``--resume`` — defined once, in a parent parser shared
+by every subcommand, so the flags cannot drift — route those jobs through
+the job scheduler (:mod:`repro.experiments.scheduler`): independent units
 (per-seed DRL trainings, per-market-point trainings, per-grid-cell
-equilibria) fan out across worker processes and every finished unit is
-cached, so an interrupted run resumes instead of recomputing. Results are
-bitwise identical to the sequential path.
+equilibria, city chunks) fan out across worker processes and every
+finished unit is cached, so an interrupted run resumes instead of
+recomputing. Results are bitwise identical either way.
 
-``--quick`` (default preset) uses the reduced budget documented in
-EXPERIMENTS.md; ``--param preset=paper`` (or the legacy ``--paper`` flag)
-uses the full Sec. V-A budget (E = 500 episodes — slow on a laptop but
-faithful).
-
-The ``multiseed`` subcommand runs the seeds-axis robustness comparison
-(:func:`repro.experiments.run_multiseed_comparison`): ``--seeds`` picks the
-seed set, ``--shards`` fans the per-seed runs out across worker processes
-(exact — sharded results equal the sequential run), and ``--num-envs``
-widens the engine's env-batch axis inside each seed's training.
+The default preset is ``quick`` (a reduced training budget);
+``--param preset=paper`` uses the full Sec. V-A budget (E = 500 episodes —
+slow on a laptop but faithful). ``run multiseed --workers k`` fans the
+seeds-axis comparison out as ``k`` shard jobs (``--param shards=N``
+overrides the count).
 
 The ``schedule`` subcommand executes an explicit job-spec file — a JSON
 list of ``{"kind": ..., "payload": ...}`` entries (the
@@ -59,8 +49,8 @@ jobs across machines that share (or later merge) a cache directory.
 number of ``worker`` processes — on any machines sharing the filesystem —
 lease, execute, and ack, with heartbeat-based lease expiry so a killed
 worker's jobs requeue. ``schedule --enqueue`` feeds a plan in without
-executing; the queued path returns results bitwise identical to the
-direct path.
+executing; the queued path returns results bitwise identical to an
+in-process run.
 """
 
 from __future__ import annotations
@@ -75,10 +65,8 @@ from repro.experiments.api import (
     ExperimentSpec,
     experiment_names,
     get_experiment,
-    parse_int_tuple,
     run_experiment,
 )
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.scheduler import Job, JobScheduler
 from repro.utils.serialization import load_json, save_json
 from repro.utils.tables import Table
@@ -88,16 +76,14 @@ __all__ = [
     "run_main",
     "list_main",
     "describe_main",
-    "multiseed_main",
     "schedule_main",
     "worker_main",
-    "FIGURES",
 ]
 
 
 # ------------------------------------------------------------------ #
-# shared flags — ONE definition for every subcommand (and the legacy
-# figure path), so --workers/--cache-dir/--resume cannot drift
+# shared flags — ONE definition for every subcommand, so
+# --workers/--cache-dir/--resume cannot drift
 # ------------------------------------------------------------------ #
 def _scheduler_parent() -> argparse.ArgumentParser:
     """Parent parser carrying the scheduler and output flags."""
@@ -190,15 +176,6 @@ def _build_scheduler(args, *, force: bool = False):
     )
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        return parse_int_tuple(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--seeds wants comma-separated integers, got {text!r}"
-        ) from exc
-
-
 # ------------------------------------------------------------------ #
 # run / list / describe — the generic spec-driven interface
 # ------------------------------------------------------------------ #
@@ -224,7 +201,7 @@ def run_main(argv: list[str] | None = None) -> int:
             "experiment's typed schema (`describe <name>` prints it); "
             "--workers/--cache-dir/--resume route the run through the "
             "job scheduler — fan-out, caching, and kill-resume for every "
-            "experiment, bitwise-equal to the sequential path."
+            "experiment, bitwise-equal to the in-process run."
         ),
     )
     parser.add_argument(
@@ -250,9 +227,10 @@ def run_main(argv: list[str] | None = None) -> int:
     try:
         result = run_experiment(spec, params, scheduler=scheduler)
     except ValueError as exc:
-        # ConfigurationError and the specs' domain validations (bad shard
-        # counts, draws < 2, unknown scheme names) are all ValueErrors —
-        # a clean CLI error, not a traceback.
+        # The specs' validations (bad shard counts, draws < 2, unknown
+        # scheme names, empty sweep axes) raise ConfigurationError, a
+        # ValueError — a clean CLI error, not a traceback. Other
+        # ValueErrors from the library get the same treatment.
         parser.error(str(exc))
     print(spec.render_result(result))
     if scheduler is not None:
@@ -306,102 +284,6 @@ def describe_main(argv: list[str] | None = None) -> int:
         default = "" if param.default is None else repr(param.default)
         table.add_row(param.name, param.type, default, param.help)
     print(table)
-    return 0
-
-
-# ------------------------------------------------------------------ #
-# multiseed — the seeds-axis comparison subcommand
-# ------------------------------------------------------------------ #
-def multiseed_main(argv: list[str] | None = None) -> int:
-    """The ``multiseed`` subcommand: seeds-axis comparison, optionally
-    sharded across processes."""
-    from repro.core.stackelberg import StackelbergMarket
-    from repro.entities.vmu import paper_fig2_population
-    from repro.experiments.multiseed import (
-        _validate_metric,
-        _validate_seeds,
-        run_multiseed_comparison,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments multiseed",
-        parents=[_scheduler_parent()],
-        description=(
-            "Multi-seed scheme comparison with confidence intervals "
-            "(process-sharded when --shards > 1; sharded results are "
-            "exactly equal to the sequential run)."
-        ),
-    )
-    parser.add_argument(
-        "--seeds",
-        type=_parse_seeds,
-        default=(0, 1, 2, 3, 4),
-        help="comma-separated seed list, e.g. 0,1,2,3 (default 0,1,2,3,4)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shards to fan the per-seed runs across (default 1)",
-    )
-    parser.add_argument(
-        "--num-envs",
-        type=int,
-        default=None,
-        help="env-batch width E inside each seed's DRL training",
-    )
-    parser.add_argument(
-        "--schemes",
-        default="drl,random",
-        help="comma-separated scheme names (default drl,random)",
-    )
-    parser.add_argument(
-        "--metric",
-        default="mean_msp_utility",
-        help="PolicyEvaluation field to aggregate (default mean_msp_utility)",
-    )
-    parser.add_argument(
-        "--paper",
-        action="store_true",
-        help="use the paper's full training budget (slow)",
-    )
-    args = parser.parse_args(argv)
-    # Fail fast on bad knobs: the first seed can take minutes of DRL
-    # training at the paper budget, and under --shards a late ValueError
-    # or AttributeError would surface as a worker traceback.
-    _validate_workers(parser, args)
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
-    try:
-        # The spec's own validators — one definition, translated into
-        # clean parser errors here.
-        _validate_metric(args.metric)
-        _validate_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.workers == 1 and args.shards > 1:
-        # --shards N promises N-way fan-out; without an explicit --workers
-        # the scheduler gets one worker per shard (capped at the seed
-        # count), matching the schedulerless --shards behaviour — so
-        # adding --cache-dir never silently serializes the run.
-        args.workers = min(args.shards, len(args.seeds))
-
-    config = ExperimentConfig.paper() if args.paper else ExperimentConfig.quick()
-    market = StackelbergMarket(paper_fig2_population())
-    result = run_multiseed_comparison(
-        market,
-        config,
-        seeds=args.seeds,
-        schemes=tuple(s for s in args.schemes.split(",") if s.strip()),
-        metric=args.metric,
-        num_envs=args.num_envs,
-        shards=args.shards if args.shards > 1 else None,
-        scheduler=_build_scheduler(args),
-    )
-    print(result.table())
-    if args.output is not None:
-        target = save_json(args.output / "multiseed.json", result.to_payload())
-        print(f"\nwrote {target}")
     return 0
 
 
@@ -609,86 +491,10 @@ def schedule_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ #
-# legacy figure interface — thin aliases onto the spec registry
-# ------------------------------------------------------------------ #
-def _spec_figure(name: str):
-    def runner(
-        config: ExperimentConfig, scheduler: JobScheduler | None = None
-    ) -> tuple[str, object]:
-        spec = get_experiment(name)
-        params = (
-            {"config": config} if any(p.name == "config" for p in spec.params)
-            else {}
-        )
-        result = run_experiment(spec, params, scheduler=scheduler)
-        return spec.render_result(result), spec.result_to_payload(result)
-
-    return runner
-
-
-def _ablations(
-    config: ExperimentConfig, scheduler: JobScheduler | None = None
-) -> tuple[str, object]:
-    reward_spec = get_experiment("reward_ablation")
-    history_spec = get_experiment("history_ablation")
-    reward = run_experiment(
-        reward_spec, {"config": config}, scheduler=scheduler
-    )
-    history = run_experiment(
-        history_spec, {"config": config}, scheduler=scheduler
-    )
-    text = f"{reward.table()}\n\n{history.table()}"
-    payload = {
-        "reward": reward_spec.result_to_payload(reward),
-        "history": history_spec.result_to_payload(history),
-    }
-    return text, payload
-
-
-def _robustness(
-    config: ExperimentConfig, scheduler: JobScheduler | None = None
-) -> tuple[str, object]:
-    distance_spec = get_experiment("distance_sweep")
-    fading_spec = get_experiment("fading_sweep")
-    population_spec = get_experiment("population_sweep")
-    distance = run_experiment(distance_spec, {}, scheduler=scheduler)
-    fading = run_experiment(
-        fading_spec, {"draws": 30, "seed": config.seed}, scheduler=scheduler
-    )
-    population = run_experiment(
-        population_spec,
-        {"draws": 10, "seed": config.seed},
-        scheduler=scheduler,
-    )
-    text = "\n\n".join(
-        str(t) for t in (distance.table(), fading.table(), population.table())
-    )
-    payload = {
-        "distance": distance_spec.result_to_payload(distance),
-        "fading": fading_spec.result_to_payload(fading),
-        "population": population_spec.result_to_payload(population),
-    }
-    return text, payload
-
-
-FIGURES = {
-    "fig2": _spec_figure("fig2"),
-    "fig3a": _spec_figure("fig3_cost"),
-    "fig3b": _spec_figure("fig3_cost"),  # 3(a) and 3(b): same sweep
-    "fig3c": _spec_figure("fig3_vmus"),
-    "fig3d": _spec_figure("fig3_vmus"),  # 3(c) and 3(d): same sweep
-    "ablations": _ablations,
-    "robustness": _robustness,
-    "welfare": _spec_figure("welfare"),
-}
-
-
 SUBCOMMANDS = {
     "run": run_main,
     "list": list_main,
     "describe": describe_main,
-    "multiseed": multiseed_main,
     "schedule": schedule_main,
     "worker": worker_main,
 }
@@ -701,53 +507,20 @@ def main(argv: list[str] | None = None) -> int:
         return SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
-        parents=[_scheduler_parent()],
-        description="Regenerate figures of the VT-migration incentive paper.",
-        epilog=(
-            "Subcommands: `run <experiment> --param k=v` executes any "
-            "registered experiment; `list` and `describe <experiment>` "
-            "show the registry; `multiseed` runs the seeds-axis "
-            "comparison; `schedule` executes a job-spec file; `worker` "
+        description=(
+            "Run the experiments of the VT-migration incentive paper: "
+            "`run <experiment> --param k=v` executes any registered "
+            "experiment; `list` and `describe <experiment>` show the "
+            "registry; `schedule` executes a job-spec file; `worker` "
             "serves a shared --queue-dir job queue (see each "
             "subcommand's --help)."
         ),
     )
-    parser.add_argument("--figure", choices=sorted(FIGURES), help="which figure")
-    parser.add_argument("--list", action="store_true", help="list figures")
-    parser.add_argument(
-        "--paper",
-        action="store_true",
-        help="use the paper's full training budget (slow)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    if args.list or not args.figure:
-        print("available figures:", ", ".join(sorted(FIGURES)))
-        print(
-            "experiments:", ", ".join(experiment_names())
-        )
-        print(
-            "subcommands: run, list, describe, multiseed, schedule, "
-            "worker (see `run --help` / `list --help` / ...)"
-        )
-        return 0
-    _validate_workers(parser, args)
-
-    config = (
-        ExperimentConfig.paper(seed=args.seed)
-        if args.paper
-        else ExperimentConfig.quick(seed=args.seed)
-    )
-    # Every figure routes through the spec registry now, so the scheduler
-    # flags apply uniformly — fig2 and the ablations included.
-    scheduler = _build_scheduler(args)
-    text, payload = FIGURES[args.figure](config, scheduler)
-    print(text)
-    if args.output is not None:
-        target = save_json(args.output / f"{args.figure}.json", payload)
-        print(f"\nwrote {target}")
-    return 0
+    parser.add_argument("command", choices=sorted(SUBCOMMANDS))
+    # Only reached without a known subcommand: argparse prints the usage
+    # and exits with status 2 (or 0 for --help).
+    parser.parse_args(argv)
+    return 2
 
 
 if __name__ == "__main__":

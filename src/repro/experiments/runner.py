@@ -6,6 +6,15 @@ number of rounds and summarises the market outcome; ``compare_schemes``
 produces the DRL / random / greedy / equilibrium comparison the paper's
 Fig. 3 panels report.
 
+The experiment specs reach this module through its job kinds and their
+plan/assemble halves: ``training_run`` (:func:`run_training_job`, one
+DRL training — Fig. 2 and the ablations) and ``market_scheme``
+(:func:`run_market_scheme_job`, one history-dependent scheme on one
+market). :func:`plan_scheme_jobs` emits the latter for a Fig. 3 market
+grid and :func:`assemble_scheme_results` merges them, evaluating the
+price-committing schemes (``random``, ``equilibrium``) as one stacked
+solve over the whole grid (:func:`compare_schemes_stacked`).
+
 Everything routes through the batched simulation engine
 (:mod:`repro.sim`): training collects ``config.num_envs`` episodes
 concurrently through a :class:`VectorMigrationEnv` (``num_envs = 1`` is
@@ -27,12 +36,11 @@ from repro.drl.checkpoints import save_agent
 from repro.drl.ppo import PPOConfig
 from repro.drl.trainer import TrainerConfig, TrainingResult, train_pricing_agent
 from repro.env.vector import VectorMigrationEnv
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scheduler import (
     ARTIFACT_DIR_KEY,
     Job,
-    JobScheduler,
     config_from_payload,
     config_to_payload,
     market_from_payload,
@@ -52,7 +60,7 @@ __all__ = [
     "evaluation_from_payload",
     "compare_schemes",
     "compare_schemes_stacked",
-    "compare_schemes_scheduled",
+    "validate_schemes",
     "plan_scheme_jobs",
     "assemble_scheme_results",
     "run_market_scheme_job",
@@ -293,16 +301,20 @@ def compare_schemes(
     return results
 
 
+def validate_schemes(schemes: tuple[str, ...]) -> tuple[str, ...]:
+    """``schemes``, checked up front against the known scheme names."""
+    unknown = sorted(set(schemes) - set(_KNOWN_SCHEMES))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown schemes {unknown}; known schemes: {list(_KNOWN_SCHEMES)}"
+        )
+    return schemes
+
+
 def _scheme_policy(
     scheme: str, market: StackelbergMarket, config: ExperimentConfig
 ) -> PricingPolicy:
-    """Build one scheme's policy for one market (shared by the per-market
-    and stacked comparison paths, so both seed identically).
-
-    Exception: ``compare_schemes_stacked`` builds the ``equilibrium``
-    scheme through :meth:`OraclePricing.from_stack` (one stacked solve for
-    the whole grid, bitwise-equal to the per-market construction here) —
-    keep the two branches in sync."""
+    """Build one scheme's policy for one market."""
     cfg = market.config
     if scheme == "drl":
         return train_drl(market, config).policy
@@ -312,7 +324,9 @@ def _scheme_policy(
         return RandomPricing(cfg.unit_cost, cfg.max_price, seed=config.seed + 2)
     if scheme == "equilibrium":
         return OraclePricing(market)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise ConfigurationError(
+        f"unknown scheme {scheme!r}; known schemes: {list(_KNOWN_SCHEMES)}"
+    )
 
 
 def compare_schemes_stacked(
@@ -326,45 +340,27 @@ def compare_schemes_stacked(
     The market-axis form of :func:`compare_schemes`: one entry of the
     returned list per market, each a scheme → evaluation dict exactly equal
     to ``compare_schemes(markets[m], config, schemes=schemes)``. Schemes
-    that commit to their price vectors (``random``, ``equilibrium``)
-    evaluate the whole grid as one stacked market solve; ``drl`` still
-    trains per market and, like ``greedy``, evaluates through the
-    per-market sequential loop.
+    that commit to their price vectors (``random``, ``equilibrium`` — the
+    oracles from one stacked equilibrium solve,
+    :meth:`OraclePricing.from_stack`) evaluate the whole grid as one
+    stacked market solve; history-dependent ones (``drl``, ``greedy``)
+    fall back to per-market loops inside
+    :func:`evaluate_policies_stacked`. The Fig. 3 specs pass only the
+    former here and run the latter as ``market_scheme`` jobs.
     """
     results: list[dict[str, PolicyEvaluation]] = [{} for _ in markets]
     for scheme in schemes:
-        # History-dependent policies (drl, greedy) gain nothing from the
-        # stacked solve — evaluate each as soon as it is built so at most
-        # one trained agent is live at a time. Plannable policies are
-        # collected and solved as one stacked pass.
-        pending_markets: list[StackelbergMarket] = []
-        pending_indices: list[int] = []
-        pending_policies: list[PricingPolicy] = []
         if scheme == "equilibrium":
-            # The whole grid's oracle prices come from one stacked
-            # equilibrium solve (bitwise-equal to per-market solves).
-            pending_markets = list(markets)
-            pending_indices = list(range(len(markets)))
-            pending_policies = list(OraclePricing.from_stack(markets))
+            policies = OraclePricing.from_stack(markets)
         else:
-            for index, market in enumerate(markets):
-                policy = _scheme_policy(scheme, market, config)
-                if getattr(policy, "propose_prices", None) is None:
-                    results[index][scheme] = evaluate_policy(
-                        market, policy, rounds=config.evaluation_rounds
-                    )
-                else:
-                    pending_markets.append(market)
-                    pending_indices.append(index)
-                    pending_policies.append(policy)
-        if pending_policies:
-            evaluations = evaluate_policies_stacked(
-                pending_markets,
-                pending_policies,
-                rounds=config.evaluation_rounds,
-            )
-            for index, evaluation in zip(pending_indices, evaluations):
-                results[index][scheme] = evaluation
+            policies = [
+                _scheme_policy(scheme, market, config) for market in markets
+            ]
+        evaluations = evaluate_policies_stacked(
+            markets, policies, rounds=config.evaluation_rounds
+        )
+        for index, evaluation in enumerate(evaluations):
+            results[index][scheme] = evaluation
     return results
 
 
@@ -453,7 +449,7 @@ def run_training_job(payload: Mapping) -> dict:
     the :class:`PolicyEvaluation` payload attached (the ablation tables'
     evaluation column). Floats survive the JSON wire exactly, so a
     training executed in a worker merges back bitwise-equal to the
-    sequential path. Like ``market_scheme``, the trained agent is parked
+    in-process run. Like ``market_scheme``, the trained agent is parked
     at ``<cache>/checkpoints/<job_hash>.npz`` (cache-relative on the
     wire) when the scheduler injected its cache dir.
     """
@@ -510,9 +506,7 @@ def plan_scheme_jobs(
     schemes (``random``, ``equilibrium``) emit no jobs — they evaluate as
     one stacked solve at assemble time.
     """
-    unknown = sorted(set(schemes) - set(_KNOWN_SCHEMES))
-    if unknown:
-        raise ValueError(f"unknown schemes {unknown}")
+    validate_schemes(schemes)
     jobs: list[Job] = []
     slots: list[tuple[int, str]] = []
     config_payload = config_to_payload(config)
@@ -547,39 +541,15 @@ def assemble_scheme_results(
     payloads: Sequence[Mapping],
 ) -> list[dict[str, PolicyEvaluation]]:
     """Merge :func:`plan_scheme_jobs` results; solve plannable schemes
-    as one stacked in-process pass."""
-    results: list[dict[str, PolicyEvaluation]] = [{} for _ in markets]
+    as one stacked in-process pass. Each market's dict lists the schemes
+    in ``schemes`` order."""
+    merged: list[dict[str, PolicyEvaluation]] = [{} for _ in markets]
     for payload, (index, scheme) in zip(payloads, slots):
-        results[index][scheme] = evaluation_from_payload(payload["evaluation"])
+        merged[index][scheme] = evaluation_from_payload(payload["evaluation"])
     plannable = tuple(s for s in schemes if s in _PLANNABLE_SCHEMES)
     if plannable:
         for index, by_scheme in enumerate(
             compare_schemes_stacked(markets, config, schemes=plannable)
         ):
-            results[index].update(by_scheme)
-    return results
-
-
-def compare_schemes_scheduled(
-    markets: Sequence[StackelbergMarket],
-    config: ExperimentConfig,
-    *,
-    schemes: tuple[str, ...] = ("drl", "greedy", "random", "equilibrium"),
-    scheduler: JobScheduler,
-) -> list[dict[str, PolicyEvaluation]]:
-    """:func:`compare_schemes_stacked` with the per-market trainings as jobs.
-
-    History-dependent schemes (``drl``, ``greedy``) — whose per-market
-    work is independent and, for ``drl``, expensive — become one
-    ``market_scheme`` :class:`Job` per market, executed by ``scheduler``
-    (parallel across workers, cached and resumable with a cache dir).
-    Plannable schemes still evaluate as one stacked solve in-process. The
-    merged output equals :func:`compare_schemes_stacked` — and hence the
-    sequential per-market path — bitwise: each job runs the identical
-    seeded training/evaluation, floats survive the JSON wire exactly.
-    """
-    markets = list(markets)
-    jobs, slots = plan_scheme_jobs(markets, config, schemes)
-    return assemble_scheme_results(
-        markets, config, schemes, slots, scheduler.run(jobs)
-    )
+            merged[index].update(by_scheme)
+    return [{scheme: by[scheme] for scheme in schemes} for by in merged]

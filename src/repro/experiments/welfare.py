@@ -13,13 +13,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.core.stackelberg import StackelbergMarket
 from repro.core.welfare import WelfareReport, welfare_report
 from repro.experiments import api
 from repro.experiments.api import MARKET_PARAM, ExperimentPlan
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     market_from_payload,
     market_to_payload,
 )
@@ -27,7 +25,6 @@ from repro.utils.tables import Table
 
 __all__ = [
     "WelfareResult",
-    "run_welfare",
     "run_welfare_report_job",
     "WELFARE",
 ]
@@ -98,10 +95,6 @@ def _assemble(plan: ExperimentPlan, results: list) -> WelfareResult:
     return api.result_from_payload(WelfareResult, results[0])
 
 
-def _direct(params) -> WelfareResult:
-    return _result_from_report(welfare_report(api.resolve_market(params)))
-
-
 WELFARE = api.register(
     api.ExperimentSpec(
         name="welfare",
@@ -113,21 +106,5 @@ WELFARE = api.register(
         result_type=WelfareResult,
         plan=_plan,
         assemble=_assemble,
-        direct=_direct,
     )
 )
-
-
-def run_welfare(
-    *,
-    market: StackelbergMarket | None = None,
-    scheduler: JobScheduler | None = None,
-) -> WelfareResult:
-    """Welfare decomposition of ``market`` (default: the paper's market).
-
-    Thin shim over the ``welfare`` spec; with ``scheduler`` the report is
-    one cached ``welfare_report`` job.
-    """
-    return api.run_experiment(
-        WELFARE, {"market": market}, scheduler=scheduler
-    )

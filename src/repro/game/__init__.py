@@ -1,10 +1,8 @@
 """Game-theory toolkit: concave solvers and best-response dynamics."""
 
 from repro.game.best_response import (
-    BatchBestResponseResult,
     BestResponseResult,
     iterate_best_response,
-    iterate_best_response_batch,
 )
 from repro.game.solvers import (
     bisect_root,
@@ -15,10 +13,8 @@ from repro.game.solvers import (
 )
 
 __all__ = [
-    "BatchBestResponseResult",
     "BestResponseResult",
     "iterate_best_response",
-    "iterate_best_response_batch",
     "bisect_root",
     "golden_section_maximize",
     "golden_section_maximize_batch",

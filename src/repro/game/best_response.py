@@ -20,9 +20,7 @@ from repro.utils.validation import require_in_range, require_positive_int
 
 __all__ = [
     "BestResponseResult",
-    "BatchBestResponseResult",
     "iterate_best_response",
-    "iterate_best_response_batch",
 ]
 
 BestResponseMap = Callable[[np.ndarray], np.ndarray]
@@ -92,116 +90,4 @@ def iterate_best_response(
         iterations=max_iterations,
         converged=False,
         residual=residual,
-    )
-
-
-BatchBestResponseMap = Callable[[np.ndarray], np.ndarray]
-"""Maps an ``(M, K)`` stack of strategy profiles to the stack of best
-responses, row ``m`` depending only on row ``m`` (the games are
-independent; they merely iterate in lockstep)."""
-
-
-@dataclass(frozen=True)
-class BatchBestResponseResult:
-    """Outcome of lockstep best-response dynamics over ``M`` games.
-
-    Attributes:
-        strategies: ``(M, K)`` final strategy profiles.
-        iterations: ``(M,)`` rounds each row ran before freezing
-            (``max_iterations`` for rows that never converged).
-        converged: ``(M,)`` per-row convergence flags.
-        residuals: ``(M,)`` final sup-norm change per row.
-    """
-
-    strategies: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    residuals: np.ndarray
-
-
-def iterate_best_response_batch(
-    best_response: BatchBestResponseMap,
-    initial: Sequence[Sequence[float]] | np.ndarray,
-    *,
-    damping: float = 1.0,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10_000,
-    mask: np.ndarray | None = None,
-) -> BatchBestResponseResult:
-    """Run ``M`` independent best-response dynamics in lockstep.
-
-    Row ``m`` follows exactly the update rule of
-    :func:`iterate_best_response` — ``x_{t+1} = (1 − λ) x_t + λ BR(x_t)``
-    with per-row sup-norm residuals — so, for a row-independent map, row
-    ``m`` of the result is bitwise-equal to running the scalar iterator
-    on that row alone. Rows freeze once converged: their strategies stop
-    updating and the map's later outputs for them are discarded, which is
-    what makes the per-row trajectories identical to the scalar runs even
-    though rows converge at different times.
-
-    Ragged games (different player counts per row) pad to ``K`` columns
-    and pass ``mask`` (``(M, K)`` bool, True on real entries); padded
-    columns hold their initial values, are excluded from the residual,
-    and never affect convergence.
-
-    Raises:
-        GameError: on a zero damping, a non-2-D initial stack, or a map
-            output / mask of the wrong shape.
-    """
-    require_in_range("damping", damping, 0.0, 1.0, inclusive=True)
-    if damping == 0.0:
-        raise GameError("damping must be > 0 (0 never moves)")
-    require_positive_int("max_iterations", max_iterations)
-
-    current = np.asarray(initial, dtype=float).copy()
-    if current.ndim != 2:
-        raise GameError(
-            f"initial must be an (M, K) profile stack, got shape {current.shape}"
-        )
-    num_games = current.shape[0]
-    if mask is None:
-        active = np.ones(current.shape, dtype=bool)
-    else:
-        active = np.asarray(mask, dtype=bool)
-        if active.shape != current.shape:
-            raise GameError(
-                f"mask shape {active.shape} does not match profiles {current.shape}"
-            )
-    converged = np.zeros(num_games, dtype=bool)
-    iterations = np.zeros(num_games, dtype=int)
-    residuals = np.full(num_games, np.inf)
-    if current.shape[1] == 0:
-        # Degenerate zero-player games: the scalar iterator reports
-        # residual 0.0 and convergence on round one.
-        return BatchBestResponseResult(
-            strategies=current,
-            iterations=np.ones(num_games, dtype=int),
-            converged=np.ones(num_games, dtype=bool),
-            residuals=np.zeros(num_games),
-        )
-    for iteration in range(1, max_iterations + 1):
-        response = np.asarray(best_response(current), dtype=float)
-        if response.shape != current.shape:
-            raise GameError(
-                f"best_response returned shape {response.shape}, "
-                f"expected {current.shape}"
-            )
-        updated = (1.0 - damping) * current + damping * response
-        updated = np.where(active, updated, current)
-        updated = np.where(converged[:, np.newaxis], current, updated)
-        deltas = np.where(active, np.abs(updated - current), 0.0)
-        row_residuals = deltas.max(axis=1)
-        residuals = np.where(converged, residuals, row_residuals)
-        current = updated
-        newly = ~converged & (row_residuals <= tolerance)
-        iterations[newly] = iteration
-        converged |= newly
-        if bool(converged.all()):
-            break
-    iterations[~converged] = max_iterations
-    return BatchBestResponseResult(
-        strategies=current,
-        iterations=iterations,
-        converged=converged,
-        residuals=residuals,
     )

@@ -10,7 +10,7 @@ a fixed cadence, and push results into a content-addressed
 worker's jobs requeue; results stay exactly-once via the content hash
 even though execution is at-least-once. :class:`QueueScheduler` plugs the
 queue into ``run_experiment(..., scheduler=...)`` — the queued path is
-bitwise-equal to the direct path.
+bitwise-equal to an in-process run.
 
 Quickstart (one shared directory, any number of processes/machines)::
 

@@ -17,7 +17,7 @@ fleet, and (by default) the scheduler also runs an **inline worker** so a
 single invocation completes even with no external workers — while any
 external workers that are attached drain the same queue concurrently.
 Results always come back from the artifact store (the JSON wire), so the
-queued path is bitwise-equal to the direct path by the same float-exact
+queued path is bitwise-equal to an in-process run by the same float-exact
 round-trip contract the process-pool scheduler pins.
 """
 

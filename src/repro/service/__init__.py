@@ -6,12 +6,9 @@ point updates (VMU churn, fading drift, demand shifts) by dirtying
 exactly the touched rows, and answers price queries from an
 incrementally maintained :class:`~repro.core.marketstack.StackedEquilibria`
 — bitwise-equal to a cold full solve at every step, at a fraction of the
-work. :class:`EquilibriumCache` is the cross-stack face of the same idea:
-equilibrium rows keyed by market *content*, reused across overlapping
-stacks (robustness sweeps, oracle grids).
+work.
 """
 
-from repro.service.cache import EquilibriumCache, shared_cache
 from repro.service.pricing import (
     FadingDrift,
     LivePricingService,
@@ -25,7 +22,6 @@ from repro.service.pricing import (
 )
 
 __all__ = [
-    "EquilibriumCache",
     "FadingDrift",
     "LivePricingService",
     "PriceQuote",
@@ -35,5 +31,4 @@ __all__ = [
     "VmuJoin",
     "VmuLeave",
     "latency_percentile",
-    "shared_cache",
 ]

@@ -24,6 +24,9 @@ def to_jsonable(value: object) -> object:
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            # Numeric arrays are plain Python scalars after one tolist().
+            return value.tolist()
         return [to_jsonable(v) for v in value.tolist()]
     if isinstance(value, Mapping):
         return {str(k): to_jsonable(v) for k, v in value.items()}

@@ -1,5 +1,6 @@
 """CLI smoke tests: `list`, `describe` for every registered experiment,
-and one tiny `run fig2` end-to-end (fan-out flags + cache resume).
+one tiny `run fig2` end-to-end (fan-out flags + cache resume), and a
+sharded `run multiseed`.
 
 This is the CI smoke job (run under pytest-timeout): it pins that the
 generic spec-driven CLI stays wired — every experiment is listable,
@@ -64,6 +65,32 @@ class TestRunEndToEnd:
             json.loads((tmp_path / "out" / "fig2.json").read_text())
         )
         assert resumed == result
+
+    def test_multiseed_shards_over_workers(self, tmp_path, capsys):
+        """`run multiseed --workers 2` fans the seeds out as two shard
+        jobs (the seeds-axis comparison has no subcommand of its own)."""
+        argv = [
+            "run", "multiseed",
+            "--workers", "2",
+            "--param", "preset=smoke",
+            "--param", "seeds=0,1",
+            "--output", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Multi-seed comparison" in out
+        assert "2 job(s) executed, 0 from cache" in out
+        result = get_experiment("multiseed").result_from_payload(
+            json.loads((tmp_path / "multiseed.json").read_text())
+        )
+        assert result.seeds == (0, 1)
+        assert sorted(result.samples) == ["drl", "random"]
+
+    def test_legacy_figure_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--figure", "fig2"])
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_cheap_sweep_runs_without_scheduler_flags(self, capsys):
         assert main(

@@ -17,6 +17,16 @@ Assertions per market:
   follower utilities — so the solver's price is scored by the model, not
   by itself.
 
+The same oracle checks the Bayesian game (:class:`BayesianStackelbergMarket`).
+Like the chance node ``M`` of PyNFG's Stackelberg duopoly, whose CPT
+``MCPT`` weights the market conditions the leader prices against before
+nature draws one, the oracle's expected leader utility is the
+CPT-weighted mean ``Σ_m MCPT[m] · U_MSP(p; scenario m)`` of the pure-Python
+Eq. (4) above, maximised by the same brute-force lattice search. The
+solver's price must score at least the lattice maximum, sit within two
+lattice steps of the lattice argmax, and its reported expected and
+per-scenario utilities must be the oracle's at that price.
+
 The paper states the follower's payoff through its freshness metric:
 Eq. (1)'s AoTM ``A = D / (b·SE)`` and the immersion ``α·ln(1 + 1/A)``.
 :func:`aotm` and :func:`immersion` keep that scalar form, and the
@@ -29,11 +39,20 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.bayesian import (
+    BayesianStackelbergMarket,
+    ScenarioSpec,
+    sample_market_distribution,
+)
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.core.utilities import vmu_utilities
 from repro.entities.vmu import VmuProfile, paper_fig2_population
 
-from test_core_equilibria_stacked import dropout_markets, random_markets
+from test_core_equilibria_stacked import (
+    dropout_markets,
+    infeasible_market,
+    random_markets,
+)
 
 LATTICE_POINTS = 20_001
 
@@ -199,3 +218,73 @@ def test_vmu_utilities_match_aotm_immersion_form():
                 for alpha, d, b in zip(model["alphas"], model["data"], row)
             ]
             assert got_row == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def expected_leader_utility(models, cpt, price):
+    """The chance node's CPT-weighted mean of Eq. (4) over the scenarios."""
+    return sum(
+        weight * leader_utility(model, price)
+        for weight, model in zip(cpt, models)
+    )
+
+
+def bayesian_distributions():
+    """(distribution, raw scenario weights) pairs the Bayesian oracle
+    solves: sampled jitter around slack and capacity-bound markets, a
+    non-uniform CPT, and one scenario that never trades."""
+    paper = StackelbergMarket(paper_fig2_population())
+    tight = StackelbergMarket(
+        paper_fig2_population(), config=MarketConfig(max_bandwidth=8.0)
+    )
+    sampled = [
+        (paper, ScenarioSpec(num_scenarios=4, seed=seed)) for seed in range(3)
+    ] + [
+        (tight, ScenarioSpec(num_scenarios=5, seed=7, capacity_jitter=0.5)),
+        (
+            random_markets(1, root_seed=950)[0],
+            ScenarioSpec(num_scenarios=3, seed=1, alpha_jitter=0.5),
+        ),
+    ]
+    pairs = [
+        (sample_market_distribution(base, spec), [1.0] * spec.num_scenarios)
+        for base, spec in sampled
+    ]
+    config = MarketConfig(unit_cost=45.0)
+    skewed = [
+        StackelbergMarket(paper_fig2_population(), config=config),
+        StackelbergMarket(
+            [VmuProfile("v0", data_size_mb=60.0, immersion_coef=30.0)],
+            config=config,
+        ),
+        infeasible_market(),
+    ]
+    weights = [0.5, 0.3, 0.2]
+    pairs.append((BayesianStackelbergMarket(skewed, weights=weights), weights))
+    return pairs
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_bayesian_equilibrium_matches_lattice_oracle(index):
+    distribution, raw_weights = bayesian_distributions()[index]
+    models = [oracle_model(market) for market in distribution.scenarios]
+    total = sum(raw_weights)
+    cpt = [weight / total for weight in raw_weights]
+    low, high = models[0]["cost"], models[0]["max_price"]
+    step = (high - low) / (LATTICE_POINTS - 1)
+    best_value, best_price = max(
+        (expected_leader_utility(models, cpt, low + k * step), low + k * step)
+        for k in range(LATTICE_POINTS)
+    )
+
+    equilibrium = distribution.equilibrium()
+    assert equilibrium.expected_utility >= best_value * (1.0 - 1e-9)
+    assert abs(equilibrium.price - best_price) <= 2.0 * step
+    assert expected_leader_utility(
+        models, cpt, equilibrium.price
+    ) == pytest.approx(equilibrium.expected_utility, rel=1e-12, abs=0.0)
+    assert list(equilibrium.scenario_utilities) == pytest.approx(
+        [leader_utility(model, equilibrium.price) for model in models],
+        rel=1e-12,
+        abs=1e-12,
+    )
+    assert list(equilibrium.weights) == pytest.approx(cpt, rel=1e-15)

@@ -1,8 +1,8 @@
 """AoTM-derived metrics on production code.
 
 - The risk that a migration misses an AoTM deadline under fading, measured
-  on the per-draw links :func:`repro.experiments.robustness.run_fading_sweep`
-  builds (``paper_link().with_fading_gain(g)``, Eq. 1 via
+  on the per-draw links the ``fading_sweep`` experiment builds
+  (``paper_link().with_fading_gain(g)``, Eq. 1 via
   :meth:`RsuLink.transfer_time`).
 - The log immersion ``α·ln(1 + 1/A)`` a VMU gets from a production market
   round (its utility plus what it paid), against the Eq. 1/2 oracle of

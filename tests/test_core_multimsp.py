@@ -7,7 +7,6 @@ from repro.core.multimsp import (
     MspSpec,
     MultiMspMarket,
     OligopolyEquilibrium,
-    oligopoly_equilibria_batch,
     oligopoly_from_market,
 )
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
@@ -313,50 +312,6 @@ class TestEquilibriumDiagnostics:
             outcome.msp_utilities.sum() + outcome.vmu_utilities.sum()
         )
         assert outcome.vmu_utilities.shape == (len(market.vmus),)
-
-
-class TestOligopolyBatch:
-    def games(self):
-        rng = np.random.default_rng(42)
-        return [random_oligopoly(rng) for _ in range(5)]
-
-    def test_batch_matches_sequential_bitwise(self):
-        games = self.games()
-        batched = oligopoly_equilibria_batch(
-            games, max_iterations=60, record_trace=True
-        )
-        for game, eq in zip(games, batched):
-            reference = game.equilibrium(max_iterations=60, record_trace=True)
-            np.testing.assert_array_equal(eq.prices, reference.prices)
-            np.testing.assert_array_equal(
-                eq.msp_utilities, reference.msp_utilities
-            )
-            assert eq.converged == reference.converged
-            assert eq.iterations == reference.iterations
-            assert eq.residual == reference.residual
-            assert eq.cycle_length == reference.cycle_length
-            np.testing.assert_array_equal(
-                eq.trace.profiles, reference.trace.profiles
-            )
-            np.testing.assert_array_equal(
-                eq.trace.residuals, reference.trace.residuals
-            )
-
-    def test_batch_budget_matches_sequential(self):
-        """Games that exhaust the budget freeze at the same profile the
-        sequential solver reports (no extra hidden sweep)."""
-        games = self.games()
-        batched = oligopoly_equilibria_batch(
-            games, max_iterations=2, record_trace=False
-        )
-        for game, eq in zip(games, batched):
-            reference = game.equilibrium(max_iterations=2, record_trace=False)
-            np.testing.assert_array_equal(eq.prices, reference.prices)
-            assert eq.iterations == reference.iterations
-            assert eq.converged == reference.converged
-
-    def test_empty_batch(self):
-        assert oligopoly_equilibria_batch([]) == []
 
 
 class TestOligopolyFromMarket:

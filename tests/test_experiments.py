@@ -15,16 +15,12 @@ from repro.experiments import (
     compare_schemes,
     compare_schemes_stacked,
     evaluate_policy,
-    run_fig2,
-    run_fig3_cost,
-    run_fig3_vmus,
-    run_history_ablation,
-    run_reward_ablation,
+    run_experiment,
     train_drl,
     train_drl_fleet,
 )
 from repro.baselines import OraclePricing
-from repro.experiments.run import FIGURES, main
+from repro.experiments.run import main
 
 
 @pytest.fixture
@@ -118,7 +114,7 @@ class TestRunner:
 
 class TestFig2:
     def test_series_lengths_and_table(self):
-        result = run_fig2(SMOKE)
+        result = run_experiment("fig2", {"config": SMOKE})
         assert len(result.episode_returns) == SMOKE.num_episodes
         assert len(result.episode_best_utilities) == SMOKE.num_episodes
         table = result.table()
@@ -126,15 +122,20 @@ class TestFig2:
         assert result.equilibrium_price == pytest.approx(25.34, abs=0.01)
 
     def test_convergence_properties_well_defined(self):
-        result = run_fig2(SMOKE)
+        result = run_experiment("fig2", {"config": SMOKE})
         assert result.converged_return >= 0.0
         assert result.utility_gap >= 0.0
 
 
 class TestFig3Cost:
     def test_structure(self):
-        result = run_fig3_cost(
-            SMOKE, costs=(5.0, 9.0), schemes=("random", "equilibrium")
+        result = run_experiment(
+            "fig3_cost",
+            {
+                "config": SMOKE,
+                "costs": (5.0, 9.0),
+                "schemes": ("random", "equilibrium"),
+            },
         )
         assert result.costs == (5.0, 9.0)
         msp = result.msp_table()
@@ -144,8 +145,9 @@ class TestFig3Cost:
         assert "equilibrium_bandwidth" in vmu.headers
 
     def test_equilibrium_series_matches_analytic(self):
-        result = run_fig3_cost(
-            SMOKE, costs=(5.0, 9.0), schemes=("equilibrium",)
+        result = run_experiment(
+            "fig3_cost",
+            {"config": SMOKE, "costs": (5.0, 9.0), "schemes": ("equilibrium",)},
         )
         prices = result.series("equilibrium", "mean_price")
         assert prices[0] == pytest.approx(25.34, abs=0.01)
@@ -154,8 +156,9 @@ class TestFig3Cost:
 
 class TestFig3Vmus:
     def test_structure(self):
-        result = run_fig3_vmus(
-            SMOKE, counts=(2, 6), schemes=("equilibrium",)
+        result = run_experiment(
+            "fig3_vmus",
+            {"config": SMOKE, "counts": (2, 6), "schemes": ("equilibrium",)},
         )
         assert result.counts == (2, 6)
         utilities = result.series("equilibrium", "mean_msp_utility")
@@ -163,65 +166,70 @@ class TestFig3Vmus:
         assert utilities[1] == pytest.approx(20.35, abs=0.1)
 
     def test_tables_render(self):
-        result = run_fig3_vmus(SMOKE, counts=(2,), schemes=("equilibrium",))
+        result = run_experiment(
+            "fig3_vmus",
+            {"config": SMOKE, "counts": (2,), "schemes": ("equilibrium",)},
+        )
         assert "Fig. 3(c)" in str(result.msp_table())
         assert "Fig. 3(d)" in str(result.vmu_table())
 
 
 class TestAblations:
     def test_reward_ablation_rows(self):
-        result = run_reward_ablation(SMOKE, modes=("utility",))
+        result = run_experiment(
+            "reward_ablation", {"config": SMOKE, "modes": ("utility",)}
+        )
         assert len(result.rows) == 1
         mode, trained, evaluated = result.rows[0]
         assert mode == "utility"
         assert "E7" in str(result.table())
 
     def test_history_ablation_rows(self):
-        result = run_history_ablation(SMOKE, lengths=(1, 2))
+        result = run_experiment(
+            "history_ablation", {"config": SMOKE, "lengths": (1, 2)}
+        )
         assert [row[0] for row in result.rows] == [1, 2]
         assert "E8" in str(result.table())
 
 
 class TestCli:
     def test_list(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("fig2", "fig3a", "fig3c", "ablations"):
+        for name in ("fig2", "fig3_cost", "fig3_vmus", "reward_ablation"):
             assert name in out
 
-    def test_figures_registry_complete(self):
-        assert set(FIGURES) == {
-            "fig2",
-            "fig3a",
-            "fig3b",
-            "fig3c",
-            "fig3d",
-            "ablations",
-            "robustness",
-            "welfare",
-        }
-
     def test_welfare_figure_runs(self, capsys, tmp_path):
-        assert main(["--figure", "welfare", "--output", str(tmp_path)]) == 0
+        assert main(["run", "welfare", "--output", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "deadweight" in out
         assert (tmp_path / "welfare.json").exists()
 
     def test_no_figure_prints_list(self, capsys):
-        assert main([]) == 0
-        assert "available figures" in capsys.readouterr().out
+        """Without a subcommand the usage error lists the subcommands."""
+        with pytest.raises(SystemExit) as exited:
+            main([])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        for name in ("describe", "list", "run", "schedule", "worker"):
+            assert name in err
 
     def test_multiseed_subcommand(self, capsys, tmp_path):
+        """The seeds-axis comparison runs as `run multiseed`, sharded by
+        --workers."""
         assert (
             main(
                 [
+                    "run",
                     "multiseed",
-                    "--seeds",
-                    "0,1,2",
-                    "--shards",
+                    "--workers",
                     "2",
-                    "--schemes",
-                    "random,equilibrium",
+                    "--param",
+                    "preset=smoke",
+                    "--param",
+                    "seeds=0,1,2",
+                    "--param",
+                    "schemes=random,equilibrium",
                     "--output",
                     str(tmp_path),
                 ]
@@ -230,4 +238,5 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "Multi-seed comparison" in out
+        assert "2 job(s) executed" in out
         assert (tmp_path / "multiseed.json").exists()

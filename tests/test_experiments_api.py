@@ -1,17 +1,26 @@
 """Spec-API tests: registry, parameter validation, uniform payload
-round-trips, and plan/assemble vs direct bitwise equality.
+round-trips, and bitwise equality of the in-process, pooled and queued
+runs of every spec's plan.
 
 DRL runs use the smoke budget — these tests pin the *contract* (every
-registered experiment compiles to scheduler jobs whose assembled result
-equals the direct sequential path bitwise, and every result type
-round-trips through its generated JSON payload), not training quality.
+registered experiment compiles to jobs whose assembled result is bitwise
+the same whether the jobs run in-process, in a process pool or through
+the shared queue, the sweep rows equal one stacked solve of the swept
+markets, and every result type round-trips through its generated JSON
+payload), not training quality.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.channel.fading import RayleighFading
+from repro.channel.link import paper_link
+from repro.core.marketstack import MarketStack
+from repro.core.stackelberg import StackelbergMarket
+from repro.entities.vmu import paper_fig2_population, sample_population
+from repro.errors import ConfigurationError, ExperimentError, ReproError
 from repro.experiments import (
     ExperimentConfig,
     Fig2Result,
@@ -23,12 +32,15 @@ from repro.experiments import (
 )
 from repro.experiments import api
 from repro.experiments.api import ParamSpec
+from repro.queue import QueueScheduler
+from repro.utils.rng import as_generator
 from repro.utils.serialization import load_json, save_json
 
 SMOKE = ExperimentConfig.smoke()
 
 # One tiny-but-real parameterisation per registered experiment: every
-# spec's plan/assemble, direct path, and payload codec run against these.
+# spec's plan/assemble, its execution paths, and its payload codec run
+# against these.
 TINY_PARAMS = {
     "fig2": {"config": SMOKE},
     "fig3_cost": {
@@ -66,8 +78,9 @@ TINY_PARAMS = {
 
 
 @pytest.fixture(scope="module")
-def direct_results():
-    """Every experiment's direct (schedulerless) result, computed once."""
+def in_process_results():
+    """Every experiment's schedulerless result (its plan's jobs executed
+    in-process, one after another), computed once."""
     return {
         name: run_experiment(name, params)
         for name, params in TINY_PARAMS.items()
@@ -89,17 +102,31 @@ class TestRegistry:
             assert spec.params, name
             assert isinstance(spec.result_type, type)
 
+    def test_welfare_matches_report(self):
+        from repro.core.welfare import welfare_report
+
+        report = welfare_report(StackelbergMarket(paper_fig2_population()))
+        result = run_experiment("welfare")
+        assert result.monopoly_price == report.monopoly_price
+        assert result.planner_welfare == report.planner_welfare
+        assert result.efficiency == report.efficiency
+
 
 class TestJobsPathBitwiseEqualsDirect:
-    """Acceptance: every registered experiment runs through the scheduler
-    and assembles a result bitwise-equal to the direct sequential path."""
+    """Acceptance: every registered experiment assembles a bitwise-equal
+    result whether its jobs run directly (in-process, no scheduler), in a
+    two-worker process pool, or through the shared job queue."""
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
-    def test_scheduled_equals_direct(self, name, direct_results):
-        scheduled = run_experiment(
-            name, TINY_PARAMS[name], scheduler=JobScheduler(workers=1)
+    def test_scheduled_equals_direct(self, name, in_process_results, tmp_path):
+        pooled = run_experiment(
+            name, TINY_PARAMS[name], scheduler=JobScheduler(workers=2)
         )
-        assert scheduled == direct_results[name]
+        queued = run_experiment(
+            name, TINY_PARAMS[name], scheduler=QueueScheduler(tmp_path / "queue")
+        )
+        assert pooled == in_process_results[name]
+        assert queued == in_process_results[name]
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
     def test_plan_compiles_to_jobs(self, name):
@@ -133,9 +160,9 @@ class TestPayloadRoundTrips:
     registered result type — not just MultiSeedResult."""
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
-    def test_json_round_trip_identity(self, name, direct_results, tmp_path):
+    def test_json_round_trip_identity(self, name, in_process_results, tmp_path):
         spec = get_experiment(name)
-        result = direct_results[name]
+        result = in_process_results[name]
         path = save_json(
             tmp_path / f"{name}.json", spec.result_to_payload(result)
         )
@@ -236,7 +263,7 @@ class TestParamValidation:
 
 class TestShardsFollowScheduler:
     def test_multiseed_shards_default_to_scheduler_workers(
-        self, direct_results
+        self, in_process_results
     ):
         """run_experiment('multiseed', ..., scheduler=N workers) must fan
         out N shard jobs when shards is unset — --workers alone may not
@@ -246,7 +273,7 @@ class TestShardsFollowScheduler:
             "multiseed", TINY_PARAMS["multiseed"], scheduler=scheduler
         )
         assert scheduler.jobs_executed == 2
-        assert result == direct_results["multiseed"]
+        assert result == in_process_results["multiseed"]
 
     def test_explicit_shards_win_over_scheduler_workers(self):
         scheduler = JobScheduler(workers=2)
@@ -262,10 +289,10 @@ class TestResumeFromCache:
     """Acceptance: a killed fig2/ablation run resumes from its cache with
     results bitwise-equal to the sequential path."""
 
-    def test_fig2_resumes_without_retraining(self, tmp_path, direct_results):
+    def test_fig2_resumes_without_retraining(self, tmp_path, in_process_results):
         scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
         first = run_experiment("fig2", TINY_PARAMS["fig2"], scheduler=scheduler)
-        assert first == direct_results["fig2"]
+        assert first == in_process_results["fig2"]
         assert scheduler.jobs_executed == 1
         # The training job parked its agent next to the result cache.
         assert len(list((tmp_path / "checkpoints").glob("*.npz"))) == 1
@@ -273,11 +300,11 @@ class TestResumeFromCache:
         resumed = run_experiment(
             "fig2", TINY_PARAMS["fig2"], scheduler=resumed_scheduler
         )
-        assert resumed == direct_results["fig2"]
+        assert resumed == in_process_results["fig2"]
         assert resumed_scheduler.jobs_executed == 0
         assert resumed_scheduler.cache_hits == 1
 
-    def test_killed_history_ablation_resumes(self, tmp_path, direct_results):
+    def test_killed_history_ablation_resumes(self, tmp_path, in_process_results):
         params = TINY_PARAMS["history_ablation"]
         scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
         baseline = run_experiment(
@@ -294,33 +321,154 @@ class TestResumeFromCache:
         assert resumed_scheduler.cache_hits == 1
         assert resumed_scheduler.jobs_executed == 1
         assert resumed == baseline
-        assert resumed == direct_results["history_ablation"]
+        assert resumed == in_process_results["history_ablation"]
 
 
-class TestShimsAreThin:
-    """The historical run_* functions are shims over run_experiment."""
+def _stacked_cells(markets):
+    """The oracle: one stacked solve of the swept markets."""
+    solved = MarketStack(markets).equilibria_stacked()
+    return [solved.equilibrium(m) for m in range(len(markets))]
 
-    def test_run_fig2_equals_spec_path(self, direct_results):
-        from repro.experiments import run_fig2
 
-        assert run_fig2(SMOKE) == direct_results["fig2"]
+class TestSweepRowsMatchStackedSolve:
+    """Each sweep plans one ``equilibrium_cell`` job per market; its rows
+    must equal one stacked solve of the same markets, built here from the
+    spec's parameters."""
 
-    def test_run_capacity_ablation_accepts_scheduler(self, direct_results):
-        from repro.experiments import run_capacity_ablation
+    def test_distance_sweep(self):
+        distances = (250.0, 500.0, 1000.0)
+        markets = [
+            StackelbergMarket(
+                paper_fig2_population(), link=paper_link().with_distance(d)
+            )
+            for d in distances
+        ]
+        cells = _stacked_cells(markets)
+        result = run_experiment("distance_sweep", {"distances_m": distances})
+        assert result.prices == [cell.price for cell in cells]
+        assert result.msp_utilities == [cell.msp_utility for cell in cells]
+        assert result.spectral_efficiencies == [
+            market.spectral_efficiency for market in markets
+        ]
 
-        scheduled = run_capacity_ablation(
-            capacities=(10.0, 50.0), scheduler=JobScheduler(workers=1)
+    def test_capacity_ablation(self):
+        capacities = (5.0, 25.0, 100.0)
+        base = StackelbergMarket(paper_fig2_population())
+        markets = [
+            StackelbergMarket(
+                base.vmus,
+                config=replace(base.config, max_bandwidth=capacity),
+                link=base.link,
+            )
+            for capacity in capacities
+        ]
+        cells = _stacked_cells(markets)
+        result = run_experiment(
+            "capacity_ablation", {"capacities": capacities}
         )
-        assert scheduled == direct_results["capacity_ablation"]
+        assert result.rows == [
+            (capacity, cell.price, cell.msp_utility, cell.capacity_binding)
+            for capacity, cell in zip(capacities, cells)
+        ]
+        # Both regimes are exercised.
+        assert {row[3] for row in result.rows} == {True, False}
 
-    def test_run_welfare_matches_report(self):
-        from repro.core.stackelberg import StackelbergMarket
-        from repro.core.welfare import welfare_report
-        from repro.entities.vmu import paper_fig2_population
-        from repro.experiments import run_welfare
+    def test_fading_sweep(self):
+        gains = RayleighFading().sample(as_generator(3), size=5)
+        markets = [
+            StackelbergMarket(
+                paper_fig2_population(),
+                link=paper_link().with_fading_gain(float(max(gain, 1e-6))),
+            )
+            for gain in gains
+        ]
+        cells = _stacked_cells(markets)
+        result = run_experiment("fading_sweep", {"draws": 5, "seed": 3})
+        assert result.prices == [cell.price for cell in cells]
+        assert result.utilities == [cell.msp_utility for cell in cells]
 
-        report = welfare_report(StackelbergMarket(paper_fig2_population()))
-        result = run_welfare()
-        assert result.monopoly_price == report.monopoly_price
-        assert result.planner_welfare == report.planner_welfare
-        assert result.efficiency == report.efficiency
+    def test_population_sweep(self):
+        rng = as_generator(2)
+        markets = [
+            StackelbergMarket(sample_population(3, seed=rng))
+            for _ in range(4)
+        ]
+        cells = _stacked_cells(markets)
+        result = run_experiment(
+            "population_sweep", {"num_vmus": 3, "draws": 4, "seed": 2}
+        )
+        assert result.per_draw == [
+            (cell.price, cell.msp_utility) for cell in cells
+        ]
+
+
+# Every sweep axis of the registry, with the spec it belongs to.
+SWEEP_AXES = [
+    ("distance_sweep", "distances_m"),
+    ("capacity_ablation", "capacities"),
+    ("fig3_cost", "costs"),
+    ("fig3_cost", "schemes"),
+    ("fig3_vmus", "counts"),
+    ("fig3_vmus", "schemes"),
+    ("price_of_anarchy", "ns"),
+    ("reward_ablation", "modes"),
+    ("history_ablation", "lengths"),
+    ("multiseed", "schemes"),
+]
+
+
+class TestEmptySweepAxisRejected:
+    """An empty sweep axis would plan no jobs and silently assemble an
+    empty result; every path rejects it up front, naming the axis."""
+
+    @pytest.mark.parametrize("with_scheduler", [False, True])
+    @pytest.mark.parametrize("name,axis", SWEEP_AXES)
+    def test_empty_axis_raises(self, name, axis, with_scheduler):
+        scheduler = JobScheduler() if with_scheduler else None
+        with pytest.raises(ConfigurationError, match=repr(axis)):
+            run_experiment(
+                name, {**TINY_PARAMS[name], axis: ()}, scheduler=scheduler
+            )
+        if scheduler is not None:
+            assert scheduler.jobs_executed == 0
+
+    def test_empty_axis_from_the_cli_text(self):
+        spec = get_experiment("distance_sweep")
+        with pytest.raises(ConfigurationError, match="'distances_m'"):
+            spec.validate({"distances_m": spec.param("distances_m").parse("")})
+
+
+class TestSpecValidationErrorsAreTyped:
+    """Spec-level validation raises ConfigurationError (a ReproError and a
+    ValueError), before any job runs."""
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("fading_sweep", {"draws": 1}, "draws must be >= 2"),
+            ("population_sweep", {"draws": 1}, "draws must be >= 2"),
+            ("population_sweep", {"num_vmus": 0}, "num_vmus must be >= 1"),
+            ("multiseed", {"shards": 0}, "shards must be >= 1"),
+            ("multiseed", {"seeds": (1, 1)}, "duplicate seeds"),
+            ("multiseed", {"seeds": (3,)}, "at least two seeds"),
+            ("multiseed", {"metric": "bogus"}, "PolicyEvaluation field"),
+            ("multiseed", {"schemes": ("oracle",)}, "unknown schemes"),
+            ("fig3_cost", {"schemes": ("oracle",)}, "unknown schemes"),
+            ("fig3_vmus", {"schemes": ("drl", "bogus")}, "unknown schemes"),
+        ],
+    )
+    def test_raises_repro_error(self, name, params, message):
+        with pytest.raises(ReproError, match=message) as raised:
+            schedule(name, {**TINY_PARAMS[name], **params})
+        assert isinstance(raised.value, ConfigurationError)
+        assert isinstance(raised.value, ValueError)
+
+    def test_unknown_scheme_in_a_market_scheme_job(self):
+        from repro.experiments.runner import compare_schemes
+
+        with pytest.raises(ConfigurationError, match="unknown scheme"):
+            compare_schemes(
+                StackelbergMarket(paper_fig2_population()),
+                SMOKE,
+                schemes=("oracle",),
+            )

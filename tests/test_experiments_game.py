@@ -1,6 +1,7 @@
 """Semantics of the stochastic-game experiments.
 
-The generic spec contract (scheduled == direct bitwise, payload codec)
+The generic spec contract (in-process == pooled == queued bitwise,
+payload codec)
 is covered by ``test_experiments_api.py``; here we pin what the numbers
 *mean*: oracle regret is non-negative and vanishes on a point mass, PoA
 brackets efficiency against the planner, and the CLI fan-out resumes
@@ -11,12 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    get_experiment,
-    run_bayesian_pricing,
-    run_price_of_anarchy,
-    run_experiment,
-)
+from repro.experiments import get_experiment, run_experiment
 from repro.experiments.run import main
 
 
@@ -50,7 +46,9 @@ class TestBayesianPricing:
         assert result.robust_price == result.scenario_prices[0]
 
     def test_table_renders(self):
-        result = run_bayesian_pricing(num_scenarios=2, seed=1)
+        result = run_experiment(
+            "bayesian_pricing", {"num_scenarios": 2, "seed": 1}
+        )
         text = str(result.table())
         assert "robust" in text.lower()
         assert str(result.num_scenarios)
@@ -142,9 +140,3 @@ class TestCliFanOut:
         assert "3 job(s) executed, 0 from cache" in out
         assert main(argv) == 0
         assert "0 job(s) executed, 3 from cache" in capsys.readouterr().out
-
-
-class TestShims:
-    def test_run_price_of_anarchy_shim(self):
-        result = run_price_of_anarchy(ns=(1, 2))
-        assert result.ns == [1, 2]

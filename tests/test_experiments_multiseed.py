@@ -1,11 +1,9 @@
-"""Multi-seed runner tests: aggregation, payloads, and process sharding."""
+"""Multi-seed spec tests: aggregation, payloads, and shard fan-out."""
 
 import pytest
 
-from repro.core.stackelberg import StackelbergMarket
-from repro.entities.vmu import paper_fig2_population
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentConfig, run_multiseed_comparison
+from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
 from repro.experiments.multiseed import (
     MultiSeedResult,
     _merge_shards,
@@ -14,15 +12,23 @@ from repro.experiments.multiseed import (
 from repro.utils.serialization import load_json, save_json
 
 
+def multiseed(seeds, schemes=("random", "equilibrium"), scheduler=None, **params):
+    """The ``multiseed`` spec on the paper market at the smoke budget."""
+    return run_experiment(
+        "multiseed",
+        {
+            "config": ExperimentConfig.smoke(),
+            "seeds": seeds,
+            "schemes": schemes,
+            **params,
+        },
+        scheduler=scheduler,
+    )
+
+
 @pytest.fixture(scope="module")
 def result():
-    market = StackelbergMarket(paper_fig2_population())
-    return run_multiseed_comparison(
-        market,
-        ExperimentConfig.smoke(),
-        seeds=(0, 1, 2),
-        schemes=("random", "equilibrium"),
-    )
+    return multiseed((0, 1, 2))
 
 
 class TestMultiSeed:
@@ -40,36 +46,21 @@ class TestMultiSeed:
         assert "Multi-seed" in str(result.table())
 
     def test_equilibrium_beats_random_significantly(self):
-        market = StackelbergMarket(paper_fig2_population())
-        comparison = run_multiseed_comparison(
-            market,
-            ExperimentConfig.smoke(),
-            seeds=(0, 1, 2, 3, 4),
-            schemes=("random", "equilibrium"),
-        )
+        comparison = multiseed((0, 1, 2, 3, 4))
         eq_mean = comparison.stats("equilibrium").mean
         rnd_mean = comparison.stats("random").mean
         assert eq_mean > rnd_mean
         assert comparison.significance("equilibrium", "random") < 0.05
 
     def test_needs_two_seeds(self):
-        market = StackelbergMarket(paper_fig2_population())
         with pytest.raises(ValueError):
-            run_multiseed_comparison(
-                market, ExperimentConfig.smoke(), seeds=(0,)
-            )
+            multiseed((0,))
 
     def test_duplicate_seeds_rejected(self):
         """Duplicate seeds would silently double-count samples (same run
         twice) and shrink every CI — the runner must refuse them."""
-        market = StackelbergMarket(paper_fig2_population())
         with pytest.raises(ValueError, match="duplicate seeds"):
-            run_multiseed_comparison(
-                market,
-                ExperimentConfig.smoke(),
-                seeds=(0, 1, 2, 1),
-                schemes=("random", "equilibrium"),
-            )
+            multiseed((0, 1, 2, 1))
 
     def test_result_records_seed_axis(self, result):
         assert result.seeds == (0, 1, 2)
@@ -104,43 +95,27 @@ class TestSharding:
         assert _partition_seeds((5, 6), 8) == [(5,), (6,)]
 
     def test_sharded_equals_sequential_exactly(self):
-        """Acceptance: shards=k returns samples exactly equal to (and in
-        the same seed order as) the sequential run."""
-        market = StackelbergMarket(paper_fig2_population())
-        config = ExperimentConfig.smoke()
-        kwargs = dict(
-            seeds=(0, 1, 2, 3, 4), schemes=("random", "equilibrium")
-        )
-        sequential = run_multiseed_comparison(market, config, **kwargs)
+        """Acceptance: k shard jobs — in-process or over a k-worker pool —
+        return samples exactly equal to (and in the same seed order as)
+        the single-shard run."""
+        seeds = (0, 1, 2, 3, 4)
+        sequential = multiseed(seeds)
         for shards in (2, 3):
-            sharded = run_multiseed_comparison(
-                market, config, shards=shards, **kwargs
-            )
-            assert sharded == sequential
+            assert multiseed(seeds, shards=shards) == sequential
+            pool = JobScheduler(workers=shards)
+            assert multiseed(seeds, scheduler=pool) == sequential
+            assert pool.jobs_executed == shards
 
     def test_invalid_shards_rejected(self):
-        market = StackelbergMarket(paper_fig2_population())
         with pytest.raises(ValueError):
-            run_multiseed_comparison(
-                market,
-                ExperimentConfig.smoke(),
-                seeds=(0, 1),
-                schemes=("random",),
-                shards=0,
-            )
+            multiseed((0, 1), schemes=("random",), shards=0)
 
     def test_invalid_shards_rejected_before_seed_validation(self):
-        """shards=0 must error up front — before seed validation, config
-        work, or anything near the pool path."""
-        market = StackelbergMarket(paper_fig2_population())
+        """shards=0 must error up front — before seed validation or any
+        other work."""
         with pytest.raises(ValueError, match="shards"):
-            run_multiseed_comparison(
-                market,
-                ExperimentConfig.smoke(),
-                seeds=(0,),  # itself invalid — shards must win
-                schemes=("random",),
-                shards=0,
-            )
+            # seeds=(0,) is itself invalid — shards must win
+            multiseed((0,), schemes=("random",), shards=0)
 
 
 def _shard_payload(seeds, samples):

@@ -18,14 +18,7 @@ from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.drl.checkpoints import load_agent
 from repro.entities.vmu import paper_fig2_population, sample_population
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentConfig, run_multiseed_comparison
-from repro.experiments.fig3_cost import run_fig3_cost
-from repro.experiments.fig3_vmus import run_fig3_vmus
-from repro.experiments.robustness import (
-    run_distance_sweep,
-    run_fading_sweep,
-    run_population_sweep,
-)
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.run import schedule_main
 from repro.experiments.scheduler import (
     Job,
@@ -69,6 +62,14 @@ def _cell_jobs(markets):
         Job("equilibrium_cell", {"market": market_to_payload(market)})
         for market in markets
     ]
+
+
+def fig3_cost_sweep(config, *, costs, schemes, scheduler=None):
+    return run_experiment(
+        "fig3_cost",
+        {"config": config, "costs": costs, "schemes": schemes},
+        scheduler=scheduler,
+    )
 
 
 def _markets(count=3):
@@ -391,11 +392,11 @@ class TestScheduledFig3:
     def test_sharded_fig3_cost_equals_sequential_bitwise(self, tmp_path):
         """Acceptance: workers>1 fig3 == sequential fig3, bitwise."""
         config = ExperimentConfig.smoke()
-        sequential = run_fig3_cost(
+        sequential = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=self.SCHEMES
         )
         scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
-        sharded = run_fig3_cost(
+        sharded = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=self.SCHEMES, scheduler=scheduler
         )
         assert self._equal(sequential, sharded, self.COSTS)
@@ -403,12 +404,10 @@ class TestScheduledFig3:
     def test_sharded_fig3_vmus_equals_sequential_bitwise(self):
         config = ExperimentConfig.smoke()
         counts = (1, 3)
-        sequential = run_fig3_vmus(config, counts=counts, schemes=self.SCHEMES)
-        sharded = run_fig3_vmus(
-            config,
-            counts=counts,
-            schemes=self.SCHEMES,
-            scheduler=JobScheduler(workers=2),
+        params = {"config": config, "counts": counts, "schemes": self.SCHEMES}
+        sequential = run_experiment("fig3_vmus", params)
+        sharded = run_experiment(
+            "fig3_vmus", params, scheduler=JobScheduler(workers=2)
         )
         assert self._equal(sequential, sharded, counts)
 
@@ -417,7 +416,7 @@ class TestScheduledFig3:
         without re-running finished jobs."""
         config = ExperimentConfig.smoke()
         scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        baseline = run_fig3_cost(
+        baseline = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=scheduler
         )
         cached = sorted(tmp_path.glob("*.json"))
@@ -425,7 +424,7 @@ class TestScheduledFig3:
         # Simulate a run killed after finishing only the first market.
         cached[1].unlink()
         resumed_scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        resumed = run_fig3_cost(
+        resumed = fig3_cost_sweep(
             config,
             costs=self.COSTS,
             schemes=("drl",),
@@ -446,7 +445,7 @@ class TestScheduledFig3:
 
         config = ExperimentConfig.smoke()
         first_dir = tmp_path / "first"
-        baseline = run_fig3_cost(
+        baseline = fig3_cost_sweep(
             config,
             costs=self.COSTS,
             schemes=("drl",),
@@ -456,7 +455,7 @@ class TestScheduledFig3:
         moved_dir.parent.mkdir()
         shutil.move(first_dir, moved_dir)
         relocated = JobScheduler(workers=1, cache_dir=moved_dir)
-        resumed = run_fig3_cost(
+        resumed = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=relocated
         )
         assert relocated.jobs_executed == 0
@@ -473,7 +472,7 @@ class TestScheduledFig3:
         moved cache still resolves."""
         config = ExperimentConfig.smoke()
         scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        run_fig3_cost(
+        fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=scheduler
         )
         checkpoints = sorted((tmp_path / "checkpoints").glob("*.npz"))
@@ -490,41 +489,47 @@ class TestScheduledFig3:
 
 
 class TestScheduledSweeps:
+    """A pooled sweep equals the in-process run, whose rows
+    ``test_experiments_api.py`` pins against one stacked solve of the
+    sweep's markets."""
+
+    @staticmethod
+    def _pooled_and_in_process(name, params):
+        pooled = run_experiment(name, params, scheduler=JobScheduler(workers=2))
+        return pooled, run_experiment(name, params)
+
     def test_distance_sweep_matches_stacked(self):
-        stacked = run_distance_sweep()
-        scheduled = run_distance_sweep(scheduler=JobScheduler(workers=2))
-        assert scheduled.prices == stacked.prices
-        assert scheduled.msp_utilities == stacked.msp_utilities
+        pooled, in_process = self._pooled_and_in_process("distance_sweep", {})
+        assert pooled.prices == in_process.prices
+        assert pooled.msp_utilities == in_process.msp_utilities
 
     def test_fading_sweep_matches_stacked(self):
-        stacked = run_fading_sweep(draws=8, seed=1)
-        scheduled = run_fading_sweep(
-            draws=8, seed=1, scheduler=JobScheduler(workers=2)
+        pooled, in_process = self._pooled_and_in_process(
+            "fading_sweep", {"draws": 8, "seed": 1}
         )
-        assert scheduled.prices == stacked.prices
-        assert scheduled.utilities == stacked.utilities
+        assert pooled.prices == in_process.prices
+        assert pooled.utilities == in_process.utilities
 
     def test_population_sweep_matches_stacked(self):
-        stacked = run_population_sweep(draws=5, seed=2)
-        scheduled = run_population_sweep(
-            draws=5, seed=2, scheduler=JobScheduler(workers=2)
+        pooled, in_process = self._pooled_and_in_process(
+            "population_sweep", {"draws": 5, "seed": 2}
         )
-        assert scheduled.per_draw == stacked.per_draw
+        assert pooled.per_draw == in_process.per_draw
 
     def test_multiseed_resumes_through_scheduler_cache(self, tmp_path):
-        market = StackelbergMarket(paper_fig2_population())
-        config = ExperimentConfig.smoke()
-        kwargs = dict(seeds=(0, 1, 2, 3), schemes=("random", "equilibrium"))
-        sequential = run_multiseed_comparison(market, config, **kwargs)
+        params = {
+            "config": ExperimentConfig.smoke(),
+            "seeds": (0, 1, 2, 3),
+            "schemes": ("random", "equilibrium"),
+        }
+        sequential = run_experiment("multiseed", params)
         scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
-        sharded = run_multiseed_comparison(
-            market, config, shards=2, scheduler=scheduler, **kwargs
-        )
+        sharded = run_experiment("multiseed", params, scheduler=scheduler)
         assert sharded == sequential
         assert scheduler.jobs_executed == 2
         resumed_scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
-        resumed = run_multiseed_comparison(
-            market, config, shards=2, scheduler=resumed_scheduler, **kwargs
+        resumed = run_experiment(
+            "multiseed", params, scheduler=resumed_scheduler
         )
         assert resumed == sequential
         assert resumed_scheduler.jobs_executed == 0
@@ -590,14 +595,13 @@ class TestScheduleCli:
             schedule_main(["--jobs", str(bad_entries)])
 
     def test_scheduler_flags_apply_to_every_figure(self, tmp_path, capsys):
-        """Since the spec registry landed, --workers/--cache-dir route
-        *every* figure through the scheduler — welfare (one
-        welfare_report job) included — instead of erroring out."""
+        """--workers/--cache-dir route *every* experiment through the
+        scheduler — welfare (one welfare_report job) included."""
         from repro.experiments.run import main
 
-        assert main(["--figure", "welfare", "--workers", "2"]) == 0
+        assert main(["run", "welfare", "--workers", "2"]) == 0
         assert "deadweight" in capsys.readouterr().out
         assert (
-            main(["--figure", "welfare", "--cache-dir", str(tmp_path)]) == 0
+            main(["run", "welfare", "--cache-dir", str(tmp_path)]) == 0
         )
         assert len(list(tmp_path.glob("*.json"))) == 1

@@ -16,10 +16,7 @@ from game_oracle import (
 )
 
 from repro.errors import GameError
-from repro.game.best_response import (
-    iterate_best_response,
-    iterate_best_response_batch,
-)
+from repro.game.best_response import iterate_best_response
 from repro.game.solvers import bisect_root, golden_section_maximize, grid_then_golden
 
 
@@ -223,102 +220,3 @@ class TestBestResponseDynamics:
         result = iterate_best_response(lambda x: x * 0.9, [1.0], max_iterations=3)
         assert not result.converged
         assert result.residual > 0.0
-
-
-class TestBatchBestResponseDynamics:
-    def test_rows_match_scalar_iterator_bitwise(self):
-        """Each stacked game's trajectory is the scalar iterator's bits:
-        same contraction, same residuals, same stop round."""
-        targets = np.array([[1.0, -2.0], [0.25, 0.75], [10.0, 10.0]])
-
-        def batch_map(stack):
-            return 0.5 * (stack + targets)
-
-        batch = iterate_best_response_batch(
-            batch_map, np.zeros((3, 2)), tolerance=1e-8
-        )
-        for row in range(3):
-            scalar = iterate_best_response(
-                lambda x, row=row: 0.5 * (x + targets[row]),
-                [0.0, 0.0],
-                tolerance=1e-8,
-            )
-            np.testing.assert_array_equal(batch.strategies[row], scalar.strategies)
-            assert batch.iterations[row] == scalar.iterations
-            assert bool(batch.converged[row]) == scalar.converged
-
-    def test_converged_rows_freeze_while_others_run(self):
-        """A fast row must stop moving the moment it converges even though
-        slow rows keep iterating — no extra applications of the map."""
-        rates = np.array([[0.01], [0.9]])
-        calls = []
-
-        def batch_map(stack):
-            calls.append(stack.copy())
-            return stack * rates
-
-        result = iterate_best_response_batch(
-            batch_map, np.array([[1.0], [1.0]]), tolerance=1e-6
-        )
-        assert bool(result.converged.all())
-        assert result.iterations[0] < result.iterations[1]
-        # After row 0 converged, its value never changed again.
-        frozen_value = result.strategies[0, 0]
-        for snapshot in calls[result.iterations[0] :]:
-            assert snapshot[0, 0] == frozen_value
-
-    def test_mask_excludes_padded_columns(self):
-        """Ragged stacking: padded columns stay put and never count
-        toward the residual."""
-        mask = np.array([[True, True], [True, False]])
-
-        def batch_map(stack):
-            out = stack * 0.5
-            out[1, 1] = 99.0  # response in a padded slot must be ignored
-            return out
-
-        result = iterate_best_response_batch(
-            batch_map, np.ones((2, 2)), tolerance=1e-4, mask=mask
-        )
-        assert bool(result.converged.all())
-        assert result.strategies[1, 1] == 1.0  # padding untouched
-
-    def test_unconverged_rows_report_budget(self):
-        result = iterate_best_response_batch(
-            lambda stack: -stack, np.ones((1, 1)), max_iterations=7
-        )
-        assert not bool(result.converged[0])
-        assert result.iterations[0] == 7
-
-    def test_zero_width_games_converge_immediately(self):
-        result = iterate_best_response_batch(
-            lambda stack: stack, np.zeros((2, 0))
-        )
-        assert bool(result.converged.all())
-        np.testing.assert_array_equal(result.residuals, [0.0, 0.0])
-
-    def test_validation(self):
-        with pytest.raises(GameError):
-            iterate_best_response_batch(
-                lambda s: s, np.zeros((2, 2)), damping=0.0
-            )
-        with pytest.raises(GameError):
-            iterate_best_response_batch(lambda s: s, np.zeros(3))
-        with pytest.raises(GameError):
-            iterate_best_response_batch(
-                lambda s: s, np.zeros((2, 2)), mask=np.ones((3, 2), dtype=bool)
-            )
-        with pytest.raises(GameError):
-            iterate_best_response_batch(
-                lambda s: np.zeros((2, 3)), np.zeros((2, 2))
-            )
-
-    def test_damped_batch_matches_scalar(self):
-        batch = iterate_best_response_batch(
-            lambda s: -s, np.ones((1, 1)), damping=0.5, tolerance=1e-8
-        )
-        scalar = iterate_best_response(
-            lambda x: -x, [1.0], damping=0.5, tolerance=1e-8
-        )
-        np.testing.assert_array_equal(batch.strategies[0], scalar.strategies)
-        assert batch.iterations[0] == scalar.iterations

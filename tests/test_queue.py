@@ -20,8 +20,6 @@ from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import paper_fig2_population, sample_population
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments.fig3_cost import run_fig3_cost
-from repro.experiments.robustness import run_distance_sweep
 from repro.experiments.run import schedule_main, worker_main
 from repro.experiments.scheduler import (
     Job,
@@ -481,17 +479,17 @@ class TestQueueScheduler:
 
 class TestQueueSchedulerExperiments:
     """Acceptance: run_experiment through QueueScheduler is bitwise-equal
-    to the direct path, for a DRL figure and a robustness sweep."""
+    to the direct run (no scheduler: the plan's jobs in-process), for a
+    DRL figure and a robustness sweep."""
 
     def test_fig3_cost_bitwise_equals_direct(self, tmp_path):
         config = ExperimentConfig.smoke()
         costs = (5.0, 7.0)
         schemes = ("drl", "random", "equilibrium")
-        direct = run_fig3_cost(config, costs=costs, schemes=schemes)
+        params = {"config": config, "costs": costs, "schemes": schemes}
+        direct = run_experiment("fig3_cost", params)
         scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
-        queued = run_fig3_cost(
-            config, costs=costs, schemes=schemes, scheduler=scheduler
-        )
+        queued = run_experiment("fig3_cost", params, scheduler=scheduler)
         for cost in costs:
             for scheme in schemes:
                 assert vars(queued.evaluations[cost][scheme]) == vars(
@@ -511,9 +509,9 @@ class TestQueueSchedulerExperiments:
             assert artifact.checkpoint().exists()
 
     def test_distance_sweep_bitwise_equals_direct(self, tmp_path):
-        direct = run_distance_sweep()
+        direct = run_experiment("distance_sweep")
         scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
-        queued = run_distance_sweep(scheduler=scheduler)
+        queued = run_experiment("distance_sweep", scheduler=scheduler)
         assert queued.prices == direct.prices
         assert queued.msp_utilities == direct.msp_utilities
         assert scheduler.jobs_executed == len(direct.prices)

@@ -1,16 +1,15 @@
-"""repro.service: the live pricing service and the content-keyed cache."""
+"""repro.service: the live pricing service; and overlapping sweeps reusing
+solved cells through the scheduler's content-keyed result cache."""
 
 import numpy as np
 import pytest
 from test_core_equilibria_stacked import infeasible_market, random_markets
 
-from repro.baselines import OraclePricing
 from repro.core import MarketStack, MutableMarketStack
 from repro.entities.vmu import VmuProfile
-from repro.errors import ConfigurationError, InfeasibleMarketError
-from repro.experiments import run_distance_sweep, run_fading_sweep
+from repro.errors import ConfigurationError
+from repro.experiments import JobScheduler, run_experiment
 from repro.service import (
-    EquilibriumCache,
     FadingDrift,
     LivePricingService,
     PriceQuote,
@@ -132,101 +131,35 @@ class TestLivePricingService:
         assert service.query(2).price == cold.prices[2]
 
 
-class TestEquilibriumCache:
-    def test_rows_bitwise_equal_stacked_solve(self):
-        markets = random_markets(6, root_seed=33)
-        cache = EquilibriumCache()
-        rows = cache.equilibria(markets)
-        solved = MarketStack(markets).equilibria_stacked()
-        for m, row in enumerate(rows):
-            assert row.price == solved.prices[m]
-            assert (row.demands == solved.equilibrium(m).demands).all()
-
-    def test_hits_and_misses_across_overlapping_stacks(self):
-        markets = random_markets(6, root_seed=35)
-        cache = EquilibriumCache()
-        cache.equilibria(markets[:4])
-        assert cache.misses == 4 and cache.hits == 0
-        rows = cache.equilibria(markets[2:])  # 2 cached + 2 new
-        assert cache.misses == 6 and cache.hits == 2
-        assert len(cache) == 6
-        solved = MarketStack(markets).equilibria_stacked()
-        for row, m in zip(rows, range(2, 6)):
-            assert row.price == solved.prices[m]
-
-    def test_repeat_lookup_is_identical_object(self):
-        market = random_markets(1, root_seed=37)[0]
-        cache = EquilibriumCache()
-        assert cache.equilibrium(market) is cache.equilibrium(market)
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_equal_content_shares_a_row(self):
-        market = random_markets(1, root_seed=39)[0]
-        twin = market.with_unit_cost(market.config.unit_cost)
-        cache = EquilibriumCache()
-        assert cache.equilibrium(market) is cache.equilibrium(twin)
-
-    def test_infeasible_cached_and_reraised(self):
-        cache = EquilibriumCache()
-        bad = infeasible_market()
-        with pytest.raises(InfeasibleMarketError, match="no profitable trade"):
-            cache.equilibrium(bad)
-        with pytest.raises(InfeasibleMarketError):
-            cache.equilibrium(bad)
-        assert cache.misses == 1 and cache.hits == 1  # negative row reused
-
-    def test_invalidate_forces_resolve(self):
-        market = random_markets(1, root_seed=41)[0]
-        cache = EquilibriumCache()
-        first = cache.equilibrium(market)
-        assert cache.invalidate(market)
-        assert not cache.invalidate(market)  # already gone
-        second = cache.equilibrium(market)
-        assert second is not first
-        assert second.price == first.price  # same bits, fresh solve
-        assert cache.misses == 2
-
-    def test_clear_resets_counters(self):
-        cache = EquilibriumCache()
-        cache.equilibria(random_markets(3, root_seed=43))
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_chunked_solve_same_bits(self):
-        markets = random_markets(7, root_seed=45)
-        chunked = EquilibriumCache()
-        plain = EquilibriumCache()
-        for a, b in zip(
-            chunked.equilibria(markets, chunk_size=2),
-            plain.equilibria(markets),
-        ):
-            assert a.price == b.price
-
-
 class TestCacheRoutedCallers:
-    def test_oracle_from_stack_with_cache_same_bits(self):
-        markets = random_markets(6, root_seed=47)
-        cache = EquilibriumCache()
-        cached = OraclePricing.from_stack(markets, cache=cache)
-        direct = OraclePricing.from_stack(markets)
-        for a, b in zip(cached, direct):
-            assert a.equilibrium_price == b.equilibrium_price
-        # The rebuild after one change re-solves only that cell.
-        markets[3] = random_markets(1, root_seed=48)[0]
-        OraclePricing.from_stack(markets, cache=cache)
-        assert cache.misses == 7
+    """Overlapping robustness sweeps reuse solved cells through
+    ``JobScheduler(cache_dir=...)``: each ``equilibrium_cell`` job is cached
+    by content, so a cell any earlier sweep solved is served from disk —
+    with the same bits."""
 
-    def test_robustness_sweeps_reuse_cache_same_bits(self):
-        base = run_distance_sweep(distances_m=(400.0, 800.0))
-        cached = run_distance_sweep(
-            distances_m=(400.0, 800.0), reuse_cache=True
+    def test_robustness_sweeps_reuse_cache_same_bits(self, tmp_path):
+        base = run_experiment("distance_sweep", {"distances_m": (400.0, 800.0)})
+        first = JobScheduler(cache_dir=tmp_path)
+        cached = run_experiment(
+            "distance_sweep", {"distances_m": (400.0, 800.0)}, scheduler=first
         )
-        rerun = run_distance_sweep(
-            distances_m=(400.0, 800.0), reuse_cache=True
+        overlap = JobScheduler(cache_dir=tmp_path)
+        wider = run_experiment(
+            "distance_sweep",
+            {"distances_m": (400.0, 800.0, 1600.0)},
+            scheduler=overlap,
         )
         assert cached == base
-        assert rerun == base
+        assert first.jobs_executed == 2
+        assert (overlap.cache_hits, overlap.jobs_executed) == (2, 1)
+        assert wider.prices[:2] == base.prices
+        assert wider.msp_utilities[:2] == base.msp_utilities
 
-    def test_fading_sweep_reuse_cache_same_bits(self):
-        base = run_fading_sweep(draws=3)
-        assert run_fading_sweep(draws=3, reuse_cache=True) == base
+    def test_fading_sweep_reuse_cache_same_bits(self, tmp_path):
+        base = run_experiment("fading_sweep", {"draws": 3})
+        run_experiment(
+            "fading_sweep", {"draws": 3}, scheduler=JobScheduler(cache_dir=tmp_path)
+        )
+        rerun = JobScheduler(cache_dir=tmp_path)
+        assert run_experiment("fading_sweep", {"draws": 3}, scheduler=rerun) == base
+        assert (rerun.cache_hits, rerun.jobs_executed) == (3, 0)
