@@ -18,6 +18,7 @@ Usage::
     python -m repro.experiments.run worker --queue-dir /shared/queue \
         --ttl 60 --drain
     python -m repro.experiments.run run fig3_cost --queue-dir /shared/queue
+    python -m repro.experiments.run queue stats /shared/queue
 
 The ``run`` subcommand works for **every** experiment in the
 :mod:`repro.experiments.api` registry (``list`` names them, ``describe
@@ -50,7 +51,8 @@ number of ``worker`` processes — on any machines sharing the filesystem —
 lease, execute, and ack, with heartbeat-based lease expiry so a killed
 worker's jobs requeue. ``schedule --enqueue`` feeds a plan in without
 executing; the queued path returns results bitwise identical to an
-in-process run.
+in-process run. ``queue stats <dir>`` prints a read-only census of a queue
+directory (pending, leased, stored, workers, quarantined).
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "describe_main",
     "schedule_main",
     "worker_main",
+    "queue_main",
 ]
 
 
@@ -385,8 +388,9 @@ def worker_main(argv: list[str] | None = None) -> int:
         print("interrupted; leases release via reaping after the TTL")
         return 130
     except ReproError as exc:
-        # The failing job was released back to pending/ for a retry by
-        # another worker; this worker reports and exits nonzero.
+        # The failing job's traceback is in the queue's failures/; it was
+        # released for a retry by another worker (or quarantined after
+        # MAX_FAILURES attempts). This worker reports and exits nonzero.
         print(f"job failed: {exc}", file=sys.stderr)
         return 1
     print(
@@ -394,6 +398,35 @@ def worker_main(argv: list[str] | None = None) -> int:
         f"{stats.deduplicated} already stored, {stats.requeued} stale "
         f"lease(s) requeued"
     )
+    return 0
+
+
+# ------------------------------------------------------------------ #
+# queue — inspect a shared job queue
+# ------------------------------------------------------------------ #
+def queue_main(argv: list[str] | None = None) -> int:
+    """The ``queue`` subcommand: ``queue stats <dir>`` prints a census of
+    a queue directory without creating or changing anything in it."""
+    from repro.queue import QueueStats
+
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments queue",
+        description="Inspect a shared job queue directory (read-only).",
+    )
+    actions = parser.add_subparsers(dest="action", required=True)
+    stats_parser = actions.add_parser(
+        "stats",
+        help="count pending, leased, stored and quarantined jobs and workers",
+    )
+    stats_parser.add_argument("queue_dir", type=Path)
+    args = parser.parse_args(argv)
+    try:
+        stats = QueueStats.read(args.queue_dir)
+    except ExperimentError as exc:
+        parser.error(str(exc))
+    print(f"queue {args.queue_dir}")
+    for name in ("pending", "leased", "stored", "workers", "quarantined"):
+        print(f"  {name:<12}{getattr(stats, name)}")
     return 0
 
 
@@ -497,6 +530,7 @@ SUBCOMMANDS = {
     "describe": describe_main,
     "schedule": schedule_main,
     "worker": worker_main,
+    "queue": queue_main,
 }
 
 
@@ -512,8 +546,8 @@ def main(argv: list[str] | None = None) -> int:
             "`run <experiment> --param k=v` executes any registered "
             "experiment; `list` and `describe <experiment>` show the "
             "registry; `schedule` executes a job-spec file; `worker` "
-            "serves a shared --queue-dir job queue (see each "
-            "subcommand's --help)."
+            "serves a shared --queue-dir job queue; `queue stats <dir>` "
+            "counts its contents (see each subcommand's --help)."
         ),
     )
     parser.add_argument("command", choices=sorted(SUBCOMMANDS))

@@ -47,6 +47,7 @@ overwrites existing entries.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -168,21 +169,35 @@ class Job:
 
     Jobs are *pure-function specs*: ``job_function(kind)(payload)`` must be
     fully determined by the spec, so equal specs may share a cache entry.
+
+    A job is immutable: it is frozen, and no caller mutates a payload after
+    building the job. The wire payload and the hash are therefore encoded
+    once, on first use, and reused by every later :meth:`spec` /
+    :meth:`job_hash` call; the payload inside a returned spec is that
+    shared encoding and must be treated as read-only too.
     """
 
     kind: str
     payload: Mapping
 
-    def spec(self) -> dict:
-        """The JSON-able ``{"kind", "payload"}`` wire form of this job."""
-        return {"kind": self.kind, "payload": to_jsonable(self.payload)}
+    @functools.cached_property
+    def _wire_payload(self) -> object:
+        return to_jsonable(self.payload)
 
-    def job_hash(self) -> str:
-        """Stable SHA-256 of the canonical (sorted, compact) spec JSON."""
+    @functools.cached_property
+    def _hash(self) -> str:
         canonical = json.dumps(
             self.spec(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def spec(self) -> dict:
+        """The JSON-able ``{"kind", "payload"}`` wire form of this job."""
+        return {"kind": self.kind, "payload": self._wire_payload}
+
+    def job_hash(self) -> str:
+        """Stable SHA-256 of the canonical (sorted, compact) spec JSON."""
+        return self._hash
 
     @classmethod
     def from_spec(cls, spec: object) -> "Job":

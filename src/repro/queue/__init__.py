@@ -8,8 +8,10 @@ a fixed cadence, and push results into a content-addressed
 (provenance: any artifact reloads and re-runs from its own metadata —
 :meth:`Artifact.replay`). A reaper pass expires stale leases so a dead
 worker's jobs requeue; results stay exactly-once via the content hash
-even though execution is at-least-once. :class:`QueueScheduler` plugs the
-queue into ``run_experiment(..., scheduler=...)`` — the queued path is
+even though execution is at-least-once. A job that keeps raising is
+quarantined after :data:`MAX_FAILURES` attempts, its tracebacks on disk.
+:class:`QueueScheduler` plugs the queue into
+``run_experiment(..., scheduler=...)`` — the queued path is
 bitwise-equal to an in-process run.
 
 Quickstart (one shared directory, any number of processes/machines)::
@@ -28,6 +30,7 @@ Quickstart (one shared directory, any number of processes/machines)::
 from repro.queue.artifacts import Artifact, ArtifactStore
 from repro.queue.queue import (
     DEFAULT_LEASE_TTL,
+    MAX_FAILURES,
     JobQueue,
     LeasedJob,
     QueueStats,
@@ -45,6 +48,7 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "JobQueue",
     "LeasedJob",
+    "MAX_FAILURES",
     "QueueStats",
     "QueueScheduler",
     "QueueWorker",

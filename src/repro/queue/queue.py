@@ -10,6 +10,11 @@ would swap the directory primitives for conditional puts). Layout::
         leases/<worker_id>/<hash>.json # specs a worker is executing
         heartbeats/<worker_id>.json    # liveness beacons, one per worker
         results/<hash>.json            # the ArtifactStore (+ checkpoints/)
+        failures/<hash>.jsonl          # one traceback line per failed run
+        quarantine/<hash>.json         # specs that failed MAX_FAILURES times
+
+``failures/`` and ``quarantine/`` appear on the first failure; a queue
+whose jobs all succeed never touches them.
 
 **Leasing.** A worker takes a job by atomically renaming its spec file
 from ``pending/`` into its own ``leases/<worker_id>/`` directory — rename
@@ -20,10 +25,23 @@ result is stored) deletes the lease file; releasing renames it back.
 **Heartbeats.** Every worker rewrites its heartbeat file on a fixed
 cadence (a daemon thread in :class:`~repro.queue.worker.QueueWorker`, so a
 long job does not starve the beacon). A reaper pass —
-:meth:`JobQueue.reap`, run opportunistically by every worker and by the
-scheduler's wait loop — expires any worker whose heartbeat is older than
+:meth:`JobQueue.reap` — expires any worker whose heartbeat is older than
 ``lease_ttl`` (or missing) and renames its leased specs back to
-``pending/``, so a SIGKILLed worker's jobs requeue after at most one TTL.
+``pending/``. Every worker and the scheduler's wait loop reap: at the
+start of a drain, on every idle poll (a lease that found nothing), and
+otherwise at most once per heartbeat interval (``lease_ttl / 4`` by
+default). A SIGKILLed worker's jobs therefore requeue within one TTL plus
+one heartbeat interval of its last beat, as long as some other worker is
+idle or between jobs.
+
+**Quarantine.** A job whose function raises is not re-leased forever:
+:meth:`JobQueue.fail` appends the traceback to ``failures/<hash>.jsonl``
+and releases the job for a retry, until the file holds
+:data:`MAX_FAILURES` records; then the spec moves to
+``quarantine/<hash>.json``, out of rotation. :meth:`JobQueue.enqueue`
+treats a quarantined hash as present, so re-running a plan does not
+resurrect it; delete both of its files to give it a fresh set of
+attempts.
 
 **Exactly-once results from at-least-once execution.** Reaping a worker
 that was merely slow (not dead) means two workers may execute the same
@@ -53,10 +71,51 @@ from repro.experiments.scheduler import Job
 from repro.queue.artifacts import ArtifactStore
 from repro.utils.serialization import load_json
 
-__all__ = ["JobQueue", "LeasedJob", "QueueStats", "DEFAULT_LEASE_TTL"]
+__all__ = [
+    "JobQueue",
+    "LeasedJob",
+    "QueueStats",
+    "DEFAULT_LEASE_TTL",
+    "MAX_FAILURES",
+]
 
 DEFAULT_LEASE_TTL = 60.0
 """Default seconds of heartbeat silence before a worker's leases requeue."""
+
+MAX_FAILURES = 3
+"""Failed executions after which a job moves to ``quarantine/``."""
+
+
+def _spec_names(directory: Path) -> list[str]:
+    """Sorted ``*.json`` file names in ``directory`` from one scan.
+
+    Temp files (``<name>.json.<pid>.<uuid>.tmp``) and ``.rejected``
+    specs do not match; a missing directory holds nothing.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            return sorted(
+                entry.name
+                for entry in entries
+                if entry.name.endswith(".json")
+                and not entry.name.startswith(".")
+            )
+    except FileNotFoundError:
+        return []
+
+
+def _spec_hashes(directory: Path) -> list[str]:
+    """The job hashes of :func:`_spec_names` (the names minus ``.json``)."""
+    return [name[: -len(".json")] for name in _spec_names(directory)]
+
+
+def _worker_names(leases_dir: Path) -> list[str]:
+    """Sorted worker directory names under ``leases/``."""
+    try:
+        with os.scandir(leases_dir) as entries:
+            return sorted(entry.name for entry in entries if entry.is_dir())
+    except FileNotFoundError:
+        return []
 
 
 @dataclass(frozen=True)
@@ -77,6 +136,31 @@ class QueueStats:
     leased: int
     stored: int
     workers: int
+    quarantined: int
+
+    @classmethod
+    def read(cls, queue_dir: str | Path) -> "QueueStats":
+        """Count a queue directory's contents without creating anything.
+
+        Counts race with live workers. Raises :class:`ExperimentError` if
+        ``queue_dir`` is not a queue directory (no ``pending/`` inside).
+        """
+        root = Path(queue_dir)
+        if not (root / "pending").is_dir():
+            raise ExperimentError(
+                f"{root} is not a queue directory (no pending/ inside)"
+            )
+        leases_dir = root / "leases"
+        workers = _worker_names(leases_dir)
+        return cls(
+            pending=len(_spec_names(root / "pending")),
+            leased=sum(
+                len(_spec_names(leases_dir / name)) for name in workers
+            ),
+            stored=len(ArtifactStore(root / "results")),
+            workers=len(workers),
+            quarantined=len(_spec_names(root / "quarantine")),
+        )
 
 
 class JobQueue:
@@ -100,6 +184,8 @@ class JobQueue:
         self.pending_dir = self.root / "pending"
         self.leases_dir = self.root / "leases"
         self.heartbeats_dir = self.root / "heartbeats"
+        self.failures_dir = self.root / "failures"
+        self.quarantine_dir = self.root / "quarantine"
         self.store = ArtifactStore(self.root / "results")
         for directory in (
             self.pending_dir,
@@ -115,21 +201,24 @@ class JobQueue:
     def enqueue(self, job: Job) -> bool:
         """Make ``job`` available for leasing; returns False if redundant.
 
-        Redundant means its result is already in the artifact store, or an
-        identical spec is already pending or leased — the content hash
-        dedupes across producers, so N schedulers enqueueing the same plan
-        yield one execution. The spec file is written atomically through a
-        unique temp name; racing producers both "win" with identical
+        Redundant means its result is already in the artifact store, an
+        identical spec is already pending or leased, or it is quarantined
+        — the content hash dedupes across producers, so N schedulers
+        enqueueing the same plan yield one execution, and a poison job
+        stays out of rotation. The spec file is written atomically through
+        a unique temp name; racing producers both "win" with identical
         content.
         """
         key = job.job_hash()
+        name = f"{key}.json"
         if (
             self.store.contains(key)
-            or (self.pending_dir / f"{key}.json").exists()
-            or self._lease_paths(key)
+            or (self.pending_dir / name).exists()
+            or self._is_leased(name)
+            or (self.quarantine_dir / name).exists()
         ):
             return False
-        self._write_spec(self.pending_dir / f"{key}.json", job)
+        self._write_spec(self.pending_dir / name, job)
         return True
 
     def enqueue_many(self, jobs: Iterable[Job]) -> int:
@@ -146,17 +235,18 @@ class JobQueue:
         losing a rename race to another worker just moves on to the next
         candidate. A fresh heartbeat is written first so a job can never
         be held by a worker that looks dead from the moment it leased.
-        Candidates are taken in hash order — deterministic across workers,
-        which spreads contenders instead of having every worker fight over
-        one file (each loser retries the next candidate).
+        Candidates are taken in hash order from one scan of ``pending/``
+        — deterministic across workers, which spreads contenders instead
+        of having every worker fight over one file (each loser retries
+        the next candidate).
         """
         worker_dir = self.leases_dir / self._safe_worker_id(worker_id)
         worker_dir.mkdir(parents=True, exist_ok=True)
         self.heartbeat(worker_id)
-        for candidate in sorted(self.pending_dir.glob("*.json")):
-            claimed = worker_dir / candidate.name
+        for name in _spec_names(self.pending_dir):
+            claimed = worker_dir / name
             try:
-                os.replace(candidate, claimed)
+                os.replace(self.pending_dir / name, claimed)
             except FileNotFoundError:
                 continue  # another worker won this rename; try the next
             try:
@@ -166,13 +256,13 @@ class JobQueue:
                 # of rotation with a .rejected suffix and keep leasing.
                 claimed.rename(claimed.with_suffix(".rejected"))
                 raise ExperimentError(
-                    f"queue spec {candidate.name} is malformed and was "
+                    f"queue spec {name} is malformed and was "
                     f"quarantined as {claimed.with_suffix('.rejected').name}: "
                     f"{exc}"
                 ) from exc
             return LeasedJob(
                 job=job,
-                job_hash=candidate.stem,
+                job_hash=name[: -len(".json")],
                 worker_id=worker_id,
                 path=claimed,
             )
@@ -193,6 +283,43 @@ class JobQueue:
             os.replace(leased.path, self.pending_dir / leased.path.name)
         except FileNotFoundError:
             pass  # already reaped back or acked concurrently
+
+    def fail(self, leased: LeasedJob, error: str) -> None:
+        """Record a failed execution of ``leased``; retry or quarantine it.
+
+        Appends one JSON line (worker, wall-clock time, ``error`` — the
+        traceback text) to ``failures/<hash>.jsonl``. Once that file holds
+        :data:`MAX_FAILURES` records the spec moves to
+        ``quarantine/<hash>.json``; before that, the job is released to
+        ``pending/`` for a retry.
+        """
+        self.failures_dir.mkdir(exist_ok=True)
+        path = self.failure_path(leased.job_hash)
+        record = {
+            "worker_id": leased.worker_id,
+            "time": time.time(),
+            "traceback": error,
+        }
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        with open(path, encoding="utf-8") as handle:
+            failures = sum(1 for _ in handle)
+        if failures < MAX_FAILURES:
+            self.release(leased)
+            return
+        self.quarantine_dir.mkdir(exist_ok=True)
+        try:
+            os.replace(leased.path, self.quarantine_dir / leased.path.name)
+        except FileNotFoundError:
+            # Reaped back to pending/ meanwhile: the next failure, from
+            # whichever worker leases it, quarantines it.
+            pass
+
+    def failure_path(self, job_hash: str) -> Path:
+        """The JSONL file collecting ``job_hash``'s failure tracebacks."""
+        return self.failures_dir / f"{job_hash}.jsonl"
 
     # ------------------------------------------------------------------ #
     # heartbeats and reaping
@@ -238,29 +365,26 @@ class JobQueue:
         A worker is stale when its heartbeat is older than ``lease_ttl``
         (or missing entirely — e.g. its beacon was cleaned up but a lease
         file survived a partial crash). Returns the requeued job hashes.
-        Safe to run from any process at any time; concurrent reapers race
-        benignly on the renames.
+        Only a stale worker's lease directory is listed. Safe to run from
+        any process at any time; concurrent reapers race benignly on the
+        renames.
         """
         requeued: list[str] = []
-        for worker_dir in sorted(self.leases_dir.iterdir()):
-            if not worker_dir.is_dir():
-                continue
-            age = self.heartbeat_age(worker_dir.name, now=now)
-            leases = sorted(worker_dir.glob("*.json"))
+        for name in _worker_names(self.leases_dir):
+            age = self.heartbeat_age(name, now=now)
             if age is not None and age <= self.lease_ttl:
                 continue
-            for lease in leases:
+            worker_dir = self.leases_dir / name
+            for lease in _spec_names(worker_dir):
                 try:
-                    os.replace(lease, self.pending_dir / lease.name)
+                    os.replace(worker_dir / lease, self.pending_dir / lease)
                 except FileNotFoundError:
                     continue  # acked/released/reaped concurrently
-                requeued.append(lease.stem)
+                requeued.append(lease[: -len(".json")])
             # Retire the dead worker's bookkeeping once its leases are
             # drained; ignore races with the worker coming back to life.
             if not any(worker_dir.iterdir()):
-                heartbeat = (
-                    self.heartbeats_dir / f"{worker_dir.name}.json"
-                )
+                heartbeat = self.heartbeats_dir / f"{name}.json"
                 heartbeat.unlink(missing_ok=True)
                 try:
                     worker_dir.rmdir()
@@ -273,17 +397,18 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     def pending_hashes(self) -> list[str]:
         """Hashes currently waiting to be leased (sorted)."""
-        return sorted(path.stem for path in self.pending_dir.glob("*.json"))
+        return _spec_hashes(self.pending_dir)
 
     def leased_hashes(self) -> dict[str, list[str]]:
         """worker directory name → hashes it currently holds."""
         return {
-            worker_dir.name: sorted(
-                path.stem for path in worker_dir.glob("*.json")
-            )
-            for worker_dir in sorted(self.leases_dir.iterdir())
-            if worker_dir.is_dir()
+            worker: _spec_hashes(self.leases_dir / worker)
+            for worker in _worker_names(self.leases_dir)
         }
+
+    def quarantined_hashes(self) -> list[str]:
+        """Hashes moved out of rotation after :data:`MAX_FAILURES` failures."""
+        return _spec_hashes(self.quarantine_dir)
 
     def outstanding(self, hashes: Sequence[str] | None = None) -> list[str]:
         """Of ``hashes`` (default: everything enqueued), those without a
@@ -298,13 +423,7 @@ class JobQueue:
 
     def stats(self) -> QueueStats:
         """A point-in-time census (counts race with live workers)."""
-        leased = self.leased_hashes()
-        return QueueStats(
-            pending=len(self.pending_hashes()),
-            leased=sum(len(held) for held in leased.values()),
-            stored=len(self.store),
-            workers=len(leased),
-        )
+        return QueueStats.read(self.root)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -319,8 +438,11 @@ class JobQueue:
             )
         return text
 
-    def _lease_paths(self, job_hash: str) -> list[Path]:
-        return list(self.leases_dir.glob(f"*/{job_hash}.json"))
+    def _is_leased(self, name: str) -> bool:
+        return any(
+            (self.leases_dir / worker / name).exists()
+            for worker in _worker_names(self.leases_dir)
+        )
 
     def _write_spec(self, path: Path, job: Job) -> None:
         temporary = path.with_name(

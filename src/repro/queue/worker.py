@@ -4,9 +4,13 @@
 of lease → execute → store → ack against one shared
 :class:`~repro.queue.queue.JobQueue`, with a daemon heartbeat thread
 beating on a fixed cadence so a multi-minute DRL training job never
-starves the liveness beacon, and an opportunistic reap before each lease
-so any worker doubles as the fleet's reaper — no dedicated supervisor
-process is needed for kill-resume.
+starves the liveness beacon. Any worker doubles as the fleet's reaper —
+no dedicated supervisor process is needed for kill-resume. It reaps when
+it starts, on every idle poll, and otherwise at most once per heartbeat
+interval, so a dead worker's leases requeue within one TTL plus one
+heartbeat interval while the bookkeeping stays linear in jobs. A job that
+raises is recorded under ``failures/`` and, after
+:data:`~repro.queue.queue.MAX_FAILURES` attempts, quarantined.
 
 :class:`QueueScheduler` adapts the queue to the
 :class:`~repro.experiments.scheduler.JobScheduler` ``run()`` contract, so
@@ -16,9 +20,10 @@ results are already stored are cache hits, the rest are enqueued for the
 fleet, and (by default) the scheduler also runs an **inline worker** so a
 single invocation completes even with no external workers — while any
 external workers that are attached drain the same queue concurrently.
-Results always come back from the artifact store (the JSON wire), so the
-queued path is bitwise-equal to an in-process run by the same float-exact
-round-trip contract the process-pool scheduler pins.
+Results always come back from the artifact store (the JSON wire) — for
+the jobs the inline worker ran, the entry ``ArtifactStore.put`` read back
+— so the queued path is bitwise-equal to an in-process run by the same
+float-exact round-trip contract the process-pool scheduler pins.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 import socket
 import threading
 import time
+import traceback
 import uuid
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -34,7 +40,13 @@ from pathlib import Path
 
 from repro.errors import ExperimentError
 from repro.experiments.scheduler import Job, execute_job
-from repro.queue.queue import DEFAULT_LEASE_TTL, JobQueue, LeasedJob
+from repro.queue.artifacts import Artifact
+from repro.queue.queue import (
+    DEFAULT_LEASE_TTL,
+    MAX_FAILURES,
+    JobQueue,
+    LeasedJob,
+)
 
 __all__ = ["QueueWorker", "QueueScheduler", "WorkerStats", "default_worker_id"]
 
@@ -84,15 +96,38 @@ class _HeartbeatThread(threading.Thread):
         self._stop.set()
 
 
+class _Reaper:
+    """A drain loop's reap cadence: :meth:`idle` reaps now (on an idle
+    poll); :meth:`due`, called before each lease, reaps on its first call
+    and then only once ``interval`` seconds have passed since the last
+    reap."""
+
+    def __init__(self, queue: JobQueue, interval: float):
+        self._queue = queue
+        self._interval = interval
+        self._next: float | None = None
+
+    def due(self) -> list[str]:
+        if self._next is not None and time.monotonic() < self._next:
+            return []
+        return self.idle()
+
+    def idle(self) -> list[str]:
+        self._next = time.monotonic() + self._interval
+        return self._queue.reap()
+
+
 class QueueWorker:
     """One worker process's loop over a shared :class:`JobQueue`.
 
     Execution is *at-least-once*, results are *exactly-once*: before
     running a leased job the worker checks the artifact store and, if the
     result is already there (another worker finished a reaped duplicate),
-    acks without executing. A job function that raises releases its lease
-    back to ``pending/`` and re-raises — the failure is visible on this
-    worker, and the job stays available for a retry elsewhere.
+    acks without executing. A job function that raises is recorded with
+    :meth:`JobQueue.fail` — its traceback appended under ``failures/``,
+    the job released for a retry elsewhere or, on its
+    :data:`~repro.queue.queue.MAX_FAILURES`-th failure, quarantined — and
+    the exception re-raises, so the failure is visible on this worker.
     """
 
     def __init__(
@@ -145,13 +180,19 @@ class QueueWorker:
         )
         self.queue.heartbeat(self.worker_id)
         beat.start()
+        reaper = _Reaper(self.queue, self.heartbeat_interval)
         idle_since: float | None = None
         try:
             while max_jobs is None or stats.completed < max_jobs:
                 if self.reap:
-                    stats.requeued += len(self.queue.reap())
+                    stats.requeued += len(reaper.due())
                 leased = self.queue.lease(self.worker_id)
                 if leased is None:
+                    if self.reap:
+                        requeued = reaper.idle()
+                        stats.requeued += len(requeued)
+                        if requeued:
+                            continue  # lease the requeued jobs right away
                     if drain and self._fleet_done():
                         break
                     now = time.monotonic()
@@ -169,10 +210,11 @@ class QueueWorker:
             beat.stop()
         return stats
 
-    def _execute(self, leased: LeasedJob, stats: WorkerStats) -> None:
+    def _execute(self, leased: LeasedJob, stats: WorkerStats) -> Artifact:
+        """Complete ``leased``; returns its stored artifact as read back."""
         store = self.queue.store
-        existing = store.get(leased.job)
-        if existing is not None:
+        artifact = store.get(leased.job)
+        if artifact is not None:
             # Exactly-once results: a duplicate execution (reaped slow
             # worker, double enqueue across queues) completes by ack alone.
             self.queue.ack(leased)
@@ -180,16 +222,22 @@ class QueueWorker:
         else:
             try:
                 result = execute_job(leased.job, artifact_dir=store.root)
+            except Exception:
+                # Record the traceback and retry elsewhere (or quarantine
+                # a repeat offender); this worker surfaces the failure.
+                self.queue.fail(leased, traceback.format_exc())
+                raise
             except BaseException:
-                # Keep the job available for a retry by another worker;
-                # this worker surfaces the failure to its caller/CLI.
+                # Interrupted, not failed (KeyboardInterrupt, SystemExit):
+                # no failure record, the job goes straight back.
                 self.queue.release(leased)
                 raise
-            store.put(leased.job, result)
+            artifact = store.put(leased.job, result)
             self.queue.ack(leased)
             stats.executed += 1
         stats.completed += 1
         stats.hashes.append(leased.job_hash)
+        return artifact
 
     def _fleet_done(self) -> bool:
         if self.queue.pending_hashes():
@@ -295,16 +343,17 @@ class QueueScheduler:
         if not pending:
             return results
         if not self.resume:
-            self._recompute_inline(pending_jobs)
+            produced = self._recompute_inline(pending_jobs)
         else:
             self.queue.enqueue_many(pending_jobs.values())
-            if self.execute:
-                self._drain_inline(set(pending))
-            self._await_results(set(pending))
+            produced = self._drain(set(pending))
         executed_locally = self.jobs_executed
         for key, indices in pending.items():
-            artifact = store.get(pending_jobs[key])
-            if artifact is None:  # pragma: no cover - _await_results guards
+            # Only jobs finished elsewhere are read from the store here.
+            artifact = produced.get(key)
+            if artifact is None:
+                artifact = store.get(pending_jobs[key])
+            if artifact is None:  # pragma: no cover - _drain guards
                 raise ExperimentError(
                     f"job {key[:16]}... completed without a stored result"
                 )
@@ -317,69 +366,95 @@ class QueueScheduler:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _recompute_inline(self, pending_jobs: dict[str, Job]) -> None:
-        for job in pending_jobs.values():
+    def _recompute_inline(
+        self, pending_jobs: dict[str, Job]
+    ) -> dict[str, Artifact]:
+        produced = {}
+        for key, job in pending_jobs.items():
             result = execute_job(job, artifact_dir=self.queue.store.root)
-            self.queue.store.put(job, result)
+            produced[key] = self.queue.store.put(job, result)
             self.jobs_executed += 1
+        return produced
 
-    def _drain_inline(self, batch: set[str]) -> None:
-        """Work the queue as an inline worker until the batch is stored.
+    def _drain(self, batch: set[str]) -> dict[str, Artifact]:
+        """Wait until every hash in ``batch`` is stored; returns the
+        artifacts of the batch jobs this scheduler completed itself.
 
-        The inline worker executes whatever it leases — its own batch or a
+        With ``execute`` the scheduler works the queue as an inline
+        worker. It executes whatever it leases — its own batch or a
         cooperating producer's jobs — because a shared queue has no "my
-        jobs first" ordering; reaping before each lease keeps a dead
-        external worker from stalling the batch for more than one TTL.
+        jobs first" ordering. Completion is tracked incrementally: a hash
+        leaves the remaining set when this worker acks it, and the full
+        ``outstanding()`` rescan, which also sees jobs finished elsewhere,
+        runs only on an idle poll (``lease()`` found nothing, or always in
+        producer mode). Reaping runs at the start, on every idle poll, and
+        otherwise at most once per heartbeat interval, so a dead external
+        worker stalls the batch by at most one TTL plus one heartbeat
+        interval. A batch job that the fleet quarantined raises
+        :class:`ExperimentError` instead of being waited on forever.
         """
+        remaining = set(batch)
+        produced: dict[str, Artifact] = {}
         worker = QueueWorker(
             self.queue,
             worker_id=self.worker_id,
             poll_interval=self.poll_interval,
         )
+        reaper = _Reaper(self.queue, worker.heartbeat_interval)
+        stats = WorkerStats()
         deadline = (
             time.monotonic() + self.wait_timeout
             if self.wait_timeout is not None
             else None
         )
-        beat = _HeartbeatThread(
-            self.queue, self.worker_id, worker.heartbeat_interval
-        )
-        self.queue.heartbeat(self.worker_id)
-        beat.start()
+        beat = None
+        if self.execute:
+            beat = _HeartbeatThread(
+                self.queue, self.worker_id, worker.heartbeat_interval
+            )
+            self.queue.heartbeat(self.worker_id)
+            beat.start()
         try:
-            while self.queue.outstanding(sorted(batch)):
-                self.queue.reap()
-                leased = self.queue.lease(self.worker_id)
-                if leased is not None:
-                    stats = WorkerStats()
-                    worker._execute(leased, stats)
-                    self.jobs_executed += stats.executed
-                    continue
+            while remaining:
+                if self.execute:
+                    reaper.due()
+                    leased = self.queue.lease(self.worker_id)
+                    if leased is not None:
+                        artifact = worker._execute(leased, stats)
+                        if leased.job_hash in remaining:
+                            remaining.discard(leased.job_hash)
+                            produced[leased.job_hash] = artifact
+                        continue
+                if reaper.idle() and self.execute:
+                    continue  # lease the requeued jobs right away
+                remaining = set(self.queue.outstanding(sorted(remaining)))
+                if not remaining:
+                    break
+                self._raise_if_quarantined(remaining)
                 if deadline is not None and time.monotonic() >= deadline:
                     raise ExperimentError(
                         f"queue batch incomplete after wait_timeout="
-                        f"{self.wait_timeout}s; outstanding: "
-                        f"{self.queue.outstanding(sorted(batch))}"
+                        f"{self.wait_timeout}s; outstanding jobs: "
+                        f"{[key[:16] for key in sorted(remaining)]}"
                     )
                 time.sleep(self.poll_interval)
         finally:
-            beat.stop()
+            if beat is not None:
+                beat.stop()
+            self.jobs_executed += stats.executed
+        return produced
 
-    def _await_results(self, batch: set[str]) -> None:
-        deadline = (
-            time.monotonic() + self.wait_timeout
-            if self.wait_timeout is not None
-            else None
+    def _raise_if_quarantined(self, remaining: set[str]) -> None:
+        poisoned = sorted(
+            remaining.intersection(self.queue.quarantined_hashes())
         )
-        while True:
-            outstanding = self.queue.outstanding(sorted(batch))
-            if not outstanding:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ExperimentError(
-                    f"queue batch incomplete after wait_timeout="
-                    f"{self.wait_timeout}s; outstanding jobs: "
-                    f"{[key[:16] for key in outstanding]}"
+        if poisoned:
+            raise ExperimentError(
+                f"{len(poisoned)} job(s) of this batch were quarantined "
+                f"after {MAX_FAILURES} failed attempts: "
+                + "; ".join(
+                    f"{key[:16]}... (tracebacks in "
+                    f"{self.queue.failure_path(key)})"
+                    for key in poisoned
                 )
-            self.queue.reap()
-            time.sleep(self.poll_interval)
+            )

@@ -1,6 +1,6 @@
 """CLI smoke tests: `list`, `describe` for every registered experiment,
-one tiny `run fig2` end-to-end (fan-out flags + cache resume), and a
-sharded `run multiseed`.
+one tiny `run fig2` end-to-end (fan-out flags + cache resume), a
+sharded `run multiseed`, and the read-only `queue stats <dir>`.
 
 This is the CI smoke job (run under pytest-timeout): it pins that the
 generic spec-driven CLI stays wired — every experiment is listable,
@@ -127,3 +127,35 @@ class TestRunEndToEnd:
         with pytest.raises(SystemExit):
             main(["run", "multiseed", "--param", "shards=0"])
         assert "shards" in capsys.readouterr().err
+
+
+class TestQueueStats:
+    def test_counts_a_queue_directory(self, tmp_path, capsys):
+        from repro.experiments.scheduler import Job
+        from repro.queue import JobQueue
+
+        queue = JobQueue(tmp_path / "queue")
+        for n in range(3):
+            queue.enqueue(Job("welfare_report", {"n": n}))
+        queue.lease("w1")
+        assert main(["queue", "stats", str(queue.root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        counts = dict(line.split() for line in lines[1:])
+        assert counts == {
+            "pending": "2",
+            "leased": "1",
+            "stored": "0",
+            "workers": "1",
+            "quarantined": "0",
+        }
+
+    def test_missing_directory_fails_and_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "no-queue"
+        with pytest.raises(SystemExit) as info:
+            main(["queue", "stats", str(missing)])
+        assert info.value.code != 0
+        assert "not a queue directory" in capsys.readouterr().err
+        assert not missing.exists()
+        assert list(tmp_path.iterdir()) == []

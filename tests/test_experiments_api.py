@@ -31,10 +31,12 @@ from repro.experiments import (
     schedule,
 )
 from repro.experiments import api
+from repro.experiments import scheduler as scheduler_module
 from repro.experiments.api import ParamSpec
+from repro.experiments.scheduler import Job
 from repro.queue import QueueScheduler
 from repro.utils.rng import as_generator
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import load_json, save_json, to_jsonable
 
 SMOKE = ExperimentConfig.smoke()
 
@@ -153,6 +155,35 @@ class TestJobsPathBitwiseEqualsDirect:
             "multiseed", {**TINY_PARAMS["multiseed"], "shards": 2}
         )
         assert [j.kind for j in shards.jobs] == ["multiseed_shard"] * 2
+
+
+class TestJobEncoding:
+    """Every planned job survives its own wire form with the same hash,
+    and encodes its payload once however often it is asked."""
+
+    @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+    def test_spec_round_trip_keeps_the_hash(self, name):
+        for job in schedule(name, TINY_PARAMS[name]).jobs:
+            assert Job.from_spec(job.spec()).job_hash() == job.job_hash()
+
+    @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+    def test_payload_is_encoded_once_per_job(self, name, monkeypatch):
+        plan = schedule(name, TINY_PARAMS[name])
+        jobs = [Job(job.kind, job.payload) for job in plan.jobs]
+        calls = []
+
+        def counting_to_jsonable(value):
+            calls.append(value)
+            return to_jsonable(value)
+
+        monkeypatch.setattr(
+            scheduler_module, "to_jsonable", counting_to_jsonable
+        )
+        for _ in range(3):
+            for job in jobs:
+                job.spec()
+                job.job_hash()
+        assert len(calls) == len(jobs)
 
 
 class TestPayloadRoundTrips:
