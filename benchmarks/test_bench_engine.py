@@ -7,8 +7,9 @@ Times the two hot paths the engine vectorises and records the evidence in
   ``outcomes_batch`` pass vs. 256 scalar Stackelberg solves (the
   acceptance floor is 3×; observed is far higher).
 - **Rollout collection** — E envs stepped through one episode by the
-  vector path (one ``act_batch`` forward + one batched market solve per
-  round) vs. E sequential single-env rollouts.
+  vector env (one ``act_batch`` forward + one batched market solve per
+  round) vs. E sequential rollouts of the scalar oracle env
+  (``tests/training_oracle.py``).
 
 Both comparisons are exact by construction (see tests/test_sim_engine.py
 and tests/test_env_vector.py), so the timing difference is pure overhead
@@ -20,11 +21,12 @@ import time
 import pytest
 import numpy as np
 from game_oracle import scalar_landscape
+from training_oracle import MigrationGameEnv
 
 from repro.core.stackelberg import StackelbergMarket, uniform_price_grid
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.entities.vmu import paper_fig2_population
-from repro.env import MigrationGameEnv, VectorMigrationEnv
+from repro.env import VectorMigrationEnv
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow

@@ -12,6 +12,7 @@ from repro.core.mechanism import GameHistory
 from repro.core.stackelberg import StackelbergMarket
 from repro.drl.policy import ActionScaler
 from repro.drl.ppo import PPOAgent
+from repro.env.vector import history_entries
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_probability
@@ -191,8 +192,8 @@ class LearnedPricing:
     """Adapts a trained PPO agent to the pricing-policy protocol.
 
     Reconstructs the agent's normalised observation from the public
-    history (mirroring :class:`repro.env.MigrationGameEnv`) and returns the
-    deterministic (mode) price.
+    history (the env's :func:`repro.env.history_entries` layout) and
+    returns the deterministic (mode) price.
     """
 
     def __init__(
@@ -216,28 +217,23 @@ class LearnedPricing:
 
     def _observation(self, history: GameHistory) -> np.ndarray:
         config = self.market.config
-        entries: list[np.ndarray] = []
         records = history.last(self.history_length)
+        prices: list[float] = []
+        allocations: list[np.ndarray] = []
         # Pad missing history with random rounds, like the env's reset.
         for _ in range(self.history_length - len(records)):
             price = float(self._rng.uniform(config.unit_cost, config.max_price))
-            demands = self.market.allocate(price)
-            entries.append(
-                np.concatenate(
-                    ([price / config.max_price], demands / config.capacity_natural)
-                )
-            )
+            prices.append(price)
+            allocations.append(self.market.allocate(price))
         for record in records:
-            demands = np.asarray(record.demands, dtype=float)
-            entries.append(
-                np.concatenate(
-                    (
-                        [record.price / config.max_price],
-                        demands / config.capacity_natural,
-                    )
-                )
-            )
-        return np.concatenate(entries)
+            prices.append(record.price)
+            allocations.append(np.asarray(record.demands, dtype=float))
+        return history_entries(
+            np.array(prices),
+            np.stack(allocations),
+            config.max_price,
+            config.capacity_natural,
+        ).ravel()
 
     def propose_price(self, history: GameHistory) -> float:
         """Deterministic price from the trained policy."""

@@ -99,13 +99,15 @@ class VectorTrainer:
     per-env trajectories apart so GAE sees per-episode segments. At update
     time the ``E`` segments are pooled into one sampling population.
 
-    The member envs need not share a market: a *heterogeneous* fleet (one
-    env per market, built with ``VectorMigrationEnv.from_markets``) trains
-    **one** policy across all member markets — each iteration's pooled
-    update mixes every market's transitions, and the env batch still
-    solves its whole market stack in one vectorised pass per round. The
-    action scaler spans the fleet's price envelope; each member env clamps
-    to its own ``[C, p_max]``.
+    The envs need not share a market: a *heterogeneous* fleet (one env per
+    market, built with ``VectorMigrationEnv.from_markets``) trains **one**
+    policy across all markets — each iteration's pooled update mixes every
+    market's transitions, and the env batch still solves its whole market
+    stack in one vectorised pass per round. The action scaler spans the
+    fleet's price envelope; each env clamps to its own ``[C, p_max]``.
+    Per-round infos arrive as ``(E,)`` arrays and are consumed whole; each
+    env's mean utility reduces its own contiguous ``(K,)`` row, so the
+    traces match ``E`` scalar runs bit for bit.
 
     RNG contract: the trainer's own stream is consumed in a fixed order —
     one Gaussian noise block per round, one ``choice`` per PPO epoch — so
@@ -164,7 +166,7 @@ class VectorTrainer:
             observations = self.venv.reset()
             self._storage.clear()
             episode_returns = np.zeros(num_envs)
-            utilities: list[list[float]] = [[] for _ in range(num_envs)]
+            utilities: list[np.ndarray] = []
             best_utilities = np.full(num_envs, float("-inf"))
             done = False
             round_index = 0
@@ -175,12 +177,9 @@ class VectorTrainer:
                 prices = self.scaler.to_price(raws[:, 0])
                 next_observations, rewards, dones, infos = self.venv.step(prices)
                 self._storage.add_round(observations, raws, rewards, log_probs, values)
-                for e in range(num_envs):
-                    utilities[e].append(float(infos[e]["msp_utility"]))
+                utilities.append(infos["msp_utility"])
                 episode_returns += rewards
-                best_utilities = np.maximum(
-                    best_utilities, [float(i["best_utility"]) for i in infos]
-                )
+                best_utilities = np.maximum(best_utilities, infos["best_utility"])
                 observations = next_observations
                 round_index += 1
                 done = bool(dones.all())
@@ -193,12 +192,12 @@ class VectorTrainer:
                         else self.agent.value_batch(observations)
                     )
                     self._update(bootstraps)
-            for e in range(num_envs):
-                self.result.episode_returns.append(float(episode_returns[e]))
-                self.result.episode_best_utilities.append(float(best_utilities[e]))
-                self.result.episode_mean_utilities.append(
-                    float(np.mean(utilities[e]))
-                )
+            # One contiguous (K,) row per env, so each mean reduces exactly
+            # like the scalar loop's np.mean over that env's utilities.
+            mean_utilities = np.stack(utilities, axis=1).mean(axis=1)
+            self.result.episode_returns.extend(episode_returns.tolist())
+            self.result.episode_best_utilities.extend(best_utilities.tolist())
+            self.result.episode_mean_utilities.extend(mean_utilities.tolist())
             self.result.episode_final_prices.extend(self.evaluate_prices())
         return self.result
 

@@ -1,9 +1,8 @@
-"""POMDP environments for the pricing game."""
+"""The pricing POMDP (paper Sec. IV-A): one array-native env over ``E`` games."""
 
-from repro.env.migration_game import MigrationGameEnv
-from repro.env.vector import VectorMigrationEnv
+from repro.env.vector import VectorMigrationEnv, history_entries
 
 __all__ = [
-    "MigrationGameEnv",
     "VectorMigrationEnv",
+    "history_entries",
 ]

@@ -1,34 +1,36 @@
-"""Vectorised POMDP: step ``E`` independent pricing games as one batch.
+"""The VT-migration pricing POMDP (paper Sec. IV-A), ``E`` games as arrays.
 
-:class:`VectorMigrationEnv` holds ``E`` :class:`MigrationGameEnv` instances
-(different seeds and/or different markets) and exposes batched
-``reset() -> (E, obs_dim)`` / ``step(actions (E,)) -> (obs, rewards, dones,
-infos)``. Each member env keeps its *own* RNG stream and episode state, so
-the vectorised run reproduces the exact per-episode trace of ``E``
-sequential single-env runs with the same seeds — bit for bit.
+State (Sec. IV-A1): ``S_k = {p_k, b_k}`` — the current price and demand
+vector. Observation (Eq. 11): the last ``L`` rounds of (price, demands),
+``o_k = {p_{k-L}, b_{k-L}, ..., p_{k-1}, b_{k-1}}``, randomly initialised
+while ``k < L``. Action: the price ``p_k ∈ [C, p_max]``. Reward (Eq. 12):
+binary — 1 iff the MSP's round utility reaches a new episode best.
 
-The speed comes from two places:
+Observations are normalised (prices by ``p_max``, demands by natural
+capacity, see :func:`history_entries`) so the 64-unit tanh trunk sees O(1)
+inputs; the ``infos`` dict carries the raw round quantities.
 
-- every round's market stage is one vectorised solve for the whole batch:
-  members sharing one :class:`StackelbergMarket` object go through a single
-  :meth:`StackelbergMarket.outcomes_batch` call, and *heterogeneous* fleets
-  (a different market per member env) go through one
-  :meth:`repro.core.marketstack.MarketStack.outcomes_stacked` pass — either
-  way a single numpy pass instead of ``E`` scalar Stackelberg solves;
-- the DRL trainer feeds the whole ``(E, obs_dim)`` observation batch
-  through the actor-critic in one forward pass.
+``reward_mode``:
+- ``"paper"`` — Eq. (12) exactly;
+- ``"utility"`` — the MSP's round utility scaled to O(1); a shaped
+  alternative used by the ablation experiment.
 
-Exactness holds because the scalar market path itself delegates to the
-stacked evaluator (``outcomes_batch`` is the ``M = 1`` broadcast case of
-``outcomes_stacked``) — every route runs the identical numpy operations
-row for row.
+:class:`VectorMigrationEnv` plays ``E`` independent games (different seeds
+and/or different markets; a one-env batch is the paper's scalar POMDP).
+Its state is arrays: an ``(E, L·(1+N))`` observation window, ``(E,)``
+episode bests, clamp bounds and utility scales, and one round counter.
+The markets are one ``E``-row :class:`MarketStack` (a shared market is
+repeated ``E`` times), and there is one step path for every ``E`` and
+every fleet: ``reset`` solves the ``(E, L)`` priming grid and ``step`` the
+``(E,)`` price vector, each in one pass of the stack's trusted kernel.
+Each env keeps its own generator, and every array op is the elementwise
+twin of the scalar env kept as a test oracle in ``tests/training_oracle.py``,
+so a run reproduces ``E`` sequential single-env traces bit for bit.
 
-Heterogeneous fleets must still share one observation layout (same
-population size ``N`` and ``history_length``) and one episode length;
-costs, price caps, capacities, populations' parameters, and links may all
-differ per member. Members may then also differ in their feasible price
-interval ``[C, p_max]`` — each env clamps its own action to its own
-bounds, and :attr:`action_low` / :attr:`action_high` report the envelope.
+Member markets may differ in costs, price caps, capacities, links and
+population parameters, but share the population size ``N`` (one
+observation layout). Each env clamps its action to its own ``[C, p_max]``;
+:attr:`action_low` / :attr:`action_high` report the fleet envelope.
 """
 
 from __future__ import annotations
@@ -40,353 +42,259 @@ import numpy as np
 
 from repro.core.marketstack import MarketStack
 from repro.core.stackelberg import StackelbergMarket
-from repro.env.migration_game import MigrationGameEnv
-from repro.errors import EnvironmentError_
-from repro.utils.rng import SeedLike, spawn_children
+from repro.errors import ConfigurationError, EnvironmentError_
+from repro.utils.rng import SeedLike, as_generator, spawn_children
 
-__all__ = ["VectorMigrationEnv"]
+__all__ = ["VectorMigrationEnv", "history_entries"]
+
+_REWARD_MODES = ("paper", "utility")
+
+
+def history_entries(prices, allocations, max_prices, capacities) -> np.ndarray:
+    """Observation entries ``(p / p_max, b / B_max)``, shape ``(..., 1 + N)``.
+
+    ``prices`` has shape ``(...)`` and ``allocations`` ``(..., N)``;
+    ``max_prices`` and ``capacities`` broadcast against ``prices``. The one
+    layout of an Eq. (11) history entry, shared by the env and
+    :class:`repro.baselines.policies.LearnedPricing`.
+    """
+    scaled_prices = np.asarray(prices / max_prices)[..., np.newaxis]
+    scaled_allocations = allocations / np.asarray(capacities)[..., np.newaxis]
+    return np.concatenate((scaled_prices, scaled_allocations), axis=-1)
+
+
+def _env_seeds(
+    num_envs: int, seeds: Sequence[SeedLike] | None, seed: SeedLike
+) -> list[SeedLike]:
+    if seeds is not None:
+        if len(seeds) != num_envs:
+            raise EnvironmentError_(f"got {len(seeds)} seeds for {num_envs} envs")
+        return list(seeds)
+    if seed is None:
+        return [None] * num_envs
+    if isinstance(seed, (int, np.integer)):
+        children = np.random.SeedSequence(int(seed)).spawn(num_envs - 1)
+        return [int(seed), *children]
+    return spawn_children(seed, num_envs)
 
 
 class VectorMigrationEnv:
-    """A batch of :class:`MigrationGameEnv` stepped in lockstep."""
+    """``E`` pricing POMDPs over one ``E``-row market stack, stepped as arrays."""
 
-    def __init__(self, envs: Sequence[MigrationGameEnv]) -> None:
-        if len(envs) == 0:
-            raise EnvironmentError_("need at least one environment")
-        first = envs[0]
-        for env in envs[1:]:
-            if env.observation_dim != first.observation_dim:
-                raise EnvironmentError_(
-                    "all environments must share one observation layout; "
-                    f"got dims {first.observation_dim} and {env.observation_dim}"
-                )
-            if env.rounds_per_episode != first.rounds_per_episode:
-                raise EnvironmentError_(
-                    "all environments must share rounds_per_episode; got "
-                    f"{first.rounds_per_episode} and {env.rounds_per_episode}"
-                )
-        self._envs = tuple(envs)
-        self._action_lows = np.array([env.action_low for env in envs])
-        self._action_highs = np.array([env.action_high for env in envs])
-        # Members sharing one market instance skip the stack's padding and
-        # solve as a plain single-market price batch.
-        self._shared_market = all(env.market is first.market for env in envs)
-        self._stack: MarketStack | None = None
-        # Uniform shared-market batches (one market object, one reward
-        # configuration, one history window — what from_market builds) take
-        # a fully vectorised step: the POMDP bookkeeping itself runs as
-        # whole-batch array ops instead of E per-env Python passes.
-        self._uniform_shared = self._shared_market and all(
-            env.reward_mode == first.reward_mode
-            and env.reward_tolerance == first.reward_tolerance
-            and env.history_length == first.history_length
-            for env in envs
-        )
-        # Observation cache for the vectorised step: the next observation
-        # is the previous one shifted left by one history entry. Written on
-        # every reset()/step(), so path switches stay consistent.
-        self._observations: np.ndarray | None = None
-
-    @classmethod
-    def from_market(
-        cls,
-        market: StackelbergMarket,
-        num_envs: int,
-        *,
-        seeds: Sequence[SeedLike] | None = None,
-        seed: SeedLike = None,
-        **env_kwargs: Any,
-    ) -> "VectorMigrationEnv":
-        """Build ``num_envs`` envs over one shared market.
-
-        RNG-stream contract: with explicit ``seeds`` each env gets its own
-        entry. Otherwise an integer ``seed`` gives env 0 the seed itself —
-        so env 0 matches a scalar ``MigrationGameEnv(market, seed=seed)``
-        exactly, which is what makes ``num_envs=1`` runs bit-compatible
-        with the historical single-env path — while envs ``e >= 1`` draw
-        independent ``SeedSequence`` children of the root seed. (Children,
-        not ``seed + e``: offset seeds would make adjacent root seeds share
-        most of their env streams, correlating the "independent" samples a
-        multi-seed comparison feeds its significance test.) A generator
-        ``seed`` spawns independent child streams; ``None`` leaves every
-        env nondeterministic.
-        """
-        return cls.from_markets(
-            [market] * num_envs, seeds=seeds, seed=seed, **env_kwargs
-        )
-
-    @classmethod
-    def from_markets(
-        cls,
+    def __init__(
+        self,
         markets: Sequence[StackelbergMarket],
         *,
         seeds: Sequence[SeedLike] | None = None,
         seed: SeedLike = None,
-        **env_kwargs: Any,
-    ) -> "VectorMigrationEnv":
-        """Build one env per market — a (possibly heterogeneous) fleet.
-
-        Same RNG-stream contract as :meth:`from_market`, with
-        ``num_envs = len(markets)``. The markets may differ in costs,
-        capacities, links, and population parameters; they must share the
-        population size ``N`` (one observation layout — enforced by the
-        constructor). Stepping such a fleet batch-solves all member markets
-        in one :meth:`MarketStack.outcomes_stacked` pass.
-        """
+        history_length: int = 4,
+        rounds_per_episode: int = 100,
+        reward_mode: str = "paper",
+        reward_tolerance: float = 1e-3,
+    ) -> None:
         num_envs = len(markets)
         if num_envs < 1:
             raise EnvironmentError_(f"need at least one market, got {num_envs}")
-        if seeds is not None:
-            if len(seeds) != num_envs:
-                raise EnvironmentError_(
-                    f"got {len(seeds)} seeds for {num_envs} envs"
-                )
-            env_seeds = list(seeds)
-        elif seed is None:
-            env_seeds = [None] * num_envs
-        elif isinstance(seed, (int, np.integer)):
-            children = np.random.SeedSequence(int(seed)).spawn(num_envs - 1)
-            env_seeds = [int(seed), *children]
-        else:
-            env_seeds = spawn_children(seed, num_envs)
-        return cls(
-            [
-                MigrationGameEnv(market, seed=env_seed, **env_kwargs)
-                for market, env_seed in zip(markets, env_seeds)
-            ]
-        )
+        if history_length < 1:
+            raise EnvironmentError_(
+                f"history_length must be >= 1, got {history_length}"
+            )
+        if rounds_per_episode < 1:
+            raise EnvironmentError_(
+                f"rounds_per_episode must be >= 1, got {rounds_per_episode}"
+            )
+        if reward_mode not in _REWARD_MODES:
+            raise EnvironmentError_(
+                f"reward_mode must be one of {_REWARD_MODES}, got {reward_mode!r}"
+            )
+        if not reward_tolerance >= 0.0:
+            raise EnvironmentError_(
+                f"reward_tolerance must be >= 0, got {reward_tolerance}"
+            )
+        self._rngs = [as_generator(s) for s in _env_seeds(num_envs, seeds, seed)]
+        self._stack = MarketStack(markets)
+        num_vmus = self._stack.counts
+        if (num_vmus != num_vmus[0]).any():
+            raise EnvironmentError_(
+                "all markets must share one population size (one observation "
+                f"layout); got {sorted(set(num_vmus.tolist()))}"
+            )
+        self.history_length = history_length
+        self.rounds_per_episode = rounds_per_episode
+        self.reward_mode = reward_mode
+        self.reward_tolerance = float(reward_tolerance)
+        self._entry_width = 1 + int(num_vmus[0])
+        self._lows = self._stack.unit_costs
+        self._highs = self._stack.max_prices
+        self._caps = self._stack.capacities_natural
+        # O(1) scale for the shaped reward: profit of selling the full
+        # capacity at the maximum margin.
+        self._scales = (self._highs - self._lows) * self._caps
+        # Eq. (12)'s equality tolerance, in utility units.
+        self._slacks = self.reward_tolerance * self._scales
+        self._observations: np.ndarray | None = None
+        self._best = np.full(num_envs, -np.inf)
+        self._round = 0
+
+    @classmethod
+    def from_market(
+        cls, market: StackelbergMarket, num_envs: int, **kwargs: Any
+    ) -> "VectorMigrationEnv":
+        """``num_envs`` envs over one shared market (repeated ``num_envs``
+        times in the stack); same RNG-stream contract as :meth:`from_markets`."""
+        return cls([market] * num_envs, **kwargs)
+
+    @classmethod
+    def from_markets(
+        cls, markets: Sequence[StackelbergMarket], **kwargs: Any
+    ) -> "VectorMigrationEnv":
+        """One env per market — a (possibly heterogeneous) fleet.
+
+        RNG-stream contract: with explicit ``seeds`` each env gets its own
+        entry. Otherwise an integer ``seed`` gives env 0 the seed itself —
+        so env 0 matches a single-env run on that seed, which keeps
+        ``num_envs = 1`` runs bit-compatible with the paper's scalar loop —
+        while envs ``e >= 1`` draw independent ``SeedSequence`` children of
+        the root seed. (Children, not ``seed + e``: offset seeds would make
+        adjacent root seeds share most of their env streams, correlating
+        the "independent" samples a multi-seed comparison feeds its
+        significance test.) A generator ``seed`` spawns independent child
+        streams; ``None`` leaves every env nondeterministic.
+        """
+        return cls(markets, **kwargs)
 
     # ------------------------------------------------------------------ #
     @property
-    def envs(self) -> tuple[MigrationGameEnv, ...]:
-        """The member environments (shared state — do not step directly)."""
-        return self._envs
-
-    @property
     def num_envs(self) -> int:
         """Batch size ``E``."""
-        return len(self._envs)
+        return len(self._rngs)
 
     @property
     def observation_dim(self) -> int:
-        """Per-env observation width (shared across the batch)."""
-        return self._envs[0].observation_dim
-
-    @property
-    def rounds_per_episode(self) -> int:
-        """Episode length ``K`` (shared across the batch)."""
-        return self._envs[0].rounds_per_episode
+        """L · (1 + N): price plus one demand entry per VMU, per round."""
+        return self.history_length * self._entry_width
 
     @property
     def action_low(self) -> float:
-        """Lower price bound: the fleet envelope ``min_e C_e`` (every
-        member's own ``C`` for a homogeneous fleet)."""
-        return float(self._action_lows.min())
+        """Lower price bound: the fleet envelope ``min_e C_e``."""
+        return float(self._lows.min())
 
     @property
     def action_high(self) -> float:
         """Upper price bound: the fleet envelope ``max_e p_max,e``."""
-        return float(self._action_highs.max())
+        return float(self._highs.max())
 
     # ------------------------------------------------------------------ #
     def reset(self) -> np.ndarray:
-        """Reset every env (each on its own RNG stream); returns ``(E, obs_dim)``.
+        """Start a new episode in every env; returns ``(E, obs_dim)``.
 
-        The fleet's ``E · L`` history-priming market solves collapse into
-        one vectorised pass: each env draws its ``L`` priming prices from
-        its own stream (same order as a sequential reset), then a shared
-        market solves the flattened ``(E·L,)`` price batch — and a
-        heterogeneous fleet solves the ``(E, L)`` grid through one
-        :meth:`MarketStack.outcomes_stacked` call. Observations are
-        bit-identical to per-env ``reset()`` loops.
+        Each env draws its ``L`` random priming prices (the paper:
+        ``p_{k-L}, b_{k-L}`` generated randomly while ``k < L``) from its own
+        stream in one ``uniform(size=L)`` draw, and the fleet's ``(E, L)``
+        priming grid is solved in one stacked pass.
         """
-        if self.num_envs == 1 or len(
-            {env.history_length for env in self._envs}
-        ) != 1:
-            # Mixed observation windows (same obs_dim, different L·N split)
-            # can't share one price matrix; fall back to per-env resets.
-            self._observations = np.stack([env.reset() for env in self._envs])
-            return self._observations
-        price_rows = np.stack([env._draw_reset_prices() for env in self._envs])
-        if self._shared_market:
-            flat = self._envs[0].market.allocate_batch(price_rows.reshape(-1))
-            blocks = flat.reshape(*price_rows.shape, -1)
-        else:
-            if self._stack is None:
-                self._stack = MarketStack([env.market for env in self._envs])
-            stacked = self._stack.outcomes_stacked(price_rows)
-            blocks = stacked.allocations
-        self._observations = np.stack(
+        prices = np.stack(
             [
-                env._prime_history(price_rows[e], blocks[e])
-                for e, env in enumerate(self._envs)
+                rng.uniform(low, high, size=self.history_length)
+                for rng, low, high in zip(self._rngs, self._lows, self._highs)
             ]
         )
+        outcome = self._stack._outcomes_trusted(prices)
+        entries = history_entries(
+            prices,
+            outcome.allocations,
+            self._highs[:, np.newaxis],
+            self._caps[:, np.newaxis],
+        )
+        self._observations = entries.reshape(self.num_envs, -1)
+        self._best = np.full(self.num_envs, -np.inf)
+        self._round = 0
         return self._observations
 
-    def equilibria(self, *, refine: bool = True):
-        """Every member market's Stackelberg equilibrium, one stacked solve.
+    def step(
+        self, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Play one pricing round in every env.
 
-        Shared-market batches solve once and replicate; heterogeneous
-        fleets solve all members through a single
-        :meth:`MarketStack.equilibria_stacked` pass (memoised on the
-        fleet's stack, so repeated calls are free). Returns one
-        :class:`repro.core.stackelberg.StackelbergEquilibrium` per env —
-        the oracle reference the baselines replay.
+        Args:
+            actions: raw prices, shape ``(E,)`` (scalars are broadcast).
+                Each is clamped to its env's ``[C, p_max]`` (the feasible
+                action space, Sec. IV-A2).
+
+        Returns:
+            ``(observations (E, obs_dim), rewards (E,), dones (E,), infos)``
+            where ``infos`` maps each round quantity to an array: ``price``,
+            ``raw_action``, ``msp_utility``, ``best_utility``,
+            ``capacity_binding`` and ``round`` of shape ``(E,)``, and
+            ``demands``, ``allocations`` and ``vmu_utilities`` of shape
+            ``(E, N)``.
+
+        Raises:
+            EnvironmentError_: before :meth:`reset`, or past the episode end.
+            ConfigurationError: if any action is not finite.
+        """
+        if self._observations is None:
+            raise EnvironmentError_("call reset() before step()")
+        if self._round >= self.rounds_per_episode:
+            raise EnvironmentError_(
+                "episode already finished; call reset() to start a new one"
+            )
+        acts = np.array(actions, dtype=float)
+        if acts.shape != (self.num_envs,):
+            acts = np.broadcast_to(acts, (self.num_envs,))
+        if not np.isfinite(acts).all():
+            raise ConfigurationError(f"actions must be finite, got {acts!r}")
+        prices = np.clip(acts, self._lows, self._highs)
+        outcome = self._stack._outcomes_trusted(prices)
+        utilities = outcome.msp_utilities
+        if self.reward_mode == "paper":
+            # Eq. (12) with an equality tolerance: utilities are continuous,
+            # so exact ">= best" can never be re-attained under exploration
+            # noise; the tolerance (relative to the utility scale) lets a
+            # converged policy collect reward every round, which is what
+            # makes the episode return converge to K as in Fig. 2(a).
+            rewards = np.where(utilities >= self._best - self._slacks, 1.0, 0.0)
+        else:
+            rewards = utilities / self._scales
+        self._best = np.where(utilities >= self._best, utilities, self._best)
+        entries = history_entries(
+            prices, outcome.allocations, self._highs, self._caps
+        )
+        # o_{k+1} is o_k shifted left one (price, demands) entry.
+        self._observations = np.concatenate(
+            (self._observations[:, self._entry_width :], entries), axis=1
+        )
+        self._round += 1
+        round_index = np.full(self.num_envs, self._round)
+        infos = {
+            "price": prices,
+            "raw_action": acts,
+            "msp_utility": utilities,
+            "best_utility": self._best,
+            "demands": outcome.demands,
+            "allocations": outcome.allocations,
+            "vmu_utilities": outcome.vmu_utilities,
+            "capacity_binding": outcome.capacity_binding,
+            "round": round_index,
+        }
+        return (
+            self._observations,
+            rewards,
+            round_index >= self.rounds_per_episode,
+            infos,
+        )
+
+    def equilibria(self, *, refine: bool = True):
+        """Every env's Stackelberg equilibrium, one stacked solve.
+
+        One :meth:`MarketStack.equilibria_stacked` pass over the env's own
+        stack (memoised, so repeated calls are free). Returns one
+        :class:`repro.core.stackelberg.StackelbergEquilibrium` per env — the
+        oracle reference the baselines replay.
 
         Raises:
             InfeasibleMarketError: if any member market admits no
                 profitable trade.
         """
-        if self._shared_market:
-            # One memoised solve; each env still gets its own equilibrium
-            # object (fresh array copies), like the heterogeneous path —
-            # replicating one object would alias demands across envs.
-            market = self._envs[0].market
-            return [market.equilibrium(refine=refine) for _ in self._envs]
-        if self._stack is None:
-            self._stack = MarketStack([env.market for env in self._envs])
         solved = self._stack.equilibria_stacked(refine=refine)
         return [solved.equilibrium(e) for e in range(self.num_envs)]
-
-    def step(
-        self, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[str, Any]]]:
-        """Advance every env one round with its own action.
-
-        Args:
-            actions: raw prices, shape ``(E,)`` (scalars are broadcast).
-
-        Returns:
-            ``(observations (E, obs_dim), rewards (E,), dones (E,), infos)``
-            where ``infos`` is one dict per env, identical to the scalar
-            env's info contract.
-        """
-        acts = np.asarray(actions, dtype=float)
-        if acts.shape != (self.num_envs,):
-            acts = np.broadcast_to(acts, (self.num_envs,))
-        if self.num_envs > 1:
-            if self._uniform_shared and self._observations is not None:
-                return self._step_shared_fast(acts)
-            results = (
-                self._step_shared(acts)
-                if self._shared_market
-                else self._step_stacked(acts)
-            )
-        else:
-            results = [env.step(float(a)) for env, a in zip(self._envs, acts)]
-        observations = np.stack([r[0] for r in results])
-        rewards = np.array([r[1] for r in results], dtype=float)
-        dones = np.array([r[2] for r in results], dtype=bool)
-        infos = [r[3] for r in results]
-        self._observations = observations
-        return observations, rewards, dones, infos
-
-    def _clip_actions(self, actions: np.ndarray) -> np.ndarray:
-        """Each member env's own ``[C, p_max]`` clamp, vectorised."""
-        return np.clip(actions, self._action_lows, self._action_highs)
-
-    def _step_shared(self, actions: np.ndarray):
-        """One vectorised market solve for a shared-market batch."""
-        for env in self._envs:
-            env._require_steppable()
-        prices = self._clip_actions(actions)
-        batch = self._envs[0].market.outcomes_batch(prices)
-        return [
-            env._advance(float(actions[e]), float(prices[e]), batch.row(e))
-            for e, env in enumerate(self._envs)
-        ]
-
-    def _step_shared_fast(self, actions: np.ndarray):
-        """Whole-batch POMDP step for a uniform shared-market fleet.
-
-        The market stage is the same single :meth:`outcomes_batch` solve as
-        :meth:`_step_shared`; the difference is the bookkeeping around it.
-        Rewards, episode bests, and the shifted observation window are
-        computed as ``(E,)``/``(E, obs_dim)`` array ops instead of ``E``
-        per-env ``_advance`` passes — every operation is the elementwise
-        twin of the scalar one, so the trace stays bit-identical. Member
-        envs are kept in sync (history deque, round counter, episode best)
-        so mid-episode reads and path switches see the same state.
-        """
-        envs = self._envs
-        for env in envs:
-            env._require_steppable()
-        prices = self._clip_actions(actions)
-        first = envs[0]
-        # The clamp just guaranteed finite positive prices, so skip the
-        # public wrappers' re-validation and solve the trusted M = 1 grid
-        # directly — the identical numpy pass ``outcomes_batch`` runs.
-        out = first.market.as_stack()._outcomes_trusted(prices[np.newaxis, :])
-        utilities = out.msp_utilities[0]
-        demands = out.demands[0]
-        allocations = out.allocations[0]
-        vmu_utilities = out.vmu_utilities[0]
-        binding = out.capacity_binding[0]
-        previous_best = np.fromiter(
-            (env._best_utility for env in envs), dtype=float, count=len(envs)
-        )
-        if first.reward_mode == "paper":
-            slack = first.reward_tolerance * first._utility_scale
-            rewards = np.where(utilities >= previous_best - slack, 1.0, 0.0)
-        else:
-            rewards = utilities / first._utility_scale
-        new_best = np.where(utilities >= previous_best, utilities, previous_best)
-
-        config = first.market.config
-        entries = np.concatenate(
-            (
-                (prices / config.max_price)[:, np.newaxis],
-                allocations / config.capacity_natural,
-            ),
-            axis=1,
-        )
-        width = entries.shape[1]
-        # o_{k+1} is o_k shifted left one (price, demands) entry — the
-        # deque-drop-then-concatenate of the scalar path, done batch-wide.
-        observations = np.concatenate(
-            (self._observations[:, width:], entries), axis=1
-        )
-        self._observations = observations
-        round_index = first._round + 1
-        done = round_index >= first.rounds_per_episode
-        dones = np.full(len(envs), done)
-        prices_list = prices.tolist()
-        actions_list = actions.tolist()
-        utilities_list = utilities.tolist()
-        best_list = new_best.tolist()
-        infos: list[dict[str, Any]] = []
-        for e, env in enumerate(envs):
-            env._history.append(entries[e])
-            env._round = round_index
-            env._best_utility = best_list[e]
-            # Info arrays are rows of this step's freshly solved batch —
-            # nothing else holds or mutates them, so views keep the scalar
-            # env's value contract without E·3 defensive copies per round.
-            infos.append(
-                {
-                    "price": prices_list[e],
-                    "raw_action": actions_list[e],
-                    "msp_utility": utilities_list[e],
-                    "best_utility": best_list[e],
-                    "demands": demands[e],
-                    "allocations": allocations[e],
-                    "vmu_utilities": vmu_utilities[e],
-                    "capacity_binding": bool(binding[e]),
-                    "round": round_index,
-                }
-            )
-        return observations, rewards, dones, infos
-
-    def _step_stacked(self, actions: np.ndarray):
-        """One stacked solve for a heterogeneous-market fleet."""
-        for env in self._envs:
-            env._require_steppable()
-        if self._stack is None:
-            self._stack = MarketStack([env.market for env in self._envs])
-        prices = self._clip_actions(actions)
-        stacked = self._stack.outcomes_stacked(prices)
-        return [
-            env._advance(float(actions[e]), float(prices[e]), stacked.row(e))
-            for e, env in enumerate(self._envs)
-        ]

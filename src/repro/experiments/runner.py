@@ -171,7 +171,7 @@ def train_drl_fleet(
 ) -> FleetTrainedPricing:
     """Train **one** PPO pricing agent across a heterogeneous market fleet.
 
-    Builds one member env per market (env 0 on ``config.seed``, the rest on
+    Builds one env per market (env 0 on ``config.seed``, the rest on
     independent child streams — the :meth:`VectorMigrationEnv.from_markets`
     contract), steps them in lockstep with one stacked market solve per
     round, and pools every market's transitions into each PPO update. The

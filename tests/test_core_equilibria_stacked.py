@@ -10,6 +10,7 @@ evaluation, lockstep golden refinement — reproduces the per-market
 import numpy as np
 import pytest
 from game_oracle import segment_candidates
+from training_oracle import MigrationGameEnv
 
 from repro.baselines import OraclePricing
 from repro.core import MarketStack, welfare_report, welfare_reports_stacked
@@ -347,8 +348,15 @@ class TestReroutedCallers:
         ]
         batched = VectorMigrationEnv.from_markets(fleet, seed=123)
         observations = batched.reset()
-        sequential = VectorMigrationEnv.from_markets(fleet, seed=123)
-        reference = np.stack([env.reset() for env in sequential.envs])
+        # The from_markets seed contract: env 0 on the root seed, the rest
+        # on its SeedSequence children.
+        seeds = [123, *np.random.SeedSequence(123).spawn(3)]
+        reference = np.stack(
+            [
+                MigrationGameEnv(market, seed=seed).reset()
+                for market, seed in zip(fleet, seeds)
+            ]
+        )
         assert (observations == reference).all()
 
 

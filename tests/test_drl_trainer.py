@@ -7,12 +7,14 @@ training loop, driven through the one production trainer.
 import numpy as np
 import pytest
 
+from training_oracle import MigrationGameEnv
+
 from repro.core.stackelberg import StackelbergMarket
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.drl.trainer import TrainerConfig, VectorTrainer, train_pricing_agent
 from repro.entities.vmu import paper_fig2_population
-from repro.env import MigrationGameEnv, VectorMigrationEnv
+from repro.env import VectorMigrationEnv
 from repro.errors import ConfigurationError
 
 ENV_KWARGS = dict(history_length=2, rounds_per_episode=10, reward_mode="utility")

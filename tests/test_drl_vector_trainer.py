@@ -9,7 +9,12 @@ trainer reproduces the paper's single-env loop exactly.
 import numpy as np
 import pytest
 
-from training_oracle import Trainer, concatenate_minibatches, train_reference
+from training_oracle import (
+    MigrationGameEnv,
+    Trainer,
+    concatenate_minibatches,
+    train_reference,
+)
 
 from repro.core.stackelberg import StackelbergMarket
 from repro.drl.buffer import MiniBatch, sample_minibatch
@@ -17,7 +22,7 @@ from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.drl.trainer import TrainerConfig, VectorTrainer, train_pricing_agent
 from repro.entities.vmu import paper_fig2_population
-from repro.env import MigrationGameEnv, VectorMigrationEnv
+from repro.env import VectorMigrationEnv
 from repro.errors import ConfigurationError
 
 
@@ -90,6 +95,33 @@ class TestConcurrentCollection:
         # 10 rounds / interval 5 → 2 update triggers × 2 epochs × 3 iterations,
         # independent of E (segments are pooled, not iterated per env).
         assert len(result.update_stats) == 12
+
+    def test_mean_utilities_reduce_each_envs_own_row(self, market):
+        """Each env's episode mean is np.mean over that env's K utilities
+        (the scalar loop's reduction), not a column of a (K, E) mean,
+        which sums naively once K > 8 and can change the bits."""
+
+        class Recording(VectorMigrationEnv):
+            def step(self, actions):
+                step = super().step(actions)
+                self.rounds.append(step[3]["msp_utility"].tolist())
+                return step
+
+        E, K = 4, 30
+        kwargs = dict(ENV_KWARGS, rounds_per_episode=K)
+        venv = Recording.from_markets([market] * E, seed=0, **kwargs)
+        venv.rounds = []
+        config = TrainerConfig(
+            num_episodes=2, update_interval=10, update_epochs=1, batch_size=5
+        )
+        _, result, _ = train_pricing_agent(
+            venv, trainer_config=config, ppo_config=PPOConfig(), seed=3
+        )
+        expected = []
+        for episode in range(config.num_episodes):
+            rows = venv.rounds[episode * K : (episode + 1) * K]
+            expected += [float(np.mean([row[e] for row in rows])) for e in range(E)]
+        assert result.episode_mean_utilities == expected
 
     def test_prices_feasible(self, market):
         venv = VectorMigrationEnv.from_market(market, 3, seed=0, **ENV_KWARGS)

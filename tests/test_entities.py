@@ -71,7 +71,7 @@ class TestMsp:
             (20.0, [20.0, 20.0]),
         ):
             _, _, _, infos = env.step(np.full(2, action))
-            assert [info["price"] for info in infos] == expected
+            assert infos["price"].tolist() == expected
 
     def test_cost_above_cap_rejected(self):
         with pytest.raises(ValueError):

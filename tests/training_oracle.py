@@ -14,7 +14,10 @@ training benchmark) can pin the fast path against them bit for bit:
 - :class:`ReferencePPOAgent`: graph act/value and the autograd PPO update
   over per-parameter ``Adam``. It has the ``PPOAgent`` surface, so it
   plugs into the production ``VectorTrainer``;
-- the scalar Algorithm-1 :class:`Trainer` over a single env.
+- the scalar Algorithm-1 :class:`Trainer` over a single env;
+- :class:`MigrationGameEnv`, the scalar Sec. IV-A POMDP (a history deque,
+  one ``round_outcome`` solve per step, one info dict per round) that the
+  array-native :class:`repro.env.VectorMigrationEnv` is pinned against.
 
 ``setup.cfg`` puts ``tests/`` on pytest's ``pythonpath``, so test modules
 and ``benchmarks/`` import this module as ``training_oracle``.
@@ -22,15 +25,18 @@ and ``benchmarks/`` import this module as ``training_oracle``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from repro.core.stackelberg import StackelbergMarket
 from repro.drl.buffer import MiniBatch, sample_minibatch
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOConfig, UpdateStats
 from repro.drl.trainer import TrainerConfig, TrainingResult, VectorTrainer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EnvironmentError_
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import SeedLike, as_generator
@@ -403,3 +409,121 @@ def train_reference(
     trainer_cls = VectorTrainer if hasattr(env, "num_envs") else Trainer
     result = trainer_cls(env, agent, scaler, trainer_config, seed=rng).train()
     return agent, result, scaler
+
+
+# --------------------------------------------------------------------- #
+# scalar POMDP
+# --------------------------------------------------------------------- #
+
+
+class MigrationGameEnv:
+    """The Sec. IV-A pricing POMDP over one market, one round at a time.
+
+    Observation: the last ``L`` (price / p_max, allocations / B_max)
+    entries, primed at reset by ``L`` random prices drawn in one
+    ``uniform(size=L)`` call and solved with ``allocate_batch``. Each step
+    clamps the action to ``[C, p_max]``, plays ``round_outcome`` and
+    applies the Eq. (12) reward (``"paper"``, with a tolerance relative to
+    the utility scale) or the scaled utility (``"utility"``).
+    """
+
+    def __init__(
+        self,
+        market: StackelbergMarket,
+        *,
+        history_length: int = 4,
+        rounds_per_episode: int = 100,
+        reward_mode: str = "paper",
+        reward_tolerance: float = 1e-3,
+        seed: SeedLike = None,
+    ) -> None:
+        if history_length < 1 or rounds_per_episode < 1:
+            raise EnvironmentError_("history_length and rounds_per_episode must be >= 1")
+        if reward_mode not in ("paper", "utility") or reward_tolerance < 0.0:
+            raise EnvironmentError_("bad reward_mode or reward_tolerance")
+        self.market = market
+        self.history_length = history_length
+        self.rounds_per_episode = rounds_per_episode
+        self.reward_mode = reward_mode
+        self.reward_tolerance = float(reward_tolerance)
+        self._rng = as_generator(seed)
+        self._history: deque[np.ndarray] = deque(maxlen=history_length)
+        self._round = 0
+        self._best_utility = float("-inf")
+        self._started = False
+        config = market.config
+        self._utility_scale = (
+            (config.max_price - config.unit_cost) * config.capacity_natural
+        )
+
+    @property
+    def observation_dim(self) -> int:
+        return self.history_length * (1 + self.market.num_vmus)
+
+    @property
+    def action_low(self) -> float:
+        return self.market.config.unit_cost
+
+    @property
+    def action_high(self) -> float:
+        return self.market.config.max_price
+
+    @property
+    def round_index(self) -> int:
+        return self._round
+
+    @property
+    def best_utility(self) -> float:
+        return self._best_utility
+
+    def _entry(self, price: float, allocations: np.ndarray) -> np.ndarray:
+        config = self.market.config
+        return np.concatenate(
+            ([price / config.max_price], allocations / config.capacity_natural)
+        )
+
+    def reset(self) -> np.ndarray:
+        config = self.market.config
+        prices = self._rng.uniform(
+            config.unit_cost, config.max_price, size=self.history_length
+        )
+        self._history.clear()
+        for price, allocations in zip(prices, self.market.allocate_batch(prices)):
+            self._history.append(self._entry(float(price), allocations))
+        self._round = 0
+        self._best_utility = float("-inf")
+        self._started = True
+        return np.concatenate(list(self._history))
+
+    def step(self, action: float) -> tuple[np.ndarray, float, bool, dict[str, Any]]:
+        if not self._started:
+            raise EnvironmentError_("call reset() before step()")
+        if self._round >= self.rounds_per_episode:
+            raise EnvironmentError_(
+                "episode already finished; call reset() to start a new one"
+            )
+        price = float(np.clip(action, self.action_low, self.action_high))
+        outcome = self.market.round_outcome(price)
+        utility = outcome.msp_utility
+        if self.reward_mode == "paper":
+            slack = self.reward_tolerance * self._utility_scale
+            reward = 1.0 if utility >= self._best_utility - slack else 0.0
+        else:
+            reward = utility / self._utility_scale
+        if utility >= self._best_utility:
+            self._best_utility = utility
+        self._history.append(self._entry(price, outcome.allocations))
+        self._round += 1
+        info: dict[str, Any] = {
+            "price": price,
+            "raw_action": float(action),
+            "msp_utility": utility,
+            "best_utility": self._best_utility,
+            "demands": outcome.demands.copy(),
+            "allocations": outcome.allocations.copy(),
+            "vmu_utilities": outcome.vmu_utilities.copy(),
+            "capacity_binding": outcome.capacity_binding,
+            "round": self._round,
+        }
+        done = self._round >= self.rounds_per_episode
+        return np.concatenate(list(self._history)), reward, done, info
