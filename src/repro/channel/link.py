@@ -50,9 +50,14 @@ class LinkBudget:
     @property
     def received_power_w(self) -> float:
         """Received signal power in watts."""
+        return self.received_power_at(self.distance_m)
+
+    def received_power_at(self, distance_m: float) -> float:
+        """Received signal power in watts with the receiver at
+        ``distance_m`` instead (every other parameter kept)."""
         return (
             self.transmit_power_w
-            * self.path_loss.gain(self.distance_m)
+            * self.path_loss.gain(distance_m)
             * self.fading_gain
         )
 
@@ -69,7 +74,16 @@ class LinkBudget:
     @property
     def spectral_efficiency(self) -> float:
         """Shannon spectral efficiency ``log2(1 + SNR)`` in bit/s/Hz."""
-        return math.log2(1.0 + self.snr)
+        return self.spectral_efficiency_at(self.distance_m)
+
+    def spectral_efficiency_at(self, distance_m: float) -> float:
+        """:attr:`spectral_efficiency` with the receiver at ``distance_m``:
+        the same bits as a copy of this budget at that distance, without
+        building the copy (the city-grid column build calls this once per
+        junction)."""
+        return math.log2(
+            1.0 + self.received_power_at(distance_m) / self.noise_power_w
+        )
 
 
 @dataclass(frozen=True)

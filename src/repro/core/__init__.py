@@ -15,6 +15,7 @@ Solve entry points, scalar to stacked:
 
 from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord, run_rounds
 from repro.core.marketstack import (
+    MarketColumns,
     MarketStack,
     MutableMarketStack,
     StackedEquilibria,
@@ -61,6 +62,7 @@ from repro.core.utilities import (
 )
 
 __all__ = [
+    "MarketColumns",
     "MarketStack",
     "MutableMarketStack",
     "StackedEquilibria",

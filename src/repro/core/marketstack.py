@@ -44,12 +44,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.backend import xp
 
+from repro.channel.link import RsuLink
 from repro.channel.ofdma import _rationing_rows
 from repro.core.stackelberg import (
+    MarketConfig,
     MarketOutcome,
     PriceBatchOutcome,
     StackelbergEquilibrium,
@@ -68,6 +71,7 @@ from repro.game.solvers import (
 )
 
 __all__ = [
+    "MarketColumns",
     "MarketStack",
     "MutableMarketStack",
     "StackedOutcome",
@@ -478,6 +482,163 @@ class StackedEquilibria:
         ]
 
 
+_POPULATION_COLUMNS = ("immersion_coefs", "data_sizes_mb", "data_units")
+_MARKET_COLUMNS = (
+    "spectral_efficiencies",
+    "max_bandwidths",
+    "distances_m",
+    "unit_costs",
+    "max_prices",
+    "bandwidth_report_scales",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class MarketColumns:
+    """``M`` markets as the ragged columns a :class:`MarketStack` stores.
+
+    The ``(M,)`` columns hold one entry per market. The population columns
+    concatenate the markets' VMUs in market order: market ``m`` owns the
+    next ``counts[m]`` entries. Member ``m`` is the market
+    ``StackelbergMarket(vmus, config=MarketConfig(...), link=
+    link.with_distance(distances_m[m]))`` whose VMUs are
+    ``VmuProfile(f"vmu-{j}", data_sizes_mb[.], immersion_coefs[.])``, so
+    ``data_units`` must be their ``VmuProfile.data_units`` and
+    ``spectral_efficiencies[m]`` the moved link's spectral efficiency.
+    :meth:`market` builds that object.
+
+    :func:`repro.mobility.citygrid.city_columns` draws a city grid
+    straight into this form, and :meth:`MarketStack.from_columns` stacks it
+    after validating every column; no per-market object is built on the
+    way.
+    """
+
+    counts: xp.ndarray
+    """VMUs per market, integer ``(M,)``."""
+    immersion_coefs: xp.ndarray
+    """``α`` of every VMU, ``(Σ counts,)``."""
+    data_sizes_mb: xp.ndarray
+    """``D`` of every VMU in megabytes, ``(Σ counts,)``."""
+    data_units: xp.ndarray
+    """``D`` of every VMU in natural data units, ``(Σ counts,)``."""
+    spectral_efficiencies: xp.ndarray
+    """Link SE per market, ``(M,)``."""
+    max_bandwidths: xp.ndarray
+    """``B_max`` per market in market units, ``(M,)``."""
+    distances_m: xp.ndarray
+    """RSU-to-RSU link distance per market, ``(M,)``."""
+    unit_costs: xp.ndarray
+    """Unit transmission cost ``C`` per market, ``(M,)``."""
+    max_prices: xp.ndarray
+    """Price ceiling ``p_max`` per market, ``(M,)``."""
+    bandwidth_report_scales: xp.ndarray
+    """Market units per natural bandwidth unit, per market, ``(M,)``."""
+    enforce_capacity: xp.ndarray
+    """Whether each market enforces its ``B_max``, boolean ``(M,)``."""
+    link: RsuLink
+    """The link every member's own link is moved from (by distance)."""
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        return [0, *xp.cumsum(self.counts).tolist()]
+
+    def market(self, market_index: int) -> StackelbergMarket:
+        """Member ``market_index`` as a :class:`StackelbergMarket`."""
+        index = range(len(self))[market_index]
+        lo, hi = self._offsets[index], self._offsets[index + 1]
+        vmus = [
+            VmuProfile(vmu_id=f"vmu-{j}", data_size_mb=d, immersion_coef=a)
+            for j, (d, a) in enumerate(
+                zip(
+                    self.data_sizes_mb[lo:hi].tolist(),
+                    self.immersion_coefs[lo:hi].tolist(),
+                )
+            )
+        ]
+        config = MarketConfig(
+            unit_cost=float(self.unit_costs[index]),
+            max_price=float(self.max_prices[index]),
+            max_bandwidth=float(self.max_bandwidths[index]),
+            bandwidth_report_scale=float(self.bandwidth_report_scales[index]),
+            enforce_capacity=bool(self.enforce_capacity[index]),
+        )
+        link = self.link.with_distance(float(self.distances_m[index]))
+        return StackelbergMarket(vmus, config=config, link=link)
+
+
+def _float_column(name: str, values, length: int) -> xp.ndarray:
+    """``values`` as a float64 ``(length,)`` column, finite and > 0."""
+    try:
+        column = xp.asarray(values, dtype=xp.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be numeric: {exc}") from None
+    if column.shape != (length,):
+        raise ConfigurationError(
+            f"{name} must have shape ({length},), got {column.shape}"
+        )
+    bad = xp.flatnonzero(~(xp.isfinite(column) & (column > 0.0)))
+    if bad.size:
+        raise ConfigurationError(
+            f"{name} must be finite and > 0, got {column[bad[0]]!r} at "
+            f"index {int(bad[0])}"
+        )
+    return column
+
+
+def _validated(columns: MarketColumns) -> MarketColumns:
+    """``columns`` with every column checked once, whole-array, and
+    converted to its array dtype (:meth:`MarketStack.from_columns`)."""
+    if not isinstance(columns, MarketColumns):
+        raise ConfigurationError(
+            f"expected MarketColumns, got {type(columns).__name__}"
+        )
+    counts = xp.asarray(columns.counts)
+    if counts.ndim != 1 or counts.dtype.kind not in "iu":
+        raise ConfigurationError(
+            "counts must be a 1-D integer array, got dtype "
+            f"{counts.dtype} and shape {counts.shape}"
+        )
+    if counts.shape[0] == 0:
+        raise ConfigurationError("market stack needs at least one market")
+    if (counts < 1).any():
+        raise ConfigurationError(
+            "every market needs at least one VMU, got counts "
+            f"{int(counts.min())} at index {int(xp.argmin(counts))}"
+        )
+    counts = counts.astype(xp.int64)
+    num_markets, num_vmus = counts.shape[0], int(counts.sum())
+    checked = {
+        name: _float_column(name, getattr(columns, name), num_vmus)
+        for name in _POPULATION_COLUMNS
+    }
+    checked.update(
+        (name, _float_column(name, getattr(columns, name), num_markets))
+        for name in _MARKET_COLUMNS
+    )
+    inverted = xp.flatnonzero(checked["unit_costs"] > checked["max_prices"])
+    if inverted.size:
+        m = int(inverted[0])
+        raise ConfigurationError(
+            f"unit_cost ({checked['unit_costs'][m]}) exceeds max_price "
+            f"({checked['max_prices'][m]}) in market {m}; the price "
+            "interval [C, p_max] is empty"
+        )
+    enforce = xp.asarray(columns.enforce_capacity)
+    if enforce.dtype != bool or enforce.shape != (num_markets,):
+        raise ConfigurationError(
+            f"enforce_capacity must be a boolean ({num_markets},) array, "
+            f"got dtype {enforce.dtype} and shape {enforce.shape}"
+        )
+    if not isinstance(columns.link, RsuLink):
+        raise ConfigurationError(
+            f"link must be an RsuLink, got {type(columns.link).__name__}"
+        )
+    return replace(columns, counts=counts, enforce_capacity=enforce, **checked)
+
+
 class MarketStack:
     """A stack of ``M`` (possibly heterogeneous) Stackelberg markets.
 
@@ -493,64 +654,124 @@ class MarketStack:
             raise ConfigurationError("market stack needs at least one market")
         self._markets = tuple(markets)
         num_markets = len(self._markets)
-        counts = xp.fromiter(
-            (m.num_vmus for m in self._markets),
-            dtype=xp.int64,
-            count=num_markets,
+        # The members validated themselves at construction; they reduce
+        # to the stack's columns with no second check.
+        self._fill(
+            counts=xp.fromiter(
+                (m.num_vmus for m in self._markets),
+                dtype=xp.int64,
+                count=num_markets,
+            ),
+            alphas=xp.concatenate([m._alphas for m in self._markets]),
+            data=xp.concatenate([m._data_units for m in self._markets]),
+            se=xp.fromiter(
+                (m.spectral_efficiency for m in self._markets),
+                dtype=xp.float64,
+                count=num_markets,
+            ),
+            unit_costs=xp.fromiter(
+                (m.config.unit_cost for m in self._markets),
+                dtype=xp.float64,
+                count=num_markets,
+            ),
+            max_prices=xp.fromiter(
+                (m.config.max_price for m in self._markets),
+                dtype=xp.float64,
+                count=num_markets,
+            ),
+            caps=xp.fromiter(
+                (m.config.capacity_natural for m in self._markets),
+                dtype=xp.float64,
+                count=num_markets,
+            ),
+            enforce=xp.fromiter(
+                (m.config.enforce_capacity for m in self._markets),
+                dtype=bool,
+                count=num_markets,
+            ),
         )
+
+    def _fill(
+        self,
+        *,
+        counts: xp.ndarray,
+        alphas: xp.ndarray,
+        data: xp.ndarray,
+        se: xp.ndarray,
+        unit_costs: xp.ndarray,
+        max_prices: xp.ndarray,
+        caps: xp.ndarray,
+        enforce: xp.ndarray,
+    ) -> None:
+        """Stack validated ragged columns (``alphas``/``data`` concatenated
+        over the markets' populations) into the padded solve state."""
+        num_markets = counts.shape[0]
         n_max = int(counts.max())
         # Padding value 1.0 keeps the padded slots' elementwise math finite;
         # the mask zeroes their demand before anything downstream sees it.
         # The mask's True slots are each row's leading prefix, so boolean
         # assignment (row-major) scatters the concatenated per-market
         # vectors into exactly the slots the per-market fill loop wrote.
-        alphas = xp.ones((num_markets, n_max), dtype=xp.float64)
-        data = xp.ones((num_markets, n_max), dtype=xp.float64)
         mask = xp.arange(n_max) < counts[:, xp.newaxis]
-        alphas[mask] = xp.concatenate([m._alphas for m in self._markets])
-        data[mask] = xp.concatenate([m._data_units for m in self._markets])
+        self._alphas = xp.ones((num_markets, n_max), dtype=xp.float64)
+        self._data = xp.ones((num_markets, n_max), dtype=xp.float64)
+        self._alphas[mask] = alphas
+        self._data[mask] = data
         self._counts = counts
         self._mask = mask
-        self._alphas = alphas
-        self._data = data
         self._ragged = bool((counts != n_max).any())
         # An all-valid mask (every market at full width N_max) lets the
         # stacked round skip its two masking ``xp.where`` passes — with no
         # padded slots they return the input values bit for bit.
         self._fullmask = bool(mask.all())
-        self._se = xp.fromiter(
-            (m.spectral_efficiency for m in self._markets),
-            dtype=xp.float64,
-            count=num_markets,
-        )
-        self._unit_costs = xp.fromiter(
-            (m.config.unit_cost for m in self._markets),
-            dtype=xp.float64,
-            count=num_markets,
-        )
-        self._max_prices = xp.fromiter(
-            (m.config.max_price for m in self._markets),
-            dtype=xp.float64,
-            count=num_markets,
-        )
-        self._caps = xp.fromiter(
-            (m.config.capacity_natural for m in self._markets),
-            dtype=xp.float64,
-            count=num_markets,
-        )
-        self._enforce = xp.fromiter(
-            (m.config.enforce_capacity for m in self._markets),
-            dtype=bool,
-            count=num_markets,
-        )
+        self._se = se
+        self._unit_costs = unit_costs
+        self._max_prices = max_prices
+        self._caps = caps
+        self._enforce = enforce
         # Non-enforcing markets ration against an infinite capacity, which
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
         # Static, so built once — outcomes_stacked runs every env round.
-        self._effective_caps = xp.where(self._enforce, self._caps, xp.inf)
+        self._effective_caps = xp.where(enforce, caps, xp.inf)
         # Solved equilibria, memoised per refine flag (markets and configs
         # are frozen, so a solve can never go stale). Every chunk size
         # returns the same bits, so every chunking shares the memo.
         self._equilibria: dict[bool, StackedEquilibria] = {}
+
+    @classmethod
+    def from_columns(cls, columns: MarketColumns) -> "MarketStack":
+        """A stack over markets given as :class:`MarketColumns`.
+
+        Validates each column once, whole-array: every float column finite
+        and > 0, ``unit_costs <= max_prices``, every count >= 1, at least
+        one market, and lengths that agree with ``counts``; any failure
+        raises :class:`~repro.errors.ConfigurationError` naming the
+        column. The natural capacities are ``max_bandwidths /
+        bandwidth_report_scales``, the elementwise
+        ``MarketConfig.capacity_natural``.
+
+        No member :class:`StackelbergMarket` is built: :attr:`markets` and
+        :meth:`market` build them on first access (then cache them), and
+        they are the objects :meth:`MarketColumns.market` returns — so the
+        stack's arrays and solves are bitwise those of
+        ``MarketStack(markets)`` over the same members.
+        """
+        columns = _validated(columns)
+        stack = cls.__new__(cls)
+        stack._markets = None
+        stack._columns = columns
+        stack._members = {}
+        stack._fill(
+            counts=columns.counts,
+            alphas=columns.immersion_coefs,
+            data=columns.data_units,
+            se=columns.spectral_efficiencies,
+            unit_costs=columns.unit_costs,
+            max_prices=columns.max_prices,
+            caps=columns.max_bandwidths / columns.bandwidth_report_scales,
+            enforce=columns.enforce_capacity,
+        )
+        return stack
 
     @classmethod
     def from_markets(
@@ -591,8 +812,13 @@ class MarketStack:
 
         Pass either ``num_markets`` (grid shape derived, near-square) or an
         explicit ``rows × cols`` shape.
+
+        The grid is drawn straight into :class:`MarketColumns`
+        (:func:`repro.mobility.citygrid.city_columns`) and stacked through
+        :meth:`from_columns`; the member markets are built only if
+        :attr:`markets` or :meth:`market` is asked for.
         """
-        from repro.mobility.citygrid import CityGridSpec, city_markets
+        from repro.mobility.citygrid import CityGridSpec, city_columns
 
         spec = CityGridSpec.for_markets(
             num_markets,
@@ -607,7 +833,7 @@ class MarketStack:
             horizon_s=horizon_s,
             seed=seed,
         )
-        return cls(city_markets(spec))
+        return cls.from_columns(city_columns(spec))
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -617,17 +843,29 @@ class MarketStack:
 
     @property
     def markets(self) -> tuple[StackelbergMarket, ...]:
-        """The stacked member markets."""
+        """The stacked member markets (built on first access when the stack
+        came from :meth:`from_columns`)."""
+        if self._markets is None:
+            self._markets = tuple(
+                self.market(m) for m in range(self.num_markets)
+            )
         return self._markets
 
     def market(self, market_index: int) -> StackelbergMarket:
-        """The ``market_index``-th member market."""
-        return self._markets[market_index]
+        """The ``market_index``-th member market (built on first access
+        when the stack came from :meth:`from_columns`)."""
+        if self._markets is not None:
+            return self._markets[market_index]
+        index = range(self.num_markets)[market_index]
+        member = self._members.get(index)
+        if member is None:
+            member = self._members[index] = self._columns.market(index)
+        return member
 
     @property
     def num_markets(self) -> int:
         """Stack width ``M``."""
-        return len(self._markets)
+        return int(self._counts.shape[0])
 
     @property
     def max_vmus(self) -> int:

@@ -30,7 +30,9 @@ from repro.core.marketstack import MarketStack, resolve_chunk_size
 from repro.experiments import api
 from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import Job
-from repro.mobility.citygrid import CityGridSpec, city_markets
+# city_markets is not called here; perfbench/tracing.py wraps it under
+# this module's name, so it stays importable from here.
+from repro.mobility.citygrid import CityGridSpec, city_columns, city_markets  # noqa: F401
 from repro.utils.stats import SummaryStats, summarize
 from repro.utils.tables import Table
 
@@ -162,15 +164,16 @@ _CELL_KEYS = (
 def run_city_chunk_job(payload: Mapping) -> dict:
     """Job kind ``city_chunk``: solve markets ``[start, stop)`` of a city.
 
-    Rebuilds its index slice from the spec payload (pure function of the
-    spec — see the citygrid determinism contract), solves it as one stack,
+    Rebuilds its index slice's columns from the spec payload (pure
+    function of the spec — see the citygrid determinism contract), stacks
+    them without building any market object, solves them as one stack,
     and returns the per-market equilibrium arrays (``execute_job`` turns
     each into a JSON list in one ``tolist()``). Infeasible markets ride
     the JSON wire as NaN prices/utilities with ``feasible`` false.
     """
     spec = CityGridSpec.from_payload(payload["spec"])
     start, stop = int(payload["start"]), int(payload["stop"])
-    stack = MarketStack(city_markets(spec, start, stop))
+    stack = MarketStack.from_columns(city_columns(spec, start, stop))
     solved = stack.equilibria_stacked_chunked(chunk_size=len(stack))
     return {key: getattr(solved, key) for key in _CELL_KEYS}
 

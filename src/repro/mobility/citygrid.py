@@ -3,26 +3,32 @@
 The paper's migration scenarios play out on a city street grid: every
 junction hosts an RSU, vehicles crossing a cell hand their VT over to the
 next RSU, and each junction's handover stream is one bandwidth market.
-:func:`city_markets` turns a :class:`CityGridSpec` into that market
-population, and :func:`repro.mobility.demand.capacity_for_demand` sizes
-each market's ``B_max`` from its migration rate.
+:func:`city_columns` draws a :class:`CityGridSpec`'s market population
+straight into the ragged :class:`~repro.core.marketstack.MarketColumns`
+that :meth:`MarketStack.from_columns` stacks, with each market's ``B_max``
+sized from its migration rate by the formula of
+:func:`repro.mobility.demand.capacity_for_demand`. :func:`city_markets`
+builds the same markets as :class:`StackelbergMarket` objects, from those
+columns.
 
-The grid is regular, so :func:`city_markets` builds no road graph: the
-junction geometry is analytic in the ``(row, col)`` index. Junction
-``(r, c)`` sits at ``(c * block_m, r * block_m)``, its road neighbours are
-the up-to-four in-grid junctions beside it, and one ``math.hypot`` of two
-junction positions is both the road length to a neighbour and the
-distance that decides whether the source RSU's coverage disc reaches it.
+The grid is regular, so no road graph is built: the junction geometry is
+analytic in the ``(row, col)`` index. Junction ``(r, c)`` sits at
+``(c * block_m, r * block_m)``, its road neighbours are the up-to-four
+in-grid junctions beside it, and one ``math.hypot`` of two junction
+positions is both the road length to a neighbour and the distance that
+decides whether the source RSU's coverage disc reaches it.
 
 Determinism contract
 --------------------
 Market ``i`` is a pure function of ``(spec, i)``: every random draw uses
 ``np.random.default_rng([spec.seed, i])``, and the junction geometry is
-derived from the grid parameters alone. Building markets ``[start, stop)``
-therefore yields objects identical to the same index range of the full
-build, at a cost of O(stop − start) — which is what lets scheduler jobs
-and chunked solves construct only their own slice of a 10k-market city
-from a payload of a dozen scalars.
+derived from the grid parameters alone. The columns of markets
+``[start, stop)`` therefore equal that index range of the full build's
+columns (every ``(M,)`` entry, and every VMU entry of those markets), and
+the markets built from them equal the full build's objects, at a cost of
+O(stop − start) — which is what lets scheduler jobs and chunked solves
+construct only their own slice of a 10k-market city from a payload of a
+dozen scalars.
 """
 
 from __future__ import annotations
@@ -33,19 +39,27 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro import constants
 from repro.channel.link import paper_link
+from repro.core.marketstack import MarketColumns
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.entities.vmu import sample_population
+from repro.entities.vmu import population_columns, population_ranges
 from repro.errors import ConfigurationError
-from repro.mobility.demand import capacity_for_demand
+from repro.mobility.demand import sized_capacity
 from repro.utils.validation import require_positive
 
-__all__ = ["CityGridSpec", "city_markets"]
+__all__ = ["CityGridSpec", "city_columns", "city_markets"]
 
 _SOFT_HANDOVER_FACTOR = 0.5
 """Migration-rate multiplier when the neighbouring junction is still inside
 the source RSU's coverage: overlapping cells resolve half their crossings
 as soft handovers that keep the VT in place."""
+
+_CITY_LINK = paper_link()
+"""Every junction's link is this one moved to the junction's distance."""
+_CITY_CONFIG = MarketConfig()
+"""Every junction market's config, apart from its ``B_max``."""
+_POPULATION_RANGES = population_ranges()
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,14 @@ class CityGridSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_markets", "rows", "cols", "max_vmus", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}"
+                )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.rows < 2 or self.cols < 2:
             raise ConfigurationError(
                 f"need a >= 2x2 grid, got {self.rows}x{self.cols}"
@@ -147,19 +169,21 @@ class CityGridSpec:
         return cls(**dict(payload))
 
 
-def city_markets(
+def city_columns(
     spec: CityGridSpec, start: int = 0, stop: int | None = None
-) -> list[StackelbergMarket]:
-    """Markets ``[start, stop)`` of the city grid described by ``spec``.
+) -> MarketColumns:
+    """Markets ``[start, stop)`` of the city grid, drawn straight into the
+    ragged columns a :class:`~repro.core.marketstack.MarketStack` stores.
 
     Per junction: the cell's vehicle stream (``vehicles_per_cell`` vehicles
     crossing at the speed limit) sets the handover rate towards the nearest
     road neighbour; crossings that exit the source RSU's coverage are hard
     VT migrations, soft handovers (neighbour still covered) migrate at half
-    that rate. :func:`capacity_for_demand` sizes the market's ``B_max``
-    from that rate at the junction link's actual spectral efficiency. The
-    VMU population and per-cell congestion are drawn from the per-index
-    generator (see the module docstring's determinism contract).
+    that rate. :func:`~repro.mobility.demand.capacity_for_demand`'s sizing
+    sets the market's ``B_max`` from that rate at the junction link's
+    actual spectral efficiency. The VMU population and per-cell congestion
+    are drawn from the per-index generator (see the module docstring's
+    determinism contract).
 
     The geometry is analytic: junction ``(r, c)`` sits at
     ``(float(c * block_m), float(r * block_m))`` and the road length is
@@ -168,6 +192,13 @@ def city_markets(
     coverage (the neighbour is covered when it is at most
     ``spec.coverage_radius`` away). No road graph is built, so a slice
     costs O(stop − start).
+
+    Only the draws, the geometry and the link's ``math.log2`` spectral
+    efficiency run per junction; the populations, rates, population means
+    and capacities are whole-slice array expressions with the bits of the
+    per-market scalar ones. No VMU, link, config or market object is
+    built; :meth:`MarketStack.from_columns` validates the columns and
+    :func:`city_markets` builds the objects from them.
     """
     if stop is None:
         stop = spec.num_markets
@@ -177,10 +208,10 @@ def city_markets(
             f"{spec.num_markets} markets"
         )
     rows, cols, block_m = spec.rows, spec.cols, spec.block_m
-    coverage_radius = spec.coverage_radius
-    report_scale = MarketConfig().bandwidth_report_scale
-    base_link = paper_link()
-    markets: list[StackelbergMarket] = []
+    budget = _CITY_LINK.budget
+    counts, uniforms, vehicles, road_lengths, distances, efficiencies = (
+        [], [], [], [], [], []
+    )
     for index in range(start, stop):
         row, col = divmod(index, cols)
         x, y = float(col * block_m), float(row * block_m)
@@ -191,28 +222,88 @@ def city_markets(
             if 0 <= r < rows and 0 <= c < cols
         )
         rng = np.random.default_rng([spec.seed, index])
-        population = sample_population(
-            int(rng.integers(1, spec.max_vmus + 1)), seed=rng
-        )
-        vehicles = 1 + int(rng.poisson(spec.vehicles_per_cell))
+        count = int(rng.integers(1, spec.max_vmus + 1))
+        counts.append(count)
+        uniforms.append(rng.random(2 * count))
+        vehicles.append(1 + int(rng.poisson(spec.vehicles_per_cell)))
         # VTs migrate at the coverage boundary, somewhere along the road —
         # the RSU-to-RSU link distance is a per-cell fraction of the block.
-        link = base_link.with_distance(road_length * float(rng.uniform(0.6, 1.0)))
-        crossing_rate_hz = vehicles * spec.speed_limit_mps / road_length
-        if road_length <= coverage_radius:  # neighbour inside RSU coverage
-            crossing_rate_hz *= _SOFT_HANDOVER_FACTOR
-        mean_data_units = float(
-            np.mean([vmu.data_units for vmu in population])
-        )
-        capacity_natural = capacity_for_demand(
-            crossing_rate_hz,
-            mean_data_units=mean_data_units,
-            target_aotm=spec.target_aotm,
-            spectral_efficiency=link.spectral_efficiency,
-        )
-        config = MarketConfig(max_bandwidth=capacity_natural * report_scale)
-        markets.append(
-            StackelbergMarket(population, config=config, link=link)
-        )
-    return markets
+        distance = road_length * float(rng.uniform(0.6, 1.0))
+        road_lengths.append(road_length)
+        distances.append(distance)
+        efficiencies.append(budget.spectral_efficiency_at(distance))
+    counts = np.array(counts, dtype=np.int64)
+    road_lengths = np.array(road_lengths, dtype=np.float64)
+    efficiencies = np.array(efficiencies, dtype=np.float64)
+    data_sizes_mb, immersion_coefs = population_columns(
+        np.concatenate(uniforms) if uniforms else np.empty(0),
+        _POPULATION_RANGES,
+    )
+    # VmuProfile.data_units, elementwise.
+    data_units = data_sizes_mb / constants.DATA_UNIT_MB
+    crossing_rate_hz = (
+        np.array(vehicles, dtype=np.float64)
+        * spec.speed_limit_mps
+        / road_lengths
+    )
+    # A neighbour inside the RSU's coverage takes soft handovers.
+    crossing_rate_hz = np.where(
+        road_lengths <= spec.coverage_radius,
+        crossing_rate_hz * _SOFT_HANDOVER_FACTOR,
+        crossing_rate_hz,
+    )
+    capacity_natural = sized_capacity(
+        crossing_rate_hz,
+        _population_means(data_units, counts),
+        spec.target_aotm,
+        efficiencies,
+    )
+    size = stop - start
+    return MarketColumns(
+        counts=counts,
+        immersion_coefs=immersion_coefs,
+        data_sizes_mb=data_sizes_mb,
+        data_units=data_units,
+        spectral_efficiencies=efficiencies,
+        max_bandwidths=capacity_natural * _CITY_CONFIG.bandwidth_report_scale,
+        distances_m=np.array(distances, dtype=np.float64),
+        unit_costs=np.full(size, _CITY_CONFIG.unit_cost),
+        max_prices=np.full(size, _CITY_CONFIG.max_price),
+        bandwidth_report_scales=np.full(
+            size, _CITY_CONFIG.bandwidth_report_scale
+        ),
+        enforce_capacity=np.full(size, _CITY_CONFIG.enforce_capacity),
+        link=_CITY_LINK,
+    )
 
+
+def _population_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-market ``np.mean`` of the ragged concatenated ``values``.
+
+    One reduction per distinct population size: the members' slices are
+    gathered into a contiguous ``(k, n)`` block, and each row reduces the
+    same ``n`` contiguous values the per-market ``np.mean`` reduced (with
+    the same pairwise kernel), then divides by ``n`` — the same bits, at
+    every ``n``.
+    """
+    starts = np.cumsum(counts) - counts
+    means = np.empty(counts.shape[0], dtype=np.float64)
+    for n in np.unique(counts):
+        members = np.flatnonzero(counts == n)
+        block = values[starts[members, np.newaxis] + np.arange(n)]
+        means[members] = block.sum(axis=1) / n
+    return means
+
+
+def city_markets(
+    spec: CityGridSpec, start: int = 0, stop: int | None = None
+) -> list[StackelbergMarket]:
+    """Markets ``[start, stop)`` of the city grid described by ``spec``, as
+    :class:`StackelbergMarket` objects.
+
+    The markets :func:`city_columns` describes, built one by one
+    (:meth:`MarketColumns.market`); bulk solves skip the objects and
+    stack the columns through :meth:`MarketStack.from_columns`.
+    """
+    columns = city_columns(spec, start, stop)
+    return [columns.market(m) for m in range(len(columns))]

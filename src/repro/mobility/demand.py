@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from repro.utils.validation import require_positive
 
-__all__ = ["capacity_for_demand"]
+__all__ = ["capacity_for_demand", "sized_capacity"]
+
+_CONCURRENCY_MARGIN = 1.5
 
 
 def capacity_for_demand(
@@ -19,7 +21,7 @@ def capacity_for_demand(
     mean_data_units: float,
     target_aotm: float,
     spectral_efficiency: float,
-    concurrency_margin: float = 1.5,
+    concurrency_margin: float = _CONCURRENCY_MARGIN,
 ) -> float:
     """Bandwidth the MSP should hold to serve the demand at a target AoTM.
 
@@ -28,12 +30,37 @@ def capacity_for_demand(
     The concurrency margin absorbs burstiness (use ~1 for regular
     streams, higher for Poisson-like arrivals).
 
-    Returns bandwidth in natural units.
+    Returns bandwidth in natural units. Every argument must be finite and
+    > 0 (:class:`~repro.errors.ConfigurationError` otherwise).
     """
+    require_positive("arrival_rate_hz", arrival_rate_hz)
     require_positive("mean_data_units", mean_data_units)
     require_positive("target_aotm", target_aotm)
     require_positive("spectral_efficiency", spectral_efficiency)
     require_positive("concurrency_margin", concurrency_margin)
+    return sized_capacity(
+        arrival_rate_hz,
+        mean_data_units,
+        target_aotm,
+        spectral_efficiency,
+        concurrency_margin,
+    )
+
+
+def sized_capacity(
+    arrival_rate_hz,
+    mean_data_units,
+    target_aotm,
+    spectral_efficiency,
+    concurrency_margin=_CONCURRENCY_MARGIN,
+):
+    """The unvalidated formula of :func:`capacity_for_demand`.
+
+    Only ``*`` and ``/``, each rounded once, so it evaluates elementwise
+    on arrays with the bits of the scalar call — the city-grid column
+    build sizes a whole slice of markets in one call and validates the
+    resulting ``B_max`` column instead of every input.
+    """
     in_flight = arrival_rate_hz * target_aotm
     per_flow = mean_data_units / (target_aotm * spectral_efficiency)
     return concurrency_margin * in_flight * per_flow

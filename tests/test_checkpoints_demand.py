@@ -1,5 +1,7 @@
 """Checkpointing and demand-driven capacity-sizing tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.drl.checkpoints import load_agent, save_agent
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.errors import ConfigurationError
-from repro.mobility.demand import capacity_for_demand
+from repro.mobility.demand import capacity_for_demand, sized_capacity
 
 
 class TestCheckpoints:
@@ -187,3 +189,27 @@ class TestCapacitySizing:
             spectral_efficiency=se, concurrency_margin=2.0,
         )
         assert padded == pytest.approx(2.0 * base)
+
+    @pytest.mark.parametrize(
+        "rate", [math.nan, math.inf, -math.inf, 0.0, -0.1],
+        ids=["nan", "inf", "-inf", "zero", "negative"],
+    )
+    def test_rejects_degenerate_arrival_rates(self, rate):
+        with pytest.raises(ConfigurationError, match="arrival_rate_hz"):
+            capacity_for_demand(
+                rate, mean_data_units=2.0, target_aotm=0.5,
+                spectral_efficiency=paper_link().spectral_efficiency,
+            )
+
+    def test_sized_capacity_is_the_validated_formula_elementwise(self):
+        se = paper_link().spectral_efficiency
+        rates = np.array([0.02, 0.1, 7.5, 1234.5])
+        means = np.array([1.0, 2.0, 2.5, 2.9])
+        expected = [
+            capacity_for_demand(
+                r, mean_data_units=m, target_aotm=0.05, spectral_efficiency=se
+            )
+            for r, m in zip(rates.tolist(), means.tolist())
+        ]
+        got = sized_capacity(rates, means, 0.05, np.full(4, se))
+        assert got.tobytes() == np.array(expected).tobytes()

@@ -6,10 +6,16 @@ stacked pass reproduces the per-market solves **bitwise** — including
 ragged populations, which the stack pads and masks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import MarketStack
+from repro.channel.link import paper_link
+from repro.core import MarketColumns, MarketStack
+from repro.core.marketstack import _MARKET_COLUMNS, _POPULATION_COLUMNS
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import (
     paper_fig2_population,
@@ -17,6 +23,7 @@ from repro.entities.vmu import (
     uniform_population,
 )
 from repro.errors import ConfigurationError
+from repro.mobility.citygrid import CityGridSpec, city_columns
 
 
 def random_markets(count, *, root_seed=0, max_vmus=11):
@@ -164,3 +171,152 @@ class TestMarketStackApi:
             vector.market_rows(0)
         with pytest.raises(ConfigurationError):
             grid.row(0)
+
+
+# ---------------------------------------------------------------------- #
+# column-built stacks
+# ---------------------------------------------------------------------- #
+FLOAT_COLUMNS = _POPULATION_COLUMNS + _MARKET_COLUMNS
+LINK = paper_link()
+moderate = st.floats(min_value=1e-2, max_value=1e3)
+
+
+@st.composite
+def valid_columns(draw):
+    """Random valid columns whose SE column is the moved link's, so the
+    members :meth:`MarketColumns.market` builds are exactly the stack's."""
+    counts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    num_markets, num_vmus = len(counts), sum(counts)
+
+    def vector(size, elements=moderate):
+        return np.array(
+            draw(st.lists(elements, min_size=size, max_size=size)),
+            dtype=np.float64,
+        )
+
+    sizes_mb = vector(num_vmus)
+    distances = vector(num_markets, st.floats(1.0, 2000.0))
+    unit_costs = vector(num_markets, st.floats(0.1, 20.0))
+    return MarketColumns(
+        counts=np.array(counts, dtype=np.int64),
+        immersion_coefs=vector(num_vmus),
+        data_sizes_mb=sizes_mb,
+        data_units=sizes_mb / 100.0,
+        spectral_efficiencies=np.array(
+            [LINK.budget.spectral_efficiency_at(d) for d in distances.tolist()]
+        ),
+        max_bandwidths=vector(num_markets),
+        distances_m=distances,
+        unit_costs=unit_costs,
+        max_prices=unit_costs + vector(num_markets, st.floats(0.0, 100.0)),
+        bandwidth_report_scales=vector(num_markets, st.floats(1.0, 100.0)),
+        enforce_capacity=np.array(
+            draw(st.lists(st.booleans(), min_size=num_markets,
+                          max_size=num_markets))
+        ),
+        link=LINK,
+    )
+
+
+CORRUPTIONS = ("nan", "inf", "-inf", "zero", "negative", "cost_above_cap",
+               "zero_count", "short_column", "no_markets")
+
+
+def corrupt(columns, kind, column, position):
+    """``columns`` with one defect of ``kind``."""
+    if kind == "cost_above_cap":
+        costs = columns.unit_costs.copy()
+        costs[position % len(costs)] = columns.max_prices[position % len(costs)] * 1.5
+        return dataclasses.replace(columns, unit_costs=costs)
+    if kind == "zero_count":
+        counts = columns.counts.copy()
+        counts[position % len(counts)] = 0
+        return dataclasses.replace(columns, counts=counts)
+    if kind == "no_markets":
+        empty = {name: np.empty(0) for name in FLOAT_COLUMNS}
+        return dataclasses.replace(
+            columns, counts=np.empty(0, dtype=np.int64),
+            enforce_capacity=np.empty(0, dtype=bool), **empty,
+        )
+    values = getattr(columns, column).copy()
+    if kind == "short_column":
+        return dataclasses.replace(columns, **{column: values[:-1]})
+    values[position % len(values)] = {
+        "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zero": 0.0,
+        "negative": -1.0,
+    }[kind]
+    return dataclasses.replace(columns, **{column: values})
+
+
+class TestFromColumns:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(columns=valid_columns())
+    def test_valid_columns_stack_like_their_markets(self, columns):
+        """Differential: the column-built stack is bitwise the stack of
+        the members the columns describe, and no feasible row of its
+        equilibria carries NaN."""
+        stack = MarketStack.from_columns(columns)
+        reference = MarketStack(
+            [columns.market(m) for m in range(len(columns))]
+        )
+        for name in ("counts", "mask", "immersion_coefs", "data_units",
+                     "spectral_efficiencies", "unit_costs", "max_prices",
+                     "capacities_natural", "_effective_caps"):
+            assert getattr(stack, name).tobytes() == (
+                getattr(reference, name).tobytes()
+            ), name
+        solved, expected = stack.equilibria_stacked(), reference.equilibria_stacked()
+        for name in ("prices", "demands", "msp_utilities", "vmu_utilities",
+                     "feasible", "capacity_binding", "price_cap_binding"):
+            assert getattr(solved, name).tobytes() == (
+                getattr(expected, name).tobytes()
+            ), name
+        rows = solved.feasible
+        assert np.isfinite(solved.prices[rows]).all()
+        assert np.isfinite(solved.msp_utilities[rows]).all()
+        valid = solved.mask & rows[:, np.newaxis]
+        assert np.isfinite(solved.demands[valid]).all()
+        assert np.isfinite(solved.vmu_utilities[valid]).all()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        columns=valid_columns(),
+        kind=st.sampled_from(CORRUPTIONS),
+        column=st.sampled_from(FLOAT_COLUMNS),
+        position=st.integers(0, 64),
+    )
+    def test_every_defect_raises_configuration_error(
+        self, columns, kind, column, position
+    ):
+        with pytest.raises(ConfigurationError):
+            MarketStack.from_columns(corrupt(columns, kind, column, position))
+
+    def test_defects_name_their_column(self):
+        base = city_columns(CityGridSpec.for_markets(4, seed=1))
+        for name in FLOAT_COLUMNS:
+            with pytest.raises(ConfigurationError, match=name):
+                MarketStack.from_columns(corrupt(base, "nan", name, 0))
+        with pytest.raises(ConfigurationError, match="exceeds max_price"):
+            MarketStack.from_columns(corrupt(base, "cost_above_cap", None, 0))
+        with pytest.raises(ConfigurationError, match="counts"):
+            MarketStack.from_columns(
+                dataclasses.replace(base, counts=base.counts.astype(float))
+            )
+        with pytest.raises(ConfigurationError, match="enforce_capacity"):
+            MarketStack.from_columns(
+                dataclasses.replace(
+                    base, enforce_capacity=base.enforce_capacity.astype(float)
+                )
+            )
+
+    def test_members_are_built_lazily_and_cached(self):
+        stack = MarketStack.from_grid(6, seed=3)
+        assert stack.num_markets == len(stack) == 6
+        assert stack._members == {}
+        last = stack.market(-1)
+        assert stack.market(5) is last
+        assert list(stack._members) == [5]
+        assert stack.markets[5] is last
+        assert len(stack.markets) == 6
+        with pytest.raises(IndexError):
+            stack.market(6)

@@ -184,3 +184,27 @@ class TestOneDrawPopulation:
                 1, seed=0, data_range_mb=data_range_mb,
                 immersion_range=immersion_range,
             )
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_bad_counts_raise_configuration_errors(self, count):
+        with pytest.raises(ConfigurationError, match="count"):
+            sample_population(count, seed=0)
+        with pytest.raises(ConfigurationError, match="count"):
+            uniform_population(count)
+
+    @pytest.mark.parametrize(
+        "data_range_mb, immersion_range",
+        [((300.0, 100.0), (5.0, 20.0)), ((100.0, 300.0), (20.0, 5.0))],
+    )
+    def test_inverted_range_raises_configuration_error(
+        self, data_range_mb, immersion_range
+    ):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="low <= high"):
+            sample_population(
+                2, seed=rng, data_range_mb=data_range_mb,
+                immersion_range=immersion_range,
+            )
+        # Checked before the draw: a shared stream is left untouched.
+        assert rng.bit_generator.state == state

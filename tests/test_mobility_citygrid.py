@@ -1,12 +1,15 @@
 """City-grid market construction: bitwise pin against a road-graph builder.
 
-``city_markets`` derives the grid geometry analytically. The oracle below
-builds the road graph it replaced, in pure Python: every junction's
-position, its out-roads with their lengths, the nearest neighbour from a
-scan of those roads, a coverage-disc test from the source RSU, the
-Little's-law capacity written out, and VMU populations drawn with scalar
-``rng.uniform`` calls. Every market must match it field for field and bit
-for bit.
+``city_columns`` derives the grid geometry analytically and draws each
+junction straight into ``MarketStack`` columns; ``city_markets`` builds
+the objects from those columns. The oracle below builds the road graph
+the analytic geometry replaced, in pure Python, one market object at a
+time: every junction's position, its out-roads with their lengths, the
+nearest neighbour from a scan of those roads, a coverage-disc test from
+the source RSU, the Little's-law capacity written out, and VMU
+populations drawn with scalar ``rng.uniform`` calls. Both routes must
+match it bit for bit: every market field for field, and the column-built
+stack's arrays and equilibria against ``MarketStack(oracle markets)``.
 """
 
 import dataclasses
@@ -23,11 +26,18 @@ import pytest
 
 import repro
 from repro import constants
-from repro.channel.link import paper_link
+from repro.channel.link import LinkBudget, paper_link
+from repro.core.marketstack import MarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
-from repro.mobility.citygrid import CityGridSpec, city_markets
+from repro.experiments.cityscale import run_city_chunk_job
+from repro.mobility.citygrid import (
+    CityGridSpec,
+    _population_means,
+    city_columns,
+    city_markets,
+)
 
 SOFT_HANDOVER_FACTOR = 0.5
 CONCURRENCY_MARGIN = 1.5
@@ -169,6 +179,123 @@ def test_slices_match_graph_oracle(start, stop):
     )
 
 
+STACK_ARRAYS = (
+    "counts", "mask", "immersion_coefs", "data_units",
+    "spectral_efficiencies", "unit_costs", "max_prices",
+    "capacities_natural", "_enforce", "_effective_caps",
+)
+EQUILIBRIUM_ARRAYS = (
+    "prices", "demands", "msp_utilities", "vmu_utilities",
+    "capacity_binding", "price_cap_binding", "feasible", "mask", "counts",
+    "unit_costs",
+)
+
+
+def assert_stacks_bitwise_equal(got, expected):
+    for name in STACK_ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got._ragged == expected._ragged
+    assert got._fullmask == expected._fullmask
+    solved, reference = got.equilibria_stacked(), expected.equilibria_stacked()
+    for name in EQUILIBRIUM_ARRAYS:
+        a, b = getattr(solved, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC_100x100, SPEC_TRUNCATED, SPEC_TINY_BLOCK, SPEC_SOFT, SPEC_MANY_VMUS,
+     SPEC_ON_CIRCLE],
+    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle"],
+)
+def test_column_stack_matches_graph_oracle(spec):
+    expected, _ = oracle_city(spec)
+    stack = MarketStack.from_columns(city_columns(spec))
+    assert_stacks_bitwise_equal(stack, MarketStack(expected))
+    # The lazily built members are the oracle's objects, bit for bit.
+    assert_markets_bitwise_equal(stack.markets, expected)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(99, 100), (9900, 10000), (95, 105)],
+    ids=["corner", "last-row", "crosses-row"],
+)
+def test_column_slices_match_graph_oracle(start, stop):
+    expected, _ = oracle_city(SPEC_100x100)
+    stack = MarketStack.from_columns(city_columns(SPEC_100x100, start, stop))
+    assert_stacks_bitwise_equal(stack, MarketStack(expected[start:stop]))
+    assert_markets_bitwise_equal(stack.markets, expected[start:stop])
+
+
+def test_empty_column_slice_stacks_like_no_markets():
+    columns = city_columns(SPEC_100x100, 0, 0)
+    assert len(columns) == 0
+    with pytest.raises(ConfigurationError, match="at least one market"):
+        MarketStack.from_columns(columns)
+    with pytest.raises(ConfigurationError, match="at least one market"):
+        MarketStack([])
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(0, 1), (99, 100), (95, 105), (4321, 4400)]
+)
+def test_slice_columns_equal_the_full_build_slice(start, stop):
+    full, part = city_columns(SPEC_100x100), city_columns(SPEC_100x100, start, stop)
+    offsets = np.concatenate([[0], np.cumsum(full.counts)])
+    lo, hi = offsets[start], offsets[stop]
+    for name in ("counts", "spectral_efficiencies", "max_bandwidths",
+                 "distances_m", "unit_costs", "max_prices",
+                 "bandwidth_report_scales", "enforce_capacity"):
+        assert getattr(part, name).tobytes() == (
+            getattr(full, name)[start:stop].tobytes()
+        ), name
+    for name in ("immersion_coefs", "data_sizes_mb", "data_units"):
+        assert getattr(part, name).tobytes() == (
+            getattr(full, name)[lo:hi].tobytes()
+        ), name
+
+
+def test_population_means_are_per_market_np_mean():
+    """The grouped mean reduces each market's own slice: bitwise
+    ``np.mean`` on both sides of numpy's 8-wide pairwise boundary."""
+    rng = np.random.default_rng(17)
+    counts = rng.integers(1, 41, size=400)
+    values = rng.uniform(1.0, 3.0, size=int(counts.sum()))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    expected = np.array([
+        float(np.mean(values[offsets[m]:offsets[m + 1]].tolist()))
+        for m in range(len(counts))
+    ])
+    assert _population_means(values, counts).tobytes() == expected.tobytes()
+
+
+def test_column_path_builds_no_market_objects(monkeypatch):
+    """``run_city_chunk_job`` and ``MarketStack.from_grid`` build no
+    ``StackelbergMarket``, ``VmuProfile`` or ``LinkBudget``."""
+    spec = CityGridSpec.for_markets(40, max_vmus=11, seed=4)
+    expected = MarketStack(city_markets(spec))
+    reference = expected.equilibria_stacked()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-market object was built")
+
+    monkeypatch.setattr(StackelbergMarket, "__init__", forbidden)
+    monkeypatch.setattr(VmuProfile, "__post_init__", forbidden)
+    monkeypatch.setattr(LinkBudget, "__post_init__", forbidden)
+    payload = {"spec": spec.to_payload(), "start": 0, "stop": spec.num_markets}
+    cells = run_city_chunk_job(payload)
+    grid = MarketStack.from_grid(40, max_vmus=11, seed=4)
+    monkeypatch.undo()
+
+    assert cells["prices"].tobytes() == reference.prices.tobytes()
+    assert cells["feasible"].tobytes() == reference.feasible.tobytes()
+    assert_stacks_bitwise_equal(grid, expected)
+
+
 def test_specs_reach_the_branches_they_pin():
     # At block_m=400 every road ties and the id string decides, so
     # "g10-4" < "g9-5" picks the same-row neighbour of "g10-5"; the
@@ -224,3 +351,39 @@ def test_spec_rejects_degenerate_floats(field, value):
     payload[field] = value
     with pytest.raises(ConfigurationError, match=field):
         CityGridSpec.from_payload(payload)
+
+
+INT_FIELDS = ("num_markets", "rows", "cols", "max_vmus", "seed")
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, 4.0, True, "4", None], ids=["float", "integral-float", "bool", "str", "none"]
+)
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_spec_rejects_non_int_fields(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        CityGridSpec(**{"num_markets": 4, "rows": 2, "cols": 2, field: value})
+    payload = CityGridSpec(num_markets=4, rows=2, cols=2).to_payload()
+    payload[field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        CityGridSpec.from_payload(payload)
+
+
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed"):
+        CityGridSpec(num_markets=4, rows=2, cols=2, seed=-1)
+    payload = CityGridSpec(num_markets=4, rows=2, cols=2).to_payload()
+    payload["seed"] = -1
+    with pytest.raises(ConfigurationError, match="seed"):
+        CityGridSpec.from_payload(payload)
+
+
+def test_valid_spec_payload_is_unchanged():
+    spec = CityGridSpec.for_markets(10000, seed=7)
+    assert spec.to_payload() == {
+        "num_markets": 10000, "rows": 100, "cols": 100, "block_m": 400.0,
+        "coverage_radius_m": None, "speed_limit_mps": 13.9,
+        "vehicles_per_cell": 400.0, "max_vmus": 6, "target_aotm": 0.05,
+        "horizon_s": 3600.0, "seed": 7,
+    }
+    assert CityGridSpec.from_payload(spec.to_payload()) == spec
