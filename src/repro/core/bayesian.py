@@ -276,12 +276,12 @@ class BayesianStackelbergMarket:
         knows nature's draw), solved in one stacked pass."""
         return self._stack.equilibria_stacked()
 
-    def equilibrium(self, *, refine: bool = True) -> BayesianStackelbergEquilibrium:
+    def equilibrium(self) -> BayesianStackelbergEquilibrium:
         """Maximise the leader's expected utility over ``[C, p_max]``.
 
         Mirrors :meth:`MarketStack.equilibria_stacked` step for step —
         pooled closed-form candidates from every scenario evaluated in
-        one stacked pass, argmax, then (with ``refine``) a
+        one stacked pass, argmax, then a
         ``grid_then_golden`` cross-check through the vector objective,
         better value wins — so the one-atom case reproduces
         :meth:`StackelbergMarket.equilibrium` bitwise.
@@ -301,15 +301,14 @@ class BayesianStackelbergMarket:
         best_index = int(np.argmax(values))
         best_price = float(pooled[best_index])
         best_value = float(values[best_index])
-        if refine:
-            refined_price, refined_value = grid_then_golden(
-                self.expected_utility,
-                self._unit_cost,
-                self._max_price,
-                vector_objective=self.expected_utilities,
-            )
-            if refined_value > best_value:
-                best_price, best_value = float(refined_price), float(refined_value)
+        refined_price, refined_value = grid_then_golden(
+            self.expected_utility,
+            self._unit_cost,
+            self._max_price,
+            vector_objective=self.expected_utilities,
+        )
+        if refined_value > best_value:
+            best_price, best_value = float(refined_price), float(refined_value)
         realised = self.scenario_utilities(best_price)
         return BayesianStackelbergEquilibrium(
             price=best_price,

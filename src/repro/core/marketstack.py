@@ -28,9 +28,12 @@ entry points cannot diverge.
 
 Equilibrium solve
 -----------------
-One solve streams the stack through row ranges ("chunks"), so peak memory
-is bounded by the chunk, not by ``M``: :meth:`MarketStack.equilibria_stacked`
-runs it at the :data:`DEFAULT_CHUNK_BYTES` budget,
+There is one solve mode: per market, the argmax over Theorem 2's
+closed-form candidates, cross-checked by a grid-then-golden search (the
+better price wins). One solve streams the stack through row ranges
+("chunks"), so peak memory is bounded by the chunk, not by ``M``:
+:meth:`MarketStack.equilibria_stacked` runs it at the
+:data:`DEFAULT_CHUNK_BYTES` budget,
 :meth:`MarketStack.equilibria_stacked_chunked` at an explicit one. Every
 step — the Theorem-2 candidate matrix, its evaluation, the golden
 refinement, the final outcome — is row-local (reductions run along the
@@ -69,6 +72,7 @@ from repro.game.solvers import (
     golden_section_maximize,
     grid_then_golden_batch,
 )
+from repro.utils.validation import require_index
 
 __all__ = [
     "MarketColumns",
@@ -443,18 +447,22 @@ class StackedEquilibria:
         assembly is O(1). The cached object is shared between callers, so
         its arrays are read-only (the stacked backing arrays already are).
 
+        ``market_index`` indexes like a sequence (negative counts from
+        the end); the cache is keyed by the normalised row, so ``-1`` and
+        ``M - 1`` share one entry.
+
         Raises:
             InfeasibleMarketError: if the market admits no profitable
                 trade — the identical semantics of the per-market
                 :meth:`StackelbergMarket.equilibrium`.
         """
-        if not bool(self.feasible[market_index]):
+        index = range(self.num_markets)[market_index]
+        if not bool(self.feasible[index]):
             raise InfeasibleMarketError(
                 "every VMU's drop-out threshold is at or below the unit "
-                f"cost C={float(self.unit_costs[market_index])}; no "
+                f"cost C={float(self.unit_costs[index])}; no "
                 "profitable trade exists"
             )
-        index = int(market_index)
         cached = self._scalar_cache.get(index)
         if cached is not None:
             return cached
@@ -733,10 +741,10 @@ class MarketStack:
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
         # Static, so built once — outcomes_stacked runs every env round.
         self._effective_caps = xp.where(enforce, caps, xp.inf)
-        # Solved equilibria, memoised per refine flag (markets and configs
-        # are frozen, so a solve can never go stale). Every chunk size
-        # returns the same bits, so every chunking shares the memo.
-        self._equilibria: dict[bool, StackedEquilibria] = {}
+        # The solved equilibria, memoised (markets and configs are frozen,
+        # so a solve can never go stale). Every chunk size returns the
+        # same bits, so every chunking shares the memo.
+        self._equilibria: StackedEquilibria | None = None
 
     @classmethod
     def from_columns(cls, columns: MarketColumns) -> "MarketStack":
@@ -1120,58 +1128,29 @@ class MarketStack:
             chunk_bytes=chunk_bytes,
         )
 
-    def equilibria_stacked(
-        self,
-        *,
-        refine: bool = True,
-        warm_lows: xp.ndarray | None = None,
-        warm_highs: xp.ndarray | None = None,
-    ) -> StackedEquilibria:
+    def equilibria_stacked(self) -> StackedEquilibria:
         """Solve every market's Stackelberg equilibrium, stacked.
 
         The market-axis form of :meth:`StackelbergMarket.equilibrium`
         (which is itself the ``M = 1`` case of this solve, so the two
         cannot diverge). Per market: evaluate the exact leader utility at
-        every closed-form candidate of Theorem 2, take the argmax, then —
-        with ``refine`` — cross-check with a grid-then-golden-section
-        search over ``[C, p_max]``; the better price wins. Infeasible
-        markets are masked in the result instead of aborting the solve
-        (see :class:`StackedEquilibria`).
+        every closed-form candidate of Theorem 2, take the argmax, then
+        cross-check with a grid-then-golden-section search over
+        ``[C, p_max]``; the better price wins. Infeasible markets are
+        masked in the result instead of aborting the solve (see
+        :class:`StackedEquilibria`).
 
         This is the :data:`DEFAULT_CHUNK_BYTES`-budget solve of
         :meth:`equilibria_stacked_chunked`: both run the one chunked
-        solve, and every chunk size gives the same bits. Results are
-        memoised per ``refine`` flag and shared with the chunked entry
-        point — markets are immutable, so repeated solves of one stack are
-        free.
-
-        ``warm_lows``/``warm_highs`` (given together, shape ``(M,)``,
-        ``refine`` only) warm-start the golden refinement per row — see
-        :func:`repro.game.solvers.grid_then_golden_batch`. Warm results
-        agree with the cold solve to refinement tolerance (not bitwise),
-        so they are returned frozen but **never memoised**; rows with
-        non-finite warm endpoints take the cold refinement path.
+        solve, and every chunk size gives the same bits. The result is
+        memoised and shared with the chunked entry point — markets are
+        immutable, so repeated solves of one stack are free.
         """
-        if warm_lows is None and warm_highs is None:
-            return self._solve(refine)
-        if not refine:
-            raise ConfigurationError(
-                "warm brackets only apply to the refined solve "
-                "(refine=True)"
-            )
-        lows = xp.asarray(warm_lows, dtype=xp.float64)
-        highs = xp.asarray(warm_highs, dtype=xp.float64)
-        if lows.shape != (self.num_markets,) or highs.shape != lows.shape:
-            raise ConfigurationError(
-                "warm_lows and warm_highs must be given together, each of "
-                f"shape ({self.num_markets},)"
-            )
-        return self._solve(refine, warm=(lows, highs))
+        return self._solve()
 
     def equilibria_stacked_chunked(
         self,
         *,
-        refine: bool = True,
         chunk_size: int | None = None,
         chunk_bytes: int | None = None,
     ) -> StackedEquilibria:
@@ -1185,36 +1164,30 @@ class MarketStack:
         chunk size (the solve is row-local end to end; see the module
         docstring).
 
-        Shares the per-``refine`` memo with :meth:`equilibria_stacked`:
-        solving a stack twice — at any chunk size — returns the identical
-        cached object.
+        Shares the memo with :meth:`equilibria_stacked`: solving a stack
+        twice — at any chunk size — returns the identical cached object.
         """
-        return self._solve(refine, chunk_size, chunk_bytes)
+        return self._solve(chunk_size, chunk_bytes)
 
     def _solve(
         self,
-        refine: bool,
         chunk_size: int | None = None,
         chunk_bytes: int | None = None,
-        warm: tuple[xp.ndarray, xp.ndarray] | None = None,
     ) -> StackedEquilibria:
         """The equilibrium solve, streamed in :meth:`resolve_chunk_size`
         chunks, behind both public entry points.
 
         One :class:`_ChunkScratch` serves every chunk, and each chunk's
         rows stream into preallocated ``(M,)``/``(M, N_max)`` result
-        arrays. Warm brackets ``(lows, highs)`` are sliced per chunk.
+        arrays.
 
-        Cold results are memoised per ``refine`` flag, warm ones never.
-        Either way the result's arrays are frozen: a caller writing
-        through a memoised result would silently poison every later
-        equilibrium() solve of this stack. equilibrium(m) hands out
-        read-only copies; whole-array consumers get read-only views.
+        The memoised result's arrays are frozen: a caller writing through
+        it would silently poison every later equilibrium() solve of this
+        stack. equilibrium(m) hands out read-only copies; whole-array
+        consumers get read-only views.
         """
-        if warm is None:
-            cached = self._equilibria.get(refine)
-            if cached is not None:
-                return cached
+        if self._equilibria is not None:
+            return self._equilibria
         size = self.resolve_chunk_size(
             chunk_size=chunk_size, chunk_bytes=chunk_bytes
         )
@@ -1231,11 +1204,10 @@ class MarketStack:
         scratch = _ChunkScratch(size, n_max)
         for start in range(0, num_markets, size):
             sl = slice(start, min(start + size, num_markets))
-            rows_warm = None if warm is None else (warm[0][sl], warm[1][sl])
-            chunk = self._solve_rows(sl, refine, scratch, rows_warm)
+            chunk = self._solve_rows(sl, scratch)
             for key, values in chunk.items():
                 out[key][sl] = values
-        result = _freeze_result(
+        self._equilibria = _freeze_result(
             StackedEquilibria(
                 mask=self._mask.copy(),
                 counts=self._counts.copy(),
@@ -1243,19 +1215,17 @@ class MarketStack:
                 **out,
             )
         )
-        if warm is None:
-            self._equilibria[refine] = result
-        return result
+        return self._equilibria
 
     def _refine_rows_scalar(
         self, sl: slice, scratch: _ChunkScratch
     ) -> tuple[xp.ndarray, xp.ndarray]:
         """Golden refinement of a tiny row range, one scalar search per row.
 
-        Bitwise replica of the cold ``grid_then_golden_batch`` call in
+        Bitwise replica of the ``grid_then_golden_batch`` call in
         :meth:`_solve_rows`, restructured for latency (see
         :data:`_SCALAR_REFINE_MAX_ROWS`): the coarse scan stays vectorised
-        (same grid, argmax, and bracket expressions as ``scan_brackets``),
+        (same grid, argmax, and bracket expressions as the batch),
         then each row refines through the scalar
         :func:`golden_section_maximize` — the reference the batch is
         pinned against — with a pure-Python objective.
@@ -1279,12 +1249,12 @@ class MarketStack:
         )
         values = scratch.leader_utilities(grids)
         best_idx = xp.argmax(values, axis=1)
-        bracket_lows = low_v + xp.maximum(0, best_idx - 1) * steps
-        bracket_highs = (
+        lows = low_v + xp.maximum(0, best_idx - 1) * steps
+        highs = (
             low_v + xp.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
         )
 
-        num_rows = bracket_lows.shape[0]
+        num_rows = lows.shape[0]
         prices = xp.empty(num_rows, dtype=xp.float64)
         utilities = xp.empty(num_rows, dtype=xp.float64)
         for i in range(num_rows):
@@ -1314,23 +1284,18 @@ class MarketStack:
                 return (p - cost) * served
 
             prices[i], utilities[i] = golden_section_maximize(
-                objective, float(bracket_lows[i]), float(bracket_highs[i])
+                objective, float(lows[i]), float(highs[i])
             )
         return prices, utilities
 
     def _solve_rows(
-        self,
-        sl: slice,
-        refine: bool,
-        scratch: _ChunkScratch,
-        warm: tuple[xp.ndarray, xp.ndarray] | None,
+        self, sl: slice, scratch: _ChunkScratch
     ) -> dict[str, xp.ndarray]:
         """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
 
-        Candidate argmax, then (with ``refine``) the golden cross-check —
-        warm-started from ``warm = (lows, highs)`` when given — then the
-        full outcome at the winning prices. Every step is row-local, so
-        the arrays are bitwise the rows any other chunking produces.
+        Candidate argmax, then the golden cross-check, then the full
+        outcome at the winning prices. Every step is row-local, so the
+        arrays are bitwise the rows any other chunking produces.
         """
         scratch.load(self, sl)
         candidates, feasible = self._candidate_rows(sl)
@@ -1340,26 +1305,19 @@ class MarketStack:
         best_values = xp.take_along_axis(candidate_values, best_idx, axis=1)[
             :, 0
         ]
-        if refine:
-            if (
-                warm is None
-                and feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS
-                and self.max_vmus < 8
-            ):
-                refined_prices, refined_values = self._refine_rows_scalar(
-                    sl, scratch
-                )
-            else:
-                refined_prices, refined_values = grid_then_golden_batch(
-                    scratch.leader_utilities,
-                    self._unit_costs[sl],
-                    self._max_prices[sl],
-                    bracket_lows=None if warm is None else warm[0],
-                    bracket_highs=None if warm is None else warm[1],
-                )
-            best_prices = xp.where(
-                refined_values > best_values, refined_prices, best_prices
+        if feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS and self.max_vmus < 8:
+            refined_prices, refined_values = self._refine_rows_scalar(
+                sl, scratch
             )
+        else:
+            refined_prices, refined_values = grid_then_golden_batch(
+                scratch.leader_utilities,
+                self._unit_costs[sl],
+                self._max_prices[sl],
+            )
+        best_prices = xp.where(
+            refined_values > best_values, refined_prices, best_prices
+        )
         outcome = self._outcomes_trusted(best_prices, sl)
         price_cap_binding = xp.abs(best_prices - self._max_prices[sl]) < 1e-9
         rows = feasible[:, xp.newaxis]
@@ -1415,18 +1373,14 @@ class MutableMarketStack:
     docstring), so a dirty row solved inside the small sub-stack gets
     bitwise the same numbers it would get inside a cold full solve of the
     mutated stack — :meth:`equilibria_live` is **bitwise-equal to a cold
-    :meth:`MarketStack.equilibria_stacked` at every step**. The one
-    exception is opt-in: ``warm_start=True`` restarts each dirty row's
-    golden refinement from a one-grid-cell bracket around its previous
-    equilibrium price (falling back to the cold scan when the old optimum
-    is stale), which agrees to refinement tolerance instead of bitwise.
+    :meth:`MarketStack.equilibria_stacked` at every step**.
 
     Mutation contract (what dirties what):
 
     - :meth:`update_market` / :meth:`join` / :meth:`leave` /
-      :meth:`set_fading_gain` dirty exactly the one row they touch, under
-      *both* refine flags (a mutation invalidates every cached view of
-      that row).
+      :meth:`set_fading_gain` dirty exactly the one row they touch. Each
+      takes a row index ``0 <= index < M`` (an ``int``; negative, bool
+      and float indices raise :class:`~repro.errors.ConfigurationError`).
     - Clean rows are never re-solved, and their cached per-row scalar
       equilibria (:meth:`StackedEquilibria.equilibrium`) are carried over
       by object identity; a dirty row's entry is dropped and lazily
@@ -1451,24 +1405,12 @@ class MutableMarketStack:
         )
         self._chunk_size = chunk_size
         self._chunk_bytes = chunk_bytes
-        # Dirty rows per refine flag: a mutation invalidates the row under
-        # both flags; each flag's solve clears only its own pending set.
-        self._dirty: dict[bool, set[int]] = {True: set(), False: set()}
-        self._solved: dict[bool, StackedEquilibria] = {}
+        # Rows mutated since the last solve, and that solve's result.
+        self._dirty: set[int] = set()
+        self._solved: StackedEquilibria | None = None
         self._stack: MarketStack | None = None
         self._solve_count = 0
         self._rows_resolved = 0
-
-    @classmethod
-    def from_grid(cls, num_markets: int, **kwargs) -> "MutableMarketStack":
-        """A live wrapper over a city-grid stack (see
-        :meth:`MarketStack.from_grid` for the parameters)."""
-        chunk_size = kwargs.pop("chunk_size", None)
-        chunk_bytes = kwargs.pop("chunk_bytes", None)
-        base = MarketStack.from_grid(num_markets, **kwargs)
-        return cls(
-            base.markets, chunk_size=chunk_size, chunk_bytes=chunk_bytes
-        )
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -1502,9 +1444,9 @@ class MutableMarketStack:
             self._stack = MarketStack(self._markets)
         return self._stack
 
-    def dirty_indices(self, *, refine: bool = True) -> tuple[int, ...]:
-        """Rows awaiting re-solve under ``refine`` (sorted)."""
-        return tuple(sorted(self._dirty[refine]))
+    def dirty_indices(self) -> tuple[int, ...]:
+        """Rows awaiting re-solve (sorted)."""
+        return tuple(sorted(self._dirty))
 
     @property
     def solve_count(self) -> int:
@@ -1521,31 +1463,26 @@ class MutableMarketStack:
     # ------------------------------------------------------------------ #
     # mutations
     # ------------------------------------------------------------------ #
-    def _touch(self, index: int) -> None:
-        for pending in self._dirty.values():
-            pending.add(index)
-        self._stack = None
+    def row_index(self, index: int) -> int:
+        """``index`` as a row of this stack.
 
-    def _market_at(self, index: int) -> StackelbergMarket:
-        index = int(index)
-        if not 0 <= index < len(self._markets):
-            raise ConfigurationError(
-                f"market index {index} out of range for stack of "
-                f"{len(self._markets)}"
-            )
-        return self._markets[index]
+        Raises:
+            ConfigurationError: unless ``index`` is an ``int`` (not
+                ``bool``) with ``0 <= index < M``.
+        """
+        return require_index("market index", index, len(self._markets))
 
     def update_market(self, index: int, market: StackelbergMarket) -> None:
         """Replace row ``index`` with ``market`` (dirties exactly that row)."""
-        index = int(index)
-        self._market_at(index)
+        index = self.row_index(index)
         if not isinstance(market, StackelbergMarket):
             raise ConfigurationError(
                 f"expected a StackelbergMarket, got {type(market).__name__}"
             )
         self._markets[index] = market
         self._counts[index] = market.num_vmus
-        self._touch(index)
+        self._dirty.add(index)
+        self._stack = None
 
     def join(self, index: int, vmu: VmuProfile) -> None:
         """A VMU joins market ``index`` (dirties that row).
@@ -1554,7 +1491,8 @@ class MutableMarketStack:
             ConfigurationError: if ``vmu`` is not a :class:`VmuProfile`,
                 or a VMU with its id is already in the market.
         """
-        market = self._market_at(index)
+        index = self.row_index(index)
+        market = self._markets[index]
         if not isinstance(vmu, VmuProfile):
             raise ConfigurationError(
                 f"expected a VmuProfile, got {type(vmu).__name__}"
@@ -1572,7 +1510,8 @@ class MutableMarketStack:
             ConfigurationError: if no such VMU is in the market, or it is
                 the market's last one (a market needs ≥ 1 VMU).
         """
-        market = self._market_at(index)
+        index = self.row_index(index)
+        market = self._markets[index]
         kept = tuple(v for v in market.vmus if v.vmu_id != vmu_id)
         if len(kept) == len(market.vmus):
             raise ConfigurationError(
@@ -1588,7 +1527,8 @@ class MutableMarketStack:
     def set_fading_gain(self, index: int, fading_gain: float) -> None:
         """Channel-fading drift on market ``index``'s RSU link (dirties
         that row)."""
-        market = self._market_at(index)
+        index = self.row_index(index)
+        market = self._markets[index]
         self.update_market(
             index, market.with_link(market.link.with_fading_gain(fading_gain))
         )
@@ -1596,9 +1536,7 @@ class MutableMarketStack:
     # ------------------------------------------------------------------ #
     # the incremental solve
     # ------------------------------------------------------------------ #
-    def equilibria_live(
-        self, *, refine: bool = True, warm_start: bool = False
-    ) -> StackedEquilibria:
+    def equilibria_live(self) -> StackedEquilibria:
         """Current equilibria of the stack, re-solving only dirty rows.
 
         First call (or after every row was dirtied): a cold full solve
@@ -1606,62 +1544,29 @@ class MutableMarketStack:
         wrapper's chunk knobs. Later calls solve the dirty rows as their
         own sub-stack and splice the rows into the cached result —
         bitwise-equal to a cold solve of the mutated stack (see the class
-        docstring; ``warm_start=True`` trades that for
-        tolerance-level agreement and a scan-free refinement, and is
-        ignored when ``refine=False`` — there is no refinement to warm).
+        docstring).
         """
-        dirty = self._dirty[refine]
-        cached = self._solved.get(refine)
-        if cached is not None and not dirty:
+        cached = self._solved
+        if cached is not None and not self._dirty:
             return cached
-        if cached is None or len(dirty) == len(self._markets):
+        if cached is None or len(self._dirty) == len(self._markets):
             result = self.stack.equilibria_stacked_chunked(
-                refine=refine,
-                chunk_size=self._chunk_size,
-                chunk_bytes=self._chunk_bytes,
+                chunk_size=self._chunk_size, chunk_bytes=self._chunk_bytes
             )
             self._rows_resolved += len(self._markets)
         else:
-            indices = sorted(dirty)
-            sub = MarketStack([self._markets[i] for i in indices])
-            if warm_start and refine:
-                warm_lows, warm_highs = self._warm_brackets(
-                    cached, indices, sub
-                )
-                rows = sub.equilibria_stacked(
-                    refine=True, warm_lows=warm_lows, warm_highs=warm_highs
-                )
-            else:
-                rows = sub.equilibria_stacked_chunked(
-                    refine=refine,
-                    chunk_size=self._chunk_size,
-                    chunk_bytes=self._chunk_bytes,
-                )
+            indices = sorted(self._dirty)
+            rows = MarketStack(
+                [self._markets[i] for i in indices]
+            ).equilibria_stacked_chunked(
+                chunk_size=self._chunk_size, chunk_bytes=self._chunk_bytes
+            )
             result = self._splice(cached, indices, rows)
             self._rows_resolved += len(indices)
         self._solve_count += 1
-        dirty.clear()
-        self._solved[refine] = result
+        self._dirty.clear()
+        self._solved = result
         return result
-
-    @staticmethod
-    def _warm_brackets(
-        cached: StackedEquilibria, indices: list[int], sub: MarketStack
-    ) -> tuple[xp.ndarray, xp.ndarray]:
-        """Warm refinement brackets for the dirty rows: ± one coarse-grid
-        cell around each row's previous equilibrium price.
-
-        One cell matches the width of the bracket a cold scan hands the
-        golden refinement, so a warm row that stayed near its old optimum
-        refines with the same resolution at none of the scan cost. Rows
-        that were previously infeasible carry ``nan`` prices, which the
-        solver treats as "no warm bracket" (cold path).
-        """
-        previous = cached.prices[xp.asarray(indices, dtype=xp.intp)]
-        steps = (sub._max_prices - sub._unit_costs) / (
-            _REFINE_GRID_POINTS - 1
-        )
-        return previous - steps, previous + steps
 
     def _splice(
         self,

@@ -372,13 +372,13 @@ class StackelbergMarket:
         )
         return self.outcomes_batch(grid)
 
-    def equilibrium(self, *, refine: bool = True) -> StackelbergEquilibrium:
+    def equilibrium(self) -> StackelbergEquilibrium:
         """Compute the unique Stackelberg equilibrium.
 
         Strategy: evaluate the exact leader utility at every closed-form
         candidate (active-set optima, capacity-saturating prices, segment
-        boundaries), then optionally refine with a bracketed golden-section
-        search as a numerical cross-check. The two agree to ~1e-8 for every
+        boundaries), then cross-check with a grid-then-golden-section
+        search over ``[C, p_max]``. The two agree to ~1e-8 for every
         market the test-suite constructs; the better one wins.
 
         Since the stacked-equilibrium refactor this is the ``M = 1``
@@ -392,7 +392,7 @@ class StackelbergMarket:
         Raises:
             InfeasibleMarketError: if no feasible price induces any demand.
         """
-        return self.as_stack().equilibria_stacked(refine=refine).equilibrium(0)
+        return self.as_stack().equilibria_stacked().equilibrium(0)
 
     def unconstrained_equilibrium_price(self) -> float:
         """Theorem 2's closed form ``p* = sqrt(C·SE·Σα/ΣD)``, ignoring

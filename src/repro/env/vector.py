@@ -284,7 +284,7 @@ class VectorMigrationEnv:
             infos,
         )
 
-    def equilibria(self, *, refine: bool = True):
+    def equilibria(self):
         """Every env's Stackelberg equilibrium, one stacked solve.
 
         One :meth:`MarketStack.equilibria_stacked` pass over the env's own
@@ -296,5 +296,5 @@ class VectorMigrationEnv:
             InfeasibleMarketError: if any member market admits no
                 profitable trade.
         """
-        solved = self._stack.equilibria_stacked(refine=refine)
+        solved = self._stack.equilibria_stacked()
         return [solved.equilibrium(e) for e in range(self.num_envs)]

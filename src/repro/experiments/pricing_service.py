@@ -121,7 +121,6 @@ SERVICE_PARAMS: tuple[ParamSpec, ...] = (
     ParamSpec("rush_amplitude", "float", 0.5, "peak demand surge of the rush_hour scenario (fraction of base vehicles/cell)"),
     ParamSpec("max_vmus", "int", 6, "max VMUs per market (population drawn in [1, max])"),
     ParamSpec("vehicles_per_cell", "float", 400.0, "base vehicle stream served per RSU cell"),
-    ParamSpec("warm_start", "bool", False, "warm-start dirty rows' refinement from their previous equilibrium price"),
     ParamSpec("seed", "int", 0, "root seed of the city draw and the churn stream"),
 )
 
@@ -238,7 +237,6 @@ def _run_service(params: Mapping) -> PricingServiceResult:
     markets, events = _build_scenario(params)
     service = LivePricingService(
         markets,
-        warm_start=bool(params["warm_start"]),
         chunk_size=params["chunk_size"],
         chunk_bytes=params["chunk_bytes"],
     )

@@ -253,8 +253,6 @@ def grid_then_golden(
     grid_points: int = 256,
     tolerance: float = 1e-10,
     vector_objective: Callable[[xp.ndarray], xp.ndarray] | None = None,
-    bracket_low: float | None = None,
-    bracket_high: float | None = None,
 ) -> tuple[float, float]:
     """Global maximisation of a (possibly piecewise) continuous objective.
 
@@ -273,48 +271,11 @@ def grid_then_golden(
     grid vector and uses the batched result when the callable transparently
     vectorises (ufunc-style objectives); scalar-only callables fall back to
     the per-point loop with identical results.
-
-    ``bracket_low``/``bracket_high`` (given together) warm-start the
-    search: the coarse scan is skipped and golden refinement runs directly
-    on the warm bracket, clipped to ``[low, high]``. The warm optimum is
-    trusted unless it is *stale* — the refined argmax lands within
-    ``tolerance`` of a warm-bracket endpoint that is strictly inside the
-    full interval (the true optimum may have escaped the bracket) — in
-    which case the full scan-then-refine path runs as if no warm bracket
-    had been given. Non-finite warm endpoints disable the warm start for
-    this call (callers batch them as "no previous optimum"). With a warm
-    bracket the result agrees with the cold path to refinement tolerance,
-    not bitwise.
     """
     if grid_points < 3:
         raise GameError(f"grid_points must be >= 3, got {grid_points}")
     if low > high:
         raise GameError(f"invalid bracket: low={low} > high={high}")
-    if (bracket_low is None) != (bracket_high is None):
-        raise GameError(
-            "bracket_low and bracket_high must be given together"
-        )
-    if (
-        bracket_low is not None
-        and math.isfinite(bracket_low)
-        and math.isfinite(bracket_high)
-    ):
-        if bracket_low > bracket_high:
-            raise GameError(
-                f"invalid warm bracket: low={bracket_low} > "
-                f"high={bracket_high}"
-            )
-        warm_low = min(max(float(bracket_low), low), high)
-        warm_high = min(max(float(bracket_high), low), high)
-        price, value = golden_section_maximize(
-            objective, warm_low, warm_high, tolerance=tolerance
-        )
-        stale = (
-            (price - warm_low <= tolerance and warm_low > low)
-            or (warm_high - price <= tolerance and warm_high < high)
-        )
-        if not stale:
-            return price, value
     if high == low:
         return low, objective(low)
     step = (high - low) / (grid_points - 1)
@@ -334,10 +295,11 @@ def grid_then_golden(
         else:
             scalar_values = [objective(float(p)) for p in grid]
             best_idx = max(range(grid_points), key=scalar_values.__getitem__)
-    bracket_low = low + max(0, best_idx - 1) * step
-    bracket_high = low + min(grid_points - 1, best_idx + 1) * step
     return golden_section_maximize(
-        objective, bracket_low, bracket_high, tolerance=tolerance
+        objective,
+        low + max(0, best_idx - 1) * step,
+        low + min(grid_points - 1, best_idx + 1) * step,
+        tolerance=tolerance,
     )
 
 
@@ -348,8 +310,6 @@ def grid_then_golden_batch(
     *,
     grid_points: int = 256,
     tolerance: float = 1e-10,
-    bracket_lows: xp.ndarray | None = None,
-    bracket_highs: xp.ndarray | None = None,
 ) -> tuple[xp.ndarray, xp.ndarray]:
     """Global maximisation of ``M`` objectives on ``M`` intervals, stacked.
 
@@ -365,20 +325,6 @@ def grid_then_golden_batch(
     highs[m], ...)`` bitwise whenever the batched objective agrees with the
     scalar one row for row; degenerate intervals (``lows[m] == highs[m]``)
     resolve to their single point like the scalar early return.
-
-    ``bracket_lows``/``bracket_highs`` (given together, shape ``(M,)``)
-    warm-start individual rows: a row whose warm endpoints are both finite
-    skips the coarse scan and refines directly inside its warm bracket
-    (clipped to the row's interval); rows with a non-finite endpoint take
-    the cold scan-then-refine path. A warm row whose refined argmax lands
-    within ``tolerance`` of a warm endpoint strictly inside its full
-    interval is *stale*: it is re-solved through the cold path (the warm
-    bracket no longer contains the optimum). Row for row this is the exact
-    elementwise replica of the scalar warm-start rule, so the batch stays
-    bitwise-equal to a loop of :func:`grid_then_golden` calls with the
-    matching scalar warm brackets. When every row is warm and none comes
-    back stale, the ``(M, grid_points)`` scan is never evaluated — the
-    whole point of warm-starting a dirty-row re-solve.
     """
     if grid_points < 3:
         raise GameError(f"grid_points must be >= 3, got {grid_points}")
@@ -391,75 +337,17 @@ def grid_then_golden_batch(
         )
     if xp.any(low_v > high_v):
         raise GameError("invalid bracket: low > high")
-    if (bracket_lows is None) != (bracket_highs is None):
-        raise GameError(
-            "bracket_lows and bracket_highs must be given together"
-        )
     steps = (high_v - low_v) / (grid_points - 1)
-    scan_cache: tuple[xp.ndarray, xp.ndarray] | None = None
-
-    def scan_brackets() -> tuple[xp.ndarray, xp.ndarray]:
-        """Cold coarse scan: each row's best grid bracket (computed once)."""
-        nonlocal scan_cache
-        if scan_cache is None:
-            grids = (
-                low_v[:, xp.newaxis]
-                + steps[:, xp.newaxis] * xp.arange(grid_points)
-            )
-            values = xp.asarray(objective(grids), dtype=float)
-            if values.shape != grids.shape:
-                raise GameError(
-                    f"objective returned shape {values.shape}, expected "
-                    f"{grids.shape}"
-                )
-            best_idx = xp.argmax(values, axis=1)
-            scan_cache = (
-                low_v + xp.maximum(0, best_idx - 1) * steps,
-                low_v + xp.minimum(grid_points - 1, best_idx + 1) * steps,
-            )
-        return scan_cache
-
-    if bracket_lows is None:
-        cold_lows, cold_highs = scan_brackets()
-        return golden_section_maximize_batch(
-            objective, cold_lows, cold_highs, tolerance=tolerance
-        )
-
-    warm_low_v = xp.asarray(bracket_lows, dtype=float)
-    warm_high_v = xp.asarray(bracket_highs, dtype=float)
-    if warm_low_v.shape != low_v.shape or warm_high_v.shape != low_v.shape:
+    grids = low_v[:, xp.newaxis] + steps[:, xp.newaxis] * xp.arange(grid_points)
+    values = xp.asarray(objective(grids), dtype=float)
+    if values.shape != grids.shape:
         raise GameError(
-            f"warm brackets must share the (M,) shape {low_v.shape}, got "
-            f"{warm_low_v.shape} and {warm_high_v.shape}"
+            f"objective returned shape {values.shape}, expected {grids.shape}"
         )
-    warm = xp.isfinite(warm_low_v) & xp.isfinite(warm_high_v)
-    if xp.any(warm & (warm_low_v > warm_high_v)):
-        raise GameError("invalid warm bracket: low > high")
-    clipped_low = xp.where(warm, xp.clip(warm_low_v, low_v, high_v), low_v)
-    clipped_high = xp.where(warm, xp.clip(warm_high_v, low_v, high_v), high_v)
-    if bool(xp.all(warm)):
-        refine_lows, refine_highs = clipped_low, clipped_high
-    else:
-        cold_lows, cold_highs = scan_brackets()
-        refine_lows = xp.where(warm, clipped_low, cold_lows)
-        refine_highs = xp.where(warm, clipped_high, cold_highs)
-    prices, values = golden_section_maximize_batch(
-        objective, refine_lows, refine_highs, tolerance=tolerance
+    best_idx = xp.argmax(values, axis=1)
+    return golden_section_maximize_batch(
+        objective,
+        low_v + xp.maximum(0, best_idx - 1) * steps,
+        low_v + xp.minimum(grid_points - 1, best_idx + 1) * steps,
+        tolerance=tolerance,
     )
-    stale = warm & (
-        ((prices - clipped_low <= tolerance) & (clipped_low > low_v))
-        | ((clipped_high - prices <= tolerance) & (clipped_high < high_v))
-    )
-    if bool(xp.any(stale)):
-        cold_lows, cold_highs = scan_brackets()
-        # Non-stale rows ride along frozen on a degenerate [p, p] bracket
-        # (resolving back to p bitwise); only stale rows re-refine.
-        redo_prices, redo_values = golden_section_maximize_batch(
-            objective,
-            xp.where(stale, cold_lows, prices),
-            xp.where(stale, cold_highs, prices),
-            tolerance=tolerance,
-        )
-        prices = xp.where(stale, redo_prices, prices)
-        values = xp.where(stale, redo_values, values)
-    return prices, values

@@ -129,13 +129,13 @@ def latency_percentile(latencies: Sequence[float], q: float) -> float:
 class LivePricingService:
     """Serve equilibrium price quotes over live, mutating market state.
 
+    Every answer is bitwise the row a cold
+    :meth:`~repro.core.marketstack.MarketStack.equilibria_stacked` of the
+    current markets gives (see :class:`MutableMarketStack`).
+
     Args:
         markets: the initial markets — a sequence, or an existing
             :class:`MutableMarketStack` to serve over directly.
-        refine: solve mode for every answer (golden refinement on/off).
-        warm_start: restart dirty rows' refinement from their previous
-            equilibrium price (tolerance-level answers instead of
-            bitwise; see :class:`MutableMarketStack`).
         chunk_size / chunk_bytes: chunk knobs of the underlying solves
             (ignored when an existing stack is passed — it has its own).
     """
@@ -144,8 +144,6 @@ class LivePricingService:
         self,
         markets: Iterable[StackelbergMarket] | MutableMarketStack,
         *,
-        refine: bool = True,
-        warm_start: bool = False,
         chunk_size: int | None = None,
         chunk_bytes: int | None = None,
     ) -> None:
@@ -155,8 +153,6 @@ class LivePricingService:
             self._stack = MutableMarketStack(
                 markets, chunk_size=chunk_size, chunk_bytes=chunk_bytes
             )
-        self._refine = bool(refine)
-        self._warm_start = bool(warm_start)
         self._latencies: list[float] = []
         self._updates = 0
         self._update_s = 0.0
@@ -177,18 +173,22 @@ class LivePricingService:
     def equilibria(self) -> StackedEquilibria:
         """The current full solution (solving dirty rows if any) — the
         bulk face of :meth:`query`, and the live-vs-cold test hook."""
-        return self._stack.equilibria_live(
-            refine=self._refine, warm_start=self._warm_start
-        )
+        return self._stack.equilibria_live()
 
     # ------------------------------------------------------------------ #
     # the request loop
     # ------------------------------------------------------------------ #
     def query(self, market_index: int) -> PriceQuote:
-        """Answer one price query (timed; may trigger a dirty-row solve)."""
+        """Answer one price query (timed; may trigger a dirty-row solve).
+
+        Raises:
+            ConfigurationError: unless ``market_index`` is an ``int`` (not
+                ``bool``) with ``0 <= market_index < M`` — the row check
+                every update event goes through too.
+        """
         start = time.perf_counter()
+        index = self._stack.row_index(market_index)
         solved = self.equilibria()
-        index = int(market_index)
         quote = PriceQuote(
             market_index=index,
             feasible=bool(solved.feasible[index]),

@@ -8,6 +8,7 @@ the offending name and value rather than as NaNs deep inside a sweep.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
@@ -18,6 +19,7 @@ __all__ = [
     "require_in_range",
     "require_finite",
     "require_positive_int",
+    "require_index",
     "require_probability",
     "require_same_length",
     "require_non_empty",
@@ -73,6 +75,30 @@ def require_positive_int(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigurationError(f"{name} must be a positive int, got {value!r}")
     return value
+
+
+def require_index(name: str, value: int, length: int) -> int:
+    """Return ``value`` as an ``int`` if it indexes a sequence of
+    ``length`` items from the front (``0 <= value < length``), else raise.
+
+    Integral types (``int``, numpy integers) pass; ``bool``, floats and
+    negative indices do not.
+    """
+    index = value
+    if type(index) is not int:  # plain ints skip this: every query checks
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            index = operator.index(value)
+        except TypeError:
+            raise ConfigurationError(
+                f"{name} must be an int, got {value!r}"
+            ) from None
+    if not 0 <= index < length:
+        raise ConfigurationError(
+            f"{name} {index} out of range for {length} items"
+        )
+    return index
 
 
 def require_probability(name: str, value: float) -> float:

@@ -3,8 +3,8 @@
 The acceptance criterion of the stacked solver: solving ``M`` heterogeneous
 markets' Stackelberg equilibria in one pass — candidate matrix, one stacked
 evaluation, lockstep golden refinement — reproduces the per-market
-``equilibrium()`` loop **bitwise**, including ragged populations,
-``refine=True/False``, and infeasible-market masking.
+``equilibrium()`` loop **bitwise**, including ragged populations and
+infeasible-market masking.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.core import MarketStack, welfare_report, welfare_reports_stacked
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile, paper_fig2_population, sample_population
 from repro.env.vector import VectorMigrationEnv
-from repro.errors import GameError, InfeasibleMarketError
+from repro.errors import InfeasibleMarketError
 from repro.game.solvers import (
     golden_section_maximize,
     golden_section_maximize_batch,
@@ -71,9 +71,9 @@ def infeasible_market():
     return StackelbergMarket(vmus, config=MarketConfig(unit_cost=45.0))
 
 
-def assert_equilibria_match(stacked, markets, *, refine):
+def assert_equilibria_match(stacked, markets):
     for m, market in enumerate(markets):
-        reference = market.equilibrium(refine=refine)
+        reference = market.equilibrium()
         solved = stacked.equilibrium(m)
         assert solved.price == reference.price
         assert solved.msp_utility == reference.msp_utility
@@ -84,24 +84,22 @@ def assert_equilibria_match(stacked, markets, *, refine):
 
 
 class TestStackedEqualsPerMarket:
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_50_random_ragged_markets_match_bitwise(self, refine):
+    def test_50_random_ragged_markets_match_bitwise(self):
         """Property: across 50 random heterogeneous markets (ragged N,
         mixed capacity enforcement) the stacked equilibria equal per-market
-        ``equilibrium()`` calls bitwise, with and without refinement."""
+        ``equilibrium()`` calls bitwise."""
         markets = random_markets(50, root_seed=11)
-        stacked = MarketStack(markets).equilibria_stacked(refine=refine)
+        stacked = MarketStack(markets).equilibria_stacked()
         assert stacked.num_markets == 50
         assert stacked.feasible.all()
-        assert_equilibria_match(stacked, markets, refine=refine)
+        assert_equilibria_match(stacked, markets)
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_dropout_regime_matches_bitwise(self, refine):
+    def test_dropout_regime_matches_bitwise(self):
         """Markets with thresholds inside [C, p_max]: the kinked candidate
         enumeration stays bitwise-equal across the stack."""
         markets = dropout_markets()
-        stacked = MarketStack(markets).equilibria_stacked(refine=refine)
-        assert_equilibria_match(stacked, markets, refine=refine)
+        stacked = MarketStack(markets).equilibria_stacked()
+        assert_equilibria_match(stacked, markets)
 
     def test_single_market_stack_is_equilibrium(self):
         """M = 1 broadcast case: the market's own ``equilibrium()`` is one
@@ -144,9 +142,7 @@ class TestInfeasibleMasking:
         mixed = feasible[:2] + [infeasible_market()] + feasible[2:]
         solved = MarketStack(mixed).equilibria_stacked()
         assert_equilibria_match(
-            MarketStack(feasible).equilibria_stacked(),
-            feasible,
-            refine=True,
+            MarketStack(feasible).equilibria_stacked(), feasible
         )
         for m, market in enumerate(mixed):
             if bool(solved.feasible[m]):
@@ -201,105 +197,6 @@ class TestBatchedSolvers:
             )
             assert best[m] == ref_best
             assert values[m] == ref_value
-
-
-class TestWarmBrackets:
-    """Per-row warm brackets: the batch replicates a loop of scalar
-    warm-started searches bitwise, including the stale fallback."""
-
-    peaks = np.array([2.0, 9.0, 4.5, 7.25])
-    lows = np.array([0.0, 0.0, 0.0, 0.0])
-    highs = np.array([12.0, 12.0, 12.0, 12.0])
-
-    def objective(self, x):
-        x = np.asarray(x)
-        p = self.peaks[:, np.newaxis] if x.ndim == 2 else self.peaks
-        return -((x - p) ** 2)
-
-    def scalar_reference(self, m, bracket_low, bracket_high):
-        peak = float(self.peaks[m])
-        return grid_then_golden(
-            lambda x: -((x - peak) ** 2),
-            float(self.lows[m]),
-            float(self.highs[m]),
-            vector_objective=lambda x: -((np.asarray(x) - peak) ** 2),
-            bracket_low=bracket_low,
-            bracket_high=bracket_high,
-        )
-
-    def assert_batch_matches_loop(self, bracket_lows, bracket_highs):
-        best, values = grid_then_golden_batch(
-            self.objective,
-            self.lows,
-            self.highs,
-            bracket_lows=bracket_lows,
-            bracket_highs=bracket_highs,
-        )
-        for m in range(self.peaks.size):
-            warm = bracket_lows is not None and np.isfinite(
-                bracket_lows[m]
-            ) and np.isfinite(bracket_highs[m])
-            ref_best, ref_value = self.scalar_reference(
-                m,
-                float(bracket_lows[m]) if warm else None,
-                float(bracket_highs[m]) if warm else None,
-            )
-            assert best[m] == ref_best, m
-            assert values[m] == ref_value, m
-
-    def test_tight_warm_brackets_match_scalar_bitwise(self):
-        self.assert_batch_matches_loop(self.peaks - 0.3, self.peaks + 0.3)
-
-    def test_stale_brackets_fall_back_to_cold_path(self):
-        # Brackets nowhere near the optima: every row refines to a warm
-        # endpoint strictly inside its interval, triggers the stale rule,
-        # and must equal the cold batch bitwise.
-        stale_lows = self.lows + 0.5
-        stale_highs = self.lows + 1.0
-        self.assert_batch_matches_loop(stale_lows, stale_highs)
-        best, _ = grid_then_golden_batch(
-            self.objective,
-            self.lows,
-            self.highs,
-            bracket_lows=stale_lows,
-            bracket_highs=stale_highs,
-        )
-        cold_best, _ = grid_then_golden_batch(
-            self.objective, self.lows, self.highs
-        )
-        assert (best == cold_best).all()
-
-    def test_mixed_warm_and_cold_rows(self):
-        bracket_lows = self.peaks - 0.3
-        bracket_highs = self.peaks + 0.3
-        bracket_lows[1] = np.nan  # rows 1 and 3 take the cold path
-        bracket_highs[3] = np.nan
-        self.assert_batch_matches_loop(bracket_lows, bracket_highs)
-
-    def test_brackets_clip_to_the_interval(self):
-        # Warm brackets poking outside [low, high] clip — never probe out.
-        self.assert_batch_matches_loop(self.peaks - 100.0, self.peaks + 100.0)
-
-    def test_lonely_bracket_rejected(self):
-        with pytest.raises(GameError, match="together"):
-            grid_then_golden(
-                lambda x: -(x**2), 0.0, 1.0, bracket_low=0.2
-            )
-        with pytest.raises(GameError, match="together"):
-            grid_then_golden_batch(
-                self.objective, self.lows, self.highs,
-                bracket_lows=self.peaks,
-            )
-
-    def test_inverted_warm_bracket_rejected(self):
-        with pytest.raises(GameError):
-            grid_then_golden_batch(
-                self.objective,
-                self.lows,
-                self.highs,
-                bracket_lows=self.peaks + 1.0,
-                bracket_highs=self.peaks - 1.0,
-            )
 
 
 class TestReroutedCallers:
@@ -385,7 +282,7 @@ class TestChunkedEqualsUnchunked:
 
     def test_50_ragged_stacks_across_all_chunk_sizes(self):
         """Property: 50 random ragged stacks (every third with an
-        infeasible member, alternating refine) × chunk sizes
+        infeasible member) × chunk sizes
         {1, 3, 7, M, M + 13} — all bitwise-equal to the unchunked solve."""
         rng = np.random.default_rng(2024)
         for trial in range(50):
@@ -399,12 +296,11 @@ class TestChunkedEqualsUnchunked:
                     int(rng.integers(0, len(markets) + 1)),
                     infeasible_market(),
                 )
-            refine = trial % 2 == 0
             num_markets = len(markets)
-            reference = MarketStack(markets).equilibria_stacked(refine=refine)
+            reference = MarketStack(markets).equilibria_stacked()
             for chunk_size in (1, 3, 7, num_markets, num_markets + 13):
                 solved = MarketStack(markets).equilibria_stacked_chunked(
-                    refine=refine, chunk_size=chunk_size
+                    chunk_size=chunk_size
                 )
                 assert_stacks_bitwise_equal(reference, solved)
 
@@ -433,7 +329,7 @@ class TestChunkedEqualsUnchunked:
     def test_per_market_accessors_match_per_market_solves(self):
         markets = random_markets(8, root_seed=55)
         solved = MarketStack(markets).equilibria_stacked_chunked(chunk_size=3)
-        assert_equilibria_match(solved, markets, refine=True)
+        assert_equilibria_match(solved, markets)
 
     def test_chunked_and_unchunked_share_the_memo(self):
         stack = MarketStack(random_markets(5, root_seed=13))

@@ -3,8 +3,8 @@
 Acceptance for the live pricing layer: after *any* sequence of point
 updates, ``equilibria_live()`` — which re-solves only the dirty rows and
 splices them into the cached stack — is bitwise-equal to a cold
-``equilibria_stacked()`` over the current markets, in both refine modes
-and at every dirty fraction (one row, ~10 %, all rows). Plus the
+``equilibria_stacked()`` over the current markets at every dirty fraction
+(one row, ~10 %, all rows). Plus the
 scalar-accessor cache contract under splicing: clean rows keep their
 cached scalar objects (identity), a dirty row's entry is dropped, and
 infeasible↔feasible transitions round-trip.
@@ -66,12 +66,11 @@ def apply_random_update(mutable, rng, index):
 class TestIncrementalBitwise:
     """The tentpole property: live == cold, bitwise, after every update."""
 
-    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize(
         "dirty_fraction", ["one", "tenth", "all"], ids=["1row", "10pct", "all"]
     )
-    def test_random_update_sequences(self, refine, dirty_fraction):
-        rng = np.random.default_rng([61, refine, len(dirty_fraction)])
+    def test_random_update_sequences(self, dirty_fraction):
+        rng = np.random.default_rng([61, len(dirty_fraction)])
         mutable = MutableMarketStack(random_markets(50, root_seed=7))
         num = mutable.num_markets
         per_step = {"one": 1, "tenth": max(1, num // 10), "all": num}[
@@ -81,15 +80,11 @@ class TestIncrementalBitwise:
             targets = rng.choice(num, size=per_step, replace=False)
             for index in targets:
                 apply_random_update(mutable, rng, int(index))
-            assert set(mutable.dirty_indices(refine=refine)) == {
-                int(t) for t in targets
-            }
-            live = mutable.equilibria_live(refine=refine)
-            cold = MarketStack(list(mutable.markets)).equilibria_stacked(
-                refine=refine
-            )
+            assert set(mutable.dirty_indices()) == {int(t) for t in targets}
+            live = mutable.equilibria_live()
+            cold = MarketStack(list(mutable.markets)).equilibria_stacked()
             assert_bitwise_equal(live, cold)
-            assert not mutable.dirty_indices(refine=refine)
+            assert not mutable.dirty_indices()
 
     def test_ragged_width_changes_stay_bitwise(self):
         """Joins/leaves that change N_max (wider and narrower) re-pad
@@ -193,6 +188,31 @@ class TestSplicedScalarCache:
         )
         assert after.equilibrium(5) is clean_scalar
 
+    def test_negative_index_shares_the_row_cache_entry(self):
+        """``equilibrium(-1)`` caches under row M - 1, so re-solving that
+        row drops the entry instead of carrying a stale one over."""
+        mutable = MutableMarketStack(random_markets(8, root_seed=17))
+        before = mutable.equilibria_live()
+        assert before.equilibrium(-1) is before.equilibrium(7)
+        mutable.set_fading_gain(7, 0.05)
+        after = mutable.equilibria_live()
+        assert after.equilibrium(-1).price == after.prices[7]
+        assert after.equilibrium(-1) is after.equilibrium(7)
+        assert_bitwise_equal(
+            after, MarketStack(list(mutable.markets)).equilibria_stacked()
+        )
+
+    def test_scalar_accessor_rejects_bad_indices(self):
+        solved = MutableMarketStack(
+            random_markets(3, root_seed=17)
+        ).equilibria_live()
+        with pytest.raises(IndexError):
+            solved.equilibrium(3)
+        with pytest.raises(IndexError):
+            solved.equilibrium(-4)
+        with pytest.raises(TypeError):
+            solved.equilibrium(1.0)
+
     def test_spliced_result_is_frozen_and_cached_rows_read_only(self):
         mutable = MutableMarketStack(random_markets(4, root_seed=31))
         mutable.equilibria_live()
@@ -234,6 +254,31 @@ class TestMutationApi:
         with pytest.raises(ConfigurationError):
             mutable.set_fading_gain(3, 1.0)
 
+    @pytest.mark.parametrize("index", [3, -1, 2.5, 1.0, True, "1", None])
+    def test_every_mutation_rejects_a_bad_index(self, index):
+        """Rows are ints in [0, M): negative, float, bool and non-numeric
+        indices raise ``ConfigurationError`` and dirty nothing."""
+        mutable = MutableMarketStack(random_markets(3, root_seed=2))
+        market = mutable.market(1)
+        vmu = VmuProfile("new", data_size_mb=90.0, immersion_coef=4.0)
+        mutations = (
+            lambda: mutable.update_market(index, market),
+            lambda: mutable.join(index, vmu),
+            lambda: mutable.leave(index, market.vmus[0].vmu_id),
+            lambda: mutable.set_fading_gain(index, 0.5),
+        )
+        for mutate in mutations:
+            with pytest.raises(ConfigurationError, match="market index"):
+                mutate()
+        assert mutable.dirty_indices() == ()
+
+    def test_numpy_integer_index_accepted(self):
+        mutable = MutableMarketStack(random_markets(3, root_seed=2))
+        mutable.equilibria_live()
+        mutable.set_fading_gain(np.int64(2), 0.5)
+        assert mutable.dirty_indices() == (2,)
+        assert isinstance(mutable.dirty_indices()[0], int)
+
     def test_update_requires_market_instance(self):
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
         with pytest.raises(ConfigurationError):
@@ -254,71 +299,3 @@ class TestMutationApi:
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
         with pytest.raises(ConfigurationError, match="VmuProfile"):
             mutable.join(0, "not a vmu")
-
-
-class TestWarmStart:
-    """Opt-in warm-started refinement: tolerance-level agreement, and the
-    stale fallback keeps large jumps correct."""
-
-    def test_small_drift_matches_cold_within_tolerance(self):
-        mutable = MutableMarketStack(random_markets(20, root_seed=47))
-        mutable.equilibria_live()
-        rng = np.random.default_rng(5)
-        for index in rng.choice(20, size=4, replace=False):
-            market = mutable.market(int(index))
-            gain = market.link.budget.fading_gain * float(
-                rng.uniform(0.97, 1.03)
-            )
-            mutable.set_fading_gain(int(index), gain)
-        warm = mutable.equilibria_live(warm_start=True)
-        cold = MarketStack(list(mutable.markets)).equilibria_stacked()
-        np.testing.assert_allclose(
-            warm.prices, cold.prices, rtol=0.0, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            warm.msp_utilities, cold.msp_utilities, rtol=1e-6
-        )
-
-    def test_large_jump_falls_back_to_full_scan(self):
-        """A replacement that moves the optimum far outside the warm
-        bracket must still land on the cold answer (stale rule)."""
-        mutable = MutableMarketStack(random_markets(10, root_seed=53))
-        mutable.equilibria_live()
-        jolt = random_markets(1, root_seed=1234, max_vmus=9)[0]
-        jolt = jolt.with_unit_cost(jolt.config.unit_cost * 0.5)
-        mutable.update_market(3, jolt)
-        warm = mutable.equilibria_live(warm_start=True)
-        cold = MarketStack(list(mutable.markets)).equilibria_stacked()
-        np.testing.assert_allclose(
-            warm.prices, cold.prices, rtol=0.0, atol=1e-6
-        )
-
-    def test_previously_infeasible_row_takes_cold_path(self):
-        markets = random_markets(4, root_seed=59)
-        markets[1] = infeasible_market()
-        mutable = MutableMarketStack(markets)
-        mutable.equilibria_live()
-        mutable.update_market(1, random_markets(1, root_seed=60)[0])
-        warm = mutable.equilibria_live(warm_start=True)
-        cold = MarketStack(list(mutable.markets)).equilibria_stacked()
-        assert warm.feasible[1]
-        np.testing.assert_allclose(
-            warm.prices, cold.prices, rtol=0.0, atol=1e-6
-        )
-
-    def test_warm_results_never_memoised(self):
-        mutable = MutableMarketStack(random_markets(6, root_seed=67))
-        mutable.equilibria_live()
-        mutable.set_fading_gain(0, 0.7)
-        warm = mutable.equilibria_live(warm_start=True)
-        again = mutable.equilibria_live(warm_start=True)
-        assert again is warm  # cached at the mutable layer (no dirt)
-
-    def test_warm_without_refine_rejected(self):
-        stack = MarketStack(random_markets(3, root_seed=71))
-        with pytest.raises(ConfigurationError, match="refine"):
-            stack.equilibria_stacked(
-                refine=False,
-                warm_lows=np.zeros(3),
-                warm_highs=np.ones(3),
-            )

@@ -124,11 +124,24 @@ class TestLivePricingService:
         assert service.stack is mutable
         assert service.num_markets == 3
 
-    def test_refine_false_mode(self):
+    @pytest.mark.parametrize("index", [4, -1, 1.7, True, "2"])
+    def test_query_rejects_a_bad_index(self, index):
+        """A query names a row in [0, M) by int; anything else raises the
+        same ``ConfigurationError`` an update event would, unanswered."""
+        service = LivePricingService(random_markets(4, root_seed=25))
+        with pytest.raises(ConfigurationError, match="market index"):
+            service.query(index)
+        with pytest.raises(ConfigurationError, match="market index"):
+            service.apply(FadingDrift(index, 0.9))
+        assert service.stats().queries == 0
+
+    def test_query_labels_the_row_it_answers(self):
         markets = random_markets(4, root_seed=25)
-        service = LivePricingService(markets, refine=False)
-        cold = MarketStack(markets).equilibria_stacked(refine=False)
-        assert service.query(2).price == cold.prices[2]
+        service = LivePricingService(markets)
+        cold = MarketStack(markets).equilibria_stacked()
+        quote = service.query(np.int64(3))
+        assert quote.market_index == 3 and type(quote.market_index) is int
+        assert quote.price == cold.prices[3]
 
 
 class TestCacheRoutedCallers:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -67,6 +68,18 @@ class TestRequirePositiveInt:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             v.require_positive_int("n", bad)
+
+
+class TestRequireIndex:
+    @pytest.mark.parametrize("good", [0, 2, np.int64(1), np.uint8(2)])
+    def test_accepts_and_returns_int(self, good):
+        index = v.require_index("row", good, 3)
+        assert index == good and type(index) is int
+
+    @pytest.mark.parametrize("bad", [3, -1, 2.5, 1.0, True, False, "1", None])
+    def test_rejects(self, bad):
+        with pytest.raises(ConfigurationError, match="row"):
+            v.require_index("row", bad, 3)
 
 
 class TestRequireProbability:
