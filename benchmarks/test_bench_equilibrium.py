@@ -59,10 +59,10 @@ def fresh_markets(specs):
     ]
 
 
-def best_of(fn, repeats=REPEATS):
-    """Minimum wall-clock of ``repeats`` runs (robust to scheduler noise)."""
+def best_of(fn):
+    """Minimum wall-clock of ``REPEATS`` runs (robust to scheduler noise)."""
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -105,76 +105,3 @@ def test_equilibrium_speedup(record_table):
     # that median: it still proves the batch removes per-market overhead
     # while leaving headroom for shared noisy runners.
     assert speedups[50] >= 2.0
-
-
-def test_seam_overhead(record_json):
-    """The ``repro.backend.xp`` seam adds ~no cost under the numpy default.
-
-    Two mechanisms make the seam free in steady state, both measured here:
-
-    - resolved attributes ARE the numpy callables (``xp.maximum is
-      np.maximum`` — the proxy memoises ``getattr`` results into its own
-      ``__dict__``, cleared only on a backend switch), so there is no
-      per-call wrapper;
-    - the remaining cost is one instance-attribute lookup per ``xp.<op>``
-      expression, timed below against the equivalent ``np.<op>`` module
-      lookup over a hot-path-sized workload.
-
-    The macro number (a 50-market stacked round through the seam) is
-    recorded for trend tracking; it has no non-seam twin to diff against —
-    the hot path only exists in seam form — which is exactly why the
-    micro dispatch ratio is the overhead evidence.
-    """
-    from repro.backend import SEAM_ATTRS, active_backend, xp
-
-    assert active_backend().name == "numpy"
-    # No per-call indirection: the seam resolves to the numpy callables.
-    for name in SEAM_ATTRS:
-        assert getattr(xp, name) is getattr(np, name)
-
-    a = np.linspace(0.5, 9.5, 64)
-    b = np.linspace(9.5, 0.5, 64)
-    calls = 2000
-
-    def via_np():
-        for _ in range(calls):
-            np.maximum(a, b)
-
-    def via_xp():
-        xp.maximum  # ensure the one-time memoisation is not in the timing
-        for _ in range(calls):
-            xp.maximum(a, b)
-
-    np_s = best_of(via_np, repeats=20)
-    xp_s = best_of(via_xp, repeats=20)
-    per_call_overhead_ns = (xp_s - np_s) / calls * 1e9
-
-    stack = MarketStack(fresh_markets(market_specs(50)))
-    prices = np.array([m.config.unit_cost * 1.5 for m in stack.markets])
-
-    def stacked_round():
-        stack.outcomes_stacked(prices)
-
-    round_s = best_of(stacked_round, repeats=20)
-
-    record_json(
-        "seam_overhead",
-        {
-            "benchmark": "seam_overhead",
-            "backend": active_backend().name,
-            "dispatch": {
-                "calls": calls,
-                "np_best_seconds": np_s,
-                "xp_best_seconds": xp_s,
-                "per_call_overhead_ns": per_call_overhead_ns,
-            },
-            "stacked_round_50_markets_best_seconds": round_s,
-            "attrs_identical_to_numpy": True,
-        },
-    )
-
-    # One attribute lookup per op: tens of nanoseconds, far below any
-    # kernel's cost. Bound loosely — microbenchmarks on shared runners
-    # jitter — while still catching an accidental per-call wrapper
-    # (which would cost a microsecond-scale Python frame per op).
-    assert per_call_overhead_ns < 500.0

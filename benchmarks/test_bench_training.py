@@ -13,8 +13,9 @@ Times fig2-cadence PPO training (update every 20 rounds, 10 epochs of
   contiguous buffer.
 
 Both paths share the rollout storage and the batch GAE, and they are
-bitwise-identical by construction (``tests/test_drl_fused.py`` and the
-backend conformance suite pin every stat and every post-step parameter),
+bitwise-identical by construction (``tests/test_drl_fused.py`` and
+``tests/test_drl_vector_trainer.py`` pin every stat and every post-step
+parameter),
 so the ratio is pure overhead removed — graph construction, per-node
 closures, and per-parameter optimizer dispatch.
 

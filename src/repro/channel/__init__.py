@@ -1,4 +1,4 @@
-"""Wireless channel substrate: path loss, fading, link budget, OFDMA."""
+"""Wireless channel substrate: path loss, fading, link budget, rationing."""
 
 from repro.channel.fading import (
     FadingModel,
@@ -8,7 +8,7 @@ from repro.channel.fading import (
     RicianFading,
 )
 from repro.channel.link import LinkBudget, RsuLink, paper_link
-from repro.channel.ofdma import OfdmaPool, Subchannel, proportional_rationing
+from repro.channel.ofdma import proportional_rationing
 from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss, PathLossModel
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "LinkBudget",
     "RsuLink",
     "paper_link",
-    "OfdmaPool",
-    "Subchannel",
     "proportional_rationing",
     "PathLossModel",
     "LogDistancePathLoss",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = ["FadingModel", "NoFading", "RayleighFading", "RicianFading", "LogNormalShadowing"]
@@ -83,8 +82,3 @@ class LogNormalShadowing(FadingModel):
         # E[exp(N(mu, s^2))] = exp(mu + s^2/2) == 1  =>  mu = -s^2/2.
         mu = -0.5 * sigma_ln**2
         return rng.lognormal(mean=mu, sigma=sigma_ln, size=size)
-
-
-def sample_gain(model: FadingModel, seed: SeedLike = None, size: int = 1) -> np.ndarray:
-    """Convenience wrapper: sample from ``model`` with a seed-like value."""
-    return model.sample(as_generator(seed), size=size)

@@ -1,132 +1,27 @@
-"""OFDMA subchannel pool with orthogonal allocation.
+"""Proportional bandwidth rationing against the MSP's capacity ``B_max``.
 
 The paper assumes OFDMA so that the channels occupied by source and
-destination RSUs are orthogonal. This module models the MSP's managed
-spectrum as a pool of equal-width subcarriers and enforces orthogonality:
-a subcarrier belongs to at most one VMU's migration flow at a time.
-
-The Stackelberg game abstracts bandwidth as a continuous quantity; this
-substrate shows how continuous demands map onto a discrete subcarrier grid
-(floor quantisation) and supports proportional rationing when total demand
-exceeds the pool — the same rationing rule the environment applies when
-``Σ b_n > B_max``.
+destination RSUs are orthogonal, and abstracts bandwidth as a continuous
+quantity. When total VMU demand exceeds the MSP's capacity ``B_max``,
+every VMU receives the same fraction of its request. This module holds
+that rule: :func:`proportional_rationing` for one market (optionally
+batched over prices) and the ``_rationing_rows`` kernel that
+:class:`repro.core.marketstack.MarketStack` drives over a stack of markets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.backend import xp
+import numpy as np
 
 from repro.errors import AllocationError
-from repro.utils.validation import require_positive, require_positive_int
+from repro.utils.validation import require_positive
 
-__all__ = [
-    "Subchannel",
-    "OfdmaPool",
-    "proportional_rationing",
-    "proportional_rationing_stacked",
-]
-
-
-@dataclass(frozen=True)
-class Subchannel:
-    """One orthogonal OFDMA subcarrier.
-
-    Attributes:
-        index: position in the pool's grid.
-        width: bandwidth of the subcarrier (natural bandwidth units).
-    """
-
-    index: int
-    width: float
-
-
-class OfdmaPool:
-    """A fixed grid of orthogonal subcarriers managed by the MSP.
-
-    Args:
-        total_bandwidth: total pool width (natural bandwidth units).
-        num_subchannels: number of equal-width subcarriers in the grid.
-    """
-
-    def __init__(self, total_bandwidth: float, num_subchannels: int) -> None:
-        require_positive("total_bandwidth", total_bandwidth)
-        require_positive_int("num_subchannels", num_subchannels)
-        self._width = total_bandwidth / num_subchannels
-        self._total = float(total_bandwidth)
-        self._free: list[int] = list(range(num_subchannels))
-        self._owners: dict[int, str] = {}
-
-    @property
-    def subchannel_width(self) -> float:
-        """Width of one subcarrier."""
-        return self._width
-
-    @property
-    def total_bandwidth(self) -> float:
-        """Total pool bandwidth."""
-        return self._total
-
-    @property
-    def free_bandwidth(self) -> float:
-        """Bandwidth not currently allocated."""
-        return self._width * len(self._free)
-
-    def allocation_of(self, owner: str) -> list[Subchannel]:
-        """Subcarriers currently held by ``owner``."""
-        return [
-            Subchannel(index=i, width=self._width)
-            for i, o in sorted(self._owners.items())
-            if o == owner
-        ]
-
-    def allocated_bandwidth(self, owner: str) -> float:
-        """Total bandwidth currently held by ``owner``."""
-        return self._width * sum(1 for o in self._owners.values() if o == owner)
-
-    def allocate(self, owner: str, bandwidth: float) -> list[Subchannel]:
-        """Grant ``owner`` at least ``bandwidth`` worth of subcarriers.
-
-        Grants ``ceil(bandwidth / width)`` subcarriers so the owner's rate is
-        never below the continuous-game rate it paid for.
-
-        Raises:
-            AllocationError: if the pool cannot satisfy the request.
-        """
-        require_positive("bandwidth", bandwidth)
-        needed = -(-bandwidth // self._width)  # ceil division
-        needed = int(needed)
-        if needed > len(self._free):
-            raise AllocationError(
-                f"requested {bandwidth} ({needed} subcarriers) but only "
-                f"{self.free_bandwidth} ({len(self._free)} subcarriers) free"
-            )
-        granted = [self._free.pop(0) for _ in range(needed)]
-        for idx in granted:
-            self._owners[idx] = owner
-        return [Subchannel(index=i, width=self._width) for i in granted]
-
-    def release(self, owner: str) -> float:
-        """Release every subcarrier held by ``owner``; returns freed width."""
-        held = [i for i, o in self._owners.items() if o == owner]
-        for idx in held:
-            del self._owners[idx]
-        self._free.extend(held)
-        self._free.sort()
-        return self._width * len(held)
-
-    def is_orthogonal(self) -> bool:
-        """Invariant check: no subcarrier has two owners and the free list
-        never overlaps the owned set."""
-        owned = set(self._owners)
-        free = set(self._free)
-        return not (owned & free) and len(self._free) == len(free)
+__all__ = ["proportional_rationing"]
 
 
 def proportional_rationing(
-    demands: list[float] | xp.ndarray, capacity: float
-) -> list[float] | xp.ndarray:
+    demands: list[float] | np.ndarray, capacity: float
+) -> list[float] | np.ndarray:
     """Scale ``demands`` down proportionally so their sum fits ``capacity``.
 
     This is the rule the environment applies when total VMU demand exceeds
@@ -142,89 +37,49 @@ def proportional_rationing(
     vector environment drive on every grid scan.
     """
     require_positive("capacity", capacity)
-    array_in = isinstance(demands, xp.ndarray)
-    rows = xp.asarray(demands, dtype=float)
+    array_in = isinstance(demands, np.ndarray)
+    rows = np.asarray(demands, dtype=float)
     if rows.ndim not in (1, 2):
         raise AllocationError(
             f"demands must be 1-D (N,) or batched (P, N), got shape {rows.shape}"
         )
-    if xp.any(rows < 0.0):
+    if not np.all(np.isfinite(rows)):
+        raise AllocationError(f"demands must be finite, got {demands!r}")
+    if np.any(rows < 0.0):
         raise AllocationError(f"demands must be >= 0, got {demands!r}")
     totals = rows.sum(axis=-1)
-    # xp.where evaluates both branches, so guard the division against the
+    # np.where evaluates both branches, so guard the division against the
     # rows it will discard (zero or subnormal totals divide to inf/nan).
-    with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scales = xp.where(totals > capacity, capacity / totals, 1.0)
-    granted = rows * (scales if rows.ndim == 1 else scales[:, xp.newaxis])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scales = np.where(totals > capacity, capacity / totals, 1.0)
+    granted = rows * (scales if rows.ndim == 1 else scales[:, np.newaxis])
     if array_in:
         return granted
     return [float(g) for g in granted]
 
 
-def proportional_rationing_stacked(
-    demands: xp.ndarray,
-    capacities: xp.ndarray,
-    *,
-    totals: xp.ndarray | None = None,
-) -> xp.ndarray:
+def _rationing_rows(
+    rows: np.ndarray, caps: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
     """Proportional rationing across a stack of markets with *different*
     capacities.
 
-    Args:
-        demands: per-market demand rows, shape ``(M, N)`` or ``(M, R, N)``
-            (one ``B_max`` per leading market index, each row rationed
-            independently).
-        capacities: per-market capacity ``B_max``, shape ``(M,)``.
-        totals: optional precomputed row totals (``demands`` summed over the
-            trailing ``N`` axis). Ragged stacks pass these in so each
-            market's total is reduced over its *own* population — summing a
-            zero-padded row can associate differently and drift a ulp from
-            the per-market path.
-
-    Returns:
-        Granted bandwidth with ``demands``' shape. Rows within capacity come
-        back scaled by exactly 1.0 (bitwise identical to the input), so a
-        stacked call agrees bitwise with ``M`` separate
-        :func:`proportional_rationing` calls.
-    """
-    rows = xp.asarray(demands, dtype=float)
-    caps = xp.asarray(capacities, dtype=float)
-    if rows.ndim not in (2, 3):
-        raise AllocationError(
-            f"stacked demands must be (M, N) or (M, R, N), got {rows.shape}"
-        )
-    if caps.shape != (rows.shape[0],):
-        raise AllocationError(
-            f"capacities must have shape (M,), got {caps.shape}"
-        )
-    if xp.any(caps <= 0.0):
-        raise AllocationError(f"capacities must be > 0, got {capacities!r}")
-    if xp.any(rows < 0.0):
-        raise AllocationError("demands must be >= 0")
-    if totals is None:
-        totals = rows.sum(axis=-1)
-    totals = xp.asarray(totals, dtype=float)
-    if totals.shape != rows.shape[:-1]:
-        raise AllocationError(
-            f"totals must have shape {rows.shape[:-1]}, got {totals.shape}"
-        )
-    return _rationing_rows(rows, caps, totals)
-
-
-def _rationing_rows(
-    rows: xp.ndarray, caps: xp.ndarray, totals: xp.ndarray
-) -> xp.ndarray:
-    """Trusted-input kernel of :func:`proportional_rationing_stacked`.
-
-    Callers guarantee validated float arrays (``rows`` ``(M, N)`` or
-    ``(M, R, N)``, ``caps`` ``(M,)``, ``totals`` matching ``rows`` minus
-    the trailing axis); :class:`repro.core.marketstack.MarketStack`
+    ``rows`` holds per-market demand rows ``(M, N)`` or ``(M, R, N)``,
+    each rationed independently against its market's ``caps`` entry
+    ``(M,)``. ``totals`` are the row totals (``rows`` minus the trailing
+    axis): ragged stacks reduce each market over its *own* population,
+    because summing a zero-padded row can associate differently and drift
+    a ulp from the per-market path. Nothing is checked here; callers pass
+    float64 arrays of these shapes with finite demands ``>= 0`` and
+    capacities ``> 0`` (:class:`repro.core.marketstack.MarketStack`
     validates once at construction and drives this every environment
-    round. Same expressions as the public function, bitwise-identical.
+    round). Rows within capacity come back scaled by exactly 1.0, and the
+    expressions are :func:`proportional_rationing`'s, so a stacked call
+    agrees bitwise with ``M`` separate calls.
     """
-    caps_rows = caps if totals.ndim == 1 else caps[:, xp.newaxis]
-    # xp.where evaluates both branches; guard the division like the
+    caps_rows = caps if totals.ndim == 1 else caps[:, np.newaxis]
+    # np.where evaluates both branches; guard the division like the
     # single-market path does.
-    with xp.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scales = xp.where(totals > caps_rows, caps_rows / totals, 1.0)
-    return rows * scales[..., xp.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scales = np.where(totals > caps_rows, caps_rows / totals, 1.0)
+    return rows * scales[..., np.newaxis]

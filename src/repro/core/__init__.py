@@ -53,11 +53,8 @@ from repro.core.stackelberg import (
 )
 from repro.core.utilities import (
     follower_best_response,
-    follower_best_response_stacked,
-    msp_utilities_stacked,
     msp_utility,
     vmu_utilities,
-    vmu_utilities_stacked,
     vmu_utility,
 )
 
@@ -94,10 +91,7 @@ __all__ = [
     "StackelbergEquilibrium",
     "StackelbergMarket",
     "follower_best_response",
-    "follower_best_response_stacked",
-    "msp_utilities_stacked",
     "msp_utility",
     "vmu_utilities",
-    "vmu_utilities_stacked",
     "vmu_utility",
 ]

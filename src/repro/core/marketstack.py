@@ -13,8 +13,8 @@ Exactness contract
 A stacked solve agrees **bitwise** with ``M`` separate per-market solves:
 
 - every follower/leader quantity is the identical elementwise expression
-  the per-market path evaluates (`core/utilities` grew the matching
-  ``*_stacked`` forms);
+  the per-market path evaluates (the ``_*_rows`` kernels in
+  ``core/utilities`` and ``channel/ofdma``);
 - padded population slots carry zero demand, and zeros are exact under
   both multiplication and addition;
 - ragged stacks reduce each market's totals over its *own* population
@@ -50,7 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.backend import xp
+import numpy as np
 
 from repro.channel.link import RsuLink
 from repro.channel.ofdma import _rationing_rows
@@ -148,20 +148,20 @@ def resolve_chunk_size(
 
 
 def _population_groups(
-    counts: xp.ndarray, *, ragged: bool
-) -> list[tuple[int, xp.ndarray]] | None:
+    counts: np.ndarray, *, ragged: bool
+) -> list[tuple[int, np.ndarray]] | None:
     """The ragged-reduction grouping of :func:`_per_market_totals`: one
     ``(n, member rows)`` pair per distinct population size, or ``None``
     when the full-width row sum already returns the per-market bits."""
     if not ragged:
         return None
-    # xp.unique is sorted, so the group order is deterministic.
-    return [(int(n), xp.flatnonzero(counts == n)) for n in xp.unique(counts)]
+    # np.unique is sorted, so the group order is deterministic.
+    return [(int(n), np.flatnonzero(counts == n)) for n in np.unique(counts)]
 
 
 def _per_market_totals(
-    values: xp.ndarray, groups: list[tuple[int, xp.ndarray]] | None
-) -> xp.ndarray:
+    values: np.ndarray, groups: list[tuple[int, np.ndarray]] | None
+) -> np.ndarray:
     """Row sums over the trailing population axis, one per market.
 
     Ragged stacks reduce each market over its *own* ``N`` so the summation
@@ -175,7 +175,7 @@ def _per_market_totals(
     """
     if groups is None:
         return values.sum(axis=-1)
-    totals = xp.empty(values.shape[:-1], dtype=xp.float64)
+    totals = np.empty(values.shape[:-1], dtype=np.float64)
     for n, members in groups:
         totals[members] = values[members, ..., :n].sum(axis=-1)
     return totals
@@ -198,10 +198,10 @@ class _ChunkScratch:
 
     def __init__(self, chunk_size: int, n_max: int) -> None:
         width = max(_REFINE_GRID_POINTS, 3 * n_max + 4)
-        self._band = xp.empty(chunk_size * width * n_max, dtype=xp.float64)
-        self._scales = xp.empty(chunk_size * width, dtype=xp.float64)
-        self._ratio = xp.empty((chunk_size, n_max), dtype=xp.float64)
-        self._pad = xp.empty((chunk_size, n_max), dtype=bool)
+        self._band = np.empty(chunk_size * width * n_max, dtype=np.float64)
+        self._scales = np.empty(chunk_size * width, dtype=np.float64)
+        self._ratio = np.empty((chunk_size, n_max), dtype=np.float64)
+        self._pad = np.empty((chunk_size, n_max), dtype=bool)
 
     def load(self, stack: "MarketStack", sl: slice) -> None:
         """Prepare the price-independent invariants of rows ``sl``."""
@@ -213,14 +213,14 @@ class _ChunkScratch:
         self.counts = stack._counts[sl]
         # The division the best-response kernel performs, hoisted: the
         # same operands give the same bits on every probe.
-        self.ratio = xp.divide(
-            stack._data[sl], stack._se[sl][:, xp.newaxis], out=self._ratio[:num_rows]
+        self.ratio = np.divide(
+            stack._data[sl], stack._se[sl][:, np.newaxis], out=self._ratio[:num_rows]
         )
-        pad = xp.logical_not(stack._mask[sl], out=self._pad[:num_rows])
+        pad = np.logical_not(stack._mask[sl], out=self._pad[:num_rows])
         # The row operands, broadcast per price rank: (m,) probes evaluate
         # an (m, N) band, (m, R) grids an (m, R, N) one.
         rows = (alphas, self.ratio, pad, self.effective_caps, self.unit_costs)
-        self._operands = {1: rows, 2: tuple(a[:, xp.newaxis] for a in rows)}
+        self._operands = {1: rows, 2: tuple(a[:, np.newaxis] for a in rows)}
         # The ~50 sequential golden probes all have shape (m,): build
         # their views once per chunk.
         self._probe_views = self._views((num_rows,))
@@ -238,7 +238,7 @@ class _ChunkScratch:
             self.counts, ragged=stack._ragged and stack.max_vmus >= 8
         )
 
-    def _views(self, shape: tuple[int, ...]) -> tuple[xp.ndarray, xp.ndarray]:
+    def _views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Contiguous band ``shape + (N_max,)`` and scales ``shape`` views
         at the start of the scratch buffers."""
         size = math.prod(shape)
@@ -248,35 +248,34 @@ class _ChunkScratch:
             self._scales[:size].reshape(shape),
         )
 
-    def leader_utilities(self, prices: xp.ndarray) -> xp.ndarray:
+    def leader_utilities(self, prices: np.ndarray) -> np.ndarray:
         """Leader utilities of the loaded rows at prices ``(m,)`` (one per
         row) or ``(m, R)`` (a grid per row), in ``prices``' shape.
 
         Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
         every expression is the elementwise
-        ``follower_best_response_stacked`` → ``proportional_rationing_stacked``
-        → ``msp_utilities_stacked`` chain, evaluated in place in the
-        scratch band with the input validation dropped — the stack
-        validated its parameters at construction, and the solve's prices
-        lie inside ``[C, p_max]``.
+        ``_follower_best_response_rows`` → ``_rationing_rows`` →
+        ``_msp_utilities_rows`` chain, evaluated in place in the scratch
+        band — the stack validated its parameters at construction, and the
+        solve's prices lie inside ``[C, p_max]``.
         """
         alphas, ratio, pad, caps, costs = self._operands[prices.ndim]
         band, scales = (
             self._probe_views if prices.ndim == 1 else self._views(prices.shape)
         )
         # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
-        xp.divide(alphas, prices[..., xp.newaxis], out=band)
-        xp.subtract(band, ratio, out=band)
-        xp.maximum(band, 0.0, out=band)
-        xp.copyto(band, 0.0, where=pad)
+        np.divide(alphas, prices[..., np.newaxis], out=band)
+        np.subtract(band, ratio, out=band)
+        np.maximum(band, 0.0, out=band)
+        np.copyto(band, 0.0, where=pad)
         demand_totals = _per_market_totals(band, self.groups)
         # Proportional rationing in place: the quotient is evaluated only
         # where totals exceed the capacity (the same bits as the
         # where-guarded scale expression); rows within capacity keep
         # exactly 1.0.
         scales.fill(1.0)
-        xp.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
-        xp.multiply(band, scales[..., xp.newaxis], out=band)
+        np.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
+        np.multiply(band, scales[..., np.newaxis], out=band)
         return (prices - costs) * _per_market_totals(band, self.groups)
 
 
@@ -289,21 +288,21 @@ class StackedOutcome:
     market axis. Padded population slots (``mask == False``) hold zeros.
     """
 
-    prices: xp.ndarray
+    prices: np.ndarray
     """Posted prices, shape ``(M,)`` or ``(M, R)``."""
-    demands: xp.ndarray
+    demands: np.ndarray
     """Requested bandwidth, shape ``(M, N_max)`` or ``(M, R, N_max)``."""
-    allocations: xp.ndarray
+    allocations: np.ndarray
     """Granted bandwidth after per-market rationing (same shape)."""
-    msp_utilities: xp.ndarray
+    msp_utilities: np.ndarray
     """Leader utility per market (and round), shape ``(M,)`` or ``(M, R)``."""
-    vmu_utilities: xp.ndarray
+    vmu_utilities: np.ndarray
     """Follower utilities (same shape as ``demands``)."""
-    capacity_binding: xp.ndarray
+    capacity_binding: np.ndarray
     """Whether Σ demand hit the market's ``B_max`` (prices' shape, bool)."""
-    mask: xp.ndarray
+    mask: np.ndarray
     """Valid-population mask, boolean shape ``(M, N_max)``."""
-    counts: xp.ndarray
+    counts: np.ndarray
     """True population size per market, shape ``(M,)``."""
 
     def __len__(self) -> int:
@@ -320,11 +319,11 @@ class StackedOutcome:
         return self.prices.ndim == 2
 
     @property
-    def total_allocated(self) -> xp.ndarray:
+    def total_allocated(self) -> np.ndarray:
         """Σ granted bandwidth per market (and round), prices' shape."""
         return self.allocations.sum(axis=-1)
 
-    def total_vmu_utilities(self) -> xp.ndarray:
+    def total_vmu_utilities(self) -> np.ndarray:
         """Σ U_n per market (and round), prices' shape.
 
         Reduces each market over its *own* population (not the padded row),
@@ -395,25 +394,25 @@ class StackedEquilibria:
     solve never aborts a whole grid for one degenerate member.
     """
 
-    prices: xp.ndarray
+    prices: np.ndarray
     """Equilibrium price per market, shape ``(M,)`` (``nan`` if infeasible)."""
-    demands: xp.ndarray
+    demands: np.ndarray
     """Equilibrium bandwidth per VMU (natural units), shape ``(M, N_max)``."""
-    msp_utilities: xp.ndarray
+    msp_utilities: np.ndarray
     """Leader utility at equilibrium, shape ``(M,)``."""
-    vmu_utilities: xp.ndarray
+    vmu_utilities: np.ndarray
     """Follower utilities at equilibrium, shape ``(M, N_max)``."""
-    capacity_binding: xp.ndarray
+    capacity_binding: np.ndarray
     """Whether Σ demand hit the market's ``B_max``, boolean ``(M,)``."""
-    price_cap_binding: xp.ndarray
+    price_cap_binding: np.ndarray
     """Whether the equilibrium sits at ``p_max``, boolean ``(M,)``."""
-    feasible: xp.ndarray
+    feasible: np.ndarray
     """Whether the market admits profitable trade, boolean ``(M,)``."""
-    mask: xp.ndarray
+    mask: np.ndarray
     """Valid-population mask, boolean shape ``(M, N_max)``."""
-    counts: xp.ndarray
+    counts: np.ndarray
     """True population size per market, shape ``(M,)``."""
-    unit_costs: xp.ndarray
+    unit_costs: np.ndarray
     """Per-market unit cost ``C``, shape ``(M,)`` (for error reporting)."""
     _scalar_cache: dict[int, StackelbergEquilibrium] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -429,7 +428,7 @@ class StackedEquilibria:
         return int(self.prices.shape[0])
 
     @property
-    def total_bandwidths(self) -> xp.ndarray:
+    def total_bandwidths(self) -> np.ndarray:
         """Σ b*_n per market in natural units, shape ``(M,)``.
 
         Always reduces each market over its own population — the same sum
@@ -521,27 +520,27 @@ class MarketColumns:
     way.
     """
 
-    counts: xp.ndarray
+    counts: np.ndarray
     """VMUs per market, integer ``(M,)``."""
-    immersion_coefs: xp.ndarray
+    immersion_coefs: np.ndarray
     """``α`` of every VMU, ``(Σ counts,)``."""
-    data_sizes_mb: xp.ndarray
+    data_sizes_mb: np.ndarray
     """``D`` of every VMU in megabytes, ``(Σ counts,)``."""
-    data_units: xp.ndarray
+    data_units: np.ndarray
     """``D`` of every VMU in natural data units, ``(Σ counts,)``."""
-    spectral_efficiencies: xp.ndarray
+    spectral_efficiencies: np.ndarray
     """Link SE per market, ``(M,)``."""
-    max_bandwidths: xp.ndarray
+    max_bandwidths: np.ndarray
     """``B_max`` per market in market units, ``(M,)``."""
-    distances_m: xp.ndarray
+    distances_m: np.ndarray
     """RSU-to-RSU link distance per market, ``(M,)``."""
-    unit_costs: xp.ndarray
+    unit_costs: np.ndarray
     """Unit transmission cost ``C`` per market, ``(M,)``."""
-    max_prices: xp.ndarray
+    max_prices: np.ndarray
     """Price ceiling ``p_max`` per market, ``(M,)``."""
-    bandwidth_report_scales: xp.ndarray
+    bandwidth_report_scales: np.ndarray
     """Market units per natural bandwidth unit, per market, ``(M,)``."""
-    enforce_capacity: xp.ndarray
+    enforce_capacity: np.ndarray
     """Whether each market enforces its ``B_max``, boolean ``(M,)``."""
     link: RsuLink
     """The link every member's own link is moved from (by distance)."""
@@ -551,7 +550,7 @@ class MarketColumns:
 
     @cached_property
     def _offsets(self) -> list[int]:
-        return [0, *xp.cumsum(self.counts).tolist()]
+        return [0, *np.cumsum(self.counts).tolist()]
 
     def market(self, market_index: int) -> StackelbergMarket:
         """Member ``market_index`` as a :class:`StackelbergMarket`."""
@@ -577,17 +576,17 @@ class MarketColumns:
         return StackelbergMarket(vmus, config=config, link=link)
 
 
-def _float_column(name: str, values, length: int) -> xp.ndarray:
+def _float_column(name: str, values, length: int) -> np.ndarray:
     """``values`` as a float64 ``(length,)`` column, finite and > 0."""
     try:
-        column = xp.asarray(values, dtype=xp.float64)
+        column = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name} must be numeric: {exc}") from None
     if column.shape != (length,):
         raise ConfigurationError(
             f"{name} must have shape ({length},), got {column.shape}"
         )
-    bad = xp.flatnonzero(~(xp.isfinite(column) & (column > 0.0)))
+    bad = np.flatnonzero(~(np.isfinite(column) & (column > 0.0)))
     if bad.size:
         raise ConfigurationError(
             f"{name} must be finite and > 0, got {column[bad[0]]!r} at "
@@ -603,7 +602,7 @@ def _validated(columns: MarketColumns) -> MarketColumns:
         raise ConfigurationError(
             f"expected MarketColumns, got {type(columns).__name__}"
         )
-    counts = xp.asarray(columns.counts)
+    counts = np.asarray(columns.counts)
     if counts.ndim != 1 or counts.dtype.kind not in "iu":
         raise ConfigurationError(
             "counts must be a 1-D integer array, got dtype "
@@ -614,9 +613,9 @@ def _validated(columns: MarketColumns) -> MarketColumns:
     if (counts < 1).any():
         raise ConfigurationError(
             "every market needs at least one VMU, got counts "
-            f"{int(counts.min())} at index {int(xp.argmin(counts))}"
+            f"{int(counts.min())} at index {int(np.argmin(counts))}"
         )
-    counts = counts.astype(xp.int64)
+    counts = counts.astype(np.int64)
     num_markets, num_vmus = counts.shape[0], int(counts.sum())
     checked = {
         name: _float_column(name, getattr(columns, name), num_vmus)
@@ -626,7 +625,7 @@ def _validated(columns: MarketColumns) -> MarketColumns:
         (name, _float_column(name, getattr(columns, name), num_markets))
         for name in _MARKET_COLUMNS
     )
-    inverted = xp.flatnonzero(checked["unit_costs"] > checked["max_prices"])
+    inverted = np.flatnonzero(checked["unit_costs"] > checked["max_prices"])
     if inverted.size:
         m = int(inverted[0])
         raise ConfigurationError(
@@ -634,7 +633,7 @@ def _validated(columns: MarketColumns) -> MarketColumns:
             f"({checked['max_prices'][m]}) in market {m}; the price "
             "interval [C, p_max] is empty"
         )
-    enforce = xp.asarray(columns.enforce_capacity)
+    enforce = np.asarray(columns.enforce_capacity)
     if enforce.dtype != bool or enforce.shape != (num_markets,):
         raise ConfigurationError(
             f"enforce_capacity must be a boolean ({num_markets},) array, "
@@ -665,34 +664,34 @@ class MarketStack:
         # The members validated themselves at construction; they reduce
         # to the stack's columns with no second check.
         self._fill(
-            counts=xp.fromiter(
+            counts=np.fromiter(
                 (m.num_vmus for m in self._markets),
-                dtype=xp.int64,
+                dtype=np.int64,
                 count=num_markets,
             ),
-            alphas=xp.concatenate([m._alphas for m in self._markets]),
-            data=xp.concatenate([m._data_units for m in self._markets]),
-            se=xp.fromiter(
+            alphas=np.concatenate([m._alphas for m in self._markets]),
+            data=np.concatenate([m._data_units for m in self._markets]),
+            se=np.fromiter(
                 (m.spectral_efficiency for m in self._markets),
-                dtype=xp.float64,
+                dtype=np.float64,
                 count=num_markets,
             ),
-            unit_costs=xp.fromiter(
+            unit_costs=np.fromiter(
                 (m.config.unit_cost for m in self._markets),
-                dtype=xp.float64,
+                dtype=np.float64,
                 count=num_markets,
             ),
-            max_prices=xp.fromiter(
+            max_prices=np.fromiter(
                 (m.config.max_price for m in self._markets),
-                dtype=xp.float64,
+                dtype=np.float64,
                 count=num_markets,
             ),
-            caps=xp.fromiter(
+            caps=np.fromiter(
                 (m.config.capacity_natural for m in self._markets),
-                dtype=xp.float64,
+                dtype=np.float64,
                 count=num_markets,
             ),
-            enforce=xp.fromiter(
+            enforce=np.fromiter(
                 (m.config.enforce_capacity for m in self._markets),
                 dtype=bool,
                 count=num_markets,
@@ -702,14 +701,14 @@ class MarketStack:
     def _fill(
         self,
         *,
-        counts: xp.ndarray,
-        alphas: xp.ndarray,
-        data: xp.ndarray,
-        se: xp.ndarray,
-        unit_costs: xp.ndarray,
-        max_prices: xp.ndarray,
-        caps: xp.ndarray,
-        enforce: xp.ndarray,
+        counts: np.ndarray,
+        alphas: np.ndarray,
+        data: np.ndarray,
+        se: np.ndarray,
+        unit_costs: np.ndarray,
+        max_prices: np.ndarray,
+        caps: np.ndarray,
+        enforce: np.ndarray,
     ) -> None:
         """Stack validated ragged columns (``alphas``/``data`` concatenated
         over the markets' populations) into the padded solve state."""
@@ -720,16 +719,16 @@ class MarketStack:
         # The mask's True slots are each row's leading prefix, so boolean
         # assignment (row-major) scatters the concatenated per-market
         # vectors into exactly the slots the per-market fill loop wrote.
-        mask = xp.arange(n_max) < counts[:, xp.newaxis]
-        self._alphas = xp.ones((num_markets, n_max), dtype=xp.float64)
-        self._data = xp.ones((num_markets, n_max), dtype=xp.float64)
+        mask = np.arange(n_max) < counts[:, np.newaxis]
+        self._alphas = np.ones((num_markets, n_max), dtype=np.float64)
+        self._data = np.ones((num_markets, n_max), dtype=np.float64)
         self._alphas[mask] = alphas
         self._data[mask] = data
         self._counts = counts
         self._mask = mask
         self._ragged = bool((counts != n_max).any())
         # An all-valid mask (every market at full width N_max) lets the
-        # stacked round skip its two masking ``xp.where`` passes — with no
+        # stacked round skip its two masking ``np.where`` passes — with no
         # padded slots they return the input values bit for bit.
         self._fullmask = bool(mask.all())
         self._se = se
@@ -740,7 +739,7 @@ class MarketStack:
         # Non-enforcing markets ration against an infinite capacity, which
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
         # Static, so built once — outcomes_stacked runs every env round.
-        self._effective_caps = xp.where(enforce, caps, xp.inf)
+        self._effective_caps = np.where(enforce, caps, np.inf)
         # The solved equilibria, memoised (markets and configs are frozen,
         # so a solve can never go stale). Every chunk size returns the
         # same bits, so every chunking shares the memo.
@@ -881,50 +880,50 @@ class MarketStack:
         return int(self._mask.shape[1])
 
     @property
-    def counts(self) -> xp.ndarray:
+    def counts(self) -> np.ndarray:
         """True population size per market, shape ``(M,)`` (copy)."""
         return self._counts.copy()
 
     @property
-    def mask(self) -> xp.ndarray:
+    def mask(self) -> np.ndarray:
         """Valid-population mask ``(M, N_max)`` (copy)."""
         return self._mask.copy()
 
     @property
-    def immersion_coefs(self) -> xp.ndarray:
+    def immersion_coefs(self) -> np.ndarray:
         """Padded ``α`` matrix ``(M, N_max)`` (copy)."""
         return self._alphas.copy()
 
     @property
-    def data_units(self) -> xp.ndarray:
+    def data_units(self) -> np.ndarray:
         """Padded ``D`` matrix ``(M, N_max)`` in natural units (copy)."""
         return self._data.copy()
 
     @property
-    def spectral_efficiencies(self) -> xp.ndarray:
+    def spectral_efficiencies(self) -> np.ndarray:
         """Per-market link SE ``(M,)`` (copy)."""
         return self._se.copy()
 
     @property
-    def unit_costs(self) -> xp.ndarray:
+    def unit_costs(self) -> np.ndarray:
         """Per-market transmission cost ``C`` ``(M,)`` (copy)."""
         return self._unit_costs.copy()
 
     @property
-    def max_prices(self) -> xp.ndarray:
+    def max_prices(self) -> np.ndarray:
         """Per-market price ceiling ``p_max`` ``(M,)`` (copy)."""
         return self._max_prices.copy()
 
     @property
-    def capacities_natural(self) -> xp.ndarray:
+    def capacities_natural(self) -> np.ndarray:
         """Per-market ``B_max`` in natural units ``(M,)`` (copy)."""
         return self._caps.copy()
 
     # ------------------------------------------------------------------ #
     # the stacked solve
     # ------------------------------------------------------------------ #
-    def _validate_prices(self, prices: xp.ndarray) -> xp.ndarray:
-        p = xp.asarray(prices, dtype=float)
+    def _validate_prices(self, prices: np.ndarray) -> np.ndarray:
+        p = np.asarray(prices, dtype=float)
         if p.ndim not in (1, 2) or p.shape[0] != self.num_markets:
             raise ConfigurationError(
                 f"expected prices of shape (M,) or (M, R) with M = "
@@ -932,13 +931,13 @@ class MarketStack:
             )
         if p.size == 0:
             raise ConfigurationError("price array must not be empty")
-        if xp.any(~xp.isfinite(p)) or xp.any(p <= 0.0):
+        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
             raise ConfigurationError(
                 f"prices must be finite and > 0, got {p!r}"
             )
         return p
 
-    def outcomes_stacked(self, prices: xp.ndarray) -> StackedOutcome:
+    def outcomes_stacked(self, prices: np.ndarray) -> StackedOutcome:
         """Play one trading round in every market of the stack, vectorised.
 
         Args:
@@ -951,12 +950,23 @@ class MarketStack:
             to solving each market separately via
             ``markets[m].round_outcome(prices[m])`` (vector form) or
             ``markets[m].outcomes_batch(prices[m])`` (grid form).
+
+        Raises:
+            ConfigurationError: if ``prices`` has the wrong shape, holds a
+                non-finite or non-positive entry, or holds a price so small
+                that a demand ``α/p − D/SE`` overflows to infinity (the
+                rationed allocation would then be NaN).
         """
         p = self._validate_prices(prices)
-        return self._outcomes_trusted(p)
+        outcome = self._outcomes_trusted(p)
+        if not np.isfinite(outcome.demands).all():
+            raise ConfigurationError(
+                f"prices yield a non-finite demand (too close to 0), got {p!r}"
+            )
+        return outcome
 
     def _outcomes_trusted(
-        self, p: xp.ndarray, sl: slice = slice(None)
+        self, p: np.ndarray, sl: slice = slice(None)
     ) -> StackedOutcome:
         """Body of :meth:`outcomes_stacked` for already-validated prices,
         over rows ``sl`` of the stack (``p`` holds those rows' prices).
@@ -969,31 +979,30 @@ class MarketStack:
         """
         grid = p.ndim == 2
         row_mask = self._mask[sl]
-        mask = row_mask[:, xp.newaxis, :] if grid else row_mask
+        mask = row_mask[:, np.newaxis, :] if grid else row_mask
         alphas, data, se = self._alphas[sl], self._data[sl], self._se[sl]
         caps, enforce = self._caps[sl], self._enforce[sl]
         counts = self._counts[sl]
         groups = _population_groups(counts, ragged=self._ragged)
-        # Trusted-input kernels: the stack's static parameters were
-        # validated once at construction, and ``p`` by the caller —
-        # re-running the public wrappers' input checks every round is pure
-        # overhead on this path (the vector env steps through here each
-        # round).
+        # Unchecked kernels: the stack's static parameters were validated
+        # once at construction, and ``p`` by the caller — re-checking them
+        # every round is pure overhead on this path (the vector env steps
+        # through here each round).
         raw = _follower_best_response_rows(alphas, data, p, se)
-        demands = raw if self._fullmask else xp.where(mask, raw, 0.0)
+        demands = raw if self._fullmask else np.where(mask, raw, 0.0)
         demand_totals = _per_market_totals(demands, groups)
         allocations = _rationing_rows(
             demands, self._effective_caps[sl], demand_totals
         )
-        caps_rows = caps[:, xp.newaxis] if grid else caps
-        enforce_rows = enforce[:, xp.newaxis] if grid else enforce
+        caps_rows = caps[:, np.newaxis] if grid else caps
+        enforce_rows = enforce[:, np.newaxis] if grid else enforce
         binding = enforce_rows & (demand_totals >= caps_rows * (1.0 - 1e-9))
         utilities = _msp_utilities_rows(
             p, self._unit_costs[sl], _per_market_totals(allocations, groups)
         )
         vmu_raw = _vmu_utilities_rows(alphas, data, allocations, p, se)
         follower_utilities = (
-            vmu_raw if self._fullmask else xp.where(mask, vmu_raw, 0.0)
+            vmu_raw if self._fullmask else np.where(mask, vmu_raw, 0.0)
         )
         return StackedOutcome(
             prices=p,
@@ -1023,15 +1032,15 @@ class MarketStack:
             )
         steps = (self._max_prices - self._unit_costs) / (grid_points - 1)
         grids = (
-            self._unit_costs[:, xp.newaxis]
-            + steps[:, xp.newaxis] * xp.arange(grid_points)
+            self._unit_costs[:, np.newaxis]
+            + steps[:, np.newaxis] * np.arange(grid_points)
         )
         return self.outcomes_stacked(grids)
 
     # ------------------------------------------------------------------ #
     # the equilibrium solve
     # ------------------------------------------------------------------ #
-    def _candidate_rows(self, sl: slice) -> tuple[xp.ndarray, xp.ndarray]:
+    def _candidate_rows(self, sl: slice) -> tuple[np.ndarray, np.ndarray]:
         """Theorem 2's closed-form candidate prices for rows ``sl``.
 
         Vectorises the scalar per-segment enumeration (the test oracle
@@ -1061,54 +1070,54 @@ class MarketStack:
         row_mask = self._mask[sl]
         row_alphas = self._alphas[sl]
         row_data = self._data[sl]
-        costs = self._unit_costs[sl][:, xp.newaxis]
-        caps_price = self._max_prices[sl][:, xp.newaxis]
-        se = self._se[sl][:, xp.newaxis]
+        costs = self._unit_costs[sl][:, np.newaxis]
+        caps_price = self._max_prices[sl][:, np.newaxis]
+        se = self._se[sl][:, np.newaxis]
         thresholds = row_alphas * se / row_data
-        masked_t = xp.where(row_mask, thresholds, -xp.inf)
+        masked_t = np.where(row_mask, thresholds, -np.inf)
         feasible = masked_t.max(axis=1) > self._unit_costs[sl]
 
         # Prefix sums over (α, D) sorted by descending threshold: the
         # active set of any probe price is a prefix of this order.
-        order = xp.argsort(-masked_t, axis=1, kind="stable")
-        t_desc = xp.take_along_axis(masked_t, order, axis=1)
-        alpha_prefix = xp.cumsum(
-            xp.take_along_axis(
-                xp.where(row_mask, row_alphas, 0.0), order, axis=1
+        order = np.argsort(-masked_t, axis=1, kind="stable")
+        t_desc = np.take_along_axis(masked_t, order, axis=1)
+        alpha_prefix = np.cumsum(
+            np.take_along_axis(
+                np.where(row_mask, row_alphas, 0.0), order, axis=1
             ),
             axis=1,
         )
-        data_prefix = xp.cumsum(
-            xp.take_along_axis(
-                xp.where(row_mask, row_data, 0.0), order, axis=1
+        data_prefix = np.cumsum(
+            np.take_along_axis(
+                np.where(row_mask, row_data, 0.0), order, axis=1
             ),
             axis=1,
         )
 
         inside = row_mask & (thresholds > costs) & (thresholds < caps_price)
-        inner = xp.sort(xp.where(inside, thresholds, caps_price), axis=1)
-        boundaries = xp.concatenate([costs, inner, caps_price], axis=1)
+        inner = np.sort(np.where(inside, thresholds, caps_price), axis=1)
+        boundaries = np.concatenate([costs, inner, caps_price], axis=1)
         low = boundaries[:, :-1]
         high = boundaries[:, 1:]
         probe = 0.5 * (low + high)
-        active_counts = (t_desc[:, xp.newaxis, :] > probe[:, :, xp.newaxis]).sum(
+        active_counts = (t_desc[:, np.newaxis, :] > probe[:, :, np.newaxis]).sum(
             axis=2
         )
         has_active = active_counts > 0
-        prefix_idx = xp.maximum(active_counts - 1, 0)
-        alpha_sums = xp.take_along_axis(alpha_prefix, prefix_idx, axis=1)
-        data_sums = xp.take_along_axis(data_prefix, prefix_idx, axis=1)
-        p_unconstrained = xp.sqrt(costs * se * alpha_sums / data_sums)
-        p_cap = alpha_sums / (self._caps[sl][:, xp.newaxis] + data_sums / se)
-        unconstrained = xp.where(
-            has_active, xp.clip(p_unconstrained, low, high), low
+        prefix_idx = np.maximum(active_counts - 1, 0)
+        alpha_sums = np.take_along_axis(alpha_prefix, prefix_idx, axis=1)
+        data_sums = np.take_along_axis(data_prefix, prefix_idx, axis=1)
+        p_unconstrained = np.sqrt(costs * se * alpha_sums / data_sums)
+        p_cap = alpha_sums / (self._caps[sl][:, np.newaxis] + data_sums / se)
+        unconstrained = np.where(
+            has_active, np.clip(p_unconstrained, low, high), low
         )
-        saturating = xp.where(
-            has_active & self._enforce[sl][:, xp.newaxis],
-            xp.clip(p_cap, low, high),
+        saturating = np.where(
+            has_active & self._enforce[sl][:, np.newaxis],
+            np.clip(p_cap, low, high),
             low,
         )
-        candidates = xp.concatenate(
+        candidates = np.concatenate(
             [boundaries, unconstrained, saturating], axis=1
         )
         return candidates, feasible
@@ -1193,13 +1202,13 @@ class MarketStack:
         )
         num_markets, n_max = self.num_markets, self.max_vmus
         out = {
-            "prices": xp.empty(num_markets, dtype=xp.float64),
-            "demands": xp.empty((num_markets, n_max), dtype=xp.float64),
-            "msp_utilities": xp.empty(num_markets, dtype=xp.float64),
-            "vmu_utilities": xp.empty((num_markets, n_max), dtype=xp.float64),
-            "capacity_binding": xp.empty(num_markets, dtype=bool),
-            "price_cap_binding": xp.empty(num_markets, dtype=bool),
-            "feasible": xp.empty(num_markets, dtype=bool),
+            "prices": np.empty(num_markets, dtype=np.float64),
+            "demands": np.empty((num_markets, n_max), dtype=np.float64),
+            "msp_utilities": np.empty(num_markets, dtype=np.float64),
+            "vmu_utilities": np.empty((num_markets, n_max), dtype=np.float64),
+            "capacity_binding": np.empty(num_markets, dtype=bool),
+            "price_cap_binding": np.empty(num_markets, dtype=bool),
+            "feasible": np.empty(num_markets, dtype=bool),
         }
         scratch = _ChunkScratch(size, n_max)
         for start in range(0, num_markets, size):
@@ -1219,7 +1228,7 @@ class MarketStack:
 
     def _refine_rows_scalar(
         self, sl: slice, scratch: _ChunkScratch
-    ) -> tuple[xp.ndarray, xp.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Golden refinement of a tiny row range, one scalar search per row.
 
         Bitwise replica of the ``grid_then_golden_batch`` call in
@@ -1232,7 +1241,7 @@ class MarketStack:
 
         Why the bits match: IEEE-754 arithmetic is identical between
         Python floats and numpy float64 scalars, the clamp ``d = 0.0 if
-        d < 0.0`` matches ``xp.maximum(0.0, ·)`` (a ``-0.0`` demand is
+        d < 0.0`` matches ``np.maximum(0.0, ·)`` (a ``-0.0`` demand is
         impossible: ``a - b`` with ``a, b >= 0`` never rounds to it), and
         the sequential Python sums match numpy's sequential reduction
         regime, which is why this path is gated on stack width < 8 —
@@ -1244,19 +1253,19 @@ class MarketStack:
         high_v = self._max_prices[sl]
         steps = (high_v - low_v) / (_REFINE_GRID_POINTS - 1)
         grids = (
-            low_v[:, xp.newaxis]
-            + steps[:, xp.newaxis] * xp.arange(_REFINE_GRID_POINTS)
+            low_v[:, np.newaxis]
+            + steps[:, np.newaxis] * np.arange(_REFINE_GRID_POINTS)
         )
         values = scratch.leader_utilities(grids)
-        best_idx = xp.argmax(values, axis=1)
-        lows = low_v + xp.maximum(0, best_idx - 1) * steps
+        best_idx = np.argmax(values, axis=1)
+        lows = low_v + np.maximum(0, best_idx - 1) * steps
         highs = (
-            low_v + xp.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
+            low_v + np.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
         )
 
         num_rows = lows.shape[0]
-        prices = xp.empty(num_rows, dtype=xp.float64)
-        utilities = xp.empty(num_rows, dtype=xp.float64)
+        prices = np.empty(num_rows, dtype=np.float64)
+        utilities = np.empty(num_rows, dtype=np.float64)
         for i in range(num_rows):
             n = int(scratch.counts[i])
             pairs = list(
@@ -1290,7 +1299,7 @@ class MarketStack:
 
     def _solve_rows(
         self, sl: slice, scratch: _ChunkScratch
-    ) -> dict[str, xp.ndarray]:
+    ) -> dict[str, np.ndarray]:
         """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
 
         Candidate argmax, then the golden cross-check, then the full
@@ -1300,9 +1309,9 @@ class MarketStack:
         scratch.load(self, sl)
         candidates, feasible = self._candidate_rows(sl)
         candidate_values = scratch.leader_utilities(candidates)
-        best_idx = xp.argmax(candidate_values, axis=1)[:, xp.newaxis]
-        best_prices = xp.take_along_axis(candidates, best_idx, axis=1)[:, 0]
-        best_values = xp.take_along_axis(candidate_values, best_idx, axis=1)[
+        best_idx = np.argmax(candidate_values, axis=1)[:, np.newaxis]
+        best_prices = np.take_along_axis(candidates, best_idx, axis=1)[:, 0]
+        best_values = np.take_along_axis(candidate_values, best_idx, axis=1)[
             :, 0
         ]
         if feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS and self.max_vmus < 8:
@@ -1315,17 +1324,17 @@ class MarketStack:
                 self._unit_costs[sl],
                 self._max_prices[sl],
             )
-        best_prices = xp.where(
+        best_prices = np.where(
             refined_values > best_values, refined_prices, best_prices
         )
         outcome = self._outcomes_trusted(best_prices, sl)
-        price_cap_binding = xp.abs(best_prices - self._max_prices[sl]) < 1e-9
-        rows = feasible[:, xp.newaxis]
+        price_cap_binding = np.abs(best_prices - self._max_prices[sl]) < 1e-9
+        rows = feasible[:, np.newaxis]
         return {
-            "prices": xp.where(feasible, best_prices, xp.nan),
-            "demands": xp.where(rows, outcome.allocations, xp.nan),
-            "msp_utilities": xp.where(feasible, outcome.msp_utilities, xp.nan),
-            "vmu_utilities": xp.where(rows, outcome.vmu_utilities, xp.nan),
+            "prices": np.where(feasible, best_prices, np.nan),
+            "demands": np.where(rows, outcome.allocations, np.nan),
+            "msp_utilities": np.where(feasible, outcome.msp_utilities, np.nan),
+            "vmu_utilities": np.where(rows, outcome.vmu_utilities, np.nan),
             "capacity_binding": outcome.capacity_binding & feasible,
             "price_cap_binding": price_cap_binding & feasible,
             "feasible": feasible,
@@ -1400,8 +1409,8 @@ class MutableMarketStack:
         if len(markets) == 0:
             raise ConfigurationError("market stack needs at least one market")
         self._markets = markets
-        self._counts = xp.fromiter(
-            (m.num_vmus for m in markets), dtype=xp.int64, count=len(markets)
+        self._counts = np.fromiter(
+            (m.num_vmus for m in markets), dtype=np.int64, count=len(markets)
         )
         self._chunk_size = chunk_size
         self._chunk_bytes = chunk_bytes
@@ -1598,16 +1607,16 @@ class MutableMarketStack:
             demands = cached.demands.copy()
             vmu_utilities = cached.vmu_utilities.copy()
         else:
-            demands = xp.zeros((num_markets, n_max), dtype=xp.float64)
-            vmu_utilities = xp.zeros((num_markets, n_max), dtype=xp.float64)
+            demands = np.zeros((num_markets, n_max), dtype=np.float64)
+            vmu_utilities = np.zeros((num_markets, n_max), dtype=np.float64)
             keep = min(n_max, old_n_max)
             demands[:, :keep] = cached.demands[:, :keep]
             vmu_utilities[:, :keep] = cached.vmu_utilities[:, :keep]
             if n_max > old_n_max:
                 # Widened columns of infeasible rows hold nan, not 0.0.
-                demands[~feasible, old_n_max:] = xp.nan
-                vmu_utilities[~feasible, old_n_max:] = xp.nan
-        idx = xp.asarray(indices, dtype=xp.intp)
+                demands[~feasible, old_n_max:] = np.nan
+                vmu_utilities[~feasible, old_n_max:] = np.nan
+        idx = np.asarray(indices, dtype=np.intp)
         sub_width = rows.demands.shape[1]
         prices[idx] = rows.prices
         msp_utilities[idx] = rows.msp_utilities
@@ -1615,14 +1624,14 @@ class MutableMarketStack:
         price_cap_binding[idx] = rows.price_cap_binding
         feasible[idx] = rows.feasible
         unit_costs[idx] = rows.unit_costs
-        demands[idx[:, xp.newaxis], xp.arange(sub_width)] = rows.demands
-        vmu_utilities[idx[:, xp.newaxis], xp.arange(sub_width)] = (
+        demands[idx[:, np.newaxis], np.arange(sub_width)] = rows.demands
+        vmu_utilities[idx[:, np.newaxis], np.arange(sub_width)] = (
             rows.vmu_utilities
         )
         if sub_width < n_max:
-            tail = xp.where(rows.feasible[:, xp.newaxis], 0.0, xp.nan)
-            demands[idx[:, xp.newaxis], xp.arange(sub_width, n_max)] = tail
-            vmu_utilities[idx[:, xp.newaxis], xp.arange(sub_width, n_max)] = (
+            tail = np.where(rows.feasible[:, np.newaxis], 0.0, np.nan)
+            demands[idx[:, np.newaxis], np.arange(sub_width, n_max)] = tail
+            vmu_utilities[idx[:, np.newaxis], np.arange(sub_width, n_max)] = (
                 tail
             )
         result = StackedEquilibria(
@@ -1633,7 +1642,7 @@ class MutableMarketStack:
             capacity_binding=capacity_binding,
             price_cap_binding=price_cap_binding,
             feasible=feasible,
-            mask=xp.arange(n_max) < counts[:, xp.newaxis],
+            mask=np.arange(n_max) < counts[:, np.newaxis],
             counts=counts,
             unit_costs=unit_costs,
         )

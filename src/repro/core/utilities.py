@@ -13,29 +13,26 @@ pass instead of ``P`` Python-level solves. Scalar prices keep their exact
 historical semantics (and return types), so the two entry points stay
 bit-compatible row for row.
 
-The ``*_stacked`` variants add a *market* axis ``M`` in front of everything:
-per-market parameter matrices of shape ``(M, N)`` (ragged populations padded
-— see :class:`repro.core.marketstack.MarketStack`) with per-market prices
-``(M,)`` or price grids ``(M, R)``, and per-market spectral efficiencies /
-unit costs ``(M,)``. Every stacked operation is elementwise-identical to the
-per-market form, so a stacked solve of ``M`` different markets agrees
-bitwise with ``M`` separate solves.
+The private ``_*_rows`` kernels add a *market* axis ``M`` in front of
+everything: per-market parameter matrices of shape ``(M, N)`` (ragged
+populations padded — see :class:`repro.core.marketstack.MarketStack`, their
+only caller) with per-market prices ``(M,)`` or price grids ``(M, R)``, and
+per-market spectral efficiencies / unit costs ``(M,)``. Every stacked
+operation is elementwise-identical to the per-market form, so a stacked
+solve of ``M`` different markets agrees bitwise with ``M`` separate solves.
 """
 
 from __future__ import annotations
 
-from repro.backend import xp
+import numpy as np
 
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
     "vmu_utility",
     "vmu_utilities",
-    "vmu_utilities_stacked",
     "msp_utility",
-    "msp_utilities_stacked",
     "follower_best_response",
-    "follower_best_response_stacked",
 ]
 
 
@@ -52,17 +49,17 @@ def vmu_utility(
     require_non_negative("bandwidth", bandwidth)
     require_non_negative("price", price)
     require_positive("spectral_efficiency", spectral_efficiency)
-    gain = immersion_coef * xp.log1p(bandwidth * spectral_efficiency / data_units)
+    gain = immersion_coef * np.log1p(bandwidth * spectral_efficiency / data_units)
     return float(gain - price * bandwidth)
 
 
 def vmu_utilities(
-    immersion_coefs: xp.ndarray,
-    data_units: xp.ndarray,
-    bandwidths: xp.ndarray,
-    price: float | xp.ndarray,
+    immersion_coefs: np.ndarray,
+    data_units: np.ndarray,
+    bandwidths: np.ndarray,
+    price: float | np.ndarray,
     spectral_efficiency: float,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Vectorised Eq. (2) over a population, optionally batched over prices.
 
     With a scalar ``price`` and ``bandwidths`` of shape ``(N,)`` this is the
@@ -70,38 +67,38 @@ def vmu_utilities(
     ``bandwidths`` of shape ``(P, N)`` it returns per-price utilities
     ``(P, N)`` in one pass.
     """
-    alphas = xp.asarray(immersion_coefs, dtype=float)
-    data = xp.asarray(data_units, dtype=float)
-    bands = xp.asarray(bandwidths, dtype=float)
-    prices = xp.asarray(price, dtype=float)
+    alphas = np.asarray(immersion_coefs, dtype=float)
+    data = np.asarray(data_units, dtype=float)
+    bands = np.asarray(bandwidths, dtype=float)
+    prices = np.asarray(price, dtype=float)
     if prices.ndim == 1:
         if bands.ndim != 2 or bands.shape[0] != prices.shape[0]:
             raise ValueError(
                 f"price batch of shape {prices.shape} needs bandwidths of "
                 f"shape (P, N), got {bands.shape}"
             )
-        prices = prices[:, xp.newaxis]
-    gains = alphas * xp.log1p(bands * spectral_efficiency / data)
+        prices = prices[:, np.newaxis]
+    gains = alphas * np.log1p(bands * spectral_efficiency / data)
     return gains - prices * bands
 
 
 def msp_utility(
-    price: float | xp.ndarray, unit_cost: float, bandwidths: xp.ndarray
-) -> float | xp.ndarray:
+    price: float | np.ndarray, unit_cost: float, bandwidths: np.ndarray
+) -> float | np.ndarray:
     """Leader utility ``Σ (p − C)·b_n`` (Eq. 4).
 
     Scalar ``price`` + ``(N,)`` bandwidths returns a float; a price batch
     ``(P,)`` + ``(P, N)`` bandwidths returns the per-price utilities ``(P,)``.
     """
     require_positive("unit_cost", unit_cost)
-    bands = xp.asarray(bandwidths, dtype=float)
-    if xp.any(bands < 0.0):
+    bands = np.asarray(bandwidths, dtype=float)
+    if np.any(bands < 0.0):
         raise ValueError("bandwidths must be >= 0")
-    prices = xp.asarray(price, dtype=float)
+    prices = np.asarray(price, dtype=float)
     if prices.ndim == 0:
         require_non_negative("price", float(prices))
         return float((float(prices) - unit_cost) * bands.sum())
-    if xp.any(~xp.isfinite(prices)) or xp.any(prices < 0.0):
+    if np.any(~np.isfinite(prices)) or np.any(prices < 0.0):
         raise ValueError(f"prices must be finite and >= 0, got {prices!r}")
     if bands.ndim != 2 or bands.shape[0] != prices.shape[0]:
         raise ValueError(
@@ -112,11 +109,11 @@ def msp_utility(
 
 
 def follower_best_response(
-    immersion_coefs: xp.ndarray,
-    data_units: xp.ndarray,
-    price: float | xp.ndarray,
+    immersion_coefs: np.ndarray,
+    data_units: np.ndarray,
+    price: float | np.ndarray,
     spectral_efficiency: float,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Vectorised best response of Eq. (8), truncated at zero.
 
     ``b*_n = max(0, α_n/p − D_n/SE)``. The truncation implements the
@@ -128,185 +125,87 @@ def follower_best_response(
     posted price).
     """
     require_positive("spectral_efficiency", spectral_efficiency)
-    alphas = xp.asarray(immersion_coefs, dtype=float)
-    data = xp.asarray(data_units, dtype=float)
-    if xp.any(alphas <= 0.0) or xp.any(data <= 0.0):
+    alphas = np.asarray(immersion_coefs, dtype=float)
+    data = np.asarray(data_units, dtype=float)
+    if np.any(alphas <= 0.0) or np.any(data <= 0.0):
         raise ValueError("immersion coefficients and data sizes must be > 0")
-    prices = xp.asarray(price, dtype=float)
+    prices = np.asarray(price, dtype=float)
     if prices.ndim == 0:
         require_positive("price", float(prices))
-        return xp.maximum(0.0, alphas / float(prices) - data / spectral_efficiency)
-    if xp.any(~xp.isfinite(prices)) or xp.any(prices <= 0.0):
+        return np.maximum(0.0, alphas / float(prices) - data / spectral_efficiency)
+    if np.any(~np.isfinite(prices)) or np.any(prices <= 0.0):
         raise ValueError(f"prices must be finite and > 0, got {prices!r}")
-    return xp.maximum(
+    return np.maximum(
         0.0,
-        alphas[xp.newaxis, :] / prices[:, xp.newaxis]
-        - data[xp.newaxis, :] / spectral_efficiency,
+        alphas[np.newaxis, :] / prices[:, np.newaxis]
+        - data[np.newaxis, :] / spectral_efficiency,
     )
-
-
-def _stacked_price_axes(prices: xp.ndarray, num_markets: int) -> xp.ndarray:
-    """Validate a stacked price array ``(M,)`` or ``(M, R)``."""
-    if prices.ndim not in (1, 2) or prices.shape[0] != num_markets:
-        raise ValueError(
-            f"stacked prices must have shape (M,) or (M, R) with M = "
-            f"{num_markets}, got {prices.shape}"
-        )
-    return prices
-
-
-def follower_best_response_stacked(
-    immersion_coefs: xp.ndarray,
-    data_units: xp.ndarray,
-    prices: xp.ndarray,
-    spectral_efficiencies: xp.ndarray,
-) -> xp.ndarray:
-    """Eq. (8) best responses across a stack of *different* markets.
-
-    Args:
-        immersion_coefs: per-market ``α`` matrix, shape ``(M, N)``.
-        data_units: per-market ``D`` matrix, shape ``(M, N)``.
-        prices: one price per market ``(M,)`` or a per-market price grid
-            ``(M, R)``.
-        spectral_efficiencies: per-market link SE, shape ``(M,)``.
-
-    Returns:
-        Best responses of shape ``(M, N)`` (vector prices) or ``(M, R, N)``
-        (grid prices). Every entry is the identical elementwise expression
-        the per-market :func:`follower_best_response` evaluates, so a
-        stacked solve agrees bitwise with ``M`` separate solves.
-    """
-    alphas = xp.asarray(immersion_coefs, dtype=float)
-    data = xp.asarray(data_units, dtype=float)
-    se = xp.asarray(spectral_efficiencies, dtype=float)
-    if alphas.ndim != 2 or data.shape != alphas.shape:
-        raise ValueError(
-            "immersion coefficients and data sizes must share one (M, N) "
-            f"shape, got {alphas.shape} and {data.shape}"
-        )
-    if se.shape != (alphas.shape[0],):
-        raise ValueError(
-            f"spectral efficiencies must have shape (M,), got {se.shape}"
-        )
-    if xp.any(alphas <= 0.0) or xp.any(data <= 0.0) or xp.any(se <= 0.0):
-        raise ValueError(
-            "immersion coefficients, data sizes, and spectral efficiencies "
-            "must be > 0"
-        )
-    p = _stacked_price_axes(xp.asarray(prices, dtype=float), alphas.shape[0])
-    if xp.any(~xp.isfinite(p)) or xp.any(p <= 0.0):
-        raise ValueError(f"prices must be finite and > 0, got {p!r}")
-    return _follower_best_response_rows(alphas, data, p, se)
 
 
 def _follower_best_response_rows(
-    alphas: xp.ndarray,
-    data: xp.ndarray,
-    p: xp.ndarray,
-    se: xp.ndarray,
-) -> xp.ndarray:
-    """Trusted-input kernel of :func:`follower_best_response_stacked`.
+    alphas: np.ndarray,
+    data: np.ndarray,
+    p: np.ndarray,
+    se: np.ndarray,
+) -> np.ndarray:
+    """Eq. (8) best responses across a stack of different markets.
 
-    Callers guarantee validated float arrays of matching shapes
-    (:class:`repro.core.marketstack.MarketStack` validates its static
-    parameters once at construction, then drives this kernel every
-    environment round). The arithmetic is the public function's, verbatim,
-    so results stay bitwise-identical.
+    ``alphas`` and ``data`` are ``(M, N)``, ``se`` is ``(M,)``, and ``p``
+    is one price per market ``(M,)`` or a per-market grid ``(M, R)``; the
+    result is ``(M, N)`` or ``(M, R, N)``. No input is checked: callers
+    pass float64 arrays of these shapes with ``α, D, SE > 0`` and finite
+    ``p > 0`` (:class:`repro.core.marketstack.MarketStack` validates its
+    static parameters once at construction, then drives this kernel every
+    environment round). Each entry is the expression
+    :func:`follower_best_response` evaluates, so a stacked solve agrees
+    bitwise with ``M`` separate solves.
     """
     if p.ndim == 1:
-        return xp.maximum(
-            0.0, alphas / p[:, xp.newaxis] - data / se[:, xp.newaxis]
+        return np.maximum(
+            0.0, alphas / p[:, np.newaxis] - data / se[:, np.newaxis]
         )
-    return xp.maximum(
+    return np.maximum(
         0.0,
-        alphas[:, xp.newaxis, :] / p[:, :, xp.newaxis]
-        - data[:, xp.newaxis, :] / se[:, xp.newaxis, xp.newaxis],
+        alphas[:, np.newaxis, :] / p[:, :, np.newaxis]
+        - data[:, np.newaxis, :] / se[:, np.newaxis, np.newaxis],
     )
-
-
-def vmu_utilities_stacked(
-    immersion_coefs: xp.ndarray,
-    data_units: xp.ndarray,
-    bandwidths: xp.ndarray,
-    prices: xp.ndarray,
-    spectral_efficiencies: xp.ndarray,
-) -> xp.ndarray:
-    """Eq. (2) follower utilities across a stack of different markets.
-
-    Shapes mirror :func:`follower_best_response_stacked`: ``bandwidths`` is
-    ``(M, N)`` with prices ``(M,)``, or ``(M, R, N)`` with prices
-    ``(M, R)``; the result has the bandwidths' shape.
-    """
-    alphas = xp.asarray(immersion_coefs, dtype=float)
-    data = xp.asarray(data_units, dtype=float)
-    bands = xp.asarray(bandwidths, dtype=float)
-    se = xp.asarray(spectral_efficiencies, dtype=float)
-    p = _stacked_price_axes(xp.asarray(prices, dtype=float), alphas.shape[0])
-    if p.ndim == 1:
-        if bands.shape != alphas.shape:
-            raise ValueError(
-                f"per-market prices (M,) need bandwidths of shape (M, N), "
-                f"got {bands.shape}"
-            )
-    elif bands.shape != (p.shape[0], p.shape[1], alphas.shape[1]):
-        raise ValueError(
-            f"price grids (M, R) need bandwidths of shape (M, R, N), "
-            f"got {bands.shape}"
-        )
-    return _vmu_utilities_rows(alphas, data, bands, p, se)
 
 
 def _vmu_utilities_rows(
-    alphas: xp.ndarray,
-    data: xp.ndarray,
-    bands: xp.ndarray,
-    p: xp.ndarray,
-    se: xp.ndarray,
-) -> xp.ndarray:
-    """Trusted-input kernel of :func:`vmu_utilities_stacked` (same
-    caller contract as :func:`_follower_best_response_rows`)."""
-    if p.ndim == 1:
-        gains = alphas * xp.log1p(bands * se[:, xp.newaxis] / data)
-        return gains - p[:, xp.newaxis] * bands
-    gains = alphas[:, xp.newaxis, :] * xp.log1p(
-        bands * se[:, xp.newaxis, xp.newaxis] / data[:, xp.newaxis, :]
-    )
-    return gains - p[:, :, xp.newaxis] * bands
+    alphas: np.ndarray,
+    data: np.ndarray,
+    bands: np.ndarray,
+    p: np.ndarray,
+    se: np.ndarray,
+) -> np.ndarray:
+    """Eq. (2) follower utilities across a stack of different markets.
 
-
-def msp_utilities_stacked(
-    prices: xp.ndarray,
-    unit_costs: xp.ndarray,
-    total_bandwidths: xp.ndarray,
-) -> xp.ndarray:
-    """Eq. (4) leader utilities across a stack of different markets.
-
-    Takes the already-reduced per-market demand totals (``Σ_n b_n``, shape
-    matching ``prices``) rather than the bandwidth matrix: ragged stacks
-    must sum each market over its *own* population to stay bitwise equal to
-    the per-market path, so the reduction lives with the caller that knows
-    the population boundaries (:class:`repro.core.marketstack.MarketStack`).
+    ``bands`` is ``(M, N)`` with prices ``(M,)`` or ``(M, R, N)`` with
+    prices ``(M, R)``; the result has the bandwidths' shape. The other
+    inputs and the (unchecked) caller contract are those of
+    :func:`_follower_best_response_rows`.
     """
-    p = xp.asarray(prices, dtype=float)
-    costs = xp.asarray(unit_costs, dtype=float)
-    totals = xp.asarray(total_bandwidths, dtype=float)
-    if costs.shape != (p.shape[0],):
-        raise ValueError(f"unit costs must have shape (M,), got {costs.shape}")
-    if totals.shape != p.shape:
-        raise ValueError(
-            f"total bandwidths must match prices' shape {p.shape}, "
-            f"got {totals.shape}"
-        )
-    if xp.any(costs <= 0.0):
-        raise ValueError("unit costs must be > 0")
-    return _msp_utilities_rows(p, costs, totals)
+    if p.ndim == 1:
+        gains = alphas * np.log1p(bands * se[:, np.newaxis] / data)
+        return gains - p[:, np.newaxis] * bands
+    gains = alphas[:, np.newaxis, :] * np.log1p(
+        bands * se[:, np.newaxis, np.newaxis] / data[:, np.newaxis, :]
+    )
+    return gains - p[:, :, np.newaxis] * bands
 
 
 def _msp_utilities_rows(
-    p: xp.ndarray, costs: xp.ndarray, totals: xp.ndarray
-) -> xp.ndarray:
-    """Trusted-input kernel of :func:`msp_utilities_stacked` (same
-    caller contract as :func:`_follower_best_response_rows`)."""
+    p: np.ndarray, costs: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Eq. (4) leader utilities across a stack of different markets.
+
+    Takes the already-reduced per-market demand totals (``Σ_n b_n``, shape
+    matching ``p``) rather than the bandwidth matrix: ragged stacks must
+    sum each market over its *own* population to stay bitwise equal to the
+    per-market path, so the reduction lives with the caller that knows the
+    population boundaries. ``costs`` is ``(M,)`` with ``C > 0``; nothing
+    is checked here.
+    """
     if p.ndim == 1:
         return (p - costs) * totals
-    return (p - costs[:, xp.newaxis]) * totals
+    return (p - costs[:, np.newaxis]) * totals

@@ -4,15 +4,15 @@ This is the only PPO execution path: :class:`repro.drl.ppo.PPOAgent`
 compiles one :class:`FusedActorCritic` per network. It replays the
 arithmetic of the autograd engine in ``nn/tensor.py`` — every forward op
 and every pull-back expression, in the same association order — as
-straight array code over the :data:`repro.backend.xp` seam, writing
+straight numpy code, writing
 gradients directly into a :class:`repro.nn.optim.FlatOptimizer`'s
 contiguous gradient buffer. Building and walking the autograd graph (about
 50 Tensor nodes and one Python closure per node per backward for a
 fig2-style update) is what this avoids.
 
-Bitwise contract (pinned by ``tests/test_drl_fused.py`` and the backend
-conformance suite against the autograd reference agent in
-``tests/training_oracle.py``):
+Bitwise contract (pinned by ``tests/test_drl_fused.py`` and
+``tests/test_drl_vector_trainer.py`` against the autograd reference agent
+in ``tests/training_oracle.py``):
 
 - :meth:`FusedActorCritic.act_batch` / :meth:`value_batch` reproduce
   ``ActorCritic.act_batch`` and the graph critic exactly, including RNG
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend import xp
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.distributions import _LOG_SQRT_2PI
@@ -131,19 +131,19 @@ class FusedActorCritic:
         x = obs
         for weight, bias in self._trunk:
             inputs.append(x)
-            x = xp.tanh(x @ weight.data + bias.data)
+            x = np.tanh(x @ weight.data + bias.data)
             outs.append(x)
         actor_w, actor_b = self._actor
         critic_w, critic_b = self._critic
         mean = x @ actor_w.data + actor_b.data
         vpre = x @ critic_w.data + critic_b.data
-        values = xp.squeeze(vpre, axis=-1)
+        values = np.squeeze(vpre, axis=-1)
         return inputs, outs, mean, values
 
     def _log_prob_data(self, actions, mean):
         """Data-path replica of ``DiagonalGaussian.log_prob`` internals."""
         log_std = self._log_std.data
-        inv_std = xp.exp(-log_std)
+        inv_std = np.exp(-log_std)
         standardized = (actions - mean) * inv_std
         per_dim = standardized * standardized * (-0.5) - log_std - _LOG_SQRT_2PI
         return inv_std, standardized, per_dim.sum(axis=-1)
@@ -157,7 +157,7 @@ class FusedActorCritic:
     ):
         """Bitwise twin of ``ActorCritic.act_batch`` (no graph, no Tensor)."""
         rng = as_generator(seed)
-        obs = xp.asarray(observations, dtype=xp.float64)
+        obs = np.asarray(observations, dtype=np.float64)
         self._check_observations(obs)
         _, _, mean, values = self._forward(obs)
         if deterministic:
@@ -166,14 +166,14 @@ class FusedActorCritic:
             # exp once per action dim, not per (batch, dim) copy — the
             # broadcast multiply pairs the identical operands elementwise,
             # so the sampled prices carry the exact same bits.
-            std = xp.exp(self._log_std.data)
+            std = np.exp(self._log_std.data)
             raws = mean + std * rng.normal(size=mean.shape)
         _, _, log_probs = self._log_prob_data(raws, mean)
         return raws, log_probs, values
 
     def value_batch(self, observations):
         """Critic values, bitwise-equal to the graph ``ActorCritic.value``."""
-        obs = xp.asarray(observations, dtype=xp.float64)
+        obs = np.asarray(observations, dtype=np.float64)
         self._check_observations(obs)
         return self._forward(obs)[3]
 
@@ -194,18 +194,18 @@ class FusedActorCritic:
         # two-pass root of the mean squared deviation), so they carry the
         # same bits as ``.mean()``/``.std()`` without those calls' dispatch
         # overhead, about a tenth of a fig2-sized update.
-        advantages = batch.advantages.astype(xp.float64)
+        advantages = batch.advantages.astype(np.float64)
         if cfg.normalize_advantages and advantages.size > 1:
             count = advantages.size
             centered = advantages - advantages.sum() / count
-            std = xp.sqrt((centered * centered).sum() / count)
+            std = np.sqrt((centered * centered).sum() / count)
             advantages = centered / (std + 1e-8)
 
-        obs = xp.asarray(batch.observations, dtype=xp.float64)
+        obs = np.asarray(batch.observations, dtype=np.float64)
         self._check_observations(obs)
-        actions = xp.asarray(batch.actions, dtype=xp.float64)
-        old_log_probs = xp.asarray(batch.old_log_probs, dtype=xp.float64)
-        returns = xp.asarray(batch.returns, dtype=xp.float64)
+        actions = np.asarray(batch.actions, dtype=np.float64)
+        old_log_probs = np.asarray(batch.old_log_probs, dtype=np.float64)
+        returns = np.asarray(batch.returns, dtype=np.float64)
 
         # ---------------- forward (data path of the autograd update) ----- #
         inputs, outs, mean, values = self._forward(obs)
@@ -218,12 +218,12 @@ class FusedActorCritic:
         inv_b = 1.0 / batch_size
         inv_std, standardized, log_probs = self._log_prob_data(actions, mean)
 
-        ratio = xp.exp(log_probs - old_log_probs)  # Eq. (17)
+        ratio = np.exp(log_probs - old_log_probs)  # Eq. (17)
         unclipped = ratio * advantages
         clip_lo, clip_hi = 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon
-        clipped_ratio = xp.clip(ratio, clip_lo, clip_hi)
+        clipped_ratio = np.clip(ratio, clip_lo, clip_hi)
         clipped = clipped_ratio * advantages
-        surrogate = xp.minimum(unclipped, clipped)
+        surrogate = np.minimum(unclipped, clipped)
         policy_objective = surrogate.sum() * (1.0 / batch_size)  # Eq. (15)
         vdiff = values - returns
         vsq = vdiff**2.0
@@ -231,7 +231,7 @@ class FusedActorCritic:
         log_std = self._log_std.data
         action_dim = mean.shape[1]
         per_dim_entropy = log_std + (0.5 + _LOG_SQRT_2PI)
-        entropy_value = (per_dim_entropy + xp.zeros(mean.shape)).sum(
+        entropy_value = (per_dim_entropy + np.zeros(mean.shape)).sum(
             axis=-1
         ).sum() * (1.0 / batch_size)
 
@@ -253,9 +253,9 @@ class FusedActorCritic:
         # reduction below, and reduction order is part of the bitwise
         # contract. (A one-dim action space needs no broadcast pass — the
         # expanded column already has the target shape.)
-        expanded = xp.expand_dims(g_log_probs, -1)
+        expanded = np.expand_dims(g_log_probs, -1)
         if expanded.shape != (batch_size, action_dim):
-            expanded = xp.broadcast_to(expanded, (batch_size, action_dim))
+            expanded = np.broadcast_to(expanded, (batch_size, action_dim))
         g_per_dim = expanded.copy()
         g_m1 = g_per_dim * (-0.5)
         g_std_half = g_m1 * standardized
@@ -267,7 +267,7 @@ class FusedActorCritic:
         # The power rule's ``vdiff ** 1.0`` is ``vdiff`` bit for bit
         # (IEEE 754 pow with exponent 1 is the identity) — skip the pass.
         g_vdiff = (g_vsq * 2.0) * vdiff
-        g_vpre = xp.expand_dims(g_vdiff, -1)
+        g_vpre = np.expand_dims(g_vdiff, -1)
 
         views = optimizer.grad_views
         actor_w, _ = self._actor
@@ -284,7 +284,7 @@ class FusedActorCritic:
         g_ls_a = -(g_inv_std * inv_std)
         g_ls_b = -(g_per_dim.sum(axis=0))
         g_entropy = (-1.0 * cfg.entropy_coef) * (1.0 / batch_size)
-        g_ls_c = xp.full((batch_size, action_dim), g_entropy).sum(axis=0)
+        g_ls_c = np.full((batch_size, action_dim), g_entropy).sum(axis=0)
         views[0][...] = (g_ls_a + g_ls_b) + g_ls_c
 
         # Trunk: actor contribution accumulates before critic (autograd
@@ -303,7 +303,7 @@ class FusedActorCritic:
             max_grad_norm=cfg.max_grad_norm, from_views=True
         )
 
-        clipped_count = (xp.abs(ratio - 1.0) > cfg.clip_epsilon).sum()
+        clipped_count = (np.abs(ratio - 1.0) > cfg.clip_epsilon).sum()
         clip_fraction = float(clipped_count / batch_size)
         approx_kl = float((old_log_probs - log_probs).sum() / batch_size)
         return UpdateStats(

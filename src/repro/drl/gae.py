@@ -10,24 +10,24 @@ and that every row is bitwise the scalar per-trajectory recursion kept in
 
 from __future__ import annotations
 
-from repro.backend import xp
+import numpy as np
 
 from repro.utils.validation import require_in_range
 
 __all__ = ["discounted_returns_batch", "generalized_advantages_batch"]
 
 
-def _as_batch(name: str, array) -> xp.ndarray:
-    array = xp.asarray(array, dtype=xp.float64)
+def _as_batch(name: str, array) -> np.ndarray:
+    array = np.asarray(array, dtype=np.float64)
     if array.ndim != 2:
         raise ValueError(f"{name} must be 2-D (E, K), got shape {array.shape}")
     return array
 
 
-def _as_bootstraps(bootstrap_values, num_envs: int) -> xp.ndarray:
+def _as_bootstraps(bootstrap_values, num_envs: int) -> np.ndarray:
     if bootstrap_values is None:
-        return xp.zeros(num_envs, dtype=xp.float64)
-    bootstraps = xp.asarray(bootstrap_values, dtype=xp.float64)
+        return np.zeros(num_envs, dtype=np.float64)
+    bootstraps = np.asarray(bootstrap_values, dtype=np.float64)
     if bootstraps.shape != (num_envs,):
         raise ValueError(
             f"bootstrap_values must have shape ({num_envs},), got {bootstraps.shape}"
@@ -36,8 +36,8 @@ def _as_bootstraps(bootstrap_values, num_envs: int) -> xp.ndarray:
 
 
 def discounted_returns_batch(
-    rewards: xp.ndarray, gamma: float, *, bootstrap_values=None
-) -> xp.ndarray:
+    rewards: np.ndarray, gamma: float, *, bootstrap_values=None
+) -> np.ndarray:
     """Discounted return-to-go for ``E`` trajectories at once.
 
     ``G_k = Σ_{l=k}^{K-1} γ^{l-k} r_l + γ^{K-k} V(S_K)`` (Eq. 16's target)
@@ -49,7 +49,7 @@ def discounted_returns_batch(
     """
     require_in_range("gamma", gamma, 0.0, 1.0)
     rewards = _as_batch("rewards", rewards)
-    returns = xp.empty_like(rewards)
+    returns = np.empty_like(rewards)
     running = _as_bootstraps(bootstrap_values, rewards.shape[0])
     for k in range(rewards.shape[1] - 1, -1, -1):
         running = rewards[:, k] + gamma * running
@@ -58,13 +58,13 @@ def discounted_returns_batch(
 
 
 def generalized_advantages_batch(
-    rewards: xp.ndarray,
-    values: xp.ndarray,
+    rewards: np.ndarray,
+    values: np.ndarray,
     gamma: float,
     lam: float,
     *,
     bootstrap_values=None,
-) -> xp.ndarray:
+) -> np.ndarray:
     """GAE(λ) (Schulman et al., 2015) for ``E`` trajectories at once.
 
     ``A_k = Σ_{l≥k} (γλ)^{l-k} δ_l`` with TD residuals
@@ -83,10 +83,10 @@ def generalized_advantages_batch(
             f"rewards and values must align, got {rewards.shape} vs {values.shape}"
         )
     bootstraps = _as_bootstraps(bootstrap_values, rewards.shape[0])
-    next_values = xp.concatenate([values[:, 1:], bootstraps[:, xp.newaxis]], axis=1)
+    next_values = np.concatenate([values[:, 1:], bootstraps[:, np.newaxis]], axis=1)
     deltas = rewards + gamma * next_values - values
-    advantages = xp.empty_like(deltas)
-    running = xp.zeros(rewards.shape[0], dtype=xp.float64)
+    advantages = np.empty_like(deltas)
+    running = np.zeros(rewards.shape[0], dtype=np.float64)
     for k in range(rewards.shape[1] - 1, -1, -1):
         running = deltas[:, k] + gamma * lam * running
         advantages[:, k] = running

@@ -25,7 +25,8 @@ class ChannelError(ReproError):
 
 
 class AllocationError(ChannelError):
-    """OFDMA subchannel allocation could not satisfy a request."""
+    """Bandwidth rationing was given demands it cannot ration (negative,
+    non-finite, or of the wrong shape)."""
 
 
 class GameError(ReproError):
@@ -34,14 +35,6 @@ class GameError(ReproError):
 
 class InfeasibleMarketError(GameError):
     """No price in ``[C, p_max]`` induces positive demand from any follower."""
-
-
-class MigrationError(ReproError):
-    """The live-migration substrate hit an invalid state."""
-
-
-class MobilityError(ReproError):
-    """The mobility substrate hit an invalid state (off-road position...)."""
 
 
 class NeuralNetworkError(ReproError):

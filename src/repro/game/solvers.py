@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from repro.backend import xp
+import numpy as np
 
 from repro.errors import ConfigurationError, GameError
 from repro.utils.validation import require_finite
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def uniform_price_grid(low: float, high: float, grid_points: int) -> xp.ndarray:
+def uniform_price_grid(low: float, high: float, grid_points: int) -> np.ndarray:
     """A uniform ``(grid_points,)`` grid on ``[low, high]``.
 
     The one grid construction every landscape scan shares: the leader's
@@ -38,7 +38,7 @@ def uniform_price_grid(low: float, high: float, grid_points: int) -> xp.ndarray:
     if not low < high:
         raise ConfigurationError(f"need low < high, got [{low}, {high}]")
     step = (high - low) / (grid_points - 1)
-    return low + step * xp.arange(grid_points)
+    return low + step * np.arange(grid_points)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/φ ≈ 0.618
 
@@ -87,13 +87,13 @@ def golden_section_maximize(
 
 
 def golden_section_maximize_batch(
-    objective: Callable[[xp.ndarray], xp.ndarray],
-    lows: xp.ndarray,
-    highs: xp.ndarray,
+    objective: Callable[[np.ndarray], np.ndarray],
+    lows: np.ndarray,
+    highs: np.ndarray,
     *,
     tolerance: float = 1e-10,
     max_iterations: int = 500,
-) -> tuple[xp.ndarray, xp.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Maximise ``M`` unimodal objectives on ``M`` brackets in lockstep.
 
     The batched form of :func:`golden_section_maximize`: ``objective`` maps
@@ -114,16 +114,16 @@ def golden_section_maximize_batch(
         GameError: if any bracket has ``lows[m] > highs[m]`` or a
             non-finite endpoint.
     """
-    a = xp.array(lows, dtype=float)
-    b = xp.array(highs, dtype=float)
+    a = np.array(lows, dtype=float)
+    b = np.array(highs, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise GameError(
             f"lows and highs must share one (M,) shape, got {a.shape} "
             f"and {b.shape}"
         )
-    if xp.any(~xp.isfinite(a)) or xp.any(~xp.isfinite(b)):
+    if np.any(~np.isfinite(a)) or np.any(~np.isfinite(b)):
         raise GameError("brackets must be finite")
-    if xp.any(a > b):
+    if np.any(a > b):
         raise GameError("invalid bracket: low > high")
 
     # Scalar early-return case: brackets already within tolerance resolve
@@ -132,8 +132,8 @@ def golden_section_maximize_batch(
     degenerate = (b - a) <= tolerance
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = xp.asarray(objective(xp.where(degenerate, mid, c)), dtype=float)
-    fd = xp.asarray(objective(xp.where(degenerate, mid, d)), dtype=float)
+    fc = np.asarray(objective(np.where(degenerate, mid, c)), dtype=float)
+    fd = np.asarray(objective(np.where(degenerate, mid, d)), dtype=float)
     size = a.shape[0]
     active = ~degenerate
     for _ in range(max_iterations):
@@ -148,37 +148,37 @@ def golden_section_maximize_batch(
         if open_count == size:
             # Brackets of similar width converge in lockstep, so most
             # iterations have every row open: with ``right == ~left`` each
-            # three-way select below collapses to one ``xp.where`` — the
+            # three-way select below collapses to one ``np.where`` — the
             # same elementwise values, about half the dispatches. This
             # loop's fixed ~50 sequential rounds are the latency floor of
             # a small dirty-row re-solve, so the overhead matters.
             left = ge
-            b = xp.where(left, old_d, b)
-            a = xp.where(left, a, old_c)
+            b = np.where(left, old_d, b)
+            a = np.where(left, a, old_c)
             step = _INV_PHI * (b - a)
-            c = xp.where(left, b - step, old_d)
-            d = xp.where(left, old_c, a + step)
-            probe = xp.where(left, c, d)
-            values = xp.asarray(objective(probe), dtype=float)
-            fc = xp.where(left, values, old_fd)
-            fd = xp.where(left, old_fc, values)
+            c = np.where(left, b - step, old_d)
+            d = np.where(left, old_c, a + step)
+            probe = np.where(left, c, d)
+            values = np.asarray(objective(probe), dtype=float)
+            fc = np.where(left, values, old_fd)
+            fd = np.where(left, old_fc, values)
             continue
         left = active & ge
         right = active & ~ge
-        b = xp.where(left, old_d, b)
-        a = xp.where(right, old_c, a)
+        b = np.where(left, old_d, b)
+        a = np.where(right, old_c, a)
         new_c = b - _INV_PHI * (b - a)
         new_d = a + _INV_PHI * (b - a)
-        c = xp.where(left, new_c, xp.where(right, old_d, old_c))
-        d = xp.where(right, new_d, xp.where(left, old_c, old_d))
+        c = np.where(left, new_c, np.where(right, old_d, old_c))
+        d = np.where(right, new_d, np.where(left, old_c, old_d))
         # One evaluation advances every open bracket; frozen rows probe
         # their current midpoint and the value is discarded.
-        probe = xp.where(left, c, xp.where(right, d, 0.5 * (a + b)))
-        values = xp.asarray(objective(probe), dtype=float)
-        fc = xp.where(left, values, xp.where(right, old_fd, old_fc))
-        fd = xp.where(right, values, xp.where(left, old_fc, old_fd))
-    best = xp.where(degenerate, mid, 0.5 * (a + b))
-    return best, xp.asarray(objective(best), dtype=float)
+        probe = np.where(left, c, np.where(right, d, 0.5 * (a + b)))
+        values = np.asarray(objective(probe), dtype=float)
+        fc = np.where(left, values, np.where(right, old_fd, old_fc))
+        fd = np.where(right, values, np.where(left, old_fc, old_fd))
+    best = np.where(degenerate, mid, 0.5 * (a + b))
+    return best, np.asarray(objective(best), dtype=float)
 
 
 def bisect_root(
@@ -219,8 +219,8 @@ def bisect_root(
 
 
 def _probe_vector_scan(
-    objective: Callable[[float], float], grid: xp.ndarray
-) -> xp.ndarray | None:
+    objective: Callable[[float], float], grid: np.ndarray
+) -> np.ndarray | None:
     """Try evaluating a scalar objective over the whole grid in one call.
 
     Many objectives are written with numpy ufuncs and transparently map a
@@ -237,7 +237,7 @@ def _probe_vector_scan(
     tie-break) picks the identical bracket bitwise.
     """
     try:
-        values = xp.asarray(objective(grid), dtype=float)
+        values = np.asarray(objective(grid), dtype=float)
     except (TypeError, ValueError):
         return None
     if values.shape != grid.shape:
@@ -252,7 +252,7 @@ def grid_then_golden(
     *,
     grid_points: int = 256,
     tolerance: float = 1e-10,
-    vector_objective: Callable[[xp.ndarray], xp.ndarray] | None = None,
+    vector_objective: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Global maximisation of a (possibly piecewise) continuous objective.
 
@@ -281,17 +281,17 @@ def grid_then_golden(
     step = (high - low) / (grid_points - 1)
     grid = uniform_price_grid(low, high, grid_points)
     if vector_objective is not None:
-        values = xp.asarray(vector_objective(grid), dtype=float)
+        values = np.asarray(vector_objective(grid), dtype=float)
         if values.shape != grid.shape:
             raise GameError(
                 f"vector_objective returned shape {values.shape}, "
                 f"expected {grid.shape}"
             )
-        best_idx = int(xp.argmax(values))
+        best_idx = int(np.argmax(values))
     else:
         values = _probe_vector_scan(objective, grid)
         if values is not None:
-            best_idx = int(xp.argmax(values))
+            best_idx = int(np.argmax(values))
         else:
             scalar_values = [objective(float(p)) for p in grid]
             best_idx = max(range(grid_points), key=scalar_values.__getitem__)
@@ -304,13 +304,13 @@ def grid_then_golden(
 
 
 def grid_then_golden_batch(
-    objective: Callable[[xp.ndarray], xp.ndarray],
-    lows: xp.ndarray,
-    highs: xp.ndarray,
+    objective: Callable[[np.ndarray], np.ndarray],
+    lows: np.ndarray,
+    highs: np.ndarray,
     *,
     grid_points: int = 256,
     tolerance: float = 1e-10,
-) -> tuple[xp.ndarray, xp.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Global maximisation of ``M`` objectives on ``M`` intervals, stacked.
 
     The batched form of :func:`grid_then_golden`: one coarse scan over the
@@ -328,26 +328,26 @@ def grid_then_golden_batch(
     """
     if grid_points < 3:
         raise GameError(f"grid_points must be >= 3, got {grid_points}")
-    low_v = xp.asarray(lows, dtype=float)
-    high_v = xp.asarray(highs, dtype=float)
+    low_v = np.asarray(lows, dtype=float)
+    high_v = np.asarray(highs, dtype=float)
     if low_v.ndim != 1 or low_v.shape != high_v.shape:
         raise GameError(
             f"lows and highs must share one (M,) shape, got {low_v.shape} "
             f"and {high_v.shape}"
         )
-    if xp.any(low_v > high_v):
+    if np.any(low_v > high_v):
         raise GameError("invalid bracket: low > high")
     steps = (high_v - low_v) / (grid_points - 1)
-    grids = low_v[:, xp.newaxis] + steps[:, xp.newaxis] * xp.arange(grid_points)
-    values = xp.asarray(objective(grids), dtype=float)
+    grids = low_v[:, np.newaxis] + steps[:, np.newaxis] * np.arange(grid_points)
+    values = np.asarray(objective(grids), dtype=float)
     if values.shape != grids.shape:
         raise GameError(
             f"objective returned shape {values.shape}, expected {grids.shape}"
         )
-    best_idx = xp.argmax(values, axis=1)
+    best_idx = np.argmax(values, axis=1)
     return golden_section_maximize_batch(
         objective,
-        low_v + xp.maximum(0, best_idx - 1) * steps,
-        low_v + xp.minimum(grid_points - 1, best_idx + 1) * steps,
+        low_v + np.maximum(0, best_idx - 1) * steps,
+        low_v + np.minimum(grid_points - 1, best_idx + 1) * steps,
         tolerance=tolerance,
     )

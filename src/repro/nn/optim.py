@@ -13,7 +13,7 @@ Two families live here:
   one contiguous buffer so the whole update (including global-norm
   clipping) is a handful of array operations instead of ``N`` Python-loop
   updates.  The fused update is bitwise-identical to the per-parameter
-  path (pinned by ``tests/test_backend_conformance.py``).
+  path (pinned by ``tests/test_drl_fused.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from repro.backend import xp
+import numpy as np
 
 from repro.errors import NeuralNetworkError
 from repro.nn.tensor import Tensor
@@ -49,8 +49,8 @@ def global_grad_norm(grads: Sequence) -> float:
     """
     if not grads:
         return 0.0
-    squares = xp.stack([(g**2).sum() for g in grads])
-    return float(xp.sqrt(xp.cumsum(squares)[-1]))
+    squares = np.stack([(g**2).sum() for g in grads])
+    return float(np.sqrt(np.cumsum(squares)[-1]))
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
@@ -111,7 +111,7 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise NeuralNetworkError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = [xp.zeros_like(p.data) for p in self._parameters]
+        self._velocity = [np.zeros_like(p.data) for p in self._parameters]
 
     def step(self) -> None:
         for parameter, velocity in zip(self._parameters, self._velocity):
@@ -143,8 +143,8 @@ class Adam(Optimizer):
             raise NeuralNetworkError(f"epsilon must be > 0, got {epsilon}")
         self.beta1, self.beta2, self.epsilon = float(beta1), float(beta2), float(epsilon)
         self._step_count = 0
-        self._first_moment = [xp.zeros_like(p.data) for p in self._parameters]
-        self._second_moment = [xp.zeros_like(p.data) for p in self._parameters]
+        self._first_moment = [np.zeros_like(p.data) for p in self._parameters]
+        self._second_moment = [np.zeros_like(p.data) for p in self._parameters]
 
     @property
     def step_count(self) -> int:
@@ -168,7 +168,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             parameter.data = parameter.data - self.learning_rate * m_hat / (
-                xp.sqrt(v_hat) + self.epsilon
+                np.sqrt(v_hat) + self.epsilon
             )
 
 
@@ -215,13 +215,13 @@ class FlatOptimizer(Optimizer):
             cursor += -(-size // self._ALIGN) * self._ALIGN
         self._segments = segments
         self._size = cursor
-        self._theta = xp.zeros(self._size, dtype=xp.float64)
-        self._grad = xp.zeros(self._size, dtype=xp.float64)
+        self._theta = np.zeros(self._size, dtype=np.float64)
+        self._grad = np.zeros(self._size, dtype=np.float64)
         # Step scratch: the update rules run allocation-free through these
         # (elementwise ops with the reference association order, so out=
         # changes no bits — only where the temporaries live).
-        self._scratch_a = xp.zeros(self._size, dtype=xp.float64)
-        self._scratch_b = xp.zeros(self._size, dtype=xp.float64)
+        self._scratch_a = np.zeros(self._size, dtype=np.float64)
+        self._scratch_b = np.zeros(self._size, dtype=np.float64)
         self._views: list = []
         self._grad_views: list = []
         for parameter, (start, size) in zip(self._parameters, segments):
@@ -272,7 +272,7 @@ class FlatOptimizer(Optimizer):
         stack/cumsum round trip on the per-update hot path.
         """
         squares = self._scratch_a
-        xp.multiply(self._grad, self._grad, out=squares)
+        np.multiply(self._grad, self._grad, out=squares)
         total = 0.0
         for start, size in self._segments:
             total += float(squares[start : start + size].sum())
@@ -350,13 +350,13 @@ class FlatSGD(FlatOptimizer):
         if not 0.0 <= momentum < 1.0:
             raise NeuralNetworkError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = xp.zeros(self._size, dtype=xp.float64)
+        self._velocity = np.zeros(self._size, dtype=np.float64)
 
     def _apply_flat(self) -> None:
         velocity = self._velocity
         scaled = self._scratch_a
         velocity *= self.momentum
-        xp.multiply(self._grad, self.learning_rate, out=scaled)
+        np.multiply(self._grad, self.learning_rate, out=scaled)
         velocity -= scaled
         self._theta += velocity
 
@@ -391,8 +391,8 @@ class FlatAdam(FlatOptimizer):
             raise NeuralNetworkError(f"epsilon must be > 0, got {epsilon}")
         self.beta1, self.beta2, self.epsilon = float(beta1), float(beta2), float(epsilon)
         self._step_count = 0
-        self._first_moment = xp.zeros(self._size, dtype=xp.float64)
-        self._second_moment = xp.zeros(self._size, dtype=xp.float64)
+        self._first_moment = np.zeros(self._size, dtype=np.float64)
+        self._second_moment = np.zeros(self._size, dtype=np.float64)
 
     @property
     def step_count(self) -> int:
@@ -415,16 +415,16 @@ class FlatAdam(FlatOptimizer):
         a = self._scratch_a
         b = self._scratch_b
         m *= self.beta1
-        xp.multiply(grad, 1.0 - self.beta1, out=a)
+        np.multiply(grad, 1.0 - self.beta1, out=a)
         m += a
         v *= self.beta2
-        xp.multiply(grad, grad, out=a)  # grad**2: one multiply, one rounding
+        np.multiply(grad, grad, out=a)  # grad**2: one multiply, one rounding
         a *= 1.0 - self.beta2
         v += a
-        xp.divide(m, bias1, out=a)  # m_hat
+        np.divide(m, bias1, out=a)  # m_hat
         a *= self.learning_rate
-        xp.divide(v, bias2, out=b)  # v_hat
-        xp.sqrt(b, out=b)
+        np.divide(v, bias2, out=b)  # v_hat
+        np.sqrt(b, out=b)
         b += self.epsilon
         a /= b
         self._theta -= a
@@ -445,5 +445,5 @@ class FlatAdam(FlatOptimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             self._theta[start:end] -= self.learning_rate * m_hat / (
-                xp.sqrt(v_hat) + self.epsilon
+                np.sqrt(v_hat) + self.epsilon
             )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.backend import xp
+import numpy as np
 
 from repro.errors import GradientError
 
@@ -47,7 +47,7 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _unbroadcast(grad: xp.ndarray, shape: tuple[int, ...]) -> xp.ndarray:
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
     if grad.shape == shape:
         return grad
@@ -74,14 +74,14 @@ class Tensor:
 
     def __init__(
         self,
-        data: xp.ndarray | float | int | list,
+        data: np.ndarray | float | int | list,
         *,
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[xp.ndarray], None] | None = None,
+        _backward: Callable[[np.ndarray], None] | None = None,
     ) -> None:
-        self.data = xp.asarray(data, dtype=xp.float64)
-        self.grad: xp.ndarray | None = None
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -92,15 +92,15 @@ class Tensor:
     @staticmethod
     def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
         """A zero-filled tensor."""
-        return Tensor(xp.zeros(shape), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     @staticmethod
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         """A one-filled tensor."""
-        return Tensor(xp.ones(shape), requires_grad=requires_grad)
+        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
-    def _lift(value: "Tensor | float | int | xp.ndarray") -> "Tensor":
+    def _lift(value: "Tensor | float | int | np.ndarray") -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
     # ------------------------------------------------------------------ #
@@ -125,7 +125,7 @@ class Tensor:
         """The value of a single-element tensor as a float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item(self)
 
-    def numpy(self) -> xp.ndarray:
+    def numpy(self) -> np.ndarray:
         """A detached copy of the data."""
         return self.data.copy()
 
@@ -145,9 +145,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def _make(
         self,
-        data: xp.ndarray,
+        data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward: Callable[[xp.ndarray], None],
+        backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -156,14 +156,14 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: xp.ndarray) -> None:
-        grad = _unbroadcast(xp.asarray(grad, dtype=xp.float64), self.data.shape)
+    def _accumulate(self, grad: np.ndarray) -> None:
+        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
             self.grad = self.grad + grad
 
-    def backward(self, gradient: xp.ndarray | None = None) -> None:
+    def backward(self, gradient: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
 
         Args:
@@ -181,7 +181,7 @@ class Tensor:
                     f"backward() without a gradient requires a scalar, "
                     f"got shape {self.shape}"
                 )
-            gradient = xp.ones_like(self.data)
+            gradient = np.ones_like(self.data)
 
         # Topological order via iterative DFS (recursion-free: graphs from
         # long rollouts can exceed Python's recursion limit).
@@ -201,7 +201,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(xp.asarray(gradient, dtype=xp.float64))
+        self._accumulate(np.asarray(gradient, dtype=np.float64))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -212,7 +212,7 @@ class Tensor:
     def __add__(self, other: "Tensor | float") -> "Tensor":
         other = Tensor._lift(other)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad)
             other.requires_grad and other._accumulate(grad)
 
@@ -221,7 +221,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(-grad)
 
         return self._make(-self.data, (self,), backward)
@@ -235,7 +235,7 @@ class Tensor:
     def __mul__(self, other: "Tensor | float") -> "Tensor":
         other = Tensor._lift(other)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * other.data)
             other.requires_grad and other._accumulate(grad * self.data)
 
@@ -246,7 +246,7 @@ class Tensor:
     def __truediv__(self, other: "Tensor | float") -> "Tensor":
         other = Tensor._lift(other)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad / other.data)
             other.requires_grad and other._accumulate(
                 -grad * self.data / (other.data**2)
@@ -261,7 +261,7 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(
                 grad * exponent * self.data ** (exponent - 1)
             )
@@ -272,7 +272,7 @@ class Tensor:
         """2-D matrix multiplication (batched inputs as (batch, features))."""
         other = Tensor._lift(other)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad @ other.data.T)
             other.requires_grad and other._accumulate(self.data.T @ grad)
 
@@ -285,9 +285,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def tanh(self) -> "Tensor":
         """Hyperbolic tangent."""
-        out_data = xp.tanh(self.data)
+        out_data = np.tanh(self.data)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * (1.0 - out_data**2))
 
         return self._make(out_data, (self,), backward)
@@ -295,16 +295,16 @@ class Tensor:
     def relu(self) -> "Tensor":
         """Rectified linear unit."""
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * (self.data > 0.0))
 
-        return self._make(xp.maximum(self.data, 0.0), (self,), backward)
+        return self._make(np.maximum(self.data, 0.0), (self,), backward)
 
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = xp.exp(self.data)
+        out_data = np.exp(self.data)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * out_data)
 
         return self._make(out_data, (self,), backward)
@@ -312,16 +312,16 @@ class Tensor:
     def log(self) -> "Tensor":
         """Elementwise natural log."""
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad / self.data)
 
-        return self._make(xp.log(self.data), (self,), backward)
+        return self._make(np.log(self.data), (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         """Logistic sigmoid."""
-        out_data = 1.0 / (1.0 + xp.exp(-self.data))
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * out_data * (1.0 - out_data))
 
         return self._make(out_data, (self,), backward)
@@ -335,10 +335,10 @@ class Tensor:
             raise ValueError(f"clamp bounds inverted: {low} > {high}")
         inside = (self.data >= low) & (self.data <= high)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad * inside)
 
-        return self._make(xp.clip(self.data, low, high), (self,), backward)
+        return self._make(np.clip(self.data, low, high), (self,), backward)
 
     def minimum(self, other: "Tensor") -> "Tensor":
         """Elementwise minimum; subgradient routes to the smaller branch
@@ -347,7 +347,7 @@ class Tensor:
         self_smaller = self.data < other.data
         tie = self.data == other.data
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(
                 grad * (self_smaller + 0.5 * tie)
             )
@@ -355,7 +355,7 @@ class Tensor:
                 grad * (~self_smaller & ~tie) + grad * 0.5 * tie
             )
 
-        return self._make(xp.minimum(self.data, other.data), (self, other), backward)
+        return self._make(np.minimum(self.data, other.data), (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # reductions and reshaping
@@ -363,13 +363,13 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all axes when None)."""
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
             g = grad
             if axis is not None and not keepdims:
-                g = xp.expand_dims(g, axis)
-            self._accumulate(xp.broadcast_to(g, self.data.shape))
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         return self._make(
             self.data.sum(axis=axis, keepdims=keepdims), (self,), backward
@@ -383,7 +383,7 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         """Reshape, preserving gradient flow."""
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(grad.reshape(self.data.shape))
 
         return self._make(self.data.reshape(*shape), (self,), backward)
@@ -395,12 +395,12 @@ class Tensor:
                 f"cannot squeeze axis {axis} of shape {self.data.shape}"
             )
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             self.requires_grad and self._accumulate(
-                xp.expand_dims(grad, axis).reshape(self.data.shape)
+                np.expand_dims(grad, axis).reshape(self.data.shape)
             )
 
-        return self._make(xp.squeeze(self.data, axis=axis), (self,), backward)
+        return self._make(np.squeeze(self.data, axis=axis), (self,), backward)
 
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = -1) -> "Tensor":
@@ -409,16 +409,16 @@ class Tensor:
         if not tensor_list:
             raise ValueError("concatenate needs at least one tensor")
         sizes = [t.data.shape[axis] for t in tensor_list]
-        offsets = xp.cumsum([0] + sizes)
+        offsets = np.cumsum([0] + sizes)
 
-        def backward(grad: xp.ndarray) -> None:
+        def backward(grad: np.ndarray) -> None:
             for tensor, start, end in zip(tensor_list, offsets[:-1], offsets[1:]):
                 if tensor.requires_grad:
                     index = [slice(None)] * grad.ndim
                     index[axis] = slice(start, end)
                     tensor._accumulate(grad[tuple(index)])
 
-        data = xp.concatenate([t.data for t in tensor_list], axis=axis)
+        data = np.concatenate([t.data for t in tensor_list], axis=axis)
         out = Tensor(data)
         if _GRAD_ENABLED and any(t.requires_grad for t in tensor_list):
             out.requires_grad = True

@@ -1,61 +1,39 @@
 """Shared utilities: units, validation, RNG streams, tables, serialization."""
 
-from repro.utils.rng import SeedSequenceRegistry, as_generator, spawn_children
-from repro.utils.stats import SummaryStats, bootstrap_ci, compare_means, summarize
+from repro.utils.rng import as_generator, spawn_children
+from repro.utils.stats import SummaryStats, compare_means, summarize
 from repro.utils.tables import Table, format_table
 from repro.utils.units import (
     db_to_linear,
     dbm_to_milliwatts,
     dbm_to_watts,
-    data_units_to_megabytes,
-    hz_to_mhz,
-    linear_to_db,
-    megabits_to_megabytes,
     megabytes_to_data_units,
-    megabytes_to_megabits,
-    mhz_to_hz,
-    milliwatts_to_dbm,
-    watts_to_dbm,
 )
 from repro.utils.validation import (
     require_finite,
     require_in_range,
-    require_non_empty,
     require_non_negative,
     require_positive,
     require_positive_int,
     require_probability,
-    require_same_length,
 )
 
 __all__ = [
     "SummaryStats",
-    "bootstrap_ci",
     "compare_means",
     "summarize",
-    "SeedSequenceRegistry",
     "as_generator",
     "spawn_children",
     "Table",
     "format_table",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
     "dbm_to_milliwatts",
-    "milliwatts_to_dbm",
-    "megabytes_to_megabits",
-    "megabits_to_megabytes",
     "megabytes_to_data_units",
-    "data_units_to_megabytes",
-    "mhz_to_hz",
-    "hz_to_mhz",
     "require_finite",
     "require_in_range",
-    "require_non_empty",
     "require_non_negative",
     "require_positive",
     "require_positive_int",
     "require_probability",
-    "require_same_length",
 ]

@@ -10,11 +10,9 @@ simulations).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-__all__ = ["as_generator", "spawn_children", "SeedSequenceRegistry"]
+__all__ = ["as_generator", "spawn_children"]
 
 SeedLike = int | np.random.Generator | np.random.SeedSequence | None
 
@@ -49,59 +47,3 @@ def spawn_children(seed: SeedLike, count: int) -> list[np.random.Generator]:
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
-class SeedSequenceRegistry:
-    """Named, reproducible random streams derived from one root seed.
-
-    Example:
-        >>> reg = SeedSequenceRegistry(42)
-        >>> mobility_rng = reg.stream("mobility")
-        >>> drl_rng = reg.stream("drl")
-
-    Requesting the same name twice returns the *same* generator object, so a
-    subsystem can be re-wired without re-seeding. Streams for distinct names
-    are independent, and the mapping name->stream does not depend on the
-    order in which streams are first requested.
-    """
-
-    def __init__(self, root_seed: int | None = None) -> None:
-        self._root_seed = root_seed
-        self._streams: dict[str, np.random.Generator] = {}
-
-    @property
-    def root_seed(self) -> int | None:
-        """The root seed this registry was constructed with."""
-        return self._root_seed
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for ``name``."""
-        if name not in self._streams:
-            entropy = [self._root_seed] if self._root_seed is not None else None
-            seq = np.random.SeedSequence(
-                entropy=entropy,
-                spawn_key=(_stable_hash(name),),
-            )
-            self._streams[name] = np.random.default_rng(seq)
-        return self._streams[name]
-
-    def names(self) -> Iterable[str]:
-        """Names of all streams created so far."""
-        return tuple(self._streams)
-
-    def __repr__(self) -> str:
-        return (
-            f"SeedSequenceRegistry(root_seed={self._root_seed!r}, "
-            f"streams={sorted(self._streams)!r})"
-        )
-
-
-def _stable_hash(name: str) -> int:
-    """A process-independent 63-bit hash of a string (builtin ``hash`` is
-    randomised per process, which would break reproducibility)."""
-    value = 1469598103934665603  # FNV-1a offset basis
-    for byte in name.encode("utf-8"):
-        value ^= byte
-        value *= 1099511628211
-        value &= (1 << 63) - 1
-    return value

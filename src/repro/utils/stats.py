@@ -1,22 +1,20 @@
 """Statistics helpers for multi-seed experiment reporting.
 
 Published-quality results need uncertainty: these helpers aggregate
-metric values across seeds into mean ± confidence interval, and provide a
-seeded bootstrap for non-Gaussian metrics (e.g. best-of-round utilities).
+metric values across seeds into mean ± confidence interval, and compare
+two groups with Welch's t-test.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from repro.utils.rng import SeedLike, as_generator
-
-__all__ = ["SummaryStats", "summarize", "bootstrap_ci", "compare_means"]
+__all__ = ["SummaryStats", "summarize", "compare_means"]
 
 
 @dataclass(frozen=True)
@@ -66,32 +64,6 @@ def summarize(values: Sequence[float], *, confidence: float = 0.95) -> SummarySt
         ci_high=mean + t_crit * sem,
         confidence=confidence,
     )
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    *,
-    confidence: float = 0.95,
-    resamples: int = 2_000,
-    seed: SeedLike = None,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for an arbitrary statistic."""
-    if len(values) == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    data = np.asarray(values, dtype=float)
-    rng = as_generator(seed)
-    estimates = np.array(
-        [
-            statistic(data[rng.integers(0, data.size, size=data.size)])
-            for _ in range(resamples)
-        ]
-    )
-    low = float(np.percentile(estimates, 100.0 * (0.5 - confidence / 2.0)))
-    high = float(np.percentile(estimates, 100.0 * (0.5 + confidence / 2.0)))
-    return low, high
 
 
 def compare_means(

@@ -1,34 +1,21 @@
 """Unit conversions used across the radio and migration substrates.
 
 The paper mixes logarithmic radio units (dB, dBm) with linear ones (watts)
-and data units (MB vs Mbit). Centralising the conversions here keeps every
+and quotes data sizes in MB. Centralising the conversions here keeps every
 formula in the rest of the library in linear SI-ish units and makes the
 calibration in DESIGN.md §3 auditable.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import UnitError
 
 __all__ = [
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
     "dbm_to_milliwatts",
-    "milliwatts_to_dbm",
-    "megabytes_to_megabits",
-    "megabits_to_megabytes",
     "megabytes_to_data_units",
-    "data_units_to_megabytes",
-    "mhz_to_hz",
-    "hz_to_mhz",
 ]
-
-_BITS_PER_BYTE = 8.0
-
 
 def db_to_linear(value_db: float) -> float:
     """Convert a power ratio from decibels to a linear ratio.
@@ -41,31 +28,9 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to decibels.
-
-    Raises:
-        UnitError: if ``ratio`` is not strictly positive (log undefined).
-    """
-    if ratio <= 0.0:
-        raise UnitError(f"linear power ratio must be > 0, got {ratio!r}")
-    return 10.0 * math.log10(ratio)
-
-
 def dbm_to_milliwatts(value_dbm: float) -> float:
     """Convert a power from dBm to milliwatts."""
     return 10.0 ** (value_dbm / 10.0)
-
-
-def milliwatts_to_dbm(value_mw: float) -> float:
-    """Convert a power from milliwatts to dBm.
-
-    Raises:
-        UnitError: if ``value_mw`` is not strictly positive.
-    """
-    if value_mw <= 0.0:
-        raise UnitError(f"power must be > 0 mW, got {value_mw!r}")
-    return 10.0 * math.log10(value_mw)
 
 
 def dbm_to_watts(value_dbm: float) -> float:
@@ -75,27 +40,6 @@ def dbm_to_watts(value_dbm: float) -> float:
     10.0
     """
     return dbm_to_milliwatts(value_dbm) / 1e3
-
-
-def watts_to_dbm(value_w: float) -> float:
-    """Convert a power from watts to dBm."""
-    if value_w <= 0.0:
-        raise UnitError(f"power must be > 0 W, got {value_w!r}")
-    return milliwatts_to_dbm(value_w * 1e3)
-
-
-def megabytes_to_megabits(size_mb: float) -> float:
-    """Convert a data size from megabytes to megabits."""
-    if size_mb < 0.0:
-        raise UnitError(f"data size must be >= 0 MB, got {size_mb!r}")
-    return size_mb * _BITS_PER_BYTE
-
-
-def megabits_to_megabytes(size_mbit: float) -> float:
-    """Convert a data size from megabits to megabytes."""
-    if size_mbit < 0.0:
-        raise UnitError(f"data size must be >= 0 Mbit, got {size_mbit!r}")
-    return size_mbit / _BITS_PER_BYTE
 
 
 def megabytes_to_data_units(size_mb: float, unit_mb: float = 100.0) -> float:
@@ -109,26 +53,3 @@ def megabytes_to_data_units(size_mb: float, unit_mb: float = 100.0) -> float:
     if size_mb < 0.0:
         raise UnitError(f"data size must be >= 0 MB, got {size_mb!r}")
     return size_mb / unit_mb
-
-
-def data_units_to_megabytes(units: float, unit_mb: float = 100.0) -> float:
-    """Inverse of :func:`megabytes_to_data_units`."""
-    if unit_mb <= 0.0:
-        raise UnitError(f"data unit must be > 0 MB, got {unit_mb!r}")
-    if units < 0.0:
-        raise UnitError(f"data units must be >= 0, got {units!r}")
-    return units * unit_mb
-
-
-def mhz_to_hz(value_mhz: float) -> float:
-    """Convert a bandwidth from MHz to Hz."""
-    if value_mhz < 0.0:
-        raise UnitError(f"bandwidth must be >= 0 MHz, got {value_mhz!r}")
-    return value_mhz * 1e6
-
-
-def hz_to_mhz(value_hz: float) -> float:
-    """Convert a bandwidth from Hz to MHz."""
-    if value_hz < 0.0:
-        raise UnitError(f"bandwidth must be >= 0 Hz, got {value_hz!r}")
-    return value_hz / 1e6

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -21,8 +20,6 @@ __all__ = [
     "require_positive_int",
     "require_index",
     "require_probability",
-    "require_same_length",
-    "require_non_empty",
 ]
 
 
@@ -104,18 +101,3 @@ def require_index(name: str, value: int, length: int) -> int:
 def require_probability(name: str, value: float) -> float:
     """Return ``value`` if it lies in ``[0, 1]``."""
     return require_in_range(name, value, 0.0, 1.0)
-
-
-def require_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Raise unless the two sequences have equal length."""
-    if len(a) != len(b):
-        raise ConfigurationError(
-            f"{name_a} and {name_b} must have the same length, "
-            f"got {len(a)} and {len(b)}"
-        )
-
-
-def require_non_empty(name: str, seq: Sequence) -> None:
-    """Raise unless the sequence has at least one element."""
-    if len(seq) == 0:
-        raise ConfigurationError(f"{name} must be non-empty")

@@ -162,6 +162,14 @@ class TestMarketStackApi:
             stack.outcomes_stacked(np.array([20.0, np.nan, 20.0]))
         with pytest.raises(ConfigurationError):
             stack.outcomes_stacked(np.zeros((3, 2, 2)))
+        # Finite and > 0, but α/p overflows to inf and the rationed
+        # allocation to NaN: a typed error, not a NaN outcome.
+        for tiny in (np.array([20.0, 1e-308, 20.0]), np.full((3, 2), 1e-308)):
+            with (
+                pytest.warns(RuntimeWarning),
+                pytest.raises(ConfigurationError, match="non-finite demand"),
+            ):
+                stack.outcomes_stacked(tiny)
 
     def test_row_and_market_rows_guard_their_shapes(self):
         stack = MarketStack(random_markets(2, root_seed=5))

@@ -231,6 +231,12 @@ class TestConstraints:
             market.round_outcome(0.0)
         with pytest.raises(ConfigurationError):
             market.round_outcome(float("nan"))
+        # Finite and > 0, yet α/p overflows: a typed error, not NaN.
+        with (
+            pytest.warns(RuntimeWarning),
+            pytest.raises(ConfigurationError, match="non-finite demand"),
+        ):
+            market.round_outcome(1e-308)
 
     def test_cost_above_cap_rejected(self):
         with pytest.raises(ConfigurationError):

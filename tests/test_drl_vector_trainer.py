@@ -84,6 +84,31 @@ class TestSingleEnvBitCompatibility:
             VectorTrainer(env, agent, scaler, SMOKE, seed=0)
 
 
+def test_fig2_smoke_training_fused_matches_reference(market):
+    """E = 2: the production agent (flat Adam + graph-free update) against
+    the autograd oracle agent, both driven by the one VectorTrainer —
+    identical traces, update statistics, and final parameters, bit for bit."""
+
+    def train(trainer):
+        venv = VectorMigrationEnv.from_market(market, 2, seed=0, **ENV_KWARGS)
+        return trainer(
+            venv,
+            trainer_config=SMOKE,
+            ppo_config=PPOConfig(learning_rate=1e-3, entropy_coef=0.01),
+            seed=11,
+        )
+
+    agent_a, result_a, _ = train(train_pricing_agent)
+    agent_b, result_b, _ = train(train_reference)
+    assert result_a.episode_returns == result_b.episode_returns
+    assert result_a.episode_best_utilities == result_b.episode_best_utilities
+    assert result_a.episode_mean_utilities == result_b.episode_mean_utilities
+    assert result_a.episode_final_prices == result_b.episode_final_prices
+    assert result_a.update_stats == result_b.update_stats
+    for p, q in zip(agent_a.network.parameters(), agent_b.network.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
 class TestConcurrentCollection:
     def test_collects_e_episodes_per_iteration(self, market):
         venv = VectorMigrationEnv.from_market(market, 4, seed=0, **ENV_KWARGS)

@@ -4,20 +4,16 @@ City-scale solves stream millions of elements per chunk; a silent upcast
 (float32 input widening mid-pipeline), a silent *downcast*, or a hidden
 non-contiguous view would change memory behaviour — and potentially bits —
 without failing any numeric test. This suite walks every array the hot
-path returns (``core/utilities``, ``channel/ofdma``, ``game/solvers``,
-``core/marketstack``) and pins float64 dtype and C-contiguity end to end.
+path returns (``game/solvers`` and ``core/marketstack``, whose stacked
+outcomes carry the ``core/utilities`` and ``channel/ofdma`` kernels'
+results) and pins float64 dtype and C-contiguity end to end; float32
+prices entering the stack come out float64.
 """
 
 import numpy as np
 import pytest
 
-from repro.channel.ofdma import proportional_rationing_stacked
 from repro.core import MarketStack
-from repro.core.utilities import (
-    follower_best_response_stacked,
-    msp_utilities_stacked,
-    vmu_utilities_stacked,
-)
 from repro.game.solvers import grid_then_golden_batch, uniform_price_grid
 
 from test_core_equilibria_stacked import infeasible_market, random_markets
@@ -35,39 +31,6 @@ def stack():
     markets = random_markets(7, root_seed=3, max_vmus=5)
     markets.insert(2, infeasible_market())
     return MarketStack(markets)
-
-
-class TestStackedUtilitiesDtype:
-    """float32 (or int) inputs must come out float64 — the stacked helpers
-    normalise via ``asarray(..., dtype=float)`` at the boundary."""
-
-    def test_follower_best_response_upcasts(self):
-        alphas = np.full((3, 2), 8.0, dtype=np.float32)
-        data = np.full((3, 2), 2.0, dtype=np.float32)
-        prices = np.full(3, 10.0, dtype=np.float32)
-        se = np.full(3, 40.0, dtype=np.float32)
-        assert_hot(follower_best_response_stacked(alphas, data, prices, se))
-        grid = np.full((3, 4), 10.0, dtype=np.float32)
-        assert_hot(follower_best_response_stacked(alphas, data, grid, se))
-
-    def test_vmu_utilities_upcast(self):
-        alphas = np.full((2, 3), 8, dtype=np.int64)
-        data = np.full((2, 3), 2, dtype=np.int64)
-        bands = np.full((2, 3), 0.1, dtype=np.float32)
-        prices = np.full(2, 10, dtype=np.int64)
-        se = np.full(2, 40, dtype=np.int64)
-        assert_hot(vmu_utilities_stacked(alphas, data, bands, prices, se))
-
-    def test_msp_utilities_upcast(self):
-        prices = np.full(4, 10.0, dtype=np.float32)
-        costs = np.full(4, 5, dtype=np.int64)
-        totals = np.full(4, 1.0, dtype=np.float32)
-        assert_hot(msp_utilities_stacked(prices, costs, totals))
-
-    def test_rationing_upcasts(self):
-        demands = np.full((3, 2), 1.0, dtype=np.float32)
-        caps = np.full(3, 1, dtype=np.int64)
-        assert_hot(proportional_rationing_stacked(demands, caps))
 
 
 class TestSolverDtype:

@@ -80,8 +80,6 @@ class TestConstants:
             "ConfigurationError",
             "ChannelError",
             "GameError",
-            "MigrationError",
-            "MobilityError",
             "NeuralNetworkError",
             "ExperimentError",
         ):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.stats import bootstrap_ci, compare_means, summarize
+from repro.utils.stats import compare_means, summarize
 
 
 class TestSummarize:
@@ -46,27 +46,6 @@ class TestSummarize:
 
 
 class TestBootstrapAndTtest:
-    def test_bootstrap_contains_mean(self):
-        rng = np.random.default_rng(0)
-        sample = rng.normal(loc=10.0, size=200)
-        low, high = bootstrap_ci(sample, seed=0)
-        assert low < 10.0 < high
-
-    def test_bootstrap_deterministic(self):
-        sample = [1.0, 2.0, 3.0, 4.0]
-        assert bootstrap_ci(sample, seed=5) == bootstrap_ci(sample, seed=5)
-
-    def test_bootstrap_custom_statistic(self):
-        sample = [1.0, 2.0, 100.0]
-        low, high = bootstrap_ci(sample, statistic=np.median, seed=0)
-        assert low <= 2.0 <= high
-
-    def test_bootstrap_invalid(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([], seed=0)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], resamples=0)
-
     def test_ttest_detects_difference(self):
         rng = np.random.default_rng(0)
         a = rng.normal(loc=0.0, size=100)

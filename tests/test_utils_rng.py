@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import SeedSequenceRegistry, as_generator, spawn_children
+from repro.utils.rng import as_generator, spawn_children
 
 
 class TestAsGenerator:
@@ -56,45 +56,3 @@ class TestSpawnChildren:
         gen = np.random.default_rng(9)
         kids = spawn_children(gen, 2)
         assert len(kids) == 2
-
-
-class TestSeedSequenceRegistry:
-    def test_same_name_same_object(self):
-        reg = SeedSequenceRegistry(0)
-        assert reg.stream("a") is reg.stream("a")
-
-    def test_different_names_different_streams(self):
-        reg = SeedSequenceRegistry(0)
-        a = reg.stream("mobility").uniform(size=50)
-        b = reg.stream("drl").uniform(size=50)
-        assert not np.array_equal(a, b)
-
-    def test_reproducible_across_registries(self):
-        a = SeedSequenceRegistry(7).stream("x").uniform(size=10)
-        b = SeedSequenceRegistry(7).stream("x").uniform(size=10)
-        np.testing.assert_array_equal(a, b)
-
-    def test_order_independent(self):
-        """Stream 'x' draws the same values regardless of which other
-        streams were created first — the key anti-bug property."""
-        reg1 = SeedSequenceRegistry(7)
-        reg1.stream("a")
-        x1 = reg1.stream("x").uniform(size=10)
-        reg2 = SeedSequenceRegistry(7)
-        x2 = reg2.stream("x").uniform(size=10)
-        np.testing.assert_array_equal(x1, x2)
-
-    def test_names_tracking(self):
-        reg = SeedSequenceRegistry(0)
-        reg.stream("a")
-        reg.stream("b")
-        assert set(reg.names()) == {"a", "b"}
-
-    def test_root_seed_property(self):
-        assert SeedSequenceRegistry(5).root_seed == 5
-        assert SeedSequenceRegistry().root_seed is None
-
-    def test_repr_mentions_streams(self):
-        reg = SeedSequenceRegistry(1)
-        reg.stream("chan")
-        assert "chan" in repr(reg)

@@ -1,4 +1,4 @@
-"""Serialization tests: JSON/CSV round-trips and numpy coercion."""
+"""Serialization tests: JSON round-trips and numpy coercion."""
 
 import numpy as np
 import pytest
@@ -41,23 +41,3 @@ class TestJsonIo:
     def test_numpy_payload(self, tmp_path):
         target = ser.save_json(tmp_path / "np.json", {"v": np.arange(3)})
         assert ser.load_json(target) == {"v": [0, 1, 2]}
-
-
-class TestCsvIo:
-    def test_round_trip(self, tmp_path):
-        headers = ["cost", "utility"]
-        rows = [[5.0, 6.44], [9.0, 5.41]]
-        target = ser.save_csv(tmp_path / "t.csv", headers, rows)
-        read_headers, read_rows = ser.load_csv(target)
-        assert read_headers == headers
-        assert [[float(c) for c in row] for row in read_rows] == rows
-
-    def test_ragged_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            ser.save_csv(tmp_path / "bad.csv", ["a", "b"], [[1]])
-
-    def test_empty_file_rejected(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        with pytest.raises(ExperimentError, match="empty"):
-            ser.load_csv(empty)

@@ -90,19 +90,3 @@ class TestRequireProbability:
     def test_rejects_above_one(self):
         with pytest.raises(ConfigurationError):
             v.require_probability("eps", 1.01)
-
-
-class TestSequenceHelpers:
-    def test_same_length_ok(self):
-        v.require_same_length("a", [1, 2], "b", [3, 4])
-
-    def test_same_length_mismatch(self):
-        with pytest.raises(ConfigurationError, match="same length"):
-            v.require_same_length("a", [1], "b", [3, 4])
-
-    def test_non_empty_ok(self):
-        v.require_non_empty("xs", [0])
-
-    def test_non_empty_rejects(self):
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            v.require_non_empty("xs", [])
