@@ -64,7 +64,7 @@ def churn_profile(num_markets):
                     ),
                 )
         start = time.perf_counter()
-        live = service.equilibria()  # dirty-row sub-stack solve + splice
+        live = service.equilibria()  # in-place dirty-row re-solve + splice
         incremental_s += time.perf_counter() - start
 
         cold_stack = MarketStack(list(service.stack.markets))

@@ -41,6 +41,14 @@ population or candidate axis, never across markets), so every chunk size
 gives bitwise the same rows. Each chunk evaluates the leader utility
 through one scratch kernel (:meth:`_ChunkScratch.leader_utilities`). See
 ``sim/README.md`` for the budget semantics.
+
+Live state
+----------
+:class:`MutableMarketStack` keeps the same padded columns live: each
+mutation writes its one row in place, and
+:meth:`MutableMarketStack.equilibria_live` re-solves only the dirty rows,
+gathered by index through the same row-local solve, then splices them
+into the cached result — bitwise a cold solve of the current markets.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from repro.game.solvers import (
     golden_section_maximize,
     grid_then_golden_batch,
 )
-from repro.utils.validation import require_index
+from repro.utils.validation import require_index, require_positive
 
 __all__ = [
     "MarketColumns",
@@ -93,16 +101,33 @@ _REFINE_GRID_POINTS = 256
 price batch the equilibrium solve evaluates (together with the
 ``3·N_max + 4``-wide candidate matrix)."""
 
-_SCALAR_REFINE_MAX_ROWS = 8
+_SCALAR_REFINE_MAX_ROWS = 24
 """Row-count ceiling for the scalar refinement fast path. The batched
 golden loop costs a fixed ~50 sequential rounds of numpy dispatch no
 matter how few rows it refines, so chunks at or below this many rows
 refine row by row through the scalar :func:`golden_section_maximize`
 instead — linear in rows, and bitwise the same sequence (see
-:meth:`MarketStack._refine_rows_scalar`). The input size picks the path:
-every ``M = 1`` solve (``StackelbergMarket.equilibrium()``) takes the
-scalar one at about half the batched cost, and the live service's
-dirty-row re-solves fall on both sides of the gate."""
+:meth:`_PaddedStack._refine_rows_scalar`). The input size picks the path:
+every ``M = 1`` solve (``StackelbergMarket.equilibrium()``) and every
+live re-solve of up to this many dirty rows takes the scalar one, and
+bulk solves take the batch.
+
+The gate sits at the measured crossover. Median time per refinement of
+``rows`` city markets (``N_max`` 6, rows drawn at random from a
+1000-market grid, 60 draws each; 2-core x86 host, numpy 2, Python 3.11):
+
+====  ======  =======
+rows  scalar  batched
+====  ======  =======
+1     0.18 ms 2.12 ms
+8     0.87 ms 2.44 ms
+16    1.64 ms 2.82 ms
+24    2.46 ms 3.15 ms
+32    3.48 ms 3.64 ms
+48    4.09 ms 3.28 ms
+64    6.52 ms 4.82 ms
+====  ======  =======
+"""
 
 
 def solve_scratch_bytes_per_market(n_max: int) -> int:
@@ -184,13 +209,15 @@ def _per_market_totals(
 class _ChunkScratch:
     """The equilibrium solve's leader-utility kernel and its scratch.
 
-    Allocated once per solve and reused by every chunk. The flat ``_band``
-    buffer holds the widest ``(chunk, width, N_max)`` evaluation of the
-    solve (best responses overwritten in place by allocations) and
-    ``_scales`` its ``(chunk, width)`` rationing factors; every evaluation
-    runs in a contiguous leading view of them, so no probe allocates
-    band-sized arrays. :meth:`load` points the scratch at one row range
-    and prepares what does not depend on the price — the row views, the
+    Allocated once per solve and reused by every chunk (a
+    :class:`MutableMarketStack` keeps one across its dirty-row re-solves,
+    rebuilt when a re-solve outgrows it or the padded width moves). The
+    flat ``_band`` buffer holds the widest ``(chunk, width, N_max)``
+    evaluation of the solve (best responses overwritten in place by
+    allocations) and ``_scales`` its ``(chunk, width)`` rationing factors;
+    every evaluation runs in a contiguous leading view of them, so no
+    probe allocates band-sized arrays. :meth:`load` points the scratch at
+    one row range (or gathered rows) and prepares what does not depend on the price — the row views, the
     ``D/SE`` ratio, the padding mask, the effective capacities, and the
     ragged-reduction grouping — once per chunk rather than once per probe
     (the golden refinement probes ~50 times in sequence).
@@ -203,8 +230,15 @@ class _ChunkScratch:
         self._ratio = np.empty((chunk_size, n_max), dtype=np.float64)
         self._pad = np.empty((chunk_size, n_max), dtype=bool)
 
-    def load(self, stack: "MarketStack", sl: slice) -> None:
-        """Prepare the price-independent invariants of rows ``sl``."""
+    def fits(self, chunk_size: int, n_max: int) -> bool:
+        """Whether chunks of up to ``chunk_size`` rows of an ``N_max``-wide
+        stack run in this scratch."""
+        rows, width = self._ratio.shape
+        return rows >= chunk_size and width == n_max
+
+    def load(self, stack: "_PaddedStack", sl: slice | np.ndarray) -> None:
+        """Prepare the price-independent invariants of rows ``sl`` (a row
+        range or an index array)."""
         alphas = stack._alphas[sl]
         num_rows = alphas.shape[0]
         self.alphas = alphas
@@ -646,57 +680,66 @@ def _validated(columns: MarketColumns) -> MarketColumns:
     return replace(columns, counts=counts, enforce_capacity=enforce, **checked)
 
 
-class MarketStack:
-    """A stack of ``M`` (possibly heterogeneous) Stackelberg markets.
+def _market_columns(
+    markets: Sequence[StackelbergMarket],
+) -> dict[str, np.ndarray]:
+    """The :meth:`_PaddedStack._fill` columns of ``markets``.
 
-    Stacks per-market parameters into padded ``(M, N_max)`` matrices once
-    at construction; :meth:`outcomes_stacked` then solves all ``M`` markets
-    at ``M`` different prices (or ``M`` whole price grids) in one numpy
-    pass. See the module docstring for the bitwise exactness contract and
-    :meth:`equilibria_stacked` for the (memory-bounded) equilibrium solve.
+    The members validated themselves at construction; they reduce to the
+    stack's columns with no second check.
     """
+    num_markets = len(markets)
 
-    def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
-        if len(markets) == 0:
-            raise ConfigurationError("market stack needs at least one market")
-        self._markets = tuple(markets)
-        num_markets = len(self._markets)
-        # The members validated themselves at construction; they reduce
-        # to the stack's columns with no second check.
-        self._fill(
-            counts=np.fromiter(
-                (m.num_vmus for m in self._markets),
-                dtype=np.int64,
-                count=num_markets,
-            ),
-            alphas=np.concatenate([m._alphas for m in self._markets]),
-            data=np.concatenate([m._data_units for m in self._markets]),
-            se=np.fromiter(
-                (m.spectral_efficiency for m in self._markets),
-                dtype=np.float64,
-                count=num_markets,
-            ),
-            unit_costs=np.fromiter(
-                (m.config.unit_cost for m in self._markets),
-                dtype=np.float64,
-                count=num_markets,
-            ),
-            max_prices=np.fromiter(
-                (m.config.max_price for m in self._markets),
-                dtype=np.float64,
-                count=num_markets,
-            ),
-            caps=np.fromiter(
-                (m.config.capacity_natural for m in self._markets),
-                dtype=np.float64,
-                count=num_markets,
-            ),
-            enforce=np.fromiter(
-                (m.config.enforce_capacity for m in self._markets),
-                dtype=bool,
-                count=num_markets,
-            ),
-        )
+    def column(values, dtype=np.float64) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=num_markets)
+
+    return {
+        "counts": column((m.num_vmus for m in markets), np.int64),
+        "alphas": np.concatenate([m._alphas for m in markets]),
+        "data": np.concatenate([m._data_units for m in markets]),
+        "se": column(m.spectral_efficiency for m in markets),
+        "unit_costs": column(m.config.unit_cost for m in markets),
+        "max_prices": column(m.config.max_price for m in markets),
+        "caps": column(m.config.capacity_natural for m in markets),
+        "enforce": column((m.config.enforce_capacity for m in markets), bool),
+    }
+
+
+_SOLVED_FIELDS = (
+    "prices",
+    "demands",
+    "msp_utilities",
+    "vmu_utilities",
+    "capacity_binding",
+    "price_cap_binding",
+    "feasible",
+)
+
+
+def _empty_result(num_markets: int, n_max: int) -> dict[str, np.ndarray]:
+    """Uninitialised arrays for the solved fields of a
+    :class:`StackedEquilibria`, which the chunks of a solve fill."""
+    return {
+        "prices": np.empty(num_markets, dtype=np.float64),
+        "demands": np.empty((num_markets, n_max), dtype=np.float64),
+        "msp_utilities": np.empty(num_markets, dtype=np.float64),
+        "vmu_utilities": np.empty((num_markets, n_max), dtype=np.float64),
+        "capacity_binding": np.empty(num_markets, dtype=bool),
+        "price_cap_binding": np.empty(num_markets, dtype=bool),
+        "feasible": np.empty(num_markets, dtype=bool),
+    }
+
+
+class _PaddedStack:
+    """The padded ``(M, N_max)`` solve state of a stack of markets, and the
+    row-local equilibrium solve over it.
+
+    :class:`MarketStack` fills the state once and never changes it;
+    :class:`MutableMarketStack` keeps it live, writing one row per
+    mutation. The solve helpers take their rows ``sl`` as a row range or
+    an index array: every step is row-local, so a row's bits do not
+    depend on which other rows it is solved with.
+    """
 
     def _fill(
         self,
@@ -738,136 +781,14 @@ class MarketStack:
         self._enforce = enforce
         # Non-enforcing markets ration against an infinite capacity, which
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
-        # Static, so built once — outcomes_stacked runs every env round.
+        # Built with the columns — outcomes_stacked runs every env round.
         self._effective_caps = np.where(enforce, caps, np.inf)
-        # The solved equilibria, memoised (markets and configs are frozen,
-        # so a solve can never go stale). Every chunk size returns the
-        # same bits, so every chunking shares the memo.
-        self._equilibria: StackedEquilibria | None = None
-
-    @classmethod
-    def from_columns(cls, columns: MarketColumns) -> "MarketStack":
-        """A stack over markets given as :class:`MarketColumns`.
-
-        Validates each column once, whole-array: every float column finite
-        and > 0, ``unit_costs <= max_prices``, every count >= 1, at least
-        one market, and lengths that agree with ``counts``; any failure
-        raises :class:`~repro.errors.ConfigurationError` naming the
-        column. The natural capacities are ``max_bandwidths /
-        bandwidth_report_scales``, the elementwise
-        ``MarketConfig.capacity_natural``.
-
-        No member :class:`StackelbergMarket` is built: :attr:`markets` and
-        :meth:`market` build them on first access (then cache them), and
-        they are the objects :meth:`MarketColumns.market` returns — so the
-        stack's arrays and solves are bitwise those of
-        ``MarketStack(markets)`` over the same members.
-        """
-        columns = _validated(columns)
-        stack = cls.__new__(cls)
-        stack._markets = None
-        stack._columns = columns
-        stack._members = {}
-        stack._fill(
-            counts=columns.counts,
-            alphas=columns.immersion_coefs,
-            data=columns.data_units,
-            se=columns.spectral_efficiencies,
-            unit_costs=columns.unit_costs,
-            max_prices=columns.max_prices,
-            caps=columns.max_bandwidths / columns.bandwidth_report_scales,
-            enforce=columns.enforce_capacity,
-        )
-        return stack
-
-    @classmethod
-    def from_markets(
-        cls, markets: Sequence[StackelbergMarket]
-    ) -> "MarketStack":
-        """Build a stack over ``markets`` (alias of the constructor, named
-        for symmetry with ``VectorMigrationEnv.from_market``)."""
-        return cls(markets)
-
-    @classmethod
-    def from_grid(
-        cls,
-        num_markets: int | None = None,
-        *,
-        rows: int | None = None,
-        cols: int | None = None,
-        block_m: float = 400.0,
-        coverage_radius_m: float | None = None,
-        speed_limit_mps: float = 13.9,
-        vehicles_per_cell: float = 400.0,
-        max_vmus: int = 6,
-        target_aotm: float = 0.05,
-        horizon_s: float = 3600.0,
-        seed: int = 0,
-    ) -> "MarketStack":
-        """A city-scale stack: one migration market per RSU-grid junction.
-
-        Lays out a Manhattan grid of RSU junctions, with the geometry
-        derived analytically from the junction index (no road graph is
-        built), derives each junction's migration rate (handover rate of
-        ``vehicles_per_cell`` vehicles crossing the cell at
-        ``speed_limit_mps``), sizes the market's ``B_max`` via
-        :func:`repro.mobility.demand.capacity_for_demand`, and samples the
-        VMU population per cell. Each market is a pure function of the
-        grid parameters and its junction index (per-index seeding), so a
-        chunked/scheduled build of index range ``[lo, hi)`` produces the
-        identical markets — see :mod:`repro.mobility.citygrid`.
-
-        Pass either ``num_markets`` (grid shape derived, near-square) or an
-        explicit ``rows × cols`` shape.
-
-        The grid is drawn straight into :class:`MarketColumns`
-        (:func:`repro.mobility.citygrid.city_columns`) and stacked through
-        :meth:`from_columns`; the member markets are built only if
-        :attr:`markets` or :meth:`market` is asked for.
-        """
-        from repro.mobility.citygrid import CityGridSpec, city_columns
-
-        spec = CityGridSpec.for_markets(
-            num_markets,
-            rows=rows,
-            cols=cols,
-            block_m=block_m,
-            coverage_radius_m=coverage_radius_m,
-            speed_limit_mps=speed_limit_mps,
-            vehicles_per_cell=vehicles_per_cell,
-            max_vmus=max_vmus,
-            target_aotm=target_aotm,
-            horizon_s=horizon_s,
-            seed=seed,
-        )
-        return cls.from_columns(city_columns(spec))
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self.num_markets
-
-    @property
-    def markets(self) -> tuple[StackelbergMarket, ...]:
-        """The stacked member markets (built on first access when the stack
-        came from :meth:`from_columns`)."""
-        if self._markets is None:
-            self._markets = tuple(
-                self.market(m) for m in range(self.num_markets)
-            )
-        return self._markets
-
-    def market(self, market_index: int) -> StackelbergMarket:
-        """The ``market_index``-th member market (built on first access
-        when the stack came from :meth:`from_columns`)."""
-        if self._markets is not None:
-            return self._markets[market_index]
-        index = range(self.num_markets)[market_index]
-        member = self._members.get(index)
-        if member is None:
-            member = self._members[index] = self._columns.market(index)
-        return member
 
     @property
     def num_markets(self) -> int:
@@ -920,56 +841,14 @@ class MarketStack:
         return self._caps.copy()
 
     # ------------------------------------------------------------------ #
-    # the stacked solve
+    # the row-local solve
     # ------------------------------------------------------------------ #
-    def _validate_prices(self, prices: np.ndarray) -> np.ndarray:
-        p = np.asarray(prices, dtype=float)
-        if p.ndim not in (1, 2) or p.shape[0] != self.num_markets:
-            raise ConfigurationError(
-                f"expected prices of shape (M,) or (M, R) with M = "
-                f"{self.num_markets}, got shape {p.shape}"
-            )
-        if p.size == 0:
-            raise ConfigurationError("price array must not be empty")
-        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
-            raise ConfigurationError(
-                f"prices must be finite and > 0, got {p!r}"
-            )
-        return p
-
-    def outcomes_stacked(self, prices: np.ndarray) -> StackedOutcome:
-        """Play one trading round in every market of the stack, vectorised.
-
-        Args:
-            prices: one posted price per market, shape ``(M,)``, or one
-                price grid per market, shape ``(M, R)`` (market ``m``
-                evaluated at each of its ``R`` prices).
-
-        Returns:
-            A :class:`StackedOutcome` equal — bitwise, padding stripped —
-            to solving each market separately via
-            ``markets[m].round_outcome(prices[m])`` (vector form) or
-            ``markets[m].outcomes_batch(prices[m])`` (grid form).
-
-        Raises:
-            ConfigurationError: if ``prices`` has the wrong shape, holds a
-                non-finite or non-positive entry, or holds a price so small
-                that a demand ``α/p − D/SE`` overflows to infinity (the
-                rationed allocation would then be NaN).
-        """
-        p = self._validate_prices(prices)
-        outcome = self._outcomes_trusted(p)
-        if not np.isfinite(outcome.demands).all():
-            raise ConfigurationError(
-                f"prices yield a non-finite demand (too close to 0), got {p!r}"
-            )
-        return outcome
-
     def _outcomes_trusted(
-        self, p: np.ndarray, sl: slice = slice(None)
+        self, p: np.ndarray, sl: slice | np.ndarray = slice(None)
     ) -> StackedOutcome:
-        """Body of :meth:`outcomes_stacked` for already-validated prices,
-        over rows ``sl`` of the stack (``p`` holds those rows' prices).
+        """Body of :meth:`MarketStack.outcomes_stacked` for already
+        validated prices, over rows ``sl`` of the stack (``p`` holds those
+        rows' prices).
 
         The vector environment calls this directly each round: its prices
         come out of its own ``[C, p_max]`` clamp, so they are finite and
@@ -1015,32 +894,9 @@ class MarketStack:
             counts=counts.copy(),
         )
 
-    def leader_landscapes(self, grid_points: int = 256) -> StackedOutcome:
-        """Every market's full leader landscape as one stacked solve.
-
-        Each market gets its own uniform ``grid_points``-point grid over
-        its feasible interval ``[C_m, p_max_m]`` — the whole Fig.-3-style
-        market grid evaluated in a single ``(M, R, N)`` pass. The grid
-        rows are the elementwise ``low + step·arange`` expression of
-        :func:`repro.game.solvers.uniform_price_grid`, built for all
-        markets in one broadcast (bitwise-identical rows, no per-market
-        loop).
-        """
-        if grid_points < 2:
-            raise ConfigurationError(
-                f"grid_points must be >= 2, got {grid_points}"
-            )
-        steps = (self._max_prices - self._unit_costs) / (grid_points - 1)
-        grids = (
-            self._unit_costs[:, np.newaxis]
-            + steps[:, np.newaxis] * np.arange(grid_points)
-        )
-        return self.outcomes_stacked(grids)
-
-    # ------------------------------------------------------------------ #
-    # the equilibrium solve
-    # ------------------------------------------------------------------ #
-    def _candidate_rows(self, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+    def _candidate_rows(
+        self, sl: slice | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Theorem 2's closed-form candidate prices for rows ``sl``.
 
         Vectorises the scalar per-segment enumeration (the test oracle
@@ -1122,6 +978,345 @@ class MarketStack:
         )
         return candidates, feasible
 
+    def _refine_rows_scalar(
+        self, sl: slice | np.ndarray, scratch: _ChunkScratch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Golden refinement of a small set of rows, one scalar search per row.
+
+        Bitwise replica of the ``grid_then_golden_batch`` call in
+        :meth:`_solve_rows`, restructured for latency (see
+        :data:`_SCALAR_REFINE_MAX_ROWS`): the coarse scan stays vectorised
+        (same grid, argmax, and bracket expressions as the batch),
+        then each row refines through the scalar
+        :func:`golden_section_maximize` — the reference the batch is
+        pinned against — with a pure-Python objective.
+
+        Why the bits match: IEEE-754 arithmetic is identical between
+        Python floats and numpy float64 scalars, the clamp ``d = 0.0 if
+        d < 0.0`` matches ``np.maximum(0.0, ·)`` (a ``-0.0`` demand is
+        impossible: ``a - b`` with ``a, b >= 0`` never rounds to it), and
+        the sequential Python sums match numpy's sequential reduction
+        regime, which is why this path is gated on the rows' widest
+        population being < 8 — the same boundary
+        :meth:`_ChunkScratch.load` documents.
+        ``tests/test_core_solve_kernel.py`` pins it bitwise against the
+        batch at every row count to past the gate, and
+        ``tests/test_core_equilibria_stacked.py`` pins equality across
+        chunk sizes on both sides of it.
+        """
+        low_v = self._unit_costs[sl]
+        high_v = self._max_prices[sl]
+        steps = (high_v - low_v) / (_REFINE_GRID_POINTS - 1)
+        grids = (
+            low_v[:, np.newaxis]
+            + steps[:, np.newaxis] * np.arange(_REFINE_GRID_POINTS)
+        )
+        values = scratch.leader_utilities(grids)
+        best_idx = np.argmax(values, axis=1)
+        lows = low_v + np.maximum(0, best_idx - 1) * steps
+        highs = (
+            low_v + np.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
+        )
+
+        num_rows = lows.shape[0]
+        prices = np.empty(num_rows, dtype=np.float64)
+        utilities = np.empty(num_rows, dtype=np.float64)
+        for i in range(num_rows):
+            n = int(scratch.counts[i])
+            pairs = list(
+                zip(scratch.alphas[i, :n].tolist(), scratch.ratio[i, :n].tolist())
+            )
+            cap = float(scratch.effective_caps[i])
+            cost = float(scratch.unit_costs[i])
+
+            def objective(
+                p: float, pairs=pairs, cap=cap, cost=cost
+            ) -> float:
+                total = 0.0
+                demands = []
+                append = demands.append
+                for alpha, ratio in pairs:
+                    d = alpha / p - ratio
+                    if d < 0.0:
+                        d = 0.0
+                    append(d)
+                    total += d
+                scale = cap / total if total > cap else 1.0
+                served = 0.0
+                for d in demands:
+                    served += d * scale
+                return (p - cost) * served
+
+            prices[i], utilities[i] = golden_section_maximize(
+                objective, float(lows[i]), float(highs[i])
+            )
+        return prices, utilities
+
+    def _solve_rows(
+        self, sl: slice | np.ndarray, scratch: _ChunkScratch
+    ) -> dict[str, np.ndarray]:
+        """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
+
+        Candidate argmax, then the golden cross-check, then the full
+        outcome at the winning prices. Every step is row-local, so the
+        arrays are bitwise the rows any other chunking produces.
+
+        The cross-check takes the scalar path when the chunk is small
+        and the widest population among its rows — the width a cold solve
+        of just these rows pads to — is below 8 (see
+        :data:`_SCALAR_REFINE_MAX_ROWS`).
+        """
+        scratch.load(self, sl)
+        candidates, feasible = self._candidate_rows(sl)
+        candidate_values = scratch.leader_utilities(candidates)
+        best_idx = np.argmax(candidate_values, axis=1)[:, np.newaxis]
+        best_prices = np.take_along_axis(candidates, best_idx, axis=1)[:, 0]
+        best_values = np.take_along_axis(candidate_values, best_idx, axis=1)[
+            :, 0
+        ]
+        if (
+            feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS
+            and int(scratch.counts.max()) < 8
+        ):
+            refined_prices, refined_values = self._refine_rows_scalar(
+                sl, scratch
+            )
+        else:
+            refined_prices, refined_values = grid_then_golden_batch(
+                scratch.leader_utilities,
+                self._unit_costs[sl],
+                self._max_prices[sl],
+            )
+        best_prices = np.where(
+            refined_values > best_values, refined_prices, best_prices
+        )
+        outcome = self._outcomes_trusted(best_prices, sl)
+        price_cap_binding = np.abs(best_prices - self._max_prices[sl]) < 1e-9
+        rows = feasible[:, np.newaxis]
+        return {
+            "prices": np.where(feasible, best_prices, np.nan),
+            "demands": np.where(rows, outcome.allocations, np.nan),
+            "msp_utilities": np.where(feasible, outcome.msp_utilities, np.nan),
+            "vmu_utilities": np.where(rows, outcome.vmu_utilities, np.nan),
+            "capacity_binding": outcome.capacity_binding & feasible,
+            "price_cap_binding": price_cap_binding & feasible,
+            "feasible": feasible,
+        }
+
+
+class MarketStack(_PaddedStack):
+    """A stack of ``M`` (possibly heterogeneous) Stackelberg markets.
+
+    Stacks per-market parameters into padded ``(M, N_max)`` matrices once
+    at construction; :meth:`outcomes_stacked` then solves all ``M`` markets
+    at ``M`` different prices (or ``M`` whole price grids) in one numpy
+    pass. See the module docstring for the bitwise exactness contract and
+    :meth:`equilibria_stacked` for the (memory-bounded) equilibrium solve.
+    """
+
+    def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
+        if len(markets) == 0:
+            raise ConfigurationError("market stack needs at least one market")
+        self._markets = tuple(markets)
+        self._fill(**_market_columns(self._markets))
+        # The solved equilibria, memoised (markets and configs are frozen,
+        # so a solve can never go stale). Every chunk size returns the
+        # same bits, so every chunking shares the memo.
+        self._equilibria: StackedEquilibria | None = None
+
+    @classmethod
+    def from_columns(cls, columns: MarketColumns) -> "MarketStack":
+        """A stack over markets given as :class:`MarketColumns`.
+
+        Validates each column once, whole-array: every float column finite
+        and > 0, ``unit_costs <= max_prices``, every count >= 1, at least
+        one market, and lengths that agree with ``counts``; any failure
+        raises :class:`~repro.errors.ConfigurationError` naming the
+        column. The natural capacities are ``max_bandwidths /
+        bandwidth_report_scales``, the elementwise
+        ``MarketConfig.capacity_natural``.
+
+        No member :class:`StackelbergMarket` is built: :attr:`markets` and
+        :meth:`market` build them on first access (then cache them), and
+        they are the objects :meth:`MarketColumns.market` returns — so the
+        stack's arrays and solves are bitwise those of
+        ``MarketStack(markets)`` over the same members.
+        """
+        columns = _validated(columns)
+        stack = cls.__new__(cls)
+        stack._markets = None
+        stack._columns = columns
+        stack._members = {}
+        stack._fill(
+            counts=columns.counts,
+            alphas=columns.immersion_coefs,
+            data=columns.data_units,
+            se=columns.spectral_efficiencies,
+            unit_costs=columns.unit_costs,
+            max_prices=columns.max_prices,
+            caps=columns.max_bandwidths / columns.bandwidth_report_scales,
+            enforce=columns.enforce_capacity,
+        )
+        stack._equilibria = None
+        return stack
+
+    @classmethod
+    def from_markets(
+        cls, markets: Sequence[StackelbergMarket]
+    ) -> "MarketStack":
+        """Build a stack over ``markets`` (alias of the constructor, named
+        for symmetry with ``VectorMigrationEnv.from_market``)."""
+        return cls(markets)
+
+    @classmethod
+    def from_grid(
+        cls,
+        num_markets: int | None = None,
+        *,
+        rows: int | None = None,
+        cols: int | None = None,
+        block_m: float = 400.0,
+        coverage_radius_m: float | None = None,
+        speed_limit_mps: float = 13.9,
+        vehicles_per_cell: float = 400.0,
+        max_vmus: int = 6,
+        target_aotm: float = 0.05,
+        horizon_s: float = 3600.0,
+        seed: int = 0,
+    ) -> "MarketStack":
+        """A city-scale stack: one migration market per RSU-grid junction.
+
+        Lays out a Manhattan grid of RSU junctions, with the geometry
+        derived analytically from the junction index (no road graph is
+        built), derives each junction's migration rate (handover rate of
+        ``vehicles_per_cell`` vehicles crossing the cell at
+        ``speed_limit_mps``), sizes the market's ``B_max`` via
+        :func:`repro.mobility.demand.capacity_for_demand`, and samples the
+        VMU population per cell. Each market is a pure function of the
+        grid parameters and its junction index (per-index seeding), so a
+        chunked/scheduled build of index range ``[lo, hi)`` produces the
+        identical markets — see :mod:`repro.mobility.citygrid`.
+
+        Pass either ``num_markets`` (grid shape derived, near-square) or an
+        explicit ``rows × cols`` shape.
+
+        The grid is drawn straight into :class:`MarketColumns`
+        (:func:`repro.mobility.citygrid.city_columns`) and stacked through
+        :meth:`from_columns`; the member markets are built only if
+        :attr:`markets` or :meth:`market` is asked for.
+        """
+        from repro.mobility.citygrid import CityGridSpec, city_columns
+
+        spec = CityGridSpec.for_markets(
+            num_markets,
+            rows=rows,
+            cols=cols,
+            block_m=block_m,
+            coverage_radius_m=coverage_radius_m,
+            speed_limit_mps=speed_limit_mps,
+            vehicles_per_cell=vehicles_per_cell,
+            max_vmus=max_vmus,
+            target_aotm=target_aotm,
+            horizon_s=horizon_s,
+            seed=seed,
+        )
+        return cls.from_columns(city_columns(spec))
+
+    # ------------------------------------------------------------------ #
+    # accessors
+    # ------------------------------------------------------------------ #
+    @property
+    def markets(self) -> tuple[StackelbergMarket, ...]:
+        """The stacked member markets (built on first access when the stack
+        came from :meth:`from_columns`)."""
+        if self._markets is None:
+            self._markets = tuple(
+                self.market(m) for m in range(self.num_markets)
+            )
+        return self._markets
+
+    def market(self, market_index: int) -> StackelbergMarket:
+        """The ``market_index``-th member market (built on first access
+        when the stack came from :meth:`from_columns`)."""
+        if self._markets is not None:
+            return self._markets[market_index]
+        index = range(self.num_markets)[market_index]
+        member = self._members.get(index)
+        if member is None:
+            member = self._members[index] = self._columns.market(index)
+        return member
+
+    # ------------------------------------------------------------------ #
+    # the stacked solve
+    # ------------------------------------------------------------------ #
+    def _validate_prices(self, prices: np.ndarray) -> np.ndarray:
+        p = np.asarray(prices, dtype=float)
+        if p.ndim not in (1, 2) or p.shape[0] != self.num_markets:
+            raise ConfigurationError(
+                f"expected prices of shape (M,) or (M, R) with M = "
+                f"{self.num_markets}, got shape {p.shape}"
+            )
+        if p.size == 0:
+            raise ConfigurationError("price array must not be empty")
+        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
+            raise ConfigurationError(
+                f"prices must be finite and > 0, got {p!r}"
+            )
+        return p
+
+    def outcomes_stacked(self, prices: np.ndarray) -> StackedOutcome:
+        """Play one trading round in every market of the stack, vectorised.
+
+        Args:
+            prices: one posted price per market, shape ``(M,)``, or one
+                price grid per market, shape ``(M, R)`` (market ``m``
+                evaluated at each of its ``R`` prices).
+
+        Returns:
+            A :class:`StackedOutcome` equal — bitwise, padding stripped —
+            to solving each market separately via
+            ``markets[m].round_outcome(prices[m])`` (vector form) or
+            ``markets[m].outcomes_batch(prices[m])`` (grid form).
+
+        Raises:
+            ConfigurationError: if ``prices`` has the wrong shape, holds a
+                non-finite or non-positive entry, or holds a price so small
+                that a demand ``α/p − D/SE`` overflows to infinity (the
+                rationed allocation would then be NaN).
+        """
+        p = self._validate_prices(prices)
+        outcome = self._outcomes_trusted(p)
+        if not np.isfinite(outcome.demands).all():
+            raise ConfigurationError(
+                f"prices yield a non-finite demand (too close to 0), got {p!r}"
+            )
+        return outcome
+
+    def leader_landscapes(self, grid_points: int = 256) -> StackedOutcome:
+        """Every market's full leader landscape as one stacked solve.
+
+        Each market gets its own uniform ``grid_points``-point grid over
+        its feasible interval ``[C_m, p_max_m]`` — the whole Fig.-3-style
+        market grid evaluated in a single ``(M, R, N)`` pass. The grid
+        rows are the elementwise ``low + step·arange`` expression of
+        :func:`repro.game.solvers.uniform_price_grid`, built for all
+        markets in one broadcast (bitwise-identical rows, no per-market
+        loop).
+        """
+        if grid_points < 2:
+            raise ConfigurationError(
+                f"grid_points must be >= 2, got {grid_points}"
+            )
+        steps = (self._max_prices - self._unit_costs) / (grid_points - 1)
+        grids = (
+            self._unit_costs[:, np.newaxis]
+            + steps[:, np.newaxis] * np.arange(grid_points)
+        )
+        return self.outcomes_stacked(grids)
+
+    # ------------------------------------------------------------------ #
+    # the equilibrium solve
+    # ------------------------------------------------------------------ #
     def resolve_chunk_size(
         self,
         *,
@@ -1201,15 +1396,7 @@ class MarketStack:
             chunk_size=chunk_size, chunk_bytes=chunk_bytes
         )
         num_markets, n_max = self.num_markets, self.max_vmus
-        out = {
-            "prices": np.empty(num_markets, dtype=np.float64),
-            "demands": np.empty((num_markets, n_max), dtype=np.float64),
-            "msp_utilities": np.empty(num_markets, dtype=np.float64),
-            "vmu_utilities": np.empty((num_markets, n_max), dtype=np.float64),
-            "capacity_binding": np.empty(num_markets, dtype=bool),
-            "price_cap_binding": np.empty(num_markets, dtype=bool),
-            "feasible": np.empty(num_markets, dtype=bool),
-        }
+        out = _empty_result(num_markets, n_max)
         scratch = _ChunkScratch(size, n_max)
         for start in range(0, num_markets, size):
             sl = slice(start, min(start + size, num_markets))
@@ -1225,120 +1412,6 @@ class MarketStack:
             )
         )
         return self._equilibria
-
-    def _refine_rows_scalar(
-        self, sl: slice, scratch: _ChunkScratch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Golden refinement of a tiny row range, one scalar search per row.
-
-        Bitwise replica of the ``grid_then_golden_batch`` call in
-        :meth:`_solve_rows`, restructured for latency (see
-        :data:`_SCALAR_REFINE_MAX_ROWS`): the coarse scan stays vectorised
-        (same grid, argmax, and bracket expressions as the batch),
-        then each row refines through the scalar
-        :func:`golden_section_maximize` — the reference the batch is
-        pinned against — with a pure-Python objective.
-
-        Why the bits match: IEEE-754 arithmetic is identical between
-        Python floats and numpy float64 scalars, the clamp ``d = 0.0 if
-        d < 0.0`` matches ``np.maximum(0.0, ·)`` (a ``-0.0`` demand is
-        impossible: ``a - b`` with ``a, b >= 0`` never rounds to it), and
-        the sequential Python sums match numpy's sequential reduction
-        regime, which is why this path is gated on stack width < 8 —
-        the same boundary :meth:`_ChunkScratch.load` documents.
-        ``tests/test_core_equilibria_stacked.py`` pins equality across
-        chunk sizes on both sides of the row gate.
-        """
-        low_v = self._unit_costs[sl]
-        high_v = self._max_prices[sl]
-        steps = (high_v - low_v) / (_REFINE_GRID_POINTS - 1)
-        grids = (
-            low_v[:, np.newaxis]
-            + steps[:, np.newaxis] * np.arange(_REFINE_GRID_POINTS)
-        )
-        values = scratch.leader_utilities(grids)
-        best_idx = np.argmax(values, axis=1)
-        lows = low_v + np.maximum(0, best_idx - 1) * steps
-        highs = (
-            low_v + np.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
-        )
-
-        num_rows = lows.shape[0]
-        prices = np.empty(num_rows, dtype=np.float64)
-        utilities = np.empty(num_rows, dtype=np.float64)
-        for i in range(num_rows):
-            n = int(scratch.counts[i])
-            pairs = list(
-                zip(scratch.alphas[i, :n].tolist(), scratch.ratio[i, :n].tolist())
-            )
-            cap = float(scratch.effective_caps[i])
-            cost = float(scratch.unit_costs[i])
-
-            def objective(
-                p: float, pairs=pairs, cap=cap, cost=cost
-            ) -> float:
-                total = 0.0
-                demands = []
-                append = demands.append
-                for alpha, ratio in pairs:
-                    d = alpha / p - ratio
-                    if d < 0.0:
-                        d = 0.0
-                    append(d)
-                    total += d
-                scale = cap / total if total > cap else 1.0
-                served = 0.0
-                for d in demands:
-                    served += d * scale
-                return (p - cost) * served
-
-            prices[i], utilities[i] = golden_section_maximize(
-                objective, float(lows[i]), float(highs[i])
-            )
-        return prices, utilities
-
-    def _solve_rows(
-        self, sl: slice, scratch: _ChunkScratch
-    ) -> dict[str, np.ndarray]:
-        """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
-
-        Candidate argmax, then the golden cross-check, then the full
-        outcome at the winning prices. Every step is row-local, so the
-        arrays are bitwise the rows any other chunking produces.
-        """
-        scratch.load(self, sl)
-        candidates, feasible = self._candidate_rows(sl)
-        candidate_values = scratch.leader_utilities(candidates)
-        best_idx = np.argmax(candidate_values, axis=1)[:, np.newaxis]
-        best_prices = np.take_along_axis(candidates, best_idx, axis=1)[:, 0]
-        best_values = np.take_along_axis(candidate_values, best_idx, axis=1)[
-            :, 0
-        ]
-        if feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS and self.max_vmus < 8:
-            refined_prices, refined_values = self._refine_rows_scalar(
-                sl, scratch
-            )
-        else:
-            refined_prices, refined_values = grid_then_golden_batch(
-                scratch.leader_utilities,
-                self._unit_costs[sl],
-                self._max_prices[sl],
-            )
-        best_prices = np.where(
-            refined_values > best_values, refined_prices, best_prices
-        )
-        outcome = self._outcomes_trusted(best_prices, sl)
-        price_cap_binding = np.abs(best_prices - self._max_prices[sl]) < 1e-9
-        rows = feasible[:, np.newaxis]
-        return {
-            "prices": np.where(feasible, best_prices, np.nan),
-            "demands": np.where(rows, outcome.allocations, np.nan),
-            "msp_utilities": np.where(feasible, outcome.msp_utilities, np.nan),
-            "vmu_utilities": np.where(rows, outcome.vmu_utilities, np.nan),
-            "capacity_binding": outcome.capacity_binding & feasible,
-            "price_cap_binding": price_cap_binding & feasible,
-            "feasible": feasible,
-        }
 
 
 def _freeze_result(result: StackedEquilibria) -> StackedEquilibria:
@@ -1364,25 +1437,42 @@ def _freeze_result(result: StackedEquilibria) -> StackedEquilibria:
     return result
 
 
-class MutableMarketStack:
-    """A dirty-set wrapper over :class:`MarketStack` for *live* market state.
+class MutableMarketStack(_PaddedStack):
+    """Live market state: padded columns written in place, re-solved by
+    dirty row.
 
-    The immutable stack memoises its equilibria forever — correct because
-    its markets can never change. A live pricing service mutates markets
-    continuously (a VMU joins, fading drifts, demand shifts), and paying a
-    full ``M``-row re-solve for every point update is what makes the memo
-    useless there. This wrapper turns the memo into an invalidation-aware
-    cache: point updates mark exactly their row dirty, and
-    :meth:`equilibria_live` re-solves *only* the dirty rows — as their own
-    sub-stack through the existing chunked candidate-matrix path — then
-    splices them into the cached :class:`StackedEquilibria`.
+    The immutable :class:`MarketStack` memoises its equilibria forever —
+    correct because its markets can never change. A live pricing service
+    mutates markets continuously (a VMU joins or leaves, fading drifts, a
+    market is replaced), and paying a full ``M``-row re-solve for every
+    point update is what makes that memo useless there. This stack keeps
+    the same padded solve state live instead:
 
-    Exactness: every operation of the stacked solve is row-local and
-    padding-width invariant (the chunking contract in the module
-    docstring), so a dirty row solved inside the small sub-stack gets
-    bitwise the same numbers it would get inside a cold full solve of the
-    mutated stack — :meth:`equilibria_live` is **bitwise-equal to a cold
-    :meth:`MarketStack.equilibria_stacked` at every step**.
+    - :meth:`join`, :meth:`leave`, :meth:`set_fading_gain` and
+      :meth:`update_market` validate their one row, then write it into
+      the columns in place. The padded width is always the widest
+      population, as in a cold stack of the current markets: a join past
+      it widens the columns, and a row leaving the last widest
+      population narrows them.
+    - :meth:`equilibria_live` re-solves *only* the dirty rows, straight
+      from the live columns through the one row-local solve and one
+      persistent :class:`_ChunkScratch`, and splices them into the cached
+      :class:`StackedEquilibria`. The splice writes only the dirty rows.
+      It copies a result array first only because the cached one was
+      handed out, and handed-out results stay frozen.
+    - Beside the columns, each row keeps its VMU profiles, its
+      :class:`MarketConfig` and its :class:`RsuLink`. :attr:`markets` and
+      :meth:`market` build members lazily from those, never from the
+      solve columns, so ``MarketStack(list(stack.markets))`` is an
+      independent cold oracle.
+
+    Exactness: a dirty row is solved at the padded width of a cold stack
+    of the current markets, by the same row-local steps a cold solve
+    runs, and a clean row's bits do not depend on the padded width (the
+    chunking contract in the module docstring) — so
+    :meth:`equilibria_live` is **bitwise-equal to a cold
+    :meth:`MarketStack.equilibria_stacked` of the current markets at
+    every step**.
 
     Mutation contract (what dirties what):
 
@@ -1390,6 +1480,8 @@ class MutableMarketStack:
       :meth:`set_fading_gain` dirty exactly the one row they touch. Each
       takes a row index ``0 <= index < M`` (an ``int``; negative, bool
       and float indices raise :class:`~repro.errors.ConfigurationError`).
+    - A rejected mutation raises :class:`~repro.errors.ConfigurationError`
+      and changes nothing: no column, count or dirty row.
     - Clean rows are never re-solved, and their cached per-row scalar
       equilibria (:meth:`StackedEquilibria.equilibrium`) are carried over
       by object identity; a dirty row's entry is dropped and lazily
@@ -1408,50 +1500,42 @@ class MutableMarketStack:
         markets = list(markets)
         if len(markets) == 0:
             raise ConfigurationError("market stack needs at least one market")
-        self._markets = markets
-        self._counts = np.fromiter(
-            (m.num_vmus for m in markets), dtype=np.int64, count=len(markets)
-        )
+        self._fill(**_market_columns(markets))
+        # Each row's description, and its member market once one is built.
+        self._vmus = [m.vmus for m in markets]
+        self._configs = [m.config for m in markets]
+        self._links = [m.link for m in markets]
+        self._members: list[StackelbergMarket | None] = markets
         self._chunk_size = chunk_size
         self._chunk_bytes = chunk_bytes
         # Rows mutated since the last solve, and that solve's result.
         self._dirty: set[int] = set()
         self._solved: StackedEquilibria | None = None
-        self._stack: MarketStack | None = None
+        self._scratch: _ChunkScratch | None = None
         self._solve_count = 0
         self._rows_resolved = 0
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._markets)
-
-    @property
-    def num_markets(self) -> int:
-        """Stack width ``M`` (fixed; rows mutate, the set of rows doesn't)."""
-        return len(self._markets)
-
     @property
     def markets(self) -> tuple[StackelbergMarket, ...]:
         """The current member markets (snapshot tuple)."""
-        return tuple(self._markets)
+        return tuple(self.market(m) for m in range(self.num_markets))
 
     def market(self, market_index: int) -> StackelbergMarket:
-        """The current ``market_index``-th member market."""
-        return self._markets[market_index]
-
-    @property
-    def stack(self) -> MarketStack:
-        """An immutable :class:`MarketStack` over the *current* markets.
-
-        Rebuilt lazily after any mutation — the cold-solve reference the
-        live path is pinned against, and the full-stack backing of the
-        first :meth:`equilibria_live` call.
-        """
-        if self._stack is None:
-            self._stack = MarketStack(self._markets)
-        return self._stack
+        """The current ``market_index``-th member market, built from the
+        row's profiles, config and link on first access after a mutation
+        (:meth:`update_market`'s market is kept as given)."""
+        index = range(self.num_markets)[market_index]
+        member = self._members[index]
+        if member is None:
+            member = self._members[index] = StackelbergMarket(
+                self._vmus[index],
+                config=self._configs[index],
+                link=self._links[index],
+            )
+        return member
 
     def dirty_indices(self) -> tuple[int, ...]:
         """Rows awaiting re-solve (sorted)."""
@@ -1459,7 +1543,8 @@ class MutableMarketStack:
 
     @property
     def solve_count(self) -> int:
-        """Stacked solves performed so far (full or sub-stack)."""
+        """Solves performed so far (the first full one, then one per
+        :meth:`equilibria_live` call that found dirty rows)."""
         return self._solve_count
 
     @property
@@ -1479,7 +1564,7 @@ class MutableMarketStack:
             ConfigurationError: unless ``index`` is an ``int`` (not
                 ``bool``) with ``0 <= index < M``.
         """
-        return require_index("market index", index, len(self._markets))
+        return require_index("market index", index, len(self._vmus))
 
     def update_market(self, index: int, market: StackelbergMarket) -> None:
         """Replace row ``index`` with ``market`` (dirties exactly that row)."""
@@ -1488,10 +1573,27 @@ class MutableMarketStack:
             raise ConfigurationError(
                 f"expected a StackelbergMarket, got {type(market).__name__}"
             )
-        self._markets[index] = market
-        self._counts[index] = market.num_vmus
-        self._dirty.add(index)
-        self._stack = None
+        n, config = market.num_vmus, market.config
+        if n > self.max_vmus:
+            self._resize(n)
+        for column, values in (
+            (self._alphas, market._alphas),
+            (self._data, market._data_units),
+        ):
+            column[index, :n] = values
+            column[index, n:] = 1.0
+        self._se[index] = market.spectral_efficiency
+        self._unit_costs[index] = config.unit_cost
+        self._max_prices[index] = config.max_price
+        self._caps[index] = config.capacity_natural
+        self._enforce[index] = config.enforce_capacity
+        self._effective_caps[index] = (
+            config.capacity_natural if config.enforce_capacity else np.inf
+        )
+        self._configs[index] = config
+        self._links[index] = market.link
+        self._set_population(index, market.vmus)
+        self._members[index] = market
 
     def join(self, index: int, vmu: VmuProfile) -> None:
         """A VMU joins market ``index`` (dirties that row).
@@ -1501,16 +1603,21 @@ class MutableMarketStack:
                 or a VMU with its id is already in the market.
         """
         index = self.row_index(index)
-        market = self._markets[index]
         if not isinstance(vmu, VmuProfile):
             raise ConfigurationError(
                 f"expected a VmuProfile, got {type(vmu).__name__}"
             )
-        if any(v.vmu_id == vmu.vmu_id for v in market.vmus):
+        vmus = self._vmus[index]
+        if any(v.vmu_id == vmu.vmu_id for v in vmus):
             raise ConfigurationError(
                 f"VMU {vmu.vmu_id!r} is already in market {index}"
             )
-        self.update_market(index, market.with_vmus((*market.vmus, vmu)))
+        n = len(vmus)
+        if n == self.max_vmus:
+            self._resize(n + 1)
+        self._alphas[index, n] = vmu.immersion_coef
+        self._data[index, n] = vmu.data_units
+        self._set_population(index, (*vmus, vmu))
 
     def leave(self, index: int, vmu_id: str) -> None:
         """VMU ``vmu_id`` leaves market ``index`` (dirties that row).
@@ -1520,27 +1627,76 @@ class MutableMarketStack:
                 the market's last one (a market needs ≥ 1 VMU).
         """
         index = self.row_index(index)
-        market = self._markets[index]
-        kept = tuple(v for v in market.vmus if v.vmu_id != vmu_id)
-        if len(kept) == len(market.vmus):
-            raise ConfigurationError(
-                f"no VMU {vmu_id!r} in market {index}"
-            )
-        if len(kept) == 0:
+        vmus = self._vmus[index]
+        slot = next(
+            (j for j, v in enumerate(vmus) if v.vmu_id == vmu_id), None
+        )
+        if slot is None:
+            raise ConfigurationError(f"no VMU {vmu_id!r} in market {index}")
+        n = len(vmus)
+        if n == 1:
             raise ConfigurationError(
                 f"VMU {vmu_id!r} is the last member of market {index}; "
                 "markets need at least one VMU"
             )
-        self.update_market(index, market.with_vmus(kept))
+        # The later VMUs move up one slot, as in the market rebuilt
+        # without the leaver, and the freed last slot becomes padding.
+        for column in (self._alphas, self._data):
+            column[index, slot : n - 1] = column[index, slot + 1 : n]
+            column[index, n - 1] = 1.0
+        self._set_population(index, vmus[:slot] + vmus[slot + 1 :])
 
     def set_fading_gain(self, index: int, fading_gain: float) -> None:
         """Channel-fading drift on market ``index``'s RSU link (dirties
-        that row)."""
+        that row).
+
+        Raises:
+            ConfigurationError: unless ``fading_gain`` is finite and > 0
+                and the link's spectral efficiency at it is too (a gain
+                so small that ``log2(1 + SNR)`` rounds to 0 is rejected,
+                as :class:`StackelbergMarket` rejects such a link).
+        """
         index = self.row_index(index)
-        market = self._markets[index]
-        self.update_market(
-            index, market.with_link(market.link.with_fading_gain(fading_gain))
+        link = self._links[index].with_fading_gain(fading_gain)
+        self._se[index] = require_positive(
+            "link spectral efficiency", link.spectral_efficiency
         )
+        self._links[index] = link
+        self._members[index] = None
+        self._dirty.add(index)
+
+    def _set_population(
+        self, index: int, vmus: tuple[VmuProfile, ...]
+    ) -> None:
+        """Row ``index`` now holds ``vmus``, whose ``α`` and ``D`` the
+        caller wrote into the columns (padding ``1.0`` beyond them);
+        update its mask, count and profiles and dirty it.
+
+        The padded width follows the widest population, as in a cold
+        stack: callers widen it before a row outgrows it, and it narrows
+        here once no row fills it.
+        """
+        n, width = len(vmus), self.max_vmus
+        vacated = self._counts[index] == width > n
+        self._mask[index, :n] = True
+        self._mask[index, n:] = False
+        self._counts[index] = n
+        self._vmus[index] = vmus
+        self._members[index] = None
+        self._dirty.add(index)
+        if vacated and not (self._counts == width).any():
+            self._resize(int(self._counts.max()))
+
+    def _resize(self, width: int) -> None:
+        """Re-pad the population columns to ``width`` slots (padding
+        ``1.0`` and a ``False`` mask, as :meth:`_fill` pads)."""
+        keep = min(width, self.max_vmus)
+        alphas = np.ones((self.num_markets, width), dtype=np.float64)
+        data = np.ones((self.num_markets, width), dtype=np.float64)
+        alphas[:, :keep] = self._alphas[:, :keep]
+        data[:, :keep] = self._data[:, :keep]
+        self._alphas, self._data = alphas, data
+        self._mask = np.arange(width) < self._counts[:, np.newaxis]
 
     # ------------------------------------------------------------------ #
     # the incremental solve
@@ -1548,108 +1704,81 @@ class MutableMarketStack:
     def equilibria_live(self) -> StackedEquilibria:
         """Current equilibria of the stack, re-solving only dirty rows.
 
-        First call (or after every row was dirtied): a cold full solve
-        through :meth:`MarketStack.equilibria_stacked_chunked` with the
-        wrapper's chunk knobs. Later calls solve the dirty rows as their
-        own sub-stack and splice the rows into the cached result —
-        bitwise-equal to a cold solve of the mutated stack (see the class
-        docstring).
+        The first call solves every row. Later calls solve the dirty rows
+        from the live columns and splice them into the cached result —
+        bitwise-equal to a cold solve of the current markets (see the
+        class docstring). The rows solved stream through chunks of
+        :func:`resolve_chunk_size` rows under the stack's chunk knobs.
         """
         cached = self._solved
         if cached is not None and not self._dirty:
             return cached
-        if cached is None or len(self._dirty) == len(self._markets):
-            result = self.stack.equilibria_stacked_chunked(
-                chunk_size=self._chunk_size, chunk_bytes=self._chunk_bytes
-            )
-            self._rows_resolved += len(self._markets)
+        width = self.max_vmus
+        if cached is None:
+            rows = np.arange(self.num_markets)
         else:
-            indices = sorted(self._dirty)
-            rows = MarketStack(
-                [self._markets[i] for i in indices]
-            ).equilibria_stacked_chunked(
-                chunk_size=self._chunk_size, chunk_bytes=self._chunk_bytes
+            rows = np.array(sorted(self._dirty), dtype=np.intp)
+        self._ragged = bool((self._counts != width).any())
+        self._fullmask = not self._ragged
+        size = resolve_chunk_size(
+            len(rows),
+            width,
+            chunk_size=self._chunk_size,
+            chunk_bytes=self._chunk_bytes,
+        )
+        scratch = self._scratch
+        if scratch is None or not scratch.fits(size, width):
+            scratch = _ChunkScratch(size, width)
+        if cached is not None:
+            # Kept for the dirty-row re-solves to come; the first solve's
+            # scratch spans a whole chunk of the stack and is dropped.
+            self._scratch = scratch
+        out = self._writable_result(cached, width)
+        for start in range(0, len(rows), size):
+            chunk = rows[start : start + size]
+            for key, values in self._solve_rows(chunk, scratch).items():
+                out[key][chunk] = values
+        result = _freeze_result(
+            StackedEquilibria(
+                mask=self._mask.copy(),
+                counts=self._counts.copy(),
+                unit_costs=self._unit_costs.copy(),
+                **out,
             )
-            result = self._splice(cached, indices, rows)
-            self._rows_resolved += len(indices)
+        )
+        if cached is not None:
+            # Clean rows keep their scalar-equilibrium cache entries by
+            # object identity; dirty rows' entries are dropped (rebuilt
+            # lazily).
+            for m, equilibrium in cached._scalar_cache.items():
+                if m not in self._dirty:
+                    result._scalar_cache[m] = equilibrium
+        self._rows_resolved += len(rows)
         self._solve_count += 1
         self._dirty.clear()
         self._solved = result
         return result
 
-    def _splice(
-        self,
-        cached: StackedEquilibria,
-        indices: list[int],
-        rows: StackedEquilibria,
-    ) -> StackedEquilibria:
-        """A new frozen result: ``cached`` with ``indices`` replaced by the
-        sub-stack solution ``rows``.
+    def _writable_result(
+        self, cached: StackedEquilibria | None, width: int
+    ) -> dict[str, np.ndarray]:
+        """The solved-field arrays a solve writes its rows into.
 
-        Clean rows are copied bit for bit; if the stack's padded width
-        ``N_max`` changed (a join/leave moved the widest population), clean
-        rows are re-padded to the new width with exactly the values a cold
-        solve writes there — ``0.0`` on feasible rows, ``nan`` on
-        infeasible ones — so the splice stays bitwise-indistinguishable
-        from the cold solve.
+        Fresh arrays for the first solve. Otherwise copies of ``cached``'s
+        arrays — it was handed out, so it stays frozen — re-padded if the
+        padded width moved since: a cold solve pads a feasible row with
+        ``0.0`` and an infeasible one with ``nan``, so widened clean rows
+        get exactly those, and narrowing drops only padding.
         """
-        counts = self._counts.copy()
-        num_markets = len(self._markets)
-        n_max = int(counts.max())
-        old_n_max = cached.demands.shape[1]
-        prices = cached.prices.copy()
-        msp_utilities = cached.msp_utilities.copy()
-        capacity_binding = cached.capacity_binding.copy()
-        price_cap_binding = cached.price_cap_binding.copy()
-        feasible = cached.feasible.copy()
-        unit_costs = cached.unit_costs.copy()
-        if n_max == old_n_max:
-            demands = cached.demands.copy()
-            vmu_utilities = cached.vmu_utilities.copy()
-        else:
-            demands = np.zeros((num_markets, n_max), dtype=np.float64)
-            vmu_utilities = np.zeros((num_markets, n_max), dtype=np.float64)
-            keep = min(n_max, old_n_max)
-            demands[:, :keep] = cached.demands[:, :keep]
-            vmu_utilities[:, :keep] = cached.vmu_utilities[:, :keep]
-            if n_max > old_n_max:
-                # Widened columns of infeasible rows hold nan, not 0.0.
-                demands[~feasible, old_n_max:] = np.nan
-                vmu_utilities[~feasible, old_n_max:] = np.nan
-        idx = np.asarray(indices, dtype=np.intp)
-        sub_width = rows.demands.shape[1]
-        prices[idx] = rows.prices
-        msp_utilities[idx] = rows.msp_utilities
-        capacity_binding[idx] = rows.capacity_binding
-        price_cap_binding[idx] = rows.price_cap_binding
-        feasible[idx] = rows.feasible
-        unit_costs[idx] = rows.unit_costs
-        demands[idx[:, np.newaxis], np.arange(sub_width)] = rows.demands
-        vmu_utilities[idx[:, np.newaxis], np.arange(sub_width)] = (
-            rows.vmu_utilities
-        )
-        if sub_width < n_max:
-            tail = np.where(rows.feasible[:, np.newaxis], 0.0, np.nan)
-            demands[idx[:, np.newaxis], np.arange(sub_width, n_max)] = tail
-            vmu_utilities[idx[:, np.newaxis], np.arange(sub_width, n_max)] = (
-                tail
-            )
-        result = StackedEquilibria(
-            prices=prices,
-            demands=demands,
-            msp_utilities=msp_utilities,
-            vmu_utilities=vmu_utilities,
-            capacity_binding=capacity_binding,
-            price_cap_binding=price_cap_binding,
-            feasible=feasible,
-            mask=np.arange(n_max) < counts[:, np.newaxis],
-            counts=counts,
-            unit_costs=unit_costs,
-        )
-        # Clean rows keep their scalar-equilibrium cache entries by object
-        # identity; dirty rows' entries are dropped (rebuilt lazily).
-        dirty = set(indices)
-        for m, equilibrium in cached._scalar_cache.items():
-            if m not in dirty:
-                result._scalar_cache[m] = equilibrium
-        return _freeze_result(result)
+        if cached is None:
+            return _empty_result(self.num_markets, width)
+        out = {key: getattr(cached, key).copy() for key in _SOLVED_FIELDS}
+        old = cached.demands.shape[1]
+        if width != old:
+            keep = min(width, old)
+            for key in ("demands", "vmu_utilities"):
+                padded = np.zeros((self.num_markets, width), dtype=np.float64)
+                padded[:, :keep] = out[key][:, :keep]
+                padded[~cached.feasible, keep:] = np.nan
+                out[key] = padded
+        return out

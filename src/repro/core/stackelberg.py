@@ -207,6 +207,11 @@ class StackelbergMarket:
         self._vmus = tuple(vmus)
         self._config = config if config is not None else MarketConfig()
         self._link = link if link is not None else paper_link()
+        # A fading gain small enough rounds log2(1 + SNR) to 0, and every
+        # best response divides by the spectral efficiency.
+        self._spectral_efficiency = require_positive(
+            "link spectral efficiency", self._link.spectral_efficiency
+        )
         self._alphas = np.array([v.immersion_coef for v in vmus], dtype=float)
         self._data_units = np.array([v.data_units for v in vmus], dtype=float)
         self._stack = None  # lazy M = 1 MarketStack behind outcomes_batch
@@ -237,7 +242,7 @@ class StackelbergMarket:
     @property
     def spectral_efficiency(self) -> float:
         """``log2(1 + SNR)`` of the link."""
-        return self._link.spectral_efficiency
+        return self._spectral_efficiency
 
     @property
     def immersion_coefs(self) -> np.ndarray:
@@ -424,5 +429,5 @@ class StackelbergMarket:
 
     def with_link(self, link: RsuLink) -> "StackelbergMarket":
         """A copy of this market on a different RSU link (fading or
-        distance drift — the live-service channel updates)."""
+        distance drift)."""
         return StackelbergMarket(self._vmus, config=self._config, link=link)

@@ -4,12 +4,14 @@ A long-running MSP answering "what is the optimal migration price for
 this market *right now*" while the market state churns under it. The
 service owns a :class:`~repro.core.marketstack.MutableMarketStack`;
 update events (a VMU joins or leaves, fading drifts, a whole market is
-replaced) mark exactly their row dirty, and the first query after any
-burst of updates triggers one incremental re-solve of the dirty rows —
-every further query in that micro-window reads the same cached
+replaced) write exactly their row of the stack's padded columns in place
+and mark it dirty, and the first query after any burst of updates
+triggers one incremental re-solve of the dirty rows, straight from those
+columns — every further query in that micro-window reads the same cached
 :class:`~repro.core.marketstack.StackedEquilibria` row for free. Queries
 therefore batch naturally: interleave 100 updates and 1 000 queries and
-the service pays ~(number of update bursts) sub-stack solves, not 1 000.
+the service pays ~(number of update bursts) dirty-row re-solves, not
+1 000.
 
 Every query is timed individually (the solve-triggering query pays the
 window's solve), so :meth:`LivePricingService.stats` reports honest

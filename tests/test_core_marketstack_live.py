@@ -7,7 +7,9 @@ splices them into the cached stack — is bitwise-equal to a cold
 (one row, ~10 %, all rows). Plus the
 scalar-accessor cache contract under splicing: clean rows keep their
 cached scalar objects (identity), a dirty row's entry is dropped, and
-infeasible↔feasible transitions round-trip.
+infeasible↔feasible transitions round-trip. The stack is column-native:
+a churn window builds no market or stack object, the padded width tracks
+the widest population both ways, and a rejected mutation changes nothing.
 """
 
 import numpy as np
@@ -299,3 +301,153 @@ class TestMutationApi:
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
         with pytest.raises(ConfigurationError, match="VmuProfile"):
             mutable.join(0, "not a vmu")
+
+
+class TestColumnNative:
+    """Mutations write the padded columns in place; no objects in between."""
+
+    def test_churn_window_builds_no_market_or_stack(self, monkeypatch):
+        markets = random_markets(12, root_seed=43, max_vmus=5)
+        mutable = MutableMarketStack(markets)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(StackelbergMarket, "__init__", refuse)
+        monkeypatch.setattr(MarketStack, "__init__", refuse)
+        mutable.equilibria_live()
+        widest = int(np.argmax(mutable.counts))
+        for j in range(3):  # three slots past the padded width
+            mutable.join(
+                widest,
+                VmuProfile(f"w{j}", data_size_mb=80.0, immersion_coef=6.0),
+            )
+        mutable.leave(widest, "w1")
+        shared = next(
+            m for m in range(12) if m != widest and markets[m].num_vmus > 1
+        )
+        mutable.leave(shared, markets[shared].vmus[0].vmu_id)
+        mutable.set_fading_gain(7, 0.35)
+        live = mutable.equilibria_live()
+        mutable.leave(widest, "w0")
+        mutable.leave(widest, "w2")
+        narrowed = mutable.equilibria_live()
+        monkeypatch.undo()
+        assert narrowed.demands.shape[1] == live.demands.shape[1] - 2
+        assert_bitwise_equal(
+            narrowed, MarketStack(list(mutable.markets)).equilibria_stacked()
+        )
+
+    def test_padded_width_is_the_widest_population(self):
+        """Joins past the width widen the columns; leaving the only widest
+        row narrows them — the result's width is always ``counts.max()``,
+        as a cold solve's is, and old snapshots keep their own width."""
+        markets = random_markets(8, root_seed=47, max_vmus=4)
+        markets[5] = infeasible_market()  # nan tails when widened
+        mutable = MutableMarketStack(markets)
+        before = mutable.equilibria_live()
+        width = before.demands.shape[1]
+        row = int(np.argmin(mutable.counts))
+        added = mutable.max_vmus - int(mutable.counts[row]) + 2
+        for j in range(added):
+            mutable.join(
+                row,
+                VmuProfile(f"g{j}", data_size_mb=150.0, immersion_coef=3.0),
+            )
+            assert mutable.max_vmus == max(width, int(mutable.counts[row]))
+        wide = mutable.equilibria_live()
+        assert wide.demands.shape == (8, width + 2)
+        assert np.isnan(wide.demands[5, width:]).all()
+        for j in range(added):
+            mutable.leave(row, f"g{j}")
+        assert mutable.max_vmus == width
+        narrow = mutable.equilibria_live()
+        assert narrow.demands.shape == before.demands.shape
+        assert wide.demands.shape == (8, width + 2)  # handed out: frozen
+        assert_bitwise_equal(
+            narrow, MarketStack(list(mutable.markets)).equilibria_stacked()
+        )
+        assert_bitwise_equal(narrow, before)  # the same markets again
+
+    def test_members_are_built_from_the_rows_not_the_columns(self):
+        markets = random_markets(4, root_seed=53, max_vmus=4)
+        mutable = MutableMarketStack(markets)
+        assert mutable.market(1) is markets[1]
+        mutable.set_fading_gain(1, 0.25)
+        rebuilt = mutable.market(1)
+        assert rebuilt is not markets[1]
+        assert rebuilt.vmus == markets[1].vmus
+        assert rebuilt.config == markets[1].config
+        assert rebuilt.link == markets[1].link.with_fading_gain(0.25)
+        assert mutable.market(1) is rebuilt  # cached until the next write
+        assert mutable.markets[-1] is markets[3]
+
+
+def _twin_stacks():
+    """Two identical live stacks, solved, then given the same dirty rows."""
+    markets = random_markets(6, root_seed=59, max_vmus=5)
+    markets[2] = StackelbergMarket(
+        [VmuProfile("only", data_size_mb=100.0, immersion_coef=5.0)]
+    )
+    stacks = []
+    for _ in range(2):
+        mutable = MutableMarketStack(markets)
+        mutable.equilibria_live()
+        mutable.join(
+            4, VmuProfile("late", data_size_mb=70.0, immersion_coef=8.0)
+        )
+        mutable.set_fading_gain(0, 0.6)
+        stacks.append(mutable)
+    return markets, stacks
+
+
+_COLUMN_ACCESSORS = (
+    "counts",
+    "mask",
+    "immersion_coefs",
+    "data_units",
+    "spectral_efficiencies",
+    "unit_costs",
+    "max_prices",
+    "capacities_natural",
+)
+
+_REJECTED = {
+    "join-duplicate-id": lambda s, m: s.join(
+        1,
+        VmuProfile(m[1].vmus[0].vmu_id, data_size_mb=90.0, immersion_coef=4.0),
+    ),
+    "join-not-a-profile": lambda s, m: s.join(1, "vmu"),
+    "leave-unknown-id": lambda s, m: s.leave(1, "nobody"),
+    "leave-last-vmu": lambda s, m: s.leave(2, "only"),
+    "fading-nan": lambda s, m: s.set_fading_gain(3, float("nan")),
+    "fading-inf": lambda s, m: s.set_fading_gain(3, float("inf")),
+    "fading-zero": lambda s, m: s.set_fading_gain(3, 0.0),
+    "fading-negative": lambda s, m: s.set_fading_gain(3, -1.0),
+    "fading-se-underflow": lambda s, m: s.set_fading_gain(3, 1e-320),
+    "update-not-a-market": lambda s, m: s.update_market(0, "market"),
+    "join-bad-index": lambda s, m: s.join(
+        6, VmuProfile("x", data_size_mb=90.0, immersion_coef=4.0)
+    ),
+    "leave-bad-index": lambda s, m: s.leave(-1, m[1].vmus[0].vmu_id),
+    "fading-bad-index": lambda s, m: s.set_fading_gain(1.0, 0.5),
+    "update-bad-index": lambda s, m: s.update_market(True, m[1]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mutation", list(_REJECTED), ids=list(_REJECTED))
+def test_rejected_mutation_changes_nothing(mutation):
+    """A mutation that raises leaves the columns, counts, dirty rows,
+    solve count and the next live solve bitwise as they were."""
+    markets, (mutable, twin) = _twin_stacks()
+    with pytest.raises(ConfigurationError):
+        _REJECTED[mutation](mutable, markets)
+    for name in _COLUMN_ACCESSORS:
+        a, b = getattr(mutable, name), getattr(twin, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert mutable.dirty_indices() == twin.dirty_indices() == (0, 4)
+    assert mutable.solve_count == twin.solve_count == 1
+    assert_bitwise_equal(mutable.equilibria_live(), twin.equilibria_live())
+    assert mutable.rows_resolved == twin.rows_resolved

@@ -16,13 +16,19 @@ is pinned here **bitwise** against the public validating path
 - non-enforcing, capacity-binding and infeasible rows;
 - row slices loaded one after another into one scratch, as the chunked
   solve streams them.
+
+The scalar golden refinement ``MarketStack._refine_rows_scalar`` is pinned
+the same way against the batched ``grid_then_golden_batch`` it replaces
+on small chunks, at every row count up to past the row gate, and the
+solve's routing between the two is pinned on both sides of the row and
+width gates.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import MarketStack
-from repro.core.marketstack import _ChunkScratch
+from repro.core import MarketStack, MutableMarketStack, marketstack
+from repro.core.marketstack import _SCALAR_REFINE_MAX_ROWS, _ChunkScratch
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import sample_population
 
@@ -103,3 +109,80 @@ def test_row_slices_streamed_through_one_scratch(n_max):
             assert np.array_equal(
                 scratch.leader_utilities(p[sl]), full[form][sl]
             ), (form, sl)
+
+
+def refine_stack(source):
+    """A ragged stack narrower than 8 VMUs: city rows or random markets."""
+    if source == "city":
+        stack = MarketStack.from_grid(64, seed=7)
+    else:
+        stack = MarketStack(random_markets(64, root_seed=31, max_vmus=7))
+    assert stack.max_vmus < 8
+    assert len(set(stack.counts.tolist())) > 1
+    return stack
+
+
+@pytest.mark.parametrize("source", ["city", "ragged"])
+def test_scalar_refine_equals_batch_at_every_row_count(source):
+    stack = refine_stack(source)
+    rng = np.random.default_rng(5)
+    for rows in range(1, _SCALAR_REFINE_MAX_ROWS + 9):
+        # Scattered rows, gathered by index as the live re-solve does.
+        idx = np.sort(rng.choice(stack.num_markets, rows, replace=False))
+        scratch = _ChunkScratch(rows, stack.max_vmus)
+        scratch.load(stack, idx)
+        scalar = stack._refine_rows_scalar(idx, scratch)
+        batch = marketstack.grid_then_golden_batch(
+            scratch.leader_utilities,
+            stack.unit_costs[idx],
+            stack.max_prices[idx],
+        )
+        for a, b in zip(scalar, batch):
+            assert a.tobytes() == b.tobytes(), rows
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts the solve's calls into the batched golden refinement."""
+    calls = []
+    original = marketstack.grid_then_golden_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(marketstack, "grid_then_golden_batch", counted)
+    return calls
+
+
+def test_row_gate_routes_small_chunks_to_the_scalar_refine(batch_calls):
+    rows = _SCALAR_REFINE_MAX_ROWS + 1
+    stack = MarketStack(random_markets(rows, root_seed=37, max_vmus=7))
+    stack.equilibria_stacked_chunked(chunk_size=_SCALAR_REFINE_MAX_ROWS)
+    assert batch_calls == []
+    MarketStack(stack.markets).equilibria_stacked()
+    assert batch_calls == [rows]
+
+
+def test_width_gate_is_the_solved_rows_widest_population(batch_calls):
+    """The scalar replica sums sequentially, which is bitwise only below
+    width 8: rows of < 8 VMUs take it even in a wider live stack, as they
+    would in a cold solve of just those rows, and a row of 8 or more does
+    not."""
+    markets = random_markets(6, root_seed=41, max_vmus=5)
+    markets[0] = StackelbergMarket(sample_population(9, seed=3))
+    mutable = MutableMarketStack(markets)
+    mutable.equilibria_live()
+    assert batch_calls == [6]
+    mutable.set_fading_gain(2, 0.5)
+    mutable.set_fading_gain(4, 0.7)
+    mutable.equilibria_live()
+    assert batch_calls == [6]
+    mutable.set_fading_gain(0, 0.5)
+    live = mutable.equilibria_live()
+    assert batch_calls == [6, 1]
+    cold = MarketStack(list(mutable.markets)).equilibria_stacked()
+    for name in ("prices", "demands", "msp_utilities", "vmu_utilities"):
+        assert np.array_equal(
+            getattr(live, name), getattr(cold, name), equal_nan=True
+        )

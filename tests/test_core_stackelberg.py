@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from game_oracle import is_concave_on, verify_best_response
 
+from repro.channel.link import paper_link
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.core.utilities import vmu_utility
 from repro.entities.vmu import VmuProfile, paper_fig2_population, uniform_population
@@ -225,6 +226,17 @@ class TestConstraints:
     def test_empty_population_rejected(self):
         with pytest.raises(ConfigurationError):
             StackelbergMarket([])
+
+    @pytest.mark.filterwarnings("error")
+    def test_link_with_zero_spectral_efficiency_rejected(self, market):
+        """A fading gain so small that ``log2(1 + SNR)`` rounds to 0 would
+        divide every best response by zero: the market refuses the link."""
+        link = paper_link().with_fading_gain(1e-320)
+        assert link.spectral_efficiency == 0.0
+        with pytest.raises(ConfigurationError, match="spectral efficiency"):
+            StackelbergMarket(paper_fig2_population(), link=link)
+        with pytest.raises(ConfigurationError, match="spectral efficiency"):
+            market.with_link(link)
 
     def test_invalid_price_rejected(self, market):
         with pytest.raises(ConfigurationError):
