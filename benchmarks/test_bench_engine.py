@@ -9,7 +9,9 @@ Times the two hot paths the engine vectorises and records the evidence in
 - **Rollout collection** — E envs stepped through one episode by the
   vector env (one ``act_batch`` forward + one batched market solve per
   round) vs. E sequential rollouts of the scalar oracle env
-  (``tests/training_oracle.py``).
+  (``tests/training_oracle.py``). Both sides act through the graph
+  actor-critic of ``tests/autograd_oracle.py``, so the ratio isolates
+  batching.
 
 Both comparisons are exact by construction (see tests/test_sim_engine.py
 and tests/test_env_vector.py), so the timing difference is pure overhead
@@ -20,11 +22,12 @@ import time
 
 import pytest
 import numpy as np
+from autograd_oracle import GraphActorCritic
 from game_oracle import scalar_landscape
 from training_oracle import MigrationGameEnv
 
 from repro.core.stackelberg import StackelbergMarket, uniform_price_grid
-from repro.drl.policy import ActionScaler, ActorCritic
+from repro.drl.policy import ActionScaler
 from repro.entities.vmu import paper_fig2_population
 from repro.env import VectorMigrationEnv
 from repro.utils.tables import Table
@@ -92,7 +95,7 @@ def rollout_collection_table() -> tuple[Table, float]:
     market = StackelbergMarket(paper_fig2_population())
     seeds = list(range(NUM_ENVS))
     env = MigrationGameEnv(market, history_length=4, rounds_per_episode=ROUNDS)
-    network = ActorCritic(env.observation_dim, seed=0)
+    network = GraphActorCritic(env.observation_dim, seed=0)
     scaler = ActionScaler(env.action_low, env.action_high)
 
     vector = best_of(

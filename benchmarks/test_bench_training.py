@@ -4,13 +4,13 @@ Times fig2-cadence PPO training (update every 20 rounds, 10 epochs of
 20-sample mini-batches per update) over an ``E = 4`` vector env, twice:
 
 - **seed path** — the production ``VectorTrainer`` driving the autograd
-  ``ReferencePPOAgent`` from ``tests/training_oracle.py``: graph act and
-  value, and per-parameter Adam stepping each tensor through the autograd
-  graph;
+  ``ReferencePPOAgent`` from ``tests/training_oracle.py`` over the graph
+  network of ``tests/autograd_oracle.py``: graph act and value, and
+  per-parameter Adam stepping each tensor through the autograd graph;
 - **fused path** — ``train_pricing_agent``: the same trainer driving
-  ``PPOAgent``, whose graph-free :class:`repro.drl.fused.FusedActorCritic`
-  update writes gradients into the :class:`repro.nn.optim.FlatOptimizer`'s
-  contiguous buffer.
+  ``PPOAgent`` over the flat-parameter ``ActorCritic``, whose graph-free
+  :func:`repro.drl.fused.ppo_update` writes gradients into
+  :class:`repro.drl.fused.FlatAdam`'s contiguous buffer.
 
 Both paths share the rollout storage and the batch GAE, and they are
 bitwise-identical by construction (``tests/test_drl_fused.py`` and
@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 import pytest
+from autograd_oracle import GraphActorCritic
 from training_oracle import ReferencePPOAgent, train_reference
 
 from repro.core.stackelberg import StackelbergMarket
@@ -92,10 +93,13 @@ def interleaved_best_of(repeats=REPEATS):
     return seed_best, fused_best
 
 
-def update_latency(agent_cls, *, calls: int = 100, trials: int = 5) -> float:
+def update_latency(
+    agent_cls, network_cls, *, calls: int = 100, trials: int = 5
+) -> float:
     """Best mean seconds per ``agent.update`` on a fig2-sized mini-batch.
 
-    ``agent_cls`` is ``PPOAgent`` or the oracle's ``ReferencePPOAgent``.
+    ``agent_cls``/``network_cls`` is ``PPOAgent``/``ActorCritic`` or the
+    oracle's ``ReferencePPOAgent``/``GraphActorCritic``.
     Isolates the PPO-update stage the fused path rewrites (forward,
     backward, optimizer step) from the env/rollout stages the two paths
     share. A tiny learning rate keeps the repeatedly-updated parameters in
@@ -112,7 +116,7 @@ def update_latency(agent_cls, *, calls: int = 100, trials: int = 5) -> float:
     )
     best = float("inf")
     for _ in range(trials):
-        network = ActorCritic(obs_dim, (64, 64), seed=np.random.default_rng(3))
+        network = network_cls(obs_dim, (64, 64), seed=np.random.default_rng(3))
         agent = agent_cls(network, PPOConfig(learning_rate=1e-8))
         agent.update(batch)  # warm-up: lazy compiles and first allocations
         start = time.perf_counter()
@@ -126,8 +130,8 @@ def test_training_speedup(record_table, record_json):
     seed_s, fused_s = interleaved_best_of()
     steps = NUM_EPISODES * NUM_ENVS * ROUNDS_PER_EPISODE
     speedup = seed_s / fused_s
-    seed_update_s = update_latency(ReferencePPOAgent)
-    fused_update_s = update_latency(PPOAgent)
+    seed_update_s = update_latency(ReferencePPOAgent, GraphActorCritic)
+    fused_update_s = update_latency(PPOAgent, ActorCritic)
 
     table = Table(
         headers=(

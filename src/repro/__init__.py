@@ -8,8 +8,8 @@ Public API map:
 - :mod:`repro.channel` / :mod:`repro.entities` / :mod:`repro.mobility` —
   the vehicular-metaverse substrates (RSU links, VMU profiles, city-grid
   market generation);
-- :mod:`repro.nn` / :mod:`repro.drl` / :mod:`repro.env` — the from-scratch
-  DRL stack (PPO over the pricing POMDP);
+- :mod:`repro.drl` / :mod:`repro.env` — the from-scratch DRL stack (PPO
+  over the pricing POMDP, one flat-parameter numpy actor-critic);
 - :mod:`repro.baselines` — random/greedy/fixed/oracle pricing;
 - :mod:`repro.sim` — the batched simulation engine (price-batch market
   evaluation, vector envs, batched policy evaluation);

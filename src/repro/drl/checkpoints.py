@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def save_agent(
         "format_version": _FORMAT_VERSION,
         "obs_dim": network.obs_dim,
         "action_dim": network.action_dim,
-        "hidden_sizes": _hidden_sizes(network),
+        "hidden_sizes": list(network.hidden_sizes),
         "action_low": scaler.low,
         "action_high": scaler.high,
         "history_length": history_length,
@@ -86,25 +87,24 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
     The npz archive is opened under a context manager so the file handle
     is closed before returning — a leaked handle keeps the checkpoint
     undeletable on platforms with mandatory file locking, breaking cache
-    cleanup. The stored parameter set must match the rebuilt network
-    exactly; any mismatch raises :class:`ConfigurationError` naming the
-    offending keys.
+    cleanup. A file that is not a readable archive (truncated, garbage,
+    pickled objects), a parameter set that does not match the rebuilt
+    network exactly, or non-finite weights raise
+    :class:`ConfigurationError` naming the path.
     """
-    with np.load(Path(path)) as archive:
-        if _META_KEY not in archive:
-            raise ConfigurationError(f"{path} is not a repro agent checkpoint")
-        meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ConfigurationError(
-                f"unsupported checkpoint version {meta.get('format_version')!r}"
-            )
-        # Materialise the arrays while the archive is open; NpzFile reads
-        # lazily from the underlying zip.
-        state = {
-            key.replace("__", "."): archive[key]
-            for key in archive.files
-            if key != _META_KEY
-        }
+    try:
+        meta, state = _read_archive(Path(path))
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{path} is not a readable agent checkpoint: {exc}"
+        ) from exc
+    if meta is None:
+        raise ConfigurationError(f"{path} is not a repro agent checkpoint")
+    if meta.get("format_version") != _FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported checkpoint version "
+            f"{meta.get('format_version')!r}"
+        )
     network = ActorCritic(
         obs_dim=int(meta["obs_dim"]),
         hidden_sizes=tuple(int(h) for h in meta["hidden_sizes"]),
@@ -125,7 +125,7 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
         network.load_state_dict(state)
     except NeuralNetworkError as exc:
         raise ConfigurationError(
-            f"checkpoint {path} parameters do not fit the rebuilt "
+            f"checkpoint {path} parameters are unusable for the rebuilt "
             f"architecture: {exc}"
         ) from exc
     agent = PPOAgent(
@@ -141,10 +141,26 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
     return agent, scaler, meta
 
 
-def _hidden_sizes(network: ActorCritic) -> list[int]:
-    sizes: list[int] = []
-    for layer in network.trunk._layers:  # noqa: SLF001 - introspection
-        out_features = getattr(layer, "out_features", None)
-        if out_features is not None:
-            sizes.append(int(out_features))
-    return sizes
+def _read_archive(path: Path) -> tuple[dict | None, dict[str, np.ndarray]]:
+    """``(metadata, parameter arrays)`` of an npz archive; metadata is
+    ``None`` when the archive carries none. Unreadable files surface as
+    ``zipfile``/``numpy`` errors (``BadZipFile``, ``EOFError``,
+    ``ValueError``) for :func:`load_agent` to translate. The file is
+    opened here, not by ``np.load``, so it is closed on those errors too
+    (``np.load`` leaks its own handle when the zip directory is bad)."""
+    with open(path, "rb") as handle:
+        loaded = np.load(handle, allow_pickle=False)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ValueError("file holds a bare array, not an npz archive")
+        with loaded as archive:
+            if _META_KEY not in archive:
+                return None, {}
+            meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+            # Materialise the arrays while the archive is open; NpzFile
+            # reads lazily from the underlying zip.
+            state = {
+                key.replace("__", "."): archive[key]
+                for key in archive.files
+                if key != _META_KEY
+            }
+    return meta, state

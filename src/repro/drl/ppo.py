@@ -10,10 +10,11 @@ with importance ratio ``r_k = π_θ(p_k|o_k) / π_θold(p_k|o_k)`` (Eq. 17) and
 practice; it defaults to 0, the strictly-paper objective.
 
 :class:`PPOAgent` evaluates this loss and its gradient in one graph-free
-pass (:mod:`repro.drl.fused`) and steps a flat-buffer Adam. The autograd
-formulation of the same update is the reference agent in
-``tests/training_oracle.py``, which the tests pin the agent against bit for
-bit.
+pass over the flat-parameter :class:`ActorCritic` (:func:`repro.drl.fused.ppo_update`)
+and steps a flat-buffer Adam. The autograd formulation of the same update
+is ``ReferencePPOAgent`` in ``tests/training_oracle.py``, over the graph
+network of ``tests/autograd_oracle.py``; the tests pin the agent against
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.drl.buffer import MiniBatch
-from repro.drl.fused import FusedActorCritic, UpdateStats
+from repro.drl.fused import FlatAdam, UpdateStats, ppo_update
 from repro.drl.policy import ActorCritic
 from repro.errors import ConfigurationError
-from repro.nn.optim import FlatAdam
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_non_negative, require_positive
 
@@ -60,22 +60,18 @@ class PPOConfig:
 class PPOAgent:
     """A PPO learner wrapping a shared-trunk :class:`ActorCritic`.
 
-    Action sampling, value evaluation and the PPO update all run through
-    :class:`repro.drl.fused.FusedActorCritic` over a flat-parameter
-    :class:`repro.nn.optim.FlatAdam`: no autograd graph, gradients written
-    into one contiguous buffer, one fused optimiser step. The network must
-    have the architecture ``ActorCritic`` builds; anything else is a
-    :class:`ConfigurationError` at construction. The test suite pins every
-    method bitwise against an autograd reference agent.
+    Action sampling and value evaluation are the network's own forward
+    pass; the update is :func:`repro.drl.fused.ppo_update` over a
+    :class:`repro.drl.fused.FlatAdam` on the network's parameter buffer:
+    no autograd graph, gradients written into one contiguous buffer, one
+    fused optimiser step. The test suite pins every method bitwise against
+    an autograd reference agent.
     """
 
     def __init__(self, network: ActorCritic, config: PPOConfig | None = None) -> None:
         self.network = network
         self.config = config if config is not None else PPOConfig()
-        self._fused = FusedActorCritic.compile(network)
-        self.optimizer = FlatAdam(
-            list(network.parameters()), learning_rate=self.config.learning_rate
-        )
+        self.optimizer = FlatAdam(network, learning_rate=self.config.learning_rate)
 
     def act(
         self,
@@ -85,12 +81,7 @@ class PPOAgent:
         deterministic: bool = False,
     ) -> tuple[np.ndarray, float, float]:
         """Sample ``(raw_action, log_prob, value)`` for one observation."""
-        raws, log_probs, values = self._fused.act_batch(
-            np.asarray(observation, dtype=np.float64).reshape(1, -1),
-            seed=seed,
-            deterministic=deterministic,
-        )
-        return raws[0], float(log_probs[0]), float(values[0])
+        return self.network.act(observation, seed=seed, deterministic=deterministic)
 
     def act_batch(
         self,
@@ -100,7 +91,7 @@ class PPOAgent:
         deterministic: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched sampling path: one forward pass for ``(E, obs_dim)``."""
-        return self._fused.act_batch(
+        return self.network.act_batch(
             observations, seed=seed, deterministic=deterministic
         )
 
@@ -111,8 +102,13 @@ class PPOAgent:
 
     def value_batch(self, observations: np.ndarray) -> np.ndarray:
         """Critic values for an observation batch, shape ``(E,)``."""
-        return self._fused.value_batch(observations)
+        return self.network.value_batch(observations)
 
     def update(self, batch: MiniBatch) -> UpdateStats:
-        """One gradient step on a mini-batch (Eq. 14)."""
-        return self._fused.update(self.optimizer, self.config, batch)
+        """One gradient step on a mini-batch (Eq. 14).
+
+        Raises :class:`repro.errors.GradientError`, with the network and
+        optimiser state untouched, if the batch yields a non-finite
+        gradient.
+        """
+        return ppo_update(self.network, self.optimizer, self.config, batch)

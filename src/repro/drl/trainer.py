@@ -11,7 +11,8 @@ batch of envs stepped in lockstep (a one-env batch is the paper's scalar
 loop). It stores rounds in :class:`VectorRolloutStorage`, computes GAE for
 the whole batch at once, and drives the fused :class:`PPOAgent`. The scalar
 per-transition trainer and the autograd agent it is pinned against live in
-``tests/training_oracle.py``.
+``tests/training_oracle.py`` (the agent's graph network in
+``tests/autograd_oracle.py``).
 
 Returns a :class:`TrainingResult` with per-episode return and utility
 traces — the series plotted in Fig. 2(a) and Fig. 2(b).

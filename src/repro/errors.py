@@ -38,11 +38,15 @@ class InfeasibleMarketError(GameError):
 
 
 class NeuralNetworkError(ReproError):
-    """An invalid operation on the autograd/neural-network substrate."""
+    """An invalid operation on the actor-critic network or its optimiser
+    (a bad hyper-parameter, or a state dict whose keys, shapes or values
+    do not fit)."""
 
 
 class GradientError(NeuralNetworkError):
-    """Backward pass requested on a graph that cannot provide gradients."""
+    """A gradient that cannot be used: a PPO update whose gradient norm is
+    not finite (the update is refused and the network left unchanged), or
+    a backward pass on a graph that cannot provide one."""
 
 
 class EnvironmentError_(ReproError):

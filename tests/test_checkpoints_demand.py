@@ -1,6 +1,8 @@
 """Checkpointing and demand-driven capacity-sizing tests."""
 
 import math
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,119 @@ class TestCheckpoints:
         buffer.finalize(0.0)
         stats = loaded.update(buffer.sample(8, seed=0))
         assert np.isfinite(stats.policy_loss)
+
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_truncated_file_rejected(self, tmp_path):
+        """Typed error naming the path, and no leaked file handle (a bad
+        zip directory makes ``np.load`` drop its own handle unclosed)."""
+        import gc
+        import warnings
+
+        agent, scaler = self._agent()
+        path = save_agent(tmp_path / "a.npz", agent, scaler)
+        data = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for cut in (len(data) // 2, len(data) - 10, 3):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ConfigurationError, match="a.npz"):
+                    load_agent(path)
+            gc.collect()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"garbage, not an archive " * 8, b""],
+        ids=["garbage", "empty"],
+    )
+    def test_garbage_file_rejected(self, tmp_path, payload):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigurationError, match="junk.npz"):
+            load_agent(path)
+
+    def test_bare_array_file_rejected(self, tmp_path):
+        path = tmp_path / "bare.npz"
+        with open(path, "wb") as handle:
+            np.save(handle, np.zeros(3))
+        with pytest.raises(ConfigurationError, match="bare.npz"):
+            load_agent(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, value):
+        """Poisoned weights must not load: a NaN weight makes every later
+        act return NaN log-probabilities."""
+        agent, scaler = self._agent()
+        path = save_agent(tmp_path / "a.npz", agent, scaler)
+
+        def poison(arrays):
+            arrays["trunk__layer2__weight"] = arrays["trunk__layer2__weight"].copy()
+            arrays["trunk__layer2__weight"][1, 2] = value
+
+        self._rewrite_checkpoint(path, poison)
+        with pytest.raises(ConfigurationError, match="a.npz.*trunk.layer2.weight"):
+            load_agent(path)
+
+
+FIXTURES = Path(__file__).resolve().parent / "data"
+
+
+class TestCheckpointCompatibility:
+    """``data/parent_agent.npz`` was written by ``save_agent`` when the
+    network was still a Module of autograd tensors (a 6-input, (8, 8)
+    network, seed 7, after three PPO updates), and
+    ``data/parent_agent_outputs.npz`` holds that network's deterministic
+    ``act_batch`` and ``value_batch`` on a fixed observation batch. The
+    flat network must load it unchanged."""
+
+    def test_state_dict_is_the_stored_arrays(self):
+        agent, scaler, meta = load_agent(FIXTURES / "parent_agent.npz")
+        with np.load(FIXTURES / "parent_agent.npz") as archive:
+            stored = {
+                key.replace("__", "."): archive[key]
+                for key in archive.files
+                if key != "__checkpoint_meta__"
+            }
+        state = agent.network.state_dict()
+        assert sorted(state) == sorted(stored)
+        for name, value in stored.items():
+            assert state[name].dtype == value.dtype
+            assert state[name].tobytes() == value.tobytes(), name
+        assert meta["hidden_sizes"] == [8, 8]
+        assert (scaler.low, scaler.high) == (5.0, 50.0)
+
+    def test_recorded_outputs_match(self):
+        agent, _, _ = load_agent(FIXTURES / "parent_agent.npz")
+        with np.load(FIXTURES / "parent_agent_outputs.npz") as recorded:
+            observations = recorded["observations"]
+            raws, log_probs, values = agent.act_batch(
+                observations, deterministic=True
+            )
+            np.testing.assert_allclose(raws, recorded["raws"], rtol=1e-12)
+            np.testing.assert_allclose(log_probs, recorded["log_probs"], rtol=1e-12)
+            np.testing.assert_allclose(values, recorded["values"], rtol=1e-12)
+            np.testing.assert_allclose(
+                agent.value_batch(observations), recorded["value_batch"], rtol=1e-12
+            )
+
+    def test_save_load_round_trip_is_byte_stable(self, tmp_path):
+        """Re-saving the loaded fixture reproduces every archive member
+        byte for byte (the zip container itself carries timestamps)."""
+        agent, scaler, meta = load_agent(FIXTURES / "parent_agent.npz")
+        path = save_agent(
+            tmp_path / "again.npz",
+            agent,
+            scaler,
+            history_length=meta["history_length"],
+        )
+        again, _, _ = load_agent(path)
+        for name, value in agent.network.state_dict().items():
+            assert again.network.state_dict()[name].tobytes() == value.tobytes()
+        with zipfile.ZipFile(FIXTURES / "parent_agent.npz") as original:
+            with zipfile.ZipFile(path) as resaved:
+                assert sorted(original.namelist()) == sorted(resaved.namelist())
+                for member in original.namelist():
+                    assert original.read(member) == resaved.read(member), member
 
 
 class TestCapacitySizing:

@@ -1,27 +1,28 @@
 """Fused training hot path: bitwise pins against the reference implementations.
 
-Every fast path introduced by the flat-parameter/fused refactor is pinned
-here against its seed counterpart, bit for bit:
+Every fast path of the flat-parameter training stack is pinned here against
+its reference counterpart, bit for bit:
 
-- :class:`FlatSGD` / :class:`FlatAdam` vs the per-parameter ``SGD`` /
-  ``Adam`` loops (including None-grad skips, clipping, and
-  ``load_state_dict``-style data re-binds);
-- :func:`global_grad_norm` / :func:`clip_grad_norm` vs the historical
-  per-parameter Python reduction;
+- the flat :class:`ActorCritic` vs the oracle's graph network: identical
+  initial ``state_dict`` from the same seed, identical act/value outputs;
+- :class:`FlatAdam` (whole-buffer clip and Adam step) vs the oracle's
+  per-parameter ``clip_grad_norm`` + ``Adam``;
 - the batched GAE/returns recursions vs the oracle's scalar
   per-trajectory ones;
 - :class:`VectorRolloutStorage` pooling vs the oracle's per-env
   ``RolloutBuffer`` finalize + ``concatenate_minibatches``;
-- :class:`FusedActorCritic` act/value/update (through ``PPOAgent``) vs the
-  oracle's autograd ``ReferencePPOAgent``.
+- the graph-free PPO update (through ``PPOAgent``) vs the oracle's
+  autograd ``ReferencePPOAgent``.
 
-The oracles live in ``tests/training_oracle.py``.
+The oracles live in ``tests/autograd_oracle.py`` and
+``tests/training_oracle.py``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from autograd_oracle import Adam, GraphActorCritic, Tensor, clip_grad_norm
 from training_oracle import (
     ReferencePPOAgent,
     RolloutBuffer,
@@ -31,21 +32,11 @@ from training_oracle import (
 )
 
 from repro.drl.buffer import MiniBatch, VectorRolloutStorage
-from repro.drl.fused import FusedActorCritic
+from repro.drl.fused import FlatAdam
 from repro.drl.gae import discounted_returns_batch, generalized_advantages_batch
 from repro.drl.policy import ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
-from repro.errors import ConfigurationError, NeuralNetworkError
-from repro.nn.modules import Linear, Sequential
-from repro.nn.optim import (
-    SGD,
-    Adam,
-    FlatAdam,
-    FlatSGD,
-    clip_grad_norm,
-    global_grad_norm,
-)
-from repro.nn.tensor import Tensor
+from repro.errors import ConfigurationError, GradientError, NeuralNetworkError
 
 SHAPES = [(3,), (4, 3), (4,), (1, 4), (1,)]
 
@@ -55,159 +46,147 @@ def make_params(seed):
     return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in SHAPES]
 
 
-def set_grads(params, rng, *, none_indices=()):
-    for index, parameter in enumerate(params):
-        if index in none_indices:
-            parameter.grad = None
-        else:
-            parameter.grad = rng.normal(size=parameter.data.shape)
+def set_grads(params, rng):
+    for parameter in params:
+        parameter.grad = rng.normal(size=parameter.data.shape)
 
 
-def assert_params_equal(left, right):
-    for a, b in zip(left, right):
-        np.testing.assert_array_equal(a.data, b.data)
+def twin_networks(seed=0, **kwargs):
+    """A flat network and the oracle's graph network from one seed."""
+    kwargs = {"obs_dim": 5, "hidden_sizes": (6, 4), **kwargs}
+    return ActorCritic(seed=seed, **kwargs), GraphActorCritic(seed=seed, **kwargs)
+
+
+def assert_same_state(flat, graph):
+    flat_state, graph_state = flat.state_dict(), graph.state_dict()
+    assert list(flat_state) == list(graph_state)
+    for name, value in graph_state.items():
+        np.testing.assert_array_equal(flat_state[name], value, err_msg=name)
+
+
+def set_twin_grads(optimizer, graph, rng):
+    """Write one random gradient set into both networks' gradients."""
+    for view, parameter in zip(optimizer.grad_views, graph.parameters()):
+        parameter.grad = rng.normal(size=parameter.data.shape)
+        view[...] = parameter.grad
+
+
+class TestFlatNetworkMatchesGraph:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"obs_dim": 12, "hidden_sizes": (64, 64)},
+            {"hidden_sizes": (7,), "action_dim": 2, "initial_log_std": 0.3},
+        ],
+    )
+    def test_initial_state_dict_bitwise(self, kwargs):
+        """Same seeds, same ``orthogonal`` draws, same order: the flat
+        network starts from the graph network's exact weights, for an int
+        seed and for a generator seed alike."""
+        assert_same_state(*twin_networks(seed=4, **kwargs))
+        kwargs = {"obs_dim": 5, "hidden_sizes": (6, 4), **kwargs}
+        assert_same_state(
+            ActorCritic(seed=np.random.default_rng(9), **kwargs),
+            GraphActorCritic(seed=np.random.default_rng(9), **kwargs),
+        )
 
 
 class TestFlatOptimizersBitwise:
-    def _run_pair(self, ref_opt_factory, flat_opt_factory, *, steps=12, clip=None):
-        ref_params = make_params(seed=0)
-        flat_params = make_params(seed=0)
-        ref_opt = ref_opt_factory(ref_params)
-        flat_opt = flat_opt_factory(flat_params)
+    def _run_pair(self, *, steps=12, clip=None):
+        flat, graph = twin_networks()
+        ref_opt = Adam(list(graph.parameters()), learning_rate=0.01)
+        flat_opt = FlatAdam(flat, learning_rate=0.01)
         for step in range(steps):
-            rng_ref = np.random.default_rng(100 + step)
-            rng_flat = np.random.default_rng(100 + step)
-            none_indices = (1, 3) if step % 4 == 2 else ()
-            set_grads(ref_params, rng_ref, none_indices=none_indices)
-            set_grads(flat_params, rng_flat, none_indices=none_indices)
+            set_twin_grads(flat_opt, graph, np.random.default_rng(100 + step))
             if clip is not None:
-                ref_norm = clip_grad_norm(
-                    [p for p in ref_params if p.grad is not None], clip
-                )
+                ref_norm = clip_grad_norm(graph.parameters(), clip)
                 ref_opt.step()
-                flat_norm = flat_opt.fused_step(max_grad_norm=clip)
-                assert flat_norm == ref_norm
+                assert flat_opt.step(clip) == ref_norm
             else:
                 ref_opt.step()
-                flat_opt.step()
-            assert_params_equal(ref_params, flat_params)
+                flat_opt.step(math.inf)
+            assert_same_state(flat, graph)
 
     def test_flat_adam_matches_adam(self):
-        self._run_pair(
-            lambda p: Adam(p, learning_rate=0.01),
-            lambda p: FlatAdam(p, learning_rate=0.01),
-        )
+        self._run_pair()
 
     def test_flat_adam_matches_adam_with_clipping(self):
-        self._run_pair(
-            lambda p: Adam(p, learning_rate=0.01),
-            lambda p: FlatAdam(p, learning_rate=0.01),
-            clip=0.5,
-        )
-
-    def test_flat_sgd_matches_sgd_with_momentum(self):
-        self._run_pair(
-            lambda p: SGD(p, learning_rate=0.05, momentum=0.9),
-            lambda p: FlatSGD(p, learning_rate=0.05, momentum=0.9),
-        )
-
-    def test_flat_sgd_matches_sgd_with_clipping(self):
-        self._run_pair(
-            lambda p: SGD(p, learning_rate=0.05, momentum=0.9),
-            lambda p: FlatSGD(p, learning_rate=0.05, momentum=0.9),
-            clip=0.25,
-        )
+        self._run_pair(clip=0.5)
 
     def test_parameters_view_into_flat_buffer(self):
-        params = make_params(seed=1)
-        opt = FlatAdam(params, learning_rate=0.01)
-        flat = opt.flat_parameters
+        net = ActorCritic(obs_dim=5, hidden_sizes=(6, 4), action_dim=3, seed=1)
+        flat = net.flat_parameters
         base_addr = flat.__array_interface__["data"][0]
         offset = 0
-        for parameter, shape in zip(params, SHAPES):
-            size = int(np.prod(shape))
-            np.testing.assert_array_equal(
-                parameter.data.ravel(), flat[offset : offset + size]
-            )
-            assert parameter.data.base is not None
+        for _, view in net.named_parameters():
+            size = view.size
+            np.testing.assert_array_equal(view.ravel(), flat[offset : offset + size])
+            assert view.base is flat
+            assert view.flags.c_contiguous
             # segment starts keep standalone-allocation alignment (64-byte)
-            view_addr = parameter.data.__array_interface__["data"][0]
+            view_addr = view.__array_interface__["data"][0]
             assert (view_addr - base_addr) % 64 == 0
             offset += -(-size // 8) * 8
         assert flat.size == offset
+        assert net.num_parameters() == sum(v.size for _, v in net.named_parameters())
 
     def test_data_rebind_is_readopted(self):
-        """A ``load_state_dict``-style ``parameter.data = fresh_array``
-        re-bind must be adopted back into the flat buffer on the next step."""
-        ref_params = make_params(seed=2)
-        flat_params = make_params(seed=2)
-        ref_opt = Adam(ref_params, learning_rate=0.01)
-        flat_opt = FlatAdam(flat_params, learning_rate=0.01)
+        """A ``load_state_dict`` between steps (a data re-bind on the graph
+        network) must land in the buffer the next flat step updates."""
+        flat, graph = twin_networks(seed=2)
+        ref_opt = Adam(list(graph.parameters()), learning_rate=0.01)
+        flat_opt = FlatAdam(flat, learning_rate=0.01)
         rng = np.random.default_rng(7)
-        replacement = [rng.normal(size=shape) for shape in SHAPES]
-        for parameter, fresh in zip(ref_params, replacement):
-            parameter.data = fresh.copy()
-        for parameter, fresh in zip(flat_params, replacement):
-            parameter.data = fresh.copy()
-        set_grads(ref_params, np.random.default_rng(8))
-        set_grads(flat_params, np.random.default_rng(8))
+        replacement = {
+            name: rng.normal(size=value.shape)
+            for name, value in graph.state_dict().items()
+        }
+        graph.load_state_dict(replacement)
+        flat.load_state_dict(replacement)
+        set_twin_grads(flat_opt, graph, np.random.default_rng(8))
         ref_opt.step()
-        flat_opt.step()
-        assert_params_equal(ref_params, flat_params)
-        # The flat optimiser's view is re-bound as parameter.data again.
-        for parameter in flat_params:
-            assert parameter.data.base is flat_opt.flat_parameters.base or (
-                parameter.data.base is not None
-            )
+        flat_opt.step(math.inf)
+        assert_same_state(flat, graph)
+        for _, view in flat.named_parameters():
+            assert view.base is flat.flat_parameters
 
     def test_step_count_advances_like_reference(self):
-        """Adam's bias correction depends on the step counter advancing
-        even when no parameter has a gradient."""
-        ref_params = make_params(seed=3)
-        flat_params = make_params(seed=3)
-        ref_opt = Adam(ref_params, learning_rate=0.01)
-        flat_opt = FlatAdam(flat_params, learning_rate=0.01)
-        set_grads(ref_params, np.random.default_rng(1))
-        set_grads(flat_params, np.random.default_rng(1))
-        ref_opt.step()
-        flat_opt.step()
-        set_grads(ref_params, np.random.default_rng(2), none_indices=range(len(SHAPES)))
-        set_grads(flat_params, np.random.default_rng(2), none_indices=range(len(SHAPES)))
-        ref_opt.step()
-        flat_opt.step()
-        set_grads(ref_params, np.random.default_rng(3))
-        set_grads(flat_params, np.random.default_rng(3))
-        ref_opt.step()
-        flat_opt.step()
+        """Adam's bias correction depends on the step counter."""
+        flat, graph = twin_networks(seed=3)
+        ref_opt = Adam(list(graph.parameters()), learning_rate=0.01)
+        flat_opt = FlatAdam(flat, learning_rate=0.01)
+        for seed in (1, 2, 3):
+            set_twin_grads(flat_opt, graph, np.random.default_rng(seed))
+            ref_opt.step()
+            flat_opt.step(math.inf)
         assert ref_opt.step_count == flat_opt.step_count == 3
-        assert_params_equal(ref_params, flat_params)
+        assert_same_state(flat, graph)
 
     def test_validation(self):
-        params = make_params(seed=4)
+        net = ActorCritic(obs_dim=4, hidden_sizes=(3,), seed=4)
         with pytest.raises(NeuralNetworkError):
-            FlatAdam(params, learning_rate=-1.0)
+            FlatAdam(net, learning_rate=-1.0)
         with pytest.raises(NeuralNetworkError):
-            FlatAdam(params, learning_rate=0.1, beta1=1.0)
+            FlatAdam(net, learning_rate=float("nan"))
         with pytest.raises(NeuralNetworkError):
-            FlatAdam(params, learning_rate=0.1, epsilon=0.0)
+            FlatAdam(net, learning_rate=0.1, beta1=1.0)
         with pytest.raises(NeuralNetworkError):
-            FlatSGD(params, learning_rate=0.1, momentum=1.0)
+            FlatAdam(net, learning_rate=0.1, epsilon=0.0)
+        opt = FlatAdam(net, learning_rate=0.1)
         with pytest.raises(NeuralNetworkError):
-            FlatSGD([], learning_rate=0.1)
-        opt = FlatAdam(make_params(seed=4), learning_rate=0.1)
-        with pytest.raises(NeuralNetworkError):
-            opt.fused_step(max_grad_norm=0.0)
+            opt.step(0.0)
 
 
 class TestGlobalGradNorm:
     def test_matches_python_reduction_bitwise(self):
+        net = ActorCritic(obs_dim=5, hidden_sizes=(6, 4), seed=0)
+        opt = FlatAdam(net, learning_rate=0.01)
         rng = np.random.default_rng(0)
-        grads = [rng.normal(size=shape) * 10.0 for shape in SHAPES]
-        reference = math.sqrt(sum(float((g**2).sum()) for g in grads))
-        assert global_grad_norm(grads) == reference
-
-    def test_empty_is_zero(self):
-        assert global_grad_norm([]) == 0.0
+        for view in opt.grad_views:
+            view[...] = rng.normal(size=view.shape) * 10.0
+        reference = math.sqrt(sum(float((g**2).sum()) for g in opt.grad_views))
+        assert opt.grad_norm() == reference
 
     def test_clip_grad_norm_matches_historical_loop(self):
         rng = np.random.default_rng(1)
@@ -386,43 +365,30 @@ class TestFusedActorCritic:
         net = ActorCritic(obs_dim=6, hidden_sizes=(16, 16), seed=0)
         agent = PPOAgent(net, PPOConfig(learning_rate=1e-3))
         assert isinstance(agent.optimizer, FlatAdam)
-        # The flat optimizer re-binds every parameter as a view into its
-        # one contiguous buffer.
-        for parameter in net.parameters():
-            assert parameter.data.base is not None
-
-    def test_compile_rejects_foreign_architectures(self):
-        with pytest.raises(ConfigurationError):
-            FusedActorCritic.compile(object())
-        frozen = ActorCritic(obs_dim=6, seed=0)
-        frozen.log_std.requires_grad = False
-        with pytest.raises(ConfigurationError):
-            PPOAgent(frozen, PPOConfig(learning_rate=1e-3))
-        untanhed = ActorCritic(obs_dim=6, hidden_sizes=(8,), seed=0)
-        untanhed.trunk = Sequential(Linear(6, 8, seed=0), Linear(8, 8, seed=1))
-        with pytest.raises(ConfigurationError, match="cannot fuse"):
-            PPOAgent(untanhed, PPOConfig(learning_rate=1e-3))
+        # The optimiser steps the network's own buffer; every parameter
+        # is a view into it.
+        assert agent.optimizer.flat_grad.shape == net.flat_parameters.shape
+        for _, view in net.named_parameters():
+            assert view.base is net.flat_parameters
 
     def test_act_batch_bitwise(self):
-        net = ActorCritic(obs_dim=5, hidden_sizes=(16, 16), seed=0)
-        fused = FusedActorCritic.compile(net)
+        net, graph = twin_networks(obs_dim=5, hidden_sizes=(16, 16))
         rng = np.random.default_rng(0)
         observations = rng.normal(size=(7, 5))
         for deterministic in (False, True):
-            expected = net.act_batch(
+            expected = graph.act_batch(
                 observations, seed=42, deterministic=deterministic
             )
-            actual = fused.act_batch(
+            actual = net.act_batch(
                 observations, seed=42, deterministic=deterministic
             )
             for a, b in zip(actual, expected):
                 np.testing.assert_array_equal(a, b)
 
     def test_act_scalar_bitwise(self):
-        net = ActorCritic(obs_dim=5, seed=0)
-        fused_agent = PPOAgent(net, PPOConfig(learning_rate=1e-3))
+        fused_agent = PPOAgent(ActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3))
         legacy_agent = ReferencePPOAgent(
-            ActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3)
+            GraphActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3)
         )
         observation = np.linspace(-1.0, 1.0, 5)
         raw_f, logp_f, value_f = fused_agent.act(observation, seed=3)
@@ -432,10 +398,9 @@ class TestFusedActorCritic:
         assert value_f == value_l
 
     def test_value_batch_bitwise(self):
-        net = ActorCritic(obs_dim=5, seed=0)
-        fused_agent = PPOAgent(net, PPOConfig(learning_rate=1e-3))
+        fused_agent = PPOAgent(ActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3))
         legacy_agent = ReferencePPOAgent(
-            ActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3)
+            GraphActorCritic(obs_dim=5, seed=0), PPOConfig(learning_rate=1e-3)
         )
         rng = np.random.default_rng(1)
         observations = rng.normal(size=(9, 5))
@@ -461,7 +426,7 @@ class TestFusedActorCritic:
             ActorCritic(obs_dim=obs_dim, hidden_sizes=(16, 16), seed=0), config
         )
         legacy_agent = ReferencePPOAgent(
-            ActorCritic(obs_dim=obs_dim, hidden_sizes=(16, 16), seed=0), config
+            GraphActorCritic(obs_dim=obs_dim, hidden_sizes=(16, 16), seed=0), config
         )
         rng = np.random.default_rng(0)
         for step in range(8):
@@ -469,24 +434,48 @@ class TestFusedActorCritic:
             fused_stats = fused_agent.update(batch)
             legacy_stats = legacy_agent.update(batch)
             assert fused_stats == legacy_stats, f"step {step}"
-            assert_params_equal(
-                list(fused_agent.network.parameters()),
-                list(legacy_agent.network.parameters()),
-            )
+            assert_same_state(fused_agent.network, legacy_agent.network)
 
     def test_update_single_sample_batch(self):
         """size-1 batches skip advantage normalisation in both paths."""
         config = PPOConfig(learning_rate=1e-3)
         fused_agent = PPOAgent(ActorCritic(obs_dim=4, seed=0), config)
-        legacy_agent = ReferencePPOAgent(ActorCritic(obs_dim=4, seed=0), config)
+        legacy_agent = ReferencePPOAgent(GraphActorCritic(obs_dim=4, seed=0), config)
         rng = np.random.default_rng(2)
         batch = random_minibatch(rng, 1, 4, 1)
         assert fused_agent.update(batch) == legacy_agent.update(batch)
 
     def test_bad_observation_shape_rejected(self):
         net = ActorCritic(obs_dim=5, seed=0)
-        fused = FusedActorCritic.compile(net)
         with pytest.raises(ConfigurationError):
-            fused.value_batch(np.zeros((3, 4)))
+            net.value_batch(np.zeros((3, 4)))
         with pytest.raises(ConfigurationError):
-            fused.act_batch(np.zeros((3, 4)))
+            net.act_batch(np.zeros((3, 4)))
+
+
+class TestNonFiniteUpdate:
+    @pytest.mark.parametrize("field", ["advantages", "returns", "observations"])
+    def test_poisoned_batch_is_refused_and_leaves_the_agent_intact(self, field):
+        """A NaN anywhere in the batch makes the gradient norm NaN. The
+        update must raise before the Adam step, so parameters, moments and
+        the step counter are exactly as if the batch never arrived."""
+        config = PPOConfig(learning_rate=1e-3)
+        rng = np.random.default_rng(0)
+        first, poisoned, last = (random_minibatch(rng, 20, 6, 1) for _ in range(3))
+        getattr(poisoned, field).flat[7] = np.nan
+        agent = PPOAgent(ActorCritic(obs_dim=6, hidden_sizes=(8, 8), seed=0), config)
+        clean = PPOAgent(ActorCritic(obs_dim=6, hidden_sizes=(8, 8), seed=0), config)
+        agent.update(first)
+        clean.update(first)
+        with pytest.raises(GradientError, match="non-finite"):
+            agent.update(poisoned)
+        assert agent.optimizer.step_count == 1
+        for name, value in clean.network.state_dict().items():
+            np.testing.assert_array_equal(agent.network.state_dict()[name], value)
+        assert agent.update(last) == clean.update(last)
+        np.testing.assert_array_equal(
+            agent.network.flat_parameters, clean.network.flat_parameters
+        )
+        raws, log_probs, values = agent.act_batch(last.observations, seed=1)
+        assert np.isfinite(raws).all() and np.isfinite(log_probs).all()
+        assert np.isfinite(values).all()

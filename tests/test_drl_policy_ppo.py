@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 from training_oracle import RolloutBuffer
 
 from repro.drl.buffer import MiniBatch
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
 from repro.errors import ConfigurationError
-from repro.nn.tensor import Tensor
 
 NAN, INF = float("nan"), float("inf")
 
@@ -76,15 +76,14 @@ class TestActionScaler:
 class TestActorCritic:
     def test_distribution_and_value_shapes(self):
         net = ActorCritic(obs_dim=12, hidden_sizes=(64, 64), seed=0)
-        obs = Tensor(np.zeros((7, 12)))
-        dist, value = net.evaluate(obs)
-        assert dist.mean.shape == (7, 1)
+        _, _, mean, value = net.forward(np.zeros((7, 12)))
+        assert mean.shape == (7, 1)
         assert value.shape == (7,)
 
     def test_wrong_obs_width_rejected(self):
         net = ActorCritic(obs_dim=12, seed=0)
         with pytest.raises(ConfigurationError):
-            net.value(Tensor(np.zeros((2, 5))))
+            net.value_batch(np.zeros((2, 5)))
 
     def test_act_deterministic_is_repeatable(self):
         net = ActorCritic(obs_dim=4, seed=0)
@@ -104,33 +103,55 @@ class TestActorCritic:
         net = ActorCritic(obs_dim=4, seed=0)
         obs = np.ones(4)
         raw, log_prob, _ = net.act(obs, seed=3)
-        dist = net.distribution(Tensor(obs.reshape(1, -1)))
-        assert dist.log_prob(raw.reshape(1, -1)).data[0] == pytest.approx(log_prob)
+        mean, _, _ = net.act(obs, deterministic=True)
+        reference = stats.norm(mean[0], np.exp(net.log_std[0])).logpdf(raw[0])
+        assert log_prob == pytest.approx(reference, rel=1e-12)
 
     def test_shared_trunk_feeds_both_heads(self):
-        """A gradient step through the value head must move trunk params
-        (the paper: policy and value share θ)."""
+        """A gradient step through the value head alone must move trunk
+        params (the paper: policy and value share θ)."""
         net = ActorCritic(obs_dim=4, seed=0)
-        value = net.value(Tensor(np.ones((2, 4))))
-        value.sum().backward()
-        trunk_grads = [p.grad for p in net.trunk.parameters()]
-        assert any(g is not None and np.abs(g).sum() > 0 for g in trunk_grads)
+        agent = PPOAgent(net, PPOConfig(learning_rate=1e-2))
+        trunk_before = [w.copy() for w, _ in net.trunk]
+        rng = np.random.default_rng(0)
+        # Zero advantages and no entropy bonus: only the value loss has a
+        # gradient.
+        agent.update(
+            MiniBatch(
+                observations=rng.normal(size=(4, 4)),
+                actions=rng.normal(size=(4, 1)),
+                old_log_probs=np.zeros(4),
+                advantages=np.zeros(4),
+                returns=np.full(4, 5.0),
+            )
+        )
+        assert np.abs(agent.optimizer.grad_views[0]).sum() == 0.0  # log_std
+        assert all(
+            not np.array_equal(before, weight)
+            for before, (weight, _) in zip(trunk_before, net.trunk)
+        )
 
     def test_log_std_is_trainable(self):
         net = ActorCritic(obs_dim=4, seed=0)
-        assert any(p is net.log_std for p in net.parameters())
+        assert dict(net.named_parameters())["log_std"] is net.log_std
+        agent = PPOAgent(net, PPOConfig(learning_rate=1e-2, entropy_coef=0.1))
+        before = net.log_std.copy()
+        agent.update(make_batch(agent))
+        assert net.log_std[0] != before[0]
 
     def test_initial_policy_near_mid(self):
         # Small actor-head gain: raw mean ~0 at init (mid price after scaling).
         net = ActorCritic(obs_dim=4, seed=0)
-        dist = net.distribution(Tensor(np.random.default_rng(0).normal(size=(10, 4))))
-        assert np.abs(dist.mean.data).max() < 0.2
+        _, _, mean, _ = net.forward(np.random.default_rng(0).normal(size=(10, 4)))
+        assert np.abs(mean).max() < 0.2
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             ActorCritic(obs_dim=0)
         with pytest.raises(ConfigurationError):
             ActorCritic(obs_dim=4, hidden_sizes=())
+        with pytest.raises(ConfigurationError):
+            ActorCritic(obs_dim=4, hidden_sizes=(8, 0))
 
 
 def make_batch(agent: PPOAgent, n=16, seed=0) -> MiniBatch:
@@ -180,11 +201,11 @@ class TestPPOAgent:
         )
         obs = np.zeros(2)
         def mean_abs_action():
-            dist = agent.network.distribution(Tensor(obs.reshape(1, -1)))
-            return abs(float(dist.mean.data[0, 0]))
+            raw, _, _ = agent.act(obs, deterministic=True)
+            return abs(float(raw[0]))
         # Nudge the policy off-centre first so there is something to learn.
-        for p in agent.network.actor_head.parameters():
-            p.data = p.data + 0.3
+        for parameter in agent.network.actor_head:
+            parameter += 0.3
         start = mean_abs_action()
         rng = np.random.default_rng(0)
         for _ in range(60):

@@ -105,8 +105,10 @@ def test_fig2_smoke_training_fused_matches_reference(market):
     assert result_a.episode_mean_utilities == result_b.episode_mean_utilities
     assert result_a.episode_final_prices == result_b.episode_final_prices
     assert result_a.update_stats == result_b.update_stats
-    for p, q in zip(agent_a.network.parameters(), agent_b.network.parameters()):
-        np.testing.assert_array_equal(p.data, q.data)
+    state_a, state_b = agent_a.network.state_dict(), agent_b.network.state_dict()
+    assert list(state_a) == list(state_b)
+    for name, value in state_b.items():
+        np.testing.assert_array_equal(state_a[name], value, err_msg=name)
 
 
 class TestConcurrentCollection:

@@ -1,15 +1,34 @@
-"""Module/optimiser/distribution tests for the neural substrate."""
+"""Module/optimiser/distribution tests for the test oracle's graph
+substrate (``tests/autograd_oracle.py``), plus the production
+``orthogonal`` initialiser both networks draw their weights from."""
 
 import numpy as np
 import pytest
+from autograd_oracle import (
+    Adam,
+    DiagonalGaussian,
+    Linear,
+    Sequential,
+    Tanh,
+    Tensor,
+    clip_grad_norm,
+    constant,
+    zeros,
+)
 from scipy import stats
 
+from repro.drl.policy import orthogonal
 from repro.errors import NeuralNetworkError
-from repro.nn.distributions import DiagonalGaussian
-from repro.nn.init import constant, orthogonal, xavier_uniform, zeros
-from repro.nn.modules import MLP, Linear, ReLU, Sequential, Tanh
-from repro.nn.optim import SGD, Adam, clip_grad_norm
-from repro.nn.tensor import Tensor
+
+
+def mlp(in_features, hidden_sizes, out_features, *, seed=0):
+    """A Linear/Tanh stack with a linear output layer."""
+    rng = np.random.default_rng(seed)
+    sizes = [in_features, *hidden_sizes]
+    layers = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        layers += [Linear(fan_in, fan_out, gain=float(np.sqrt(2.0)), seed=rng), Tanh()]
+    return Sequential(*layers, Linear(sizes[-1], out_features, seed=rng))
 
 
 class TestInit:
@@ -29,16 +48,11 @@ class TestInit:
     def test_orthogonal_deterministic(self):
         np.testing.assert_array_equal(orthogonal(5, 5, seed=1), orthogonal(5, 5, seed=1))
 
-    def test_xavier_bounds(self):
-        w = xavier_uniform(100, 50, seed=0)
-        limit = np.sqrt(6.0 / 150.0)
-        assert np.abs(w).max() <= limit
-
     def test_invalid_fans(self):
         with pytest.raises(ValueError):
             orthogonal(0, 4)
         with pytest.raises(ValueError):
-            xavier_uniform(4, 0)
+            orthogonal(4, 0)
 
     def test_zeros_and_constant(self):
         assert zeros(3).sum() == 0.0
@@ -70,30 +84,30 @@ class TestLinear:
 class TestModuleInfrastructure:
     def test_mlp_parameter_count(self):
         # (12->64) + (64->64) + (64->1) weights + biases.
-        net = MLP(12, (64, 64), 1, seed=0)
+        net = mlp(12, (64, 64), 1, seed=0)
         expected = 12 * 64 + 64 + 64 * 64 + 64 + 64 * 1 + 1
         assert net.num_parameters() == expected
 
     def test_named_parameters_unique(self):
-        net = MLP(4, (8,), 2, seed=0)
+        net = mlp(4, (8,), 2, seed=0)
         names = [name for name, _ in net.named_parameters()]
         assert len(names) == len(set(names))
 
     def test_state_dict_round_trip(self):
-        a = MLP(4, (8,), 2, seed=0)
-        b = MLP(4, (8,), 2, seed=1)
+        a = mlp(4, (8,), 2, seed=0)
+        b = mlp(4, (8,), 2, seed=1)
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
         assert not np.allclose(a(x).data, b(x).data)
         b.load_state_dict(a.state_dict())
         np.testing.assert_allclose(a(x).data, b(x).data)
 
     def test_state_dict_mismatch_rejected(self):
-        a = MLP(4, (8,), 2, seed=0)
+        a = mlp(4, (8,), 2, seed=0)
         with pytest.raises(NeuralNetworkError, match="mismatch"):
             a.load_state_dict({"bogus": np.zeros(3)})
 
     def test_state_dict_shape_checked(self):
-        a = MLP(4, (8,), 2, seed=0)
+        a = mlp(4, (8,), 2, seed=0)
         state = a.state_dict()
         key = next(iter(state))
         state[key] = np.zeros((1, 1))
@@ -101,7 +115,7 @@ class TestModuleInfrastructure:
             a.load_state_dict(state)
 
     def test_zero_grad_clears(self):
-        net = MLP(2, (4,), 1, seed=0)
+        net = mlp(2, (4,), 1, seed=0)
         out = net(Tensor(np.ones((1, 2)))).sum()
         out.backward()
         assert any(p.grad is not None for p in net.parameters())
@@ -112,38 +126,6 @@ class TestModuleInfrastructure:
         seq = Sequential(Linear(2, 3), Tanh(), Linear(3, 1))
         assert len(seq) == 3
         assert isinstance(seq[1], Tanh)
-
-    def test_relu_module(self):
-        out = ReLU()(Tensor(np.array([[-1.0, 2.0]])))
-        np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
-
-    def test_mlp_unknown_activation(self):
-        with pytest.raises(NeuralNetworkError):
-            MLP(2, (4,), 1, activation="swish")
-
-
-class TestSgd:
-    def test_single_step_math(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], learning_rate=0.1)
-        (p * 3.0).backward()
-        opt.step()
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 3.0)
-
-    def test_momentum_accumulates(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = SGD([p], learning_rate=0.1, momentum=0.9)
-        for _ in range(2):
-            p.zero_grad()
-            (p * 1.0 + 1.0).backward()  # grad = 1
-            opt.step()
-        # v1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19; total -0.29.
-        assert p.data[0] == pytest.approx(-0.29)
-
-    def test_invalid_momentum(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        with pytest.raises(NeuralNetworkError):
-            SGD([p], 0.1, momentum=1.0)
 
 
 class TestAdam:

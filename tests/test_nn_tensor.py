@@ -1,10 +1,12 @@
-"""Autograd tests: every op's gradient against central finite differences."""
+"""Autograd tests for the test oracle's engine (``tests/autograd_oracle.py``):
+every op's gradient against central finite differences."""
 
 import numpy as np
 import pytest
 
+from autograd_oracle import Tensor, no_grad
+
 from repro.errors import GradientError
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 
 
 def gradcheck(fn, *arrays, eps=1e-6, rtol=1e-5, atol=1e-7):
@@ -204,7 +206,7 @@ class TestGraphMechanics:
         with no_grad():
             y = x * 2.0
         assert not y.requires_grad
-        assert is_grad_enabled()
+        assert (x * 2.0).requires_grad  # recording resumes on exit
 
     def test_detach(self):
         x = Tensor(A, requires_grad=True)

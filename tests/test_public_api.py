@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.mobility",
     "repro.game",
     "repro.core",
-    "repro.nn",
     "repro.drl",
     "repro.env",
     "repro.baselines",

@@ -12,8 +12,9 @@ training benchmark) can pin the fast path against them bit for bit:
 - the per-transition :class:`RolloutBuffer` and
   :func:`concatenate_minibatches`;
 - :class:`ReferencePPOAgent`: graph act/value and the autograd PPO update
-  over per-parameter ``Adam``. It has the ``PPOAgent`` surface, so it
-  plugs into the production ``VectorTrainer``;
+  over per-parameter ``Adam``, all from ``tests/autograd_oracle.py``'s
+  :class:`GraphActorCritic`. It has the ``PPOAgent`` surface, so it plugs
+  into the production ``VectorTrainer``;
 - the scalar Algorithm-1 :class:`Trainer` over a single env;
 - :class:`MigrationGameEnv`, the scalar Sec. IV-A POMDP (a history deque,
   one ``round_outcome`` solve per step, one info dict per round) that the
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from autograd_oracle import Adam, GraphActorCritic, Tensor, clip_grad_norm, no_grad
 
 from repro.core.stackelberg import StackelbergMarket
 from repro.drl.buffer import MiniBatch, sample_minibatch
-from repro.drl.policy import ActionScaler, ActorCritic
+from repro.drl.policy import ActionScaler
 from repro.drl.ppo import PPOConfig, UpdateStats
 from repro.drl.trainer import TrainerConfig, TrainingResult, VectorTrainer
 from repro.errors import ConfigurationError, EnvironmentError_
-from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_in_range
 
@@ -242,7 +242,9 @@ class ReferencePPOAgent:
     ``VectorTrainer`` or the scalar :class:`Trainer`.
     """
 
-    def __init__(self, network: ActorCritic, config: PPOConfig | None = None) -> None:
+    def __init__(
+        self, network: GraphActorCritic, config: PPOConfig | None = None
+    ) -> None:
         self.network = network
         self.config = config if config is not None else PPOConfig()
         self.optimizer = Adam(
@@ -396,14 +398,14 @@ def train_reference(
 ):
     """``train_pricing_agent`` with a :class:`ReferencePPOAgent`.
 
-    Builds the network and scaler exactly as the production entry point
-    does (same seed stream, same draw order). A vector env (anything with
-    ``num_envs``) trains through the production ``VectorTrainer``; a
-    scalar env trains through the oracle :class:`Trainer`. Returns
-    ``(agent, result, scaler)``.
+    Builds the graph network and scaler exactly as the production entry
+    point builds its network (same seed stream, same draw order). A vector
+    env (anything with ``num_envs``) trains through the production
+    ``VectorTrainer``; a scalar env trains through the oracle
+    :class:`Trainer`. Returns ``(agent, result, scaler)``.
     """
     rng = as_generator(seed)
-    network = ActorCritic(env.observation_dim, hidden_sizes, seed=rng)
+    network = GraphActorCritic(env.observation_dim, hidden_sizes, seed=rng)
     agent = ReferencePPOAgent(network, ppo_config)
     scaler = ActionScaler(low=env.action_low, high=env.action_high)
     trainer_cls = VectorTrainer if hasattr(env, "num_envs") else Trainer
