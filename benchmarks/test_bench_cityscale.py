@@ -1,14 +1,15 @@
 """City-scale chunked solve: markets/second and peak-RSS evidence.
 
-Builds RSU-grid stacks via ``MarketStack.from_grid`` at M ∈ {64, 1000,
-10000} and times ``equilibria_stacked_chunked`` under a 32 MiB scratch
-budget, recording throughput (markets/second), the ``tracemalloc`` peak
-around the solve (which sees numpy's allocations; construction is
-excluded from this peak only), and the process ``ru_maxrss`` high-water
-mark (report-only: it never shrinks, so only the budget-bounded traced
-peak is asserted). The construction time of ``from_grid`` is reported as
-``build_s`` (report-only, no floor): ``markets_per_s`` and ``solve_s``
-time the solve alone. Results land in ``benchmarks/results/cityscale.txt``.
+Builds RSU-grid stacks via ``MarketStack.from_columns(city_columns(...))``
+at M ∈ {64, 1000, 10000} and times ``equilibria_stacked_chunked`` under a
+32 MiB scratch budget, recording throughput (markets/second), the
+``tracemalloc`` peak around the solve (which sees numpy's allocations;
+construction is excluded from this peak only), and the process
+``ru_maxrss`` high-water mark (report-only: it never shrinks, so only the
+budget-bounded traced peak is asserted). The construction time of the
+stack is reported as ``build_s`` (report-only, no floor): ``markets_per_s``
+and ``solve_s`` time the solve alone. The bench writes its table to
+``benchmarks/results/cityscale.txt``.
 
 Acceptance (ISSUE 6): the M = 10000 solve completes, its traced peak
 stays inside the chunk budget, and throughput clears 50 markets/second.
@@ -21,6 +22,7 @@ import tracemalloc
 import pytest
 
 from repro.core import MarketStack
+from repro.mobility.citygrid import CityGridSpec, city_columns
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -33,7 +35,9 @@ MIN_MARKETS_PER_SECOND = 50.0
 def solve_profile(num_markets):
     """Throughput + memory profile of one chunked city solve."""
     start = time.perf_counter()
-    stack = MarketStack.from_grid(num_markets, seed=7)
+    stack = MarketStack.from_columns(
+        city_columns(CityGridSpec.for_markets(num_markets, seed=7))
+    )
     build_s = time.perf_counter() - start
     chunk = stack.resolve_chunk_size(chunk_bytes=CHUNK_BYTES)
 

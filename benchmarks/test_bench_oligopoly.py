@@ -2,13 +2,14 @@
 
 Times the Gauss-Seidel equilibrium solve with the lattice-batched best
 response (one vectorised ``(P, N)`` utility evaluation per MSP per
-sweep) against the scalar reference (one ``outcome()`` call per lattice
-point), over a fixed number of sweeps so both paths do identical
-economic work. The default tick gives a 901-point lattice (≥ 256, the
-regime the acceptance criterion names), and the two paths are asserted
-bitwise-equal before any timing is trusted.
+sweep) against the scalar reference in ``tests/game_oracle.py`` (one
+``msp_utility()`` call per lattice point, run inside the same production
+Gauss-Seidel loop), over a fixed number of sweeps so both paths do
+identical economic work. The default tick gives a 901-point lattice
+(≥ 256), and the two paths are asserted bitwise-equal before any timing
+is trusted; that assertion is also the oracle's guard.
 
-Evidence lands in ``benchmarks/results/oligopoly_speedup.txt`` (table)
+The bench writes ``benchmarks/results/oligopoly_speedup.txt`` (table)
 and ``oligopoly_speedup.json`` (structured payload via ``record_json``).
 """
 
@@ -16,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from game_oracle import scalar_oligopoly_equilibrium
 
 from repro.core.multimsp import MspSpec, MultiMspMarket
 from repro.entities.vmu import paper_fig2_population
@@ -40,14 +42,20 @@ def duopoly() -> MultiMspMarket:
     )
 
 
-def solve(batched: bool):
-    return duopoly().equilibrium(
-        initial_prices=INITIAL,
-        max_iterations=SWEEPS,
-        tolerance=0.0,  # never converge early: fixed work on both paths
-        batched=batched,
-        record_trace=True,
-    )
+SOLVE_KWARGS = dict(
+    initial_prices=INITIAL,
+    max_iterations=SWEEPS,
+    tolerance=0.0,  # never converge early: fixed work on both paths
+    record_trace=True,
+)
+
+
+def solve_batched():
+    return duopoly().equilibrium(**SOLVE_KWARGS)
+
+
+def solve_scalar():
+    return scalar_oligopoly_equilibrium(duopoly(), **SOLVE_KWARGS)
 
 
 def best_of(fn, repeats=REPEATS):
@@ -64,8 +72,8 @@ def test_oligopoly_lattice_batching_speedup(record_table, record_json):
     lattice_points = market._price_lattice(5.0).size
     assert lattice_points >= 256
 
-    batched = solve(batched=True)
-    scalar = solve(batched=False)
+    batched = solve_batched()
+    scalar = solve_scalar()
     # Bitwise equality first — a fast wrong answer is worthless.
     np.testing.assert_array_equal(batched.prices, scalar.prices)
     np.testing.assert_array_equal(
@@ -75,8 +83,8 @@ def test_oligopoly_lattice_batching_speedup(record_table, record_json):
         batched.trace.residuals, scalar.trace.residuals
     )
 
-    batched_seconds = best_of(lambda: solve(batched=True))
-    scalar_seconds = best_of(lambda: solve(batched=False))
+    batched_seconds = best_of(solve_batched)
+    scalar_seconds = best_of(solve_scalar)
     speedup = scalar_seconds / batched_seconds
 
     table = Table(

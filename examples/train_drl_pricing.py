@@ -14,7 +14,7 @@ from repro.core import StackelbergMarket
 from repro.entities import paper_fig2_population
 from repro.experiments import (
     ExperimentConfig,
-    evaluate_policy,
+    evaluate_policies_stacked,
     run_experiment,
     train_drl,
 )
@@ -43,7 +43,7 @@ def main() -> None:
     # The trained policy also transfers to live evaluation rounds.
     market = StackelbergMarket(paper_fig2_population())
     trained = train_drl(market, config)
-    evaluation = evaluate_policy(market, trained.policy, rounds=50)
+    (evaluation,) = evaluate_policies_stacked([market], [trained.policy], rounds=50)
     print(
         f"\nlive evaluation: mean price {evaluation.mean_price:.2f}, "
         f"mean MSP utility {evaluation.mean_msp_utility:.3f}"

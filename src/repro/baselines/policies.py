@@ -6,6 +6,8 @@ All classes satisfy :class:`repro.core.mechanism.PricingPolicy`:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.mechanism import GameHistory
@@ -137,20 +139,15 @@ class OraclePricing:
 
     @classmethod
     def from_stack(
-        cls,
-        stack_or_markets,
-        *,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
+        cls, markets: Sequence[StackelbergMarket]
     ) -> list["OraclePricing"]:
-        """One oracle per market of a stack, solved in a single pass.
+        """One oracle per market, all solved in a single stacked pass.
 
-        Accepts a :class:`repro.core.marketstack.MarketStack` or a market
-        sequence. All ``M`` equilibria come from one
-        :meth:`MarketStack.equilibria_stacked_chunked` call — bitwise-equal
-        to ``[OraclePricing(m) for m in markets]``, which solves per
-        market. The chunk knobs set the solve's memory budget (same bits
-        at any budget — for city-scale oracle grids).
+        All ``M`` equilibria come from one
+        :meth:`MarketStack.equilibria_stacked` call — bitwise-equal to
+        ``[OraclePricing(m) for m in markets]``, which solves per market.
+        A lone market solves through its own memoised ``as_stack()``, so
+        repeated ``M = 1`` calls (one per seed) solve it once.
 
         Raises:
             InfeasibleMarketError: if any member market admits no
@@ -159,16 +156,12 @@ class OraclePricing:
         from repro.core.marketstack import MarketStack
 
         stack = (
-            stack_or_markets
-            if isinstance(stack_or_markets, MarketStack)
-            else MarketStack(stack_or_markets)
+            markets[0].as_stack() if len(markets) == 1 else MarketStack(markets)
         )
-        solved = stack.equilibria_stacked_chunked(
-            chunk_size=chunk_size, chunk_bytes=chunk_bytes
-        )
+        solved = stack.equilibria_stacked()
         return [
             cls(market, price=solved.equilibrium(m).price)
-            for m, market in enumerate(stack.markets)
+            for m, market in enumerate(markets)
         ]
 
     @property

@@ -13,7 +13,7 @@ Solve entry points, scalar to stacked:
   ``M = 1`` case of the stacked solve, so the two agree bitwise).
 """
 
-from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord, run_rounds
+from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
 from repro.core.marketstack import (
     MarketColumns,
     MarketStack,
@@ -42,7 +42,6 @@ from repro.core.welfare import (
     social_welfare,
     social_welfare_batch,
     welfare_report,
-    welfare_reports_stacked,
 )
 from repro.core.stackelberg import (
     MarketConfig,
@@ -80,11 +79,9 @@ __all__ = [
     "social_welfare",
     "social_welfare_batch",
     "welfare_report",
-    "welfare_reports_stacked",
     "GameHistory",
     "PricingPolicy",
     "RoundRecord",
-    "run_rounds",
     "MarketConfig",
     "MarketOutcome",
     "PriceBatchOutcome",

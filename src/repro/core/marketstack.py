@@ -1160,68 +1160,6 @@ class MarketStack(_PaddedStack):
         stack._equilibria = None
         return stack
 
-    @classmethod
-    def from_markets(
-        cls, markets: Sequence[StackelbergMarket]
-    ) -> "MarketStack":
-        """Build a stack over ``markets`` (alias of the constructor, named
-        for symmetry with ``VectorMigrationEnv.from_market``)."""
-        return cls(markets)
-
-    @classmethod
-    def from_grid(
-        cls,
-        num_markets: int | None = None,
-        *,
-        rows: int | None = None,
-        cols: int | None = None,
-        block_m: float = 400.0,
-        coverage_radius_m: float | None = None,
-        speed_limit_mps: float = 13.9,
-        vehicles_per_cell: float = 400.0,
-        max_vmus: int = 6,
-        target_aotm: float = 0.05,
-        horizon_s: float = 3600.0,
-        seed: int = 0,
-    ) -> "MarketStack":
-        """A city-scale stack: one migration market per RSU-grid junction.
-
-        Lays out a Manhattan grid of RSU junctions, with the geometry
-        derived analytically from the junction index (no road graph is
-        built), derives each junction's migration rate (handover rate of
-        ``vehicles_per_cell`` vehicles crossing the cell at
-        ``speed_limit_mps``), sizes the market's ``B_max`` via
-        :func:`repro.mobility.demand.capacity_for_demand`, and samples the
-        VMU population per cell. Each market is a pure function of the
-        grid parameters and its junction index (per-index seeding), so a
-        chunked/scheduled build of index range ``[lo, hi)`` produces the
-        identical markets — see :mod:`repro.mobility.citygrid`.
-
-        Pass either ``num_markets`` (grid shape derived, near-square) or an
-        explicit ``rows × cols`` shape.
-
-        The grid is drawn straight into :class:`MarketColumns`
-        (:func:`repro.mobility.citygrid.city_columns`) and stacked through
-        :meth:`from_columns`; the member markets are built only if
-        :attr:`markets` or :meth:`market` is asked for.
-        """
-        from repro.mobility.citygrid import CityGridSpec, city_columns
-
-        spec = CityGridSpec.for_markets(
-            num_markets,
-            rows=rows,
-            cols=cols,
-            block_m=block_m,
-            coverage_radius_m=coverage_radius_m,
-            speed_limit_mps=speed_limit_mps,
-            vehicles_per_cell=vehicles_per_cell,
-            max_vmus=max_vmus,
-            target_aotm=target_aotm,
-            horizon_s=horizon_s,
-            seed=seed,
-        )
-        return cls.from_columns(city_columns(spec))
-
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #

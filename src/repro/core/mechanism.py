@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-import numpy as np
+from repro.errors import ConfigurationError
 
-from repro.core.stackelberg import MarketOutcome, StackelbergMarket
-
-__all__ = ["PricingPolicy", "RoundRecord", "GameHistory", "run_rounds"]
+__all__ = ["PricingPolicy", "RoundRecord", "GameHistory"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,11 @@ class GameHistory:
 
         Always returns a plain (possibly empty) list: an empty history or
         ``count = 0`` yields ``[]``, never an error — callers must not need
-        to guard. ``count`` larger than the history returns everything.
+        to guard. ``count`` larger than the history returns everything; a
+        negative ``count`` raises :class:`ConfigurationError`.
         """
         if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise ConfigurationError(f"count must be >= 0, got {count}")
         return self.records[-count:] if count else []
 
     @property
@@ -94,40 +93,3 @@ class PricingPolicy(Protocol):
     def reset(self) -> None:
         """Clear internal state before a fresh episode."""
         ...
-
-
-def run_rounds(
-    market: StackelbergMarket,
-    policy: PricingPolicy,
-    num_rounds: int,
-    *,
-    history: GameHistory | None = None,
-) -> tuple[GameHistory, list[MarketOutcome]]:
-    """Play ``num_rounds`` of the repeated pricing game.
-
-    Each round: the policy proposes a price from public history (clamped to
-    the feasible ``[C, p_max]``), followers best-respond, and the outcome is
-    appended to the history. Returns the final history and per-round
-    outcomes. Record indices continue from the supplied history, so a
-    multi-segment history numbers its rounds uniquely (and matches
-    :func:`repro.sim.play_policy`).
-    """
-    if num_rounds < 1:
-        raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
-    history = history if history is not None else GameHistory()
-    outcomes: list[MarketOutcome] = []
-    config = market.config
-    for round_index in range(len(history), len(history) + num_rounds):
-        raw_price = float(policy.propose_price(history))
-        price = float(np.clip(raw_price, config.unit_cost, config.max_price))
-        outcome = market.round_outcome(price)
-        outcomes.append(outcome)
-        history.append(
-            RoundRecord(
-                round_index=round_index,
-                price=price,
-                demands=tuple(float(b) for b in outcome.allocations),
-                msp_utility=outcome.msp_utility,
-            )
-        )
-    return history, outcomes

@@ -21,8 +21,8 @@ interval) rather than a bare ``converged=False``.
 Each MSP's lattice best response is evaluated as **one batched pass**
 (the whole candidate lattice against fixed rivals in a single set of
 vectorised array ops), bitwise-equal to the scalar one-``outcome()``-call-
-per-lattice-point reference, which is kept as ``batched=False`` for the
-property tests and the speedup bench.
+per-lattice-point reference in ``tests/game_oracle.py``, which the
+property tests and the speedup bench pin it against.
 """
 
 from __future__ import annotations
@@ -316,8 +316,8 @@ class MultiMspMarket:
 
         The whole lattice is evaluated in one batched call; the
         first-strict-improvement sweep over the resulting values is
-        bitwise-identical to the scalar reference
-        (:meth:`_best_response_price_scalar`).
+        bitwise-identical to the scalar one-``msp_utility()``-per-point
+        reference in ``tests/game_oracle.py``.
         """
         spec = self._msps[msp_index]
         lattice = self._price_lattice(spec.unit_cost)
@@ -330,34 +330,15 @@ class MultiMspMarket:
                 best_price, best_value = price, value
         return best_price
 
-    def _best_response_price_scalar(self, msp_index: int, prices: np.ndarray) -> float:
-        """Scalar reference best response: one ``outcome()`` per lattice
-        point. Kept as the bitwise ground truth for the batched path
-        (property tests) and the speedup baseline (bench)."""
-        spec = self._msps[msp_index]
-        rivals = [p for i, p in enumerate(prices) if i != msp_index]
-        best_price = float(prices[msp_index])
-        best_value = self.msp_utility(msp_index, best_price, rivals)
-        for price in self._price_lattice(spec.unit_cost):
-            value = self.msp_utility(msp_index, float(price), rivals)
-            if value > best_value + _IMPROVEMENT_MARGIN:
-                best_price, best_value = float(price), value
-        return best_price
-
-    def _sweep(
-        self, prices: np.ndarray, *, damping: float = 1.0, batched: bool = True
-    ) -> np.ndarray:
+    def _sweep(self, prices: np.ndarray, *, damping: float = 1.0) -> np.ndarray:
         """One in-place Gauss-Seidel sweep: each MSP responds to the
         *freshest* prices (simultaneous updates make undercutting
         duopolies oscillate — both jump below each other's stale price).
         ``damping < 1`` relaxes each update toward the best response,
         which moves prices off the lattice but can stabilise cycling
         instances."""
-        respond = (
-            self._best_response_price if batched else self._best_response_price_scalar
-        )
         for index in range(self.num_msps):
-            response = respond(index, prices)
+            response = self._best_response_price(index, prices)
             if damping == 1.0:
                 prices[index] = response
             else:
@@ -385,7 +366,6 @@ class MultiMspMarket:
         max_iterations: int = 1000,
         tolerance: float = 1e-3,
         damping: float = 1.0,
-        batched: bool = True,
         record_trace: bool = True,
     ) -> OligopolyEquilibrium:
         """Iterate Gauss-Seidel price best responses to a fixed point.
@@ -415,7 +395,7 @@ class MultiMspMarket:
         iterations = 0
         for iterations in range(1, max_iterations + 1):
             previous = prices.copy()
-            self._sweep(prices, damping=damping, batched=batched)
+            self._sweep(prices, damping=damping)
             residual = float(np.max(np.abs(prices - previous)))
             profiles.append(prices.copy())
             residuals.append(residual)

@@ -325,8 +325,8 @@ class StackelbergMarket:
         in a single numpy pass over the ``(P, N)`` best-response matrix:
         the demands, B_max rationing, leader utility, and follower
         utilities of all ``P`` candidate prices come out of one call. This
-        is the engine behind the leader's landscape scan, the vector
-        environment, and the batched baseline evaluation.
+        is the engine behind the leader's landscape scan, the scalar
+        :meth:`round_outcome`, and the welfare planner's vector objective.
 
         Since the market-stack refactor this is the ``M = 1`` broadcast
         case of :meth:`repro.core.marketstack.MarketStack.outcomes_stacked`

@@ -20,20 +20,18 @@ spectrum; both regimes are exercised in the tests.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.stackelberg import StackelbergMarket
-from repro.game.solvers import grid_then_golden, grid_then_golden_batch
+from repro.game.solvers import grid_then_golden
 
 __all__ = [
     "WelfareReport",
     "social_welfare",
     "social_welfare_batch",
     "welfare_report",
-    "welfare_reports_stacked",
 ]
 
 
@@ -104,15 +102,6 @@ def welfare_report(market: StackelbergMarket) -> WelfareReport:
         grid_points=1024,
         vector_objective=lambda prices: social_welfare_batch(market, prices),
     )
-    return _assemble_report(equilibrium, planner_price, planner_welfare)
-
-
-def _assemble_report(
-    equilibrium, planner_price: float, planner_welfare: float
-) -> WelfareReport:
-    """Fold one market's solved monopoly equilibrium and planner optimum
-    into a report (shared by the scalar and stacked paths, so the two
-    stay arithmetically identical)."""
     monopoly_welfare = float(
         equilibrium.msp_utility + equilibrium.vmu_utilities.sum()
     )
@@ -129,41 +118,3 @@ def _assemble_report(
         planner_welfare=float(planner_welfare),
         deadweight_loss=max(0.0, float(planner_welfare) - monopoly_welfare),
     )
-
-
-def welfare_reports_stacked(
-    markets: Sequence[StackelbergMarket],
-) -> list[WelfareReport]:
-    """Welfare-decompose a whole market grid in stacked passes.
-
-    The market-axis form of :func:`welfare_report`: all ``M`` monopoly
-    equilibria come from one
-    :meth:`repro.core.marketstack.MarketStack.equilibria_stacked` call and
-    all ``M`` planner searches run as one lockstep
-    :func:`repro.game.solvers.grid_then_golden_batch` over the stacked
-    welfare objective. Per market the report equals an independent
-    :func:`welfare_report` call — the objective rows, the grid scan, and
-    the golden-section iterations are elementwise replicas of the scalar
-    path.
-    """
-    from repro.core.marketstack import MarketStack
-
-    stack = MarketStack(markets)
-    equilibria = stack.equilibria_stacked()
-
-    def stacked_welfare(prices: np.ndarray) -> np.ndarray:
-        outcome = stack.outcomes_stacked(prices)
-        return outcome.msp_utilities + outcome.total_vmu_utilities()
-
-    planner_prices, planner_welfares = grid_then_golden_batch(
-        stacked_welfare,
-        stack.unit_costs,
-        stack.max_prices,
-        grid_points=1024,
-    )
-    return [
-        _assemble_report(
-            equilibria.equilibrium(m), planner_prices[m], planner_welfares[m]
-        )
-        for m in range(stack.num_markets)
-    ]

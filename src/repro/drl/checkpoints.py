@@ -26,6 +26,27 @@ _FORMAT_VERSION = 1
 _META_KEY = "__checkpoint_meta__"
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Every metadata field a checkpoint must carry, with its JSON type check.
+_META_FIELDS = {
+    "obs_dim": _is_int,
+    "action_dim": _is_int,
+    "hidden_sizes": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "action_low": _is_number,
+    "action_high": _is_number,
+    "history_length": lambda v: v is None or _is_int(v),
+    "learning_rate": _is_number,
+    "clip_epsilon": _is_number,
+}
+
+
 def save_agent(
     path: str | Path,
     agent: PPOAgent,
@@ -88,9 +109,10 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
     is closed before returning — a leaked handle keeps the checkpoint
     undeletable on platforms with mandatory file locking, breaking cache
     cleanup. A file that is not a readable archive (truncated, garbage,
-    pickled objects), a parameter set that does not match the rebuilt
-    network exactly, or non-finite weights raise
-    :class:`ConfigurationError` naming the path.
+    pickled objects), metadata that is not a JSON object with every
+    required field of the right type and a usable value, a parameter set
+    that does not match the rebuilt network exactly, or non-finite weights
+    raise :class:`ConfigurationError` naming the path.
     """
     try:
         meta, state = _read_archive(Path(path))
@@ -100,17 +122,25 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
         ) from exc
     if meta is None:
         raise ConfigurationError(f"{path} is not a repro agent checkpoint")
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ConfigurationError(
-            f"{path}: unsupported checkpoint version "
-            f"{meta.get('format_version')!r}"
+    _check_meta(path, meta)
+    try:
+        network = ActorCritic(
+            obs_dim=meta["obs_dim"],
+            hidden_sizes=tuple(meta["hidden_sizes"]),
+            action_dim=meta["action_dim"],
+            seed=0,
         )
-    network = ActorCritic(
-        obs_dim=int(meta["obs_dim"]),
-        hidden_sizes=tuple(int(h) for h in meta["hidden_sizes"]),
-        action_dim=int(meta["action_dim"]),
-        seed=0,
-    )
+        config = PPOConfig(
+            learning_rate=float(meta["learning_rate"]),
+            clip_epsilon=float(meta["clip_epsilon"]),
+        )
+        scaler = ActionScaler(
+            low=float(meta["action_low"]), high=float(meta["action_high"])
+        )
+    except (ConfigurationError, NeuralNetworkError) as exc:
+        raise ConfigurationError(
+            f"{path}: checkpoint metadata is unusable: {exc}"
+        ) from exc
     expected = set(network.state_dict())
     stored = set(state)
     if expected != stored:
@@ -128,17 +158,33 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
             f"checkpoint {path} parameters are unusable for the rebuilt "
             f"architecture: {exc}"
         ) from exc
-    agent = PPOAgent(
-        network,
-        PPOConfig(
-            learning_rate=float(meta["learning_rate"]),
-            clip_epsilon=float(meta["clip_epsilon"]),
-        ),
-    )
-    scaler = ActionScaler(
-        low=float(meta["action_low"]), high=float(meta["action_high"])
-    )
-    return agent, scaler, meta
+    return PPOAgent(network, config), scaler, meta
+
+
+def _check_meta(path: str | Path, meta: object) -> None:
+    """Raise :class:`ConfigurationError` naming ``path`` unless ``meta`` is
+    a JSON object of the current format holding every field of
+    :data:`_META_FIELDS` with its JSON type."""
+    if not isinstance(meta, dict):
+        raise ConfigurationError(
+            f"{path}: checkpoint metadata must be a JSON object, "
+            f"got {type(meta).__name__}"
+        )
+    if meta.get("format_version") != _FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported checkpoint version "
+            f"{meta.get('format_version')!r}"
+        )
+    for key, has_type in _META_FIELDS.items():
+        if key not in meta:
+            raise ConfigurationError(
+                f"{path}: checkpoint metadata lacks field {key!r}"
+            )
+        if not has_type(meta[key]):
+            raise ConfigurationError(
+                f"{path}: checkpoint metadata field {key!r} has the wrong "
+                f"type: {meta[key]!r}"
+            )
 
 
 def _read_archive(path: Path) -> tuple[dict | None, dict[str, np.ndarray]]:

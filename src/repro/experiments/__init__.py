@@ -41,15 +41,11 @@ from repro.experiments.robustness import (
     PopulationSweepResult,
 )
 from repro.experiments.runner import (
-    FleetTrainedPricing,
     PolicyEvaluation,
     TrainedPricing,
-    compare_schemes,
     compare_schemes_stacked,
     evaluate_policies_stacked,
-    evaluate_policy,
     train_drl,
-    train_drl_fleet,
 )
 from repro.experiments.scheduler import (
     Job,
@@ -88,15 +84,11 @@ __all__ = [
     "DistanceSweepResult",
     "FadingSweepResult",
     "PopulationSweepResult",
-    "FleetTrainedPricing",
     "PolicyEvaluation",
     "TrainedPricing",
-    "compare_schemes",
     "compare_schemes_stacked",
     "evaluate_policies_stacked",
-    "evaluate_policy",
     "train_drl",
-    "train_drl_fleet",
     "Job",
     "JobScheduler",
     "config_from_payload",

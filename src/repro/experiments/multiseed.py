@@ -40,7 +40,7 @@ from repro.experiments.api import CONFIG_PARAMS, MARKET_PARAM, ExperimentPlan, P
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     PolicyEvaluation,
-    compare_schemes,
+    compare_schemes_stacked,
     validate_schemes,
 )
 from repro.experiments.scheduler import (
@@ -171,8 +171,8 @@ def _run_sequential(
     for scheme in schemes:
         result.samples[scheme] = []
     for seed in seeds:
-        evaluations = compare_schemes(
-            market, base_config.with_seed(seed), schemes=schemes
+        (evaluations,) = compare_schemes_stacked(
+            [market], base_config.with_seed(seed), schemes=schemes
         )
         for scheme, evaluation in evaluations.items():
             result.samples[scheme].append(float(getattr(evaluation, metric)))

@@ -1,10 +1,11 @@
 """Shared machinery for the per-figure experiments.
 
 ``train_drl`` builds the POMDP env + PPO agent for a market and runs
-Algorithm 1; ``evaluate_policy`` plays any pricing policy for a fixed
-number of rounds and summarises the market outcome; ``compare_schemes``
-produces the DRL / random / greedy / equilibrium comparison the paper's
-Fig. 3 panels report.
+Algorithm 1; ``evaluate_policies_stacked`` plays pricing policies for a
+fixed number of rounds and summarises each market's outcome;
+``compare_schemes_stacked`` produces the DRL / random / greedy /
+equilibrium comparison the paper's Fig. 3 panels report. Both take a
+market sequence, and a single market is their ``M = 1`` case.
 
 The experiment specs reach this module through its job kinds and their
 plan/assemble halves: ``training_run`` (:func:`run_training_job`, one
@@ -46,19 +47,15 @@ from repro.experiments.scheduler import (
     market_from_payload,
     market_to_payload,
 )
-from repro.sim.engine import play_policies_stacked, play_policy
+from repro.sim.engine import play_policies_stacked
 
 __all__ = [
     "PolicyEvaluation",
     "TrainedPricing",
-    "FleetTrainedPricing",
     "train_drl",
-    "train_drl_fleet",
-    "evaluate_policy",
     "evaluate_policies_stacked",
     "evaluation_to_payload",
     "evaluation_from_payload",
-    "compare_schemes",
     "compare_schemes_stacked",
     "validate_schemes",
     "plan_scheme_jobs",
@@ -110,18 +107,6 @@ class TrainedPricing:
     training: TrainingResult
 
 
-@dataclass
-class FleetTrainedPricing:
-    """One DRL pricing policy trained across a fleet of markets.
-
-    ``policies[m]`` adapts the single shared agent to market ``m``'s
-    observation normalisation; all entries share the same network weights.
-    """
-
-    policies: list[LearnedPricing]
-    training: TrainingResult
-
-
 def train_drl(
     market: StackelbergMarket, config: ExperimentConfig
 ) -> TrainedPricing:
@@ -166,54 +151,6 @@ def train_drl(
     return TrainedPricing(policy=policy, training=result)
 
 
-def train_drl_fleet(
-    markets: Sequence[StackelbergMarket], config: ExperimentConfig
-) -> FleetTrainedPricing:
-    """Train **one** PPO pricing agent across a heterogeneous market fleet.
-
-    Builds one env per market (env 0 on ``config.seed``, the rest on
-    independent child streams — the :meth:`VectorMigrationEnv.from_markets`
-    contract), steps them in lockstep with one stacked market solve per
-    round, and pools every market's transitions into each PPO update. The
-    result is a single policy exposed once per market (shared weights,
-    per-market observation adaptation).
-    """
-    env = VectorMigrationEnv.from_markets(
-        markets,
-        seed=config.seed,
-        history_length=config.history_length,
-        rounds_per_episode=config.rounds_per_episode,
-        reward_mode=config.reward_mode,
-    )
-    agent, result, scaler = train_pricing_agent(
-        env,
-        trainer_config=TrainerConfig(
-            num_episodes=config.num_episodes,
-            update_interval=config.update_interval,
-            update_epochs=config.update_epochs,
-            batch_size=config.batch_size,
-            gamma=config.gamma,
-            gae_lambda=config.gae_lambda,
-        ),
-        ppo_config=PPOConfig(
-            learning_rate=config.learning_rate,
-            entropy_coef=config.entropy_coef,
-        ),
-        seed=config.seed,
-    )
-    policies = [
-        LearnedPricing(
-            agent,
-            scaler,
-            market,
-            history_length=config.history_length,
-            seed=config.seed,
-        )
-        for market in markets
-    ]
-    return FleetTrainedPricing(policies=policies, training=result)
-
-
 def _summarise(
     market: StackelbergMarket, played: PriceBatchOutcome
 ) -> PolicyEvaluation:
@@ -240,24 +177,6 @@ def _summarise(
     )
 
 
-def evaluate_policy(
-    market: StackelbergMarket,
-    policy: PricingPolicy,
-    *,
-    rounds: int = 100,
-) -> PolicyEvaluation:
-    """Play ``policy`` for ``rounds`` and summarise the market outcome.
-
-    Runs through :func:`repro.sim.play_policy`: policies that can commit to
-    their price vector (random, fixed, oracle) are evaluated in one batched
-    market solve; history-dependent policies fall back to the sequential
-    loop with outcome memoisation.
-    """
-    policy.reset()
-    _, played = play_policy(market, policy, rounds)
-    return _summarise(market, played)
-
-
 def evaluate_policies_stacked(
     markets: Sequence[StackelbergMarket],
     policies: Sequence[PricingPolicy],
@@ -270,7 +189,7 @@ def evaluate_policies_stacked(
     :meth:`MarketStack.outcomes_stacked` pass over the whole market grid
     (the Fig. 3 sweep shape); history-dependent policies fall back to the
     per-market sequential loop. Per market, the returned evaluation equals
-    an independent :func:`evaluate_policy` call exactly.
+    the ``M = 1`` call on that market exactly.
     """
     for policy in policies:
         policy.reset()
@@ -279,26 +198,6 @@ def evaluate_policies_stacked(
         _summarise(market, played)
         for market, (_, played) in zip(markets, played_all)
     ]
-
-
-def compare_schemes(
-    market: StackelbergMarket,
-    config: ExperimentConfig,
-    *,
-    schemes: tuple[str, ...] = ("drl", "greedy", "random", "equilibrium"),
-) -> dict[str, PolicyEvaluation]:
-    """Evaluate the requested pricing schemes on one market.
-
-    Scheme names follow the paper: ``drl`` (proposed), ``greedy`` and
-    ``random`` (baselines), ``equilibrium`` (complete-information optimum).
-    """
-    results: dict[str, PolicyEvaluation] = {}
-    for scheme in schemes:
-        policy = _scheme_policy(scheme, market, config)
-        results[scheme] = evaluate_policy(
-            market, policy, rounds=config.evaluation_rounds
-        )
-    return results
 
 
 def validate_schemes(schemes: tuple[str, ...]) -> tuple[str, ...]:
@@ -337,10 +236,11 @@ def compare_schemes_stacked(
 ) -> list[dict[str, PolicyEvaluation]]:
     """Evaluate the requested schemes across a whole market grid, stacked.
 
-    The market-axis form of :func:`compare_schemes`: one entry of the
-    returned list per market, each a scheme → evaluation dict exactly equal
-    to ``compare_schemes(markets[m], config, schemes=schemes)``. Schemes
-    that commit to their price vectors (``random``, ``equilibrium`` — the
+    One entry of the returned list per market, each a scheme → evaluation
+    dict in ``schemes`` order, exactly equal to the ``M = 1`` call on that
+    market (``compare_schemes_stacked([markets[m]], config, ...)[0]``).
+    Unknown scheme names raise :class:`ConfigurationError`. Schemes that
+    commit to their price vectors (``random``, ``equilibrium`` — the
     oracles from one stacked equilibrium solve,
     :meth:`OraclePricing.from_stack`) evaluate the whole grid as one
     stacked market solve; history-dependent ones (``drl``, ``greedy``)
@@ -348,6 +248,7 @@ def compare_schemes_stacked(
     :func:`evaluate_policies_stacked`. The Fig. 3 specs pass only the
     former here and run the latter as ``market_scheme`` jobs.
     """
+    validate_schemes(schemes)
     results: list[dict[str, PolicyEvaluation]] = [{} for _ in markets]
     for scheme in schemes:
         if scheme == "equilibrium":
@@ -414,8 +315,8 @@ def run_market_scheme_job(payload: Mapping) -> dict:
     config = config_from_payload(payload["config"])
     scheme = str(payload["scheme"])
     policy = _scheme_policy(scheme, market, config)
-    evaluation = evaluate_policy(
-        market, policy, rounds=config.evaluation_rounds
+    (evaluation,) = evaluate_policies_stacked(
+        [market], [policy], rounds=config.evaluation_rounds
     )
     result = {"scheme": scheme, "evaluation": evaluation_to_payload(evaluation)}
     if isinstance(policy, LearnedPricing):
@@ -470,8 +371,8 @@ def run_training_job(payload: Mapping) -> dict:
         "tail_mean_best_utility": trained.training.tail_mean_best_utility(),
     }
     if bool(payload.get("evaluate", False)):
-        evaluation = evaluate_policy(
-            market, trained.policy, rounds=config.evaluation_rounds
+        (evaluation,) = evaluate_policies_stacked(
+            [market], [trained.policy], rounds=config.evaluation_rounds
         )
         result["evaluation"] = evaluation_to_payload(evaluation)
     if artifact_dir is not None:

@@ -1,11 +1,6 @@
-"""Game-theory toolkit: concave solvers and best-response dynamics."""
+"""Game-theory toolkit: scalar and batched concave solvers."""
 
-from repro.game.best_response import (
-    BestResponseResult,
-    iterate_best_response,
-)
 from repro.game.solvers import (
-    bisect_root,
     golden_section_maximize,
     golden_section_maximize_batch,
     grid_then_golden,
@@ -13,9 +8,6 @@ from repro.game.solvers import (
 )
 
 __all__ = [
-    "BestResponseResult",
-    "iterate_best_response",
-    "bisect_root",
     "golden_section_maximize",
     "golden_section_maximize_batch",
     "grid_then_golden",

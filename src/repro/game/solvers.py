@@ -1,9 +1,10 @@
 """Scalar optimisation primitives for concave game stages.
 
 Both stages of the paper's Stackelberg game are strictly concave in their
-scalar decision variable (Theorems 1-2), so golden-section search and
-derivative bisection are exact tools here. They are also used to
-cross-validate the closed-form solutions in tests.
+scalar decision variable (Theorems 1-2), so golden-section search is an
+exact tool here. It refines the closed-form equilibrium candidates and
+drives the searches with no closed form (the Bayesian leader's expected
+utility, the welfare planner).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.utils.validation import require_finite
 __all__ = [
     "golden_section_maximize",
     "golden_section_maximize_batch",
-    "bisect_root",
     "grid_then_golden",
     "grid_then_golden_batch",
     "uniform_price_grid",
@@ -179,43 +179,6 @@ def golden_section_maximize_batch(
         fd = np.where(right, values, np.where(left, old_fc, old_fd))
     best = np.where(degenerate, mid, 0.5 * (a + b))
     return best, np.asarray(objective(best), dtype=float)
-
-
-def bisect_root(
-    func: Callable[[float], float],
-    low: float,
-    high: float,
-    *,
-    tolerance: float = 1e-12,
-    max_iterations: int = 200,
-) -> float:
-    """Find a root of a continuous ``func`` with a sign change on
-    ``[low, high]`` by bisection.
-
-    Used on first-order conditions (monotone derivatives of concave
-    utilities). Raises :class:`GameError` if there is no sign change.
-    """
-    f_low, f_high = func(low), func(high)
-    if f_low == 0.0:
-        return low
-    if f_high == 0.0:
-        return high
-    if f_low * f_high > 0.0:
-        raise GameError(
-            f"no sign change on [{low}, {high}]: f(low)={f_low}, f(high)={f_high}"
-        )
-    a, b = low, high
-    fa = f_low
-    for _ in range(max_iterations):
-        mid = 0.5 * (a + b)
-        f_mid = func(mid)
-        if f_mid == 0.0 or (b - a) <= tolerance:
-            return mid
-        if fa * f_mid < 0.0:
-            b = mid
-        else:
-            a, fa = mid, f_mid
-    return 0.5 * (a + b)
 
 
 def _probe_vector_scan(

@@ -9,8 +9,8 @@ batch axis instead of a Python loop:
 - the market-stack axis (:class:`MarketStack`, :class:`StackedOutcome`) —
   ``M`` *different* markets solved in one pass, re-exported from
   :mod:`repro.core.marketstack`;
-- batched policy evaluation (:func:`play_policy`, :func:`plan_prices`,
-  :func:`play_policies_stacked`);
+- stacked policy evaluation (:func:`play_policies_stacked`, a single
+  market being its ``M = 1`` case, and :func:`plan_prices`);
 - the vector environment (:class:`VectorMigrationEnv`) and the batched
   Algorithm-1 trainer (:class:`VectorTrainer`) re-exported from their home
   layers.
@@ -20,7 +20,7 @@ from repro.core.marketstack import MarketStack, StackedOutcome
 from repro.core.stackelberg import PriceBatchOutcome, uniform_price_grid
 from repro.drl.trainer import VectorTrainer
 from repro.env.vector import VectorMigrationEnv
-from repro.sim.engine import plan_prices, play_policies_stacked, play_policy
+from repro.sim.engine import plan_prices, play_policies_stacked
 
 __all__ = [
     "MarketStack",
@@ -29,7 +29,6 @@ __all__ = [
     "VectorTrainer",
     "VectorMigrationEnv",
     "plan_prices",
-    "play_policy",
     "play_policies_stacked",
     "uniform_price_grid",
 ]

@@ -1,32 +1,27 @@
 """Batched repeated-game evaluation: play pricing policies without the
 round-by-round Python loop whenever the policy allows it.
 
-Two speed levers, both exact:
+:func:`play_policies_stacked` is the one evaluation path; a single market
+is its ``M = 1`` case. Two speed levers, both exact:
 
 - **Price-vector fast path.** Policies whose future prices do not depend on
   intermediate outcomes (random, fixed, oracle) implement
   ``propose_prices(history, count)`` and commit to all ``count`` prices up
-  front; the whole evaluation then collapses to a single
-  :meth:`StackelbergMarket.outcomes_batch` call over the ``(R,)`` price
-  vector.
+  front. The committed ``(R,)`` price vectors of every such (market,
+  policy) pair — e.g. a whole Fig. 3 sweep's market grid — are solved as
+  one :meth:`repro.core.marketstack.MarketStack.outcomes_stacked` pass
+  over the ``(M, R)`` price grid.
 - **Outcome memoisation.** History-dependent policies (greedy replay, the
   learned DRL policy) stay sequential, but the market is deterministic
   given a price, so repeated prices — greedy replays its best past price on
   almost every round — reuse the cached outcome instead of re-solving the
   Stackelberg stage.
 
-Both paths produce the identical :class:`GameHistory` and per-round
-:class:`PriceBatchOutcome` (axis 0 = round) as the classic
-:func:`repro.core.mechanism.run_rounds` loop; they are the engine behind
-:func:`repro.experiments.runner.evaluate_policy`.
-
-:func:`play_policies_stacked` lifts the price-vector fast path onto the
-market axis ``M``: the committed price vectors of *many* (market, policy)
-pairs — e.g. a whole Fig. 3 sweep's market grid — are solved as one
-:meth:`repro.core.marketstack.MarketStack.outcomes_stacked` pass instead of
-``M`` separate batched evaluations, with history-dependent policies falling
-back to the per-market sequential loop. Results are equal to ``M``
-independent :func:`play_policy` calls — bitwise, not just numerically.
+Both paths produce, per market, the identical :class:`GameHistory` and
+per-round :class:`PriceBatchOutcome` (axis 0 = round) as the classic round
+loop (``run_rounds`` in ``tests/game_oracle.py``, the reference they are
+pinned against); they are the engine behind
+:func:`repro.experiments.runner.evaluate_policies_stacked`.
 """
 
 from __future__ import annotations
@@ -38,8 +33,9 @@ import numpy as np
 from repro.core.marketstack import MarketStack
 from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
 from repro.core.stackelberg import MarketOutcome, PriceBatchOutcome, StackelbergMarket
+from repro.errors import ConfigurationError
 
-__all__ = ["plan_prices", "play_policy", "play_policies_stacked"]
+__all__ = ["plan_prices", "play_policies_stacked"]
 
 
 def plan_prices(
@@ -59,52 +55,18 @@ def plan_prices(
         return None
     prices = np.asarray(planned, dtype=float)
     if prices.shape != (count,):
-        raise ValueError(
+        raise ConfigurationError(
             f"propose_prices returned shape {prices.shape}, expected ({count},)"
         )
     return prices
 
 
-def play_policy(
-    market: StackelbergMarket,
-    policy: PricingPolicy,
-    num_rounds: int,
-    *,
-    history: GameHistory | None = None,
-) -> tuple[GameHistory, PriceBatchOutcome]:
-    """Play ``num_rounds`` of the repeated pricing game, batched when possible.
-
-    Same contract as :func:`repro.core.mechanism.run_rounds` (prices clamped
-    to ``[C, p_max]``, one :class:`RoundRecord` appended per round, record
-    indices continuing from the supplied history), but the per-round
-    outcomes come back as one stacked :class:`PriceBatchOutcome` and the
-    market stage is evaluated through the batched engine.
-    """
-    if num_rounds < 1:
-        raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
-    history = history if history is not None else GameHistory()
-    config = market.config
-    start_index = len(history)
-
-    planned = plan_prices(policy, history, num_rounds)
-    if planned is not None:
-        prices = np.clip(planned, config.unit_cost, config.max_price)
-        played = market.outcomes_batch(prices)
-    else:
-        return history, _play_sequential(market, policy, num_rounds, history)
-
-    _append_records(history, played, start_index)
-    return history, played
-
-
-def _append_records(
-    history: GameHistory, played: PriceBatchOutcome, start_index: int
-) -> None:
+def _append_records(history: GameHistory, played: PriceBatchOutcome) -> None:
     """Append one :class:`RoundRecord` per row of a batch-solved evaluation."""
     for offset in range(len(played)):
         history.append(
             RoundRecord(
-                round_index=start_index + offset,
+                round_index=offset,
                 price=float(played.prices[offset]),
                 demands=tuple(float(b) for b in played.allocations[offset]),
                 msp_utility=float(played.msp_utilities[offset]),
@@ -125,16 +87,19 @@ def play_policies_stacked(
     grid — a whole market sweep's evaluation in a single numpy pass —
     while history-dependent policies fall back to the per-market
     memoised sequential loop. Per pair, histories and outcomes are equal
-    (bitwise) to an independent :func:`play_policy` call; callers that need
-    the single-market semantics of a prior history should use
-    :func:`play_policy` directly.
+    (bitwise) to the ``M = 1`` call on that pair alone.
+
+    Raises:
+        ConfigurationError: if ``markets`` and ``policies`` differ in
+            length, ``num_rounds < 1``, or a policy's ``propose_prices``
+            returns the wrong shape.
     """
     if len(markets) != len(policies):
-        raise ValueError(
+        raise ConfigurationError(
             f"got {len(markets)} markets for {len(policies)} policies"
         )
     if num_rounds < 1:
-        raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
+        raise ConfigurationError(f"num_rounds must be >= 1, got {num_rounds}")
     histories = [GameHistory() for _ in markets]
     outcomes: list[PriceBatchOutcome | None] = [None] * len(markets)
     stackable: list[tuple[int, np.ndarray]] = []
@@ -157,7 +122,7 @@ def play_policies_stacked(
         )
         for position, i in enumerate(indices):
             played = stacked.market_rows(position)
-            _append_records(histories[i], played, start_index=0)
+            _append_records(histories[i], played)
             outcomes[i] = played
     return list(zip(histories, outcomes))
 

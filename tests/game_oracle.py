@@ -6,8 +6,14 @@ production path is pinned or timed against:
 
 - :func:`scalar_landscape` — one scalar Stackelberg solve per price, the
   baseline of :meth:`StackelbergMarket.outcomes_batch`;
+- :func:`run_rounds` — the classic round-by-round repeated-game loop,
+  the reference :func:`repro.sim.play_policies_stacked` is pinned against;
 - :func:`segment_candidates` — Theorem 2's per-segment candidate
   enumeration, the scalar form of ``MarketStack._candidate_rows``;
+- :func:`scalar_best_response_price` and
+  :func:`scalar_oligopoly_equilibrium` — one ``msp_utility()`` call per
+  lattice point, the reference (and the speedup baseline) of
+  ``MultiMspMarket``'s lattice-batched best response;
 - :func:`numerical_derivative`, :func:`numerical_second_derivative`,
   :func:`is_concave_on`, :func:`verify_best_response` and
   :func:`verify_no_profitable_deviation` — Theorems 1 and 2 checked
@@ -16,12 +22,23 @@ production path is pinned or timed against:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.core.stackelberg import PriceBatchOutcome, StackelbergMarket
+from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
+from repro.core.multimsp import (
+    _IMPROVEMENT_MARGIN,
+    MultiMspMarket,
+    OligopolyEquilibrium,
+)
+from repro.core.stackelberg import (
+    MarketOutcome,
+    PriceBatchOutcome,
+    StackelbergMarket,
+)
 from repro.errors import GameError
 
 
@@ -36,6 +53,42 @@ def scalar_landscape(
     return PriceBatchOutcome.from_outcomes(
         [market.round_outcome(float(p)) for p in np.asarray(prices, dtype=float)]
     )
+
+
+def run_rounds(
+    market: StackelbergMarket,
+    policy: PricingPolicy,
+    num_rounds: int,
+    *,
+    history: GameHistory | None = None,
+) -> tuple[GameHistory, list[MarketOutcome]]:
+    """Play ``num_rounds`` of the repeated pricing game, one round at a time.
+
+    Each round: the policy proposes a price from public history (clamped to
+    the feasible ``[C, p_max]``), followers best-respond, and the outcome is
+    appended to the history. Returns the final history and per-round
+    outcomes. Record indices continue from the supplied history, so a
+    multi-segment history numbers its rounds uniquely.
+    """
+    if num_rounds < 1:
+        raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
+    history = history if history is not None else GameHistory()
+    outcomes: list[MarketOutcome] = []
+    config = market.config
+    for round_index in range(len(history), len(history) + num_rounds):
+        raw_price = float(policy.propose_price(history))
+        price = float(np.clip(raw_price, config.unit_cost, config.max_price))
+        outcome = market.round_outcome(price)
+        outcomes.append(outcome)
+        history.append(
+            RoundRecord(
+                round_index=round_index,
+                price=price,
+                demands=tuple(float(b) for b in outcome.allocations),
+                msp_utility=outcome.msp_utility,
+            )
+        )
+    return history, outcomes
 
 
 def segment_candidates(market: StackelbergMarket) -> list[float]:
@@ -146,3 +199,42 @@ def verify_no_profitable_deviation(
         ):
             return False
     return True
+
+
+def scalar_best_response_price(
+    market: MultiMspMarket, msp_index: int, prices: np.ndarray
+) -> float:
+    """One MSP's lattice best response, one ``msp_utility()`` per point.
+
+    The first-strict-improvement sweep of
+    ``MultiMspMarket._best_response_price``, written as the per-point
+    loop: its bitwise ground truth and its speedup baseline.
+    """
+    spec = market.msps[msp_index]
+    rivals = [p for i, p in enumerate(prices) if i != msp_index]
+    best_price = float(prices[msp_index])
+    best_value = market.msp_utility(msp_index, best_price, rivals)
+    for price in market._price_lattice(spec.unit_cost):
+        value = market.msp_utility(msp_index, float(price), rivals)
+        if value > best_value + _IMPROVEMENT_MARGIN:
+            best_price, best_value = float(price), value
+    return best_price
+
+
+def scalar_oligopoly_equilibrium(
+    market: MultiMspMarket, **kwargs
+) -> OligopolyEquilibrium:
+    """``market.equilibrium(**kwargs)`` with the scalar best response.
+
+    Installs :func:`scalar_best_response_price` as the market instance's
+    ``_best_response_price`` for the duration of the call, so the
+    production Gauss-Seidel loop (sweep order, damping, cycle detection,
+    trace) runs unchanged around the per-point reference.
+    """
+    market._best_response_price = functools.partial(
+        scalar_best_response_price, market
+    )
+    try:
+        return market.equilibrium(**kwargs)
+    finally:
+        del market._best_response_price

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from game_oracle import run_rounds
 
 from repro.baselines import (
     FixedPricing,
@@ -10,7 +11,7 @@ from repro.baselines import (
     OraclePricing,
     RandomPricing,
 )
-from repro.core.mechanism import GameHistory, RoundRecord, run_rounds
+from repro.core.mechanism import GameHistory, RoundRecord
 from repro.core.stackelberg import StackelbergMarket
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent

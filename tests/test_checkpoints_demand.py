@@ -1,5 +1,6 @@
 """Checkpointing and demand-driven capacity-sizing tests."""
 
+import json
 import math
 import zipfile
 from pathlib import Path
@@ -252,6 +253,41 @@ class TestCheckpointCompatibility:
             np.testing.assert_allclose(
                 agent.value_batch(observations), recorded["value_batch"], rtol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: {k: v for k, v in meta.items() if k != "obs_dim"},
+            lambda meta: {k: v for k, v in meta.items() if k != "learning_rate"},
+            lambda meta: [1, 2],
+            lambda meta: {**meta, "hidden_sizes": "abc"},
+            lambda meta: {**meta, "action_low": float("nan")},
+            lambda meta: {**meta, "history_length": 2.5},
+        ],
+        ids=[
+            "no_obs_dim",
+            "no_learning_rate",
+            "not_an_object",
+            "hidden_sizes_string",
+            "action_low_nan",
+            "history_length_float",
+        ],
+    )
+    def test_bad_metadata_raises_configuration_error_naming_file(
+        self, tmp_path, edit
+    ):
+        """The fixture re-saved with edited metadata fails with a typed
+        error that names the file, never a bare KeyError/AttributeError."""
+        with np.load(FIXTURES / "parent_agent.npz") as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays["__checkpoint_meta__"]).decode("utf-8"))
+        arrays["__checkpoint_meta__"] = np.frombuffer(
+            json.dumps(edit(meta)).encode("utf-8"), dtype=np.uint8
+        )
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigurationError, match="edited.npz"):
+            load_agent(path)
 
     def test_save_load_round_trip_is_byte_stable(self, tmp_path):
         """Re-saving the loaded fixture reproduces every archive member

@@ -13,7 +13,7 @@ from game_oracle import segment_candidates
 from training_oracle import MigrationGameEnv
 
 from repro.baselines import OraclePricing
-from repro.core import MarketStack, welfare_report, welfare_reports_stacked
+from repro.core import MarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile, paper_fig2_population, sample_population
 from repro.env.vector import VectorMigrationEnv
@@ -208,17 +208,6 @@ class TestReroutedCallers:
                 policy.equilibrium_price
                 == OraclePricing(market).equilibrium_price
             )
-
-    def test_welfare_reports_stacked_equal_per_market(self):
-        markets = random_markets(6, root_seed=17)
-        stacked = welfare_reports_stacked(markets)
-        for market, report in zip(markets, stacked):
-            reference = welfare_report(market)
-            assert report.monopoly_price == reference.monopoly_price
-            assert report.monopoly_welfare == reference.monopoly_welfare
-            assert report.planner_price == reference.planner_price
-            assert report.planner_welfare == reference.planner_welfare
-            assert report.deadweight_loss == reference.deadweight_loss
 
     def test_vector_env_equilibria_one_stacked_solve(self):
         markets = random_markets(5, root_seed=29, max_vmus=4)

@@ -127,7 +127,7 @@ class TestStackedEqualsScalar:
 class TestMarketStackApi:
     def test_parameter_arrays_and_accessors(self):
         markets = random_markets(5, root_seed=1)
-        stack = MarketStack.from_markets(markets)
+        stack = MarketStack(markets)
         assert len(stack) == 5
         assert stack.market(2) is markets[2]
         assert stack.markets == tuple(markets)
@@ -318,7 +318,9 @@ class TestFromColumns:
             )
 
     def test_members_are_built_lazily_and_cached(self):
-        stack = MarketStack.from_grid(6, seed=3)
+        stack = MarketStack.from_columns(
+            city_columns(CityGridSpec.for_markets(6, seed=3))
+        )
         assert stack.num_markets == len(stack) == 6
         assert stack._members == {}
         last = stack.market(-1)

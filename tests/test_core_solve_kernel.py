@@ -31,6 +31,7 @@ from repro.core import MarketStack, MutableMarketStack, marketstack
 from repro.core.marketstack import _SCALAR_REFINE_MAX_ROWS, _ChunkScratch
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import sample_population
+from repro.mobility.citygrid import CityGridSpec, city_columns
 
 from test_core_equilibria_stacked import infeasible_market, random_markets
 
@@ -114,7 +115,9 @@ def test_row_slices_streamed_through_one_scratch(n_max):
 def refine_stack(source):
     """A ragged stack narrower than 8 VMUs: city rows or random markets."""
     if source == "city":
-        stack = MarketStack.from_grid(64, seed=7)
+        stack = MarketStack.from_columns(
+            city_columns(CityGridSpec.for_markets(64, seed=7))
+        )
     else:
         stack = MarketStack(random_markets(64, root_seed=31, max_vmus=7))
     assert stack.max_vmus < 8

@@ -12,12 +12,10 @@ from repro.entities.vmu import paper_fig2_population
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ExperimentConfig,
-    compare_schemes,
     compare_schemes_stacked,
-    evaluate_policy,
+    evaluate_policies_stacked,
     run_experiment,
     train_drl,
-    train_drl_fleet,
 )
 from repro.baselines import OraclePricing
 from repro.experiments.run import main
@@ -57,10 +55,16 @@ class TestExperimentConfig:
             ExperimentConfig(reward_mode="bogus")
 
 
+def evaluate_one(market, policy, rounds):
+    """The ``M = 1`` call of the stacked evaluator."""
+    (evaluation,) = evaluate_policies_stacked([market], [policy], rounds=rounds)
+    return evaluation
+
+
 class TestRunner:
     def test_evaluate_oracle_matches_equilibrium(self, market):
         eq = market.equilibrium()
-        evaluation = evaluate_policy(market, OraclePricing(market), rounds=5)
+        evaluation = evaluate_one(market, OraclePricing(market), rounds=5)
         assert evaluation.mean_price == pytest.approx(eq.price)
         assert evaluation.mean_msp_utility == pytest.approx(eq.msp_utility)
         assert evaluation.best_msp_utility == pytest.approx(eq.msp_utility)
@@ -71,45 +75,33 @@ class TestRunner:
     def test_train_drl_smoke(self, market):
         trained = train_drl(market, SMOKE)
         assert trained.training.num_episodes == SMOKE.num_episodes
-        evaluation = evaluate_policy(market, trained.policy, rounds=5)
+        evaluation = evaluate_one(market, trained.policy, rounds=5)
         assert 5.0 <= evaluation.mean_price <= 50.0
 
     def test_compare_schemes_keys(self, market):
-        results = compare_schemes(
-            market, SMOKE, schemes=("random", "equilibrium")
+        (results,) = compare_schemes_stacked(
+            [market], SMOKE, schemes=("random", "equilibrium")
         )
-        assert set(results) == {"random", "equilibrium"}
+        assert list(results) == ["random", "equilibrium"]
 
     def test_compare_unknown_scheme(self, market):
         with pytest.raises(ValueError):
-            compare_schemes(market, SMOKE, schemes=("alien",))
+            compare_schemes_stacked([market], SMOKE, schemes=("alien",))
 
     def test_compare_schemes_stacked_equals_per_market(self, market):
-        """The stacked market-grid comparison must reproduce the
-        per-market compare_schemes results exactly."""
+        """Each row of a multi-market comparison equals the M = 1 call on
+        that market, field for field."""
+        schemes = ("random", "greedy", "equilibrium")
         markets = [market.with_unit_cost(c) for c in (5.0, 7.0, 9.0)]
-        stacked = compare_schemes_stacked(
-            markets, SMOKE, schemes=("random", "greedy", "equilibrium")
-        )
+        stacked = compare_schemes_stacked(markets, SMOKE, schemes=schemes)
         assert len(stacked) == 3
         for m, one_market in enumerate(markets):
-            solo = compare_schemes(
-                one_market, SMOKE, schemes=("random", "greedy", "equilibrium")
+            (solo,) = compare_schemes_stacked(
+                [one_market], SMOKE, schemes=schemes
             )
+            assert list(stacked[m]) == list(solo) == list(schemes)
             for scheme, evaluation in solo.items():
                 assert vars(stacked[m][scheme]) == vars(evaluation)
-
-    def test_train_drl_fleet_one_policy_many_markets(self, market):
-        """Fleet training: one agent across heterogeneous markets, one
-        LearnedPricing adapter per market (shared weights)."""
-        markets = [market.with_unit_cost(c) for c in (5.0, 8.0)]
-        fleet = train_drl_fleet(markets, SMOKE)
-        assert len(fleet.policies) == 2
-        assert fleet.policies[0].agent is fleet.policies[1].agent
-        # one iteration collects len(markets) episodes concurrently
-        assert fleet.training.num_episodes == SMOKE.num_episodes * 2
-        evaluation = evaluate_policy(markets[1], fleet.policies[1], rounds=5)
-        assert 5.0 <= evaluation.mean_price <= 50.0
 
 
 class TestFig2:

@@ -495,11 +495,19 @@ class TestSpecValidationErrorsAreTyped:
         assert isinstance(raised.value, ValueError)
 
     def test_unknown_scheme_in_a_market_scheme_job(self):
-        from repro.experiments.runner import compare_schemes
+        from repro.experiments.runner import run_market_scheme_job
+        from repro.experiments.scheduler import (
+            config_to_payload,
+            market_to_payload,
+        )
 
         with pytest.raises(ConfigurationError, match="unknown scheme"):
-            compare_schemes(
-                StackelbergMarket(paper_fig2_population()),
-                SMOKE,
-                schemes=("oracle",),
+            run_market_scheme_job(
+                {
+                    "scheme": "oracle",
+                    "market": market_to_payload(
+                        StackelbergMarket(paper_fig2_population())
+                    ),
+                    "config": config_to_payload(SMOKE),
+                }
             )

@@ -1,5 +1,5 @@
-"""Game-toolkit tests: solvers, best-response dynamics, and the analysis
-checks in ``tests/game_oracle.py``."""
+"""Game-toolkit tests: solvers and the analysis checks in
+``tests/game_oracle.py``."""
 
 import math
 
@@ -16,8 +16,7 @@ from game_oracle import (
 )
 
 from repro.errors import GameError
-from repro.game.best_response import iterate_best_response
-from repro.game.solvers import bisect_root, golden_section_maximize, grid_then_golden
+from repro.game.solvers import golden_section_maximize, grid_then_golden
 
 
 class TestGoldenSection:
@@ -51,23 +50,6 @@ class TestGoldenSection:
             lambda x: -((x - center) ** 2), -10.0, 10.0
         )
         assert argmax == pytest.approx(center, abs=1e-5)
-
-
-class TestBisectRoot:
-    def test_linear(self):
-        assert bisect_root(lambda x: x - 2.5, 0.0, 10.0) == pytest.approx(2.5)
-
-    def test_derivative_of_concave(self):
-        # root of d/dx [ln(1+x) - 0.2x] -> 1/(1+x) = 0.2 -> x = 4.
-        root = bisect_root(lambda x: 1.0 / (1.0 + x) - 0.2, 0.0, 100.0)
-        assert root == pytest.approx(4.0, abs=1e-8)
-
-    def test_endpoint_root(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(GameError, match="no sign change"):
-            bisect_root(lambda x: x + 10.0, 0.0, 1.0)
 
 
 class TestGridThenGolden:
@@ -179,44 +161,3 @@ class TestAnalysis:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(GameError):
             verify_no_profitable_deviation([lambda x: x], [1.0, 2.0], [(0, 1)])
-
-
-class TestBestResponseDynamics:
-    def test_decoupled_converges_in_one_step(self):
-        # BR independent of opponents: fixed point after one iteration.
-        target = np.array([2.0, 5.0])
-        result = iterate_best_response(lambda x: target, [0.0, 0.0])
-        assert result.converged
-        assert result.iterations <= 2
-        np.testing.assert_allclose(result.strategies, target)
-
-    def test_contraction_converges(self):
-        # BR(x) = 0.5 x + 1 -> fixed point 2.
-        result = iterate_best_response(
-            lambda x: 0.5 * x + 1.0, [10.0], tolerance=1e-12
-        )
-        assert result.converged
-        assert result.strategies[0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_damping_stabilises_oscillation(self):
-        # BR(x) = -x oscillates undamped; damping 0.5 converges to 0.
-        undamped = iterate_best_response(
-            lambda x: -x, [1.0], damping=1.0, max_iterations=50
-        )
-        assert not undamped.converged
-        damped = iterate_best_response(lambda x: -x, [1.0], damping=0.5)
-        assert damped.converged
-        assert damped.strategies[0] == pytest.approx(0.0, abs=1e-8)
-
-    def test_zero_damping_rejected(self):
-        with pytest.raises(GameError):
-            iterate_best_response(lambda x: x, [1.0], damping=0.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(GameError, match="shape"):
-            iterate_best_response(lambda x: np.zeros(3), [1.0, 2.0])
-
-    def test_residual_reported(self):
-        result = iterate_best_response(lambda x: x * 0.9, [1.0], max_iterations=3)
-        assert not result.converged
-        assert result.residual > 0.0

@@ -10,14 +10,23 @@ learning quality, not just plumbing.
 
 import numpy as np
 import pytest
-from game_oracle import verify_best_response
+from game_oracle import run_rounds, verify_best_response
 
 from repro.baselines import OraclePricing, RandomPricing
-from repro.core.mechanism import run_rounds
 from repro.core.stackelberg import StackelbergMarket
 from repro.core.utilities import vmu_utility
 from repro.entities.vmu import paper_fig2_population
-from repro.experiments import ExperimentConfig, evaluate_policy, train_drl
+from repro.experiments import (
+    ExperimentConfig,
+    evaluate_policies_stacked,
+    train_drl,
+)
+
+
+def evaluate_one(market, policy, *, rounds):
+    """The ``M = 1`` call of the stacked evaluator."""
+    (evaluation,) = evaluate_policies_stacked([market], [policy], rounds=rounds)
+    return evaluation
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +54,7 @@ class TestDrlReachesEquilibrium:
         information Stackelberg."""
         (result, config) = trained
         equilibrium = market.equilibrium()
-        evaluation = evaluate_policy(
+        evaluation = evaluate_one(
             market, result.policy, rounds=config.evaluation_rounds
         )
         gap = abs(evaluation.mean_msp_utility - equilibrium.msp_utility)
@@ -54,7 +63,7 @@ class TestDrlReachesEquilibrium:
     def test_learned_price_near_equilibrium_price(self, market, trained):
         (result, config) = trained
         equilibrium = market.equilibrium()
-        evaluation = evaluate_policy(market, result.policy, rounds=20)
+        evaluation = evaluate_one(market, result.policy, rounds=20)
         assert evaluation.mean_price == pytest.approx(
             equilibrium.price, abs=3.0
         )
@@ -62,8 +71,8 @@ class TestDrlReachesEquilibrium:
     def test_drl_beats_random_mean_utility(self, market, trained):
         """Fig. 3(a)'s ordering: proposed > random baseline."""
         (result, config) = trained
-        drl = evaluate_policy(market, result.policy, rounds=50)
-        random_ = evaluate_policy(
+        drl = evaluate_one(market, result.policy, rounds=50)
+        random_ = evaluate_one(
             market, RandomPricing(5.0, 50.0, seed=123), rounds=50
         )
         assert drl.mean_msp_utility > random_.mean_msp_utility

@@ -13,13 +13,16 @@ main tier-1 step.
 import tracemalloc
 
 from repro.core import MarketStack
+from repro.mobility.citygrid import CityGridSpec, city_columns
 
 NUM_MARKETS = 1024
 CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def test_chunked_solve_peak_memory_within_budget():
-    stack = MarketStack.from_grid(NUM_MARKETS, seed=7)
+    stack = MarketStack.from_columns(
+        city_columns(CityGridSpec.for_markets(NUM_MARKETS, seed=7))
+    )
     chunk = stack.resolve_chunk_size(chunk_bytes=CHUNK_BYTES)
     assert 1 <= chunk < NUM_MARKETS, "budget must force real chunking"
 

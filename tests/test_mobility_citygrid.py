@@ -274,8 +274,9 @@ def test_population_means_are_per_market_np_mean():
 
 
 def test_column_path_builds_no_market_objects(monkeypatch):
-    """``run_city_chunk_job`` and ``MarketStack.from_grid`` build no
-    ``StackelbergMarket``, ``VmuProfile`` or ``LinkBudget``."""
+    """``run_city_chunk_job`` and ``MarketStack.from_columns`` over
+    ``city_columns`` build no ``StackelbergMarket``, ``VmuProfile`` or
+    ``LinkBudget``."""
     spec = CityGridSpec.for_markets(40, max_vmus=11, seed=4)
     expected = MarketStack(city_markets(spec))
     reference = expected.equilibria_stacked()
@@ -288,7 +289,7 @@ def test_column_path_builds_no_market_objects(monkeypatch):
     monkeypatch.setattr(LinkBudget, "__post_init__", forbidden)
     payload = {"spec": spec.to_payload(), "start": 0, "stop": spec.num_markets}
     cells = run_city_chunk_job(payload)
-    grid = MarketStack.from_grid(40, max_vmus=11, seed=4)
+    grid = MarketStack.from_columns(city_columns(spec))
     monkeypatch.undo()
 
     assert cells["prices"].tobytes() == reference.prices.tobytes()

@@ -8,11 +8,11 @@ on the policy-evaluation fast paths.
 
 import numpy as np
 import pytest
-from game_oracle import scalar_landscape
+from game_oracle import run_rounds, scalar_landscape
 
 from repro.baselines import FixedPricing, GreedyPricing, OraclePricing, RandomPricing
 from repro.channel.ofdma import proportional_rationing
-from repro.core.mechanism import GameHistory, run_rounds
+from repro.core.mechanism import GameHistory
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.core.utilities import follower_best_response, msp_utility, vmu_utilities
 from repro.entities.vmu import VmuProfile, paper_fig2_population
@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 from repro.sim import (
     PriceBatchOutcome,
     plan_prices,
-    play_policy,
+    play_policies_stacked,
     uniform_price_grid,
 )
 
@@ -191,12 +191,40 @@ class TestVectorizedPrimitives:
         assert isinstance(proportional_rationing([1.0], 10.0), list)
 
 
+def play_one(market, policy, num_rounds):
+    """The ``M = 1`` call of the stacked evaluator."""
+    (played,) = play_policies_stacked([market], [policy], num_rounds)
+    return played
+
+
 class TestPlayPolicy:
+    @pytest.mark.parametrize(
+        "make_policy",
+        [
+            lambda market: RandomPricing(5.0, 50.0, seed=3),
+            lambda market: GreedyPricing(5.0, 50.0, seed=11),
+            lambda market: FixedPricing(20.0),
+            lambda market: OraclePricing(market),
+        ],
+        ids=["random", "greedy", "fixed", "oracle"],
+    )
+    def test_pinned_to_oracle_round_loop(self, market, make_policy):
+        """Prices, utilities, allocations and history records of the
+        stacked evaluator equal the classic round loop's, bitwise."""
+        reference, outcomes = run_rounds(market, make_policy(market), 30)
+        history, played = play_one(market, make_policy(market), 30)
+        assert history.records == reference.records
+        for k, outcome in enumerate(outcomes):
+            assert played.prices[k] == outcome.price
+            assert played.msp_utilities[k] == outcome.msp_utility
+            assert (played.allocations[k] == outcome.allocations).all()
+            assert (played.vmu_utilities[k] == outcome.vmu_utilities).all()
+
     def test_matches_run_rounds_for_random(self, market):
         """The price-vector fast path must reproduce the sequential loop
         exactly — same RNG stream consumption, same outcomes."""
         _, outcomes = run_rounds(market, RandomPricing(5.0, 50.0, seed=3), 20)
-        history, played = play_policy(market, RandomPricing(5.0, 50.0, seed=3), 20)
+        history, played = play_one(market, RandomPricing(5.0, 50.0, seed=3), 20)
         assert len(history) == 20
         for k, outcome in enumerate(outcomes):
             assert played.prices[k] == outcome.price
@@ -209,7 +237,7 @@ class TestPlayPolicy:
         history_a, outcomes = run_rounds(
             market, GreedyPricing(5.0, 50.0, seed=11), 30
         )
-        history_b, played = play_policy(
+        history_b, played = play_one(
             market, GreedyPricing(5.0, 50.0, seed=11), 30
         )
         assert [r.price for r in history_b.records] == [
@@ -221,7 +249,7 @@ class TestPlayPolicy:
     def test_fixed_and_oracle_use_fast_path(self, market):
         for policy in (FixedPricing(20.0), OraclePricing(market)):
             assert plan_prices(policy, GameHistory(), 5) is not None
-            _, played = play_policy(market, policy, 5)
+            _, played = play_one(market, policy, 5)
             assert len(played) == 5
             assert (played.prices == played.prices[0]).all()
 
@@ -229,15 +257,44 @@ class TestPlayPolicy:
         assert plan_prices(GreedyPricing(5.0, 50.0, seed=0), GameHistory(), 5) is None
 
     def test_history_records_appended(self, market):
-        history, played = play_policy(market, FixedPricing(20.0), 4)
+        history, played = play_one(market, FixedPricing(20.0), 4)
         assert [r.round_index for r in history.records] == [0, 1, 2, 3]
         assert history.records[0].msp_utility == played.msp_utilities[0]
 
     def test_zero_rounds_rejected(self, market):
         with pytest.raises(ValueError):
-            play_policy(market, FixedPricing(20.0), 0)
+            play_one(market, FixedPricing(20.0), 0)
 
     def test_played_rounds_best_index(self, market):
-        _, played = play_policy(market, RandomPricing(5.0, 50.0, seed=5), 25)
+        _, played = play_one(market, RandomPricing(5.0, 50.0, seed=5), 25)
         assert played.best_index == int(np.argmax(played.msp_utilities))
         assert isinstance(played, PriceBatchOutcome)
+
+
+class _BadPlanner(FixedPricing):
+    """Commits to one price too few."""
+
+    def propose_prices(self, history, count):
+        return np.full(count - 1, self.price)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda market: play_policies_stacked(
+                [market], [_BadPlanner(20.0)], 5
+            ),
+            lambda market: play_policies_stacked(
+                [market, market], [FixedPricing(20.0)], 5
+            ),
+            lambda market: play_policies_stacked(
+                [market], [FixedPricing(20.0)], 0
+            ),
+            lambda market: GameHistory().last(-1),
+        ],
+        ids=["plan_shape", "length_mismatch", "zero_rounds", "negative_last"],
+    )
+    def test_configuration_error(self, market, call):
+        with pytest.raises(ConfigurationError):
+            call(market)
