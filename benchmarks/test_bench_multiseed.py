@@ -9,7 +9,8 @@ Times the two scale levers this PR adds and records the evidence in
   ``outcomes_batch`` calls (which are themselves already vectorised over
   ``R`` — the baseline here is the *strong* one).
 - **Sharded multiseed** — the ``multiseed`` spec fanning its per-seed
-  runs over a ``JobScheduler(workers=k)`` pool vs. the in-process run.
+  runs over ``QueueScheduler(queue_dir, workers=k)`` (the inline worker
+  plus ``k - 1`` local worker processes) vs. the in-process run.
 
 Both comparisons are exact by construction (see
 ``tests/test_core_marketstack.py`` and
@@ -27,7 +28,8 @@ import pytest
 from repro.core import MarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import paper_fig2_population, sample_population
-from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.queue import QueueScheduler
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
@@ -97,7 +99,7 @@ def stacked_solve_table() -> tuple[Table, float]:
     return table, speedup
 
 
-def shard_table() -> tuple[Table, float]:
+def shard_table(queue_dir) -> tuple[Table, float]:
     market = StackelbergMarket(paper_fig2_population())
     # A reduced quick budget: heavy enough per seed (~2 s of DRL training)
     # that the process fan-out dominates worker start-up, light enough to
@@ -115,7 +117,7 @@ def shard_table() -> tuple[Table, float]:
     sequential = time.perf_counter() - start
     start = time.perf_counter()
     sharded_result = run_experiment(
-        "multiseed", params, scheduler=JobScheduler(workers=SHARDS)
+        "multiseed", params, scheduler=QueueScheduler(queue_dir, workers=SHARDS)
     )
     sharded = time.perf_counter() - start
     assert sharded_result == sequential_result  # sharding never changes data
@@ -141,9 +143,9 @@ def shard_table() -> tuple[Table, float]:
     return table, speedup
 
 
-def test_multiseed_speedups(record_table):
+def test_multiseed_speedups(record_table, tmp_path):
     stacked_table, stacked_speedup = stacked_solve_table()
-    sharded_table, shard_speedup = shard_table()
+    sharded_table, shard_speedup = shard_table(tmp_path)
     record_table("multiseed_speedup", stacked_table, sharded_table)
 
     # Acceptance floor: the stacked pass must clearly beat M separate

@@ -1,4 +1,4 @@
-"""Experiment scheduler: sharded fig3 DRL trainings, speedup evidence.
+"""Job queue executor: sharded fig3 DRL trainings, speedup evidence.
 
 Times a Fig. 3 cost sweep's per-market DRL trainings executed three ways
 and records the evidence in ``benchmarks/results/scheduler_speedup.txt``:
@@ -6,13 +6,14 @@ and records the evidence in ``benchmarks/results/scheduler_speedup.txt``:
 - **Sequential** — no scheduler: the plan's jobs run in-process, one
   market after the next.
 - **Scheduled, multi-worker** — the same markets as ``market_scheme``
-  jobs over a worker pool (the PR's fan-out path). Exact by construction:
-  each job runs the identical seeded training, floats survive the JSON
-  wire bitwise (pinned in ``tests/test_experiments_scheduler.py``).
-- **Resumed from cache** — a second scheduled run against the same cache
-  dir; every job is served from disk, no worker runs. This is the
-  interrupted-run recovery path, and its time is pure cache-read
-  overhead.
+  jobs drained by ``QueueScheduler(queue_dir, workers=3)``: the inline
+  worker plus two local worker processes. Exact by construction: each
+  job runs the identical seeded training, floats survive the JSON wire
+  bitwise (pinned in ``tests/test_experiments_scheduler.py``).
+- **Resumed from the store** — a second scheduled run against the same
+  queue directory; every job is served from its artifact store, no
+  worker runs. This is the interrupted-run recovery path, and its time is
+  pure store-read overhead.
 """
 
 import os
@@ -21,13 +22,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.queue import QueueScheduler
 from repro.utils.tables import Table
 
 pytestmark = pytest.mark.slow
 
 # ≥ 4 markets per the acceptance criteria; 6 matches the paper's sweep
-# densities and gives the pool two rounds at 3 workers.
+# densities and gives the executors two rounds at 3 workers.
 COSTS = (5.0, 5.8, 6.6, 7.4, 8.2, 9.0)
 WORKERS = 3
 SCHEMES = ("drl",)
@@ -53,7 +55,7 @@ def fig3_cost_sweep(config, *, costs, schemes, scheduler=None):
 
 def test_scheduler_speedup(record_table, tmp_path):
     # The multiseed bench's reduced quick budget: heavy enough per market
-    # (~seconds of DRL training) that fan-out dominates pool start-up,
+    # (~seconds of DRL training) that fan-out dominates worker start-up,
     # light enough to keep the benchmark in tens of seconds.
     config = replace(ExperimentConfig.quick(), num_episodes=40)
 
@@ -61,7 +63,7 @@ def test_scheduler_speedup(record_table, tmp_path):
     sequential = fig3_cost_sweep(config, costs=COSTS, schemes=SCHEMES)
     sequential_s = time.perf_counter() - start
 
-    scheduler = JobScheduler(workers=WORKERS, cache_dir=tmp_path)
+    scheduler = QueueScheduler(tmp_path, workers=WORKERS)
     start = time.perf_counter()
     scheduled = fig3_cost_sweep(
         config, costs=COSTS, schemes=SCHEMES, scheduler=scheduler
@@ -71,13 +73,13 @@ def test_scheduler_speedup(record_table, tmp_path):
     assert _evaluations(scheduled) == _evaluations(sequential)
     assert scheduler.jobs_executed == len(COSTS)
 
-    resumed_scheduler = JobScheduler(workers=WORKERS, cache_dir=tmp_path)
+    resumed_scheduler = QueueScheduler(tmp_path, workers=WORKERS)
     start = time.perf_counter()
     resumed = fig3_cost_sweep(
         config, costs=COSTS, schemes=SCHEMES, scheduler=resumed_scheduler
     )
     resumed_s = time.perf_counter() - start
-    # The resumed run is pure cache: same numbers, zero jobs executed.
+    # The resumed run is pure store reads: same numbers, zero executed.
     assert _evaluations(resumed) == _evaluations(sequential)
     assert resumed_scheduler.jobs_executed == 0
     assert resumed_scheduler.cache_hits == len(COSTS)
@@ -104,7 +106,7 @@ def test_scheduler_speedup(record_table, tmp_path):
         sequential_s / scheduled_s,
     )
     table.add_row(
-        "resumed from cache",
+        "resumed from store",
         len(COSTS),
         WORKERS,
         cores,
@@ -114,6 +116,6 @@ def test_scheduler_speedup(record_table, tmp_path):
     record_table("scheduler_speedup", table)
 
     # Resume must be dramatically cheaper than recomputing — that is the
-    # point of the cache (the multi-worker speedup is recorded as
+    # point of the store (the multi-worker speedup is recorded as
     # evidence but not asserted; it depends on the core budget).
     assert resumed_s < sequential_s / 5

@@ -49,7 +49,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scheduler import (
     Job,
-    JobScheduler,
     config_from_payload,
     config_to_payload,
     execute_job,
@@ -90,7 +89,6 @@ __all__ = [
     "evaluate_policies_stacked",
     "train_drl",
     "Job",
-    "JobScheduler",
     "config_from_payload",
     "config_to_payload",
     "execute_job",

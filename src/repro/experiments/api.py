@@ -6,8 +6,7 @@ welfare analysis, and the multi-seed comparison — is registered here as an
 :class:`ExperimentSpec`:
 
 - a **name** and a **typed parameter schema** (:class:`ParamSpec` entries
-  with a JSON codec, so a spec invocation serialises for the CLI and for
-  cross-machine wire formats);
+  that coerce API values and parse CLI text);
 - a ``plan()`` that compiles the validated parameters into
   :class:`~repro.experiments.scheduler.Job`s (decomposing per seed / per
   market point / per grid cell / per chunk);
@@ -17,9 +16,10 @@ welfare analysis, and the multi-seed comparison — is registered here as an
 Every run takes that one path: :func:`run_experiment` plans the jobs,
 executes them — in-process through
 :func:`~repro.experiments.scheduler.execute_job` when no scheduler is
-given, else through the scheduler — and assembles the result. Floats
-survive the JSON job wire exactly, so the in-process, pooled and queued
-runs are **bitwise-equal**, which ``tests/test_experiments_api.py`` pins.
+given, else through the :class:`repro.queue.QueueScheduler` — and
+assembles the result. Floats survive the JSON job wire exactly, so the
+in-process and queued runs are **bitwise-equal**, which
+``tests/test_experiments_api.py`` pins.
 :func:`schedule` compiles a spec into an :class:`ExperimentPlan` without
 executing it — the plan's job specs are the ``[{"kind", "payload"}]`` wire
 format the ``schedule`` CLI subcommand consumes.
@@ -44,6 +44,7 @@ import json
 import types
 import typing
 from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,14 +62,14 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scheduler import (
     Job,
-    SchedulerLike,
     config_from_payload,
-    config_to_payload,
     execute_job,
     market_from_payload,
-    market_to_payload,
 )
 from repro.utils.serialization import to_jsonable
+
+if TYPE_CHECKING:
+    from repro.queue.worker import QueueScheduler
 
 __all__ = [
     "ParamSpec",
@@ -93,7 +94,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# parameter types — each a (coerce, parse, encode, decode) bundle
+# parameter types — each a (coerce, parse) pair
 # ---------------------------------------------------------------------- #
 def parse_int_tuple(text: str) -> tuple[int, ...]:
     """``"0,1,2"`` → ``(0, 1, 2)`` (the one seed-list parser, shared with
@@ -118,10 +119,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _identity(value: object) -> object:
-    return value
 
 
 def _optional(function: Callable) -> Callable:
@@ -168,7 +165,6 @@ _FADING_MODELS: dict[str, type] = {
     "rician": RicianFading,
     "shadowing": LogNormalShadowing,
 }
-_FADING_NAMES = {cls: name for name, cls in _FADING_MODELS.items()}
 
 
 def _coerce_fading(value: object) -> FadingModel | None:
@@ -202,26 +198,7 @@ def _coerce_fading(value: object) -> FadingModel | None:
     )
 
 
-def _encode_fading(value: FadingModel | None) -> object:
-    if value is None:
-        return None
-    name = _FADING_NAMES.get(type(value))
-    if name is None:
-        raise ExperimentError(
-            f"cannot serialise fading model {type(value).__name__} into a "
-            "parameter payload; use one of the named models "
-            f"({sorted(_FADING_MODELS)}) on the wire"
-        )
-    return {"model": name, **dataclasses.asdict(value)}
-
-
-def _decode_fading(payload: object) -> FadingModel | None:
-    if payload is None:
-        return None
-    if isinstance(payload, str):
-        return _coerce_fading(payload)
-    if not isinstance(payload, Mapping):
-        raise ValueError("fading payload must be a mapping or model name")
+def _decode_fading(payload: Mapping) -> FadingModel:
     cls = _FADING_MODELS.get(str(payload.get("model", "")).lower())
     if cls is None:
         raise ValueError(f"unknown fading model {payload.get('model')!r}")
@@ -241,13 +218,11 @@ def _coerce_seed(value: object) -> object:
 
 @dataclass(frozen=True)
 class _ParamType:
-    """One parameter type: python coercion, CLI parsing, JSON codec."""
+    """One parameter type: python coercion and CLI parsing."""
 
     name: str
     coerce: Callable
     parse: Callable[[str], object]
-    encode: Callable
-    decode: Callable
 
 
 def _tuple_of(function: Callable) -> Callable:
@@ -269,54 +244,28 @@ def _tuple_of(function: Callable) -> Callable:
 PARAM_TYPES: dict[str, _ParamType] = {
     kind.name: kind
     for kind in (
-        _ParamType("int", int, int, int, int),
-        _ParamType("float", float, float, float, float),
-        _ParamType("str", str, str, str, str),
-        _ParamType("bool", bool, _parse_bool, bool, bool),
-        _ParamType(
-            "int?", _optional(int), _parse_optional(int), _optional(int),
-            _optional(int),
-        ),
-        _ParamType(
-            "float?", _optional(float), _parse_optional(float),
-            _optional(float), _optional(float),
-        ),
-        _ParamType(
-            "str?", _optional(str), _parse_optional(str), _optional(str),
-            _optional(str),
-        ),
-        _ParamType(
-            "ints", _tuple_of(int), parse_int_tuple, list, _tuple_of(int)
-        ),
-        _ParamType(
-            "floats", _tuple_of(float), parse_float_tuple, list,
-            _tuple_of(float),
-        ),
-        _ParamType(
-            "strs", _tuple_of(str), parse_str_tuple, list, _tuple_of(str)
-        ),
+        _ParamType("int", int, int),
+        _ParamType("float", float, float),
+        _ParamType("str", str, str),
+        _ParamType("bool", bool, _parse_bool),
+        _ParamType("int?", _optional(int), _parse_optional(int)),
+        _ParamType("float?", _optional(float), _parse_optional(float)),
+        _ParamType("str?", _optional(str), _parse_optional(str)),
+        _ParamType("ints", _tuple_of(int), parse_int_tuple),
+        _ParamType("floats", _tuple_of(float), parse_float_tuple),
+        _ParamType("strs", _tuple_of(str), parse_str_tuple),
         _ParamType(
             "config?",
             _coerce_config,
             _parse_optional(lambda text: _coerce_config(json.loads(text))),
-            _optional(config_to_payload),
-            _coerce_config,
         ),
         _ParamType(
             "market?",
             _coerce_market,
             _parse_optional(lambda text: _coerce_market(json.loads(text))),
-            _optional(market_to_payload),
-            _coerce_market,
         ),
-        _ParamType(
-            "fading?",
-            _coerce_fading,
-            _parse_optional(_coerce_fading),
-            _encode_fading,
-            _decode_fading,
-        ),
-        _ParamType("seed", _coerce_seed, int, _identity, _identity),
+        _ParamType("fading?", _coerce_fading, _parse_optional(_coerce_fading)),
+        _ParamType("seed", _coerce_seed, int),
     )
 }
 
@@ -357,19 +306,6 @@ class ParamSpec:
             raise ConfigurationError(
                 f"cannot parse {text!r} as parameter {self.name!r} "
                 f"(type {self.type}): {exc}"
-            ) from exc
-
-    def encode(self, value: object) -> object:
-        """The JSON wire form of a value of this parameter."""
-        return self._kind().encode(value)
-
-    def decode(self, payload: object) -> object:
-        """Rebuild a value from its JSON wire form."""
-        try:
-            return self._kind().decode(payload)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"invalid payload for parameter {self.name!r}: {exc}"
             ) from exc
 
 
@@ -456,7 +392,7 @@ def resolve_market(params: Mapping) -> StackelbergMarket:
 class ExperimentPlan:
     """A spec compiled against concrete parameters: jobs + merge context.
 
-    ``jobs`` is what a :class:`JobScheduler` (local or remote) executes;
+    ``jobs`` is what a :class:`repro.queue.QueueScheduler` executes;
     ``context`` carries whatever in-memory state ``assemble`` needs (the
     built market grid, job→slot maps, ...) and never rides the wire.
     """
@@ -518,26 +454,6 @@ class ExperimentSpec:
                 spec.default if value is None else spec.coerce(value)
             )
         return validated
-
-    def params_to_payload(self, params: Mapping) -> dict:
-        """A validated parameter dict as its JSON wire form."""
-        validated = self.validate(params)
-        return {
-            spec.name: spec.encode(validated[spec.name])
-            for spec in self.params
-        }
-
-    def params_from_payload(self, payload: Mapping) -> dict:
-        """Rebuild (and validate) a parameter dict from its wire form."""
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"parameter payload must be a mapping, got "
-                f"{type(payload).__name__}"
-            )
-        decoded = {}
-        for key, value in payload.items():
-            decoded[str(key)] = self.param(str(key)).decode(value)
-        return self.validate(decoded)
 
     def result_to_payload(self, result: object) -> dict:
         """``result`` as a JSON-able dict (uniform dataclass codec)."""
@@ -615,20 +531,18 @@ def run_experiment(
     experiment: str | ExperimentSpec,
     params: Mapping | None = None,
     *,
-    scheduler: SchedulerLike | None = None,
+    scheduler: QueueScheduler | None = None,
 ):
     """Run one registered experiment; returns its result dataclass.
 
     The spec's ``plan()`` compiles the run into jobs and ``assemble()``
     merges their results. Without ``scheduler`` the jobs execute
-    in-process, one after another. With one — anything satisfying the
-    :class:`~repro.experiments.scheduler.SchedulerLike` contract: a
-    :class:`JobScheduler` (process fan-out + per-job result caching under
-    its cache dir) or a :class:`repro.queue.QueueScheduler` (the same jobs
-    batch-run against a shared queue directory and content-addressed
-    artifact store, drainable by worker fleets on other machines) — they
-    run through it, with caching and kill-resume for free. Every way
-    returns a bitwise-equal result.
+    in-process, one after another. With a
+    :class:`repro.queue.QueueScheduler` they batch-run against its queue
+    directory and content-addressed artifact store — fanned over its
+    local worker processes and any worker fleet attached to the directory
+    — with caching and kill-resume for free. Both ways return a
+    bitwise-equal result.
 
     Specs with a ``shards`` parameter (multiseed) fan out per shard: when
     a scheduler is supplied and ``shards`` is unset, it defaults to the

@@ -14,13 +14,13 @@ population moves:
 
 Every sweep draws its whole market grid up front (a pure function of the
 parameters) and plans one ``equilibrium_cell`` job per grid cell — run
-in-process, fanned out by a
-:class:`repro.experiments.scheduler.JobScheduler`, or drained from a
-shared queue. Each cell is the scalar equilibrium, which *is* the
-``M = 1`` stacked solve, so every cell equals the same market solved
-inside one :meth:`repro.core.marketstack.MarketStack.equilibria_stacked`
-pass. Overlapping sweeps reuse solved cells through the scheduler's
-content-keyed result cache (``JobScheduler(cache_dir=...)``).
+in-process, or fanned out and stored by a
+:class:`repro.queue.QueueScheduler`. Each cell is the scalar equilibrium,
+which *is* the ``M = 1`` stacked solve, so every cell equals the same
+market solved inside one
+:meth:`repro.core.marketstack.MarketStack.equilibria_stacked` pass.
+Overlapping sweeps reuse solved cells through the queue directory's
+content-keyed artifact store (``QueueScheduler(queue_dir)``).
 """
 
 from __future__ import annotations

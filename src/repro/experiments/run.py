@@ -6,11 +6,11 @@ Usage::
     python -m repro.experiments.run describe fig3_cost
     python -m repro.experiments.run run fig2 --param episodes=2
     python -m repro.experiments.run run fig3_cost --param costs=5,7,9 \
-        --workers 4 --cache-dir .cache --resume
+        --workers 4 --queue-dir .queue --resume
     python -m repro.experiments.run run multiseed --param seeds=0,1,2,3 \
         --workers 2
     python -m repro.experiments.run schedule --jobs jobs.json --workers 4 \
-        --cache-dir .cache --resume
+        --queue-dir .queue --resume
 
     # shared-queue path: enqueue a plan, drain it with a worker fleet
     python -m repro.experiments.run schedule --jobs jobs.json \
@@ -24,13 +24,15 @@ The ``run`` subcommand works for **every** experiment in the
 :mod:`repro.experiments.api` registry (``list`` names them, ``describe
 <name>`` prints the typed parameter schema): the spec's plan compiles the
 run into jobs, which execute in-process by default. ``--workers``,
-``--cache-dir`` and ``--resume`` — defined once, in a parent parser shared
+``--queue-dir`` and ``--resume`` — defined once, in a parent parser shared
 by every subcommand, so the flags cannot drift — route those jobs through
-the job scheduler (:mod:`repro.experiments.scheduler`): independent units
-(per-seed DRL trainings, per-market-point trainings, per-grid-cell
-equilibria, city chunks) fan out across worker processes and every
-finished unit is cached, so an interrupted run resumes instead of
-recomputing. Results are bitwise identical either way.
+the job queue (:mod:`repro.queue`): independent units (per-seed DRL
+trainings, per-market-point trainings, per-grid-cell equilibria, city
+chunks) fan out across ``--workers`` local executors, and every finished
+unit is stored in the queue directory's artifact store, so an interrupted
+run resumes instead of recomputing. ``--workers N`` (N > 1) without
+``--queue-dir`` runs over a temporary queue directory, removed afterwards.
+Results are bitwise identical either way.
 
 The default preset is ``quick`` (a reduced training budget);
 ``--param preset=paper`` uses the full Sec. V-A budget (E = 500 episodes —
@@ -41,25 +43,26 @@ overrides the count).
 The ``schedule`` subcommand executes an explicit job-spec file — a JSON
 list of ``{"kind": ..., "payload": ...}`` entries (the
 :meth:`repro.experiments.scheduler.Job.spec` wire form, which
-:meth:`repro.experiments.api.ExperimentPlan.job_specs` emits) — against
-the scheduler: the queued-experiment path for splitting one experiment's
-jobs across machines that share (or later merge) a cache directory.
+:meth:`repro.experiments.api.ExperimentPlan.job_specs` emits) — through
+the queue: the path for splitting one experiment's jobs across machines
+that share (or later merge) a queue directory.
 
-``--queue-dir`` switches any of the above onto the shared job queue
-(:mod:`repro.queue`): jobs enqueue as spec files in a directory that any
-number of ``worker`` processes — on any machines sharing the filesystem —
-lease, execute, and ack, with heartbeat-based lease expiry so a killed
-worker's jobs requeue. ``schedule --enqueue`` feeds a plan in without
-executing; the queued path returns results bitwise identical to an
-in-process run. ``queue stats <dir>`` prints a read-only census of a queue
-directory (pending, leased, stored, workers, quarantined).
+A ``--queue-dir`` may be shared: any number of ``worker`` processes — on
+any machines sharing the filesystem — lease, execute, and ack its jobs,
+with heartbeat-based lease expiry so a killed worker's jobs requeue.
+``schedule --enqueue`` feeds a plan in without executing; the queued path
+returns results bitwise identical to an in-process run. ``queue stats
+<dir>`` prints a read-only census of a queue directory (pending, leased,
+stored, workers, quarantined).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.errors import ConfigurationError, ExperimentError
@@ -69,7 +72,7 @@ from repro.experiments.api import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments.scheduler import Job, JobScheduler
+from repro.experiments.scheduler import Job
 from repro.utils.serialization import load_json, save_json
 from repro.utils.tables import Table
 
@@ -86,7 +89,7 @@ __all__ = [
 
 # ------------------------------------------------------------------ #
 # shared flags — ONE definition for every subcommand, so
-# --workers/--cache-dir/--resume cannot drift
+# --workers/--queue-dir/--resume cannot drift
 # ------------------------------------------------------------------ #
 def _scheduler_parent() -> argparse.ArgumentParser:
     """Parent parser carrying the scheduler and output flags."""
@@ -97,15 +100,9 @@ def _scheduler_parent() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes for the experiment's independent units "
+            "local executors for the experiment's independent units "
             "(per-seed / per-market-point DRL trainings, grid cells)"
         ),
-    )
-    group.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="cache finished units here so interrupted runs resume",
     )
     group.add_argument(
         "--resume",
@@ -118,9 +115,9 @@ def _scheduler_parent() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help=(
-            "route jobs through the shared job queue at this directory "
-            "(worker fleets drain it; see the `worker` subcommand) "
-            "instead of a local process pool"
+            "route jobs through the job queue at this directory: finished "
+            "units are stored there so interrupted runs resume, and "
+            "worker fleets may drain it too (see the `worker` subcommand)"
         ),
     )
     group.add_argument(
@@ -147,36 +144,46 @@ def _validate_workers(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--lease-ttl only applies with --queue-dir")
         if lease_ttl <= 0:
             parser.error(f"--lease-ttl must be > 0 seconds, got {lease_ttl}")
+    job_timeout = getattr(args, "job_timeout", None)
+    if job_timeout is not None and job_timeout <= 0:
+        parser.error(f"--job-timeout must be > 0 seconds, got {job_timeout}")
 
 
-def _build_scheduler(args, *, force: bool = False):
+@contextlib.contextmanager
+def _scheduler(args, *, force: bool = False):
     """The scheduler the parsed flags describe (None → run in-process).
 
-    ``--queue-dir`` selects the shared-queue backend
-    (:class:`repro.queue.QueueScheduler`: jobs enqueue for any attached
-    worker fleet, and the invocation itself works the queue inline until
-    its batch completes); otherwise the flags describe a local
-    :class:`JobScheduler`.
+    Any of ``--queue-dir``, ``--workers N`` (N > 1), ``--job-timeout`` or
+    ``force`` selects a :class:`repro.queue.QueueScheduler`; without a
+    ``--queue-dir`` it runs over a temporary directory that is removed on
+    exit.
     """
-    queue_dir = getattr(args, "queue_dir", None)
-    if queue_dir is not None:
-        from repro.queue import DEFAULT_LEASE_TTL, QueueScheduler
+    queue_dir = args.queue_dir
+    job_timeout = getattr(args, "job_timeout", None)
+    if (
+        not force
+        and queue_dir is None
+        and args.workers == 1
+        and job_timeout is None
+    ):
+        yield None
+        return
+    from repro.queue import DEFAULT_LEASE_TTL, QueueScheduler
 
-        lease_ttl = getattr(args, "lease_ttl", None)
-        return QueueScheduler(
-            queue_dir,
-            lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-queue-")
+        if queue_dir is None
+        else contextlib.nullcontext(queue_dir)
+    ) as directory:
+        yield QueueScheduler(
+            directory,
+            lease_ttl=(
+                DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl
+            ),
             workers=args.workers,
             resume=args.resume,
+            job_timeout=job_timeout,
         )
-    if not force and args.workers == 1 and args.cache_dir is None:
-        return None
-    return JobScheduler(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        job_timeout=getattr(args, "job_timeout", None),
-    )
 
 
 # ------------------------------------------------------------------ #
@@ -202,8 +209,8 @@ def run_main(argv: list[str] | None = None) -> int:
         description=(
             "Run one registered experiment. Parameters come from the "
             "experiment's typed schema (`describe <name>` prints it); "
-            "--workers/--cache-dir/--resume route the run through the "
-            "job scheduler — fan-out, caching, and kill-resume for every "
+            "--workers/--queue-dir/--resume route the run through the "
+            "job queue — fan-out, caching, and kill-resume for every "
             "experiment, bitwise-equal to the in-process run."
         ),
     )
@@ -226,15 +233,15 @@ def run_main(argv: list[str] | None = None) -> int:
         params = _parse_cli_params(spec, args.param)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    scheduler = _build_scheduler(args)
-    try:
-        result = run_experiment(spec, params, scheduler=scheduler)
-    except ValueError as exc:
-        # The specs' validations (bad shard counts, draws < 2, unknown
-        # scheme names, empty sweep axes) raise ConfigurationError, a
-        # ValueError — a clean CLI error, not a traceback. Other
-        # ValueErrors from the library get the same treatment.
-        parser.error(str(exc))
+    with _scheduler(args) as scheduler:
+        try:
+            result = run_experiment(spec, params, scheduler=scheduler)
+        except ValueError as exc:
+            # The specs' validations (bad shard counts, draws < 2, unknown
+            # scheme names, empty sweep axes) raise ConfigurationError, a
+            # ValueError — a clean CLI error, not a traceback. Other
+            # ValueErrors from the library get the same treatment.
+            parser.error(str(exc))
     print(spec.render_result(result))
     if scheduler is not None:
         print(
@@ -435,17 +442,17 @@ def queue_main(argv: list[str] | None = None) -> int:
 # ------------------------------------------------------------------ #
 def schedule_main(argv: list[str] | None = None) -> int:
     """The ``schedule`` subcommand: execute a job-spec file through the
-    experiment scheduler (process pool + on-disk result cache + resume),
-    or — with ``--enqueue`` — feed it into a shared ``--queue-dir`` for a
-    worker fleet without executing anything locally."""
+    job queue (local fan-out + stored results + resume), or — with
+    ``--enqueue`` — feed it into a shared ``--queue-dir`` for a worker
+    fleet without executing anything locally."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments schedule",
         parents=[_scheduler_parent()],
         description=(
             "Execute a JSON list of job specs ({kind, payload} entries) "
-            "through the experiment scheduler. Finished jobs are cached "
-            "under --cache-dir; a rerun with --resume serves them from "
-            "disk without touching a worker."
+            "through the job queue. Finished jobs are stored under "
+            "--queue-dir; a rerun with --resume serves them from disk "
+            "without touching a worker."
         ),
     )
     parser.add_argument(
@@ -458,7 +465,10 @@ def schedule_main(argv: list[str] | None = None) -> int:
         "--job-timeout",
         type=float,
         default=None,
-        help="seconds without any job finishing before the run fails fast",
+        help=(
+            "seconds one job may run before the run fails fast (every "
+            "--workers executor is then a local process)"
+        ),
     )
     parser.add_argument(
         "--enqueue",
@@ -501,8 +511,8 @@ def schedule_main(argv: list[str] | None = None) -> int:
             f"{stats.stored} stored"
         )
         return 0
-    scheduler = _build_scheduler(args, force=True)
-    results = scheduler.run(jobs)
+    with _scheduler(args, force=True) as scheduler:
+        results = scheduler.run(jobs)
     table = Table(
         headers=("#", "kind", "job_hash", "source"),
         title=f"Scheduled jobs — {args.jobs}",

@@ -301,11 +301,11 @@ def run_market_scheme_job(payload: Mapping) -> dict:
     trained DRL agent is also persisted via
     :func:`repro.drl.checkpoints.save_agent` — to an explicit
     ``checkpoint`` payload path if given, else (when the scheduler
-    injected its cache dir) to ``<cache>/checkpoints/<job_hash>.npz`` —
-    so the parent (or a later process) can reload the policy itself. The
-    target derived from the injected dir is *not* part of the job spec,
-    so the job hash — and the cache — stays stable across cache-dir
-    spellings and machines.
+    injected its artifact store's root) to
+    ``<store>/checkpoints/<job_hash>.npz`` — so the parent (or a later
+    process) can reload the policy itself. The target derived from the
+    injected dir is *not* part of the job spec, so the job hash — and the
+    store — stays stable across directory spellings and machines.
     """
     artifact_dir = payload.get(ARTIFACT_DIR_KEY)
     spec_payload = {
@@ -326,11 +326,10 @@ def run_market_scheme_job(payload: Mapping) -> dict:
                 _save_policy(policy, explicit, config)
             )
         elif artifact_dir is not None:
-            # Record the checkpoint *relative to the cache dir* so the
-            # cached result stays valid when the cache is moved or shared
-            # across machines (resolve against the consuming scheduler's
-            # cache dir; `JobScheduler.checkpoint_path(job)` is the
-            # absolute form).
+            # Record the checkpoint *relative to the store root* so the
+            # stored result stays valid when the store is moved or shared
+            # across machines (`Artifact.checkpoint()` resolves it against
+            # the consuming store's root).
             job_hash = Job("market_scheme", spec_payload).job_hash()
             relative = Path("checkpoints") / f"{job_hash}.npz"
             _save_policy(policy, Path(artifact_dir) / relative, config)
@@ -351,8 +350,8 @@ def run_training_job(payload: Mapping) -> dict:
     evaluation column). Floats survive the JSON wire exactly, so a
     training executed in a worker merges back bitwise-equal to the
     in-process run. Like ``market_scheme``, the trained agent is parked
-    at ``<cache>/checkpoints/<job_hash>.npz`` (cache-relative on the
-    wire) when the scheduler injected its cache dir.
+    at ``<store>/checkpoints/<job_hash>.npz`` (store-relative on the
+    wire) when the scheduler injected its artifact store's root.
     """
     artifact_dir = payload.get(ARTIFACT_DIR_KEY)
     spec_payload = {
@@ -416,10 +415,10 @@ def plan_scheme_jobs(
         if scheme in _PLANNABLE_SCHEMES:
             continue
         for index, market_payload in enumerate(market_payloads):
-            # DRL jobs park their trained agent at the scheduler's
-            # checkpoint_path(job) on their own: the target is derived
-            # from the job hash and the injected cache dir at execution
-            # time, never written into the spec.
+            # DRL jobs park their trained agent in the artifact store's
+            # checkpoints/ on their own: the target is derived from the
+            # job hash and the injected store root at execution time,
+            # never written into the spec.
             jobs.append(
                 Job(
                     "market_scheme",

@@ -1,15 +1,17 @@
-"""Async experiment scheduler: serializable jobs, pooled workers, disk cache.
+"""Experiment jobs: serializable specs, the job-kind registry, wire codecs.
 
 The paper's headline results are embarrassingly parallel collections of
 independent work units — one seed of a multi-seed comparison, one market
 point of a Fig. 3 sweep, one robustness grid cell, one DRL training. This
 module gives every such unit one shape: a :class:`Job`, a *pure-function
-spec* naming a registered job kind plus a JSON-able payload, executed by a
-:class:`JobScheduler` that fans jobs over a process pool and caches every
-result on disk keyed by a stable job hash. Interrupted runs **resume**
-instead of recompute, and the JSON wire format (the same
-``to_payload``/``from_payload`` contract the multiseed shards ship) makes
-the queue serializable for cross-machine fan-out.
+spec* naming a registered job kind plus a JSON-able payload. The one
+executor of job batches is :class:`repro.queue.QueueScheduler`: it serves
+results already in its directory's artifact store, fans the rest over
+local worker processes and any attached worker fleet, and persists every
+result as it lands, so interrupted runs **resume** instead of recompute.
+This module holds what both sides of that wire share: the job-kind
+registry and :func:`execute_job`, the ``{"job", "result"}`` result-entry
+codec, and the market/config payload codecs.
 
 Job-spec contract
 -----------------
@@ -30,18 +32,16 @@ across processes, machines, and interpreter restarts. Anything that should
 be in the payload; anything that should (wall-clock, worker count) must
 not be.
 
-Cache layout and resume semantics
----------------------------------
-With ``cache_dir`` set, each finished job writes
-``<cache_dir>/<job_hash>.json`` containing ``{"job": spec, "result":
-payload}`` (written atomically: temp file + rename). DRL jobs additionally
-hand their trained agent home as ``<cache_dir>/checkpoints/<hash>.npz``
-via :func:`repro.drl.checkpoints.save_agent`. On a later run with
-``resume=True`` (default), a job whose cache file exists — and whose
-recorded spec matches, guarding against hash collisions and stale files —
-is served from disk without touching a worker; a corrupt or truncated file
-is treated as a miss and recomputed. ``resume=False`` ignores and
-overwrites existing entries.
+Result entries
+--------------
+Each finished job is one ``<job_hash>.json`` file holding ``{"job": spec,
+"result": payload}`` (:func:`write_result_entry`: written atomically,
+temp file + fsync + rename). A reader whose entry is absent, truncated or
+otherwise unreadable gets :data:`MISSING_RESULT` — a cache miss, recomputed
+— while an entry recording a different spec raises
+(:func:`read_result_entry`). DRL jobs additionally park their trained
+agent in the artifact directory injected under :data:`ARTIFACT_DIR_KEY`,
+at ``checkpoints/<job_hash>.npz`` (recorded relative to it).
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ import importlib
 import json
 import os
 import uuid
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from repro.channel.link import LinkBudget, RsuLink
 from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss
@@ -71,12 +69,9 @@ __all__ = [
     "ARTIFACT_DIR_KEY",
     "MISSING_RESULT",
     "Job",
-    "JobScheduler",
-    "SchedulerLike",
     "register_job_kind",
     "job_function",
     "execute_job",
-    "execute_spec",
     "write_result_entry",
     "read_result_entry",
     "market_to_payload",
@@ -86,10 +81,10 @@ __all__ = [
 ]
 
 ARTIFACT_DIR_KEY = "__artifact_dir__"
-"""Reserved payload key the scheduler injects at *execution* time.
+"""Reserved payload key injected at *execution* time.
 
-It carries the scheduler's cache directory so job functions can park
-artifacts (e.g. DRL checkpoints) next to the result cache. It is injected
+It carries the artifact store's root so job functions can park artifacts
+(e.g. DRL checkpoints) next to the stored results. It is injected
 into the payload dict handed to the job function only — never into the
 job's spec — so it does not participate in :meth:`Job.job_hash` and a
 cache written under one directory spelling resumes under any other.
@@ -119,10 +114,10 @@ def register_job_kind(
     """Register a new job kind.
 
     ``function`` is either a dotted path ``"package.module:callable"`` —
-    the scheduler ships path registrations to its workers alongside each
-    job, so these resolve regardless of the multiprocessing start
-    method — or a callable, which is only reachable where the
-    registering process's memory is (in-process execution and
+    :class:`repro.queue.QueueScheduler` replays path registrations in the
+    local worker processes it starts, so these resolve regardless of the
+    multiprocessing start method — or a callable, which is only reachable
+    where the registering process's memory is (in-process execution and
     ``fork``-start workers).
     """
     if name in _BUILTIN_JOB_KINDS:
@@ -233,7 +228,7 @@ class Job:
 def execute_job(job: Job, artifact_dir: str | Path | None = None) -> object:
     """Run one job in this process and return its JSON-able result.
 
-    ``artifact_dir`` (the scheduler's cache dir) is injected into the
+    ``artifact_dir`` (the artifact store's root) is injected into the
     payload under :data:`ARTIFACT_DIR_KEY` — execution context, never part
     of the spec or hash.
     """
@@ -243,44 +238,9 @@ def execute_job(job: Job, artifact_dir: str | Path | None = None) -> object:
     return to_jsonable(job_function(job.kind)(payload))
 
 
-def execute_spec(
-    spec: Mapping,
-    artifact_dir: str | None = None,
-    registered_paths: Mapping | None = None,
-) -> object:
-    """Worker entry point: module-level so a process pool can pickle it.
-
-    ``registered_paths`` replays the parent's dotted-path
-    :func:`register_job_kind` calls, so those kinds resolve in workers
-    under any multiprocessing start method.
-    """
-    if registered_paths:
-        for name, path in registered_paths.items():
-            _REGISTERED_JOB_KINDS.setdefault(str(name), str(path))
-    return execute_job(Job.from_spec(spec), artifact_dir)
-
-
-@runtime_checkable
-class SchedulerLike(Protocol):
-    """The contract ``run_experiment(..., scheduler=...)`` needs.
-
-    :class:`JobScheduler` (process pool + cache) and
-    :class:`repro.queue.QueueScheduler` (shared queue + artifact store)
-    both satisfy it: execute a job batch returning result payloads in job
-    order, expose ``workers`` (sizes shard-style plan fan-out) and the
-    post-run ``cache_hits`` / ``jobs_executed`` accounting the CLI prints.
-    """
-
-    workers: int
-    cache_hits: int
-    jobs_executed: int
-
-    def run(self, jobs: Sequence[Job]) -> list: ...
-
-
 # ---------------------------------------------------------------------- #
-# result-entry codec — the ``{"job", "result"}`` files shared by the
-# scheduler cache and the queue subsystem's artifact store
+# result-entry codec — the ``{"job", "result"}`` files of the queue
+# subsystem's artifact store
 # ---------------------------------------------------------------------- #
 MISSING_RESULT = object()
 """Sentinel :func:`read_result_entry` returns for absent/corrupt entries."""
@@ -290,7 +250,7 @@ def write_result_entry(path: str | Path, job: Job, result: object) -> Path:
     """Atomically persist ``{"job": spec, "result": payload}`` at ``path``.
 
     Written through a *per-writer-unique* temporary name (pid + random
-    suffix) so concurrent writers sharing a cache/store directory — two
+    suffix) so concurrent writers sharing a store directory — two
     schedulers, a scheduler and a queue worker, two workers racing on the
     same at-least-once job — never clobber each other's half-written temp
     file, and ``fsync``-ed before the ``os.replace`` so a visible entry is
@@ -319,9 +279,9 @@ def read_result_entry(path: str | Path, job: Job | None = None) -> object:
     """Load the result payload a :func:`write_result_entry` file holds.
 
     Returns :data:`MISSING_RESULT` for an absent, truncated, or otherwise
-    unreadable entry (a killed writer's leftovers are a cache miss, not an
-    error). With ``job`` given, the recorded spec must match it exactly;
-    a mismatch raises :class:`ExperimentError` distinguishing the two ways
+    unreadable entry, byte-corrupt (undecodable) files included: a killed
+    writer's leftovers are a cache miss, not an error. With ``job`` given,
+    the recorded spec must match it exactly; a mismatch raises :class:`ExperimentError` distinguishing the two ways
     a wrong spec can occupy a hash-named slot — a *foreign file* (the
     recorded spec does not even hash to this job's key: something else was
     dropped or copied into the directory) versus a genuine *hash
@@ -331,7 +291,8 @@ def read_result_entry(path: str | Path, job: Job | None = None) -> object:
     source = Path(path)
     try:
         entry = load_json(source)
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, OSError):
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
         return MISSING_RESULT
     if not isinstance(entry, Mapping) or "result" not in entry:
         return MISSING_RESULT
@@ -357,169 +318,6 @@ def read_result_entry(path: str | Path, job: Job | None = None) -> object:
             f"{reason}); clear the cache directory or use a fresh one"
         )
     return entry["result"]
-
-
-class JobScheduler:
-    """Executes :class:`Job` batches with pooling, caching, and resume.
-
-    Attributes (after :meth:`run`):
-        cache_hits: jobs served from the on-disk cache in the last run.
-        jobs_executed: jobs actually executed in the last run (each unique
-            spec runs at most once; duplicates share the result).
-        job_sources: per-job provenance of the last run, aligned with the
-            submitted batch: ``"cache"`` or ``"executed"``.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        cache_dir: str | Path | None = None,
-        resume: bool = True,
-        job_timeout: float | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ExperimentError(f"workers must be >= 1, got {workers}")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ExperimentError(
-                f"job_timeout must be > 0 seconds, got {job_timeout}"
-            )
-        self.workers = workers
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.resume = resume
-        self.job_timeout = job_timeout
-        self.cache_hits = 0
-        self.jobs_executed = 0
-        self.job_sources: list[str] = []
-
-    # ------------------------------------------------------------------ #
-    # cache
-    # ------------------------------------------------------------------ #
-    def cache_path(self, job: Job) -> Path | None:
-        """Where ``job``'s result lives on disk (None without a cache dir)."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{job.job_hash()}.json"
-
-    def checkpoint_path(self, job: Job) -> Path | None:
-        """Where ``job`` should park a model artifact (None without cache)."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / "checkpoints" / f"{job.job_hash()}.npz"
-
-    _MISS = MISSING_RESULT
-
-    def _load_cached(self, job: Job) -> object:
-        path = self.cache_path(job)
-        if path is None or not self.resume or not path.exists():
-            return self._MISS
-        # A truncated file from a killed run is a miss, not an error —
-        # the job simply recomputes and overwrites it. A spec mismatch is
-        # a hard error (read_result_entry distinguishes foreign files from
-        # hash collisions in its message).
-        return read_result_entry(path, job)
-
-    def _store(self, job: Job, result: object) -> None:
-        path = self.cache_path(job)
-        if path is None:
-            return
-        # Unique-temp-name + fsync atomic write: schedulers and queue
-        # workers sharing one cache directory never trample each other's
-        # in-flight writes, and kill-resume never sees a torn entry.
-        write_result_entry(path, job, result)
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
-    def run(self, jobs: Sequence[Job]) -> list:
-        """Execute ``jobs``; returns their result payloads in job order.
-
-        Cached jobs are served from disk without touching a worker; the
-        rest run through a :class:`ProcessPoolExecutor` when ``workers > 1``
-        (in-process otherwise), each result persisted as soon as it lands
-        so a killed run resumes from everything that finished.
-        """
-        jobs = list(jobs)
-        self.cache_hits = 0
-        self.jobs_executed = 0
-        self.job_sources = ["cache"] * len(jobs)
-        results: list = [None] * len(jobs)
-        pending: dict[str, list[int]] = {}  # hash → indices sharing the spec
-        pending_jobs: dict[str, Job] = {}
-        for index, job in enumerate(jobs):
-            key = job.job_hash()
-            if key in pending:
-                pending[key].append(index)
-                self.job_sources[index] = "executed"
-                continue
-            cached = self._load_cached(job)
-            if cached is not self._MISS:
-                results[index] = cached
-                self.cache_hits += 1
-            else:
-                pending[key] = [index]
-                pending_jobs[key] = job
-                self.job_sources[index] = "executed"
-        if pending:
-            self._execute_pending(pending_jobs, pending, results)
-            self.jobs_executed = len(pending)
-        return results
-
-    def _execute_pending(
-        self,
-        pending_jobs: dict[str, Job],
-        pending: dict[str, list[int]],
-        results: list,
-    ) -> None:
-        def finish(key: str, result: object) -> None:
-            self._store(pending_jobs[key], result)
-            for index in pending[key]:
-                results[index] = result
-
-        artifact_dir = (
-            str(self.cache_dir) if self.cache_dir is not None else None
-        )
-        # job_timeout forces the pool path even for a single worker/job —
-        # the in-process shortcut has no way to interrupt a hung job, and
-        # a hang guard that silently does not guard is worse than none.
-        if self.job_timeout is None and (
-            self.workers == 1 or len(pending_jobs) == 1
-        ):
-            for key, job in pending_jobs.items():
-                finish(key, execute_job(job, artifact_dir))
-            return
-        max_workers = min(self.workers, len(pending_jobs))
-        registered_paths = _registered_paths()
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(
-                    execute_spec, job.spec(), artifact_dir, registered_paths
-                ): key
-                for key, job in pending_jobs.items()
-            }
-            remaining = set(futures)
-            try:
-                while remaining:
-                    done, remaining = wait(
-                        remaining,
-                        timeout=self.job_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        # A hung worker pool must fail fast, not stall the
-                        # run; skip the executor's join so the error
-                        # surfaces immediately (workers are orphaned).
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise ExperimentError(
-                            f"no job finished within job_timeout="
-                            f"{self.job_timeout}s; "
-                            f"{len(remaining)} job(s) still outstanding"
-                        )
-                    for future in done:
-                        finish(futures[future], future.result())
-            except Exception:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
-"""Shared job queue + content-addressed artifact store.
+"""Job queue + content-addressed artifact store: the one job executor.
 
-The cross-machine half of the experiment scheduler: producers enqueue
+Producers enqueue
 :class:`~repro.experiments.scheduler.Job` specs into a shared directory,
 :class:`QueueWorker` processes lease them via atomic rename, heartbeat on
 a fixed cadence, and push results into a content-addressed
@@ -11,15 +11,17 @@ worker's jobs requeue; results stay exactly-once via the content hash
 even though execution is at-least-once. A job that keeps raising is
 quarantined after :data:`MAX_FAILURES` attempts, its tracebacks on disk.
 :class:`QueueScheduler` plugs the queue into
-``run_experiment(..., scheduler=...)`` — the queued path is
-bitwise-equal to an in-process run.
+``run_experiment(..., scheduler=...)``: it drains the batch with
+``workers`` local executors (itself inline plus ``workers - 1`` local
+worker processes), optionally under a per-job ``job_timeout`` hang guard,
+and the queued path is bitwise-equal to an in-process run.
 
 Quickstart (one shared directory, any number of processes/machines)::
 
     from repro.experiments import run_experiment
     from repro.queue import QueueScheduler
 
-    scheduler = QueueScheduler("/shared/queue", lease_ttl=60.0)
+    scheduler = QueueScheduler("/shared/queue", lease_ttl=60.0, workers=4)
     result = run_experiment("fig3_cost", {"costs": (5.0, 7.0)},
                             scheduler=scheduler)
 

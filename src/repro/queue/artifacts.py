@@ -1,14 +1,12 @@
 """Content-addressed artifact store: every result carries its provenance.
 
-An :class:`ArtifactStore` is a directory of ``<job_hash>.json`` entries —
-the exact ``{"job": spec, "result": payload}`` files the experiment
-scheduler's cache writes (:func:`repro.experiments.scheduler
-.write_result_entry` is the shared codec), so a queue's ``results/``
-directory doubles as a :class:`~repro.experiments.scheduler.JobScheduler`
-cache and vice versa. Blob sidecars (DRL checkpoints) live under
-``<root>/checkpoints/<job_hash>.npz``, the same convention the scheduler's
-``checkpoint_path`` uses, recorded *store-relative* in result payloads so
-a store rsynced to another machine stays internally consistent.
+An :class:`ArtifactStore` is a directory of ``<job_hash>.json`` entries,
+each the ``{"job": spec, "result": payload}`` file that
+:func:`repro.experiments.scheduler.write_result_entry` writes. Blob
+sidecars (DRL checkpoints) live under ``<root>/checkpoints/<job_hash>.npz``
+(:meth:`ArtifactStore.checkpoint_dir`), recorded *store-relative* in
+result payloads so a store rsynced to another machine stays internally
+consistent.
 
 Provenance is the load-bearing property: because every entry embeds the
 **full job spec**, any artifact reloads and re-runs from its own metadata
@@ -140,7 +138,7 @@ class ArtifactStore:
         return self.root / f"{key}.json"
 
     def checkpoint_dir(self) -> Path:
-        """The blob-sidecar directory (shared with the scheduler cache)."""
+        """The blob-sidecar directory (DRL checkpoints)."""
         return self.root / "checkpoints"
 
     def contains(self, job_or_hash: Job | str) -> bool:

@@ -251,9 +251,10 @@ class JobQueue:
                 continue  # another worker won this rename; try the next
             try:
                 job = Job.from_spec(load_json(claimed))
-            except (ExperimentError, json.JSONDecodeError, OSError) as exc:
-                # A malformed spec must not wedge the queue: park it out
-                # of rotation with a .rejected suffix and keep leasing.
+            except (ExperimentError, ValueError, OSError) as exc:
+                # A malformed spec (bad shape, bad JSON, undecodable
+                # bytes) must not wedge the queue: park it out of rotation
+                # with a .rejected suffix and keep leasing.
                 claimed.rename(claimed.with_suffix(".rejected"))
                 raise ExperimentError(
                     f"queue spec {name} is malformed and was "

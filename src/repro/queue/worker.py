@@ -12,18 +12,18 @@ heartbeat interval while the bookkeeping stays linear in jobs. A job that
 raises is recorded under ``failures/`` and, after
 :data:`~repro.queue.queue.MAX_FAILURES` attempts, quarantined.
 
-:class:`QueueScheduler` adapts the queue to the
-:class:`~repro.experiments.scheduler.JobScheduler` ``run()`` contract, so
+:class:`QueueScheduler` is the one executor of job batches, so
 ``run_experiment(name, params, scheduler=QueueScheduler(queue_dir))``
 batch-runs any experiment's plan against a shared queue/store: jobs whose
-results are already stored are cache hits, the rest are enqueued for the
-fleet, and (by default) the scheduler also runs an **inline worker** so a
-single invocation completes even with no external workers — while any
+results are already stored are cache hits, the rest are enqueued, and the
+scheduler drains them with ``workers`` local executors — itself as an
+**inline worker** plus ``workers - 1`` local worker processes — so a
+single invocation completes even with no external workers, while any
 external workers that are attached drain the same queue concurrently.
 Results always come back from the artifact store (the JSON wire) — for
 the jobs the inline worker ran, the entry ``ArtifactStore.put`` read back
-— so the queued path is bitwise-equal to an in-process run by the same
-float-exact round-trip contract the process-pool scheduler pins.
+— so the queued path is bitwise-equal to an in-process run by the
+float-exact round-trip contract of the result-entry codec.
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ExperimentError
-from repro.experiments.scheduler import Job, execute_job
+from repro.experiments.scheduler import (
+    Job,
+    _registered_paths,
+    execute_job,
+    register_job_kind,
+)
 from repro.queue.artifacts import Artifact
 from repro.queue.queue import (
     DEFAULT_LEASE_TTL,
@@ -250,27 +255,53 @@ class QueueWorker:
         ) and not mine
 
 
+def _serve_local(
+    queue_dir: str,
+    lease_ttl: float,
+    poll_interval: float,
+    registered_paths: dict[str, str],
+) -> None:
+    """A local worker process: drain the queue at ``queue_dir``, then exit.
+
+    Module-level so any multiprocessing start method can pickle it.
+    ``registered_paths`` replays the parent's dotted-path
+    :func:`~repro.experiments.scheduler.register_job_kind` calls, so those
+    kinds resolve here under any start method. A job that raises is
+    recorded under ``failures/`` (and released or quarantined) before the
+    exception ends this process.
+    """
+    for name, path in registered_paths.items():
+        register_job_kind(name, path)
+    queue = JobQueue(queue_dir, lease_ttl=lease_ttl)
+    QueueWorker(queue, poll_interval=poll_interval).run(drain=True)
+
+
 class QueueScheduler:
-    """The :class:`JobScheduler` ``run()`` contract over a shared queue.
+    """The one executor of :class:`~repro.experiments.scheduler.Job`
+    batches, over a shared queue directory.
 
-    Drop-in for ``run_experiment(..., scheduler=...)`` and the CLI's
-    scheduler slot: exposes the same ``workers`` / ``resume`` knobs and
-    the same post-run ``cache_hits`` / ``jobs_executed`` / ``job_sources``
-    accounting. ``workers`` only sizes shard-style plan fan-out (the
-    ``shards`` parameter defaulting) — actual parallelism comes from how
-    many worker processes are attached to the queue directory.
+    ``run_experiment(..., scheduler=...)`` and the CLI hand it a plan's
+    jobs. Jobs whose results are already in the directory's artifact store
+    are cache hits; the rest are enqueued and drained by ``workers`` local
+    executors — the scheduler itself as an inline worker plus
+    ``workers - 1`` local worker processes — alongside any external fleet
+    attached to the same directory. Post-run accounting: ``cache_hits``,
+    ``jobs_executed`` (the batch's misses, each unique spec once),
+    ``jobs_completed_elsewhere`` (misses not executed inline) and
+    ``job_sources`` (``"cache"`` or ``"executed"`` per submitted job).
+    ``workers`` also sizes shard-style plan fan-out (the ``shards``
+    parameter default).
 
-    With ``execute=True`` (default) the scheduler participates as an
-    inline worker until the batch is complete, so one invocation finishes
-    the plan even on a box with no fleet. With ``execute=False`` it only
-    enqueues and waits (``wait_timeout`` bounds the wait), which is the
-    pure-producer mode for driving a remote fleet.
+    ``job_timeout=t`` is a hang guard: an inline job cannot be
+    interrupted, so with ``t`` set all ``workers`` executors are local
+    processes and the scheduler only watches. A lease on this batch held
+    for longer than ``t`` is recorded as a failure (it counts toward
+    quarantine) and the run raises :class:`ExperimentError`.
 
-    ``resume=False`` recomputes every job in-process and overwrites its
-    stored artifact (the same overwrite semantics as
-    ``JobScheduler(resume=False)``); it deliberately bypasses the shared
-    queue, because other workers would dedupe against the very results
-    being invalidated.
+    ``resume=False`` drops the batch's stored entries first, so every job
+    recomputes through the same enqueue/drain path and overwrites its
+    artifact; a torn entry is dropped the same way, as a miss. Local
+    worker processes never outlive :meth:`run`.
     """
 
     def __init__(
@@ -280,22 +311,20 @@ class QueueScheduler:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         workers: int = 1,
         resume: bool = True,
-        execute: bool = True,
-        wait_timeout: float | None = None,
+        job_timeout: float | None = None,
         poll_interval: float = 0.05,
         worker_id: str | None = None,
     ) -> None:
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers}")
-        if wait_timeout is not None and wait_timeout <= 0:
+        if job_timeout is not None and job_timeout <= 0:
             raise ExperimentError(
-                f"wait_timeout must be > 0 seconds, got {wait_timeout}"
+                f"job_timeout must be > 0 seconds, got {job_timeout}"
             )
         self.queue = JobQueue(queue_dir, lease_ttl=lease_ttl)
         self.workers = workers
         self.resume = resume
-        self.execute = execute
-        self.wait_timeout = wait_timeout
+        self.job_timeout = job_timeout
         self.poll_interval = float(poll_interval)
         self.worker_id = worker_id or default_worker_id()
         self.cache_hits = 0
@@ -303,19 +332,13 @@ class QueueScheduler:
         self.jobs_completed_elsewhere = 0
         self.job_sources: list[str] = []
 
-    @property
-    def cache_dir(self) -> Path:
-        """The artifact-store root (the queue's result cache)."""
-        return self.queue.store.root
-
     def run(self, jobs: Sequence[Job]) -> list:
         """Execute ``jobs`` via the shared queue; results in job order.
 
-        Matches ``JobScheduler.run`` semantics: duplicate specs collapse
-        onto one execution, results already in the store are cache hits
-        served without touching the queue, and every returned payload is
-        the store's JSON-round-tripped form (bitwise-equal to direct
-        execution).
+        Duplicate specs collapse onto one execution, results already in
+        the store are cache hits served without touching the queue, and
+        every returned payload is the store's JSON-round-tripped form
+        (bitwise-equal to direct execution).
         """
         jobs = list(jobs)
         self.cache_hits = 0
@@ -342,11 +365,12 @@ class QueueScheduler:
                 self.job_sources[index] = "executed"
         if not pending:
             return results
-        if not self.resume:
-            produced = self._recompute_inline(pending_jobs)
-        else:
-            self.queue.enqueue_many(pending_jobs.values())
-            produced = self._drain(set(pending))
+        # A pending job's entry is absent, torn (a miss), or being
+        # recomputed (resume=False): drop it so the job enqueues.
+        for job in pending_jobs.values():
+            store.path_for(job).unlink(missing_ok=True)
+        self.queue.enqueue_many(pending_jobs.values())
+        produced = self._drain(pending_jobs)
         executed_locally = self.jobs_executed
         for key, indices in pending.items():
             # Only jobs finished elsewhere are read from the store here.
@@ -366,35 +390,26 @@ class QueueScheduler:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _recompute_inline(
-        self, pending_jobs: dict[str, Job]
-    ) -> dict[str, Artifact]:
-        produced = {}
-        for key, job in pending_jobs.items():
-            result = execute_job(job, artifact_dir=self.queue.store.root)
-            produced[key] = self.queue.store.put(job, result)
-            self.jobs_executed += 1
-        return produced
+    def _drain(self, batch: dict[str, Job]) -> dict[str, Artifact]:
+        """Wait until every job in ``batch`` is stored; returns the
+        artifacts of the batch jobs this scheduler completed inline.
 
-    def _drain(self, batch: set[str]) -> dict[str, Artifact]:
-        """Wait until every hash in ``batch`` is stored; returns the
-        artifacts of the batch jobs this scheduler completed itself.
-
-        With ``execute`` the scheduler works the queue as an inline
+        Without ``job_timeout`` the scheduler works the queue as an inline
         worker. It executes whatever it leases — its own batch or a
         cooperating producer's jobs — because a shared queue has no "my
         jobs first" ordering. Completion is tracked incrementally: a hash
         leaves the remaining set when this worker acks it, and the full
         ``outstanding()`` rescan, which also sees jobs finished elsewhere,
-        runs only on an idle poll (``lease()`` found nothing, or always in
-        producer mode). Reaping runs at the start, on every idle poll, and
-        otherwise at most once per heartbeat interval, so a dead external
+        runs only on an idle poll (``lease()`` found nothing, or always
+        when only watching). Reaping runs at the start, on every idle
+        poll, and otherwise at most once per heartbeat interval, so a dead
         worker stalls the batch by at most one TTL plus one heartbeat
         interval. A batch job that the fleet quarantined raises
         :class:`ExperimentError` instead of being waited on forever.
         """
         remaining = set(batch)
         produced: dict[str, Artifact] = {}
+        inline = self.job_timeout is None
         worker = QueueWorker(
             self.queue,
             worker_id=self.worker_id,
@@ -402,21 +417,23 @@ class QueueScheduler:
         )
         reaper = _Reaper(self.queue, worker.heartbeat_interval)
         stats = WorkerStats()
-        deadline = (
-            time.monotonic() + self.wait_timeout
-            if self.wait_timeout is not None
-            else None
-        )
+        first_seen: dict[tuple[str, str], float] = {}
+        children: list = []
         beat = None
-        if self.execute:
-            beat = _HeartbeatThread(
-                self.queue, self.worker_id, worker.heartbeat_interval
-            )
-            self.queue.heartbeat(self.worker_id)
-            beat.start()
         try:
+            # Local workers start before the heartbeat thread, so no
+            # multi-threaded process is ever forked.
+            local = self.workers - 1 if inline else self.workers
+            if local:
+                self._start_local_workers(local, children)
+            if inline:
+                beat = _HeartbeatThread(
+                    self.queue, self.worker_id, worker.heartbeat_interval
+                )
+                self.queue.heartbeat(self.worker_id)
+                beat.start()
             while remaining:
-                if self.execute:
+                if inline:
                     reaper.due()
                     leased = self.queue.lease(self.worker_id)
                     if leased is not None:
@@ -425,24 +442,89 @@ class QueueScheduler:
                             remaining.discard(leased.job_hash)
                             produced[leased.job_hash] = artifact
                         continue
-                if reaper.idle() and self.execute:
+                if reaper.idle() and inline:
                     continue  # lease the requeued jobs right away
                 remaining = set(self.queue.outstanding(sorted(remaining)))
                 if not remaining:
                     break
                 self._raise_if_quarantined(remaining)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ExperimentError(
-                        f"queue batch incomplete after wait_timeout="
-                        f"{self.wait_timeout}s; outstanding jobs: "
-                        f"{[key[:16] for key in sorted(remaining)]}"
-                    )
+                if not inline:
+                    self._watch(batch, remaining, first_seen, children)
                 time.sleep(self.poll_interval)
         finally:
             if beat is not None:
                 beat.stop()
+            for child in children:
+                child.terminate()
+            for child in children:
+                child.join()
             self.jobs_executed += stats.executed
         return produced
+
+    def _start_local_workers(self, count: int, children: list) -> None:
+        """Start ``count`` local worker processes, appending each to
+        ``children`` as it starts (so a failed start still stops the
+        earlier ones)."""
+        import multiprocessing
+
+        args = (
+            str(self.queue.root),
+            self.queue.lease_ttl,
+            self.poll_interval,
+            _registered_paths(),
+        )
+        for _ in range(count):
+            child = multiprocessing.Process(
+                target=_serve_local, args=args, daemon=True
+            )
+            child.start()
+            children.append(child)
+
+    def _watch(
+        self,
+        batch: dict[str, Job],
+        remaining: set[str],
+        first_seen: dict[tuple[str, str], float],
+        children: list,
+    ) -> None:
+        """The ``job_timeout`` checks of one idle poll.
+
+        Notes when each lease on ``remaining`` was first seen; a lease
+        held longer than ``job_timeout`` is recorded as a failure and
+        raises. Also raises when every local worker has exited with the
+        batch still outstanding — nobody is left to finish it.
+        """
+        now = time.monotonic()
+        for worker_dir, hashes in self.queue.leased_hashes().items():
+            for key in remaining.intersection(hashes):
+                since = first_seen.setdefault((worker_dir, key), now)
+                if now - since <= self.job_timeout:
+                    continue
+                self.queue.fail(
+                    LeasedJob(
+                        job=batch[key],
+                        job_hash=key,
+                        worker_id=worker_dir,
+                        path=self.queue.leases_dir / worker_dir / f"{key}.json",
+                    ),
+                    f"job_timeout: no result within job_timeout="
+                    f"{self.job_timeout}s; the worker was terminated",
+                )
+                raise ExperimentError(
+                    f"job {key[:16]}... ({batch[key].kind!r}) did not finish "
+                    f"within job_timeout={self.job_timeout}s; "
+                    f"{len(remaining)} job(s) still outstanding"
+                )
+        if any(child.is_alive() for child in children):
+            return
+        remaining = set(self.queue.outstanding(sorted(remaining)))
+        if remaining:
+            self._raise_if_quarantined(remaining)
+            raise ExperimentError(
+                f"every local worker exited with {len(remaining)} job(s) of "
+                f"this batch outstanding; failure tracebacks are under "
+                f"{self.queue.failures_dir}"
+            )
 
     def _raise_if_quarantined(self, remaining: set[str]) -> None:
         poisoned = sorted(

@@ -4,7 +4,7 @@ sharded `run multiseed`, and the read-only `queue stats <dir>`.
 
 This is the CI smoke job (run under pytest-timeout): it pins that the
 generic spec-driven CLI stays wired — every experiment is listable,
-describable, and runnable with the shared --workers/--cache-dir/--resume
+describable, and runnable with the shared --workers/--queue-dir/--resume
 flags.
 """
 
@@ -46,7 +46,7 @@ class TestRunEndToEnd:
             "--param", "episodes=2",
             "--workers", "1",
             "--resume",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--queue-dir", str(tmp_path / "queue"),
             "--output", str(tmp_path / "out"),
         ]
         assert main(argv) == 0

@@ -1,11 +1,11 @@
 """Spec-API tests: registry, parameter validation, uniform payload
-round-trips, and bitwise equality of the in-process, pooled and queued
-runs of every spec's plan.
+round-trips, and bitwise equality of the in-process and queued runs of
+every spec's plan.
 
 DRL runs use the smoke budget — these tests pin the *contract* (every
 registered experiment compiles to jobs whose assembled result is bitwise
-the same whether the jobs run in-process, in a process pool or through
-the shared queue, the sweep rows equal one stacked solve of the swept
+the same whether the jobs run in-process or through the queue with local
+worker processes, the sweep rows equal one stacked solve of the swept
 markets, and every result type round-trips through its generated JSON
 payload), not training quality.
 """
@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError, ExperimentError, ReproError
 from repro.experiments import (
     ExperimentConfig,
     Fig2Result,
-    JobScheduler,
     experiment_names,
     get_experiment,
     run_experiment,
@@ -116,18 +115,16 @@ class TestRegistry:
 
 class TestJobsPathBitwiseEqualsDirect:
     """Acceptance: every registered experiment assembles a bitwise-equal
-    result whether its jobs run directly (in-process, no scheduler), in a
-    two-worker process pool, or through the shared job queue."""
+    result whether its jobs run directly (in-process, no scheduler) or
+    through the job queue with two local executors."""
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
     def test_scheduled_equals_direct(self, name, in_process_results, tmp_path):
-        pooled = run_experiment(
-            name, TINY_PARAMS[name], scheduler=JobScheduler(workers=2)
-        )
         queued = run_experiment(
-            name, TINY_PARAMS[name], scheduler=QueueScheduler(tmp_path / "queue")
+            name,
+            TINY_PARAMS[name],
+            scheduler=QueueScheduler(tmp_path / "queue", workers=2),
         )
-        assert pooled == in_process_results[name]
         assert queued == in_process_results[name]
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
@@ -269,14 +266,13 @@ class TestParamValidation:
         assert spec.parse("none") is None  # "none" = unset → default
         rician = spec.parse('{"model": "rician", "k_factor": 3.0}')
         assert rician == RicianFading(k_factor=3.0)
+        shadow = spec.coerce({"model": "shadowing", "sigma_db": 4.0})
+        assert shadow == LogNormalShadowing(sigma_db=4.0)
         # Parameterised models by bare name must explain the JSON form.
         with pytest.raises(ConfigurationError, match="JSON"):
             spec.parse("rician")
         with pytest.raises(ConfigurationError, match="unknown fading"):
             spec.parse("nakagami")
-        # Encode/decode round trip for a parameterised model.
-        shadow = LogNormalShadowing(sigma_db=4.0)
-        assert spec.decode(spec.encode(shadow)) == shadow
 
     def test_unknown_param_type_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown type"):
@@ -294,20 +290,20 @@ class TestParamValidation:
 
 class TestShardsFollowScheduler:
     def test_multiseed_shards_default_to_scheduler_workers(
-        self, in_process_results
+        self, in_process_results, tmp_path
     ):
         """run_experiment('multiseed', ..., scheduler=N workers) must fan
         out N shard jobs when shards is unset — --workers alone may not
         silently collapse to one sequential job."""
-        scheduler = JobScheduler(workers=2)
+        scheduler = QueueScheduler(tmp_path, workers=2)
         result = run_experiment(
             "multiseed", TINY_PARAMS["multiseed"], scheduler=scheduler
         )
         assert scheduler.jobs_executed == 2
         assert result == in_process_results["multiseed"]
 
-    def test_explicit_shards_win_over_scheduler_workers(self):
-        scheduler = JobScheduler(workers=2)
+    def test_explicit_shards_win_over_scheduler_workers(self, tmp_path):
+        scheduler = QueueScheduler(tmp_path, workers=2)
         run_experiment(
             "multiseed",
             {**TINY_PARAMS["multiseed"], "shards": 1},
@@ -317,17 +313,18 @@ class TestShardsFollowScheduler:
 
 
 class TestResumeFromCache:
-    """Acceptance: a killed fig2/ablation run resumes from its cache with
-    results bitwise-equal to the sequential path."""
+    """Acceptance: a killed fig2/ablation run resumes from its queue
+    directory's store with results bitwise-equal to the sequential path."""
 
     def test_fig2_resumes_without_retraining(self, tmp_path, in_process_results):
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path)
         first = run_experiment("fig2", TINY_PARAMS["fig2"], scheduler=scheduler)
         assert first == in_process_results["fig2"]
         assert scheduler.jobs_executed == 1
-        # The training job parked its agent next to the result cache.
-        assert len(list((tmp_path / "checkpoints").glob("*.npz"))) == 1
-        resumed_scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        # The training job parked its agent next to the stored results.
+        checkpoints = tmp_path / "results" / "checkpoints"
+        assert len(list(checkpoints.glob("*.npz"))) == 1
+        resumed_scheduler = QueueScheduler(tmp_path)
         resumed = run_experiment(
             "fig2", TINY_PARAMS["fig2"], scheduler=resumed_scheduler
         )
@@ -337,15 +334,15 @@ class TestResumeFromCache:
 
     def test_killed_history_ablation_resumes(self, tmp_path, in_process_results):
         params = TINY_PARAMS["history_ablation"]
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path)
         baseline = run_experiment(
             "history_ablation", params, scheduler=scheduler
         )
-        cached = sorted(tmp_path.glob("*.json"))
-        assert len(cached) == 2  # one training_run per history length
+        stored = sorted((tmp_path / "results").glob("*.json"))
+        assert len(stored) == 2  # one training_run per history length
         # Simulate a run killed after finishing only the first length.
-        cached[1].unlink()
-        resumed_scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        stored[1].unlink()
+        resumed_scheduler = QueueScheduler(tmp_path)
         resumed = run_experiment(
             "history_ablation", params, scheduler=resumed_scheduler
         )
@@ -454,8 +451,8 @@ class TestEmptySweepAxisRejected:
 
     @pytest.mark.parametrize("with_scheduler", [False, True])
     @pytest.mark.parametrize("name,axis", SWEEP_AXES)
-    def test_empty_axis_raises(self, name, axis, with_scheduler):
-        scheduler = JobScheduler() if with_scheduler else None
+    def test_empty_axis_raises(self, name, axis, with_scheduler, tmp_path):
+        scheduler = QueueScheduler(tmp_path) if with_scheduler else None
         with pytest.raises(ConfigurationError, match=repr(axis)):
             run_experiment(
                 name, {**TINY_PARAMS[name], axis: ()}, scheduler=scheduler

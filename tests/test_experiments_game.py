@@ -110,7 +110,7 @@ class TestCliFanOut:
             "--param", "seed=5",
             "--workers", "1",
             "--resume",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--queue-dir", str(tmp_path / "queue"),
             "--output", str(tmp_path / "out"),
         ]
         assert main(argv) == 0
@@ -131,7 +131,7 @@ class TestCliFanOut:
             "--param", "max_iterations=40",
             "--workers", "2",
             "--resume",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--queue-dir", str(tmp_path / "queue"),
             "--output", str(tmp_path / "out"),
         ]
         assert main(argv) == 0

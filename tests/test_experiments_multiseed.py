@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentConfig, JobScheduler, run_experiment
+from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.multiseed import (
     MultiSeedResult,
     _merge_shards,
     _partition_seeds,
 )
+from repro.queue import QueueScheduler
 from repro.utils.serialization import load_json, save_json
 
 
@@ -94,17 +95,17 @@ class TestSharding:
         assert _partition_seeds((0, 1, 2, 3, 4), 2) == [(0, 2, 4), (1, 3)]
         assert _partition_seeds((5, 6), 8) == [(5,), (6,)]
 
-    def test_sharded_equals_sequential_exactly(self):
-        """Acceptance: k shard jobs — in-process or over a k-worker pool —
-        return samples exactly equal to (and in the same seed order as)
-        the single-shard run."""
+    def test_sharded_equals_sequential_exactly(self, tmp_path):
+        """Acceptance: k shard jobs — in-process or over k local queue
+        executors — return samples exactly equal to (and in the same seed
+        order as) the single-shard run."""
         seeds = (0, 1, 2, 3, 4)
         sequential = multiseed(seeds)
         for shards in (2, 3):
             assert multiseed(seeds, shards=shards) == sequential
-            pool = JobScheduler(workers=shards)
-            assert multiseed(seeds, scheduler=pool) == sequential
-            assert pool.jobs_executed == shards
+            fanned = QueueScheduler(tmp_path / f"queue{shards}", workers=shards)
+            assert multiseed(seeds, scheduler=fanned) == sequential
+            assert fanned.jobs_executed == shards
 
     def test_invalid_shards_rejected(self):
         with pytest.raises(ValueError):

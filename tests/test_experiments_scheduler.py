@@ -1,14 +1,18 @@
-"""Experiment scheduler tests: jobs, hashing, caching, resume, fan-out.
+"""Job executor tests: jobs, hashing, codecs, and QueueScheduler's
+caching, resume, local fan-out and hang guard.
 
 Every test runs under a signal-based watchdog (see ``_watchdog``) so a hung
-worker pool fails the test fast instead of stalling the suite — the same
-guard the CI job enforces with ``pytest-timeout``.
+drain or local worker fails the test fast instead of stalling the suite —
+the same guard the CI job enforces with ``pytest-timeout``.
 """
 
 import json
 import multiprocessing
+import os
 import pathlib
+import shutil
 import signal
+import tempfile
 import time
 
 import pytest
@@ -21,15 +25,18 @@ from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.run import schedule_main
 from repro.experiments.scheduler import (
+    MISSING_RESULT,
     Job,
-    JobScheduler,
     config_from_payload,
     config_to_payload,
     execute_job,
     market_from_payload,
     market_to_payload,
+    read_result_entry,
     register_job_kind,
+    write_result_entry,
 )
+from repro.queue import JobQueue, QueueScheduler, QueueWorker
 from repro.utils.serialization import load_json, save_json
 
 WATCHDOG_SECONDS = 120.0
@@ -37,7 +44,7 @@ WATCHDOG_SECONDS = 120.0
 
 @pytest.fixture(autouse=True)
 def _watchdog():
-    """Per-test timeout guard: a hung pool fails fast, not forever."""
+    """Per-test timeout guard: a hung drain fails fast, not forever."""
     if not hasattr(signal, "SIGALRM"):  # non-POSIX fallback: no guard
         yield
         return
@@ -45,7 +52,7 @@ def _watchdog():
     def _timed_out(signum, frame):
         raise TimeoutError(
             f"scheduler test exceeded the {WATCHDOG_SECONDS}s watchdog — "
-            "a worker pool is probably hung"
+            "a drain loop or local worker is probably hung"
         )
 
     previous = signal.signal(signal.SIGALRM, _timed_out)
@@ -171,134 +178,12 @@ class TestPayloadCodecs:
             config_from_payload({"seed": 0, "bogus_knob": 1})
 
 
-class TestSchedulerRun:
-    def test_in_process_cells_match_equilibria(self):
-        markets = _markets()
-        scheduler = JobScheduler(workers=1)
-        results = scheduler.run(_cell_jobs(markets))
-        for market, payload in zip(markets, results):
-            equilibrium = market.equilibrium()
-            assert payload["price"] == equilibrium.price
-            assert payload["msp_utility"] == equilibrium.msp_utility
-        assert scheduler.jobs_executed == len(markets)
-        assert scheduler.cache_hits == 0
-
-    def test_process_pool_matches_in_process(self):
-        markets = _markets(4)
-        sequential = JobScheduler(workers=1).run(_cell_jobs(markets))
-        pooled = JobScheduler(workers=2).run(_cell_jobs(markets))
-        assert pooled == sequential
-
-    def test_duplicate_jobs_execute_once(self):
-        market = StackelbergMarket(paper_fig2_population())
-        jobs = _cell_jobs([market, market, market])
-        scheduler = JobScheduler(workers=1)
-        results = scheduler.run(jobs)
-        assert scheduler.jobs_executed == 1
-        assert results[0] == results[1] == results[2]
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            JobScheduler(workers=0)
-        with pytest.raises(ExperimentError):
-            JobScheduler(job_timeout=0.0)
-
-    def test_cache_layout_and_resume_hits_no_worker(self, tmp_path, monkeypatch):
-        markets = _markets()
-        jobs = _cell_jobs(markets)
-        first = JobScheduler(workers=2, cache_dir=tmp_path)
-        baseline = first.run(jobs)
-        assert first.jobs_executed == len(jobs)
-        for job in jobs:
-            path = tmp_path / f"{job.job_hash()}.json"
-            assert path.exists()
-            entry = load_json(path)
-            assert entry["job"] == job.spec()
-            assert "result" in entry
-        # Resume: no job function may run — not in-process, not in a pool.
-        monkeypatch.setattr(
-            "repro.experiments.scheduler.execute_job",
-            lambda job: pytest.fail("resume must not execute jobs"),
-        )
-        monkeypatch.setattr(
-            "repro.experiments.scheduler.execute_spec",
-            lambda spec: pytest.fail("resume must not execute jobs"),
-        )
-        resumed = JobScheduler(workers=2, cache_dir=tmp_path)
-        assert resumed.run(jobs) == baseline
-        assert resumed.cache_hits == len(jobs)
-        assert resumed.jobs_executed == 0
-        assert resumed.job_sources == ["cache"] * len(jobs)
-
-    def test_resume_false_re_executes(self, tmp_path):
-        jobs = _cell_jobs(_markets(1))
-        JobScheduler(workers=1, cache_dir=tmp_path).run(jobs)
-        fresh = JobScheduler(workers=1, cache_dir=tmp_path, resume=False)
-        fresh.run(jobs)
-        assert fresh.jobs_executed == 1
-        assert fresh.cache_hits == 0
-
-    def test_corrupt_cache_entry_recomputes(self, tmp_path):
-        jobs = _cell_jobs(_markets(1))
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        baseline = scheduler.run(jobs)
-        path = tmp_path / f"{jobs[0].job_hash()}.json"
-        path.write_text('{"job": {"kind": "trunc')  # killed mid-write
-        again = JobScheduler(workers=1, cache_dir=tmp_path)
-        assert again.run(jobs) == baseline
-        assert again.jobs_executed == 1
-        assert load_json(path)["result"] == baseline[0]
-
-    def test_foreign_cache_entry_raises(self, tmp_path):
-        jobs = _cell_jobs(_markets(1))
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        scheduler.run(jobs)
-        path = tmp_path / f"{jobs[0].job_hash()}.json"
-        entry = load_json(path)
-        entry["job"]["payload"]["market"]["config"]["unit_cost"] = 99.0
-        path.write_text(json.dumps(entry))
-        with pytest.raises(ExperimentError, match="different job spec"):
-            JobScheduler(workers=1, cache_dir=tmp_path).run(jobs)
-
-    def test_mismatch_error_distinguishes_foreign_from_collision(
-        self, tmp_path
-    ):
-        """A wrong spec in a hash-named slot has two explanations — a
-        foreign file dropped into the directory, or a genuine SHA-256
-        collision — and the error must say which, naming both the found
-        and the expected job kinds (the operator's first question)."""
-        jobs = _cell_jobs(_markets(1))
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
-        scheduler.run(jobs)
-        path = tmp_path / f"{jobs[0].job_hash()}.json"
-        entry = load_json(path)
-        # A foreign file: another kind's entry occupying this job's slot.
-        entry["job"] = {"kind": "multiseed_shard", "payload": {"seeds": [0]}}
-        path.write_text(json.dumps(entry))
-        with pytest.raises(ExperimentError) as excinfo:
-            JobScheduler(workers=1, cache_dir=tmp_path).run(jobs)
-        message = str(excinfo.value)
-        assert "found kind 'multiseed_shard'" in message
-        assert "expected kind 'equilibrium_cell'" in message
-        assert "foreign file" in message
-        assert "SHA-256 collision" not in message
-        # An unparseable recorded spec is also a foreign file, not a crash
-        # inside the error path.
-        entry["job"] = {"kind": "equilibrium_cell"}  # no payload: malformed
-        path.write_text(json.dumps(entry))
-        with pytest.raises(ExperimentError, match="foreign file"):
-            JobScheduler(workers=1, cache_dir=tmp_path).run(jobs)
-
-    def test_concurrent_cache_writers_never_clobber(self, tmp_path):
+class TestResultEntries:
+    def test_concurrent_writers_never_clobber(self, tmp_path):
         """Many writers racing on one entry (the at-least-once execution
         story) each use a unique fsync-ed temp name, so the visible entry
         is always one writer's complete output and no temp debris stays."""
         import concurrent.futures
-
-        from repro.experiments.scheduler import (
-            read_result_entry,
-            write_result_entry,
-        )
 
         job = _cell_jobs(_markets(1))[0]
         result = {"price": 1.25, "msp_utility": 2.5, "capacity_binding": False}
@@ -313,8 +198,161 @@ class TestSchedulerRun:
         assert read_result_entry(target, job) == result
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_failing_job_propagates(self):
-        # 'market_scheme' with an unknown scheme raises inside the worker.
+    def test_byte_corrupt_entry_is_a_miss(self, tmp_path):
+        """Undecodable bytes in an entry (a torn or bit-rotted file) are a
+        cache miss like truncated JSON, not a UnicodeDecodeError."""
+        job = _cell_jobs(_markets(1))[0]
+        target = write_result_entry(
+            tmp_path / f"{job.job_hash()}.json", job, execute_job(job)
+        )
+        data = bytearray(target.read_bytes())
+        data[10:12] = b"\xff\xfe"
+        target.write_bytes(bytes(data))
+        assert read_result_entry(target, job) is MISSING_RESULT
+
+
+def _entries(queue_dir):
+    """The stored result entries of a queue directory."""
+    return sorted((pathlib.Path(queue_dir) / "results").glob("*.json"))
+
+
+def _no_local_workers_left():
+    return multiprocessing.active_children() == []
+
+
+class TestQueueScheduler:
+    def test_invalid_knobs_rejected(self, tmp_path):
+        with pytest.raises(ExperimentError, match="workers"):
+            QueueScheduler(tmp_path, workers=0)
+        with pytest.raises(ExperimentError, match="job_timeout"):
+            QueueScheduler(tmp_path, job_timeout=0.0)
+
+    def test_inline_drain_matches_direct_execution(self, tmp_path):
+        markets = _markets()
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        results = scheduler.run(_cell_jobs(markets))
+        for market, payload in zip(markets, results):
+            equilibrium = market.equilibrium()
+            assert payload["price"] == equilibrium.price
+            assert payload["msp_utility"] == equilibrium.msp_utility
+        assert scheduler.jobs_executed == len(markets)
+        assert scheduler.cache_hits == 0
+        assert scheduler.job_sources == ["executed"] * len(markets)
+        # Nothing left behind: no pending files, no leases, all stored.
+        assert scheduler.queue.outstanding() == []
+        assert scheduler.queue.stats().pending == 0
+
+    def test_local_workers_match_in_process(self, tmp_path):
+        jobs = _cell_jobs(_markets(4))
+        sequential = [execute_job(job) for job in jobs]
+        scheduler = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
+        assert scheduler.run(jobs) == sequential
+        assert scheduler.jobs_executed == len(jobs)
+        assert _no_local_workers_left()
+
+    def test_duplicate_jobs_collapse_to_one_execution(self, tmp_path):
+        market = StackelbergMarket(paper_fig2_population())
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        results = scheduler.run(_cell_jobs([market, market, market]))
+        assert scheduler.jobs_executed == 1
+        assert results[0] == results[1] == results[2]
+        assert len(scheduler.queue.store) == 1
+
+    def test_store_layout_and_resume_hits_no_worker(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = _cell_jobs(_markets())
+        first = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
+        baseline = first.run(jobs)
+        assert first.jobs_executed == len(jobs)
+        for job in jobs:
+            entry = load_json(tmp_path / "results" / f"{job.job_hash()}.json")
+            assert entry["job"] == job.spec()
+            assert "result" in entry
+        # Resume: no job function may run — not inline, not in a local
+        # worker (a forked worker would inherit the patch).
+        monkeypatch.setattr(
+            "repro.queue.worker.execute_job",
+            lambda job, artifact_dir=None: pytest.fail(
+                "resume must not execute jobs"
+            ),
+        )
+        resumed = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
+        assert resumed.run(jobs) == baseline
+        assert resumed.cache_hits == len(jobs)
+        assert resumed.jobs_executed == 0
+        assert resumed.job_sources == ["cache"] * len(jobs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_false_recomputes_and_overwrites(self, tmp_path, workers):
+        jobs = _cell_jobs(_markets(1))
+        QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
+        entry_path = _entries(tmp_path)[0]
+        entry = load_json(entry_path)
+        entry["result"]["price"] = -1.0  # poison the stored result
+        entry_path.write_text(json.dumps(entry))
+        fresh = QueueScheduler(
+            tmp_path, workers=workers, resume=False, poll_interval=0.01
+        )
+        results = fresh.run(jobs)
+        assert fresh.jobs_executed == 1
+        assert fresh.cache_hits == 0
+        assert results[0]["price"] != -1.0
+        assert load_json(entry_path)["result"] == results[0]
+        assert _no_local_workers_left()
+
+    def test_corrupt_entry_recomputes(self, tmp_path):
+        jobs = _cell_jobs(_markets(1))
+        baseline = QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
+        path = _entries(tmp_path)[0]
+        path.write_text('{"job": {"kind": "trunc')  # killed mid-write
+        again = QueueScheduler(tmp_path, poll_interval=0.01)
+        assert again.run(jobs) == baseline
+        assert again.jobs_executed == 1
+        assert load_json(path)["result"] == baseline[0]
+
+    def test_foreign_entry_raises(self, tmp_path):
+        jobs = _cell_jobs(_markets(1))
+        QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
+        path = _entries(tmp_path)[0]
+        entry = load_json(path)
+        entry["job"]["payload"]["market"]["config"]["unit_cost"] = 99.0
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ExperimentError, match="different job spec"):
+            QueueScheduler(tmp_path).run(jobs)
+
+    def test_mismatch_error_distinguishes_foreign_from_collision(
+        self, tmp_path
+    ):
+        """A wrong spec in a hash-named slot has two explanations — a
+        foreign file dropped into the directory, or a genuine SHA-256
+        collision — and the error must say which, naming both the found
+        and the expected job kinds (the operator's first question)."""
+        jobs = _cell_jobs(_markets(1))
+        QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
+        path = _entries(tmp_path)[0]
+        entry = load_json(path)
+        # A foreign file: another kind's entry occupying this job's slot.
+        entry["job"] = {"kind": "multiseed_shard", "payload": {"seeds": [0]}}
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ExperimentError) as excinfo:
+            QueueScheduler(tmp_path).run(jobs)
+        message = str(excinfo.value)
+        assert "found kind 'multiseed_shard'" in message
+        assert "expected kind 'equilibrium_cell'" in message
+        assert "foreign file" in message
+        assert "SHA-256 collision" not in message
+        # An unparseable recorded spec is also a foreign file, not a crash
+        # inside the error path.
+        entry["job"] = {"kind": "equilibrium_cell"}  # no payload: malformed
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ExperimentError, match="foreign file"):
+            QueueScheduler(tmp_path).run(jobs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_job_propagates(self, tmp_path, workers):
+        """A job that raises surfaces from run() (here the inline worker
+        re-raises it) instead of hanging, and no local worker survives."""
         market_payload = market_to_payload(
             StackelbergMarket(paper_fig2_population())
         )
@@ -326,52 +364,111 @@ class TestSchedulerRun:
                 "config": config_to_payload(ExperimentConfig.smoke()),
             },
         )
+        scheduler = QueueScheduler(
+            tmp_path, workers=workers, poll_interval=0.01
+        )
         with pytest.raises(ValueError, match="unknown scheme"):
-            JobScheduler(workers=1).run([job])
+            scheduler.run([job])
+        assert scheduler.queue.failure_path(job.job_hash()).exists()
+        assert _no_local_workers_left()
+
+    def test_scheduler_counts_work_done_by_fleet(self, tmp_path):
+        """jobs_executed counts the batch's misses and
+        jobs_completed_elsewhere attributes work the inline worker did
+        not do."""
+        jobs = _cell_jobs(_markets(2))
+        fleet_queue = JobQueue(tmp_path)
+        fleet_queue.enqueue_many(jobs[:1])
+        QueueWorker(fleet_queue, worker_id="fleet", poll_interval=0.01).run(
+            drain=True
+        )
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        scheduler.run(jobs)
+        assert scheduler.cache_hits == 1
+        assert scheduler.jobs_executed == 1
+        assert scheduler.jobs_completed_elsewhere == 0
 
 
 def _sleepy_job(payload):
     time.sleep(float(payload["seconds"]))
-    return {"slept": payload["seconds"]}
+    return {"slept": payload["seconds"], "pid": os.getpid()}
 
 
-register_job_kind("test_sleepy", _sleepy_job)
+def _failing_job(payload):
+    raise RuntimeError(f"job failed on purpose: {payload}")
+
+
+# Dotted paths: the scheduler replays these registrations in its local
+# worker processes, so they resolve under any start method.
+register_job_kind("test_sleepy", f"{__name__}:_sleepy_job")
+register_job_kind("test_failing", f"{__name__}:_failing_job")
+# A callable registration only reaches this process (and forked workers).
+register_job_kind("test_sleepy_inline", _sleepy_job)
 
 
 class TestJobTimeout:
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="test-local job kind reaches workers via fork inheritance",
-    )
-    def test_hung_pool_fails_fast(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_job_fails_fast(self, tmp_path, workers):
+        """With job_timeout every executor is a local process the
+        scheduler can stop: a hung job fails the run fast, is recorded as
+        a failure (toward quarantine), and leaves no process behind."""
         jobs = [
             Job("test_sleepy", {"seconds": 3.0, "tag": tag})
             for tag in ("a", "b")
         ]
-        scheduler = JobScheduler(workers=2, job_timeout=0.3)
+        scheduler = QueueScheduler(
+            tmp_path, workers=workers, job_timeout=0.3, poll_interval=0.01
+        )
         start = time.perf_counter()
         with pytest.raises(ExperimentError, match="job_timeout"):
             scheduler.run(jobs)
         assert time.perf_counter() - start < 2.5
+        assert _no_local_workers_left()
+        failures = [
+            json.loads(line)
+            for job in jobs
+            if scheduler.queue.failure_path(job.job_hash()).exists()
+            for line in scheduler.queue.failure_path(job.job_hash())
+            .read_text()
+            .splitlines()
+        ]
+        assert len(failures) == 1
+        assert "job_timeout" in failures[0]["traceback"]
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="test-local job kind reaches workers via fork inheritance",
-    )
-    def test_timeout_guards_single_worker_too(self):
-        """job_timeout must not be silently inoperative on the workers=1 /
-        single-job shortcut — it forces the pool path."""
-        scheduler = JobScheduler(workers=1, job_timeout=0.3)
-        start = time.perf_counter()
-        with pytest.raises(ExperimentError, match="job_timeout"):
-            scheduler.run([Job("test_sleepy", {"seconds": 3.0})])
-        assert time.perf_counter() - start < 2.5
-
-    def test_registered_kind_runs_in_process(self):
-        result = JobScheduler(workers=1).run(
-            [Job("test_sleepy", {"seconds": 0.0})]
+    def test_registered_path_kind_runs_in_local_workers(self, tmp_path):
+        """Under job_timeout no job runs inline, so every result comes
+        from a local worker process that resolved the dotted-path kind."""
+        jobs = [
+            Job("test_sleepy", {"seconds": 0.0, "tag": tag})
+            for tag in ("a", "b", "c")
+        ]
+        scheduler = QueueScheduler(
+            tmp_path, workers=2, job_timeout=60.0, poll_interval=0.01
         )
-        assert result == [{"slept": 0.0}]
+        results = scheduler.run(jobs)
+        assert [result["slept"] for result in results] == [0.0] * 3
+        assert all(result["pid"] != os.getpid() for result in results)
+        assert scheduler.jobs_executed == 3
+        assert scheduler.jobs_completed_elsewhere == 3
+        assert _no_local_workers_left()
+
+    def test_failing_job_under_timeout_does_not_hang(self, tmp_path):
+        """A local worker exits after a job failure; once every local
+        worker is gone with the batch outstanding, the run raises."""
+        job = Job("test_failing", {"tag": "x"})
+        scheduler = QueueScheduler(
+            tmp_path, workers=1, job_timeout=60.0, poll_interval=0.01
+        )
+        with pytest.raises(ExperimentError, match="every local worker exited"):
+            scheduler.run([job])
+        assert scheduler.queue.failure_path(job.job_hash()).exists()
+        assert _no_local_workers_left()
+
+    def test_registered_kind_runs_in_process(self, tmp_path):
+        result = QueueScheduler(tmp_path, poll_interval=0.01).run(
+            [Job("test_sleepy_inline", {"seconds": 0.0})]
+        )
+        assert result == [{"slept": 0.0, "pid": os.getpid()}]
 
     def test_builtin_kind_name_collision_rejected(self):
         with pytest.raises(ExperimentError, match="built in"):
@@ -395,35 +492,37 @@ class TestScheduledFig3:
         sequential = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=self.SCHEMES
         )
-        scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
         sharded = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=self.SCHEMES, scheduler=scheduler
         )
         assert self._equal(sequential, sharded, self.COSTS)
 
-    def test_sharded_fig3_vmus_equals_sequential_bitwise(self):
+    def test_sharded_fig3_vmus_equals_sequential_bitwise(self, tmp_path):
         config = ExperimentConfig.smoke()
         counts = (1, 3)
         params = {"config": config, "counts": counts, "schemes": self.SCHEMES}
         sequential = run_experiment("fig3_vmus", params)
         sharded = run_experiment(
-            "fig3_vmus", params, scheduler=JobScheduler(workers=2)
+            "fig3_vmus",
+            params,
+            scheduler=QueueScheduler(tmp_path, workers=2, poll_interval=0.01),
         )
         assert self._equal(sequential, sharded, counts)
 
-    def test_killed_run_resumes_from_cache(self, tmp_path):
-        """Acceptance: a killed-and-resumed run completes from cache
+    def test_killed_run_resumes_from_store(self, tmp_path):
+        """Acceptance: a killed-and-resumed run completes from the store
         without re-running finished jobs."""
         config = ExperimentConfig.smoke()
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
         baseline = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=scheduler
         )
-        cached = sorted(tmp_path.glob("*.json"))
-        assert len(cached) == len(self.COSTS)
+        stored = _entries(tmp_path)
+        assert len(stored) == len(self.COSTS)
         # Simulate a run killed after finishing only the first market.
-        cached[1].unlink()
-        resumed_scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        stored[1].unlink()
+        resumed_scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
         resumed = fig3_cost_sweep(
             config,
             costs=self.COSTS,
@@ -437,24 +536,22 @@ class TestScheduledFig3:
                 baseline.evaluations[cost]["drl"]
             )
 
-    def test_cache_is_relocatable(self, tmp_path):
-        """Job hashes must not depend on the cache directory: a cache
+    def test_store_is_relocatable(self, tmp_path):
+        """Job hashes must not depend on the queue directory: a store
         written under one path (DRL checkpoint targets included) resumes
-        under any other — the cross-machine cache-sharing contract."""
-        import shutil
-
+        under any other — the cross-machine sharing contract."""
         config = ExperimentConfig.smoke()
         first_dir = tmp_path / "first"
         baseline = fig3_cost_sweep(
             config,
             costs=self.COSTS,
             schemes=("drl",),
-            scheduler=JobScheduler(workers=1, cache_dir=first_dir),
+            scheduler=QueueScheduler(first_dir, poll_interval=0.01),
         )
         moved_dir = tmp_path / "elsewhere" / "moved"
         moved_dir.parent.mkdir()
         shutil.move(first_dir, moved_dir)
-        relocated = JobScheduler(workers=1, cache_dir=moved_dir)
+        relocated = QueueScheduler(moved_dir, poll_interval=0.01)
         resumed = fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=relocated
         )
@@ -464,23 +561,27 @@ class TestScheduledFig3:
             assert vars(resumed.evaluations[cost]["drl"]) == vars(
                 baseline.evaluations[cost]["drl"]
             )
+        for artifact in relocated.queue.store:
+            assert artifact.checkpoint().parent.parent == moved_dir / "results"
+            assert artifact.checkpoint().exists()
 
     def test_drl_checkpoints_handed_home(self, tmp_path):
-        """Each per-market DRL job parks its trained agent in the cache's
+        """Each per-market DRL job parks its trained agent in the store's
         checkpoints/ dir, loadable (and then deletable) via load_agent;
-        cached results record the cache-*relative* path so a shared or
-        moved cache still resolves."""
+        stored results record the store-*relative* path so a shared or
+        moved store still resolves."""
         config = ExperimentConfig.smoke()
-        scheduler = JobScheduler(workers=1, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
         fig3_cost_sweep(
             config, costs=self.COSTS, schemes=("drl",), scheduler=scheduler
         )
-        checkpoints = sorted((tmp_path / "checkpoints").glob("*.npz"))
+        store_root = tmp_path / "results"
+        checkpoints = sorted((store_root / "checkpoints").glob("*.npz"))
         assert len(checkpoints) == len(self.COSTS)
-        for entry_path in tmp_path.glob("*.json"):
+        for entry_path in _entries(tmp_path):
             recorded = load_json(entry_path)["result"]["checkpoint"]
             assert not pathlib.PurePath(recorded).is_absolute()
-            assert (tmp_path / recorded).exists()
+            assert (store_root / recorded).exists()
         for checkpoint in checkpoints:
             agent, scaler, meta = load_agent(checkpoint)
             assert meta["history_length"] == config.history_length
@@ -489,45 +590,53 @@ class TestScheduledFig3:
 
 
 class TestScheduledSweeps:
-    """A pooled sweep equals the in-process run, whose rows
-    ``test_experiments_api.py`` pins against one stacked solve of the
-    sweep's markets."""
+    """A sweep fanned over local workers equals the in-process run, whose
+    rows ``test_experiments_api.py`` pins against one stacked solve of
+    the sweep's markets."""
 
     @staticmethod
-    def _pooled_and_in_process(name, params):
-        pooled = run_experiment(name, params, scheduler=JobScheduler(workers=2))
-        return pooled, run_experiment(name, params)
-
-    def test_distance_sweep_matches_stacked(self):
-        pooled, in_process = self._pooled_and_in_process("distance_sweep", {})
-        assert pooled.prices == in_process.prices
-        assert pooled.msp_utilities == in_process.msp_utilities
-
-    def test_fading_sweep_matches_stacked(self):
-        pooled, in_process = self._pooled_and_in_process(
-            "fading_sweep", {"draws": 8, "seed": 1}
+    def _fanned_and_in_process(name, params, queue_dir):
+        fanned = run_experiment(
+            name,
+            params,
+            scheduler=QueueScheduler(queue_dir, workers=2, poll_interval=0.01),
         )
-        assert pooled.prices == in_process.prices
-        assert pooled.utilities == in_process.utilities
+        return fanned, run_experiment(name, params)
 
-    def test_population_sweep_matches_stacked(self):
-        pooled, in_process = self._pooled_and_in_process(
-            "population_sweep", {"draws": 5, "seed": 2}
+    def test_distance_sweep_matches_stacked(self, tmp_path):
+        fanned, in_process = self._fanned_and_in_process(
+            "distance_sweep", {}, tmp_path
         )
-        assert pooled.per_draw == in_process.per_draw
+        assert fanned.prices == in_process.prices
+        assert fanned.msp_utilities == in_process.msp_utilities
 
-    def test_multiseed_resumes_through_scheduler_cache(self, tmp_path):
+    def test_fading_sweep_matches_stacked(self, tmp_path):
+        fanned, in_process = self._fanned_and_in_process(
+            "fading_sweep", {"draws": 8, "seed": 1}, tmp_path
+        )
+        assert fanned.prices == in_process.prices
+        assert fanned.utilities == in_process.utilities
+
+    def test_population_sweep_matches_stacked(self, tmp_path):
+        fanned, in_process = self._fanned_and_in_process(
+            "population_sweep", {"draws": 5, "seed": 2}, tmp_path
+        )
+        assert fanned.per_draw == in_process.per_draw
+
+    def test_multiseed_resumes_through_store(self, tmp_path):
         params = {
             "config": ExperimentConfig.smoke(),
             "seeds": (0, 1, 2, 3),
             "schemes": ("random", "equilibrium"),
         }
         sequential = run_experiment("multiseed", params)
-        scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
+        scheduler = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
         sharded = run_experiment("multiseed", params, scheduler=scheduler)
         assert sharded == sequential
         assert scheduler.jobs_executed == 2
-        resumed_scheduler = JobScheduler(workers=2, cache_dir=tmp_path)
+        resumed_scheduler = QueueScheduler(
+            tmp_path, workers=2, poll_interval=0.01
+        )
         resumed = run_experiment(
             "multiseed", params, scheduler=resumed_scheduler
         )
@@ -548,7 +657,7 @@ class TestScheduleCli:
             [
                 "--jobs", str(jobs_file),
                 "--workers", "1",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--queue-dir", str(tmp_path / "queue"),
                 "--output", str(tmp_path / "out"),
             ]
         )
@@ -559,11 +668,11 @@ class TestScheduleCli:
         for market, entry in zip(markets, results):
             assert entry["result"]["price"] == market.equilibrium().price
 
-    def test_schedule_resumes_from_cache(self, tmp_path, capsys):
+    def test_schedule_resumes_from_store(self, tmp_path, capsys):
         jobs_file, _ = self._jobs_file(tmp_path)
         argv = [
             "--jobs", str(jobs_file),
-            "--cache-dir", str(tmp_path / "cache"),
+            "--queue-dir", str(tmp_path / "queue"),
         ]
         assert schedule_main(argv) == 0
         capsys.readouterr()
@@ -572,6 +681,23 @@ class TestScheduleCli:
         assert "2 job(s): 0 executed, 2 from cache" in out
         assert out.count("cache") >= 2
 
+    def test_schedule_without_dir_uses_a_removed_temporary_queue(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--workers N or --job-timeout without --queue-dir run over a
+        temporary queue directory that is gone after the run."""
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        jobs_file, _ = self._jobs_file(tmp_path)
+        for flags in (["--workers", "2"], ["--job-timeout", "60"]):
+            assert schedule_main(["--jobs", str(jobs_file), *flags]) == 0
+            assert "2 job(s): 2 executed, 0 from cache" in (
+                capsys.readouterr().out
+            )
+            assert list(scratch.iterdir()) == []
+        assert _no_local_workers_left()
+
     def test_schedule_rejects_bad_inputs(self, tmp_path):
         jobs_file = save_json(tmp_path / "jobs.json", {"kind": "x"})
         with pytest.raises(SystemExit):
@@ -579,6 +705,8 @@ class TestScheduleCli:
         good = save_json(tmp_path / "good.json", [])
         with pytest.raises(SystemExit):
             schedule_main(["--jobs", str(good), "--workers", "0"])
+        with pytest.raises(SystemExit):
+            schedule_main(["--jobs", str(good), "--job-timeout", "0"])
 
     def test_schedule_rejects_malformed_json(self, tmp_path):
         broken = tmp_path / "broken.json"
@@ -595,13 +723,13 @@ class TestScheduleCli:
             schedule_main(["--jobs", str(bad_entries)])
 
     def test_scheduler_flags_apply_to_every_figure(self, tmp_path, capsys):
-        """--workers/--cache-dir route *every* experiment through the
-        scheduler — welfare (one welfare_report job) included."""
+        """--workers/--queue-dir route *every* experiment through the
+        queue — welfare (one welfare_report job) included."""
         from repro.experiments.run import main
 
         assert main(["run", "welfare", "--workers", "2"]) == 0
         assert "deadweight" in capsys.readouterr().out
         assert (
-            main(["run", "welfare", "--cache-dir", str(tmp_path)]) == 0
+            main(["run", "welfare", "--queue-dir", str(tmp_path)]) == 0
         )
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(_entries(tmp_path)) == 1

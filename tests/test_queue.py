@@ -21,12 +21,7 @@ from repro.entities.vmu import paper_fig2_population, sample_population
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.run import schedule_main, worker_main
-from repro.experiments.scheduler import (
-    Job,
-    JobScheduler,
-    execute_job,
-    market_to_payload,
-)
+from repro.experiments.scheduler import Job, execute_job, market_to_payload
 from repro.queue import (
     Artifact,
     ArtifactStore,
@@ -160,6 +155,21 @@ class TestJobQueue:
         remaining = queue.lease("w1")
         if remaining is not None:
             assert remaining.job_hash == good.job_hash()
+
+    def test_byte_corrupt_pending_spec_is_quarantined(self, tmp_path):
+        """Undecodable bytes in a spec are parked as .rejected with an
+        ExperimentError, not a bare UnicodeDecodeError that strands the
+        spec in the worker's lease directory."""
+        queue = JobQueue(tmp_path)
+        name = "0" * 64 + ".json"
+        (queue.pending_dir / name).write_bytes(b'{"kind": "\xff"}')
+        with pytest.raises(ExperimentError, match="quarantined"):
+            queue.lease("w1")
+        assert not (queue.leases_dir / "w1" / name).exists()
+        assert (queue.leases_dir / "w1" / name).with_suffix(
+            ".rejected"
+        ).exists()
+        assert queue.lease("w1") is None
 
 
 class TestHeartbeatsAndReaping:
@@ -369,112 +379,22 @@ class TestArtifactStore:
         job = _cell_jobs(1)[0]
         assert store.put(job, execute_job(job)).checkpoint() is None
 
-    def test_store_is_a_valid_scheduler_cache(self, tmp_path):
-        """The entry format is shared: a queue's results/ dir serves a
-        JobScheduler as cache_dir without re-execution, and vice versa."""
-        queue = JobQueue(tmp_path / "queue")
+    def test_copied_store_entries_seed_a_new_queue(self, tmp_path):
+        """Entries are self-describing files: copied into another queue's
+        results/, they are served as cache hits and never re-enqueue."""
         jobs = _cell_jobs(2)
+        queue = JobQueue(tmp_path / "queue")
         queue.enqueue_many(jobs)
         _drain(queue)
-        scheduler = JobScheduler(workers=1, cache_dir=queue.store.root)
+        seeded = JobQueue(tmp_path / "queue2")
+        for path in queue.store.root.glob("*.json"):
+            (seeded.store.root / path.name).write_bytes(path.read_bytes())
+        assert seeded.enqueue_many(jobs) == 0
+        scheduler = QueueScheduler(seeded.root, poll_interval=0.01)
         results = scheduler.run(jobs)
         assert scheduler.cache_hits == 2
         assert scheduler.jobs_executed == 0
         assert results == [queue.store.get(job).result for job in jobs]
-        # And a scheduler cache pre-seeds a queue: nothing re-enqueues.
-        cache_dir = tmp_path / "cache"
-        JobScheduler(workers=1, cache_dir=cache_dir).run(jobs)
-        seeded = JobQueue(tmp_path / "queue2")
-        for path in cache_dir.glob("*.json"):
-            (seeded.store.root / path.name).write_bytes(path.read_bytes())
-        assert seeded.enqueue_many(jobs) == 0
-
-
-class TestQueueScheduler:
-    def test_invalid_knobs_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError, match="workers"):
-            QueueScheduler(tmp_path, workers=0)
-        with pytest.raises(ExperimentError, match="wait_timeout"):
-            QueueScheduler(tmp_path, wait_timeout=0.0)
-
-    def test_inline_drain_matches_direct_execution(self, tmp_path):
-        jobs = _cell_jobs(3)
-        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
-        results = scheduler.run(jobs)
-        assert results == [execute_job(job) for job in jobs]
-        assert scheduler.jobs_executed == 3
-        assert scheduler.cache_hits == 0
-        assert scheduler.job_sources == ["executed"] * 3
-        # Nothing left behind: no pending files, no leases, all stored.
-        assert scheduler.queue.outstanding() == []
-        assert scheduler.queue.stats().pending == 0
-
-    def test_second_run_is_all_cache_hits(self, tmp_path):
-        jobs = _cell_jobs(2)
-        QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
-        again = QueueScheduler(tmp_path, poll_interval=0.01)
-        results = again.run(jobs)
-        assert again.cache_hits == 2
-        assert again.jobs_executed == 0
-        assert again.job_sources == ["cache"] * 2
-        assert results == [execute_job(job) for job in jobs]
-
-    def test_duplicate_jobs_collapse_to_one_execution(self, tmp_path):
-        job = _cell_jobs(1)[0]
-        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
-        results = scheduler.run([job, job, job])
-        assert scheduler.jobs_executed == 1
-        assert results[0] == results[1] == results[2]
-        assert len(scheduler.queue.store) == 1
-
-    def test_resume_false_recomputes_and_overwrites(self, tmp_path):
-        jobs = _cell_jobs(1)
-        QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
-        entry_path = QueueScheduler(tmp_path).queue.store.path_for(jobs[0])
-        entry = load_json(entry_path)
-        entry["result"]["price"] = -1.0  # poison the stored result
-        entry_path.write_text(json.dumps(entry))
-        fresh = QueueScheduler(tmp_path, resume=False, poll_interval=0.01)
-        results = fresh.run(jobs)
-        assert fresh.jobs_executed == 1
-        assert fresh.cache_hits == 0
-        assert results[0]["price"] != -1.0
-        assert load_json(entry_path)["result"] == results[0]
-
-    def test_producer_mode_times_out_without_a_fleet(self, tmp_path):
-        scheduler = QueueScheduler(
-            tmp_path, execute=False, wait_timeout=0.2, poll_interval=0.01
-        )
-        with pytest.raises(ExperimentError, match="wait_timeout"):
-            scheduler.run(_cell_jobs(1))
-        # The job stays pending for a fleet that shows up later.
-        assert len(scheduler.queue.pending_hashes()) == 1
-
-    def test_producer_mode_served_by_external_worker(self, tmp_path):
-        jobs = _cell_jobs(2)
-        # A "fleet" pre-computes the batch, as if racing the producer.
-        fleet_queue = JobQueue(tmp_path)
-        fleet_queue.enqueue_many(jobs)
-        _drain(fleet_queue, worker_id="fleet")
-        producer = QueueScheduler(
-            tmp_path, execute=False, wait_timeout=5.0, poll_interval=0.01
-        )
-        results = producer.run(jobs)
-        assert producer.cache_hits == 2
-        assert results == [execute_job(job) for job in jobs]
-
-    def test_scheduler_counts_work_done_by_fleet(self, tmp_path):
-        """jobs_executed counts the batch's misses (the JobScheduler
-        meaning) and jobs_completed_elsewhere attributes fleet work."""
-        jobs = _cell_jobs(2)
-        fleet_queue = JobQueue(tmp_path)
-        fleet_queue.enqueue_many(jobs[:1])
-        _drain(fleet_queue, worker_id="fleet")
-        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
-        scheduler.run(jobs)
-        assert scheduler.cache_hits == 1
-        assert scheduler.jobs_executed == 1
-        assert scheduler.jobs_completed_elsewhere == 0
 
 
 class TestQueueSchedulerExperiments:

@@ -1,7 +1,10 @@
 """Statistics-helper tests."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.utils.stats import compare_means, summarize
 
@@ -44,6 +47,22 @@ class TestSummarize:
     def test_str(self):
         assert "±" in str(summarize([1.0, 2.0]))
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_interval_bitwise_equals_scipy_stats_t_ppf(self, confidence):
+        """summarize's t quantile (scipy.special.stdtrit) gives the same
+        bits as scipy.stats.t.ppf, so no confidence-interval field moved
+        when the library stopped importing scipy.stats."""
+        rng = np.random.default_rng(7)
+        for size in (*range(2, 41), 200, 1000, 10000):
+            data = rng.normal(loc=2.0, scale=3.0, size=size)
+            stats = summarize(data, confidence=confidence)
+            t_crit = float(
+                scipy_stats.t.ppf(0.5 + confidence / 2.0, df=size - 1)
+            )
+            sem = float(data.std(ddof=1)) / math.sqrt(size)
+            assert stats.ci_low == stats.mean - t_crit * sem
+            assert stats.ci_high == stats.mean + t_crit * sem
+
 
 class TestBootstrapAndTtest:
     def test_ttest_detects_difference(self):
@@ -59,6 +78,17 @@ class TestBootstrapAndTtest:
         b = rng.normal(size=200)
         _, p = compare_means(a, b)
         assert p > 0.01
+
+    def test_ttest_equals_scipy_welch(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = rng.normal(size=int(rng.integers(2, 30)))
+            b = rng.normal(loc=0.3, size=int(rng.integers(2, 30)))
+            expected = scipy_stats.ttest_ind(a, b, equal_var=False)
+            assert compare_means(a, b) == (
+                float(expected.statistic),
+                float(expected.pvalue),
+            )
 
     def test_ttest_needs_samples(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ from test_core_equilibria_stacked import infeasible_market, random_markets
 from repro.core import MarketStack, MutableMarketStack
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
-from repro.experiments import JobScheduler, run_experiment
+from repro.experiments import run_experiment
+from repro.queue import QueueScheduler
 from repro.service import (
     FadingDrift,
     LivePricingService,
@@ -146,17 +147,17 @@ class TestLivePricingService:
 
 class TestCacheRoutedCallers:
     """Overlapping robustness sweeps reuse solved cells through
-    ``JobScheduler(cache_dir=...)``: each ``equilibrium_cell`` job is cached
+    ``QueueScheduler(queue_dir)``: each ``equilibrium_cell`` job is stored
     by content, so a cell any earlier sweep solved is served from disk —
     with the same bits."""
 
     def test_robustness_sweeps_reuse_cache_same_bits(self, tmp_path):
         base = run_experiment("distance_sweep", {"distances_m": (400.0, 800.0)})
-        first = JobScheduler(cache_dir=tmp_path)
+        first = QueueScheduler(tmp_path)
         cached = run_experiment(
             "distance_sweep", {"distances_m": (400.0, 800.0)}, scheduler=first
         )
-        overlap = JobScheduler(cache_dir=tmp_path)
+        overlap = QueueScheduler(tmp_path)
         wider = run_experiment(
             "distance_sweep",
             {"distances_m": (400.0, 800.0, 1600.0)},
@@ -171,8 +172,8 @@ class TestCacheRoutedCallers:
     def test_fading_sweep_reuse_cache_same_bits(self, tmp_path):
         base = run_experiment("fading_sweep", {"draws": 3})
         run_experiment(
-            "fading_sweep", {"draws": 3}, scheduler=JobScheduler(cache_dir=tmp_path)
+            "fading_sweep", {"draws": 3}, scheduler=QueueScheduler(tmp_path)
         )
-        rerun = JobScheduler(cache_dir=tmp_path)
+        rerun = QueueScheduler(tmp_path)
         assert run_experiment("fading_sweep", {"draws": 3}, scheduler=rerun) == base
         assert (rerun.cache_hits, rerun.jobs_executed) == (3, 0)
