@@ -32,7 +32,8 @@ start of a drain, on every idle poll (a lease that found nothing), and
 otherwise at most once per heartbeat interval (``lease_ttl / 4`` by
 default). A SIGKILLed worker's jobs therefore requeue within one TTL plus
 one heartbeat interval of its last beat, as long as some other worker is
-idle or between jobs.
+idle or between jobs. A worker known to have stopped is retired at once
+(:meth:`JobQueue.retire`: the same requeue and cleanup, no TTL wait).
 
 **Quarantine.** A job whose function raises is not re-leased forever:
 :meth:`JobQueue.fail` appends the traceback to ``failures/<hash>.jsonl``
@@ -375,22 +376,38 @@ class JobQueue:
             age = self.heartbeat_age(name, now=now)
             if age is not None and age <= self.lease_ttl:
                 continue
-            worker_dir = self.leases_dir / name
-            for lease in _spec_names(worker_dir):
-                try:
-                    os.replace(worker_dir / lease, self.pending_dir / lease)
-                except FileNotFoundError:
-                    continue  # acked/released/reaped concurrently
-                requeued.append(lease[: -len(".json")])
-            # Retire the dead worker's bookkeeping once its leases are
-            # drained; ignore races with the worker coming back to life.
-            if not any(worker_dir.iterdir()):
-                heartbeat = self.heartbeats_dir / f"{name}.json"
-                heartbeat.unlink(missing_ok=True)
-                try:
-                    worker_dir.rmdir()
-                except OSError:
-                    pass
+            requeued.extend(self.retire(name))
+        return requeued
+
+    def retire(self, worker_id: str) -> list[str]:
+        """Requeue every lease ``worker_id`` holds, then drop its bookkeeping.
+
+        For a worker known to have stopped (reaped as stale, or a local
+        worker process its scheduler has joined): its leased specs go back
+        to ``pending/``, and once its lease directory is empty, that
+        directory and its heartbeat are removed. Returns the requeued job
+        hashes; races with concurrent ackers and reapers are benign.
+        """
+        name = self._safe_worker_id(worker_id)
+        worker_dir = self.leases_dir / name
+        requeued: list[str] = []
+        for lease in _spec_names(worker_dir):
+            try:
+                os.replace(worker_dir / lease, self.pending_dir / lease)
+            except FileNotFoundError:
+                continue  # acked/released/reaped concurrently
+            requeued.append(lease[: -len(".json")])
+        # Ignore races with the worker coming back to life.
+        try:
+            if any(worker_dir.iterdir()):
+                return requeued
+        except FileNotFoundError:
+            pass
+        (self.heartbeats_dir / f"{name}.json").unlink(missing_ok=True)
+        try:
+            worker_dir.rmdir()
+        except OSError:
+            pass
         return requeued
 
     # ------------------------------------------------------------------ #

@@ -87,18 +87,18 @@ class _HeartbeatThread(threading.Thread):
         self._queue = queue
         self._worker_id = worker_id
         self._interval = interval
-        self._stop = threading.Event()
+        self._halt = threading.Event()
 
     def run(self) -> None:
-        while not self._stop.is_set():
+        while not self._halt.is_set():
             try:
                 self._queue.heartbeat(self._worker_id)
             except OSError:
                 pass  # a transiently unwritable beacon is not fatal
-            self._stop.wait(self._interval)
+            self._halt.wait(self._interval)
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()
 
 
 class _Reaper:
@@ -213,6 +213,10 @@ class QueueWorker:
                 self._execute(leased, stats)
         finally:
             beat.stop()
+            beat.join()
+            # A stopped worker leaves no heartbeat or lease directory
+            # behind; anything it still held goes back to pending/.
+            self.queue.retire(self.worker_id)
         return stats
 
     def _execute(self, leased: LeasedJob, stats: WorkerStats) -> Artifact:
@@ -257,11 +261,13 @@ class QueueWorker:
 
 def _serve_local(
     queue_dir: str,
+    worker_id: str,
     lease_ttl: float,
     poll_interval: float,
     registered_paths: dict[str, str],
 ) -> None:
-    """A local worker process: drain the queue at ``queue_dir``, then exit.
+    """A local worker process: drain the queue at ``queue_dir`` as
+    ``worker_id``, then exit.
 
     Module-level so any multiprocessing start method can pickle it.
     ``registered_paths`` replays the parent's dotted-path
@@ -273,7 +279,9 @@ def _serve_local(
     for name, path in registered_paths.items():
         register_job_kind(name, path)
     queue = JobQueue(queue_dir, lease_ttl=lease_ttl)
-    QueueWorker(queue, poll_interval=poll_interval).run(drain=True)
+    QueueWorker(
+        queue, worker_id=worker_id, poll_interval=poll_interval
+    ).run(drain=True)
 
 
 class QueueScheduler:
@@ -294,14 +302,14 @@ class QueueScheduler:
 
     ``job_timeout=t`` is a hang guard: an inline job cannot be
     interrupted, so with ``t`` set all ``workers`` executors are local
-    processes and the scheduler only watches. A lease on this batch held
-    for longer than ``t`` is recorded as a failure (it counts toward
-    quarantine) and the run raises :class:`ExperimentError`.
+    processes and the scheduler only watches. A lease one of them holds on
+    this batch for longer than ``t`` is recorded as a failure (it counts
+    toward quarantine) and the run raises :class:`ExperimentError`.
 
     ``resume=False`` drops the batch's stored entries first, so every job
     recomputes through the same enqueue/drain path and overwrites its
-    artifact; a torn entry is dropped the same way, as a miss. Local
-    worker processes never outlive :meth:`run`.
+    artifact; a torn entry is dropped too, as a miss. Local worker
+    processes never outlive :meth:`run`.
     """
 
     def __init__(
@@ -355,7 +363,12 @@ class QueueScheduler:
                 pending[key].append(index)
                 self.job_sources[index] = "executed"
                 continue
-            artifact = store.get(job) if self.resume else None
+            if self.resume:
+                artifact = self._stored(job)
+            else:
+                # Recompute: drop the entry so the job enqueues.
+                artifact = None
+                store.path_for(job).unlink(missing_ok=True)
             if artifact is not None:
                 results[index] = artifact.result
                 self.cache_hits += 1
@@ -365,31 +378,46 @@ class QueueScheduler:
                 self.job_sources[index] = "executed"
         if not pending:
             return results
-        # A pending job's entry is absent, torn (a miss), or being
-        # recomputed (resume=False): drop it so the job enqueues.
-        for job in pending_jobs.values():
-            store.path_for(job).unlink(missing_ok=True)
-        self.queue.enqueue_many(pending_jobs.values())
-        produced = self._drain(pending_jobs)
-        executed_locally = self.jobs_executed
+        artifacts: dict[str, Artifact] = {}
+        batch = pending_jobs
+        while batch:
+            self.queue.enqueue_many(batch.values())
+            produced = self._drain(batch)
+            for key, job in batch.items():
+                # Only jobs finished elsewhere are read from the store here.
+                artifact = produced.get(key) or self._stored(job)
+                if artifact is not None:
+                    artifacts[key] = artifact
+            # An entry dropped after the drain saw it stored (another
+            # producer's resume=False, or a torn entry) is outstanding.
+            batch = {
+                key: job for key, job in batch.items() if key not in artifacts
+            }
         for key, indices in pending.items():
-            # Only jobs finished elsewhere are read from the store here.
-            artifact = produced.get(key)
-            if artifact is None:
-                artifact = store.get(pending_jobs[key])
-            if artifact is None:  # pragma: no cover - _drain guards
-                raise ExperimentError(
-                    f"job {key[:16]}... completed without a stored result"
-                )
             for index in indices:
-                results[index] = artifact.result
+                results[index] = artifacts[key].result
+        self.jobs_completed_elsewhere = len(pending) - self.jobs_executed
         self.jobs_executed = len(pending)
-        self.jobs_completed_elsewhere = len(pending) - executed_locally
         return results
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _stored(self, job: Job) -> Artifact | None:
+        """``job``'s stored artifact, or None after dropping a torn entry.
+
+        An entry that exists but does not read is read once more (a
+        writer may have just replaced it) before it is dropped as a miss,
+        so the job enqueues; an absent entry is never touched.
+        """
+        store = self.queue.store
+        artifact = store.get(job)
+        if artifact is None and store.contains(job):
+            artifact = store.get(job)
+            if artifact is None:
+                store.path_for(job).unlink(missing_ok=True)
+        return artifact
+
     def _drain(self, batch: dict[str, Job]) -> dict[str, Artifact]:
         """Wait until every job in ``batch`` is stored; returns the
         artifacts of the batch jobs this scheduler completed inline.
@@ -406,6 +434,12 @@ class QueueScheduler:
         worker stalls the batch by at most one TTL plus one heartbeat
         interval. A batch job that the fleet quarantined raises
         :class:`ExperimentError` instead of being waited on forever.
+
+        Local worker processes (never more than the batch has jobs for)
+        are terminated and joined on the way out, and whatever they still
+        held — a cooperating producer's job among them — goes straight
+        back to ``pending/``, together with their heartbeats and lease
+        directories (:meth:`JobQueue.retire`).
         """
         remaining = set(batch)
         produced: dict[str, Artifact] = {}
@@ -418,12 +452,16 @@ class QueueScheduler:
         reaper = _Reaper(self.queue, worker.heartbeat_interval)
         stats = WorkerStats()
         first_seen: dict[tuple[str, str], float] = {}
-        children: list = []
+        children: dict[str, object] = {}
         beat = None
         try:
             # Local workers start before the heartbeat thread, so no
             # multi-threaded process is ever forked.
-            local = self.workers - 1 if inline else self.workers
+            local = (
+                min(self.workers - 1, len(batch) - 1)
+                if inline
+                else min(self.workers, len(batch))
+            )
             if local:
                 self._start_local_workers(local, children)
             if inline:
@@ -454,58 +492,68 @@ class QueueScheduler:
         finally:
             if beat is not None:
                 beat.stop()
-            for child in children:
+                beat.join()
+                self.queue.retire(self.worker_id)
+            for child in children.values():
                 child.terminate()
-            for child in children:
+            for worker_id, child in children.items():
                 child.join()
+                self.queue.retire(worker_id)
             self.jobs_executed += stats.executed
         return produced
 
-    def _start_local_workers(self, count: int, children: list) -> None:
-        """Start ``count`` local worker processes, appending each to
-        ``children`` as it starts (so a failed start still stops the
-        earlier ones)."""
+    def _start_local_workers(self, count: int, children: dict) -> None:
+        """Start ``count`` local worker processes, adding each to
+        ``children`` under its worker id as it starts (so a failed start
+        still stops the earlier ones)."""
         import multiprocessing
 
-        args = (
-            str(self.queue.root),
-            self.queue.lease_ttl,
-            self.poll_interval,
-            _registered_paths(),
-        )
         for _ in range(count):
+            worker_id = default_worker_id()
             child = multiprocessing.Process(
-                target=_serve_local, args=args, daemon=True
+                target=_serve_local,
+                args=(
+                    str(self.queue.root),
+                    worker_id,
+                    self.queue.lease_ttl,
+                    self.poll_interval,
+                    _registered_paths(),
+                ),
+                daemon=True,
             )
             child.start()
-            children.append(child)
+            children[worker_id] = child
 
     def _watch(
         self,
         batch: dict[str, Job],
         remaining: set[str],
         first_seen: dict[tuple[str, str], float],
-        children: list,
+        children: dict,
     ) -> None:
         """The ``job_timeout`` checks of one idle poll.
 
-        Notes when each lease on ``remaining`` was first seen; a lease
-        held longer than ``job_timeout`` is recorded as a failure and
-        raises. Also raises when every local worker has exited with the
-        batch still outstanding — nobody is left to finish it.
+        Notes when each lease a local worker holds on ``remaining`` was
+        first seen; one held longer than ``job_timeout`` is recorded as a
+        failure and raises. Leases of other workers (an external fleet, a
+        killed run's not yet reaped) are not timed: this scheduler can
+        neither stop those workers nor vouch that they hang. Also raises
+        when every local worker has exited with the batch still
+        outstanding — nobody is left to finish it.
         """
         now = time.monotonic()
-        for worker_dir, hashes in self.queue.leased_hashes().items():
-            for key in remaining.intersection(hashes):
-                since = first_seen.setdefault((worker_dir, key), now)
+        held = self.queue.leased_hashes()
+        for worker_id in children:
+            for key in remaining.intersection(held.get(worker_id, ())):
+                since = first_seen.setdefault((worker_id, key), now)
                 if now - since <= self.job_timeout:
                     continue
                 self.queue.fail(
                     LeasedJob(
                         job=batch[key],
                         job_hash=key,
-                        worker_id=worker_dir,
-                        path=self.queue.leases_dir / worker_dir / f"{key}.json",
+                        worker_id=worker_id,
+                        path=self.queue.leases_dir / worker_id / f"{key}.json",
                     ),
                     f"job_timeout: no result within job_timeout="
                     f"{self.job_timeout}s; the worker was terminated",
@@ -515,7 +563,7 @@ class QueueScheduler:
                     f"within job_timeout={self.job_timeout}s; "
                     f"{len(remaining)} job(s) still outstanding"
                 )
-        if any(child.is_alive() for child in children):
+        if any(child.is_alive() for child in children.values()):
             return
         remaining = set(self.queue.outstanding(sorted(remaining)))
         if remaining:

@@ -311,6 +311,69 @@ class TestQueueScheduler:
         assert again.jobs_executed == 1
         assert load_json(path)["result"] == baseline[0]
 
+    def test_entry_landing_after_the_miss_is_kept(self, tmp_path, monkeypatch):
+        """A producer's entry written between this run's store read and
+        its enqueue is served, never deleted and recomputed."""
+        jobs = _cell_jobs(_markets(1))
+        (stored,) = QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
+        entry_bytes = _entries(tmp_path)[0].read_bytes()
+        _entries(tmp_path)[0].unlink()
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        store = scheduler.queue.store
+        real_get = store.get
+        calls = []
+
+        def get_then_another_producer_writes(job):
+            artifact = real_get(job)
+            if not calls:
+                store.path_for(job).write_bytes(entry_bytes)
+            calls.append(job)
+            return artifact
+
+        monkeypatch.setattr(store, "get", get_then_another_producer_writes)
+        monkeypatch.setattr(
+            "repro.queue.worker.execute_job",
+            lambda job, artifact_dir=None: pytest.fail("must not recompute"),
+        )
+        assert scheduler.run(jobs) == [stored]
+        assert scheduler.cache_hits == 1
+        assert scheduler.jobs_executed == 0
+
+    def test_entry_dropped_after_the_drain_is_recomputed(self, tmp_path):
+        """An entry another producer drops (resume=False) after this
+        run's drain saw it stored is still outstanding: the run computes
+        it again instead of raising."""
+        jobs = _cell_jobs(_markets(2))
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        real_drain = scheduler._drain
+        drains = []
+
+        def drain_then_drop(batch):
+            produced = real_drain(batch)
+            if not drains:
+                victim = next(iter(batch))
+                scheduler.queue.store.path_for(victim).unlink()
+                produced.pop(victim, None)
+            drains.append(sorted(batch))
+            return produced
+
+        scheduler._drain = drain_then_drop
+        results = scheduler.run(jobs)
+        assert results == [execute_job(job) for job in jobs]
+        assert len(drains) == 2 and len(drains[1]) == 1
+        assert len(scheduler.queue.store) == 2
+
+    def test_stopped_workers_leave_no_bookkeeping(self, tmp_path):
+        """The inline worker and the local worker processes retire when
+        run() returns: no heartbeat, no lease directory, zero workers in
+        the census."""
+        scheduler = QueueScheduler(tmp_path, workers=3, poll_interval=0.01)
+        scheduler.run(_cell_jobs(_markets(4)))
+        assert _no_local_workers_left()
+        assert list(scheduler.queue.heartbeats_dir.iterdir()) == []
+        assert list(scheduler.queue.leases_dir.iterdir()) == []
+        assert scheduler.queue.stats().workers == 0
+
     def test_foreign_entry_raises(self, tmp_path):
         jobs = _cell_jobs(_markets(1))
         QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
@@ -434,6 +497,25 @@ class TestJobTimeout:
         ]
         assert len(failures) == 1
         assert "job_timeout" in failures[0]["traceback"]
+
+    def test_foreign_lease_is_not_timed(self, tmp_path):
+        """Only this run's local workers are timed. A killed run's lease,
+        not yet reaped, outlives job_timeout without failing the job: it
+        requeues after lease_ttl and the run completes."""
+        job = Job("test_sleepy", {"seconds": 0.0, "tag": "stale"})
+        queue = JobQueue(tmp_path, lease_ttl=1.0)
+        queue.enqueue(job)
+        assert queue.lease("killed-run") is not None  # beat once, then gone
+        scheduler = QueueScheduler(
+            tmp_path,
+            lease_ttl=1.0,
+            workers=1,
+            job_timeout=0.3,
+            poll_interval=0.01,
+        )
+        assert scheduler.run([job])[0]["slept"] == 0.0
+        assert not queue.failure_path(job.job_hash()).exists()
+        assert _no_local_workers_left()
 
     def test_registered_path_kind_runs_in_local_workers(self, tmp_path):
         """Under job_timeout no job runs inline, so every result comes

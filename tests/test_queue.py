@@ -222,6 +222,27 @@ class TestHeartbeatsAndReaping:
         assert queue.reap() == [leased.job_hash]
         assert queue.pending_hashes() == [leased.job_hash]
 
+    def test_retire_requeues_a_stopped_workers_leases(self, tmp_path):
+        """A worker known to have stopped is retired at once, with a
+        fresh heartbeat: its leases requeue and its bookkeeping goes."""
+        queue = JobQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue_many(_cell_jobs(2))
+        held = queue.lease("stopped")
+        other = queue.lease("other")
+        assert queue.retire("stopped") == [held.job_hash]
+        assert queue.pending_hashes() == [held.job_hash]
+        assert queue.leased_hashes() == {"other": [other.job_hash]}
+        assert not (queue.leases_dir / "stopped").exists()
+        assert not (queue.heartbeats_dir / "stopped.json").exists()
+        assert queue.retire("never-ran") == []
+
+    def test_worker_retires_when_it_stops(self, tmp_path):
+        queue = JobQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue_many(_cell_jobs(2))
+        assert _drain(queue, worker_id="w1").executed == 2
+        assert queue.stats().workers == 0
+        assert list(queue.heartbeats_dir.iterdir()) == []
+
     def test_requeued_job_completes_on_another_worker(self, tmp_path):
         """Kill-resume, fake-killed: a worker leases a job and dies (its
         beacon staled into the past); a survivor reaps, re-leases, and
