@@ -8,10 +8,10 @@ mixed capacity enforcement) for M ∈ {8, 50} and records the evidence in
 The comparison is exact by construction (the per-market call is the
 ``M = 1`` case of the stacked solve — see
 ``tests/test_core_equilibria_stacked.py``), so the timing difference is
-pure per-market Python overhead removed: the looped path pays the
-candidate enumeration, the 256-point refinement grid, and ~45 scalar
-golden-section probes *per market*, while the stacked path runs the same
-stages once over ``(M, ·)`` matrices.
+per-market overhead removed: the looped path builds a one-market stack
+and solves its Theorem-2 candidates *per market* (row by row in Python
+floats below 8 VMUs, through the numpy form at 8), while the stacked
+path evaluates every market's candidates once over ``(M, ·)`` matrices.
 
 Both paths memoise solved equilibria on their (immutable) stacks, so each
 timed run rebuilds its markets from shared populations — the measurement
@@ -99,9 +99,9 @@ def test_equilibrium_speedup(record_table):
 
     # Acceptance floor: the 50-market stacked solve must clearly beat 50
     # per-market solves. The loop baseline is no pushover: every M = 1
-    # solve refines through the scalar fast path (_refine_rows_scalar)
-    # inside the one chunked solve, so the ratio sits around 4x (median
-    # 4.0x over three runs on a 2-core x86 box). The floor is about half
-    # that median: it still proves the batch removes per-market overhead
-    # while leaving headroom for shared noisy runners.
+    # solve of fewer than 8 VMUs takes the row-by-row form
+    # (_solve_rows_scalar) inside the one chunked solve (median 5.0x over
+    # five runs on a 2-core x86 box). The floor sits well below that: it
+    # still proves the batch removes per-market overhead while leaving
+    # headroom for shared noisy runners.
     assert speedups[50] >= 2.0

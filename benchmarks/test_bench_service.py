@@ -8,11 +8,14 @@ mutated stack each window. The two are bitwise-equal by construction
 work avoided: ~0.05·M rows solved instead of M.
 
 Acceptance: incremental beats cold by ≥ ``MIN_SPEEDUP`` per window at
-both sizes. The floor is about half the median observed at M = 64, the
-tighter size (5.1× over three runs on a 2-core x86 box; M = 1000 runs
-near 10×). Evidence — per-window solve times, p50/p99 query latency, QPS,
-and peak RSS — lands in ``benchmarks/results/pricing_service.txt`` and
-the machine-readable ``pricing_service.json``.
+both sizes. Both sides solve by the candidate argmax alone; the ~3 dirty
+rows of an M = 64 window take the row-by-row form, whose fixed cost is
+far below the numpy form's, and the 50 of an M = 1000 window the numpy
+form. M = 64 is the tighter size (median 4.3x over ten runs on a 2-core
+x86 box; M = 1000 runs near 6.3x). Evidence — per-window solve times,
+p50/p99 query latency, QPS, and peak RSS — lands in
+``benchmarks/results/pricing_service.txt`` and the machine-readable
+``pricing_service.json``.
 """
 
 import resource

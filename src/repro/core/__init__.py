@@ -8,8 +8,8 @@ Solve entry points, scalar to stacked:
   ``(M,)`` prices or ``(M, R)`` grids, one numpy pass;
 - :meth:`StackelbergMarket.equilibrium` /
   :meth:`MarketStack.equilibria_stacked` — the closed-form Stackelberg
-  equilibrium of one market / of ``M`` markets in one stacked candidate
-  evaluation plus lockstep golden refinement (the scalar call is the
+  equilibrium of one market / of ``M`` markets as the argmax of one
+  stacked evaluation of Theorem 2's candidates (the scalar call is the
   ``M = 1`` case of the stacked solve, so the two agree bitwise).
 """
 

@@ -6,14 +6,13 @@ seeing the draw, the followers best-respond inside the realised market.
 This module adopts that shape on top of the stacked solver: a
 :class:`BayesianStackelbergMarket` is a weighted :class:`MarketStack`
 sample of scenarios, and the leader's expected-utility objective is a
-weights-dot-rows reduction over **one** stacked evaluation — so the
-robust solve reuses the exact machinery (candidate matrix, stacked
-outcome evaluation, ``grid_then_golden`` with a vector objective) that
-already solves the deterministic game. The deterministic
-:meth:`StackelbergMarket.equilibrium` is literally the one-atom case:
-with a single scenario of weight 1.0 every evaluation in
-:meth:`BayesianStackelbergMarket.equilibrium` is the same call the
-stacked scalar solve makes, so the two agree bitwise (pinned in tests).
+weights-dot-rows reduction over **one** stacked evaluation of the
+stacked solve's candidate matrix, cross-checked by ``grid_then_golden``:
+the maximiser of a weighted sum of scenario utilities need not be any
+scenario's own candidate. The deterministic
+:meth:`StackelbergMarket.equilibrium` is the one-atom case: a lone
+scenario takes the stacked solve's price, so the two agree bitwise
+(pinned in tests).
 
 Scenario sampling determinism: ``scenario_market(base, spec, i)`` is a
 pure function of ``(base, spec.seed, i)`` — the draw stream is
@@ -279,12 +278,13 @@ class BayesianStackelbergMarket:
     def equilibrium(self) -> BayesianStackelbergEquilibrium:
         """Maximise the leader's expected utility over ``[C, p_max]``.
 
-        Mirrors :meth:`MarketStack.equilibria_stacked` step for step —
-        pooled closed-form candidates from every scenario evaluated in
-        one stacked pass, argmax, then a
-        ``grid_then_golden`` cross-check through the vector objective,
-        better value wins — so the one-atom case reproduces
-        :meth:`StackelbergMarket.equilibrium` bitwise.
+        Pooled closed-form candidates from every scenario evaluated in
+        one stacked pass, argmax, then a ``grid_then_golden`` cross-check
+        through the vector objective, better value wins. A lone scenario
+        is the deterministic game, whose candidate argmax is exact: it
+        takes :meth:`MarketStack.equilibria_stacked`'s price, so the
+        one-atom case reproduces :meth:`StackelbergMarket.equilibrium`
+        bitwise.
 
         Raises:
             InfeasibleMarketError: if no scenario admits a profitable
@@ -296,19 +296,21 @@ class BayesianStackelbergMarket:
             raise InfeasibleMarketError(
                 "no scenario in the distribution admits a profitable price"
             )
-        pooled = np.asarray(candidates, dtype=float).reshape(-1)
-        values = self.expected_utilities(pooled)
-        best_index = int(np.argmax(values))
-        best_price = float(pooled[best_index])
-        best_value = float(values[best_index])
-        refined_price, refined_value = grid_then_golden(
-            self.expected_utility,
-            self._unit_cost,
-            self._max_price,
-            vector_objective=self.expected_utilities,
-        )
-        if refined_value > best_value:
-            best_price, best_value = float(refined_price), float(refined_value)
+        if len(self._markets) == 1:
+            best_price = float(self._stack.equilibria_stacked().prices[0])
+        else:
+            pooled = np.asarray(candidates, dtype=float).reshape(-1)
+            values = self.expected_utilities(pooled)
+            best_index = int(np.argmax(values))
+            best_price = float(pooled[best_index])
+            refined_price, refined_value = grid_then_golden(
+                self.expected_utility,
+                self._unit_cost,
+                self._max_price,
+                vector_objective=self.expected_utilities,
+            )
+            if refined_value > float(values[best_index]):
+                best_price = float(refined_price)
         realised = self.scenario_utilities(best_price)
         return BayesianStackelbergEquilibrium(
             price=best_price,

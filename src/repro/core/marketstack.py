@@ -28,19 +28,24 @@ entry points cannot diverge.
 
 Equilibrium solve
 -----------------
-There is one solve mode: per market, the argmax over Theorem 2's
-closed-form candidates, cross-checked by a grid-then-golden search (the
-better price wins). One solve streams the stack through row ranges
+There is one solve mode: per market, the argmax of the exact leader
+utility over Theorem 2's closed-form candidates (segment boundaries,
+clamped per-segment optima, clamped capacity-saturating prices). The
+candidate set contains the exact maximiser, so no numerical search
+refines it; ``tests/game_oracle.py`` keeps a grid-then-golden refinement
+as a differential oracle. One solve streams the stack through row ranges
 ("chunks"), so peak memory is bounded by the chunk, not by ``M``:
 :meth:`MarketStack.equilibria_stacked` runs it at the
 :data:`DEFAULT_CHUNK_BYTES` budget,
 :meth:`MarketStack.equilibria_stacked_chunked` at an explicit one. Every
-step — the Theorem-2 candidate matrix, its evaluation, the golden
-refinement, the final outcome — is row-local (reductions run along the
-population or candidate axis, never across markets), so every chunk size
-gives bitwise the same rows. Each chunk evaluates the leader utility
-through one scratch kernel (:meth:`_ChunkScratch.leader_utilities`). See
-``sim/README.md`` for the budget semantics.
+step (the Theorem-2 candidate matrix, its evaluation, the argmax, the
+final outcome) is row-local: reductions run along the population or
+candidate axis, never across markets, so every chunk size gives bitwise
+the same rows. Each chunk evaluates the leader utility through one
+scratch kernel (:meth:`_ChunkScratch.leader_utilities`); chunks of a few
+narrow rows solve row by row in Python floats instead, to the same bits
+(:data:`_SCALAR_SOLVE_MAX_ROWS`). See ``sim/README.md`` for the budget
+semantics.
 
 Live state
 ----------
@@ -76,10 +81,8 @@ from repro.core.utilities import (
 )
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError, InfeasibleMarketError
-from repro.game.solvers import (
-    golden_section_maximize,
-    grid_then_golden_batch,
-)
+# Not called here; perfbench/tracing.py wraps both under this module's name.
+from repro.game.solvers import golden_section_maximize, grid_then_golden_batch  # noqa: F401
 from repro.utils.validation import require_index, require_positive
 
 __all__ = [
@@ -96,54 +99,51 @@ __all__ = [
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 """Default scratch-memory budget of a chunked solve (64 MiB)."""
 
-_REFINE_GRID_POINTS = 256
-"""Coarse-scan width of ``grid_then_golden_batch`` — the widest per-market
-price batch the equilibrium solve evaluates (together with the
-``3·N_max + 4``-wide candidate matrix)."""
+_SCALAR_SOLVE_MAX_ROWS = 24
+"""Row-count ceiling of the row-by-row solve (see
+:meth:`_PaddedStack._solve_rows_scalar`). The numpy solve pays a fixed
+~80 array operations per chunk however few rows it holds, so chunks of at
+most this many rows whose widest population is below 8 solve row by row
+in Python floats instead, linear in rows and bitwise the same. The input
+size picks the path: ``StackelbergMarket.equilibrium()`` (``M = 1``) and
+small live re-solves take the rows, bulk solves the numpy form.
 
-_SCALAR_REFINE_MAX_ROWS = 24
-"""Row-count ceiling for the scalar refinement fast path. The batched
-golden loop costs a fixed ~50 sequential rounds of numpy dispatch no
-matter how few rows it refines, so chunks at or below this many rows
-refine row by row through the scalar :func:`golden_section_maximize`
-instead — linear in rows, and bitwise the same sequence (see
-:meth:`_PaddedStack._refine_rows_scalar`). The input size picks the path:
-every ``M = 1`` solve (``StackelbergMarket.equilibrium()``) and every
-live re-solve of up to this many dirty rows takes the scalar one, and
-bulk solves take the batch.
+Median time per ``_solve_rows`` call on ``rows`` markets drawn at random,
+400 draws each: city rows (``N_max`` 6, a 1000-market grid at seed 7)
+and random rows of 1–7 VMUs (1000 markets of the test suite's
+``random_markets`` at seed 3). 2-core x86 host, numpy 2, Python 3.11:
 
-The gate sits at the measured crossover. Median time per refinement of
-``rows`` city markets (``N_max`` 6, rows drawn at random from a
-1000-market grid, 60 draws each; 2-core x86 host, numpy 2, Python 3.11):
+====  =========  ==========  ===========  ============
+rows  city rows  city numpy  random rows  random numpy
+====  =========  ==========  ===========  ============
+1     0.08 ms    0.39 ms     0.07 ms      0.32 ms
+8     0.24 ms    0.58 ms     0.21 ms      0.47 ms
+16    0.37 ms    0.59 ms     0.35 ms      0.64 ms
+24    0.51 ms    0.62 ms     0.50 ms      0.62 ms
+32    0.69 ms    0.75 ms     0.64 ms      0.66 ms
+40    0.84 ms    0.80 ms     0.77 ms      0.79 ms
+====  =========  ==========  ===========  ============
 
-====  ======  =======
-rows  scalar  batched
-====  ======  =======
-1     0.18 ms 2.12 ms
-8     0.87 ms 2.44 ms
-16    1.64 ms 2.82 ms
-24    2.46 ms 3.15 ms
-32    3.48 ms 3.64 ms
-48    4.09 ms 3.28 ms
-64    6.52 ms 4.82 ms
-====  ======  =======
+The crossover lies between 32 and 40 rows; the gate stays a step below
+it, where the row form wins on both populations by a margin that host
+noise does not erase.
 """
 
 
 def solve_scratch_bytes_per_market(n_max: int) -> int:
     """Estimated peak scratch bytes one market contributes to a chunk.
 
-    Sized for the widest evaluation of the solve: a ``(width, N_max)``
-    best-response/allocation band where ``width = max(256, 3·N_max + 4)``,
-    the transient grouped-reduction copies of that band (ragged stacks),
-    the ``(width,)``-shaped grid/total/scale temporaries, and the
-    candidate-matrix intermediates. Deliberately conservative so a chunk
-    sized from ``chunk_bytes`` stays inside the budget including numpy's
-    untracked temporaries.
+    Sized for the widest evaluation of the solve: the ``(width, N_max)``
+    best-response/allocation band of the ``width = 3·N_max + 4``
+    Theorem-2 candidates, the transient grouped-reduction copies of that
+    band (ragged stacks), the ``(width,)``-shaped candidate/total/scale
+    temporaries, and the candidate-matrix intermediates. Deliberately
+    conservative so a chunk sized from ``chunk_bytes`` stays inside the
+    budget including numpy's untracked temporaries.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    width = max(_REFINE_GRID_POINTS, 3 * n_max + 4)
+    width = 3 * n_max + 4
     return 8 * (3 * width * n_max + 12 * width + 32 * n_max + 128)
 
 
@@ -209,55 +209,39 @@ def _per_market_totals(
 class _ChunkScratch:
     """The equilibrium solve's leader-utility kernel and its scratch.
 
-    Allocated once per solve and reused by every chunk (a
-    :class:`MutableMarketStack` keeps one across its dirty-row re-solves,
-    rebuilt when a re-solve outgrows it or the padded width moves). The
-    flat ``_band`` buffer holds the widest ``(chunk, width, N_max)``
-    evaluation of the solve (best responses overwritten in place by
-    allocations) and ``_scales`` its ``(chunk, width)`` rationing factors;
-    every evaluation runs in a contiguous leading view of them, so no
-    probe allocates band-sized arrays. :meth:`load` points the scratch at
-    one row range (or gathered rows) and prepares what does not depend on the price — the row views, the
-    ``D/SE`` ratio, the padding mask, the effective capacities, and the
-    ragged-reduction grouping — once per chunk rather than once per probe
-    (the golden refinement probes ~50 times in sequence).
+    Allocated once per solve and reused by every chunk. The flat
+    ``_band`` buffer holds the ``(chunk, 3·N_max + 4, N_max)`` evaluation
+    of the Theorem-2 candidates (best responses overwritten in place by
+    allocations) and ``_scales`` its ``(chunk, 3·N_max + 4)`` rationing
+    factors; every evaluation runs in a contiguous leading view of them,
+    so no chunk allocates band-sized arrays. :meth:`load` points the
+    scratch at one row range (or gathered rows) and prepares what does not
+    depend on the price: the row operands, the ``D/SE`` ratio, the padding
+    mask, and the ragged-reduction grouping.
     """
 
     def __init__(self, chunk_size: int, n_max: int) -> None:
-        width = max(_REFINE_GRID_POINTS, 3 * n_max + 4)
+        width = 3 * n_max + 4
         self._band = np.empty(chunk_size * width * n_max, dtype=np.float64)
         self._scales = np.empty(chunk_size * width, dtype=np.float64)
         self._ratio = np.empty((chunk_size, n_max), dtype=np.float64)
         self._pad = np.empty((chunk_size, n_max), dtype=bool)
 
-    def fits(self, chunk_size: int, n_max: int) -> bool:
-        """Whether chunks of up to ``chunk_size`` rows of an ``N_max``-wide
-        stack run in this scratch."""
-        rows, width = self._ratio.shape
-        return rows >= chunk_size and width == n_max
-
     def load(self, stack: "_PaddedStack", sl: slice | np.ndarray) -> None:
         """Prepare the price-independent invariants of rows ``sl`` (a row
         range or an index array)."""
-        alphas = stack._alphas[sl]
-        num_rows = alphas.shape[0]
-        self.alphas = alphas
-        self.unit_costs = stack._unit_costs[sl]
-        self.effective_caps = stack._effective_caps[sl]
-        self.counts = stack._counts[sl]
+        counts = stack._counts[sl]
+        num_rows = counts.shape[0]
         # The division the best-response kernel performs, hoisted: the
-        # same operands give the same bits on every probe.
-        self.ratio = np.divide(
+        # same operands give the same bits.
+        ratio = np.divide(
             stack._data[sl], stack._se[sl][:, np.newaxis], out=self._ratio[:num_rows]
         )
         pad = np.logical_not(stack._mask[sl], out=self._pad[:num_rows])
-        # The row operands, broadcast per price rank: (m,) probes evaluate
-        # an (m, N) band, (m, R) grids an (m, R, N) one.
-        rows = (alphas, self.ratio, pad, self.effective_caps, self.unit_costs)
-        self._operands = {1: rows, 2: tuple(a[:, np.newaxis] for a in rows)}
-        # The ~50 sequential golden probes all have shape (m,): build
-        # their views once per chunk.
-        self._probe_views = self._views((num_rows,))
+        caps, costs = stack._effective_caps[sl], stack._unit_costs[sl]
+        # The row operands, broadcast against an (m, R) price grid.
+        rows = (stack._alphas[sl], ratio, pad, caps, costs)
+        self._operands = tuple(a[:, np.newaxis] for a in rows)
         # Full-width row sums are bitwise-equal to the per-market ``[:n]``
         # reductions when the row holds non-negative values with trailing
         # ``+0.0`` padding AND both widths reduce in numpy's sequential
@@ -269,7 +253,7 @@ class _ChunkScratch:
         # reduction. ``tests/test_core_solve_kernel.py`` pins both sides
         # of this boundary against the validating ``outcomes_stacked``.
         self.groups = _population_groups(
-            self.counts, ragged=stack._ragged and stack.max_vmus >= 8
+            counts, ragged=stack._ragged and stack.max_vmus >= 8
         )
 
     def _views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -283,8 +267,8 @@ class _ChunkScratch:
         )
 
     def leader_utilities(self, prices: np.ndarray) -> np.ndarray:
-        """Leader utilities of the loaded rows at prices ``(m,)`` (one per
-        row) or ``(m, R)`` (a grid per row), in ``prices``' shape.
+        """Leader utilities of the loaded rows at an ``(m, R)`` price grid
+        (``R`` at most the candidate matrix's ``3·N_max + 4``).
 
         Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
         every expression is the elementwise
@@ -293,10 +277,8 @@ class _ChunkScratch:
         band — the stack validated its parameters at construction, and the
         solve's prices lie inside ``[C, p_max]``.
         """
-        alphas, ratio, pad, caps, costs = self._operands[prices.ndim]
-        band, scales = (
-            self._probe_views if prices.ndim == 1 else self._views(prices.shape)
-        )
+        alphas, ratio, pad, caps, costs = self._operands
+        band, scales = self._views(prices.shape)
         # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
         np.divide(alphas, prices[..., np.newaxis], out=band)
         np.subtract(band, ratio, out=band)
@@ -356,19 +338,6 @@ class StackedOutcome:
     def total_allocated(self) -> np.ndarray:
         """Σ granted bandwidth per market (and round), prices' shape."""
         return self.allocations.sum(axis=-1)
-
-    def total_vmu_utilities(self) -> np.ndarray:
-        """Σ U_n per market (and round), prices' shape.
-
-        Reduces each market over its *own* population (not the padded row),
-        so ragged stacks agree bitwise with per-market ``vmu_utilities.sum()``
-        — padded zeros are exact but would associate differently inside
-        numpy's pairwise reduction.
-        """
-        ragged = bool((self.counts != self.mask.shape[1]).any())
-        return _per_market_totals(
-            self.vmu_utilities, _population_groups(self.counts, ragged=ragged)
-        )
 
     def row(self, market_index: int) -> MarketOutcome:
         """Market ``market_index``'s outcome as a scalar
@@ -978,123 +947,146 @@ class _PaddedStack:
         )
         return candidates, feasible
 
-    def _refine_rows_scalar(
-        self, sl: slice | np.ndarray, scratch: _ChunkScratch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Golden refinement of a small set of rows, one scalar search per row.
+    def _solve_rows_scalar(
+        self, sl: slice | np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """:meth:`_solve_rows` row by row in Python floats, for small
+        chunks.
 
-        Bitwise replica of the ``grid_then_golden_batch`` call in
-        :meth:`_solve_rows`, restructured for latency (see
-        :data:`_SCALAR_REFINE_MAX_ROWS`): the coarse scan stays vectorised
-        (same grid, argmax, and bracket expressions as the batch),
-        then each row refines through the scalar
-        :func:`golden_section_maximize` — the reference the batch is
-        pinned against — with a pure-Python objective.
+        Per row: :meth:`_candidate_rows`' segments over the row's own
+        population, each distinct candidate's leader utility by
+        :meth:`_ChunkScratch.leader_utilities`' chain, the first argmax
+        and the outcome at it. The follower utilities are left to numpy,
+        since ``math.log1p`` and ``np.log1p`` round differently on some
+        inputs; an infeasible row's ``nan`` allocations make them ``nan``.
 
-        Why the bits match: IEEE-754 arithmetic is identical between
-        Python floats and numpy float64 scalars, the clamp ``d = 0.0 if
-        d < 0.0`` matches ``np.maximum(0.0, ·)`` (a ``-0.0`` demand is
-        impossible: ``a - b`` with ``a, b >= 0`` never rounds to it), and
-        the sequential Python sums match numpy's sequential reduction
-        regime, which is why this path is gated on the rows' widest
-        population being < 8 — the same boundary
-        :meth:`_ChunkScratch.load` documents.
-        ``tests/test_core_solve_kernel.py`` pins it bitwise against the
-        batch at every row count to past the gate, and
-        ``tests/test_core_equilibria_stacked.py`` pins equality across
-        chunk sizes on both sides of it.
+        The bits are the numpy form's. Python floats and float64 round
+        alike, every expression keeps the numpy operation order
+        (``min(max(x, low), high)`` is ``np.clip``, and zeroing
+        ``d < 0.0`` is ``np.maximum(d, 0.0)`` since a ``-0.0`` demand is
+        impossible), and explicit sequential sums match numpy's below
+        width 8, hence the width gate (the builtin ``sum`` compensates on
+        Python 3.12). Skipping padded segments and repeated prices cannot
+        move the first argmax: a repeat evaluates to its first
+        occurrence's bits. The segment optimum and the saturating price
+        are computed only where the numpy form keeps them (Python raises
+        on a 0/0 that numpy turns into a discarded NaN).
         """
-        low_v = self._unit_costs[sl]
-        high_v = self._max_prices[sl]
-        steps = (high_v - low_v) / (_REFINE_GRID_POINTS - 1)
-        grids = (
-            low_v[:, np.newaxis]
-            + steps[:, np.newaxis] * np.arange(_REFINE_GRID_POINTS)
-        )
-        values = scratch.leader_utilities(grids)
-        best_idx = np.argmax(values, axis=1)
-        lows = low_v + np.maximum(0, best_idx - 1) * steps
-        highs = (
-            low_v + np.minimum(_REFINE_GRID_POINTS - 1, best_idx + 1) * steps
-        )
-
-        num_rows = lows.shape[0]
-        prices = np.empty(num_rows, dtype=np.float64)
-        utilities = np.empty(num_rows, dtype=np.float64)
-        for i in range(num_rows):
-            n = int(scratch.counts[i])
-            pairs = list(
-                zip(scratch.alphas[i, :n].tolist(), scratch.ratio[i, :n].tolist())
-            )
-            cap = float(scratch.effective_caps[i])
-            cost = float(scratch.unit_costs[i])
-
-            def objective(
-                p: float, pairs=pairs, cap=cap, cost=cost
-            ) -> float:
-                total = 0.0
-                demands = []
-                append = demands.append
-                for alpha, ratio in pairs:
-                    d = alpha / p - ratio
+        columns = (self._counts, self._alphas, self._data, self._se)
+        columns += (self._unit_costs, self._max_prices, self._caps, self._enforce)
+        rows = list(zip(*(column[sl].tolist() for column in columns)))
+        allocations = np.zeros((len(rows), self.max_vmus))
+        feasible, prices, msp_utilities = [], [], []
+        capacity_binding, price_cap_binding = [], []
+        for i, row in enumerate(rows):
+            n, a_row, d_row, se, cost, p_max, cap, enforce = row
+            a_row, d_row = a_row[:n], d_row[:n]
+            pairs = [(a, d / se) for a, d in zip(a_row, d_row)]
+            thresholds = [a * se / d for a, d in zip(a_row, d_row)]
+            feasible.append(max(thresholds) > cost)
+            if not feasible[-1]:
+                allocations[i] = math.nan
+                prices.append(math.nan)
+                msp_utilities.append(math.nan)
+                capacity_binding.append(False)
+                price_cap_binding.append(False)
+                continue
+            effective_cap = cap if enforce else math.inf
+            # Active-set prefix sums by descending threshold (stable).
+            t_desc, prefix, alpha_sum, data_sum = [], [], 0.0, 0.0
+            for j in sorted(range(n), key=thresholds.__getitem__, reverse=True):
+                alpha_sum += a_row[j]
+                data_sum += d_row[j]
+                t_desc.append(thresholds[j])
+                prefix.append((alpha_sum, data_sum))
+            inside = sorted(t for t in thresholds if cost < t < p_max)
+            boundaries = [cost, *inside, p_max]
+            optima, saturating = [], []
+            for low, high in zip(boundaries[:-1], boundaries[1:]):
+                probe = 0.5 * (low + high)
+                active = 0
+                while active < n and t_desc[active] > probe:
+                    active += 1
+                if not active:
+                    optima.append(low)
+                    saturating.append(low)
+                    continue
+                alpha_sum, data_sum = prefix[active - 1]
+                optimum = math.sqrt(cost * se * alpha_sum / data_sum)
+                optima.append(min(max(optimum, low), high))
+                if enforce:
+                    p_cap = alpha_sum / (cap + data_sum / se)
+                    saturating.append(min(max(p_cap, low), high))
+                else:
+                    saturating.append(low)
+            best, seen = None, set()
+            for p in (*boundaries, *optima, *saturating):
+                if p in seen:
+                    continue
+                seen.add(p)
+                demands, total = [], 0.0
+                for a, r in pairs:
+                    d = a / p - r
                     if d < 0.0:
                         d = 0.0
-                    append(d)
+                    demands.append(d)
                     total += d
-                scale = cap / total if total > cap else 1.0
-                served = 0.0
-                for d in demands:
-                    served += d * scale
-                return (p - cost) * served
-
-            prices[i], utilities[i] = golden_section_maximize(
-                objective, float(lows[i]), float(highs[i])
-            )
-        return prices, utilities
+                served = total
+                if total > effective_cap:
+                    scale = effective_cap / total
+                    demands = [d * scale for d in demands]
+                    served = 0.0
+                    for d in demands:
+                        served += d
+                value = (p - cost) * served
+                if best is None or value > best[0]:
+                    best = (value, p, demands, total)
+            value, price, allocations[i, :n], total = best
+            prices.append(price)
+            msp_utilities.append(value)
+            capacity_binding.append(enforce and total >= cap * (1.0 - 1e-9))
+            price_cap_binding.append(abs(price - p_max) < 1e-9)
+        prices = np.array(prices)
+        vmu_utilities = _vmu_utilities_rows(
+            self._alphas[sl], self._data[sl], allocations, prices, self._se[sl]
+        )
+        return {
+            "prices": prices,
+            "demands": allocations,
+            "msp_utilities": np.array(msp_utilities),
+            "vmu_utilities": vmu_utilities,
+            "capacity_binding": np.array(capacity_binding, dtype=bool),
+            "price_cap_binding": np.array(price_cap_binding, dtype=bool),
+            "feasible": np.array(feasible, dtype=bool),
+        }
 
     def _solve_rows(
         self, sl: slice | np.ndarray, scratch: _ChunkScratch
     ) -> dict[str, np.ndarray]:
-        """Equilibrium arrays for rows ``sl`` — one chunk of the solve.
+        """Equilibrium arrays for rows ``sl``: one chunk of the solve.
 
-        Candidate argmax, then the golden cross-check, then the full
-        outcome at the winning prices. Every step is row-local, so the
-        arrays are bitwise the rows any other chunking produces.
+        The argmax of the leader utility over Theorem 2's candidates,
+        then the full outcome at that price. The candidate set holds the
+        exact maximiser, so no search refines it. Every step is row-local,
+        so the arrays are bitwise the rows any other chunking produces.
 
-        The cross-check takes the scalar path when the chunk is small
-        and the widest population among its rows — the width a cold solve
-        of just these rows pads to — is below 8 (see
-        :data:`_SCALAR_REFINE_MAX_ROWS`).
+        Small chunks whose widest population (the width a cold solve of
+        just these rows pads to) is below 8 take the row-by-row form
+        (see :data:`_SCALAR_SOLVE_MAX_ROWS`).
         """
+        counts = self._counts[sl]
+        if counts.shape[0] <= _SCALAR_SOLVE_MAX_ROWS and int(counts.max()) < 8:
+            return self._solve_rows_scalar(sl)
         scratch.load(self, sl)
         candidates, feasible = self._candidate_rows(sl)
-        candidate_values = scratch.leader_utilities(candidates)
-        best_idx = np.argmax(candidate_values, axis=1)[:, np.newaxis]
-        best_prices = np.take_along_axis(candidates, best_idx, axis=1)[:, 0]
-        best_values = np.take_along_axis(candidate_values, best_idx, axis=1)[
-            :, 0
-        ]
-        if (
-            feasible.shape[0] <= _SCALAR_REFINE_MAX_ROWS
-            and int(scratch.counts.max()) < 8
-        ):
-            refined_prices, refined_values = self._refine_rows_scalar(
-                sl, scratch
-            )
-        else:
-            refined_prices, refined_values = grid_then_golden_batch(
-                scratch.leader_utilities,
-                self._unit_costs[sl],
-                self._max_prices[sl],
-            )
-        best_prices = np.where(
-            refined_values > best_values, refined_prices, best_prices
-        )
-        outcome = self._outcomes_trusted(best_prices, sl)
-        price_cap_binding = np.abs(best_prices - self._max_prices[sl]) < 1e-9
+        values = scratch.leader_utilities(candidates)
+        best = np.argmax(values, axis=1)[:, np.newaxis]
+        prices = np.take_along_axis(candidates, best, axis=1)[:, 0]
+        outcome = self._outcomes_trusted(prices, sl)
+        price_cap_binding = np.abs(prices - self._max_prices[sl]) < 1e-9
         rows = feasible[:, np.newaxis]
         return {
-            "prices": np.where(feasible, best_prices, np.nan),
+            "prices": np.where(feasible, prices, np.nan),
             "demands": np.where(rows, outcome.allocations, np.nan),
             "msp_utilities": np.where(feasible, outcome.msp_utilities, np.nan),
             "vmu_utilities": np.where(rows, outcome.vmu_utilities, np.nan),
@@ -1230,28 +1222,6 @@ class MarketStack(_PaddedStack):
             )
         return outcome
 
-    def leader_landscapes(self, grid_points: int = 256) -> StackedOutcome:
-        """Every market's full leader landscape as one stacked solve.
-
-        Each market gets its own uniform ``grid_points``-point grid over
-        its feasible interval ``[C_m, p_max_m]`` — the whole Fig.-3-style
-        market grid evaluated in a single ``(M, R, N)`` pass. The grid
-        rows are the elementwise ``low + step·arange`` expression of
-        :func:`repro.game.solvers.uniform_price_grid`, built for all
-        markets in one broadcast (bitwise-identical rows, no per-market
-        loop).
-        """
-        if grid_points < 2:
-            raise ConfigurationError(
-                f"grid_points must be >= 2, got {grid_points}"
-            )
-        steps = (self._max_prices - self._unit_costs) / (grid_points - 1)
-        grids = (
-            self._unit_costs[:, np.newaxis]
-            + steps[:, np.newaxis] * np.arange(grid_points)
-        )
-        return self.outcomes_stacked(grids)
-
     # ------------------------------------------------------------------ #
     # the equilibrium solve
     # ------------------------------------------------------------------ #
@@ -1276,11 +1246,10 @@ class MarketStack(_PaddedStack):
         The market-axis form of :meth:`StackelbergMarket.equilibrium`
         (which is itself the ``M = 1`` case of this solve, so the two
         cannot diverge). Per market: evaluate the exact leader utility at
-        every closed-form candidate of Theorem 2, take the argmax, then
-        cross-check with a grid-then-golden-section search over
-        ``[C, p_max]``; the better price wins. Infeasible markets are
-        masked in the result instead of aborting the solve (see
-        :class:`StackedEquilibria`).
+        every closed-form candidate of Theorem 2 and take the argmax; the
+        candidate set contains the exact maximiser over ``[C, p_max]``.
+        Infeasible markets are masked in the result instead of aborting
+        the solve (see :class:`StackedEquilibria`).
 
         This is the :data:`DEFAULT_CHUNK_BYTES`-budget solve of
         :meth:`equilibria_stacked_chunked`: both run the one chunked
@@ -1290,6 +1259,7 @@ class MarketStack(_PaddedStack):
         """
         return self._solve()
 
+    # perfbench/tracing.py times the bulk solve by wrapping this name.
     def equilibria_stacked_chunked(
         self,
         *,
@@ -1393,8 +1363,8 @@ class MutableMarketStack(_PaddedStack):
       it widens the columns, and a row leaving the last widest
       population narrows them.
     - :meth:`equilibria_live` re-solves *only* the dirty rows, straight
-      from the live columns through the one row-local solve and one
-      persistent :class:`_ChunkScratch`, and splices them into the cached
+      from the live columns through the one row-local solve, and splices
+      them into the cached
       :class:`StackedEquilibria`. The splice writes only the dirty rows.
       It copies a result array first only because the cached one was
       handed out, and handed-out results stay frozen.
@@ -1449,7 +1419,6 @@ class MutableMarketStack(_PaddedStack):
         # Rows mutated since the last solve, and that solve's result.
         self._dirty: set[int] = set()
         self._solved: StackedEquilibria | None = None
-        self._scratch: _ChunkScratch | None = None
         self._solve_count = 0
         self._rows_resolved = 0
 
@@ -1664,13 +1633,7 @@ class MutableMarketStack(_PaddedStack):
             chunk_size=self._chunk_size,
             chunk_bytes=self._chunk_bytes,
         )
-        scratch = self._scratch
-        if scratch is None or not scratch.fits(size, width):
-            scratch = _ChunkScratch(size, width)
-        if cached is not None:
-            # Kept for the dirty-row re-solves to come; the first solve's
-            # scratch spans a whole chunk of the stack and is dropped.
-            self._scratch = scratch
+        scratch = _ChunkScratch(size, width)
         out = self._writable_result(cached, width)
         for start in range(0, len(rows), size):
             chunk = rows[start : start + size]

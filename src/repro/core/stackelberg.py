@@ -7,8 +7,8 @@ asks about the game:
 - follower best responses and drop-out thresholds (Eq. 8);
 - the leader's utility landscape with B_max rationing and follower
   drop-out (Eq. 9 generalised to the constrained case);
-- the unique Stackelberg equilibrium (Theorems 1-2), computed in closed
-  form per active set and cross-checked by a global numeric search.
+- the unique Stackelberg equilibrium (Theorems 1-2), the best of the
+  closed-form candidates per active set.
 
 Units: the market consumes VMU data sizes in natural data units (100 MB)
 and works with natural bandwidth internally; reported bandwidth multiplies
@@ -381,18 +381,18 @@ class StackelbergMarket:
         """Compute the unique Stackelberg equilibrium.
 
         Strategy: evaluate the exact leader utility at every closed-form
-        candidate (active-set optima, capacity-saturating prices, segment
-        boundaries), then cross-check with a grid-then-golden-section
-        search over ``[C, p_max]``. The two agree to ~1e-8 for every
-        market the test-suite constructs; the better one wins.
+        candidate of Theorem 2 (segment boundaries, clamped active-set
+        optima, clamped capacity-saturating prices) and take the argmax.
+        The candidate set contains the exact maximiser over
+        ``[C, p_max]``; ``tests/game_oracle.py`` cross-checks it against a
+        grid-then-golden refinement.
 
-        Since the stacked-equilibrium refactor this is the ``M = 1``
-        broadcast case of
-        :meth:`repro.core.marketstack.MarketStack.equilibria_stacked` —
-        the candidate enumeration, its evaluation, and the golden-section
-        refinement all run the identical numpy operations a wide stack
-        runs per row, so the two entry points cannot diverge (and repeated
-        solves hit the stack's memo).
+        This is the ``M = 1`` case of
+        :meth:`repro.core.marketstack.MarketStack.equilibria_stacked`: a
+        market of fewer than 8 VMUs takes its row-by-row form, a wider
+        one the numpy form, and both give a wide stack's row bits, so the
+        two entry points cannot diverge (and repeated solves hit the
+        stack's memo).
 
         Raises:
             InfeasibleMarketError: if no feasible price induces any demand.

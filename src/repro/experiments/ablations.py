@@ -27,7 +27,12 @@ from repro.experiments.api import (
     ParamSpec,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scheduler import Job, config_to_payload, market_to_payload
+from repro.experiments.scheduler import (
+    Job,
+    config_to_payload,
+    market_to_payload,
+    solve_job,
+)
 from repro.utils.tables import Table
 
 __all__ = [
@@ -239,7 +244,7 @@ def _capacity_pack(params, cells) -> CapacityAblationResult:
 def _capacity_plan(params) -> ExperimentPlan:
     markets = _capacity_markets(params)
     jobs = [
-        Job("equilibrium_cell", {"market": market_to_payload(market)})
+        solve_job("equilibrium_cell", {"market": market_to_payload(market)})
         for market in markets
     ]
     return ExperimentPlan("capacity_ablation", dict(params), jobs)

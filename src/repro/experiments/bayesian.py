@@ -21,9 +21,9 @@ from repro.core.bayesian import ScenarioSpec, sample_market_distribution
 from repro.experiments import api
 from repro.experiments.api import MARKET_PARAM, ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import (
-    Job,
     market_from_payload,
     market_to_payload,
+    solve_job,
 )
 from repro.utils.tables import Table
 
@@ -153,7 +153,7 @@ def _plan(params: Mapping) -> ExperimentPlan:
         "capacity_jitter": float(params["capacity_jitter"]),
     }
     return ExperimentPlan(
-        "bayesian_pricing", dict(params), [Job("bayesian_pricing", payload)]
+        "bayesian_pricing", dict(params), [solve_job("bayesian_pricing", payload)]
     )
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.core.marketstack import MarketStack, resolve_chunk_size
 from repro.experiments import api
 from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.scheduler import Job
+from repro.experiments.scheduler import solve_job
 # city_markets is not called here; perfbench/tracing.py wraps it under
 # this module's name, so it stays importable from here.
 from repro.mobility.citygrid import CityGridSpec, city_columns, city_markets  # noqa: F401
@@ -183,7 +183,7 @@ def _city_plan(params: Mapping) -> ExperimentPlan:
     chunk = _chunk_markets(spec, params)
     spec_payload = spec.to_payload()
     jobs = [
-        Job(
+        solve_job(
             "city_chunk",
             {
                 "spec": spec_payload,

@@ -44,11 +44,11 @@ from repro.experiments.runner import (
     validate_schemes,
 )
 from repro.experiments.scheduler import (
-    Job,
     config_from_payload,
     config_to_payload,
     market_from_payload,
     market_to_payload,
+    solve_job,
 )
 from repro.utils.stats import SummaryStats, compare_means, summarize
 from repro.utils.tables import Table
@@ -303,7 +303,7 @@ def _plan(params) -> ExperimentPlan:
     market_payload = market_to_payload(market)
     config_payload = config_to_payload(config)
     jobs = [
-        Job(
+        solve_job(
             "multiseed_shard",
             {
                 "market": market_payload,

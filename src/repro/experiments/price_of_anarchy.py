@@ -24,6 +24,7 @@ from repro.experiments.scheduler import (
     Job,
     market_from_payload,
     market_to_payload,
+    solve_job,
 )
 from repro.experiments.welfare import WelfareResult
 from repro.utils.tables import Table
@@ -172,7 +173,7 @@ def _assemble(plan: ExperimentPlan, results: list) -> PriceOfAnarchyResult:
 def _plan(params: Mapping) -> ExperimentPlan:
     market = api.resolve_market(params)
     market_payload = market_to_payload(market)
-    jobs = [Job("welfare_report", {"market": market_payload})]
+    jobs = [solve_job("welfare_report", {"market": market_payload})]
     for n in params["ns"]:
         jobs.append(
             Job(

@@ -31,7 +31,7 @@ from repro.entities.vmu import VmuProfile, sample_population
 from repro.errors import ConfigurationError
 from repro.experiments import api
 from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
-from repro.experiments.scheduler import Job
+from repro.experiments.scheduler import solve_job
 from repro.mobility.citygrid import CityGridSpec, city_markets
 from repro.service import (
     FadingDrift,
@@ -280,7 +280,7 @@ def run_pricing_service_job(payload: Mapping) -> dict:
 
 def _plan(params: Mapping) -> ExperimentPlan:
     return ExperimentPlan(
-        "pricing_service", dict(params), [Job("pricing_service", dict(params))]
+        "pricing_service", dict(params), [solve_job("pricing_service", params)]
     )
 
 

@@ -34,7 +34,7 @@ from repro.entities.vmu import paper_fig2_population, sample_population
 from repro.errors import ConfigurationError
 from repro.experiments import api
 from repro.experiments.api import ExperimentPlan, ParamSpec
-from repro.experiments.scheduler import Job, market_to_payload
+from repro.experiments.scheduler import Job, market_to_payload, solve_job
 from repro.utils.rng import as_generator
 from repro.utils.stats import SummaryStats, summarize
 from repro.utils.tables import Table
@@ -52,7 +52,7 @@ __all__ = [
 def _grid_jobs(markets: list[StackelbergMarket]) -> list[Job]:
     """One ``equilibrium_cell`` job per market of a sweep grid."""
     return [
-        Job("equilibrium_cell", {"market": market_to_payload(market)})
+        solve_job("equilibrium_cell", {"market": market_to_payload(market)})
         for market in markets
     ]
 

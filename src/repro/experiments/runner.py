@@ -46,6 +46,7 @@ from repro.experiments.scheduler import (
     config_to_payload,
     market_from_payload,
     market_to_payload,
+    solve_job,
 )
 from repro.sim.engine import play_policies_stacked
 
@@ -420,7 +421,7 @@ def plan_scheme_jobs(
             # job hash and the injected store root at execution time,
             # never written into the spec.
             jobs.append(
-                Job(
+                solve_job(
                     "market_scheme",
                     {
                         "scheme": scheme,

@@ -69,6 +69,8 @@ __all__ = [
     "ARTIFACT_DIR_KEY",
     "MISSING_RESULT",
     "Job",
+    "SOLVER_VERSION",
+    "solve_job",
     "register_job_kind",
     "job_function",
     "execute_job",
@@ -223,6 +225,18 @@ class Job:
         if not isinstance(payload, Mapping):
             raise ExperimentError("job spec 'payload' must be a mapping")
         return cls(kind=str(kind), payload=dict(payload))
+
+
+SOLVER_VERSION = 2
+"""Version of the equilibrium solve's result bits, bumped when they change
+(2: the candidate argmax alone; unversioned: with a golden cross-check)."""
+
+
+def solve_job(kind: str, payload: Mapping) -> Job:
+    """A job whose result the equilibrium solve feeds. Its payload carries
+    :data:`SOLVER_VERSION`, which no job function reads, so a store written
+    by an earlier solve misses instead of serving that solve's bits."""
+    return Job(kind, {**payload, "solver_version": SOLVER_VERSION})
 
 
 def execute_job(job: Job, artifact_dir: str | Path | None = None) -> object:

@@ -17,9 +17,9 @@ from repro.core.welfare import WelfareReport, welfare_report
 from repro.experiments import api
 from repro.experiments.api import MARKET_PARAM, ExperimentPlan
 from repro.experiments.scheduler import (
-    Job,
     market_from_payload,
     market_to_payload,
+    solve_job,
 )
 from repro.utils.tables import Table
 
@@ -87,7 +87,7 @@ def run_welfare_report_job(payload: Mapping) -> dict:
 
 def _plan(params) -> ExperimentPlan:
     market = api.resolve_market(params)
-    job = Job("welfare_report", {"market": market_to_payload(market)})
+    job = solve_job("welfare_report", {"market": market_to_payload(market)})
     return ExperimentPlan("welfare", dict(params), [job])
 
 

@@ -80,7 +80,6 @@ class CityGridSpec:
     vehicles_per_cell: float = 400.0
     max_vmus: int = 6
     target_aotm: float = 0.05
-    horizon_s: float = 3600.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -106,7 +105,7 @@ class CityGridSpec:
                 f"max_vmus must be >= 1, got {self.max_vmus}"
             )
         for name in ("block_m", "speed_limit_mps", "vehicles_per_cell",
-                     "target_aotm", "horizon_s"):
+                     "target_aotm"):
             require_positive(name, getattr(self, name))
         if self.coverage_radius_m is not None:
             require_positive("coverage_radius_m", self.coverage_radius_m)
@@ -159,7 +158,6 @@ class CityGridSpec:
             "vehicles_per_cell": self.vehicles_per_cell,
             "max_vmus": self.max_vmus,
             "target_aotm": self.target_aotm,
-            "horizon_s": self.horizon_s,
             "seed": self.seed,
         }
 

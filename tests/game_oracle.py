@@ -10,6 +10,10 @@ production path is pinned or timed against:
   the reference :func:`repro.sim.play_policies_stacked` is pinned against;
 - :func:`segment_candidates` — Theorem 2's per-segment candidate
   enumeration, the scalar form of ``MarketStack._candidate_rows``;
+- :func:`refined_equilibria` — the candidate argmax cross-checked by a
+  grid-then-golden search, the solve ``MarketStack.equilibria_stacked``
+  ran before its argmax alone became the equilibrium; the differential
+  oracle the argmax is held to;
 - :func:`scalar_best_response_price` and
   :func:`scalar_oligopoly_equilibrium` — one ``msp_utility()`` call per
   lattice point, the reference (and the speedup baseline) of
@@ -28,6 +32,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro.core.marketstack import MarketStack
 from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
 from repro.core.multimsp import (
     _IMPROVEMENT_MARGIN,
@@ -40,6 +45,7 @@ from repro.core.stackelberg import (
     StackelbergMarket,
 )
 from repro.errors import GameError
+from repro.game.solvers import grid_then_golden_batch
 
 
 def scalar_landscape(
@@ -125,6 +131,45 @@ def segment_candidates(market: StackelbergMarket) -> list[float]:
             p_cap = alpha_sum / (config.capacity_natural + data_sum / se)
             candidates.add(min(max(p_cap, low), high))
     return sorted(candidates)
+
+
+def refined_equilibria(
+    stack: MarketStack, chunk_size: int = 256
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate argmax, cross-checked by a grid-then-golden search.
+
+    Per market: the argmax of the leader utility over Theorem 2's
+    candidate matrix, then ``grid_then_golden_batch`` over ``[C, p_max]``
+    (a 256-point scan, then a golden section in the best bracket); the
+    better value wins. Every leader utility is the stack's own
+    ``_outcomes_trusted`` evaluation, so the prices are bitwise those of
+    the solve that ran this cross-check in production. Rows stream in
+    chunks of ``chunk_size`` to bound the ``(m, 256, N_max)`` scan.
+
+    Returns ``(prices, msp_utilities, feasible)``; infeasible rows carry
+    whatever the search found (callers mask them with ``feasible``).
+    """
+    candidates, feasible = stack._candidate_rows(slice(None))
+    prices = np.empty(stack.num_markets, dtype=np.float64)
+    values = np.empty(stack.num_markets, dtype=np.float64)
+    for start in range(0, stack.num_markets, chunk_size):
+        rows = slice(start, min(start + chunk_size, stack.num_markets))
+
+        def objective(p: np.ndarray, rows: slice = rows) -> np.ndarray:
+            return stack._outcomes_trusted(p, rows).msp_utilities
+
+        chunk = candidates[rows]
+        candidate_values = objective(chunk)
+        best = np.argmax(candidate_values, axis=1)[:, np.newaxis]
+        best_prices = np.take_along_axis(chunk, best, axis=1)[:, 0]
+        best_values = np.take_along_axis(candidate_values, best, axis=1)[:, 0]
+        refined_prices, refined_values = grid_then_golden_batch(
+            objective, stack.unit_costs[rows], stack.max_prices[rows]
+        )
+        refined = refined_values > best_values
+        prices[rows] = np.where(refined, refined_prices, best_prices)
+        values[rows] = np.where(refined, refined_values, best_values)
+    return prices, values, feasible
 
 
 def numerical_derivative(

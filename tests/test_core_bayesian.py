@@ -6,6 +6,8 @@ expected-utility number is *bitwise* the weighted sum of the per-scenario
 scalar references (same reduction order).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,20 @@ from repro.core.bayesian import (
 )
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import paper_fig2_population
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleMarketError
+from repro.mobility.citygrid import CityGridSpec, city_markets
+
+ONE_ATOM_SEEDS = (0, 1, 7)
+ONE_ATOM_MARKETS = 200
 
 
 def base_market() -> StackelbergMarket:
     return StackelbergMarket(paper_fig2_population())
+
+
+@functools.cache
+def one_atom_city(seed: int) -> list[StackelbergMarket]:
+    return city_markets(CityGridSpec.for_markets(ONE_ATOM_MARKETS, seed=seed))
 
 
 class TestScenarioSpec:
@@ -163,10 +174,18 @@ class TestExpectedUtility:
 
 
 class TestBayesianEquilibrium:
-    def test_one_atom_is_bitwise_deterministic_solve(self):
-        """A point-mass distribution IS the deterministic game."""
-        base = base_market()
-        reference = base.equilibrium()
+    @pytest.mark.parametrize("index", range(ONE_ATOM_MARKETS))
+    @pytest.mark.parametrize("seed", ONE_ATOM_SEEDS)
+    def test_one_atom_is_bitwise_deterministic_solve(self, seed, index):
+        """A point-mass distribution IS the deterministic game, on every
+        city market of three grids (an infeasible one raises in both)."""
+        base = one_atom_city(seed)[index]
+        try:
+            reference = base.equilibrium()
+        except InfeasibleMarketError:
+            with pytest.raises(InfeasibleMarketError):
+                BayesianStackelbergMarket([base]).equilibrium()
+            return
         bayes = BayesianStackelbergMarket([base]).equilibrium()
         assert bayes.price == reference.price
         assert bayes.expected_utility == reference.msp_utility

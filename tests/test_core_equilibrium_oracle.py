@@ -27,6 +27,15 @@ solver's price must score at least the lattice maximum, sit within two
 lattice steps of the lattice argmax, and its reported expected and
 per-scenario utilities must be the oracle's at that price.
 
+A second, differential oracle holds the solve to the search it replaced:
+``refined_equilibria`` in ``tests/game_oracle.py`` cross-checks Theorem
+2's candidate argmax with a 256-point scan and a golden section, as the
+production solve once did. On 10 000-market city stacks (seeds 0, 1 and
+7) and on every lattice market, the argmax's leader utility must reach
+the refined one to 1e-15 relative, and its price must agree to 1e-7
+relative: the candidates contain the maximiser, so the search can only
+shave rounding off the flat top.
+
 The paper states the follower's payoff through its freshness metric:
 Eq. (1)'s AoTM ``A = D / (b·SE)`` and the immersion ``α·ln(1 + 1/A)``.
 :func:`aotm` and :func:`immersion` keep that scalar form, and the
@@ -39,6 +48,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import MarketStack
 from repro.core.bayesian import (
     BayesianStackelbergMarket,
     ScenarioSpec,
@@ -47,7 +57,9 @@ from repro.core.bayesian import (
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.core.utilities import vmu_utilities
 from repro.entities.vmu import VmuProfile, paper_fig2_population
+from repro.mobility.citygrid import CityGridSpec, city_columns
 
+from game_oracle import refined_equilibria
 from test_core_equilibria_stacked import (
     dropout_markets,
     infeasible_market,
@@ -195,6 +207,37 @@ def test_binding_capacity_matches_lattice_oracle(index):
 def test_binding_price_cap_matches_lattice_oracle(index):
     equilibrium = check_against_oracle(price_cap_markets()[index])
     assert equilibrium.price_cap_binding
+
+
+REFINED_UTILITY_REL = 1e-15
+REFINED_PRICE_REL = 1e-7
+
+
+def assert_matches_refined(stack):
+    solved = stack.equilibria_stacked()
+    prices, utilities, feasible = refined_equilibria(stack)
+    assert np.array_equal(solved.feasible, feasible)
+    assert np.all(
+        solved.msp_utilities[feasible]
+        >= utilities[feasible] * (1.0 - REFINED_UTILITY_REL)
+    )
+    assert np.all(
+        np.abs(solved.prices[feasible] - prices[feasible])
+        <= REFINED_PRICE_REL * prices[feasible]
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_city_argmax_matches_refined_oracle(seed):
+    spec = CityGridSpec.for_markets(10_000, seed=seed)
+    assert_matches_refined(MarketStack.from_columns(city_columns(spec)))
+
+
+def test_lattice_argmax_matches_refined_oracle():
+    markets = lattice_markets()
+    assert len(markets) == 40
+    for market in markets:
+        assert_matches_refined(MarketStack([market]))
 
 
 def test_vmu_utilities_match_aotm_immersion_form():

@@ -139,17 +139,6 @@ class TestMarketStackApi:
         assert stack.spectral_efficiencies.shape == (5,)
         assert (stack.mask.sum(axis=1) == stack.counts).all()
 
-    def test_leader_landscapes_match_per_market_landscapes(self):
-        markets = random_markets(6, root_seed=9)
-        stack = MarketStack(markets)
-        stacked = stack.leader_landscapes(grid_points=64)
-        for m, market in enumerate(markets):
-            reference = market.leader_landscape(grid_points=64)
-            assert (
-                stacked.market_rows(m).msp_utilities
-                == reference.msp_utilities
-            ).all()
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MarketStack([])

@@ -1,6 +1,6 @@
-"""The equilibrium solve's leader-utility kernel equals the validating chain.
+"""The equilibrium solve's two forms and its leader-utility kernel.
 
-Every candidate evaluation, coarse scan and golden probe of
+Every candidate evaluation of the numpy form of
 ``MarketStack.equilibria_stacked`` runs through one scratch kernel,
 ``_ChunkScratch.leader_utilities``. It re-implements the
 best-response → proportional-rationing → leader-utility chain in place
@@ -8,8 +8,8 @@ best-response → proportional-rationing → leader-utility chain in place
 is pinned here **bitwise** against the public validating path
 ``outcomes_stacked(p).msp_utilities``:
 
-- ``(m,)`` probe prices and ``(m, R)`` price grids, including the
-  Theorem-2 candidate matrix the solve evaluates;
+- ``(m, R)`` price grids up to the candidate matrix's width, including
+  the Theorem-2 candidate matrix the solve evaluates;
 - ragged stacks with ``N_max`` 7 and 11, on both sides of numpy's width-8
   pairwise-summation boundary where the kernel switches between the
   full-width row sum and the grouped per-population reduction;
@@ -17,21 +17,23 @@ is pinned here **bitwise** against the public validating path
 - row slices loaded one after another into one scratch, as the chunked
   solve streams them.
 
-The scalar golden refinement ``MarketStack._refine_rows_scalar`` is pinned
-the same way against the batched ``grid_then_golden_batch`` it replaces
-on small chunks, at every row count up to past the row gate, and the
-solve's routing between the two is pinned on both sides of the row and
-width gates.
+The row-by-row form ``MarketStack._solve_rows_scalar``, which small
+chunks take, is pinned the same way against the numpy form on every
+field ``_solve_rows`` returns: a seeded fuzz over every row count from 1 to past the row
+gate and every width from 1 to 7, with degenerate rows (``p_max == C``,
+every VMU priced out, capacity enforcement off, a tiny capacity that
+always binds), in stacks exactly that wide and in a wider padded stack.
+The solve's routing between the two forms is pinned on both sides of the
+row and width gates.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import MarketStack, MutableMarketStack, marketstack
-from repro.core.marketstack import _SCALAR_REFINE_MAX_ROWS, _ChunkScratch
+from repro.core.marketstack import _SCALAR_SOLVE_MAX_ROWS, _ChunkScratch
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import sample_population
-from repro.mobility.citygrid import CityGridSpec, city_columns
 
 from test_core_equilibria_stacked import infeasible_market, random_markets
 
@@ -61,20 +63,22 @@ def kernel_stack(n_max, seed):
 
 
 def price_sets(stack, seed):
-    """``(M,)`` and ``(M, R)`` prices inside each row's ``[C, p_max]``."""
+    """``(M, R)`` prices inside each row's ``[C, p_max]``."""
     rng = np.random.default_rng(seed)
     low, high = stack.unit_costs, stack.max_prices
-    vector = low + (high - low) * rng.uniform(size=low.shape)
+    # As wide as the candidate matrix, the widest evaluation the scratch
+    # is sized for.
+    width = 3 * stack.max_vmus + 4
     grid = low[:, None] + (high - low)[:, None] * np.sort(
-        rng.uniform(size=(low.size, 37)), axis=1
+        rng.uniform(size=(low.size, width)), axis=1
     )
     grid[:, 0] = low  # cheapest price: capacity binds where it can
     candidates, _ = stack._candidate_rows(slice(None))
-    return {"vector": vector, "grid": grid, "candidates": candidates}
+    return {"grid": grid, "candidates": candidates}
 
 
 @pytest.mark.parametrize("n_max", [7, 11])
-@pytest.mark.parametrize("form", ["vector", "grid", "candidates"])
+@pytest.mark.parametrize("form", ["grid", "candidates"])
 def test_kernel_matches_outcomes_stacked_bitwise(n_max, form):
     stack = kernel_stack(n_max, seed=100 + n_max)
     prices = price_sets(stack, seed=n_max)[form]
@@ -95,7 +99,7 @@ def test_kernel_matches_outcomes_stacked_bitwise(n_max, form):
 @pytest.mark.parametrize("n_max", [7, 11])
 def test_row_slices_streamed_through_one_scratch(n_max):
     """Chunks loaded one after another into a scratch sized for the widest
-    chunk give each row range the full-stack bits, for both price forms."""
+    chunk give each row range the full-stack bits, for both price sets."""
     stack = kernel_stack(n_max, seed=200 + n_max)
     prices = price_sets(stack, seed=3 * n_max)
     full = {
@@ -112,78 +116,128 @@ def test_row_slices_streamed_through_one_scratch(n_max):
             ), (form, sl)
 
 
-def refine_stack(source):
-    """A ragged stack narrower than 8 VMUs: city rows or random markets."""
-    if source == "city":
-        stack = MarketStack.from_columns(
-            city_columns(CityGridSpec.for_markets(64, seed=7))
-        )
-    else:
-        stack = MarketStack(random_markets(64, root_seed=31, max_vmus=7))
-    assert stack.max_vmus < 8
-    assert len(set(stack.counts.tolist())) > 1
-    return stack
+FUZZ_KINDS = ("plain", "flat", "priced_out", "unenforced", "tiny_capacity")
 
 
-@pytest.mark.parametrize("source", ["city", "ragged"])
-def test_scalar_refine_equals_batch_at_every_row_count(source):
-    stack = refine_stack(source)
-    rng = np.random.default_rng(5)
-    for rows in range(1, _SCALAR_REFINE_MAX_ROWS + 9):
+def fuzz_market(rng, n, kind):
+    """One market of ``n`` VMUs; ``kind`` picks its degenerate feature."""
+    population = sample_population(n, seed=int(rng.integers(0, 2**31)))
+    cost = float(rng.uniform(3.0, 9.0))
+    config = {
+        "plain": MarketConfig(
+            unit_cost=cost,
+            max_price=float(rng.uniform(30.0, 60.0)),
+            max_bandwidth=float(rng.uniform(20.0, 60.0)),
+        ),
+        # p_max == C: every candidate is the one price C.
+        "flat": MarketConfig(unit_cost=cost, max_price=cost),
+        # Every threshold at or below C: a masked infeasible row.
+        "priced_out": MarketConfig(unit_cost=1e4, max_price=2e4),
+        "unenforced": MarketConfig(
+            unit_cost=cost,
+            max_bandwidth=float(rng.uniform(1.0, 5.0)),
+            enforce_capacity=False,
+        ),
+        "tiny_capacity": MarketConfig(unit_cost=cost, max_bandwidth=1e-3),
+    }[kind]
+    return StackelbergMarket(population, config=config)
+
+
+def fuzz_pool(width, seed):
+    """More rows than the gate admits, every kind, at most ``width`` VMUs
+    (one row exactly that wide)."""
+    rng = np.random.default_rng(seed)
+    count = _SCALAR_SOLVE_MAX_ROWS + 2 + len(FUZZ_KINDS)
+    kinds = list(FUZZ_KINDS) + [
+        FUZZ_KINDS[int(k)] for k in rng.integers(0, len(FUZZ_KINDS), count)
+    ]
+    sizes = [width] + [int(n) for n in rng.integers(1, width + 1, count - 1)]
+    return [fuzz_market(rng, n, kind) for n, kind in zip(sizes, kinds[:count])]
+
+
+def solve_rows(stack, rows, gate, monkeypatch):
+    """``_solve_rows`` under the row gate ``gate``: 0 forces the numpy
+    form, a gate past ``len(rows)`` the row form."""
+    with monkeypatch.context() as patch:
+        patch.setattr(marketstack, "_SCALAR_SOLVE_MAX_ROWS", gate)
+        scratch = _ChunkScratch(len(rows), stack.max_vmus)
+        return stack._solve_rows(rows, scratch)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["exact", "padded"])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_form_equals_numpy_form_on_every_field(width, padded, monkeypatch):
+    markets = fuzz_pool(width, seed=width)
+    kinds = set()
+    if padded:
+        # A wider member pads the stack past 8: the rows below keep their
+        # own populations, reduced per population size.
+        markets.append(StackelbergMarket(sample_population(9, seed=width)))
+    stack = MarketStack(markets)
+    rng = np.random.default_rng(100 + width)
+    for rows in range(1, _SCALAR_SOLVE_MAX_ROWS + 3):
         # Scattered rows, gathered by index as the live re-solve does.
-        idx = np.sort(rng.choice(stack.num_markets, rows, replace=False))
-        scratch = _ChunkScratch(rows, stack.max_vmus)
-        scratch.load(stack, idx)
-        scalar = stack._refine_rows_scalar(idx, scratch)
-        batch = marketstack.grid_then_golden_batch(
-            scratch.leader_utilities,
-            stack.unit_costs[idx],
-            stack.max_prices[idx],
+        idx = np.sort(rng.choice(len(markets) - padded, rows, replace=False))
+        scalar = solve_rows(stack, idx, rows, monkeypatch)
+        numpy_form = solve_rows(stack, idx, 0, monkeypatch)
+        for key, values in numpy_form.items():
+            assert scalar[key].dtype == values.dtype, key
+            assert scalar[key].tobytes() == values.tobytes(), (rows, key)
+        kinds.update(
+            ("infeasible" if not ok else "binding" if bound else "slack")
+            for ok, bound in zip(
+                numpy_form["feasible"], numpy_form["capacity_binding"]
+            )
         )
-        for a, b in zip(scalar, batch):
-            assert a.tobytes() == b.tobytes(), rows
+    assert kinds == {"infeasible", "binding", "slack"}
 
 
 @pytest.fixture
-def batch_calls(monkeypatch):
-    """Counts the solve's calls into the batched golden refinement."""
+def scalar_calls(monkeypatch):
+    """Counts the rows of each chunk the solve hands the row-by-row form."""
     calls = []
-    original = marketstack.grid_then_golden_batch
+    original = MarketStack._solve_rows_scalar
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return original(*args, **kwargs)
+    def counted(self, sl):
+        calls.append(len(self._counts[sl]))
+        return original(self, sl)
 
-    monkeypatch.setattr(marketstack, "grid_then_golden_batch", counted)
+    monkeypatch.setattr(MarketStack, "_solve_rows_scalar", counted)
+    monkeypatch.setattr(MutableMarketStack, "_solve_rows_scalar", counted)
     return calls
 
 
-def test_row_gate_routes_small_chunks_to_the_scalar_refine(batch_calls):
-    rows = _SCALAR_REFINE_MAX_ROWS + 1
+def test_row_gate_routes_small_chunks_to_the_row_form(scalar_calls):
+    rows = _SCALAR_SOLVE_MAX_ROWS + 1
     stack = MarketStack(random_markets(rows, root_seed=37, max_vmus=7))
-    stack.equilibria_stacked_chunked(chunk_size=_SCALAR_REFINE_MAX_ROWS)
-    assert batch_calls == []
-    MarketStack(stack.markets).equilibria_stacked()
-    assert batch_calls == [rows]
+    chunked = stack.equilibria_stacked_chunked(
+        chunk_size=_SCALAR_SOLVE_MAX_ROWS
+    )
+    assert scalar_calls == [_SCALAR_SOLVE_MAX_ROWS, 1]
+    cold = MarketStack(stack.markets).equilibria_stacked()
+    assert scalar_calls == [_SCALAR_SOLVE_MAX_ROWS, 1]
+    for name in ("prices", "demands", "msp_utilities", "vmu_utilities"):
+        assert np.array_equal(
+            getattr(chunked, name), getattr(cold, name), equal_nan=True
+        )
 
 
-def test_width_gate_is_the_solved_rows_widest_population(batch_calls):
-    """The scalar replica sums sequentially, which is bitwise only below
-    width 8: rows of < 8 VMUs take it even in a wider live stack, as they
-    would in a cold solve of just those rows, and a row of 8 or more does
-    not."""
+def test_width_gate_is_the_solved_rows_widest_population(scalar_calls):
+    """The row form sums sequentially, which is bitwise only below width
+    8: rows of < 8 VMUs take it even in a wider live stack, as they would
+    in a cold solve of just those rows, and a row of 8 or more does not."""
     markets = random_markets(6, root_seed=41, max_vmus=5)
     markets[0] = StackelbergMarket(sample_population(9, seed=3))
     mutable = MutableMarketStack(markets)
     mutable.equilibria_live()
-    assert batch_calls == [6]
+    assert scalar_calls == []
     mutable.set_fading_gain(2, 0.5)
     mutable.set_fading_gain(4, 0.7)
     mutable.equilibria_live()
-    assert batch_calls == [6]
+    assert scalar_calls == [2]
     mutable.set_fading_gain(0, 0.5)
     live = mutable.equilibria_live()
-    assert batch_calls == [6, 1]
+    assert scalar_calls == [2]
     cold = MarketStack(list(mutable.markets)).equilibria_stacked()
     for name in ("prices", "demands", "msp_utilities", "vmu_utilities"):
         assert np.array_equal(

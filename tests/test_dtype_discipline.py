@@ -80,10 +80,12 @@ class TestMarketStackDtype:
             assert_hot(getattr(outcome, name))
         assert_hot(outcome.capacity_binding, dtype=np.bool_)
         assert_hot(outcome.total_allocated)
-        assert_hot(outcome.total_vmu_utilities())
 
     def test_grid_outcome_fields(self, stack):
-        landscape = stack.leader_landscapes(grid_points=16)
+        steps = (stack.max_prices - stack.unit_costs) / 15
+        landscape = stack.outcomes_stacked(
+            stack.unit_costs[:, None] + steps[:, None] * np.arange(16)
+        )
         for name in ("prices", "demands", "allocations", "msp_utilities",
                      "vmu_utilities"):
             assert_hot(getattr(landscape, name))

@@ -32,7 +32,7 @@ from repro.experiments import (
 from repro.experiments import api
 from repro.experiments import scheduler as scheduler_module
 from repro.experiments.api import ParamSpec
-from repro.experiments.scheduler import Job
+from repro.experiments.scheduler import SOLVER_VERSION, Job
 from repro.queue import QueueScheduler
 from repro.utils.rng import as_generator
 from repro.utils.serialization import load_json, save_json, to_jsonable
@@ -154,9 +154,48 @@ class TestJobsPathBitwiseEqualsDirect:
         assert [j.kind for j in shards.jobs] == ["multiseed_shard"] * 2
 
 
+# The job kinds whose results the equilibrium solve feeds.
+SOLVE_FED_KINDS = {
+    "equilibrium_cell",
+    "city_chunk",
+    "pricing_service",
+    "bayesian_pricing",
+    "welfare_report",
+    "market_scheme",
+    "multiseed_shard",
+}
+
+
 class TestJobEncoding:
     """Every planned job survives its own wire form with the same hash,
     and encodes its payload once however often it is asked."""
+
+    @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+    def test_solve_fed_jobs_carry_the_solver_version(self, name):
+        """A store written before the solve's bits changed holds entries
+        without the version: they hash apart and miss."""
+        for job in schedule(name, TINY_PARAMS[name]).jobs:
+            if job.kind not in SOLVE_FED_KINDS:
+                assert "solver_version" not in job.payload
+                continue
+            assert job.payload["solver_version"] == SOLVER_VERSION
+            unversioned = {
+                key: value
+                for key, value in job.payload.items()
+                if key != "solver_version"
+            }
+            assert Job(job.kind, unversioned).job_hash() != job.job_hash()
+
+    def test_every_solve_fed_kind_is_planned_and_none_takes_a_param(self):
+        planned = {
+            job.kind
+            for name, params in TINY_PARAMS.items()
+            for job in schedule(name, params).jobs
+        }
+        assert SOLVE_FED_KINDS <= planned
+        for name in experiment_names():
+            names = {param.name for param in get_experiment(name).params}
+            assert "solver_version" not in names
 
     @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
     def test_spec_round_trip_keeps_the_hash(self, name):

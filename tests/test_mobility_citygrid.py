@@ -338,7 +338,7 @@ def test_slice_builds_no_road_graph():
 
 FLOAT_FIELDS = (
     "block_m", "coverage_radius_m", "speed_limit_mps", "vehicles_per_cell",
-    "target_aotm", "horizon_s",
+    "target_aotm",
 )
 
 
@@ -385,6 +385,6 @@ def test_valid_spec_payload_is_unchanged():
         "num_markets": 10000, "rows": 100, "cols": 100, "block_m": 400.0,
         "coverage_radius_m": None, "speed_limit_mps": 13.9,
         "vehicles_per_cell": 400.0, "max_vmus": 6, "target_aotm": 0.05,
-        "horizon_s": 3600.0, "seed": 7,
+        "seed": 7,
     }
     assert CityGridSpec.from_payload(spec.to_payload()) == spec
