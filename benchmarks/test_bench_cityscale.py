@@ -1,12 +1,13 @@
 """City-scale chunked solve: markets/second and peak-RSS evidence.
 
 Builds RSU-grid stacks via ``MarketStack.from_columns(city_columns(...))``
-at M ∈ {64, 1000, 10000} and times ``equilibria_stacked_chunked`` under a
-32 MiB scratch budget, recording throughput (markets/second), the
-``tracemalloc`` peak around the solve (which sees numpy's allocations;
-construction is excluded from this peak only), and the process
-``ru_maxrss`` high-water mark (report-only: it never shrinks, so only the
-budget-bounded traced peak is asserted). The construction time of the
+at M ∈ {64, 1000, 10000} and times ``equilibria_stacked_chunked`` in
+chunks of as many rows as a 32 MiB budget holds by the solve's own
+estimate (``solve_scratch_bytes_per_market``), recording throughput
+(markets/second), the ``tracemalloc`` peak around the solve (which sees
+numpy's allocations; construction is excluded from this peak only), and
+the process ``ru_maxrss`` high-water mark (report-only: it never shrinks,
+so only the budget-bounded traced peak is asserted). The construction time of the
 stack is reported as ``build_s`` (report-only, no floor): ``markets_per_s``
 and ``solve_s`` time the solve alone. The bench writes its table to
 ``benchmarks/results/cityscale.txt``.
@@ -22,6 +23,7 @@ import tracemalloc
 import pytest
 
 from repro.core import MarketStack
+from repro.core.marketstack import solve_scratch_bytes_per_market
 from repro.mobility.citygrid import CityGridSpec, city_columns
 from repro.utils.tables import Table
 
@@ -39,13 +41,14 @@ def solve_profile(num_markets):
         city_columns(CityGridSpec.for_markets(num_markets, seed=7))
     )
     build_s = time.perf_counter() - start
-    chunk = stack.resolve_chunk_size(chunk_bytes=CHUNK_BYTES)
+    per_market = solve_scratch_bytes_per_market(stack.max_vmus)
+    chunk = min(num_markets, CHUNK_BYTES // per_market)
 
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = time.perf_counter()
-        solved = stack.equilibria_stacked_chunked(chunk_bytes=CHUNK_BYTES)
+        solved = stack.equilibria_stacked_chunked(chunk_size=chunk)
         elapsed = time.perf_counter() - start
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:

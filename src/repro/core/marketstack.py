@@ -33,19 +33,18 @@ utility over Theorem 2's closed-form candidates (segment boundaries,
 clamped per-segment optima, clamped capacity-saturating prices). The
 candidate set contains the exact maximiser, so no numerical search
 refines it; ``tests/game_oracle.py`` keeps a grid-then-golden refinement
-as a differential oracle. One solve streams the stack through row ranges
-("chunks"), so peak memory is bounded by the chunk, not by ``M``:
-:meth:`MarketStack.equilibria_stacked` runs it at the
-:data:`DEFAULT_CHUNK_BYTES` budget,
-:meth:`MarketStack.equilibria_stacked_chunked` at an explicit one. Every
-step (the Theorem-2 candidate matrix, its evaluation, the argmax, the
-final outcome) is row-local: reductions run along the population or
-candidate axis, never across markets, so every chunk size gives bitwise
-the same rows. Each chunk evaluates the leader utility through one
-scratch kernel (:meth:`_ChunkScratch.leader_utilities`); chunks of a few
-narrow rows solve row by row in Python floats instead, to the same bits
-(:data:`_SCALAR_SOLVE_MAX_ROWS`). See ``sim/README.md`` for the budget
-semantics.
+as a differential oracle. The solve streams the stack through row ranges
+("chunks") it sizes itself: as many rows as fit the
+:data:`DEFAULT_CHUNK_BYTES` scratch budget (:func:`_chunk_rows`), so peak
+memory is bounded by the chunk, not by ``M``. Every step (the Theorem-2
+candidate matrix, its evaluation, the argmax, the final outcome) is
+row-local: reductions run along the population or candidate axis, never
+across markets, so every chunk size gives bitwise the same rows
+(:meth:`MarketStack.equilibria_stacked_chunked` takes an explicit row
+count to show it). Each chunk evaluates the leader utility in place on a
+band allocated for it (:meth:`_PaddedStack._leader_utilities`); chunks
+of a few narrow rows solve row by row in Python floats instead, to the
+same bits (:data:`_SCALAR_SOLVE_MAX_ROWS`), and allocate no band.
 
 Live state
 ----------
@@ -92,12 +91,12 @@ __all__ = [
     "StackedOutcome",
     "StackedEquilibria",
     "DEFAULT_CHUNK_BYTES",
-    "resolve_chunk_size",
     "solve_scratch_bytes_per_market",
 ]
 
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
-"""Default scratch-memory budget of a chunked solve (64 MiB)."""
+"""Scratch-memory budget of one solve chunk (64 MiB; see
+:func:`_chunk_rows`)."""
 
 _SCALAR_SOLVE_MAX_ROWS = 24
 """Row-count ceiling of the row-by-row solve (see
@@ -138,8 +137,8 @@ def solve_scratch_bytes_per_market(n_max: int) -> int:
     Theorem-2 candidates, the transient grouped-reduction copies of that
     band (ragged stacks), the ``(width,)``-shaped candidate/total/scale
     temporaries, and the candidate-matrix intermediates. Deliberately
-    conservative so a chunk sized from ``chunk_bytes`` stays inside the
-    budget including numpy's untracked temporaries.
+    conservative so a chunk sized from a byte budget stays inside it
+    including numpy's untracked temporaries.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -147,29 +146,10 @@ def solve_scratch_bytes_per_market(n_max: int) -> int:
     return 8 * (3 * width * n_max + 12 * width + 32 * n_max + 128)
 
 
-def resolve_chunk_size(
-    num_markets: int,
-    n_max: int,
-    *,
-    chunk_size: int | None = None,
-    chunk_bytes: int | None = None,
-) -> int:
-    """Rows per chunk for a chunked solve of an ``(M, N_max)`` stack.
-
-    An explicit ``chunk_size`` wins over ``chunk_bytes``; with neither set
-    the :data:`DEFAULT_CHUNK_BYTES` budget applies. The result is clamped
-    to ``[1, num_markets]``, so any positive value is safe to pass.
-    """
-    if chunk_size is not None:
-        size = int(chunk_size)
-        if size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        return min(size, num_markets)
-    budget = DEFAULT_CHUNK_BYTES if chunk_bytes is None else int(chunk_bytes)
-    if budget < 1:
-        raise ConfigurationError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-    per_market = solve_scratch_bytes_per_market(n_max)
-    return max(1, min(num_markets, budget // per_market))
+def _chunk_rows(n_max: int) -> int:
+    """Rows per chunk of a solve at padded width ``n_max``: as many as the
+    :data:`DEFAULT_CHUNK_BYTES` budget holds, and at least one."""
+    return max(1, DEFAULT_CHUNK_BYTES // solve_scratch_bytes_per_market(n_max))
 
 
 def _population_groups(
@@ -204,95 +184,6 @@ def _per_market_totals(
     for n, members in groups:
         totals[members] = values[members, ..., :n].sum(axis=-1)
     return totals
-
-
-class _ChunkScratch:
-    """The equilibrium solve's leader-utility kernel and its scratch.
-
-    Allocated once per solve and reused by every chunk. The flat
-    ``_band`` buffer holds the ``(chunk, 3·N_max + 4, N_max)`` evaluation
-    of the Theorem-2 candidates (best responses overwritten in place by
-    allocations) and ``_scales`` its ``(chunk, 3·N_max + 4)`` rationing
-    factors; every evaluation runs in a contiguous leading view of them,
-    so no chunk allocates band-sized arrays. :meth:`load` points the
-    scratch at one row range (or gathered rows) and prepares what does not
-    depend on the price: the row operands, the ``D/SE`` ratio, the padding
-    mask, and the ragged-reduction grouping.
-    """
-
-    def __init__(self, chunk_size: int, n_max: int) -> None:
-        width = 3 * n_max + 4
-        self._band = np.empty(chunk_size * width * n_max, dtype=np.float64)
-        self._scales = np.empty(chunk_size * width, dtype=np.float64)
-        self._ratio = np.empty((chunk_size, n_max), dtype=np.float64)
-        self._pad = np.empty((chunk_size, n_max), dtype=bool)
-
-    def load(self, stack: "_PaddedStack", sl: slice | np.ndarray) -> None:
-        """Prepare the price-independent invariants of rows ``sl`` (a row
-        range or an index array)."""
-        counts = stack._counts[sl]
-        num_rows = counts.shape[0]
-        # The division the best-response kernel performs, hoisted: the
-        # same operands give the same bits.
-        ratio = np.divide(
-            stack._data[sl], stack._se[sl][:, np.newaxis], out=self._ratio[:num_rows]
-        )
-        pad = np.logical_not(stack._mask[sl], out=self._pad[:num_rows])
-        caps, costs = stack._effective_caps[sl], stack._unit_costs[sl]
-        # The row operands, broadcast against an (m, R) price grid.
-        rows = (stack._alphas[sl], ratio, pad, caps, costs)
-        self._operands = tuple(a[:, np.newaxis] for a in rows)
-        # Full-width row sums are bitwise-equal to the per-market ``[:n]``
-        # reductions when the row holds non-negative values with trailing
-        # ``+0.0`` padding AND both widths reduce in numpy's sequential
-        # regime (width < 8): each padded add is then an exact identity
-        # (no partial sum is ``-0.0`` — demands are ``maximum(0, a-b)``
-        # with ``a, b >= 0``, which never rounds to ``-0.0``). At width 8
-        # numpy switches to an 8-accumulator pairwise kernel that
-        # associates differently, so wider ragged stacks keep the grouped
-        # reduction. ``tests/test_core_solve_kernel.py`` pins both sides
-        # of this boundary against the validating ``outcomes_stacked``.
-        self.groups = _population_groups(
-            counts, ragged=stack._ragged and stack.max_vmus >= 8
-        )
-
-    def _views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous band ``shape + (N_max,)`` and scales ``shape`` views
-        at the start of the scratch buffers."""
-        size = math.prod(shape)
-        n_max = self._ratio.shape[1]
-        return (
-            self._band[: size * n_max].reshape(*shape, n_max),
-            self._scales[:size].reshape(shape),
-        )
-
-    def leader_utilities(self, prices: np.ndarray) -> np.ndarray:
-        """Leader utilities of the loaded rows at an ``(m, R)`` price grid
-        (``R`` at most the candidate matrix's ``3·N_max + 4``).
-
-        Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
-        every expression is the elementwise
-        ``_follower_best_response_rows`` → ``_rationing_rows`` →
-        ``_msp_utilities_rows`` chain, evaluated in place in the scratch
-        band — the stack validated its parameters at construction, and the
-        solve's prices lie inside ``[C, p_max]``.
-        """
-        alphas, ratio, pad, caps, costs = self._operands
-        band, scales = self._views(prices.shape)
-        # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
-        np.divide(alphas, prices[..., np.newaxis], out=band)
-        np.subtract(band, ratio, out=band)
-        np.maximum(band, 0.0, out=band)
-        np.copyto(band, 0.0, where=pad)
-        demand_totals = _per_market_totals(band, self.groups)
-        # Proportional rationing in place: the quotient is evaluated only
-        # where totals exceed the capacity (the same bits as the
-        # where-guarded scale expression); rows within capacity keep
-        # exactly 1.0.
-        scales.fill(1.0)
-        np.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
-        np.multiply(band, scales[..., np.newaxis], out=band)
-        return (prices - costs) * _per_market_totals(band, self.groups)
 
 
 @dataclass(frozen=True)
@@ -947,6 +838,55 @@ class _PaddedStack:
         )
         return candidates, feasible
 
+    def _leader_utilities(
+        self, prices: np.ndarray, sl: slice | np.ndarray
+    ) -> np.ndarray:
+        """Leader utilities of rows ``sl`` at their ``(m, R)`` price grid
+        ``prices`` (``R`` at most the candidate matrix's ``3·N_max + 4``).
+
+        Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
+        every expression is the elementwise
+        ``_follower_best_response_rows`` → ``_rationing_rows`` →
+        ``_msp_utilities_rows`` chain, evaluated in place on one
+        ``(m, R, N_max)`` band allocated per call — the stack validated its
+        parameters at construction, and the solve's prices lie inside
+        ``[C, p_max]``.
+        """
+        alphas = self._alphas[sl][:, np.newaxis]
+        # The division the best-response kernel performs, hoisted: the
+        # same operands give the same bits.
+        ratio = (self._data[sl] / self._se[sl][:, np.newaxis])[:, np.newaxis]
+        pad = ~self._mask[sl][:, np.newaxis]
+        caps = self._effective_caps[sl][:, np.newaxis]
+        costs = self._unit_costs[sl][:, np.newaxis]
+        # Full-width row sums are bitwise-equal to the per-market ``[:n]``
+        # reductions when the row holds non-negative values with trailing
+        # ``+0.0`` padding AND both widths reduce in numpy's sequential
+        # regime (width < 8): each padded add is then an exact identity
+        # (no partial sum is ``-0.0`` — demands are ``maximum(0, a-b)``
+        # with ``a, b >= 0``, which never rounds to ``-0.0``). At width 8
+        # numpy switches to an 8-accumulator pairwise kernel that
+        # associates differently, so wider ragged stacks keep the grouped
+        # reduction. ``tests/test_core_solve_kernel.py`` pins both sides
+        # of this boundary against the validating ``outcomes_stacked``.
+        groups = _population_groups(
+            self._counts[sl], ragged=self._ragged and self.max_vmus >= 8
+        )
+        # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
+        band = np.divide(alphas, prices[..., np.newaxis])
+        np.subtract(band, ratio, out=band)
+        np.maximum(band, 0.0, out=band)
+        np.copyto(band, 0.0, where=pad)
+        demand_totals = _per_market_totals(band, groups)
+        # Proportional rationing in place: the quotient is evaluated only
+        # where totals exceed the capacity (the same bits as the
+        # where-guarded scale expression); rows within capacity keep
+        # exactly 1.0.
+        scales = np.ones(prices.shape)
+        np.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
+        np.multiply(band, scales[..., np.newaxis], out=band)
+        return (prices - costs) * _per_market_totals(band, groups)
+
     def _solve_rows_scalar(
         self, sl: slice | np.ndarray
     ) -> dict[str, np.ndarray]:
@@ -955,7 +895,7 @@ class _PaddedStack:
 
         Per row: :meth:`_candidate_rows`' segments over the row's own
         population, each distinct candidate's leader utility by
-        :meth:`_ChunkScratch.leader_utilities`' chain, the first argmax
+        :meth:`_leader_utilities`' chain, the first argmax
         and the outcome at it. The follower utilities are left to numpy,
         since ``math.log1p`` and ``np.log1p`` round differently on some
         inputs; an infeasible row's ``nan`` allocations make them ``nan``.
@@ -1060,9 +1000,7 @@ class _PaddedStack:
             "feasible": np.array(feasible, dtype=bool),
         }
 
-    def _solve_rows(
-        self, sl: slice | np.ndarray, scratch: _ChunkScratch
-    ) -> dict[str, np.ndarray]:
+    def _solve_rows(self, sl: slice | np.ndarray) -> dict[str, np.ndarray]:
         """Equilibrium arrays for rows ``sl``: one chunk of the solve.
 
         The argmax of the leader utility over Theorem 2's candidates,
@@ -1077,9 +1015,8 @@ class _PaddedStack:
         counts = self._counts[sl]
         if counts.shape[0] <= _SCALAR_SOLVE_MAX_ROWS and int(counts.max()) < 8:
             return self._solve_rows_scalar(sl)
-        scratch.load(self, sl)
         candidates, feasible = self._candidate_rows(sl)
-        values = scratch.leader_utilities(candidates)
+        values = self._leader_utilities(candidates, sl)
         best = np.argmax(values, axis=1)[:, np.newaxis]
         prices = np.take_along_axis(candidates, best, axis=1)[:, 0]
         outcome = self._outcomes_trusted(prices, sl)
@@ -1225,21 +1162,6 @@ class MarketStack(_PaddedStack):
     # ------------------------------------------------------------------ #
     # the equilibrium solve
     # ------------------------------------------------------------------ #
-    def resolve_chunk_size(
-        self,
-        *,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
-    ) -> int:
-        """Rows per chunk a chunked solve of this stack would use
-        (see the module-level :func:`resolve_chunk_size`)."""
-        return resolve_chunk_size(
-            self.num_markets,
-            self.max_vmus,
-            chunk_size=chunk_size,
-            chunk_bytes=chunk_bytes,
-        )
-
     def equilibria_stacked(self) -> StackedEquilibria:
         """Solve every market's Stackelberg equilibrium, stacked.
 
@@ -1251,47 +1173,40 @@ class MarketStack(_PaddedStack):
         Infeasible markets are masked in the result instead of aborting
         the solve (see :class:`StackedEquilibria`).
 
-        This is the :data:`DEFAULT_CHUNK_BYTES`-budget solve of
-        :meth:`equilibria_stacked_chunked`: both run the one chunked
-        solve, and every chunk size gives the same bits. The result is
-        memoised and shared with the chunked entry point — markets are
+        The solve streams the stack in chunks of as many rows as fit the
+        :data:`DEFAULT_CHUNK_BYTES` scratch budget, so peak memory scales
+        with the chunk, never with ``M``. The result is memoised and
+        shared with :meth:`equilibria_stacked_chunked` — markets are
         immutable, so repeated solves of one stack are free.
         """
-        return self._solve()
+        return self._solve(_chunk_rows(self.max_vmus))
 
     # perfbench/tracing.py times the bulk solve by wrapping this name.
     def equilibria_stacked_chunked(
-        self,
-        *,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
+        self, *, chunk_size: int
     ) -> StackedEquilibria:
-        """:meth:`equilibria_stacked` at an explicit memory budget.
+        """:meth:`equilibria_stacked` in chunks of ``chunk_size`` rows.
 
-        Partitions the stack into chunks of :meth:`resolve_chunk_size`
-        rows (explicit ``chunk_size`` wins over the ``chunk_bytes`` scratch
-        budget; neither set uses :data:`DEFAULT_CHUNK_BYTES`, which is
-        :meth:`equilibria_stacked`). Peak memory scales with the chunk,
-        never with ``M``, and the result is **bitwise** the same for every
-        chunk size (the solve is row-local end to end; see the module
-        docstring).
+        The result is **bitwise** the same for every chunk size (the solve
+        is row-local end to end; see the module docstring), so this entry
+        point shares the memo with :meth:`equilibria_stacked`: solving a
+        stack twice — at any chunk size — returns the identical cached
+        object.
 
-        Shares the memo with :meth:`equilibria_stacked`: solving a stack
-        twice — at any chunk size — returns the identical cached object.
+        Raises:
+            ConfigurationError: if ``chunk_size`` is below 1.
         """
-        return self._solve(chunk_size, chunk_bytes)
+        size = int(chunk_size)
+        if size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {chunk_size}"
+            )
+        return self._solve(size)
 
-    def _solve(
-        self,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
-    ) -> StackedEquilibria:
-        """The equilibrium solve, streamed in :meth:`resolve_chunk_size`
-        chunks, behind both public entry points.
-
-        One :class:`_ChunkScratch` serves every chunk, and each chunk's
-        rows stream into preallocated ``(M,)``/``(M, N_max)`` result
-        arrays.
+    def _solve(self, size: int) -> StackedEquilibria:
+        """The equilibrium solve in chunks of ``size`` rows, behind both
+        public entry points; each chunk's rows stream into preallocated
+        ``(M,)``/``(M, N_max)`` result arrays.
 
         The memoised result's arrays are frozen: a caller writing through
         it would silently poison every later equilibrium() solve of this
@@ -1300,16 +1215,10 @@ class MarketStack(_PaddedStack):
         """
         if self._equilibria is not None:
             return self._equilibria
-        size = self.resolve_chunk_size(
-            chunk_size=chunk_size, chunk_bytes=chunk_bytes
-        )
-        num_markets, n_max = self.num_markets, self.max_vmus
-        out = _empty_result(num_markets, n_max)
-        scratch = _ChunkScratch(size, n_max)
-        for start in range(0, num_markets, size):
-            sl = slice(start, min(start + size, num_markets))
-            chunk = self._solve_rows(sl, scratch)
-            for key, values in chunk.items():
+        out = _empty_result(self.num_markets, self.max_vmus)
+        for start in range(0, self.num_markets, size):
+            sl = slice(start, min(start + size, self.num_markets))
+            for key, values in self._solve_rows(sl).items():
                 out[key][sl] = values
         self._equilibria = _freeze_result(
             StackedEquilibria(
@@ -1398,13 +1307,7 @@ class MutableMarketStack(_PaddedStack):
       immutable stack's memo.
     """
 
-    def __init__(
-        self,
-        markets: Sequence[StackelbergMarket],
-        *,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
         markets = list(markets)
         if len(markets) == 0:
             raise ConfigurationError("market stack needs at least one market")
@@ -1414,8 +1317,6 @@ class MutableMarketStack(_PaddedStack):
         self._configs = [m.config for m in markets]
         self._links = [m.link for m in markets]
         self._members: list[StackelbergMarket | None] = markets
-        self._chunk_size = chunk_size
-        self._chunk_bytes = chunk_bytes
         # Rows mutated since the last solve, and that solve's result.
         self._dirty: set[int] = set()
         self._solved: StackedEquilibria | None = None
@@ -1615,7 +1516,7 @@ class MutableMarketStack(_PaddedStack):
         from the live columns and splice them into the cached result —
         bitwise-equal to a cold solve of the current markets (see the
         class docstring). The rows solved stream through chunks of
-        :func:`resolve_chunk_size` rows under the stack's chunk knobs.
+        :func:`_chunk_rows` rows, as a cold solve's do.
         """
         cached = self._solved
         if cached is not None and not self._dirty:
@@ -1627,17 +1528,11 @@ class MutableMarketStack(_PaddedStack):
             rows = np.array(sorted(self._dirty), dtype=np.intp)
         self._ragged = bool((self._counts != width).any())
         self._fullmask = not self._ragged
-        size = resolve_chunk_size(
-            len(rows),
-            width,
-            chunk_size=self._chunk_size,
-            chunk_bytes=self._chunk_bytes,
-        )
-        scratch = _ChunkScratch(size, width)
+        size = _chunk_rows(width)
         out = self._writable_result(cached, width)
         for start in range(0, len(rows), size):
             chunk = rows[start : start + size]
-            for key, values in self._solve_rows(chunk, scratch).items():
+            for key, values in self._solve_rows(chunk).items():
                 out[key][chunk] = values
         result = _freeze_result(
             StackedEquilibria(

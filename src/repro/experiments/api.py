@@ -84,7 +84,6 @@ __all__ = [
     "result_from_payload",
     "resolve_config",
     "resolve_market",
-    "CHUNK_PARAMS",
     "CONFIG_PARAMS",
     "MARKET_PARAM",
     "parse_int_tuple",
@@ -326,21 +325,6 @@ MARKET_PARAM = ParamSpec(
     "market", "market?", None,
     "market payload (default: the paper's 2-VMU Fig. 2 market)",
 )
-
-CHUNK_PARAMS: tuple[ParamSpec, ...] = (
-    ParamSpec(
-        "chunk_size", "int?", None,
-        "markets per chunk of the stacked solve (wins over chunk_bytes)",
-    ),
-    ParamSpec(
-        "chunk_bytes", "int?", None,
-        "scratch-memory budget per solve chunk in bytes (default 64 MiB)",
-    ),
-)
-"""The memory-bounding knobs of the city-scale experiments (``city_sweep``
-sizes its ``city_chunk`` jobs with them, ``pricing_service`` its solves):
-forwarded to :func:`repro.core.marketstack.resolve_chunk_size`; the same
-bits come out at every setting."""
 
 _PRESETS: dict[str, Callable[..., ExperimentConfig]] = {
     "quick": ExperimentConfig.quick,

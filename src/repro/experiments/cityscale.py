@@ -2,23 +2,27 @@
 
 The ``city_sweep`` experiment solves the Stackelberg equilibrium of every
 market of a city street grid (:mod:`repro.mobility.citygrid`) through the
-chunked stacked solver
-(:meth:`repro.core.marketstack.MarketStack.equilibria_stacked_chunked`),
-so ``run city_sweep --param m=10000`` completes with peak memory bounded
-by the chunk budget, not by ``M``.
+stacked solver
+(:meth:`repro.core.marketstack.MarketStack.equilibria_stacked`), so
+``run city_sweep --param m=10000`` completes with peak memory bounded by
+one job's markets, not by ``M``.
 
 Job decomposition
 -----------------
-``plan()`` partitions the market index range into chunks sized by the
-chunk knobs and emits one ``city_chunk`` job per range. A job's payload is
-just the :class:`~repro.mobility.citygrid.CityGridSpec` payload plus
-``[start, stop)`` — a dozen scalars, not 10k market payloads — because
-every grid market is a pure function of ``(spec, index)``. Each job
-rebuilds only its own slice of the city and solves it as its own stack,
-so at most one chunk's markets are live at a time; per-market equilibria
-are invariant to which stack a market is solved inside (row-locality plus
-padding-width invariance, pinned by the property suite), so the assembled
-result equals one solve of the whole city bitwise.
+``plan()`` partitions the market index range into ranges of
+:data:`JOB_MARKETS` markets (the last takes the remainder) and emits one
+``city_chunk`` job per range, so ``--workers N`` shares
+``ceil(M / JOB_MARKETS)`` jobs. The job size is fixed, not derived from
+the solve's memory model, which sizes its own chunks inside each job. A
+job's payload is just the :class:`~repro.mobility.citygrid.CityGridSpec`
+payload plus ``[start, stop)`` — a dozen scalars, not 10k market payloads
+— because every grid market is a pure function of ``(spec, index)``. Each
+job rebuilds only its own slice of the city and solves it as its own
+stack, so at most one job's markets are live at a time; per-market
+equilibria are invariant to which stack a market is solved inside
+(row-locality plus padding-width invariance, pinned by the property
+suite), so the assembled result equals one solve of the whole city
+bitwise.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.core.marketstack import MarketStack, resolve_chunk_size
+from repro.core.marketstack import MarketStack
 from repro.experiments import api
-from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
+from repro.experiments.api import ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import solve_job
 # city_markets is not called here; perfbench/tracing.py wraps it under
 # this module's name, so it stays importable from here.
@@ -36,7 +40,15 @@ from repro.mobility.citygrid import CityGridSpec, city_columns, city_markets  # 
 from repro.utils.stats import SummaryStats, summarize
 from repro.utils.tables import Table
 
-__all__ = ["CityScaleResult", "run_city_chunk_job", "CITY_SWEEP"]
+__all__ = [
+    "CityScaleResult",
+    "run_city_chunk_job",
+    "CITY_SWEEP",
+    "JOB_MARKETS",
+]
+
+JOB_MARKETS = 1024
+"""Markets per ``city_chunk`` job (the last job takes the remainder)."""
 
 
 @dataclass
@@ -47,7 +59,7 @@ class CityScaleResult:
     rows: int
     cols: int
     chunk_markets: int
-    """Markets per chunk the solve streamed (resolved from the knobs)."""
+    """Markets per ``city_chunk`` job (:data:`JOB_MARKETS`)."""
     feasible: int
     capacity_binding: int
     price_cap_binding: int
@@ -107,19 +119,6 @@ def _city_spec(params: Mapping) -> CityGridSpec:
     )
 
 
-def _chunk_markets(spec: CityGridSpec, params: Mapping) -> int:
-    # Chunks are sized from the spec's max_vmus bound (the solve's padded
-    # width can only be narrower), so the partition — and the reported
-    # chunk_markets — is a pure function of the parameters, even when the
-    # drawn populations never reach the bound.
-    return resolve_chunk_size(
-        spec.num_markets,
-        spec.max_vmus,
-        chunk_size=params["chunk_size"],
-        chunk_bytes=params["chunk_bytes"],
-    )
-
-
 def _pack(
     spec: CityGridSpec, chunk_markets: int, cells: Mapping
 ) -> CityScaleResult:
@@ -174,13 +173,13 @@ def run_city_chunk_job(payload: Mapping) -> dict:
     spec = CityGridSpec.from_payload(payload["spec"])
     start, stop = int(payload["start"]), int(payload["stop"])
     stack = MarketStack.from_columns(city_columns(spec, start, stop))
-    solved = stack.equilibria_stacked_chunked(chunk_size=len(stack))
+    solved = stack.equilibria_stacked()
     return {key: getattr(solved, key) for key in _CELL_KEYS}
 
 
 def _city_plan(params: Mapping) -> ExperimentPlan:
     spec = _city_spec(params)
-    chunk = _chunk_markets(spec, params)
+    chunk = min(JOB_MARKETS, spec.num_markets)
     spec_payload = spec.to_payload()
     jobs = [
         solve_job(
@@ -214,10 +213,10 @@ CITY_SWEEP = api.register(
         name="city_sweep",
         description=(
             "City-scale equilibrium sweep — one Stackelberg market per "
-            "RSU-grid junction, solved through the memory-bounded chunked "
-            "stacked path (markets-per-second at M = 10k+)"
+            "RSU-grid junction, solved as one city_chunk job per "
+            f"{JOB_MARKETS} markets (markets-per-second at M = 10k+)"
         ),
-        params=CITY_PARAMS + CHUNK_PARAMS,
+        params=CITY_PARAMS,
         result_type=CityScaleResult,
         plan=_city_plan,
         assemble=_city_assemble,

@@ -30,7 +30,7 @@ from repro.channel.fading import RayleighFading
 from repro.entities.vmu import VmuProfile, sample_population
 from repro.errors import ConfigurationError
 from repro.experiments import api
-from repro.experiments.api import CHUNK_PARAMS, ExperimentPlan, ParamSpec
+from repro.experiments.api import ExperimentPlan, ParamSpec
 from repro.experiments.scheduler import solve_job
 from repro.mobility.citygrid import CityGridSpec, city_markets
 from repro.service import (
@@ -235,11 +235,7 @@ def _build_scenario(params: Mapping):
 
 def _run_service(params: Mapping) -> PricingServiceResult:
     markets, events = _build_scenario(params)
-    service = LivePricingService(
-        markets,
-        chunk_size=params["chunk_size"],
-        chunk_bytes=params["chunk_bytes"],
-    )
+    service = LivePricingService(markets)
     quotes = service.serve(events)
     stats = service.stats()
     solved = service.equilibria()
@@ -296,7 +292,7 @@ PRICING_SERVICE = api.register(
             "re-solve over a mutable city-grid stack (join/leave storms, "
             "fading drift, rush-hour demand; p50/p99 latency and QPS)"
         ),
-        params=SERVICE_PARAMS + CHUNK_PARAMS,
+        params=SERVICE_PARAMS,
         result_type=PricingServiceResult,
         plan=_plan,
         assemble=_assemble,

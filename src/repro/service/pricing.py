@@ -138,23 +138,15 @@ class LivePricingService:
     Args:
         markets: the initial markets — a sequence, or an existing
             :class:`MutableMarketStack` to serve over directly.
-        chunk_size / chunk_bytes: chunk knobs of the underlying solves
-            (ignored when an existing stack is passed — it has its own).
     """
 
     def __init__(
-        self,
-        markets: Iterable[StackelbergMarket] | MutableMarketStack,
-        *,
-        chunk_size: int | None = None,
-        chunk_bytes: int | None = None,
+        self, markets: Iterable[StackelbergMarket] | MutableMarketStack
     ) -> None:
         if isinstance(markets, MutableMarketStack):
             self._stack = markets
         else:
-            self._stack = MutableMarketStack(
-                markets, chunk_size=chunk_size, chunk_bytes=chunk_bytes
-            )
+            self._stack = MutableMarketStack(markets)
         self._latencies: list[float] = []
         self._updates = 0
         self._update_s = 0.0

@@ -1,6 +1,7 @@
 """CLI smoke tests: `list`, `describe` for every registered experiment,
 one tiny `run fig2` end-to-end (fan-out flags + cache resume), a
-sharded `run multiseed`, and the read-only `queue stats <dir>`.
+sharded `run multiseed`, a three-job `run city_sweep` over two workers,
+and the read-only `queue stats <dir>`.
 
 This is the CI smoke job (run under pytest-timeout): it pins that the
 generic spec-driven CLI stays wired — every experiment is listable,
@@ -85,6 +86,20 @@ class TestRunEndToEnd:
         )
         assert result.seeds == (0, 1)
         assert sorted(result.samples) == ["drl", "random"]
+
+    def test_city_sweep_jobs_over_workers_write_the_in_process_bytes(
+        self, tmp_path, capsys
+    ):
+        """2100 markets are three ``city_chunk`` jobs (1024 + 1024 + 52);
+        spread over two workers they write the in-process run's JSON."""
+        outputs = {}
+        for mode, flags in (("inline", []), ("workers", ["--workers", "2"])):
+            argv = ["run", "city_sweep", "--param", "m=2100", *flags]
+            assert main([*argv, "--output", str(tmp_path / mode)]) == 0
+            outputs[mode] = (tmp_path / mode / "city_sweep.json").read_bytes()
+        assert "3 job(s) executed, 0 from cache" in capsys.readouterr().out
+        assert outputs["workers"] == outputs["inline"]
+        assert json.loads(outputs["inline"])["chunk_markets"] == 1024
 
     def test_legacy_figure_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -307,14 +307,6 @@ class TestChunkedEqualsUnchunked:
         with pytest.raises(InfeasibleMarketError, match="no profitable trade"):
             solved.equilibrium(4)
 
-    def test_chunk_bytes_budget_path(self):
-        markets = random_markets(9, root_seed=41)
-        reference = MarketStack(markets).equilibria_stacked()
-        solved = MarketStack(markets).equilibria_stacked_chunked(
-            chunk_bytes=1 << 20
-        )
-        assert_stacks_bitwise_equal(reference, solved)
-
     def test_per_market_accessors_match_per_market_solves(self):
         markets = random_markets(8, root_seed=55)
         solved = MarketStack(markets).equilibria_stacked_chunked(chunk_size=3)
@@ -326,30 +318,46 @@ class TestChunkedEqualsUnchunked:
         assert stack.equilibria_stacked() is chunked
         assert stack.equilibria_stacked_chunked(chunk_size=1) is chunked
 
-    def test_resolve_chunk_size_semantics(self):
-        from repro.core.marketstack import (
-            DEFAULT_CHUNK_BYTES,
-            resolve_chunk_size,
-            solve_scratch_bytes_per_market,
-        )
+    def test_chunk_rows_clamp(self, monkeypatch):
+        """The solve's own chunk size floor-divides the byte budget and
+        never drops below one row; an explicit size must be positive."""
+        from repro.core import marketstack
         from repro.errors import ConfigurationError
 
-        per_market = solve_scratch_bytes_per_market(6)
-        # explicit chunk_size wins over any byte budget, clamped to M
-        assert resolve_chunk_size(10, 6, chunk_size=3, chunk_bytes=1) == 3
-        assert resolve_chunk_size(10, 6, chunk_size=99) == 10
-        # byte budgets floor-divide, never below one market per chunk
-        assert resolve_chunk_size(10_000, 6, chunk_bytes=1) == 1
-        assert (
-            resolve_chunk_size(10_000, 6, chunk_bytes=7 * per_market) == 7
+        per_market = marketstack.solve_scratch_bytes_per_market(6)
+        assert marketstack._chunk_rows(6) == (
+            marketstack.DEFAULT_CHUNK_BYTES // per_market
         )
-        assert resolve_chunk_size(10_000, 6) == min(
-            10_000, DEFAULT_CHUNK_BYTES // per_market
-        )
+        monkeypatch.setattr(marketstack, "DEFAULT_CHUNK_BYTES", 7 * per_market)
+        assert marketstack._chunk_rows(6) == 7
+        monkeypatch.setattr(marketstack, "DEFAULT_CHUNK_BYTES", 1)
+        assert marketstack._chunk_rows(6) == 1
+        stack = MarketStack(random_markets(3, root_seed=5))
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            resolve_chunk_size(10, 6, chunk_size=0)
-        with pytest.raises(ConfigurationError, match="chunk_bytes"):
-            resolve_chunk_size(10, 6, chunk_bytes=0)
+            stack.equilibria_stacked_chunked(chunk_size=0)
+
+    def test_cold_and_live_solves_stream_in_chunk_rows(self, monkeypatch):
+        """Both solves take their chunk size from ``_chunk_rows``: at a
+        budget of 3 rows, 8 markets solve as chunks of 3, 3 and 2."""
+        from repro.core import MutableMarketStack, marketstack
+
+        markets = random_markets(8, root_seed=23)
+        per_market = marketstack.solve_scratch_bytes_per_market(
+            MarketStack(markets).max_vmus
+        )
+        monkeypatch.setattr(marketstack, "DEFAULT_CHUNK_BYTES", 3 * per_market)
+        chunks = []
+        solve_rows = marketstack._PaddedStack._solve_rows
+
+        def counted(self, sl):
+            chunks.append(len(self._counts[sl]))
+            return solve_rows(self, sl)
+
+        monkeypatch.setattr(marketstack._PaddedStack, "_solve_rows", counted)
+        cold = MarketStack(markets).equilibria_stacked()
+        live = MutableMarketStack(markets).equilibria_live()
+        assert chunks == [3, 3, 2] * 2
+        assert_stacks_bitwise_equal(cold, live)
 
 
 class TestScalarAccessorCache:

@@ -1,12 +1,12 @@
 """The equilibrium solve's two forms and its leader-utility kernel.
 
 Every candidate evaluation of the numpy form of
-``MarketStack.equilibria_stacked`` runs through one scratch kernel,
-``_ChunkScratch.leader_utilities``. It re-implements the
-best-response → proportional-rationing → leader-utility chain in place
-(hoisted ``D/SE``, precomputed ragged grouping, guarded division), so it
-is pinned here **bitwise** against the public validating path
-``outcomes_stacked(p).msp_utilities``:
+``MarketStack.equilibria_stacked`` runs through one kernel,
+``_PaddedStack._leader_utilities``. It re-implements the
+best-response → proportional-rationing → leader-utility chain in place on
+a band allocated per chunk (hoisted ``D/SE``, ragged grouping, guarded
+division), so it is pinned here **bitwise** against the public validating
+path ``outcomes_stacked(p).msp_utilities``:
 
 - ``(m, R)`` price grids up to the candidate matrix's width, including
   the Theorem-2 candidate matrix the solve evaluates;
@@ -14,8 +14,8 @@ is pinned here **bitwise** against the public validating path
   pairwise-summation boundary where the kernel switches between the
   full-width row sum and the grouped per-population reduction;
 - non-enforcing, capacity-binding and infeasible rows;
-- row slices loaded one after another into one scratch, as the chunked
-  solve streams them.
+- row ranges and gathered row indices evaluated one after another, as
+  the chunked solve and the live re-solve stream them.
 
 The row-by-row form ``MarketStack._solve_rows_scalar``, which small
 chunks take, is pinned the same way against the numpy form on every
@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core import MarketStack, MutableMarketStack, marketstack
-from repro.core.marketstack import _SCALAR_SOLVE_MAX_ROWS, _ChunkScratch
+from repro.core.marketstack import _SCALAR_SOLVE_MAX_ROWS
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import sample_population
 
@@ -66,8 +66,8 @@ def price_sets(stack, seed):
     """``(M, R)`` prices inside each row's ``[C, p_max]``."""
     rng = np.random.default_rng(seed)
     low, high = stack.unit_costs, stack.max_prices
-    # As wide as the candidate matrix, the widest evaluation the scratch
-    # is sized for.
+    # As wide as the candidate matrix, the widest evaluation the solve
+    # runs.
     width = 3 * stack.max_vmus + 4
     grid = low[:, None] + (high - low)[:, None] * np.sort(
         rng.uniform(size=(low.size, width)), axis=1
@@ -83,9 +83,7 @@ def test_kernel_matches_outcomes_stacked_bitwise(n_max, form):
     stack = kernel_stack(n_max, seed=100 + n_max)
     prices = price_sets(stack, seed=n_max)[form]
     reference = stack.outcomes_stacked(prices)
-    scratch = _ChunkScratch(stack.num_markets, stack.max_vmus)
-    scratch.load(stack, slice(None))
-    values = scratch.leader_utilities(prices)
+    values = stack._leader_utilities(prices, slice(None))
     assert values.shape == prices.shape
     assert np.array_equal(values, reference.msp_utilities)
     if form == "grid":
@@ -97,23 +95,27 @@ def test_kernel_matches_outcomes_stacked_bitwise(n_max, form):
 
 
 @pytest.mark.parametrize("n_max", [7, 11])
-def test_row_slices_streamed_through_one_scratch(n_max):
-    """Chunks loaded one after another into a scratch sized for the widest
-    chunk give each row range the full-stack bits, for both price sets."""
+def test_streamed_row_slices_match_the_full_stack(n_max):
+    """Row ranges of 5 evaluated one after another, and the same rows
+    gathered by index, give the full-stack bits for both price sets."""
     stack = kernel_stack(n_max, seed=200 + n_max)
     prices = price_sets(stack, seed=3 * n_max)
     full = {
         form: stack.outcomes_stacked(p).msp_utilities
         for form, p in prices.items()
     }
-    scratch = _ChunkScratch(5, stack.max_vmus)
+    rows = np.arange(stack.num_markets)
     for start in range(0, stack.num_markets, 5):
         sl = slice(start, min(start + 5, stack.num_markets))
-        scratch.load(stack, sl)
+        gathered = rows[::-1][sl]
         for form, p in prices.items():
             assert np.array_equal(
-                scratch.leader_utilities(p[sl]), full[form][sl]
+                stack._leader_utilities(p[sl], sl), full[form][sl]
             ), (form, sl)
+            assert np.array_equal(
+                stack._leader_utilities(p[gathered], gathered),
+                full[form][gathered],
+            ), (form, gathered)
 
 
 FUZZ_KINDS = ("plain", "flat", "priced_out", "unenforced", "tiny_capacity")
@@ -160,8 +162,7 @@ def solve_rows(stack, rows, gate, monkeypatch):
     form, a gate past ``len(rows)`` the row form."""
     with monkeypatch.context() as patch:
         patch.setattr(marketstack, "_SCALAR_SOLVE_MAX_ROWS", gate)
-        scratch = _ChunkScratch(len(rows), stack.max_vmus)
-        return stack._solve_rows(rows, scratch)
+        return stack._solve_rows(rows)
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["exact", "padded"])

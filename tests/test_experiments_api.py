@@ -60,7 +60,7 @@ TINY_PARAMS = {
     "reward_ablation": {"config": SMOKE, "modes": ("utility",)},
     "history_ablation": {"config": SMOKE, "lengths": (1, 2)},
     "capacity_ablation": {"capacities": (10.0, 50.0)},
-    "city_sweep": {"m": 6, "chunk_size": 2},
+    "city_sweep": {"m": 6},
     "pricing_service": {
         "m": 6,
         "windows": 3,
@@ -281,6 +281,13 @@ class TestParamValidation:
         with pytest.raises(ConfigurationError, match="'costs'"):
             schedule("fig3_cost", {"costs": 5.0})
 
+    @pytest.mark.parametrize("name", ["city_sweep", "pricing_service"])
+    @pytest.mark.parametrize("knob", ["chunk_size", "chunk_bytes"])
+    def test_solve_chunking_is_not_a_param(self, name, knob):
+        """The solve sizes its own chunks; no experiment takes a knob."""
+        with pytest.raises(ConfigurationError, match=knob):
+            schedule(name, {knob: 2})
+
     def test_none_means_default(self):
         spec = get_experiment("fig3_cost")
         validated = spec.validate({"costs": None})
@@ -401,6 +408,54 @@ class TestSweepRowsMatchStackedSolve:
     """Each sweep plans one ``equilibrium_cell`` job per market; its rows
     must equal one stacked solve of the same markets, built here from the
     spec's parameters."""
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["direct", "queue"])
+    def test_city_sweep_jobs_assemble_one_cold_solve(
+        self, queued, tmp_path, monkeypatch
+    ):
+        """Three ``city_chunk`` jobs of 2 markets assemble the payload of
+        one cold solve of the whole city."""
+        from repro.experiments import cityscale
+        from repro.mobility.citygrid import CityGridSpec, city_columns
+        from repro.utils.stats import summarize
+
+        monkeypatch.setattr(cityscale, "JOB_MARKETS", 2)
+        params = {"m": 6}
+        plan = schedule("city_sweep", params)
+        assert [
+            (job.payload["start"], job.payload["stop"]) for job in plan.jobs
+        ] == [(0, 2), (2, 4), (4, 6)]
+        scheduler = (
+            QueueScheduler(tmp_path / "queue", workers=2) if queued else None
+        )
+        result = run_experiment("city_sweep", params, scheduler=scheduler)
+
+        spec = CityGridSpec.for_markets(6)
+        cold = MarketStack.from_columns(city_columns(spec))
+        cold = cold.equilibria_stacked()
+        ok = cold.feasible.tolist()
+        expected = cityscale.CityScaleResult(
+            num_markets=6,
+            rows=spec.rows,
+            cols=spec.cols,
+            chunk_markets=2,
+            feasible=sum(ok),
+            capacity_binding=int(cold.capacity_binding.sum()),
+            price_cap_binding=int(cold.price_cap_binding.sum()),
+            price_stats=summarize(
+                [p for p, f in zip(cold.prices.tolist(), ok) if f]
+            ),
+            utility_stats=summarize(
+                [u for u, f in zip(cold.msp_utilities.tolist(), ok) if f]
+            ),
+            total_bandwidth=sum(
+                b for b, f in zip(cold.total_bandwidths.tolist(), ok) if f
+            ),
+        )
+        spec_api = get_experiment("city_sweep")
+        assert json.dumps(spec_api.result_to_payload(result)) == json.dumps(
+            spec_api.result_to_payload(expected)
+        )
 
     def test_distance_sweep(self):
         distances = (250.0, 500.0, 1000.0)
