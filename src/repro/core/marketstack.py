@@ -42,23 +42,25 @@ row-local: reductions run along the population or candidate axis, never
 across markets, so every chunk size gives bitwise the same rows
 (:meth:`MarketStack.equilibria_stacked_chunked` takes an explicit row
 count to show it). Each chunk evaluates the leader utility in place on a
-band allocated for it (:meth:`_PaddedStack._leader_utilities`); chunks
+band allocated for it (:meth:`MarketStack._leader_utilities`); chunks
 of a few narrow rows solve row by row in Python floats instead, to the
 same bits (:data:`_SCALAR_SOLVE_MAX_ROWS`), and allocate no band.
 
 Live state
 ----------
-:class:`MutableMarketStack` keeps the same padded columns live: each
-mutation writes its one row in place, and
-:meth:`MutableMarketStack.equilibria_live` re-solves only the dirty rows,
-gathered by index through the same row-local solve, then splices them
-into the cached result — bitwise a cold solve of the current markets.
+:class:`MutableMarketStack` is a :class:`MarketStack` that adds the
+writes: each mutation writes its one row of the padded columns in place
+and marks it dirty. Both classes share one solve driver: it memoises its
+last result and re-solves only the dirty rows, gathered by index through
+the same row-local solve, then splices them into a copy of that result —
+bitwise a cold solve of the current markets. An immutable stack never has
+a dirty row, so its first solve is its answer for good.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -100,7 +102,7 @@ DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 _SCALAR_SOLVE_MAX_ROWS = 24
 """Row-count ceiling of the row-by-row solve (see
-:meth:`_PaddedStack._solve_rows_scalar`). The numpy solve pays a fixed
+:meth:`MarketStack._solve_rows_scalar`). The numpy solve pays a fixed
 ~80 array operations per chunk however few rows it holds, so chunks of at
 most this many rows whose widest population is below 8 solve row by row
 in Python floats instead, linear in rows and bitwise the same. The input
@@ -543,7 +545,7 @@ def _validated(columns: MarketColumns) -> MarketColumns:
 def _market_columns(
     markets: Sequence[StackelbergMarket],
 ) -> dict[str, np.ndarray]:
-    """The :meth:`_PaddedStack._fill` columns of ``markets``.
+    """The :meth:`MarketStack._fill` columns of ``markets``.
 
     The members validated themselves at construction; they reduce to the
     stack's columns with no second check.
@@ -590,16 +592,79 @@ def _empty_result(num_markets: int, n_max: int) -> dict[str, np.ndarray]:
     }
 
 
-class _PaddedStack:
-    """The padded ``(M, N_max)`` solve state of a stack of markets, and the
-    row-local equilibrium solve over it.
+_Row = tuple[tuple[VmuProfile, ...], MarketConfig, RsuLink]
+"""A written row's description: its VMU profiles, config and link."""
 
-    :class:`MarketStack` fills the state once and never changes it;
-    :class:`MutableMarketStack` keeps it live, writing one row per
-    mutation. The solve helpers take their rows ``sl`` as a row range or
-    an index array: every step is row-local, so a row's bits do not
-    depend on which other rows it is solved with.
+
+class MarketStack:
+    """A stack of ``M`` (possibly heterogeneous) Stackelberg markets.
+
+    Stacks per-market parameters into padded ``(M, N_max)`` matrices once
+    at construction; :meth:`outcomes_stacked` then solves all ``M`` markets
+    at ``M`` different prices (or ``M`` whole price grids) in one numpy
+    pass. See the module docstring for the bitwise exactness contract and
+    :meth:`equilibria_stacked` for the (memory-bounded) equilibrium solve.
+
+    The solve helpers take their rows ``sl`` as a row range or an index
+    array: every step is row-local, so a row's bits do not depend on
+    which other rows it is solved with. :class:`MutableMarketStack`
+    re-solves only the rows it wrote on that basis.
+
+    Args:
+        markets: any iterable of :class:`StackelbergMarket` (at least
+            one); a non-market entry raises
+            :class:`~repro.errors.ConfigurationError` naming its index.
     """
+
+    def __init__(self, markets: Iterable[StackelbergMarket]) -> None:
+        members = list(markets)
+        for index, market in enumerate(members):
+            if not isinstance(market, StackelbergMarket):
+                raise ConfigurationError(
+                    f"market {index} must be a StackelbergMarket, got "
+                    f"{type(market).__name__}"
+                )
+        if not members:
+            raise ConfigurationError("market stack needs at least one market")
+        self._fill(**_market_columns(members))
+        self._members: dict[int, StackelbergMarket | _Row] = dict(
+            enumerate(members)
+        )
+        self._columns: MarketColumns | None = None
+
+    @classmethod
+    def from_columns(cls, columns: MarketColumns) -> "MarketStack":
+        """A stack over markets given as :class:`MarketColumns`.
+
+        Validates each column once, whole-array: every float column finite
+        and > 0, ``unit_costs <= max_prices``, every count >= 1, at least
+        one market, and lengths that agree with ``counts``; any failure
+        raises :class:`~repro.errors.ConfigurationError` naming the
+        column. The natural capacities are ``max_bandwidths /
+        bandwidth_report_scales``, the elementwise
+        ``MarketConfig.capacity_natural``.
+
+        No member :class:`StackelbergMarket` is built: :attr:`markets` and
+        :meth:`market` build them on first access (then cache them), and
+        they are the objects :meth:`MarketColumns.market` returns — so the
+        stack's arrays and solves are bitwise those of
+        ``MarketStack(markets)`` over the same members.
+        """
+        columns = _validated(columns)
+        stack = cls.__new__(cls)
+        stack._fill(
+            counts=columns.counts,
+            alphas=columns.immersion_coefs,
+            data=columns.data_units,
+            se=columns.spectral_efficiencies,
+            unit_costs=columns.unit_costs,
+            max_prices=columns.max_prices,
+            caps=columns.max_bandwidths / columns.bandwidth_report_scales,
+            enforce=columns.enforce_capacity,
+        )
+        stack._members = {}
+        stack._columns = columns
+        return stack
 
     def _fill(
         self,
@@ -633,7 +698,7 @@ class _PaddedStack:
         # An all-valid mask (every market at full width N_max) lets the
         # stacked round skip its two masking ``np.where`` passes — with no
         # padded slots they return the input values bit for bit.
-        self._fullmask = bool(mask.all())
+        self._fullmask = not self._ragged
         self._se = se
         self._unit_costs = unit_costs
         self._max_prices = max_prices
@@ -643,12 +708,61 @@ class _PaddedStack:
         # leaves their rows scaled by exactly 1.0 (bitwise unchanged).
         # Built with the columns — outcomes_stacked runs every env round.
         self._effective_caps = np.where(enforce, caps, np.inf)
+        # The solve driver's state (see _solve): rows written since the
+        # last solve (always empty on an immutable stack), that solve's
+        # result, and the work done so far.
+        self._dirty: set[int] = set()
+        self._solved: StackedEquilibria | None = None
+        self._solve_count = 0
+        self._rows_resolved = 0
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self.num_markets
+
+    def __iter__(self) -> Iterator[StackelbergMarket]:
+        return iter(self.markets)
+
+    @property
+    def markets(self) -> tuple[StackelbergMarket, ...]:
+        """The current member markets (snapshot tuple; see :meth:`market`)."""
+        return tuple(self.market(m) for m in range(self.num_markets))
+
+    def market(self, market_index: int) -> StackelbergMarket:
+        """The current ``market_index``-th member market.
+
+        Members live in one row cache: the markets the stack was built
+        from, else built on first access — by :meth:`MarketColumns.market`
+        on a :meth:`from_columns` stack, and from the row's VMU profiles,
+        config and link after a :class:`MutableMarketStack` write (never
+        from the solve columns).
+        """
+        index = range(self.num_markets)[market_index]
+        member = self._members.get(index)
+        if isinstance(member, StackelbergMarket):
+            return member
+        if member is None:
+            member = self._columns.market(index)
+        else:
+            vmus, config, link = member
+            member = StackelbergMarket(vmus, config=config, link=link)
+        self._members[index] = member
+        return member
+
+    @property
+    def solve_count(self) -> int:
+        """Solves performed so far (the first full one, then one per solve
+        that found rows written since the last)."""
+        return self._solve_count
+
+    @property
+    def rows_resolved(self) -> int:
+        """Total market rows solved across all solves — the work an
+        incremental path actually did (a cold path would pay
+        ``solve_count · M``)."""
+        return self._rows_resolved
 
     @property
     def num_markets(self) -> int:
@@ -714,7 +828,9 @@ class _PaddedStack:
         come out of its own ``[C, p_max]`` clamp, so they are finite and
         positive by construction and re-validating them every step is pure
         overhead on the training hot path. The equilibrium solve calls it
-        per chunk for the outcome at the winning prices.
+        per chunk for the outcome at the winning prices. It reads the
+        padding flags as they stand: callers on a written stack run
+        :meth:`_sync_padding` first.
         """
         grid = p.ndim == 2
         row_mask = self._mask[sl]
@@ -1032,87 +1148,6 @@ class _PaddedStack:
             "feasible": feasible,
         }
 
-
-class MarketStack(_PaddedStack):
-    """A stack of ``M`` (possibly heterogeneous) Stackelberg markets.
-
-    Stacks per-market parameters into padded ``(M, N_max)`` matrices once
-    at construction; :meth:`outcomes_stacked` then solves all ``M`` markets
-    at ``M`` different prices (or ``M`` whole price grids) in one numpy
-    pass. See the module docstring for the bitwise exactness contract and
-    :meth:`equilibria_stacked` for the (memory-bounded) equilibrium solve.
-    """
-
-    def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
-        if len(markets) == 0:
-            raise ConfigurationError("market stack needs at least one market")
-        self._markets = tuple(markets)
-        self._fill(**_market_columns(self._markets))
-        # The solved equilibria, memoised (markets and configs are frozen,
-        # so a solve can never go stale). Every chunk size returns the
-        # same bits, so every chunking shares the memo.
-        self._equilibria: StackedEquilibria | None = None
-
-    @classmethod
-    def from_columns(cls, columns: MarketColumns) -> "MarketStack":
-        """A stack over markets given as :class:`MarketColumns`.
-
-        Validates each column once, whole-array: every float column finite
-        and > 0, ``unit_costs <= max_prices``, every count >= 1, at least
-        one market, and lengths that agree with ``counts``; any failure
-        raises :class:`~repro.errors.ConfigurationError` naming the
-        column. The natural capacities are ``max_bandwidths /
-        bandwidth_report_scales``, the elementwise
-        ``MarketConfig.capacity_natural``.
-
-        No member :class:`StackelbergMarket` is built: :attr:`markets` and
-        :meth:`market` build them on first access (then cache them), and
-        they are the objects :meth:`MarketColumns.market` returns — so the
-        stack's arrays and solves are bitwise those of
-        ``MarketStack(markets)`` over the same members.
-        """
-        columns = _validated(columns)
-        stack = cls.__new__(cls)
-        stack._markets = None
-        stack._columns = columns
-        stack._members = {}
-        stack._fill(
-            counts=columns.counts,
-            alphas=columns.immersion_coefs,
-            data=columns.data_units,
-            se=columns.spectral_efficiencies,
-            unit_costs=columns.unit_costs,
-            max_prices=columns.max_prices,
-            caps=columns.max_bandwidths / columns.bandwidth_report_scales,
-            enforce=columns.enforce_capacity,
-        )
-        stack._equilibria = None
-        return stack
-
-    # ------------------------------------------------------------------ #
-    # accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def markets(self) -> tuple[StackelbergMarket, ...]:
-        """The stacked member markets (built on first access when the stack
-        came from :meth:`from_columns`)."""
-        if self._markets is None:
-            self._markets = tuple(
-                self.market(m) for m in range(self.num_markets)
-            )
-        return self._markets
-
-    def market(self, market_index: int) -> StackelbergMarket:
-        """The ``market_index``-th member market (built on first access
-        when the stack came from :meth:`from_columns`)."""
-        if self._markets is not None:
-            return self._markets[market_index]
-        index = range(self.num_markets)[market_index]
-        member = self._members.get(index)
-        if member is None:
-            member = self._members[index] = self._columns.market(index)
-        return member
-
     # ------------------------------------------------------------------ #
     # the stacked solve
     # ------------------------------------------------------------------ #
@@ -1152,6 +1187,7 @@ class MarketStack(_PaddedStack):
                 rationed allocation would then be NaN).
         """
         p = self._validate_prices(prices)
+        self._sync_padding()
         outcome = self._outcomes_trusted(p)
         if not np.isfinite(outcome.demands).all():
             raise ConfigurationError(
@@ -1176,10 +1212,10 @@ class MarketStack(_PaddedStack):
         The solve streams the stack in chunks of as many rows as fit the
         :data:`DEFAULT_CHUNK_BYTES` scratch budget, so peak memory scales
         with the chunk, never with ``M``. The result is memoised and
-        shared with :meth:`equilibria_stacked_chunked` — markets are
-        immutable, so repeated solves of one stack are free.
+        shared with :meth:`equilibria_stacked_chunked`; only rows a
+        :class:`MutableMarketStack` wrote since are ever solved again.
         """
-        return self._solve(_chunk_rows(self.max_vmus))
+        return self._solve()
 
     # perfbench/tracing.py times the bulk solve by wrapping this name.
     def equilibria_stacked_chunked(
@@ -1203,85 +1239,111 @@ class MarketStack(_PaddedStack):
             )
         return self._solve(size)
 
-    def _solve(self, size: int) -> StackedEquilibria:
-        """The equilibrium solve in chunks of ``size`` rows, behind both
-        public entry points; each chunk's rows stream into preallocated
-        ``(M,)``/``(M, N_max)`` result arrays.
+    def _solve(self, size: int | None = None) -> StackedEquilibria:
+        """The one equilibrium solve, in chunks of ``size`` rows
+        (:func:`_chunk_rows` by default), behind every public entry point;
+        each chunk's rows stream into ``(M,)``/``(M, N_max)`` result
+        arrays.
 
-        The memoised result's arrays are frozen: a caller writing through
-        it would silently poison every later equilibrium() solve of this
-        stack. equilibrium(m) hands out read-only copies; whole-array
-        consumers get read-only views.
+        The first solve streams every row range into fresh arrays. Its
+        result is memoised, and a later solve re-solves only the rows
+        written since (never any on an immutable stack), gathered by index
+        and spliced into a copy of the last result. The copy is re-padded
+        if the padded width moved: a cold solve pads a feasible row with
+        ``0.0`` and an infeasible one with ``nan``, so widened clean rows
+        get exactly those, and narrowing drops only padding. Clean rows
+        keep their scalar-equilibrium cache entries by object identity; a
+        re-solved row's entry is dropped and rebuilt lazily.
+
+        Every result's arrays are frozen: a caller writing through one
+        would silently poison every later read of it. equilibrium(m)
+        hands out read-only copies; whole-array consumers get read-only
+        views.
         """
-        if self._equilibria is not None:
-            return self._equilibria
-        out = _empty_result(self.num_markets, self.max_vmus)
-        for start in range(0, self.num_markets, size):
-            sl = slice(start, min(start + size, self.num_markets))
-            for key, values in self._solve_rows(sl).items():
-                out[key][sl] = values
-        self._equilibria = _freeze_result(
-            StackedEquilibria(
-                mask=self._mask.copy(),
-                counts=self._counts.copy(),
-                unit_costs=self._unit_costs.copy(),
-                **out,
-            )
+        cached = self._solved
+        if cached is not None and not self._dirty:
+            return cached
+        self._sync_padding()
+        num_markets, width = self.num_markets, self.max_vmus
+        if size is None:
+            size = _chunk_rows(width)
+        if cached is None:
+            out = _empty_result(num_markets, width)
+            chunks = [
+                slice(start, min(start + size, num_markets))
+                for start in range(0, num_markets, size)
+            ]
+            resolved = num_markets
+        else:
+            out = {key: getattr(cached, key).copy() for key in _SOLVED_FIELDS}
+            old = cached.demands.shape[1]
+            if width != old:
+                keep = min(width, old)
+                for key in ("demands", "vmu_utilities"):
+                    padded = np.zeros((num_markets, width), dtype=np.float64)
+                    padded[:, :keep] = out[key][:, :keep]
+                    padded[~cached.feasible, keep:] = np.nan
+                    out[key] = padded
+            rows = np.array(sorted(self._dirty), dtype=np.intp)
+            chunks = [
+                rows[start : start + size] for start in range(0, len(rows), size)
+            ]
+            resolved = len(rows)
+        for chunk in chunks:
+            for key, values in self._solve_rows(chunk).items():
+                out[key][chunk] = values
+        out.update(
+            mask=self._mask.copy(),
+            counts=self._counts.copy(),
+            unit_costs=self._unit_costs.copy(),
         )
-        return self._equilibria
+        for values in out.values():
+            values.setflags(write=False)
+        result = StackedEquilibria(**out)
+        if cached is not None:
+            result._scalar_cache.update(
+                (m, equilibrium)
+                for m, equilibrium in cached._scalar_cache.items()
+                if m not in self._dirty
+            )
+        self._solve_count += 1
+        self._rows_resolved += resolved
+        self._dirty.clear()
+        self._solved = result
+        return result
+
+    def _sync_padding(self) -> None:
+        """Recompute the padding flags ``_ragged``/``_fullmask`` after row
+        writes, before a read that uses them. Writes skip this O(M) pass,
+        and a stack with no unsolved write has current flags, so an
+        immutable stack pays nothing here."""
+        if self._dirty:
+            self._ragged = bool((self._counts != self.max_vmus).any())
+            self._fullmask = not self._ragged
 
 
-def _freeze_result(result: StackedEquilibria) -> StackedEquilibria:
-    """Mark every backing array of a solved result read-only (in place).
+class MutableMarketStack(MarketStack):
+    """Live market state: a :class:`MarketStack` whose rows can be written.
 
-    Shared by the immutable stack's memo and the live splice path — all
-    handed-out :class:`StackedEquilibria` are frozen, so stale writes
-    through a cached result are impossible anywhere.
-    """
-    for values in (
-        result.prices,
-        result.demands,
-        result.msp_utilities,
-        result.vmu_utilities,
-        result.capacity_binding,
-        result.price_cap_binding,
-        result.feasible,
-        result.mask,
-        result.counts,
-        result.unit_costs,
-    ):
-        values.setflags(write=False)
-    return result
-
-
-class MutableMarketStack(_PaddedStack):
-    """Live market state: padded columns written in place, re-solved by
-    dirty row.
-
-    The immutable :class:`MarketStack` memoises its equilibria forever —
-    correct because its markets can never change. A live pricing service
-    mutates markets continuously (a VMU joins or leaves, fading drifts, a
-    market is replaced), and paying a full ``M``-row re-solve for every
-    point update is what makes that memo useless there. This stack keeps
-    the same padded solve state live instead:
+    A live pricing service mutates markets continuously (a VMU joins or
+    leaves, fading drifts, a market is replaced), and paying a full
+    ``M``-row re-solve for every point update would make the stack's
+    memoised solve useless there. This class adds only the writes:
 
     - :meth:`join`, :meth:`leave`, :meth:`set_fading_gain` and
       :meth:`update_market` validate their one row, then write it into
-      the columns in place. The padded width is always the widest
-      population, as in a cold stack of the current markets: a join past
-      it widens the columns, and a row leaving the last widest
-      population narrows them.
-    - :meth:`equilibria_live` re-solves *only* the dirty rows, straight
-      from the live columns through the one row-local solve, and splices
-      them into the cached
-      :class:`StackedEquilibria`. The splice writes only the dirty rows.
-      It copies a result array first only because the cached one was
-      handed out, and handed-out results stay frozen.
-    - Beside the columns, each row keeps its VMU profiles, its
-      :class:`MarketConfig` and its :class:`RsuLink`. :attr:`markets` and
-      :meth:`market` build members lazily from those, never from the
-      solve columns, so ``MarketStack(list(stack.markets))`` is an
-      independent cold oracle.
+      the columns in place and mark it dirty. The padded width is always
+      the widest population, as in a cold stack of the current markets:
+      a join past it widens the columns, and a row leaving the last
+      widest population narrows them.
+    - A written row's member market leaves the row cache; the row keeps
+      its VMU profiles, config and link there instead, and
+      :meth:`market` builds the member from those, never from the solve
+      columns, so ``MarketStack(stack.markets)`` is an independent cold
+      oracle.
+    - :meth:`equilibria_live` is the shared solve, which re-solves *only*
+      the dirty rows, straight from the live columns, and splices them
+      into a copy of the last result.
 
     Exactness: a dirty row is solved at the padded width of a cold stack
     of the current markets, by the same row-local steps a cold solve
@@ -1307,64 +1369,6 @@ class MutableMarketStack(_PaddedStack):
       immutable stack's memo.
     """
 
-    def __init__(self, markets: Sequence[StackelbergMarket]) -> None:
-        markets = list(markets)
-        if len(markets) == 0:
-            raise ConfigurationError("market stack needs at least one market")
-        self._fill(**_market_columns(markets))
-        # Each row's description, and its member market once one is built.
-        self._vmus = [m.vmus for m in markets]
-        self._configs = [m.config for m in markets]
-        self._links = [m.link for m in markets]
-        self._members: list[StackelbergMarket | None] = markets
-        # Rows mutated since the last solve, and that solve's result.
-        self._dirty: set[int] = set()
-        self._solved: StackedEquilibria | None = None
-        self._solve_count = 0
-        self._rows_resolved = 0
-
-    # ------------------------------------------------------------------ #
-    # accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def markets(self) -> tuple[StackelbergMarket, ...]:
-        """The current member markets (snapshot tuple)."""
-        return tuple(self.market(m) for m in range(self.num_markets))
-
-    def market(self, market_index: int) -> StackelbergMarket:
-        """The current ``market_index``-th member market, built from the
-        row's profiles, config and link on first access after a mutation
-        (:meth:`update_market`'s market is kept as given)."""
-        index = range(self.num_markets)[market_index]
-        member = self._members[index]
-        if member is None:
-            member = self._members[index] = StackelbergMarket(
-                self._vmus[index],
-                config=self._configs[index],
-                link=self._links[index],
-            )
-        return member
-
-    def dirty_indices(self) -> tuple[int, ...]:
-        """Rows awaiting re-solve (sorted)."""
-        return tuple(sorted(self._dirty))
-
-    @property
-    def solve_count(self) -> int:
-        """Solves performed so far (the first full one, then one per
-        :meth:`equilibria_live` call that found dirty rows)."""
-        return self._solve_count
-
-    @property
-    def rows_resolved(self) -> int:
-        """Total market rows solved across all solves — the work an
-        incremental path actually did (a cold path would pay
-        ``solve_count · M``)."""
-        return self._rows_resolved
-
-    # ------------------------------------------------------------------ #
-    # mutations
-    # ------------------------------------------------------------------ #
     def row_index(self, index: int) -> int:
         """``index`` as a row of this stack.
 
@@ -1372,7 +1376,16 @@ class MutableMarketStack(_PaddedStack):
             ConfigurationError: unless ``index`` is an ``int`` (not
                 ``bool``) with ``0 <= index < M``.
         """
-        return require_index("market index", index, len(self._vmus))
+        return require_index("market index", index, len(self._counts))
+
+    def _row(self, index: int) -> _Row:
+        """Row ``index``'s VMU profiles, config and link."""
+        member = self._members.get(index)
+        if isinstance(member, tuple):
+            return member
+        if member is None:
+            member = self.market(index)
+        return member.vmus, member.config, member.link
 
     def update_market(self, index: int, market: StackelbergMarket) -> None:
         """Replace row ``index`` with ``market`` (dirties exactly that row)."""
@@ -1398,10 +1411,8 @@ class MutableMarketStack(_PaddedStack):
         self._effective_caps[index] = (
             config.capacity_natural if config.enforce_capacity else np.inf
         )
-        self._configs[index] = config
-        self._links[index] = market.link
-        self._set_population(index, market.vmus)
         self._members[index] = market
+        self._set_population(index, n)
 
     def join(self, index: int, vmu: VmuProfile) -> None:
         """A VMU joins market ``index`` (dirties that row).
@@ -1415,7 +1426,7 @@ class MutableMarketStack(_PaddedStack):
             raise ConfigurationError(
                 f"expected a VmuProfile, got {type(vmu).__name__}"
             )
-        vmus = self._vmus[index]
+        vmus, config, link = self._row(index)
         if any(v.vmu_id == vmu.vmu_id for v in vmus):
             raise ConfigurationError(
                 f"VMU {vmu.vmu_id!r} is already in market {index}"
@@ -1425,7 +1436,8 @@ class MutableMarketStack(_PaddedStack):
             self._resize(n + 1)
         self._alphas[index, n] = vmu.immersion_coef
         self._data[index, n] = vmu.data_units
-        self._set_population(index, (*vmus, vmu))
+        self._members[index] = ((*vmus, vmu), config, link)
+        self._set_population(index, n + 1)
 
     def leave(self, index: int, vmu_id: str) -> None:
         """VMU ``vmu_id`` leaves market ``index`` (dirties that row).
@@ -1435,7 +1447,7 @@ class MutableMarketStack(_PaddedStack):
                 the market's last one (a market needs ≥ 1 VMU).
         """
         index = self.row_index(index)
-        vmus = self._vmus[index]
+        vmus, config, link = self._row(index)
         slot = next(
             (j for j, v in enumerate(vmus) if v.vmu_id == vmu_id), None
         )
@@ -1452,7 +1464,8 @@ class MutableMarketStack(_PaddedStack):
         for column in (self._alphas, self._data):
             column[index, slot : n - 1] = column[index, slot + 1 : n]
             column[index, n - 1] = 1.0
-        self._set_population(index, vmus[:slot] + vmus[slot + 1 :])
+        self._members[index] = (vmus[:slot] + vmus[slot + 1 :], config, link)
+        self._set_population(index, n - 1)
 
     def set_fading_gain(self, index: int, fading_gain: float) -> None:
         """Channel-fading drift on market ``index``'s RSU link (dirties
@@ -1465,32 +1478,28 @@ class MutableMarketStack(_PaddedStack):
                 as :class:`StackelbergMarket` rejects such a link).
         """
         index = self.row_index(index)
-        link = self._links[index].with_fading_gain(fading_gain)
+        vmus, config, link = self._row(index)
+        link = link.with_fading_gain(fading_gain)
         self._se[index] = require_positive(
             "link spectral efficiency", link.spectral_efficiency
         )
-        self._links[index] = link
-        self._members[index] = None
+        self._members[index] = (vmus, config, link)
         self._dirty.add(index)
 
-    def _set_population(
-        self, index: int, vmus: tuple[VmuProfile, ...]
-    ) -> None:
-        """Row ``index`` now holds ``vmus``, whose ``α`` and ``D`` the
+    def _set_population(self, index: int, n: int) -> None:
+        """Row ``index`` now holds ``n`` VMUs, whose ``α`` and ``D`` the
         caller wrote into the columns (padding ``1.0`` beyond them);
-        update its mask, count and profiles and dirty it.
+        update its mask and count and dirty it.
 
         The padded width follows the widest population, as in a cold
         stack: callers widen it before a row outgrows it, and it narrows
         here once no row fills it.
         """
-        n, width = len(vmus), self.max_vmus
+        width = self.max_vmus
         vacated = self._counts[index] == width > n
         self._mask[index, :n] = True
         self._mask[index, n:] = False
         self._counts[index] = n
-        self._vmus[index] = vmus
-        self._members[index] = None
         self._dirty.add(index)
         if vacated and not (self._counts == width).any():
             self._resize(int(self._counts.max()))
@@ -1506,75 +1515,19 @@ class MutableMarketStack(_PaddedStack):
         self._alphas, self._data = alphas, data
         self._mask = np.arange(width) < self._counts[:, np.newaxis]
 
-    # ------------------------------------------------------------------ #
-    # the incremental solve
-    # ------------------------------------------------------------------ #
     def equilibria_live(self) -> StackedEquilibria:
         """Current equilibria of the stack, re-solving only dirty rows.
 
         The first call solves every row. Later calls solve the dirty rows
-        from the live columns and splice them into the cached result —
+        from the live columns and splice them into the last result —
         bitwise-equal to a cold solve of the current markets (see the
-        class docstring). The rows solved stream through chunks of
-        :func:`_chunk_rows` rows, as a cold solve's do.
+        class docstring). This is the shared solve driver, called here
+        directly rather than through :meth:`equilibria_stacked`, so
+        perfbench's tracer times live re-solves apart from bulk solves.
         """
-        cached = self._solved
-        if cached is not None and not self._dirty:
-            return cached
-        width = self.max_vmus
-        if cached is None:
-            rows = np.arange(self.num_markets)
-        else:
-            rows = np.array(sorted(self._dirty), dtype=np.intp)
-        self._ragged = bool((self._counts != width).any())
-        self._fullmask = not self._ragged
-        size = _chunk_rows(width)
-        out = self._writable_result(cached, width)
-        for start in range(0, len(rows), size):
-            chunk = rows[start : start + size]
-            for key, values in self._solve_rows(chunk).items():
-                out[key][chunk] = values
-        result = _freeze_result(
-            StackedEquilibria(
-                mask=self._mask.copy(),
-                counts=self._counts.copy(),
-                unit_costs=self._unit_costs.copy(),
-                **out,
-            )
-        )
-        if cached is not None:
-            # Clean rows keep their scalar-equilibrium cache entries by
-            # object identity; dirty rows' entries are dropped (rebuilt
-            # lazily).
-            for m, equilibrium in cached._scalar_cache.items():
-                if m not in self._dirty:
-                    result._scalar_cache[m] = equilibrium
-        self._rows_resolved += len(rows)
-        self._solve_count += 1
-        self._dirty.clear()
-        self._solved = result
-        return result
-
-    def _writable_result(
-        self, cached: StackedEquilibria | None, width: int
-    ) -> dict[str, np.ndarray]:
-        """The solved-field arrays a solve writes its rows into.
-
-        Fresh arrays for the first solve. Otherwise copies of ``cached``'s
-        arrays — it was handed out, so it stays frozen — re-padded if the
-        padded width moved since: a cold solve pads a feasible row with
-        ``0.0`` and an infeasible one with ``nan``, so widened clean rows
-        get exactly those, and narrowing drops only padding.
-        """
-        if cached is None:
-            return _empty_result(self.num_markets, width)
-        out = {key: getattr(cached, key).copy() for key in _SOLVED_FIELDS}
-        old = cached.demands.shape[1]
-        if width != old:
-            keep = min(width, old)
-            for key in ("demands", "vmu_utilities"):
-                padded = np.zeros((self.num_markets, width), dtype=np.float64)
-                padded[:, :keep] = out[key][:, :keep]
-                padded[~cached.feasible, keep:] = np.nan
-                out[key] = padded
-        return out
+        # A live service reads the memo on every query, so a hit skips the
+        # call into _solve.
+        solved = self._solved
+        if solved is None or self._dirty:
+            solved = self._solve()
+        return solved

@@ -2,16 +2,17 @@
 
 A long-running MSP answering "what is the optimal migration price for
 this market *right now*" while the market state churns under it. The
-service owns a :class:`~repro.core.marketstack.MutableMarketStack`;
-update events (a VMU joins or leaves, fading drifts, a whole market is
-replaced) write exactly their row of the stack's padded columns in place
-and mark it dirty, and the first query after any burst of updates
-triggers one incremental re-solve of the dirty rows, straight from those
-columns — every further query in that micro-window reads the same cached
-:class:`~repro.core.marketstack.StackedEquilibria` row for free. Queries
-therefore batch naturally: interleave 100 updates and 1 000 queries and
-the service pays ~(number of update bursts) dirty-row re-solves, not
-1 000.
+service owns a :class:`~repro.core.marketstack.MutableMarketStack`, the
+:class:`~repro.core.marketstack.MarketStack` that adds the writes: update
+events (a VMU joins or leaves, fading drifts, a whole market is replaced)
+write exactly their row of the stack's padded columns in place and mark
+it dirty, and the first query after any burst of updates runs the
+stack's one solve driver, which re-solves only the dirty rows, straight
+from those columns — every further query in that micro-window reads the
+same cached :class:`~repro.core.marketstack.StackedEquilibria` row for
+free. Queries therefore batch naturally: interleave 100 updates and
+1 000 queries and the service pays ~(number of update bursts) dirty-row
+re-solves, not 1 000.
 
 Every query is timed individually (the solve-triggering query pays the
 window's solve), so :meth:`LivePricingService.stats` reports honest
@@ -136,8 +137,10 @@ class LivePricingService:
     current markets gives (see :class:`MutableMarketStack`).
 
     Args:
-        markets: the initial markets — a sequence, or an existing
-            :class:`MutableMarketStack` to serve over directly.
+        markets: the initial markets — any iterable of
+            :class:`StackelbergMarket` (an immutable
+            :class:`~repro.core.marketstack.MarketStack` included), or an
+            existing :class:`MutableMarketStack` to serve over directly.
     """
 
     def __init__(
@@ -252,10 +255,3 @@ class LivePricingService:
             p99_ms=1e3 * latency_percentile(self._latencies, 99.0),
             max_ms=1e3 * max(self._latencies, default=0.0),
         )
-
-    def reset_stats(self) -> None:
-        """Zero the latency sample and update counters (the stack's solve
-        counters keep accumulating — they belong to the stack)."""
-        self._latencies.clear()
-        self._updates = 0
-        self._update_s = 0.0

@@ -347,13 +347,13 @@ class TestChunkedEqualsUnchunked:
         )
         monkeypatch.setattr(marketstack, "DEFAULT_CHUNK_BYTES", 3 * per_market)
         chunks = []
-        solve_rows = marketstack._PaddedStack._solve_rows
+        solve_rows = marketstack.MarketStack._solve_rows
 
         def counted(self, sl):
             chunks.append(len(self._counts[sl]))
             return solve_rows(self, sl)
 
-        monkeypatch.setattr(marketstack._PaddedStack, "_solve_rows", counted)
+        monkeypatch.setattr(marketstack.MarketStack, "_solve_rows", counted)
         cold = MarketStack(markets).equilibria_stacked()
         live = MutableMarketStack(markets).equilibria_live()
         assert chunks == [3, 3, 2] * 2

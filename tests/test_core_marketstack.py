@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.link import paper_link
-from repro.core import MarketColumns, MarketStack
+from repro.core import MarketColumns, MarketStack, MutableMarketStack
 from repro.core.marketstack import _MARKET_COLUMNS, _POPULATION_COLUMNS
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import (
@@ -159,6 +159,33 @@ class TestMarketStackApi:
                 pytest.raises(ConfigurationError, match="non-finite demand"),
             ):
                 stack.outcomes_stacked(tiny)
+
+    @pytest.mark.parametrize("cls", [MarketStack, MutableMarketStack])
+    def test_any_iterable_of_markets_stacks_alike(self, cls):
+        """A list, a one-shot iterator, a generator and another stack all
+        give the same members and the same solve."""
+        markets = random_markets(4, root_seed=6)
+        reference = MarketStack(markets).equilibria_stacked()
+        for source in (
+            iter(markets),
+            (m for m in markets),
+            MarketStack(markets),
+            MutableMarketStack(markets),
+        ):
+            stack = cls(source)
+            assert stack.markets == tuple(markets)
+            solved = stack.equilibria_stacked()
+            assert solved.prices.tobytes() == reference.prices.tobytes()
+
+    @pytest.mark.parametrize("cls", [MarketStack, MutableMarketStack])
+    def test_a_non_market_entry_is_named_by_its_index(self, cls):
+        markets = random_markets(3, root_seed=7)
+        with pytest.raises(ConfigurationError, match="market 0 "):
+            cls([1])
+        with pytest.raises(ConfigurationError, match="market 2 .* str"):
+            cls(iter([*markets[:2], "market", 1]))
+        with pytest.raises(ConfigurationError, match="at least one market"):
+            cls(iter([]))
 
     def test_row_and_market_rows_guard_their_shapes(self):
         stack = MarketStack(random_markets(2, root_seed=5))

@@ -10,6 +10,8 @@ cached scalar objects (identity), a dirty row's entry is dropped, and
 infeasible↔feasible transitions round-trip. The stack is column-native:
 a churn window builds no market or stack object, the padded width tracks
 the widest population both ways, and a rejected mutation changes nothing.
+The reads a written stack inherits from ``MarketStack`` (``outcomes_stacked``,
+and the solve of a stack built from columns) match a cold stack too.
 """
 
 import numpy as np
@@ -18,8 +20,13 @@ from test_core_equilibria_stacked import infeasible_market, random_markets
 
 from repro.core import MarketStack, MutableMarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.entities.vmu import VmuProfile, paper_fig2_population
+from repro.entities.vmu import (
+    VmuProfile,
+    paper_fig2_population,
+    sample_population,
+)
 from repro.errors import ConfigurationError, InfeasibleMarketError
+from repro.mobility.citygrid import CityGridSpec, city_columns
 
 ARRAY_FIELDS = (
     "prices",
@@ -40,6 +47,11 @@ def assert_bitwise_equal(live, cold):
         a, b = getattr(live, name), getattr(cold, name)
         assert a.shape == b.shape, name
         assert np.array_equal(a, b, equal_nan=True), name
+
+
+def dirty_rows(stack):
+    """The rows written since the stack's last solve (sorted)."""
+    return tuple(sorted(stack._dirty))
 
 
 def apply_random_update(mutable, rng, index):
@@ -82,11 +94,11 @@ class TestIncrementalBitwise:
             targets = rng.choice(num, size=per_step, replace=False)
             for index in targets:
                 apply_random_update(mutable, rng, int(index))
-            assert set(mutable.dirty_indices()) == {int(t) for t in targets}
+            assert set(dirty_rows(mutable)) == {int(t) for t in targets}
             live = mutable.equilibria_live()
             cold = MarketStack(list(mutable.markets)).equilibria_stacked()
             assert_bitwise_equal(live, cold)
-            assert not mutable.dirty_indices()
+            assert not dirty_rows(mutable)
 
     def test_ragged_width_changes_stay_bitwise(self):
         """Joins/leaves that change N_max (wider and narrower) re-pad
@@ -272,14 +284,14 @@ class TestMutationApi:
         for mutate in mutations:
             with pytest.raises(ConfigurationError, match="market index"):
                 mutate()
-        assert mutable.dirty_indices() == ()
+        assert dirty_rows(mutable) == ()
 
     def test_numpy_integer_index_accepted(self):
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
         mutable.equilibria_live()
         mutable.set_fading_gain(np.int64(2), 0.5)
-        assert mutable.dirty_indices() == (2,)
-        assert isinstance(mutable.dirty_indices()[0], int)
+        assert dirty_rows(mutable) == (2,)
+        assert isinstance(dirty_rows(mutable)[0], int)
 
     def test_update_requires_market_instance(self):
         mutable = MutableMarketStack(random_markets(3, root_seed=2))
@@ -293,7 +305,7 @@ class TestMutationApi:
             mutable.join(0, twin)
         # The rejected join left the row as it was, clean and leavable.
         assert mutable.market(0).num_vmus == 2
-        assert mutable.dirty_indices() == ()
+        assert dirty_rows(mutable) == ()
         mutable.leave(0, "vmu-0")
         assert [v.vmu_id for v in mutable.market(0).vmus] == ["vmu-1"]
 
@@ -383,6 +395,97 @@ class TestColumnNative:
         assert mutable.markets[-1] is markets[3]
 
 
+OUTCOME_FIELDS = (
+    "prices",
+    "demands",
+    "allocations",
+    "msp_utilities",
+    "vmu_utilities",
+    "capacity_binding",
+    "mask",
+    "counts",
+)
+
+
+class TestInheritedPaths:
+    """The reads a written stack inherits from ``MarketStack``."""
+
+    def test_reads_follow_the_width_through_writes(self):
+        """A join that widens an unpadded stack and the leave that narrows
+        it back: ``outcomes_stacked`` at ``(M,)`` and ``(M, R)`` prices,
+        and the live re-solve of a padded row beside it (wide enough for
+        the numpy form), stay bitwise a cold stack's — the padding flags
+        follow the writes."""
+        markets = [
+            StackelbergMarket(
+                sample_population(8, seed=seed),
+                config=MarketConfig(unit_cost=4.0 + seed, max_price=50.0),
+            )
+            for seed in range(5)
+        ]
+        mutable = MutableMarketStack(markets)
+        mutable.equilibria_live()
+        rng = np.random.default_rng(67)
+
+        def assert_reads_match_cold():
+            cold = MarketStack(mutable.markets)
+            costs = cold.unit_costs[:, np.newaxis]
+            grid = costs + (50.0 - costs) * rng.uniform(size=(5, 7))
+            for prices in (grid[:, 0], grid):
+                got = mutable.outcomes_stacked(prices)
+                expected = cold.outcomes_stacked(prices)
+                for name in OUTCOME_FIELDS:
+                    a, b = getattr(got, name), getattr(expected, name)
+                    assert a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+
+        def widen(row):
+            mutable.join(
+                row, VmuProfile("late", data_size_mb=90.0, immersion_coef=6.0)
+            )
+            mutable.set_fading_gain(row + 1, 0.7)
+            assert mutable.max_vmus == 9
+
+        def narrow(row):
+            mutable.leave(row, "late")
+            mutable.set_fading_gain(row + 1, 0.6)
+            assert mutable.max_vmus == 8
+
+        def assert_live_matches_cold():
+            cold = MarketStack(mutable.markets).equilibria_stacked()
+            assert_bitwise_equal(mutable.equilibria_live(), cold)
+
+        # Each kind of read comes first after a widening write once, so
+        # each must bring the padding flags up to date itself.
+        assert_reads_match_cold()
+        widen(0)
+        assert_live_matches_cold()
+        assert_reads_match_cold()
+        narrow(0)
+        assert_live_matches_cold()
+        assert_reads_match_cold()
+        widen(2)
+        assert_reads_match_cold()
+        assert_live_matches_cold()
+
+    def test_column_built_stack_after_churn_is_a_cold_solve(self):
+        columns = city_columns(CityGridSpec.for_markets(40, seed=5))
+        mutable = MutableMarketStack.from_columns(columns)
+        assert isinstance(mutable, MutableMarketStack)
+        assert_bitwise_equal(
+            mutable.equilibria_live(),
+            MarketStack.from_columns(columns).equilibria_stacked(),
+        )
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            for index in rng.choice(40, size=6, replace=False):
+                apply_random_update(mutable, rng, int(index))
+            assert_bitwise_equal(
+                mutable.equilibria_live(),
+                MarketStack(list(mutable.markets)).equilibria_stacked(),
+            )
+
+
 def _twin_stacks():
     """Two identical live stacks, solved, then given the same dirty rows."""
     markets = random_markets(6, root_seed=59, max_vmus=5)
@@ -447,7 +550,7 @@ def test_rejected_mutation_changes_nothing(mutation):
         a, b = getattr(mutable, name), getattr(twin, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert mutable.dirty_indices() == twin.dirty_indices() == (0, 4)
+    assert dirty_rows(mutable) == dirty_rows(twin) == (0, 4)
     assert mutable.solve_count == twin.solve_count == 1
     assert_bitwise_equal(mutable.equilibria_live(), twin.equilibria_live())
     assert mutable.rows_resolved == twin.rows_resolved

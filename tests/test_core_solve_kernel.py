@@ -2,7 +2,7 @@
 
 Every candidate evaluation of the numpy form of
 ``MarketStack.equilibria_stacked`` runs through one kernel,
-``_PaddedStack._leader_utilities``. It re-implements the
+``MarketStack._leader_utilities``. It re-implements the
 best-response → proportional-rationing → leader-utility chain in place on
 a band allocated per chunk (hoisted ``D/SE``, ragged grouping, guarded
 division), so it is pinned here **bitwise** against the public validating
@@ -204,7 +204,6 @@ def scalar_calls(monkeypatch):
         return original(self, sl)
 
     monkeypatch.setattr(MarketStack, "_solve_rows_scalar", counted)
-    monkeypatch.setattr(MutableMarketStack, "_solve_rows_scalar", counted)
     return calls
 
 

@@ -1,8 +1,10 @@
 """Every library name the perfbench tracer wraps still exists.
 
 ``perfbench/tracing.py`` patches callables by dotted name (its ``LAYERS``
-table). Deleting or renaming one of them would otherwise surface only in
-the traced perfbench run; here it fails the test suite. The tracer module
+table); a class target must be an own attribute of its class, since the
+tracer reads ``owner.__dict__[attr]``. Deleting, renaming or moving one of
+them to a base class would otherwise surface only in the traced perfbench
+run; here it fails the test suite. The tracer module
 is stdlib-only, so it is loaded straight from its file.
 """
 
@@ -36,3 +38,10 @@ def test_every_traced_target_resolves(tracing):
             assert callable(getattr(owner, attr, None)), (
                 f"{layer.name}: {owner!r} has no callable {attr!r}"
             )
+            if isinstance(owner, type):
+                # The tracer patches owner.__dict__[attr]: an inherited
+                # method would pass getattr here and fail the traced run.
+                assert attr in owner.__dict__, (
+                    f"{layer.name}: {attr!r} is not an own attribute of "
+                    f"{owner.__name__}"
+                )

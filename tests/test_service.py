@@ -106,7 +106,7 @@ class TestLivePricingService:
         with pytest.raises(ConfigurationError, match="unknown service event"):
             service.apply(object())
 
-    def test_stats_and_reset(self):
+    def test_stats(self):
         service = LivePricingService(random_markets(3, root_seed=21))
         service.serve([Query(0), FadingDrift(1, 0.9), Query(1)])
         stats = service.stats()
@@ -114,16 +114,31 @@ class TestLivePricingService:
         assert stats.queries == 2 and stats.updates == 1
         assert stats.p99_ms >= stats.p50_ms >= 0.0
         assert stats.qps > 0.0
-        service.reset_stats()
-        fresh = service.stats()
-        assert fresh.queries == 0 and fresh.updates == 0
-        assert fresh.solves == stats.solves  # stack counters persist
 
     def test_accepts_existing_mutable_stack(self):
         mutable = MutableMarketStack(random_markets(3, root_seed=23))
         service = LivePricingService(mutable)
         assert service.stack is mutable
         assert service.num_markets == 3
+
+    def test_serves_a_copy_of_an_immutable_stack(self):
+        """An immutable ``MarketStack`` is an iterable of its markets: the
+        service stacks them afresh and leaves the given stack alone."""
+        markets = random_markets(3, root_seed=27)
+        stack = MarketStack(markets)
+        service = LivePricingService(stack)
+        assert isinstance(service.stack, MutableMarketStack)
+        assert service.stack.markets == tuple(markets)
+        service.apply(FadingDrift(1, 0.4))
+        assert service.stack.market(1) is not markets[1]
+        assert stack.market(1) is markets[1]
+        cold = MarketStack(list(service.stack.markets)).equilibria_stacked()
+        assert service.query(1).price == cold.prices[1]
+
+    def test_rejects_a_non_market_by_index(self):
+        markets = random_markets(2, root_seed=29)
+        with pytest.raises(ConfigurationError, match="market 1 "):
+            LivePricingService([markets[0], object()])
 
     @pytest.mark.parametrize("index", [4, -1, 1.7, True, "2"])
     def test_query_rejects_a_bad_index(self, index):
