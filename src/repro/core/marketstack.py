@@ -592,8 +592,9 @@ def _empty_result(num_markets: int, n_max: int) -> dict[str, np.ndarray]:
     }
 
 
-_Row = tuple[tuple[VmuProfile, ...], MarketConfig, RsuLink]
-"""A written row's description: its VMU profiles, config and link."""
+_Row = list
+"""A written row's description ``[vmus, config, link]``: its VMU profiles,
+config and link, which later writes to the row update in place."""
 
 
 class MarketStack:
@@ -652,15 +653,19 @@ class MarketStack:
         """
         columns = _validated(columns)
         stack = cls.__new__(cls)
+        # The stack owns a copy of every (M,) column a MutableMarketStack
+        # write touches: the members are built from the unchanged columns
+        # (their counts place each market's VMUs), and no write may reach
+        # the caller's arrays or another stack built from them.
         stack._fill(
-            counts=columns.counts,
+            counts=columns.counts.copy(),
             alphas=columns.immersion_coefs,
             data=columns.data_units,
-            se=columns.spectral_efficiencies,
-            unit_costs=columns.unit_costs,
-            max_prices=columns.max_prices,
+            se=columns.spectral_efficiencies.copy(),
+            unit_costs=columns.unit_costs.copy(),
+            max_prices=columns.max_prices.copy(),
             caps=columns.max_bandwidths / columns.bandwidth_report_scales,
-            enforce=columns.enforce_capacity,
+            enforce=columns.enforce_capacity.copy(),
         )
         stack._members = {}
         stack._columns = columns
@@ -1337,10 +1342,10 @@ class MutableMarketStack(MarketStack):
       a join past it widens the columns, and a row leaving the last
       widest population narrows them.
     - A written row's member market leaves the row cache; the row keeps
-      its VMU profiles, config and link there instead, and
-      :meth:`market` builds the member from those, never from the solve
-      columns, so ``MarketStack(stack.markets)`` is an independent cold
-      oracle.
+      its VMU profiles, config and link there instead, in one slot that
+      later writes update in place, and :meth:`market` builds the member
+      from those, never from the solve columns, so
+      ``MarketStack(stack.markets)`` is an independent cold oracle.
     - :meth:`equilibria_live` is the shared solve, which re-solves *only*
       the dirty rows, straight from the live columns, and splices them
       into a copy of the last result.
@@ -1379,13 +1384,14 @@ class MutableMarketStack(MarketStack):
         return require_index("market index", index, len(self._counts))
 
     def _row(self, index: int) -> _Row:
-        """Row ``index``'s VMU profiles, config and link."""
+        """Row ``index``'s description slot. A write updates it and stores
+        it in the row cache, over the member, once the write validated."""
         member = self._members.get(index)
-        if isinstance(member, tuple):
+        if isinstance(member, list):
             return member
         if member is None:
             member = self.market(index)
-        return member.vmus, member.config, member.link
+        return [member.vmus, member.config, member.link]
 
     def update_market(self, index: int, market: StackelbergMarket) -> None:
         """Replace row ``index`` with ``market`` (dirties exactly that row)."""
@@ -1426,7 +1432,8 @@ class MutableMarketStack(MarketStack):
             raise ConfigurationError(
                 f"expected a VmuProfile, got {type(vmu).__name__}"
             )
-        vmus, config, link = self._row(index)
+        row = self._row(index)
+        vmus = row[0]
         if any(v.vmu_id == vmu.vmu_id for v in vmus):
             raise ConfigurationError(
                 f"VMU {vmu.vmu_id!r} is already in market {index}"
@@ -1436,7 +1443,8 @@ class MutableMarketStack(MarketStack):
             self._resize(n + 1)
         self._alphas[index, n] = vmu.immersion_coef
         self._data[index, n] = vmu.data_units
-        self._members[index] = ((*vmus, vmu), config, link)
+        row[0] = (*vmus, vmu)
+        self._members[index] = row
         self._set_population(index, n + 1)
 
     def leave(self, index: int, vmu_id: str) -> None:
@@ -1447,7 +1455,8 @@ class MutableMarketStack(MarketStack):
                 the market's last one (a market needs ≥ 1 VMU).
         """
         index = self.row_index(index)
-        vmus, config, link = self._row(index)
+        row = self._row(index)
+        vmus = row[0]
         slot = next(
             (j for j, v in enumerate(vmus) if v.vmu_id == vmu_id), None
         )
@@ -1464,7 +1473,8 @@ class MutableMarketStack(MarketStack):
         for column in (self._alphas, self._data):
             column[index, slot : n - 1] = column[index, slot + 1 : n]
             column[index, n - 1] = 1.0
-        self._members[index] = (vmus[:slot] + vmus[slot + 1 :], config, link)
+        row[0] = vmus[:slot] + vmus[slot + 1 :]
+        self._members[index] = row
         self._set_population(index, n - 1)
 
     def set_fading_gain(self, index: int, fading_gain: float) -> None:
@@ -1478,12 +1488,13 @@ class MutableMarketStack(MarketStack):
                 as :class:`StackelbergMarket` rejects such a link).
         """
         index = self.row_index(index)
-        vmus, config, link = self._row(index)
-        link = link.with_fading_gain(fading_gain)
+        row = self._row(index)
+        link = row[2].with_fading_gain(fading_gain)
         self._se[index] = require_positive(
             "link spectral efficiency", link.spectral_efficiency
         )
-        self._members[index] = (vmus, config, link)
+        row[2] = link
+        self._members[index] = row
         self._dirty.add(index)
 
     def _set_population(self, index: int, n: int) -> None:

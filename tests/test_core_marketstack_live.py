@@ -14,6 +14,8 @@ The reads a written stack inherits from ``MarketStack`` (``outcomes_stacked``,
 and the solve of a stack built from columns) match a cold stack too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from test_core_equilibria_stacked import infeasible_market, random_markets
@@ -484,6 +486,68 @@ class TestInheritedPaths:
                 mutable.equilibria_live(),
                 MarketStack(list(mutable.markets)).equilibria_stacked(),
             )
+
+    def test_a_first_write_that_moves_a_count_keeps_the_other_members(self):
+        """The members of a column-built stack come from the columns as
+        given, even when the first write, before any member is built,
+        changes a row's VMU count (which places the later rows' VMUs)."""
+        spec = CityGridSpec.for_markets(12, seed=13)
+        mutable = MutableMarketStack.from_columns(city_columns(spec))
+        reference = MarketStack.from_columns(city_columns(spec))
+        n = int(mutable.counts[0]) + 1
+        mutable.update_market(
+            0, StackelbergMarket(sample_population(n, seed=3))
+        )
+        for j in range(1, 12):
+            got, expected = mutable.market(j), reference.market(j)
+            assert got.vmus == expected.vmus, j
+            assert got.config == expected.config, j
+            assert got.link == expected.link, j
+        assert_bitwise_equal(
+            mutable.equilibria_live(),
+            MarketStack(mutable.markets).equilibria_stacked(),
+        )
+
+    def test_writes_leave_the_columns_and_sibling_stacks_alone(self):
+        """Churn on a column-built stack changes neither the caller's
+        columns nor an immutable stack built from the same columns."""
+        spec = CityGridSpec.for_markets(12, seed=17)
+        columns = city_columns(spec)
+        names = [f.name for f in dataclasses.fields(columns) if f.name != "link"]
+        given = {name: getattr(columns, name).copy() for name in names}
+        sibling = MarketStack.from_columns(columns)
+        sibling_arrays = {
+            name: getattr(sibling, name) for name in _COLUMN_ACCESSORS
+        }
+        solved = sibling.equilibria_stacked()
+        mutable = MutableMarketStack.from_columns(columns)
+        replacement = StackelbergMarket(
+            sample_population(3, seed=5),
+            config=MarketConfig(
+                unit_cost=7.0, max_price=60.0, enforce_capacity=False
+            ),
+        )
+        for index in range(12):
+            mutable.update_market(index, replacement)
+            mutable.set_fading_gain(index, 0.4)
+        for name in names:
+            assert getattr(columns, name).tobytes() == given[name].tobytes()
+        for name in _COLUMN_ACCESSORS:
+            got = getattr(sibling, name).tobytes()
+            assert got == sibling_arrays[name].tobytes(), name
+        assert sibling.equilibria_stacked() is solved
+        fresh = MarketStack.from_columns(city_columns(spec))
+        assert_bitwise_equal(solved, fresh.equilibria_stacked())
+        prices = given["unit_costs"] * 1.5
+        got, expected = (
+            stack.outcomes_stacked(prices) for stack in (sibling, fresh)
+        )
+        for name in OUTCOME_FIELDS:
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.tobytes() == b.tobytes(), name
+        for j in range(12):
+            assert sibling.market(j).config == fresh.market(j).config, j
+            assert sibling.market(j).link == fresh.market(j).link, j
 
 
 def _twin_stacks():

@@ -196,10 +196,9 @@ def assert_stacks_bitwise_equal(got, expected):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    solved, reference = got.equilibria_stacked(), expected.equilibria_stacked()
-    # Current after a solve on any stack, a written one included.
     assert got._ragged == expected._ragged
     assert got._fullmask == expected._fullmask
+    solved, reference = got.equilibria_stacked(), expected.equilibria_stacked()
     for name in EQUILIBRIUM_ARRAYS:
         a, b = getattr(solved, name), getattr(reference, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
