@@ -67,11 +67,6 @@ class LinkBudget:
         return self.received_power_w / self.noise_power_w
 
     @property
-    def snr_db(self) -> float:
-        """SNR in decibels."""
-        return 10.0 * math.log10(self.snr)
-
-    @property
     def spectral_efficiency(self) -> float:
         """Shannon spectral efficiency ``log2(1 + SNR)`` in bit/s/Hz."""
         return self.spectral_efficiency_at(self.distance_m)

@@ -23,10 +23,6 @@ class PathLossModel:
         """Linear power gain (<= reference gain) at ``distance_m`` metres."""
         raise NotImplementedError
 
-    def gain_db(self, distance_m: float) -> float:
-        """Power gain in dB at ``distance_m`` metres."""
-        return 10.0 * math.log10(self.gain(distance_m))
-
 
 @dataclass(frozen=True)
 class LogDistancePathLoss(PathLossModel):

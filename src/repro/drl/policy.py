@@ -69,10 +69,6 @@ class ActionScaler:
         """Map a raw action to a feasible price."""
         return np.clip(self.mid + self.half_range * raw, self.low, self.high)
 
-    def to_raw(self, price: np.ndarray | float) -> np.ndarray | float:
-        """Inverse map (prices at the boundary map to raw ±1)."""
-        return (np.asarray(price, dtype=float) - self.mid) / self.half_range
-
 
 def orthogonal(
     fan_in: int, fan_out: int, *, gain: float = 1.0, seed: SeedLike = None

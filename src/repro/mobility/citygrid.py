@@ -14,15 +14,19 @@ columns.
 The grid is regular, so no road graph is built: the junction geometry is
 analytic in the ``(row, col)`` index. Junction ``(r, c)`` sits at
 ``(c * block_m, r * block_m)``, its road neighbours are the up-to-four
-in-grid junctions beside it, and one ``math.hypot`` of two junction
-positions is both the road length to a neighbour and the distance that
-decides whether the source RSU's coverage disc reaches it.
+in-grid junctions beside it, and the ``hypot`` of two junction positions
+is both the road length to a neighbour and the distance that decides
+whether the source RSU's coverage disc reaches it. The geometry of a
+whole slice is one array pass.
 
 Determinism contract
 --------------------
-Market ``i`` is a pure function of ``(spec, i)``: every random draw uses
-``np.random.default_rng([spec.seed, i])``, and the junction geometry is
-derived from the grid parameters alone. The columns of markets
+Market ``i`` is a pure function of ``(spec, i)``: every random draw comes
+from the generator ``np.random.default_rng([spec.seed, i])`` would be, and
+the junction geometry is derived from the grid parameters alone. The
+generators of a slice are seeded together
+(:func:`repro.utils.rng.indexed_generators` hashes every index's seed
+sequence in one array pass), which changes no draw. The columns of markets
 ``[start, stop)`` therefore equal that index range of the full build's
 columns (every ``(M,)`` entry, and every VMU entry of those markets), and
 the markets built from them equal the full build's objects, at a cost of
@@ -46,6 +50,7 @@ from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import population_columns, population_ranges
 from repro.errors import ConfigurationError
 from repro.mobility.demand import sized_capacity
+from repro.utils.rng import indexed_generators
 from repro.utils.validation import require_positive
 
 __all__ = ["CityGridSpec", "city_columns", "city_markets"]
@@ -60,6 +65,9 @@ _CITY_LINK = paper_link()
 _CITY_CONFIG = MarketConfig()
 """Every junction market's config, apart from its ``B_max``."""
 _POPULATION_RANGES = population_ranges()
+_MAX_MARKETS = 1 << 32
+"""Market indices key their generators as one uint32 word each
+(:func:`repro.utils.rng.indexed_generators`)."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,11 @@ class CityGridSpec:
             raise ConfigurationError(
                 f"num_markets must be in [1, rows*cols] = "
                 f"[1, {self.rows * self.cols}], got {self.num_markets}"
+            )
+        if self.num_markets > _MAX_MARKETS:
+            raise ConfigurationError(
+                f"num_markets must be <= 2**32 (each market index keys its "
+                f"generator as one uint32 word), got {self.num_markets}"
             )
         if self.max_vmus < 1:
             raise ConfigurationError(
@@ -185,17 +198,18 @@ def city_columns(
 
     The geometry is analytic: junction ``(r, c)`` sits at
     ``(float(c * block_m), float(r * block_m))`` and the road length is
-    the least ``math.hypot`` of the position differences to the
-    up-to-four in-grid junctions beside it. That same length decides
-    coverage (the neighbour is covered when it is at most
+    the least ``hypot`` of the position differences to the up-to-four
+    in-grid junctions beside it (:func:`_road_lengths`). That same length
+    decides coverage (the neighbour is covered when it is at most
     ``spec.coverage_radius`` away). No road graph is built, so a slice
     costs O(stop − start).
 
-    Only the draws, the geometry and the link's ``math.log2`` spectral
-    efficiency run per junction; the populations, rates, population means
-    and capacities are whole-slice array expressions with the bits of the
-    per-market scalar ones. No VMU, link, config or market object is
-    built; :meth:`MarketStack.from_columns` validates the columns and
+    Only the draws and the link's ``math.log2`` spectral efficiency run
+    per junction. The generator seeding, the geometry, the populations,
+    rates, population means and capacities are whole-slice array
+    expressions with the bits of the per-market scalar ones. No VMU,
+    link, config or market object is built;
+    :meth:`MarketStack.from_columns` validates the columns and
     :func:`city_markets` builds the objects from them.
     """
     if stop is None:
@@ -205,34 +219,23 @@ def city_columns(
             f"invalid market range [{start}, {stop}) for "
             f"{spec.num_markets} markets"
         )
-    rows, cols, block_m = spec.rows, spec.cols, spec.block_m
-    budget = _CITY_LINK.budget
-    counts, uniforms, vehicles, road_lengths, distances, efficiencies = (
-        [], [], [], [], [], []
-    )
-    for index in range(start, stop):
-        row, col = divmod(index, cols)
-        x, y = float(col * block_m), float(row * block_m)
-        road_length = min(
-            math.hypot(float(c * block_m) - x, float(r * block_m) - y)
-            for r, c in ((row, col - 1), (row, col + 1),
-                         (row - 1, col), (row + 1, col))
-            if 0 <= r < rows and 0 <= c < cols
-        )
-        rng = np.random.default_rng([spec.seed, index])
+    road_lengths = _road_lengths(spec, np.arange(start, stop))
+    counts, uniforms, vehicles, factors = [], [], [], []
+    for rng in indexed_generators(spec.seed, start, stop):
         count = int(rng.integers(1, spec.max_vmus + 1))
         counts.append(count)
         uniforms.append(rng.random(2 * count))
         vehicles.append(1 + int(rng.poisson(spec.vehicles_per_cell)))
-        # VTs migrate at the coverage boundary, somewhere along the road —
-        # the RSU-to-RSU link distance is a per-cell fraction of the block.
-        distance = road_length * float(rng.uniform(0.6, 1.0))
-        road_lengths.append(road_length)
-        distances.append(distance)
-        efficiencies.append(budget.spectral_efficiency_at(distance))
+        factors.append(float(rng.uniform(0.6, 1.0)))
+    # VTs migrate at the coverage boundary, somewhere along the road —
+    # the RSU-to-RSU link distance is a per-cell fraction of the block.
+    distances = road_lengths * np.array(factors, dtype=np.float64)
+    budget = _CITY_LINK.budget
+    efficiencies = np.array(
+        [budget.spectral_efficiency_at(d) for d in distances.tolist()],
+        dtype=np.float64,
+    )
     counts = np.array(counts, dtype=np.int64)
-    road_lengths = np.array(road_lengths, dtype=np.float64)
-    efficiencies = np.array(efficiencies, dtype=np.float64)
     data_sizes_mb, immersion_coefs = population_columns(
         np.concatenate(uniforms) if uniforms else np.empty(0),
         _POPULATION_RANGES,
@@ -264,7 +267,7 @@ def city_columns(
         data_units=data_units,
         spectral_efficiencies=efficiencies,
         max_bandwidths=capacity_natural * _CITY_CONFIG.bandwidth_report_scale,
-        distances_m=np.array(distances, dtype=np.float64),
+        distances_m=distances,
         unit_costs=np.full(size, _CITY_CONFIG.unit_cost),
         max_prices=np.full(size, _CITY_CONFIG.max_price),
         bandwidth_report_scales=np.full(
@@ -273,6 +276,34 @@ def city_columns(
         enforce_capacity=np.full(size, _CITY_CONFIG.enforce_capacity),
         link=_CITY_LINK,
     )
+
+
+def _road_lengths(spec: CityGridSpec, indices: np.ndarray) -> np.ndarray:
+    """Each junction's road length: the least distance from junction
+    ``index`` to its up-to-four in-grid neighbours.
+
+    Junction ``(r, c)`` sits at ``(float(c * block_m), float(r * block_m))``.
+    The neighbours are scanned left, right, up, down, and a later one
+    replaces the running minimum only when strictly shorter, which is the
+    order and rule of Python's ``min`` over the neighbour distances.
+    ``np.hypot`` of the position differences gives ``math.hypot``'s bits:
+    one of the two differences of finite positions is an exact zero.
+    """
+    rows, cols, block_m = spec.rows, spec.cols, spec.block_m
+    # Every index is below num_markets <= 2**32, so dividing by at most
+    # that keeps a grid wider than int64 out of the array arithmetic.
+    row, col = np.divmod(indices, min(cols, spec.num_markets))
+    x, y = col * block_m, row * block_m
+    lengths = np.full(indices.shape, np.nan)
+    found = np.zeros(indices.shape, dtype=bool)
+    for r, c in ((row, col - 1), (row, col + 1), (row - 1, col),
+                 (row + 1, col)):
+        length = np.hypot(c * block_m - x, r * block_m - y)
+        inside = (0 <= r) & (r < rows) & (0 <= c) & (c < cols)
+        take = inside & (~found | (length < lengths))
+        lengths = np.where(take, length, lengths)
+        found |= inside
+    return lengths
 
 
 def _population_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

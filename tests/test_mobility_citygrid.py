@@ -154,13 +154,17 @@ SPEC_SOFT = CityGridSpec.for_markets(rows=5, cols=6, coverage_radius_m=500.0, se
 SPEC_MANY_VMUS = CityGridSpec.for_markets(rows=3, cols=4, max_vmus=11, seed=9)
 # A neighbour exactly on the coverage circle counts as covered.
 SPEC_ON_CIRCLE = CityGridSpec.for_markets(rows=4, cols=5, coverage_radius_m=400.0)
+# A seed of more than one uint32 word keys a longer seed sequence.
+SPEC_WIDE_SEED = CityGridSpec.for_markets(rows=7, cols=13, block_m=333.3,
+                                          seed=2**64 + 3)
 
 
 @pytest.mark.parametrize(
     "spec",
     [SPEC_100x100, SPEC_TRUNCATED, SPEC_TINY_BLOCK, SPEC_SOFT, SPEC_MANY_VMUS,
-     SPEC_ON_CIRCLE],
-    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle"],
+     SPEC_ON_CIRCLE, SPEC_WIDE_SEED],
+    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle",
+         "wide-seed"],
 )
 def test_full_build_matches_graph_oracle(spec):
     expected, _ = oracle_city(spec)
@@ -208,8 +212,9 @@ def assert_stacks_bitwise_equal(got, expected):
 @pytest.mark.parametrize(
     "spec",
     [SPEC_100x100, SPEC_TRUNCATED, SPEC_TINY_BLOCK, SPEC_SOFT, SPEC_MANY_VMUS,
-     SPEC_ON_CIRCLE],
-    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle"],
+     SPEC_ON_CIRCLE, SPEC_WIDE_SEED],
+    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle",
+         "wide-seed"],
 )
 def test_column_stack_matches_graph_oracle(spec):
     expected, _ = oracle_city(spec)
@@ -377,6 +382,20 @@ def test_spec_rejects_a_negative_seed():
     payload["seed"] = -1
     with pytest.raises(ConfigurationError, match="seed"):
         CityGridSpec.from_payload(payload)
+
+
+def test_spec_rejects_more_markets_than_uint32_indices():
+    """Each market index keys its generator as one uint32 word, so a spec
+    with more than ``2**32`` markets is refused before any grid exists."""
+    side = 2**16 + 1
+    with pytest.raises(ConfigurationError, match="num_markets"):
+        CityGridSpec(num_markets=2**32 + 1, rows=side, cols=side)
+    spec = CityGridSpec(num_markets=2**32, rows=side, cols=side, seed=1)
+    assert spec.num_markets == 2**32
+    # The last index still keys its own stream.
+    (last,) = city_columns(spec, 2**32 - 1).counts.tolist()
+    rng = np.random.default_rng([1, 2**32 - 1])
+    assert last == int(rng.integers(1, spec.max_vmus + 1))
 
 
 def test_valid_spec_payload_is_unchanged():

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_children
+from repro.utils.rng import (
+    _seed_sequence_words,
+    as_generator,
+    indexed_generators,
+    spawn_children,
+)
 
 
 class TestAsGenerator:
@@ -56,3 +61,67 @@ class TestSpawnChildren:
         gen = np.random.default_rng(9)
         kids = spawn_children(gen, 2)
         assert len(kids) == 2
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3]
+INDICES = [0, 1, 255, 65535]
+
+
+class TestIndexedGenerators:
+    """``indexed_generators`` against numpy's own seeding of
+    ``default_rng([seed, i])``: the SeedSequence words, the PCG64 state
+    and increment, and the draws."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        indices = np.array(INDICES + [2**32 - 1])
+        words = _seed_sequence_words(seed, indices)
+        assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+        for row, index in zip(words, indices.tolist()):
+            expected = np.random.SeedSequence([seed, index]).generate_state(
+                4, np.uint64
+            )
+            assert row.tobytes() == expected.tobytes(), index
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_state_matches_default_rng(self, seed, index):
+        (rng,) = indexed_generators(seed, index, index + 1)
+        expected = np.random.default_rng([seed, index]).bit_generator.state
+        # The whole state dict: the 128-bit state and inc, and the empty
+        # uint32 buffer of a fresh generator.
+        assert rng.bit_generator.state == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "start, stop", [(95, 105), (9900, 10000), (2**32 - 3, 2**32)],
+        ids=["mid-grid", "last-row", "top-of-range"],
+    )
+    def test_slices_draw_like_default_rng(self, seed, start, stop):
+        got = [
+            (rng.bit_generator.state, rng.integers(1, 7), rng.random(3),
+             rng.poisson(400.0), rng.uniform(0.6, 1.0))
+            for rng in indexed_generators(seed, start, stop)
+        ]
+        assert len(got) == stop - start
+        for index, (state, count, uniforms, vehicles, factor) in zip(
+            range(start, stop), got
+        ):
+            reference = np.random.default_rng([seed, index])
+            assert state == reference.bit_generator.state, index
+            assert count == reference.integers(1, 7)
+            assert uniforms.tobytes() == reference.random(3).tobytes()
+            assert vehicles == reference.poisson(400.0)
+            assert factor == reference.uniform(0.6, 1.0)
+
+    def test_empty_range_yields_nothing(self):
+        assert list(indexed_generators(3, 7, 7)) == []
+
+    @pytest.mark.parametrize(
+        "seed, start, stop",
+        [(-1, 0, 1), (0, -1, 1), (0, 5, 4), (0, 0, 2**32 + 1)],
+        ids=["negative-seed", "negative-start", "reversed", "past-uint32"],
+    )
+    def test_rejects_what_it_cannot_key(self, seed, start, stop):
+        with pytest.raises(ValueError):
+            indexed_generators(seed, start, stop)
