@@ -8,10 +8,12 @@ directory queue three ways and records the evidence in
 - **Direct** — ``execute_job`` in a loop: the floor the queue's
   bookkeeping is measured against.
 - **Queued** — enqueue + one draining :class:`QueueWorker` (lease →
-  execute → store → ack, heartbeats on). The per-job difference against
-  direct is the queue's full overhead: spec write, rename-lease, result
-  fsync, ack unlink. Tiny cells are the worst case — on real DRL jobs
-  (seconds to minutes each) this overhead is noise.
+  execute → store → ack; the heartbeat thread beats on its cadence, and
+  a lease rewrites the beacon only when a beat is due). The per-job
+  difference against direct is the queue's full overhead: the fsync'd
+  spec file, the rename-lease, the fsync'd result entry, the ack unlink.
+  Tiny cells are the worst case — on real DRL jobs (seconds to minutes
+  each) this overhead is noise.
 - **Resumed** — a :class:`QueueScheduler` batch against the populated
   store: every job served from artifacts, nothing executed.
 

@@ -35,10 +35,10 @@ not be.
 Result entries
 --------------
 Each finished job is one ``<job_hash>.json`` file holding ``{"job": spec,
-"result": payload}`` (:func:`write_result_entry`: written atomically,
-temp file + fsync + rename). A reader whose entry is absent, truncated or
-otherwise unreadable gets :data:`MISSING_RESULT` — a cache miss, recomputed
-— while an entry recording a different spec raises
+"result": payload}`` (:func:`write_result_entry`: compact JSON, written
+atomically, temp file + fsync + rename). A reader whose entry is absent,
+truncated or otherwise unreadable gets :data:`MISSING_RESULT` — a cache
+miss, recomputed — while an entry recording a different spec raises
 (:func:`read_result_entry`). DRL jobs additionally park their trained
 agent in the artifact directory injected under :data:`ARTIFACT_DIR_KEY`,
 at ``checkpoints/<job_hash>.npz`` (recorded relative to it).
@@ -51,8 +51,6 @@ import functools
 import hashlib
 import importlib
 import json
-import os
-import uuid
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +61,11 @@ from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.utils.serialization import load_json, to_jsonable
+from repro.utils.serialization import (
+    load_json,
+    to_jsonable,
+    write_json_durably,
+)
 
 __all__ = [
     "ARTIFACT_DIR_KEY",
@@ -75,6 +77,8 @@ __all__ = [
     "job_function",
     "execute_job",
     "write_result_entry",
+    "result_entry",
+    "load_result_entry",
     "read_result_entry",
     "market_to_payload",
     "market_from_payload",
@@ -263,30 +267,38 @@ MISSING_RESULT = object()
 def write_result_entry(path: str | Path, job: Job, result: object) -> Path:
     """Atomically persist ``{"job": spec, "result": payload}`` at ``path``.
 
-    Written through a *per-writer-unique* temporary name (pid + random
-    suffix) so concurrent writers sharing a store directory — two
-    schedulers, a scheduler and a queue worker, two workers racing on the
-    same at-least-once job — never clobber each other's half-written temp
-    file, and ``fsync``-ed before the ``os.replace`` so a visible entry is
-    always complete even across a crash or SIGKILL mid-write. Embedding
-    the full job spec is the provenance contract: every stored result
-    reloads and re-runs from its own metadata.
+    Written through :func:`~repro.utils.serialization.write_json_durably`:
+    a *per-writer-unique* temporary name, so concurrent writers sharing a
+    store directory — two schedulers, a scheduler and a queue worker, two
+    workers racing on the same at-least-once job — never clobber each
+    other's half-written temp file, and an ``fsync`` before the
+    ``os.replace``, so a visible entry is always complete even across a
+    crash or SIGKILL mid-write. Embedding the full job spec is the
+    provenance contract: every stored result reloads and re-runs from its
+    own metadata.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    entry = {"job": job.spec(), "result": to_jsonable(result)}
-    temporary = target.with_name(
-        f"{target.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-    )
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, indent=2) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, target)
-    finally:
-        temporary.unlink(missing_ok=True)
+    write_json_durably(target, result_entry(job, result))
     return target
+
+
+def result_entry(job: Job, result: object) -> dict:
+    """The ``{"job": spec, "result": payload}`` mapping an entry holds."""
+    return {"job": job.spec(), "result": to_jsonable(result)}
+
+
+def load_result_entry(path: str | Path) -> object:
+    """The decoded ``{"job", "result"}`` mapping of an entry file, read
+    and decoded once, or :data:`MISSING_RESULT` if the file is absent,
+    truncated, byte-corrupt or not an entry."""
+    try:
+        entry = load_json(path)
+    except (ValueError, OSError):
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        return MISSING_RESULT
+    if not isinstance(entry, Mapping) or "result" not in entry:
+        return MISSING_RESULT
+    return entry
 
 
 def read_result_entry(path: str | Path, job: Job | None = None) -> object:
@@ -303,12 +315,8 @@ def read_result_entry(path: str | Path, job: Job | None = None) -> object:
     and the expected job kinds.
     """
     source = Path(path)
-    try:
-        entry = load_json(source)
-    except (ValueError, OSError):
-        # ValueError covers JSONDecodeError and UnicodeDecodeError.
-        return MISSING_RESULT
-    if not isinstance(entry, Mapping) or "result" not in entry:
+    entry = load_result_entry(source)
+    if entry is MISSING_RESULT:
         return MISSING_RESULT
     if job is not None and entry.get("job") != job.spec():
         recorded = entry.get("job")

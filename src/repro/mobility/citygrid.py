@@ -235,6 +235,16 @@ def city_columns(
         [budget.spectral_efficiency_at(d) for d in distances.tolist()],
         dtype=np.float64,
     )
+    # A link so long that log2(1 + SNR) rounds to 0 carries nothing; the
+    # capacity sizing below divides by it.
+    dead = ~(efficiencies > 0.0)
+    if dead.any():
+        index = int(np.flatnonzero(dead)[0])
+        raise ConfigurationError(
+            f"market {start + index}: link spectral efficiency must be > 0, "
+            f"got {efficiencies[index]!r} over {distances[index]!r} m "
+            f"(block_m={spec.block_m!r})"
+        )
     counts = np.array(counts, dtype=np.int64)
     data_sizes_mb, immersion_coefs = population_columns(
         np.concatenate(uniforms) if uniforms else np.empty(0),

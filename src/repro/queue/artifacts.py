@@ -3,9 +3,9 @@
 An :class:`ArtifactStore` is a directory of ``<job_hash>.json`` entries,
 each the ``{"job": spec, "result": payload}`` file that
 :func:`repro.experiments.scheduler.write_result_entry` writes. Blob
-sidecars (DRL checkpoints) live under ``<root>/checkpoints/<job_hash>.npz``
-(:meth:`ArtifactStore.checkpoint_dir`), recorded *store-relative* in
-result payloads so a store rsynced to another machine stays internally
+sidecars (DRL checkpoints) live under ``<root>/checkpoints/<job_hash>.npz``,
+recorded *store-relative* in result payloads (:meth:`Artifact.checkpoint`
+resolves them) so a store rsynced to another machine stays internally
 consistent.
 
 Provenance is the load-bearing property: because every entry embeds the
@@ -36,9 +36,11 @@ from repro.experiments.scheduler import (
     MISSING_RESULT,
     Job,
     execute_job,
+    load_result_entry,
     read_result_entry,
-    write_result_entry,
+    result_entry,
 )
+from repro.utils.serialization import write_json_durably
 
 __all__ = ["Artifact", "ArtifactStore"]
 
@@ -137,10 +139,6 @@ class ArtifactStore:
         )
         return self.root / f"{key}.json"
 
-    def checkpoint_dir(self) -> Path:
-        """The blob-sidecar directory (DRL checkpoints)."""
-        return self.root / "checkpoints"
-
     def contains(self, job_or_hash: Job | str) -> bool:
         """Whether a (possibly not-yet-verified) entry exists for this key."""
         return self.path_for(job_or_hash).exists()
@@ -156,13 +154,12 @@ class ArtifactStore:
         files, and whichever rename lands last wins with identical bytes'
         worth of content.
         """
-        path = write_result_entry(self.path_for(job), job, result)
-        # Hand back what later readers will see: the JSON-round-tripped
-        # form (identical — floats survive the wire exactly — but e.g.
-        # tuples have become lists).
-        stored = read_result_entry(path, job)
-        if stored is MISSING_RESULT:  # pragma: no cover - just written
-            raise ExperimentError(f"artifact {path} vanished after write")
+        path = self.path_for(job)
+        text = write_json_durably(path, result_entry(job, result))
+        # Hand back what later readers will see: the JSON round trip of
+        # the entry just written, decoded from memory (identical — floats
+        # survive the wire exactly — but e.g. tuples have become lists).
+        stored = json.loads(text)["result"]
         return Artifact(job=job, result=stored, path=path, store_root=self.root)
 
     def get(self, job: Job) -> Artifact | None:
@@ -188,18 +185,19 @@ class ArtifactStore:
         it. Torn/absent entries return None.
         """
         path = self.path_for(job_hash)
-        result = read_result_entry(path)
-        if result is MISSING_RESULT:
+        entry = load_result_entry(path)
+        if entry is MISSING_RESULT:
             return None
-        entry = json.loads(path.read_text())
-        job = Job.from_spec(entry["job"])
+        job = Job.from_spec(entry.get("job"))
         if job.job_hash() != str(job_hash):
             raise ExperimentError(
                 f"artifact {path} embeds a spec of kind {job.kind!r} that "
                 f"hashes to {job.job_hash()[:16]}..., not to its own file "
                 "name — a foreign or tampered entry"
             )
-        return Artifact(job=job, result=result, path=path, store_root=self.root)
+        return Artifact(
+            job=job, result=entry["result"], path=path, store_root=self.root
+        )
 
     # ------------------------------------------------------------------ #
     # enumeration

@@ -19,12 +19,15 @@ whose jobs all succeed never touches them.
 **Leasing.** A worker takes a job by atomically renaming its spec file
 from ``pending/`` into its own ``leases/<worker_id>/`` directory — rename
 either succeeds for exactly one contender or raises, so no lock manager is
-needed and two workers can never both hold the same job. Acking (after the
-result is stored) deletes the lease file; releasing renames it back.
+needed and two workers can never both hold the same job. A queue takes its
+candidates from one sorted listing of ``pending/``, rescanned only once it
+runs dry. Acking (after the result is stored) deletes the lease file;
+releasing renames it back.
 
 **Heartbeats.** Every worker rewrites its heartbeat file on a fixed
 cadence (a daemon thread in :class:`~repro.queue.worker.QueueWorker`, so a
-long job does not starve the beacon). A reaper pass —
+long job does not starve the beacon); a lease rewrites it only when a beat
+is due. A reaper pass —
 :meth:`JobQueue.reap` — expires any worker whose heartbeat is older than
 ``lease_ttl`` (or missing) and renames its leased specs back to
 ``pending/``. Every worker and the scheduler's wait loop reap: at the
@@ -70,7 +73,7 @@ from pathlib import Path
 from repro.errors import ExperimentError
 from repro.experiments.scheduler import Job
 from repro.queue.artifacts import ArtifactStore
-from repro.utils.serialization import load_json
+from repro.utils.serialization import load_json, write_json_durably
 
 __all__ = [
     "JobQueue",
@@ -182,6 +185,13 @@ class JobQueue:
             )
         self.root = Path(queue_dir)
         self.lease_ttl = float(lease_ttl)
+        # Several beats per TTL, so one missed beat (GC pause, NFS hiccup)
+        # never looks like death.
+        self.heartbeat_interval = self.lease_ttl / 4.0
+        # Worker name -> the stamp of the last beat this queue wrote.
+        self._beats: dict[str, float] = {}
+        # pending/ names not yet tried by lease(), largest hash first.
+        self._candidates: list[str] = []
         self.pending_dir = self.root / "pending"
         self.leases_dir = self.root / "leases"
         self.heartbeats_dir = self.root / "heartbeats"
@@ -219,7 +229,7 @@ class JobQueue:
             or (self.quarantine_dir / name).exists()
         ):
             return False
-        self._write_spec(self.pending_dir / name, job)
+        write_json_durably(self.pending_dir / name, job.spec())
         return True
 
     def enqueue_many(self, jobs: Iterable[Job]) -> int:
@@ -234,17 +244,32 @@ class JobQueue:
 
         Claiming renames the spec file into ``leases/<worker_id>/``;
         losing a rename race to another worker just moves on to the next
-        candidate. A fresh heartbeat is written first so a job can never
-        be held by a worker that looks dead from the moment it leased.
-        Candidates are taken in hash order from one scan of ``pending/``
-        — deterministic across workers, which spreads contenders instead
-        of having every worker fight over one file (each loser retries
-        the next candidate).
+        candidate. The heartbeat is rewritten first unless this queue
+        wrote ``worker_id``'s beat within :attr:`heartbeat_interval`, so
+        a job can never be held by a worker that looks dead from the
+        moment it leased. Candidates are taken in hash order from one
+        sorted listing of ``pending/``, kept across calls and rescanned
+        only once it runs dry: deterministic across workers, which
+        spreads contenders instead of having every worker fight over one
+        file (each loser retries the next candidate), and a drain scans
+        ``pending/`` a bounded number of times rather than once per job.
+        A spec enqueued or requeued meanwhile waits for the next scan.
         """
         worker_dir = self.leases_dir / self._safe_worker_id(worker_id)
         worker_dir.mkdir(parents=True, exist_ok=True)
-        self.heartbeat(worker_id)
-        for name in _spec_names(self.pending_dir):
+        beat = self._beats.get(worker_dir.name)
+        if beat is None or time.time() - beat > self.heartbeat_interval:
+            self.heartbeat(worker_id)
+        rescanned = False
+        while True:
+            if not self._candidates:
+                if rescanned:
+                    return None
+                # Reversed, so the smallest hash pops off the end.
+                self._candidates = _spec_names(self.pending_dir)[::-1]
+                rescanned = True
+                continue
+            name = self._candidates.pop()
             claimed = worker_dir / name
             try:
                 os.replace(self.pending_dir / name, claimed)
@@ -268,7 +293,6 @@ class JobQueue:
                 worker_id=worker_id,
                 path=claimed,
             )
-        return None
 
     def ack(self, leased: LeasedJob) -> None:
         """Complete a lease: the result is stored, drop the spec file.
@@ -327,9 +351,15 @@ class JobQueue:
     # heartbeats and reaping
     # ------------------------------------------------------------------ #
     def heartbeat(self, worker_id: str, *, now: float | None = None) -> Path:
-        """Rewrite ``worker_id``'s liveness beacon (atomic replace)."""
-        path = self.heartbeats_dir / f"{self._safe_worker_id(worker_id)}.json"
+        """Rewrite ``worker_id``'s liveness beacon (atomic replace).
+
+        The stamp written (``now``, default the wall clock) is also
+        remembered, so :meth:`lease` can tell whether a beat is due.
+        """
+        name = self._safe_worker_id(worker_id)
+        path = self.heartbeats_dir / f"{name}.json"
         stamp = time.time() if now is None else float(now)
+        self._beats[name] = stamp
         entry = {"worker_id": str(worker_id), "pid": os.getpid(), "time": stamp}
         temporary = path.with_name(
             f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
@@ -404,6 +434,7 @@ class JobQueue:
         except FileNotFoundError:
             pass
         (self.heartbeats_dir / f"{name}.json").unlink(missing_ok=True)
+        self._beats.pop(name, None)
         try:
             worker_dir.rmdir()
         except OSError:
@@ -461,16 +492,3 @@ class JobQueue:
             (self.leases_dir / worker / name).exists()
             for worker in _worker_names(self.leases_dir)
         )
-
-    def _write_spec(self, path: Path, job: Job) -> None:
-        temporary = path.with_name(
-            f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-        )
-        try:
-            with open(temporary, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(job.spec(), indent=2) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, path)
-        finally:
-            temporary.unlink(missing_ok=True)

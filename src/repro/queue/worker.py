@@ -20,10 +20,10 @@ scheduler drains them with ``workers`` local executors — itself as an
 **inline worker** plus ``workers - 1`` local worker processes — so a
 single invocation completes even with no external workers, while any
 external workers that are attached drain the same queue concurrently.
-Results always come back from the artifact store (the JSON wire) — for
-the jobs the inline worker ran, the entry ``ArtifactStore.put`` read back
-— so the queued path is bitwise-equal to an in-process run by the
-float-exact round-trip contract of the result-entry codec.
+Results always come back through the artifact store's JSON wire — for
+the jobs the inline worker ran, the round trip ``ArtifactStore.put``
+hands back — so the queued path is bitwise-equal to an in-process run by
+the float-exact round-trip contract of the result-entry codec.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class WorkerStats:
 
 
 class _HeartbeatThread(threading.Thread):
-    """Daemon beating ``queue.heartbeat(worker_id)`` every ``interval``.
+    """Daemon beating ``queue.heartbeat(worker_id)`` every ``interval``
+    after the first beat, which its starter writes before starting it.
 
     A daemon thread dies with the process — including under SIGKILL — so
     the beacon goes stale exactly when the worker actually stops, which is
@@ -90,12 +91,11 @@ class _HeartbeatThread(threading.Thread):
         self._halt = threading.Event()
 
     def run(self) -> None:
-        while not self._halt.is_set():
+        while not self._halt.wait(self._interval):
             try:
                 self._queue.heartbeat(self._worker_id)
             except OSError:
                 pass  # a transiently unwritable beacon is not fatal
-            self._halt.wait(self._interval)
 
     def stop(self) -> None:
         self._halt.set()
@@ -146,10 +146,8 @@ class QueueWorker:
     ) -> None:
         self.queue = queue
         self.worker_id = worker_id or default_worker_id()
-        # Default cadence: several beats per TTL, so one missed beat (GC
-        # pause, NFS hiccup) never looks like death.
         self.heartbeat_interval = (
-            queue.lease_ttl / 4.0
+            queue.heartbeat_interval
             if heartbeat_interval is None
             else float(heartbeat_interval)
         )
@@ -220,9 +218,12 @@ class QueueWorker:
         return stats
 
     def _execute(self, leased: LeasedJob, stats: WorkerStats) -> Artifact:
-        """Complete ``leased``; returns its stored artifact as read back."""
+        """Complete ``leased``; returns its stored artifact (as ``put``
+        handed it back, or as read when another worker stored it)."""
         store = self.queue.store
-        artifact = store.get(leased.job)
+        artifact = (
+            store.get(leased.job) if store.contains(leased.job) else None
+        )
         if artifact is not None:
             # Exactly-once results: a duplicate execution (reaped slow
             # worker, double enqueue across queues) completes by ack alone.
@@ -364,11 +365,13 @@ class QueueScheduler:
                 self.job_sources[index] = "executed"
                 continue
             if self.resume:
-                artifact = self._stored(job)
+                artifact = store.get(job)
             else:
                 # Recompute: drop the entry so the job enqueues.
                 artifact = None
                 store.path_for(job).unlink(missing_ok=True)
+            if artifact is None:
+                artifact = self._enqueue(job)
             if artifact is not None:
                 results[index] = artifact.result
                 self.cache_hits += 1
@@ -381,15 +384,17 @@ class QueueScheduler:
         artifacts: dict[str, Artifact] = {}
         batch = pending_jobs
         while batch:
-            self.queue.enqueue_many(batch.values())
             produced = self._drain(batch)
             for key, job in batch.items():
-                # Only jobs finished elsewhere are read from the store here.
-                artifact = produced.get(key) or self._stored(job)
+                # Only jobs finished elsewhere are read from the store
+                # here. An entry dropped after the drain saw it stored
+                # (another producer's resume=False, or a torn entry) is
+                # outstanding: it is enqueued again.
+                artifact = (
+                    produced.get(key) or store.get(job) or self._enqueue(job)
+                )
                 if artifact is not None:
                     artifacts[key] = artifact
-            # An entry dropped after the drain saw it stored (another
-            # producer's resume=False, or a torn entry) is outstanding.
             batch = {
                 key: job for key, job in batch.items() if key not in artifacts
             }
@@ -403,19 +408,24 @@ class QueueScheduler:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _stored(self, job: Job) -> Artifact | None:
-        """``job``'s stored artifact, or None after dropping a torn entry.
+    def _enqueue(self, job: Job) -> Artifact | None:
+        """Enqueue ``job``, whose store read just missed; returns its
+        artifact instead if an entry has landed since.
 
-        An entry that exists but does not read is read once more (a
-        writer may have just replaced it) before it is dropped as a miss,
-        so the job enqueues; an absent entry is never touched.
+        The store is read again only when :meth:`JobQueue.enqueue`
+        declines the job because an entry exists: one that now reads (a
+        producer wrote it after the miss) is served, and one that still
+        does not is torn and is dropped, so the job enqueues after all.
+        A job declined as pending, leased or quarantined is left to the
+        drain.
         """
         store = self.queue.store
+        if self.queue.enqueue(job) or not store.contains(job):
+            return None
         artifact = store.get(job)
-        if artifact is None and store.contains(job):
-            artifact = store.get(job)
-            if artifact is None:
-                store.path_for(job).unlink(missing_ok=True)
+        if artifact is None:
+            store.path_for(job).unlink(missing_ok=True)
+            self.queue.enqueue(job)
         return artifact
 
     def _drain(self, batch: dict[str, Job]) -> dict[str, Artifact]:

@@ -19,6 +19,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.core.marketstack import MarketStack
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
+from repro.experiments import run_experiment
 from repro.experiments.cityscale import run_city_chunk_job
 from repro.mobility.citygrid import (
     CityGridSpec,
@@ -396,6 +398,21 @@ def test_spec_rejects_more_markets_than_uint32_indices():
     (last,) = city_columns(spec, 2**32 - 1).counts.tolist()
     rng = np.random.default_rng([1, 2**32 - 1])
     assert last == int(rng.integers(1, spec.max_vmus + 1))
+
+
+def test_a_link_whose_spectral_efficiency_rounds_to_zero_is_rejected():
+    """Roads ~1e306 m long pass the spec, but their links' log2(1 + SNR)
+    rounds to 0: the columns raise the typed error before the capacity
+    sizing divides by it, with no numpy warning on the way."""
+    spec = CityGridSpec(num_markets=4, rows=2, cols=2, block_m=1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="spectral efficiency"):
+            city_columns(spec)
+        with pytest.raises(ConfigurationError, match="spectral efficiency"):
+            city_columns(spec, 2, 4)
+        with pytest.raises(ConfigurationError, match="spectral efficiency"):
+            run_experiment("city_sweep", {"m": 4, "block_m": 1e306})
 
 
 def test_valid_spec_payload_is_unchanged():

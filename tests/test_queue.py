@@ -10,9 +10,13 @@ wall clock. The subprocess/SIGKILL end of kill-resume lives in
 ``test_queue_smoke.py``.
 """
 
+import builtins
+import io
 import json
+import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,23 @@ class TestJobQueue:
         assert len(set(held)) == 3
         assert queue.pending_hashes() == []
 
+    def test_lease_rescans_pending_only_when_its_listing_runs_dry(
+        self, tmp_path
+    ):
+        """A spec enqueued after the listing waits for the listing to run
+        dry, and a listed spec another process took is skipped."""
+        first, second, third = sorted(
+            _cell_jobs(3), key=lambda job: job.job_hash()
+        )
+        queue = JobQueue(tmp_path)
+        queue.enqueue_many([first, second])
+        assert queue.lease("w1").job_hash == first.job_hash()
+        queue.enqueue(third)
+        # Another process's queue takes the next listed spec.
+        assert JobQueue(tmp_path).lease("w2").job_hash == second.job_hash()
+        assert queue.lease("w1").job_hash == third.job_hash()
+        assert queue.lease("w1") is None
+
     def test_release_returns_job_to_pending(self, tmp_path):
         queue = JobQueue(tmp_path)
         job = _cell_jobs(1)[0]
@@ -186,6 +207,41 @@ class TestHeartbeatsAndReaping:
         path.write_text("not json")
         age = queue.heartbeat_age("w1")
         assert age is not None and age < 60.0
+
+    def test_lease_beats_only_when_a_beat_is_due(self, tmp_path, monkeypatch):
+        """lease() rewrites the beacon when this queue's last beat for the
+        worker is older than the heartbeat interval — a stale stamp set
+        with now= included — and otherwise leaves it to the heartbeat
+        thread."""
+        queue = JobQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue_many(_cell_jobs(3))
+        beats = []
+        real_heartbeat = JobQueue.heartbeat
+
+        def counted_heartbeat(self, worker_id, **kwargs):
+            beats.append(kwargs.get("now"))
+            return real_heartbeat(self, worker_id, **kwargs)
+
+        monkeypatch.setattr(JobQueue, "heartbeat", counted_heartbeat)
+        queue.lease("w1")
+        queue.lease("w1")
+        assert beats == [None]
+        queue.heartbeat("w1", now=time.time() - 2 * queue.heartbeat_interval)
+        queue.lease("w1")
+        assert beats[-1] is None and len(beats) == 3
+        assert queue.heartbeat_age("w1") < queue.heartbeat_interval
+
+    def test_lease_after_retire_beats_again(self, tmp_path):
+        """Retiring a worker drops its beacon, so its next lease writes a
+        new one instead of holding a job with no heartbeat."""
+        queue = JobQueue(tmp_path, lease_ttl=60.0)
+        queue.enqueue_many(_cell_jobs(1))
+        leased = queue.lease("w1")
+        assert queue.retire("w1") == [leased.job_hash]
+        assert queue.heartbeat_age("w1") is None
+        assert queue.lease("w1").job_hash == leased.job_hash
+        assert queue.heartbeat_age("w1") is not None
+        assert queue.reap() == []
 
     def test_reap_requeues_only_stale_workers(self, tmp_path):
         queue = JobQueue(tmp_path, lease_ttl=60.0)
@@ -318,6 +374,57 @@ class TestSpecFilesRoundTrip:
             queue.lease("w1")
 
 
+class TestOlderFileLayouts:
+    """Files are written as compact JSON; readers take any layout, so the
+    indented specs and entries of earlier writers still serve."""
+
+    @staticmethod
+    def _indented(payload):
+        return json.dumps(payload, indent=2) + "\n"
+
+    def test_new_files_are_compact(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job = _cell_jobs(1)[0]
+        queue.enqueue(job)
+        spec_text = (queue.pending_dir / f"{job.job_hash()}.json").read_text()
+        assert spec_text == json.dumps(job.spec(), separators=(",", ":")) + "\n"
+        queue.store.put(job, execute_job(job))
+        entry_text = queue.store.path_for(job).read_text()
+        compact = json.dumps(json.loads(entry_text), separators=(",", ":"))
+        assert entry_text == compact + "\n"
+
+    def test_indented_entries_are_cache_hits(self, tmp_path, monkeypatch):
+        jobs = _cell_jobs(3)
+        direct = [execute_job(job) for job in jobs]
+        store = JobQueue(tmp_path).store
+        for job, result in zip(jobs, direct):
+            store.path_for(job).write_text(
+                self._indented({"job": job.spec(), "result": result})
+            )
+        monkeypatch.setattr(
+            "repro.queue.worker.execute_job",
+            lambda job, artifact_dir=None: pytest.fail("must not recompute"),
+        )
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        assert scheduler.run(jobs) == direct
+        assert scheduler.cache_hits == len(jobs)
+        assert scheduler.jobs_executed == 0
+        assert [a.job_hash for a in store] == sorted(
+            job.job_hash() for job in jobs
+        )
+
+    def test_indented_pending_specs_lease_and_run(self, tmp_path):
+        jobs = _cell_jobs(3)
+        queue = JobQueue(tmp_path)
+        for job in jobs:
+            (queue.pending_dir / f"{job.job_hash()}.json").write_text(
+                self._indented(job.spec())
+            )
+        assert _drain(queue).executed == len(jobs)
+        for job in jobs:
+            assert queue.store.get(job).result == execute_job(job)
+
+
 class TestArtifactStore:
     def test_put_get_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -352,6 +459,31 @@ class TestArtifactStore:
         save_json(foreign, {"job": job.spec(), "result": {"x": 1}})
         with pytest.raises(ExperimentError, match="foreign or tampered"):
             store.load("a" * 64)
+
+    def test_load_reads_an_entry_once(self, tmp_path, monkeypatch):
+        """load() opens and decodes an entry once, so a replace landing
+        mid-load cannot pair one file's spec with another's result; a
+        torn entry still loads as None."""
+        store = ArtifactStore(tmp_path)
+        job = _cell_jobs(1)[0]
+        store.put(job, execute_job(job))
+        path = store.path_for(job)
+        opened = []
+        real_open = io.open
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counted_open)
+        monkeypatch.setattr(builtins, "open", counted_open)
+        loaded = store.load(job.job_hash())
+        assert loaded.result == execute_job(job)
+        assert loaded.job.spec() == job.spec()
+        assert len(opened) == 1
+        path.write_text(path.read_text()[:40])
+        assert store.load(job.job_hash()) is None
 
     def test_get_distinguishes_foreign_file_from_collision(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -436,18 +568,19 @@ class TestQueueSchedulerExperiments:
                 assert vars(queued.evaluations[cost][scheme]) == vars(
                     direct.evaluations[cost][scheme]
                 )
-        # DRL jobs parked their checkpoints in the store's sidecar dir,
-        # recorded store-relative, and the artifacts resolve them.
-        checkpoints = sorted(scheduler.queue.store.checkpoint_dir().glob("*.npz"))
-        assert len(checkpoints) == len(costs)
+        # DRL jobs parked their checkpoints as store sidecars, recorded
+        # store-relative, and the artifacts resolve them.
+        store = scheduler.queue.store
         with_blob = [
-            artifact
-            for artifact in scheduler.queue.store
-            if artifact.checkpoint() is not None
+            artifact for artifact in store if artifact.checkpoint() is not None
         ]
         assert len(with_blob) == len(costs)
         for artifact in with_blob:
-            assert artifact.checkpoint().exists()
+            assert not Path(artifact.result["checkpoint"]).is_absolute()
+            checkpoint = artifact.checkpoint()
+            assert checkpoint.exists()
+            assert checkpoint.suffix == ".npz"
+            assert checkpoint.parent == store.root / "checkpoints"
 
     def test_distance_sweep_bitwise_equals_direct(self, tmp_path):
         direct = run_experiment("distance_sweep")

@@ -1,5 +1,6 @@
-"""Queue drain cost and liveness: bookkeeping linear in jobs, reaping on a
-heartbeat cadence, and poison-job quarantine.
+"""Queue drain cost, durability and liveness: bookkeeping linear in jobs,
+every visible file fsync'd before its rename, reaping on a heartbeat
+cadence, and poison-job quarantine.
 
 The cost tests count calls through wrappers on the queue and store
 methods, so they pin the *shape* of a drain (how many store lookups,
@@ -10,11 +11,14 @@ the clock — so a 60-second TTL tests in milliseconds.
 """
 
 import json
+import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.queue.queue as queue_module
 import repro.queue.worker as worker_module
 from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import sample_population
@@ -139,17 +143,44 @@ class TestDrainCost:
         assert len(reaps) <= 5
 
     def test_own_results_are_not_read_back_twice(self, tmp_path, monkeypatch):
-        """The artifact put() read back serves the batch: a cold run reads
-        the store twice per job (the resume check and the pre-execute
-        dedup check), a resumed run once."""
+        """The round trip put() hands back serves the batch: a cold run
+        reads the store once per job (the resume check; the pre-execute
+        dedup check only tests for the entry), a resumed run once."""
         jobs = _cell_jobs(5)
         gets = _count_calls(monkeypatch, ArtifactStore, "get")
         QueueScheduler(tmp_path, poll_interval=0.01).run(jobs)
-        assert len(gets) == 2 * len(jobs)
+        assert len(gets) == len(jobs)
         resumed = QueueScheduler(tmp_path, poll_interval=0.01)
         resumed.run(jobs)
         assert resumed.cache_hits == len(jobs)
-        assert len(gets) == 3 * len(jobs)
+        assert len(gets) == 2 * len(jobs)
+
+    def test_pending_scans_and_beats_do_not_grow_with_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """lease() takes its candidates from one listing of pending/ and
+        rewrites the heartbeat only when a beat is due, so an N-job inline
+        drain scans pending/ and beats a bounded number of times, not
+        once per lease."""
+        scans = []
+        real_spec_names = queue_module._spec_names
+
+        def counted_spec_names(directory):
+            names = real_spec_names(directory)
+            if Path(directory).name == "pending":
+                scans.append(len(names))
+            return names
+
+        monkeypatch.setattr(queue_module, "_spec_names", counted_spec_names)
+        leases = _count_calls(monkeypatch, JobQueue, "lease")
+        beats = _count_calls(monkeypatch, JobQueue, "heartbeat")
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        scheduler.run(_cell_jobs(self.N))
+        assert scheduler.jobs_executed == self.N
+        assert len(leases) >= self.N
+        assert len(scans) <= 3
+        assert sum(scans) <= self.N + 3
+        assert len(beats) <= 3
 
     def test_jobs_finished_elsewhere_are_read_from_the_store(
         self, tmp_path, monkeypatch, clock
@@ -172,9 +203,46 @@ class TestDrainCost:
         scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
         assert scheduler.run(jobs) == [execute_job(job) for job in jobs]
         assert scheduler.jobs_completed_elsewhere == 1
-        # 3 resume checks, 2 pre-execute dedup checks, 1 read of the job
-        # finished elsewhere.
-        assert len(gets) == 3 + 2 + 1
+        # 3 resume checks and 1 read of the job finished elsewhere.
+        assert len(gets) == 3 + 1
+
+
+class TestDurability:
+    def test_visible_files_are_fsynced_before_their_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Every spec renamed into pending/ and every entry renamed into
+        results/ was fsync'd, at its final size, before the rename."""
+        queue = JobQueue(tmp_path)
+        watched = {queue.pending_dir: 0, queue.store.root: 0}
+        synced = {}
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            real_fsync(fd)
+            stat = os.fstat(fd)
+            synced[stat.st_dev, stat.st_ino] = stat.st_size
+
+        def replace(source, target, *args, **kwargs):
+            folder = Path(target).parent
+            if folder in watched:
+                stat = os.stat(source)
+                # Each fsync vouches for one rename: a later file that
+                # reuses the inode must be synced again.
+                size = synced.pop((stat.st_dev, stat.st_ino), None)
+                assert size == stat.st_size, (
+                    f"{source} was renamed to {target} without an fsync "
+                    "of its final contents"
+                )
+                watched[folder] += 1
+            return real_replace(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        jobs = _cell_jobs(20)
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        assert scheduler.run(jobs) == [execute_job(job) for job in jobs]
+        assert watched == {queue.pending_dir: 20, queue.store.root: 20}
 
 
 class TestReapCadence:

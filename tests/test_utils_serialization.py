@@ -41,3 +41,29 @@ class TestJsonIo:
     def test_numpy_payload(self, tmp_path):
         target = ser.save_json(tmp_path / "np.json", {"v": np.arange(3)})
         assert ser.load_json(target) == {"v": [0, 1, 2]}
+
+
+class TestWriteJsonDurably:
+    def test_writes_compact_json_and_returns_it(self, tmp_path):
+        payload = {"series": [1.0, 0.1 + 0.2], "meta": {"n": 2}}
+        target = tmp_path / "deep" / "x.json"
+        text = ser.write_json_durably(target, payload)
+        assert text == '{"series":[1.0,0.30000000000000004],"meta":{"n":2}}\n'
+        assert target.read_text() == text
+        assert ser.load_json(target) == payload
+        assert [path.name for path in target.parent.iterdir()] == ["x.json"]
+
+    def test_failed_write_leaves_target_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "x.json"
+        ser.write_json_durably(target, {"v": 1})
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ser.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            ser.write_json_durably(target, {"v": 2})
+        assert ser.load_json(target) == {"v": 1}
+        assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
