@@ -122,6 +122,8 @@ def test_queue_throughput(record_table, record_json, tmp_path):
     )
 
     # The queue must stay usable for tiny jobs (bounded bookkeeping) and
-    # resume must beat recomputing — the properties the PR claims.
-    assert overhead_ms < 250.0
+    # resume must beat recomputing. The overhead measures ~1.6-2.3 ms per
+    # job on a shared 2-core host (ext4); 25 ms is ~10x that, room for the
+    # host's fsync spread, so a real regression of the drain loop fails.
+    assert overhead_ms < 25.0
     assert resumed_s < direct_s + queued_s  # serves from disk, no solver

@@ -392,7 +392,9 @@ def worker_main(argv: list[str] | None = None) -> int:
             idle_timeout=args.idle_timeout,
         )
     except KeyboardInterrupt:
-        print("interrupted; leases release via reaping after the TTL")
+        # The worker released the interrupted job and retired on the way
+        # out, so everything it held is back in pending/ already.
+        print("interrupted; this worker's jobs went back to pending/")
         return 130
     except ReproError as exc:
         # The failing job's traceback is in the queue's failures/; it was

@@ -1,4 +1,4 @@
-"""Experiment jobs: serializable specs, the job-kind registry, wire codecs.
+"""Experiment jobs: serializable specs, the job-kind registry, payload codecs.
 
 The paper's headline results are embarrassingly parallel collections of
 independent work units — one seed of a multi-seed comparison, one market
@@ -10,8 +10,9 @@ results already in its directory's artifact store, fans the rest over
 local worker processes and any attached worker fleet, and persists every
 result as it lands, so interrupted runs **resume** instead of recompute.
 This module holds what both sides of that wire share: the job-kind
-registry and :func:`execute_job`, the ``{"job", "result"}`` result-entry
-codec, and the market/config payload codecs.
+registry and :func:`execute_job`, and the market/config payload codecs.
+The ``{"job", "result"}`` result entries are the artifact store's own
+format (:mod:`repro.queue.artifacts`).
 
 Job-spec contract
 -----------------
@@ -32,16 +33,11 @@ across processes, machines, and interpreter restarts. Anything that should
 be in the payload; anything that should (wall-clock, worker count) must
 not be.
 
-Result entries
---------------
-Each finished job is one ``<job_hash>.json`` file holding ``{"job": spec,
-"result": payload}`` (:func:`write_result_entry`: compact JSON, written
-atomically, temp file + fsync + rename). A reader whose entry is absent,
-truncated or otherwise unreadable gets :data:`MISSING_RESULT` — a cache
-miss, recomputed — while an entry recording a different spec raises
-(:func:`read_result_entry`). DRL jobs additionally park their trained
-agent in the artifact directory injected under :data:`ARTIFACT_DIR_KEY`,
-at ``checkpoints/<job_hash>.npz`` (recorded relative to it).
+Artifact directory
+------------------
+DRL jobs park their trained agent in the artifact directory injected under
+:data:`ARTIFACT_DIR_KEY`, at ``checkpoints/<job_hash>.npz`` (recorded
+relative to it).
 """
 
 from __future__ import annotations
@@ -61,25 +57,16 @@ from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.utils.serialization import (
-    load_json,
-    to_jsonable,
-    write_json_durably,
-)
+from repro.utils.serialization import to_jsonable
 
 __all__ = [
     "ARTIFACT_DIR_KEY",
-    "MISSING_RESULT",
     "Job",
     "SOLVER_VERSION",
     "solve_job",
     "register_job_kind",
     "job_function",
     "execute_job",
-    "write_result_entry",
-    "result_entry",
-    "load_result_entry",
-    "read_result_entry",
     "market_to_payload",
     "market_from_payload",
     "config_to_payload",
@@ -254,92 +241,6 @@ def execute_job(job: Job, artifact_dir: str | Path | None = None) -> object:
     if artifact_dir is not None:
         payload = {**payload, ARTIFACT_DIR_KEY: str(artifact_dir)}
     return to_jsonable(job_function(job.kind)(payload))
-
-
-# ---------------------------------------------------------------------- #
-# result-entry codec — the ``{"job", "result"}`` files of the queue
-# subsystem's artifact store
-# ---------------------------------------------------------------------- #
-MISSING_RESULT = object()
-"""Sentinel :func:`read_result_entry` returns for absent/corrupt entries."""
-
-
-def write_result_entry(path: str | Path, job: Job, result: object) -> Path:
-    """Atomically persist ``{"job": spec, "result": payload}`` at ``path``.
-
-    Written through :func:`~repro.utils.serialization.write_json_durably`:
-    a *per-writer-unique* temporary name, so concurrent writers sharing a
-    store directory — two schedulers, a scheduler and a queue worker, two
-    workers racing on the same at-least-once job — never clobber each
-    other's half-written temp file, and an ``fsync`` before the
-    ``os.replace``, so a visible entry is always complete even across a
-    crash or SIGKILL mid-write. Embedding the full job spec is the
-    provenance contract: every stored result reloads and re-runs from its
-    own metadata.
-    """
-    target = Path(path)
-    write_json_durably(target, result_entry(job, result))
-    return target
-
-
-def result_entry(job: Job, result: object) -> dict:
-    """The ``{"job": spec, "result": payload}`` mapping an entry holds."""
-    return {"job": job.spec(), "result": to_jsonable(result)}
-
-
-def load_result_entry(path: str | Path) -> object:
-    """The decoded ``{"job", "result"}`` mapping of an entry file, read
-    and decoded once, or :data:`MISSING_RESULT` if the file is absent,
-    truncated, byte-corrupt or not an entry."""
-    try:
-        entry = load_json(path)
-    except (ValueError, OSError):
-        # ValueError covers JSONDecodeError and UnicodeDecodeError.
-        return MISSING_RESULT
-    if not isinstance(entry, Mapping) or "result" not in entry:
-        return MISSING_RESULT
-    return entry
-
-
-def read_result_entry(path: str | Path, job: Job | None = None) -> object:
-    """Load the result payload a :func:`write_result_entry` file holds.
-
-    Returns :data:`MISSING_RESULT` for an absent, truncated, or otherwise
-    unreadable entry, byte-corrupt (undecodable) files included: a killed
-    writer's leftovers are a cache miss, not an error. With ``job`` given,
-    the recorded spec must match it exactly; a mismatch raises :class:`ExperimentError` distinguishing the two ways
-    a wrong spec can occupy a hash-named slot — a *foreign file* (the
-    recorded spec does not even hash to this job's key: something else was
-    dropped or copied into the directory) versus a genuine *hash
-    collision* (same SHA-256, different spec) — and naming both the found
-    and the expected job kinds.
-    """
-    source = Path(path)
-    entry = load_result_entry(source)
-    if entry is MISSING_RESULT:
-        return MISSING_RESULT
-    if job is not None and entry.get("job") != job.spec():
-        recorded = entry.get("job")
-        found_kind = (
-            recorded.get("kind") if isinstance(recorded, Mapping) else None
-        )
-        try:
-            collision = Job.from_spec(recorded).job_hash() == job.job_hash()
-        except ExperimentError:
-            collision = False
-        reason = (
-            "the recorded spec hashes to the same key — a SHA-256 "
-            "collision between distinct specs"
-            if collision
-            else "the recorded spec does not hash to this entry's key — a "
-            "foreign file is occupying the slot"
-        )
-        raise ExperimentError(
-            f"cache entry {source} was written by a different job spec "
-            f"(found kind {found_kind!r}, expected kind {job.kind!r}; "
-            f"{reason}); clear the cache directory or use a fresh one"
-        )
-    return entry["result"]
 
 
 # ---------------------------------------------------------------------- #

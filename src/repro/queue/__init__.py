@@ -6,15 +6,18 @@ Producers enqueue
 a fixed cadence, and push results into a content-addressed
 :class:`ArtifactStore` whose every entry embeds the full job spec
 (provenance: any artifact reloads and re-runs from its own metadata —
-:meth:`Artifact.replay`). A reaper pass expires stale leases so a dead
-worker's jobs requeue; results stay exactly-once via the content hash
-even though execution is at-least-once. A job that keeps raising is
-quarantined after :data:`MAX_FAILURES` attempts, its tracebacks on disk.
+:meth:`Artifact.replay`); the store alone writes and reads that entry
+format. A reaper pass expires stale leases so a dead worker's jobs
+requeue; results stay exactly-once via the content hash even though
+execution is at-least-once. A job that keeps raising is quarantined after
+:data:`MAX_FAILURES` attempts, its tracebacks on disk, and a pending spec
+that does not hash to its own file name is quarantined unrun.
 :class:`QueueScheduler` plugs the queue into
 ``run_experiment(..., scheduler=...)``: it drains the batch with
-``workers`` local executors (itself inline plus ``workers - 1`` local
-worker processes), optionally under a per-job ``job_timeout`` hang guard,
-and the queued path is bitwise-equal to an in-process run.
+``workers`` local executors (itself inline, through the same loop as a
+:class:`QueueWorker`, plus ``workers - 1`` local worker processes),
+optionally under a per-job ``job_timeout`` hang guard, and the queued
+path is bitwise-equal to an in-process run.
 
 Quickstart (one shared directory, any number of processes/machines)::
 

@@ -1,12 +1,24 @@
 """Content-addressed artifact store: every result carries its provenance.
 
-An :class:`ArtifactStore` is a directory of ``<job_hash>.json`` entries,
-each the ``{"job": spec, "result": payload}`` file that
-:func:`repro.experiments.scheduler.write_result_entry` writes. Blob
-sidecars (DRL checkpoints) live under ``<root>/checkpoints/<job_hash>.npz``,
-recorded *store-relative* in result payloads (:meth:`Artifact.checkpoint`
-resolves them) so a store rsynced to another machine stays internally
-consistent.
+An :class:`ArtifactStore` is a directory of ``<job_hash>.json`` entries.
+Blob sidecars (DRL checkpoints) live under
+``<root>/checkpoints/<job_hash>.npz``, recorded *store-relative* in result
+payloads (:meth:`Artifact.checkpoint` resolves them) so a store rsynced
+to another machine stays internally consistent.
+
+Result entries
+--------------
+Each finished job is one ``<job_hash>.json`` file holding ``{"job": spec,
+"result": payload}``, compact JSON that :meth:`ArtifactStore.put` writes
+through :func:`~repro.utils.serialization.write_json_durably`: a
+*per-writer-unique* temporary name, so concurrent writers sharing a store
+— two schedulers, a scheduler and a queue worker, two workers racing on
+the same at-least-once job — never clobber each other's half-written temp
+file, and an ``fsync`` before the ``os.replace``, so a visible entry is
+always complete even across a crash or SIGKILL mid-write. A reader whose
+entry is absent, truncated, byte-corrupt or otherwise unreadable gets
+``None`` — a cache miss, recomputed — while an entry recording a different
+spec raises :class:`~repro.errors.ExperimentError`.
 
 Provenance is the load-bearing property: because every entry embeds the
 **full job spec**, any artifact reloads and re-runs from its own metadata
@@ -32,15 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ExperimentError
-from repro.experiments.scheduler import (
-    MISSING_RESULT,
-    Job,
-    execute_job,
-    load_result_entry,
-    read_result_entry,
-    result_entry,
-)
-from repro.utils.serialization import write_json_durably
+from repro.experiments.scheduler import Job, execute_job
+from repro.utils.serialization import load_json, to_jsonable, write_json_durably
 
 __all__ = ["Artifact", "ArtifactStore"]
 
@@ -117,8 +122,8 @@ class Artifact:
 class ArtifactStore:
     """A directory of content-addressed ``{"job", "result"}`` entries.
 
-    The store is safe for concurrent writers (every write goes through the
-    unique-temp-name + fsync + rename codec) and requires no locking to
+    The store is safe for concurrent writers (every write goes through a
+    unique temp name, an fsync and a rename) and requires no locking to
     read: an entry is either absent or complete. It is designed so a
     network filesystem or an object store (one key per hash) can back it —
     nothing below relies on more than atomic rename within one directory.
@@ -155,7 +160,9 @@ class ArtifactStore:
         worth of content.
         """
         path = self.path_for(job)
-        text = write_json_durably(path, result_entry(job, result))
+        text = write_json_durably(
+            path, {"job": job.spec(), "result": to_jsonable(result)}
+        )
         # Hand back what later readers will see: the JSON round trip of
         # the entry just written, decoded from memory (identical — floats
         # survive the wire exactly — but e.g. tuples have become lists).
@@ -166,15 +173,39 @@ class ArtifactStore:
         """The verified artifact for ``job``, or None if absent/torn.
 
         Raises:
-            ExperimentError: if the slot is occupied by a different spec
-                (foreign file vs hash collision, per
-                :func:`~repro.experiments.scheduler.read_result_entry`).
+            ExperimentError: if the slot is occupied by a different spec;
+                the message names both kinds and tells a *foreign file*
+                (the recorded spec does not hash to this key) from a
+                genuine SHA-256 *collision*.
         """
         path = self.path_for(job)
-        result = read_result_entry(path, job)
-        if result is MISSING_RESULT:
+        entry = _read_entry(path)
+        if entry is None:
             return None
-        return Artifact(job=job, result=result, path=path, store_root=self.root)
+        recorded = entry.get("job")
+        if recorded != job.spec():
+            found_kind = (
+                recorded.get("kind") if isinstance(recorded, Mapping) else None
+            )
+            try:
+                collision = Job.from_spec(recorded).job_hash() == job.job_hash()
+            except ExperimentError:
+                collision = False
+            reason = (
+                "the recorded spec hashes to the same key — a SHA-256 "
+                "collision between distinct specs"
+                if collision
+                else "the recorded spec does not hash to this entry's key — "
+                "a foreign file is occupying the slot"
+            )
+            raise ExperimentError(
+                f"cache entry {path} was written by a different job spec "
+                f"(found kind {found_kind!r}, expected kind {job.kind!r}; "
+                f"{reason}); clear the cache directory or use a fresh one"
+            )
+        return Artifact(
+            job=job, result=entry["result"], path=path, store_root=self.root
+        )
 
     def load(self, job_hash: str) -> Artifact | None:
         """Load an entry by bare hash, verifying its embedded provenance.
@@ -182,11 +213,13 @@ class ArtifactStore:
         The embedded spec must hash back to the file's own name — an entry
         that fails this is a foreign or tampered file and raises, because
         serving it would attribute a result to a spec that never produced
-        it. Torn/absent entries return None.
+        it. Torn/absent entries return None. The file is read and decoded
+        once, so a replace landing mid-load cannot pair one file's spec
+        with another's result.
         """
         path = self.path_for(job_hash)
-        entry = load_result_entry(path)
-        if entry is MISSING_RESULT:
+        entry = _read_entry(path)
+        if entry is None:
             return None
         job = Job.from_spec(entry.get("job"))
         if job.job_hash() != str(job_hash):
@@ -224,3 +257,17 @@ class ArtifactStore:
 
     def __iter__(self) -> Iterator[Artifact]:
         return self.artifacts()
+
+
+def _read_entry(path: Path) -> Mapping | None:
+    """The decoded ``{"job", "result"}`` mapping of the entry at ``path``,
+    or None if the file is absent, truncated, byte-corrupt or not an
+    entry."""
+    try:
+        entry = load_json(path)
+    except (ValueError, OSError):
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        return None
+    if not isinstance(entry, Mapping) or "result" not in entry:
+        return None
+    return entry

@@ -12,9 +12,10 @@ would swap the directory primitives for conditional puts). Layout::
         results/<hash>.json            # the ArtifactStore (+ checkpoints/)
         failures/<hash>.jsonl          # one traceback line per failed run
         quarantine/<hash>.json         # specs that failed MAX_FAILURES times
+        quarantine/<hash>.rejected     # specs lease() could not trust
 
-``failures/`` and ``quarantine/`` appear on the first failure; a queue
-whose jobs all succeed never touches them.
+``failures/`` and ``quarantine/`` appear on the first failure or
+rejected spec; a queue whose jobs all succeed never touches them.
 
 **Leasing.** A worker takes a job by atomically renaming its spec file
 from ``pending/`` into its own ``leases/<worker_id>/`` directory — rename
@@ -22,7 +23,11 @@ either succeeds for exactly one contender or raises, so no lock manager is
 needed and two workers can never both hold the same job. A queue takes its
 candidates from one sorted listing of ``pending/``, rescanned only once it
 runs dry. Acking (after the result is stored) deletes the lease file;
-releasing renames it back.
+releasing renames it back. A claimed spec that does not decode into a
+job hashing to its own file name — malformed, or a foreign file dropped
+into ``pending/`` — is parked as ``quarantine/<hash>.rejected`` and
+:meth:`JobQueue.lease` raises, so no worker runs one job under another's
+hash.
 
 **Heartbeats.** Every worker rewrites its heartbeat file on a fixed
 cadence (a daemon thread in :class:`~repro.queue.worker.QueueWorker`, so a
@@ -134,7 +139,9 @@ class LeasedJob:
 
 @dataclass(frozen=True)
 class QueueStats:
-    """A point-in-time census of the queue directory."""
+    """A point-in-time census of the queue directory. ``quarantined``
+    counts both the specs that failed :data:`MAX_FAILURES` times and the
+    ones :meth:`JobQueue.lease` rejected."""
 
     pending: int
     leased: int
@@ -155,6 +162,7 @@ class QueueStats:
                 f"{root} is not a queue directory (no pending/ inside)"
             )
         leases_dir = root / "leases"
+        quarantine = root / "quarantine"
         workers = _worker_names(leases_dir)
         return cls(
             pending=len(_spec_names(root / "pending")),
@@ -163,7 +171,8 @@ class QueueStats:
             ),
             stored=len(ArtifactStore(root / "results")),
             workers=len(workers),
-            quarantined=len(_spec_names(root / "quarantine")),
+            quarantined=len(_spec_names(quarantine))
+            + len(list(quarantine.glob("*.rejected"))),
         )
 
 
@@ -275,23 +284,28 @@ class JobQueue:
                 os.replace(self.pending_dir / name, claimed)
             except FileNotFoundError:
                 continue  # another worker won this rename; try the next
+            key = name[: -len(".json")]
             try:
                 job = Job.from_spec(load_json(claimed))
+                if job.job_hash() != key:
+                    raise ExperimentError(
+                        f"it holds a {job.kind!r} spec that hashes to "
+                        f"{job.job_hash()[:16]}..., not to its own file name"
+                    )
             except (ExperimentError, ValueError, OSError) as exc:
-                # A malformed spec (bad shape, bad JSON, undecodable
-                # bytes) must not wedge the queue: park it out of rotation
-                # with a .rejected suffix and keep leasing.
-                claimed.rename(claimed.with_suffix(".rejected"))
+                # A malformed or foreign spec (bad shape, bad JSON,
+                # undecodable bytes, another job's spec) must not wedge
+                # the queue or run under the wrong hash: park it out of
+                # rotation and keep leasing.
+                self.quarantine_dir.mkdir(exist_ok=True)
+                parked = self.quarantine_dir / f"{key}.rejected"
+                os.replace(claimed, parked)
                 raise ExperimentError(
-                    f"queue spec {name} is malformed and was "
-                    f"quarantined as {claimed.with_suffix('.rejected').name}: "
-                    f"{exc}"
+                    f"queue spec {name} is malformed and was quarantined "
+                    f"as {parked}: {exc}"
                 ) from exc
             return LeasedJob(
-                job=job,
-                job_hash=name[: -len(".json")],
-                worker_id=worker_id,
-                path=claimed,
+                job=job, job_hash=key, worker_id=worker_id, path=claimed
             )
 
     def ack(self, leased: LeasedJob) -> None:

@@ -1,7 +1,7 @@
 """Queue workers and the queue-backed scheduler.
 
-:class:`QueueWorker` is the execution half of the queue subsystem: a loop
-of lease → execute → store → ack against one shared
+:class:`QueueWorker` is the execution half of the queue subsystem: one
+loop of lease → execute → store → ack against one shared
 :class:`~repro.queue.queue.JobQueue`, with a daemon heartbeat thread
 beating on a fixed cadence so a multi-minute DRL training job never
 starves the liveness beacon. Any worker doubles as the fleet's reaper —
@@ -10,20 +10,23 @@ it starts, on every idle poll, and otherwise at most once per heartbeat
 interval, so a dead worker's leases requeue within one TTL plus one
 heartbeat interval while the bookkeeping stays linear in jobs. A job that
 raises is recorded under ``failures/`` and, after
-:data:`~repro.queue.queue.MAX_FAILURES` attempts, quarantined.
+:data:`~repro.queue.queue.MAX_FAILURES` attempts, quarantined. A worker
+retires itself when its loop ends, however it ends, so its leases
+requeue at once.
 
 :class:`QueueScheduler` is the one executor of job batches, so
 ``run_experiment(name, params, scheduler=QueueScheduler(queue_dir))``
 batch-runs any experiment's plan against a shared queue/store: jobs whose
 results are already stored are cache hits, the rest are enqueued, and the
 scheduler drains them with ``workers`` local executors — itself as an
-**inline worker** plus ``workers - 1`` local worker processes — so a
+**inline worker**, running the same loop as :class:`QueueWorker` with its
+own stop checks, plus ``workers - 1`` local worker processes — so a
 single invocation completes even with no external workers, while any
 external workers that are attached drain the same queue concurrently.
 Results always come back through the artifact store's JSON wire — for
 the jobs the inline worker ran, the round trip ``ArtifactStore.put``
-hands back — so the queued path is bitwise-equal to an in-process run by
-the float-exact round-trip contract of the result-entry codec.
+hands back — so the queued path is bitwise-equal to an in-process run,
+because floats survive the store's JSON entries exactly.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import threading
 import time
 import traceback
 import uuid
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ExperimentError
@@ -71,7 +74,6 @@ class WorkerStats:
     executed: int = 0
     deduplicated: int = 0
     requeued: int = 0
-    hashes: list[str] = field(default_factory=list)
 
 
 class _HeartbeatThread(threading.Thread):
@@ -142,7 +144,6 @@ class QueueWorker:
         worker_id: str | None = None,
         heartbeat_interval: float | None = None,
         poll_interval: float = 0.1,
-        reap: bool = True,
     ) -> None:
         self.queue = queue
         self.worker_id = worker_id or default_worker_id()
@@ -160,7 +161,6 @@ class QueueWorker:
                 f"poll_interval must be > 0, got {poll_interval}"
             )
         self.poll_interval = float(poll_interval)
-        self.reap = bool(reap)
 
     def run(
         self,
@@ -178,44 +178,63 @@ class QueueWorker:
         seconds without obtaining a lease. With none set, serves forever.
         """
         stats = WorkerStats()
+        idle_since: float | None = None
+
+        def after_job(leased: LeasedJob, artifact: Artifact) -> bool:
+            nonlocal idle_since
+            idle_since = None
+            return max_jobs is not None and stats.completed >= max_jobs
+
+        def on_idle() -> bool:
+            nonlocal idle_since
+            if drain and self._fleet_done():
+                return True
+            now = time.monotonic()
+            idle_since = idle_since if idle_since is not None else now
+            return idle_timeout is not None and now - idle_since >= idle_timeout
+
+        if max_jobs is None or max_jobs > 0:
+            self._serve(stats, after_job, on_idle)
+        return stats
+
+    def _serve(
+        self,
+        stats: WorkerStats,
+        after_job: Callable[[LeasedJob, Artifact], bool],
+        on_idle: Callable[[], bool],
+    ) -> None:
+        """The one lease → execute → reap loop, counting into ``stats``.
+
+        Stops when ``after_job(leased, artifact)`` returns True after a job
+        or ``on_idle()`` does on an idle poll whose reap requeued nothing.
+        However it ends, this worker retires: no heartbeat or lease
+        directory is left, and whatever it held goes back to ``pending/``.
+        """
         beat = _HeartbeatThread(
             self.queue, self.worker_id, self.heartbeat_interval
         )
         self.queue.heartbeat(self.worker_id)
         beat.start()
         reaper = _Reaper(self.queue, self.heartbeat_interval)
-        idle_since: float | None = None
         try:
-            while max_jobs is None or stats.completed < max_jobs:
-                if self.reap:
-                    stats.requeued += len(reaper.due())
+            while True:
+                stats.requeued += len(reaper.due())
                 leased = self.queue.lease(self.worker_id)
-                if leased is None:
-                    if self.reap:
-                        requeued = reaper.idle()
-                        stats.requeued += len(requeued)
-                        if requeued:
-                            continue  # lease the requeued jobs right away
-                    if drain and self._fleet_done():
-                        break
-                    now = time.monotonic()
-                    idle_since = idle_since if idle_since is not None else now
-                    if (
-                        idle_timeout is not None
-                        and now - idle_since >= idle_timeout
-                    ):
-                        break
-                    time.sleep(self.poll_interval)
+                if leased is not None:
+                    if after_job(leased, self._execute(leased, stats)):
+                        return
                     continue
-                idle_since = None
-                self._execute(leased, stats)
+                requeued = reaper.idle()
+                stats.requeued += len(requeued)
+                if requeued:
+                    continue  # lease the requeued jobs right away
+                if on_idle():
+                    return
+                time.sleep(self.poll_interval)
         finally:
             beat.stop()
             beat.join()
-            # A stopped worker leaves no heartbeat or lease directory
-            # behind; anything it still held goes back to pending/.
             self.queue.retire(self.worker_id)
-        return stats
 
     def _execute(self, leased: LeasedJob, stats: WorkerStats) -> Artifact:
         """Complete ``leased``; returns its stored artifact (as ``put``
@@ -246,7 +265,6 @@ class QueueWorker:
             self.queue.ack(leased)
             stats.executed += 1
         stats.completed += 1
-        stats.hashes.append(leased.job_hash)
         return artifact
 
     def _fleet_done(self) -> bool:
@@ -432,41 +450,44 @@ class QueueScheduler:
         """Wait until every job in ``batch`` is stored; returns the
         artifacts of the batch jobs this scheduler completed inline.
 
-        Without ``job_timeout`` the scheduler works the queue as an inline
-        worker. It executes whatever it leases — its own batch or a
-        cooperating producer's jobs — because a shared queue has no "my
-        jobs first" ordering. Completion is tracked incrementally: a hash
-        leaves the remaining set when this worker acks it, and the full
-        ``outstanding()`` rescan, which also sees jobs finished elsewhere,
-        runs only on an idle poll (``lease()`` found nothing, or always
-        when only watching). Reaping runs at the start, on every idle
-        poll, and otherwise at most once per heartbeat interval, so a dead
-        worker stalls the batch by at most one TTL plus one heartbeat
-        interval. A batch job that the fleet quarantined raises
+        Without ``job_timeout`` the scheduler runs :class:`QueueWorker`'s
+        loop as an inline worker. It executes whatever it leases — its own
+        batch or a cooperating producer's jobs — because a shared queue
+        has no "my jobs first" ordering. Completion is tracked
+        incrementally: a hash leaves the remaining set when this worker
+        acks it, and the full ``outstanding()`` rescan, which also sees
+        jobs finished elsewhere, runs only on an idle poll (every poll
+        when only watching). A batch job that the fleet quarantined raises
         :class:`ExperimentError` instead of being waited on forever.
 
         Local worker processes (never more than the batch has jobs for)
-        are terminated and joined on the way out, and whatever they still
-        held — a cooperating producer's job among them — goes straight
-        back to ``pending/``, together with their heartbeats and lease
-        directories (:meth:`JobQueue.retire`).
+        start before the heartbeat thread, so no multi-threaded process is
+        forked, and are terminated and joined on the way out; whatever
+        they still held — a cooperating producer's job among them — goes
+        straight back to ``pending/``, together with their heartbeats and
+        lease directories (:meth:`JobQueue.retire`).
         """
         remaining = set(batch)
         produced: dict[str, Artifact] = {}
         inline = self.job_timeout is None
-        worker = QueueWorker(
-            self.queue,
-            worker_id=self.worker_id,
-            poll_interval=self.poll_interval,
-        )
-        reaper = _Reaper(self.queue, worker.heartbeat_interval)
         stats = WorkerStats()
-        first_seen: dict[tuple[str, str], float] = {}
         children: dict[str, object] = {}
-        beat = None
+
+        def after_job(leased: LeasedJob, artifact: Artifact) -> bool:
+            if leased.job_hash in remaining:
+                remaining.discard(leased.job_hash)
+                produced[leased.job_hash] = artifact
+            return not remaining
+
+        def settled() -> bool:
+            remaining.intersection_update(
+                self.queue.outstanding(sorted(remaining))
+            )
+            if remaining:
+                self._raise_if_quarantined(remaining)
+            return not remaining
+
         try:
-            # Local workers start before the heartbeat thread, so no
-            # multi-threaded process is ever forked.
             local = (
                 min(self.workers - 1, len(batch) - 1)
                 if inline
@@ -475,35 +496,20 @@ class QueueScheduler:
             if local:
                 self._start_local_workers(local, children)
             if inline:
-                beat = _HeartbeatThread(
-                    self.queue, self.worker_id, worker.heartbeat_interval
-                )
-                self.queue.heartbeat(self.worker_id)
-                beat.start()
-            while remaining:
-                if inline:
-                    reaper.due()
-                    leased = self.queue.lease(self.worker_id)
-                    if leased is not None:
-                        artifact = worker._execute(leased, stats)
-                        if leased.job_hash in remaining:
-                            remaining.discard(leased.job_hash)
-                            produced[leased.job_hash] = artifact
-                        continue
-                if reaper.idle() and inline:
-                    continue  # lease the requeued jobs right away
-                remaining = set(self.queue.outstanding(sorted(remaining)))
-                if not remaining:
-                    break
-                self._raise_if_quarantined(remaining)
-                if not inline:
+                QueueWorker(
+                    self.queue,
+                    worker_id=self.worker_id,
+                    poll_interval=self.poll_interval,
+                )._serve(stats, after_job, settled)
+            else:
+                first_seen: dict[tuple[str, str], float] = {}
+                while True:
+                    self.queue.reap()
+                    if settled():
+                        break
                     self._watch(batch, remaining, first_seen, children)
-                time.sleep(self.poll_interval)
+                    time.sleep(self.poll_interval)
         finally:
-            if beat is not None:
-                beat.stop()
-                beat.join()
-                self.queue.retire(self.worker_id)
             for child in children.values():
                 child.terminate()
             for worker_id, child in children.items():

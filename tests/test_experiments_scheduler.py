@@ -25,18 +25,15 @@ from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.run import schedule_main
 from repro.experiments.scheduler import (
-    MISSING_RESULT,
     Job,
     config_from_payload,
     config_to_payload,
     execute_job,
     market_from_payload,
     market_to_payload,
-    read_result_entry,
     register_job_kind,
-    write_result_entry,
 )
-from repro.queue import JobQueue, QueueScheduler, QueueWorker
+from repro.queue import ArtifactStore, JobQueue, QueueScheduler, QueueWorker
 from repro.utils.serialization import load_json, save_json
 
 WATCHDOG_SECONDS = 120.0
@@ -187,28 +184,23 @@ class TestResultEntries:
 
         job = _cell_jobs(_markets(1))[0]
         result = {"price": 1.25, "msp_utility": 2.5, "capacity_binding": False}
-        target = tmp_path / f"{job.job_hash()}.json"
+        store = ArtifactStore(tmp_path)
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            list(
-                pool.map(
-                    lambda _: write_result_entry(target, job, result),
-                    range(64),
-                )
-            )
-        assert read_result_entry(target, job) == result
+            list(pool.map(lambda _: store.put(job, result), range(64)))
+        assert store.get(job).result == result
+        assert store.hashes() == [job.job_hash()]
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_byte_corrupt_entry_is_a_miss(self, tmp_path):
         """Undecodable bytes in an entry (a torn or bit-rotted file) are a
         cache miss like truncated JSON, not a UnicodeDecodeError."""
         job = _cell_jobs(_markets(1))[0]
-        target = write_result_entry(
-            tmp_path / f"{job.job_hash()}.json", job, execute_job(job)
-        )
+        store = ArtifactStore(tmp_path)
+        target = store.put(job, execute_job(job)).path
         data = bytearray(target.read_bytes())
         data[10:12] = b"\xff\xfe"
         target.write_bytes(bytes(data))
-        assert read_result_entry(target, job) is MISSING_RESULT
+        assert store.get(job) is None
 
 
 def _entries(queue_dir):

@@ -169,13 +169,15 @@ class TestJobQueue:
         with pytest.raises(ExperimentError, match="quarantined"):
             while queue.lease("w1") is not None:
                 pass
-        rejected = list(queue.leases_dir.glob("*/*.rejected"))
+        rejected = list(queue.quarantine_dir.glob("*.rejected"))
         assert len(rejected) == 1
+        assert list(queue.leases_dir.glob("*/*.rejected")) == []
         # The queue is not wedged: the good job still leases.
         assert queue.pending_hashes() in ([good.job_hash()], [])
         remaining = queue.lease("w1")
         if remaining is not None:
             assert remaining.job_hash == good.job_hash()
+        _assert_retired_cleanly(queue, "w1")
 
     def test_byte_corrupt_pending_spec_is_quarantined(self, tmp_path):
         """Undecodable bytes in a spec are parked as .rejected with an
@@ -187,10 +189,38 @@ class TestJobQueue:
         with pytest.raises(ExperimentError, match="quarantined"):
             queue.lease("w1")
         assert not (queue.leases_dir / "w1" / name).exists()
-        assert (queue.leases_dir / "w1" / name).with_suffix(
-            ".rejected"
-        ).exists()
+        assert (queue.quarantine_dir / name).with_suffix(".rejected").exists()
         assert queue.lease("w1") is None
+        _assert_retired_cleanly(queue, "w1")
+
+    def test_spec_under_another_jobs_hash_is_rejected(self, tmp_path):
+        """A pending file holding a spec that does not hash to its own
+        name (a foreign or tampered file) is parked like a malformed one:
+        its job never runs, and is never stored, under another's hash."""
+        mine, foreign = _cell_jobs(2)
+        queue = JobQueue(tmp_path)
+        slot = queue.pending_dir / f"{mine.job_hash()}.json"
+        slot.write_text(json.dumps(foreign.spec()))
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        with pytest.raises(ExperimentError, match="hashes to"):
+            scheduler.run([mine])
+        assert queue.store.hashes() == []
+        assert slot.with_suffix(".rejected").name in {
+            path.name for path in queue.quarantine_dir.iterdir()
+        }
+        assert (queue.stats().workers, queue.stats().quarantined) == (0, 1)
+        # The slot is free again: a rerun executes the job itself.
+        assert scheduler.run([mine]) == [execute_job(mine)]
+        assert scheduler.jobs_executed == 1
+
+
+def _assert_retired_cleanly(queue, worker_id):
+    """Retiring ``worker_id`` leaves neither its heartbeat nor its lease
+    directory behind (a rejected spec parked inside it would pin both)."""
+    queue.retire(worker_id)
+    assert not (queue.heartbeats_dir / f"{worker_id}.json").exists()
+    assert not (queue.leases_dir / worker_id).exists()
+    assert queue.stats().workers == 0
 
 
 class TestHeartbeatsAndReaping:
