@@ -3,21 +3,30 @@
 Times fig2-cadence PPO training (update every 20 rounds, 10 epochs of
 20-sample mini-batches per update) over an ``E = 4`` vector env, twice:
 
-- **seed path** — the production ``VectorTrainer`` driving the autograd
-  ``ReferencePPOAgent`` from ``tests/training_oracle.py`` over the graph
-  network of ``tests/autograd_oracle.py``: graph act and value, and
-  per-parameter Adam stepping each tensor through the autograd graph;
-- **fused path** — ``train_pricing_agent``: the same trainer driving
-  ``PPOAgent`` over the flat-parameter ``ActorCritic``, whose graph-free
+- **seed path** — the oracle's ``train_reference``: the production trainer
+  with per-epoch minibatch sampling (``PerEpochVectorTrainer`` in
+  ``tests/training_oracle.py``) driving the autograd ``ReferencePPOAgent``
+  over the graph network of ``tests/autograd_oracle.py``: graph act and
+  value, and per-parameter Adam stepping each tensor through the autograd
+  graph;
+- **fused path** — ``train_pricing_agent``: ``VectorTrainer``, gathering
+  each update phase's minibatches at once, driving ``PPOAgent`` over the
+  flat-parameter ``ActorCritic``, whose graph-free
   :func:`repro.drl.fused.ppo_update` writes gradients into
   :class:`repro.drl.fused.FlatAdam`'s contiguous buffer.
 
 Both paths share the rollout storage and the batch GAE, and they are
 bitwise-identical by construction (``tests/test_drl_fused.py`` and
-``tests/test_drl_vector_trainer.py`` pin every stat and every post-step
+``tests/test_drl_vector_trainer.py`` pin every stat and every post-phase
 parameter),
 so the ratio is pure overhead removed — graph construction, per-node
-closures, and per-parameter optimizer dispatch.
+closures, per-parameter optimizer dispatch, and per-epoch sampling.
+
+The fused path's per-layer split is recorded next to it: best-of
+microseconds per ``PPOAgent.update`` and per ``FlatAdam.step`` on a
+fig2-sized minibatch, and per ``PPOAgent.act_batch`` and per
+``VectorMigrationEnv.step`` on the paper's one-env fig2 market — the
+layers perfbench's ``fig2_train`` traces.
 
 Runs are interleaved seed/fused and scored best-of-``REPEATS``: scheduler
 noise only ever *lengthens* a run, so the minimum of several interleaved
@@ -126,12 +135,51 @@ def update_latency(
     return best
 
 
+def best_micros(call, *, calls: int = 200, trials: int = 5) -> float:
+    """Best mean microseconds per ``call()`` over ``trials`` timed loops."""
+    call()  # warm-up
+    best = float("inf")
+    for _ in range(trials):
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e6
+
+
+def fused_layer_split(update_s: float) -> dict[str, float]:
+    """Best-of microseconds per fused-path layer at fig2 shapes: one
+    20-row update (from :func:`update_latency`), one Adam step, and one
+    round's ``act_batch`` and ``env.step`` on the one-env paper market
+    (``history_length=4``, so 12-wide observations)."""
+    rng = np.random.default_rng(7)
+    network = ActorCritic(12, (64, 64), seed=np.random.default_rng(3))
+    agent = PPOAgent(network, PPOConfig(learning_rate=1e-8))
+    optimizer = agent.optimizer
+    optimizer.flat_grad[...] = rng.normal(size=optimizer.flat_grad.shape)
+    market = StackelbergMarket(paper_fig2_population())
+    venv = VectorMigrationEnv.from_market(
+        market, 1, seed=0, rounds_per_episode=10**9, reward_mode="utility"
+    )
+    observations = venv.reset()
+    prices = np.array([25.0])
+    act_rng = np.random.default_rng(8)
+    return {
+        "update": update_s * 1e6,
+        # The gradient stays put, so every step clips (as ~90% of fig2's do).
+        "adam_step": best_micros(lambda: optimizer.step(0.5)),
+        "act_batch": best_micros(lambda: agent.act_batch(observations, seed=act_rng)),
+        "env_step": best_micros(lambda: venv.step(prices)),
+    }
+
+
 def test_training_speedup(record_table, record_json):
     seed_s, fused_s = interleaved_best_of()
     steps = NUM_EPISODES * NUM_ENVS * ROUNDS_PER_EPISODE
     speedup = seed_s / fused_s
     seed_update_s = update_latency(ReferencePPOAgent, GraphActorCritic)
     fused_update_s = update_latency(PPOAgent, ActorCritic)
+    fused_layers = fused_layer_split(fused_update_s)
 
     table = Table(
         headers=(
@@ -188,6 +236,7 @@ def test_training_speedup(record_table, record_json):
                 "best_seconds": fused_s,
                 "env_steps_per_s": steps / fused_s,
                 "ppo_update_seconds": fused_update_s,
+                "layer_micros": fused_layers,
             },
             "speedup": speedup,
             "ppo_update_speedup": seed_update_s / fused_update_s,

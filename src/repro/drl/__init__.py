@@ -1,6 +1,6 @@
 """DRL substrate: rollout storage, GAE, PPO, and the Algorithm-1 trainer."""
 
-from repro.drl.buffer import MiniBatch, VectorRolloutStorage, sample_minibatch
+from repro.drl.buffer import MiniBatch, VectorRolloutStorage, sample_minibatches
 from repro.drl.checkpoints import load_agent, save_agent
 from repro.drl.gae import discounted_returns_batch, generalized_advantages_batch
 from repro.drl.policy import ActionScaler, ActorCritic
@@ -17,7 +17,7 @@ __all__ = [
     "save_agent",
     "MiniBatch",
     "VectorRolloutStorage",
-    "sample_minibatch",
+    "sample_minibatches",
     "discounted_returns_batch",
     "generalized_advantages_batch",
     "ActionScaler",

@@ -7,8 +7,10 @@ value targets are computed when a rollout segment is pooled (end of
 segment), after which mini-batch sampling is allowed.
 
 :class:`VectorRolloutStorage` is the one buffer: the vector trainer writes
-each lockstep round of ``E`` envs into it. The per-transition buffer it is
-pinned against lives in ``tests/training_oracle.py``.
+each lockstep round of ``E`` envs into it. :func:`sample_minibatches`
+draws a whole update phase's ``M`` mini-batches from the pooled segment
+with one gather per field. The per-transition buffer and the per-epoch
+sampler they are pinned against live in ``tests/training_oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.drl.gae import discounted_returns_batch, generalized_advantages_batch
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["MiniBatch", "VectorRolloutStorage", "sample_minibatch"]
+__all__ = ["MiniBatch", "VectorRolloutStorage", "sample_minibatches"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class VectorRolloutStorage:
     Lifecycle: ``add_round`` × K → ``pooled(bootstrap_values)`` →
     ``clear``. The pooled batch may alias the internal buffers — consume
     it before the next ``add_round``/``clear`` (the trainer's update
-    epochs sample copies out of it, so this holds by construction).
+    phase gathers copies out of it, so this holds by construction).
     """
 
     def __init__(
@@ -78,6 +80,18 @@ class VectorRolloutStorage:
         self._rewards = np.empty((num_envs, capacity))
         self._log_probs = np.empty((num_envs, capacity))
         self._values = np.empty((num_envs, capacity))
+        # Each round column of the five buffers, viewed once: add_round
+        # writes through these instead of re-slicing every round.
+        self._columns = [
+            (
+                self._observations[:, column],
+                self._actions[:, column],
+                self._rewards[:, column],
+                self._log_probs[:, column],
+                self._values[:, column],
+            )
+            for column in range(capacity)
+        ]
         self._count = 0
 
     @property
@@ -106,16 +120,16 @@ class VectorRolloutStorage:
         values: np.ndarray,
     ) -> None:
         """Store one lockstep round of ``(E, ·)`` batched arrays."""
-        if self._count >= self.capacity:
+        if self._count >= len(self._columns):
             raise ConfigurationError(
                 f"storage full: capacity {self.capacity} rounds; pooled()/clear() first"
             )
-        column = self._count
-        self._observations[:, column, :] = observations
-        self._actions[:, column, :] = actions
-        self._rewards[:, column] = rewards
-        self._log_probs[:, column] = log_probs
-        self._values[:, column] = values
+        columns = self._columns[self._count]
+        columns[0][...] = observations
+        columns[1][...] = actions
+        columns[2][...] = rewards
+        columns[3][...] = log_probs
+        columns[4][...] = values
         self._count += 1
 
     def pooled(self, bootstrap_values: np.ndarray) -> MiniBatch:
@@ -146,27 +160,42 @@ class VectorRolloutStorage:
         )
 
 
-def sample_minibatch(
-    full: MiniBatch, batch_size: int, seed: SeedLike = None
-) -> MiniBatch:
-    """Draw one random mini-batch from a stacked segment (Algorithm 1, line 12).
+def sample_minibatches(
+    pool: MiniBatch, batch_size: int, count: int, seed: SeedLike = None
+) -> list[MiniBatch]:
+    """Draw one PPO phase's ``count`` random mini-batches from a pooled
+    segment (Algorithm 1, lines 11–12).
 
-    Sampling is uniform over the population, with replacement only when the
-    population is smaller than ``batch_size``; one ``choice`` call per
-    mini-batch is the trainer's whole RNG consumption at update time.
+    Each mini-batch is one ``choice`` call, uniform over the pool, with
+    replacement only when the pool is smaller than ``batch_size``; the
+    ``count`` calls are made up front, in epoch order, and are the
+    trainer's whole RNG consumption at update time. The rows of every
+    mini-batch are then gathered with one ``np.take`` per field for the
+    whole phase, and mini-batch ``k`` is the ``k``-th ``batch_size``-row
+    block of that gather: the same rows, in the same order, that ``count``
+    separate per-epoch gathers would copy out.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if batch_size < 1 or count < 1:
+        raise ConfigurationError(
+            f"batch_size and count must be >= 1, got {batch_size}, {count}"
+        )
     rng = as_generator(seed)
-    count = len(full.observations)
-    replace = batch_size > count
-    idx = rng.choice(count, size=batch_size, replace=replace)
+    population = len(pool.observations)
+    replace = batch_size > population
+    rows = np.empty((count, batch_size), dtype=np.intp)
+    for epoch_rows in rows:
+        epoch_rows[...] = rng.choice(population, size=batch_size, replace=replace)
     # np.take gathers the same rows as fancy indexing (identical values)
-    # with less per-call overhead — this runs once per PPO epoch.
-    return MiniBatch(
-        observations=np.take(full.observations, idx, axis=0),
-        actions=np.take(full.actions, idx, axis=0),
-        old_log_probs=np.take(full.old_log_probs, idx, axis=0),
-        advantages=np.take(full.advantages, idx, axis=0),
-        returns=np.take(full.returns, idx, axis=0),
-    )
+    # with less per-call overhead; each field comes back (count,
+    # batch_size, ...), and iterating it yields the epochs' blocks.
+    fields = [
+        np.take(field, rows, axis=0)
+        for field in (
+            pool.observations,
+            pool.actions,
+            pool.old_log_probs,
+            pool.advantages,
+            pool.returns,
+        )
+    ]
+    return [MiniBatch(*blocks) for blocks in zip(*fields)]

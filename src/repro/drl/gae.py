@@ -51,9 +51,12 @@ def discounted_returns_batch(
     rewards = _as_batch("rewards", rewards)
     returns = np.empty_like(rewards)
     running = _as_bootstraps(bootstrap_values, rewards.shape[0])
-    for k in range(rewards.shape[1] - 1, -1, -1):
-        running = rewards[:, k] + gamma * running
-        returns[:, k] = running
+    # Columns last to first: r_k + γ·G_{k+1}, written straight into column
+    # k (the sum commutes, so the bits are the one-trajectory recursion's).
+    for column, reward in zip(returns.T[::-1], rewards.T[::-1]):
+        np.multiply(running, gamma, out=column)
+        column += reward
+        running = column
     return returns
 
 
@@ -86,8 +89,10 @@ def generalized_advantages_batch(
     next_values = np.concatenate([values[:, 1:], bootstraps[:, np.newaxis]], axis=1)
     deltas = rewards + gamma * next_values - values
     advantages = np.empty_like(deltas)
+    decay = gamma * lam
     running = np.zeros(rewards.shape[0], dtype=np.float64)
-    for k in range(rewards.shape[1] - 1, -1, -1):
-        running = deltas[:, k] + gamma * lam * running
-        advantages[:, k] = running
+    for column, delta in zip(advantages.T[::-1], deltas.T[::-1]):
+        np.multiply(running, decay, out=column)
+        column += delta
+        running = column
     return advantages

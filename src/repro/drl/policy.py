@@ -17,10 +17,9 @@ exact and the squashing outside the likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
-from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,19 +54,22 @@ class ActionScaler:
                 f"need low < high, got [{self.low}, {self.high}]"
             )
 
-    @property
+    # Cached: the bounds are frozen, and to_price runs once per round.
+    @cached_property
     def mid(self) -> float:
         """Centre of the price interval."""
         return 0.5 * (self.low + self.high)
 
-    @property
+    @cached_property
     def half_range(self) -> float:
         """Half-width of the price interval."""
         return 0.5 * (self.high - self.low)
 
     def to_price(self, raw: np.ndarray | float) -> np.ndarray | float:
         """Map a raw action to a feasible price."""
-        return np.clip(self.mid + self.half_range * raw, self.low, self.high)
+        # The method form of np.clip (the same clip), minus its dispatch.
+        price = self.mid + self.half_range * np.asarray(raw)
+        return price.clip(self.low, self.high)
 
 
 def orthogonal(
@@ -197,14 +199,6 @@ class ActorCritic:
             for start, size, shape in self.segments
         ]
 
-    def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield ``(name, view)`` pairs in canonical order."""
-        yield from self._params.items()
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters (padding excluded)."""
-        return sum(size for _, size, _ in self.segments)
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every parameter, keyed by dotted name."""
         return {name: view.copy() for name, view in self._params.items()}
@@ -260,13 +254,12 @@ class ActorCritic:
         x = obs
         for weight, bias in self.trunk:
             inputs.append(x)
-            x = np.tanh(x @ weight + bias)
+            x = x @ weight + bias
+            np.tanh(x, out=x)
             outs.append(x)
-        actor_w, actor_b = self.actor_head
-        critic_w, critic_b = self.critic_head
-        mean = x @ actor_w + actor_b
-        values = np.squeeze(x @ critic_w + critic_b, axis=-1)
-        return inputs, outs, mean, values
+        mean = x @ self.actor_head[0] + self.actor_head[1]
+        critic = x @ self.critic_head[0] + self.critic_head[1]
+        return inputs, outs, mean, critic[:, 0]
 
     def log_prob_terms(self, actions: np.ndarray, mean: np.ndarray):
         """Diagonal-Gaussian log-density of ``actions`` around ``mean``.
@@ -277,8 +270,16 @@ class ActorCritic:
         log_std = self.log_std
         inv_std = np.exp(-log_std)
         standardized = (actions - mean) * inv_std
-        per_dim = standardized * standardized * (-0.5) - log_std - LOG_SQRT_2PI
-        return inv_std, standardized, per_dim.sum(axis=-1)
+        per_dim = standardized * standardized
+        per_dim *= -0.5
+        per_dim -= log_std
+        per_dim -= LOG_SQRT_2PI
+        # A one-element sum is its element unless that is -0.0, and a
+        # difference with the nonzero LOG_SQRT_2PI never is: with one
+        # action dim the sum over dims is the column itself.
+        if per_dim.shape[-1] == 1:
+            return inv_std, standardized, per_dim[..., 0]
+        return inv_std, standardized, np.add.reduce(per_dim, axis=-1)
 
     def act(
         self,
@@ -323,8 +324,9 @@ class ActorCritic:
             # exp once per action dim, not per (batch, dim) copy — the
             # broadcast multiply pairs the identical operands elementwise,
             # so the sampled prices carry the exact same bits.
-            std = np.exp(self.log_std)
-            raws = mean + std * rng.normal(size=mean.shape)
+            raws = rng.normal(size=mean.shape)
+            raws *= np.exp(self.log_std)
+            np.add(mean, raws, out=raws)
         _, _, log_probs = self.log_prob_terms(raws, mean)
         return raws, log_probs, values
 

@@ -9,10 +9,19 @@ the agent performs ``M`` mini-batch updates sampled from the buffer.
 There is one trainer, :class:`VectorTrainer`, which runs the loop over a
 batch of envs stepped in lockstep (a one-env batch is the paper's scalar
 loop). It stores rounds in :class:`VectorRolloutStorage`, computes GAE for
-the whole batch at once, and drives the fused :class:`PPOAgent`. The scalar
-per-transition trainer and the autograd agent it is pinned against live in
-``tests/training_oracle.py`` (the agent's graph network in
-``tests/autograd_oracle.py``).
+the whole batch at once, and drives the fused :class:`PPOAgent`.
+
+Phase gather: an update phase draws its ``M`` mini-batch index sets first,
+one ``choice`` per epoch in epoch order, and gathers them with one
+``np.take`` per field (:func:`repro.drl.buffer.sample_minibatches`); epoch
+``k`` trains on the ``k``-th row block of that gather. The draws and the
+rows are those of ``M`` per-epoch samples, so only the RNG timing moves:
+the stream is advanced by all ``M`` draws before the first update runs
+(see the RNG contract on :class:`VectorTrainer`).
+
+The scalar per-transition trainer, the per-epoch sampler and the autograd
+agent the trainer is pinned against live in ``tests/training_oracle.py``
+(the agent's graph network in ``tests/autograd_oracle.py``).
 
 Returns a :class:`TrainingResult` with per-episode return and utility
 traces — the series plotted in Fig. 2(a) and Fig. 2(b).
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.drl.buffer import VectorRolloutStorage, sample_minibatch
+from repro.drl.buffer import VectorRolloutStorage, sample_minibatches
 from repro.drl.policy import ActionScaler, ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig, UpdateStats
 from repro.errors import ConfigurationError
@@ -111,9 +120,12 @@ class VectorTrainer:
     traces match ``E`` scalar runs bit for bit.
 
     RNG contract: the trainer's own stream is consumed in a fixed order —
-    one Gaussian noise block per round, one ``choice`` per PPO epoch — so
-    an ``E = 1`` run is bit-compatible with the paper's scalar loop on the
-    same seeds (pinned against the scalar oracle trainer in the tests).
+    one Gaussian noise block per round, then at each update phase one
+    ``choice`` per PPO epoch — so an ``E = 1`` run is bit-compatible with
+    the paper's scalar loop on the same seeds (pinned against the scalar
+    oracle trainer in the tests). A phase makes all ``M`` draws before its
+    first update, so a :class:`~repro.errors.GradientError` raised in epoch
+    ``k`` leaves the stream advanced by all ``M`` draws, not ``k + 1``.
 
     The agent is anything with the :class:`PPOAgent` surface (``network``,
     ``act_batch``, ``value_batch``, ``update``); the test suite plugs in
@@ -152,10 +164,15 @@ class VectorTrainer:
 
     def _update(self, bootstrap_values: np.ndarray) -> None:
         cfg = self.config
-        pool = self._storage.pooled(bootstrap_values)
-        for _ in range(cfg.update_epochs):
-            batch = sample_minibatch(pool, cfg.batch_size, seed=self._rng)
-            self.result.update_stats.append(self.agent.update(batch))
+        batches = sample_minibatches(
+            self._storage.pooled(bootstrap_values),
+            cfg.batch_size,
+            cfg.update_epochs,
+            seed=self._rng,
+        )
+        update, stats = self.agent.update, self.result.update_stats
+        for batch in batches:
+            stats.append(update(batch))
         self._storage.clear()
 
     def train(self) -> TrainingResult:
@@ -163,6 +180,10 @@ class VectorTrainer:
         cfg = self.config
         num_envs = self.venv.num_envs
         self.result = TrainingResult()
+        # The per-round calls, looked up once per training.
+        act, to_price = self.agent.act_batch, self.scaler.to_price
+        step, add_round = self.venv.step, self._storage.add_round
+        rng = self._rng
         for _iteration in range(cfg.num_episodes):
             observations = self.venv.reset()
             self._storage.clear()
@@ -172,18 +193,15 @@ class VectorTrainer:
             done = False
             round_index = 0
             while not done:
-                raws, log_probs, values = self.agent.act_batch(
-                    observations, seed=self._rng
-                )
-                prices = self.scaler.to_price(raws[:, 0])
-                next_observations, rewards, dones, infos = self.venv.step(prices)
-                self._storage.add_round(observations, raws, rewards, log_probs, values)
+                raws, log_probs, values = act(observations, seed=rng)
+                next_observations, rewards, dones, infos = step(to_price(raws[:, 0]))
+                add_round(observations, raws, rewards, log_probs, values)
                 utilities.append(infos["msp_utility"])
                 episode_returns += rewards
-                best_utilities = np.maximum(best_utilities, infos["best_utility"])
+                np.maximum(best_utilities, infos["best_utility"], out=best_utilities)
                 observations = next_observations
                 round_index += 1
-                done = bool(dones.all())
+                done = np.count_nonzero(dones) == num_envs
                 # Algorithm 1 line 10: update every I rounds (and flush at
                 # episode end so no transition is wasted).
                 if round_index % cfg.update_interval == 0 or done:

@@ -50,17 +50,24 @@ __all__ = ["VectorMigrationEnv", "history_entries"]
 _REWARD_MODES = ("paper", "utility")
 
 
-def history_entries(prices, allocations, max_prices, capacities) -> np.ndarray:
+def history_entries(
+    prices, allocations, max_prices, capacities, out: np.ndarray | None = None
+) -> np.ndarray:
     """Observation entries ``(p / p_max, b / B_max)``, shape ``(..., 1 + N)``.
 
     ``prices`` has shape ``(...)`` and ``allocations`` ``(..., N)``;
     ``max_prices`` and ``capacities`` broadcast against ``prices``. The one
     layout of an Eq. (11) history entry, shared by the env and
-    :class:`repro.baselines.policies.LearnedPricing`.
+    :class:`repro.baselines.policies.LearnedPricing`. The entries are
+    written into ``out`` when given (the env's step writes them straight
+    into the next observation window), else into a new array.
     """
-    scaled_prices = np.asarray(prices / max_prices)[..., np.newaxis]
-    scaled_allocations = allocations / np.asarray(capacities)[..., np.newaxis]
-    return np.concatenate((scaled_prices, scaled_allocations), axis=-1)
+    allocations = np.asarray(allocations)
+    if out is None:
+        out = np.empty((*allocations.shape[:-1], 1 + allocations.shape[-1]))
+    np.divide(prices, max_prices, out=out[..., 0])
+    np.divide(allocations, np.asarray(capacities)[..., np.newaxis], out=out[..., 1:])
+    return out
 
 
 def _env_seeds(
@@ -242,9 +249,11 @@ class VectorMigrationEnv:
         acts = np.array(actions, dtype=float)
         if acts.shape != (self.num_envs,):
             acts = np.broadcast_to(acts, (self.num_envs,))
-        if not np.isfinite(acts).all():
+        if np.count_nonzero(np.isfinite(acts)) != acts.size:
             raise ConfigurationError(f"actions must be finite, got {acts!r}")
-        prices = np.clip(acts, self._lows, self._highs)
+        # np.clip's bits: the actions are finite and every bound is > 0,
+        # so no signed-zero tie can tell the two apart.
+        prices = np.minimum(np.maximum(acts, self._lows), self._highs)
         outcome = self._stack._outcomes_trusted(prices)
         utilities = outcome.msp_utilities
         if self.reward_mode == "paper":
@@ -253,17 +262,22 @@ class VectorMigrationEnv:
             # noise; the tolerance (relative to the utility scale) lets a
             # converged policy collect reward every round, which is what
             # makes the episode return converge to K as in Fig. 2(a).
-            rewards = np.where(utilities >= self._best - self._slacks, 1.0, 0.0)
+            rewards = (utilities >= self._best - self._slacks).astype(np.float64)
         else:
             rewards = utilities / self._scales
         self._best = np.where(utilities >= self._best, utilities, self._best)
-        entries = history_entries(
-            prices, outcome.allocations, self._highs, self._caps
-        )
         # o_{k+1} is o_k shifted left one (price, demands) entry.
-        self._observations = np.concatenate(
-            (self._observations[:, self._entry_width :], entries), axis=1
+        width = self._entry_width
+        observations = np.empty_like(self._observations)
+        observations[:, :-width] = self._observations[:, width:]
+        history_entries(
+            prices,
+            outcome.allocations,
+            self._highs,
+            self._caps,
+            out=observations[:, -width:],
         )
+        self._observations = observations
         self._round += 1
         round_index = np.full(self.num_envs, self._round)
         infos = {

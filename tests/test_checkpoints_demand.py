@@ -39,7 +39,7 @@ class TestCheckpoints:
         loaded, _, meta = load_agent(path)
         assert meta["hidden_sizes"] == [16, 16]
         assert loaded.network.obs_dim == 12
-        assert loaded.network.num_parameters() == agent.network.num_parameters()
+        assert loaded.network.segments == agent.network.segments
 
     def test_suffix_added(self, tmp_path):
         agent, scaler = self._agent()
@@ -68,7 +68,7 @@ class TestCheckpoints:
             gc.collect()  # an unclosed NpzFile would warn on collection
         path.unlink()
         assert not path.exists()
-        assert loaded.network.num_parameters() == agent.network.num_parameters()
+        assert loaded.network.segments == agent.network.segments
 
     def _rewrite_checkpoint(self, path, mutate):
         """Rewrite a checkpoint's array set through ``mutate(arrays)``."""

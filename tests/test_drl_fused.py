@@ -32,7 +32,7 @@ from training_oracle import (
 )
 
 from repro.drl.buffer import MiniBatch, VectorRolloutStorage
-from repro.drl.fused import FlatAdam
+from repro.drl.fused import FlatAdam, UpdateWorkspace
 from repro.drl.gae import discounted_returns_batch, generalized_advantages_batch
 from repro.drl.policy import ActorCritic
 from repro.drl.ppo import PPOAgent, PPOConfig
@@ -62,6 +62,12 @@ def assert_same_state(flat, graph):
     assert list(flat_state) == list(graph_state)
     for name, value in graph_state.items():
         np.testing.assert_array_equal(flat_state[name], value, err_msg=name)
+
+
+def parameter_arrays(net):
+    """The network's own parameter arrays, in ``state_dict`` order."""
+    trunk = [array for layer in net.trunk for array in layer]
+    return [net.log_std, *trunk, *net.actor_head, *net.critic_head]
 
 
 def set_twin_grads(optimizer, graph, rng):
@@ -114,14 +120,33 @@ class TestFlatOptimizersBitwise:
     def test_flat_adam_matches_adam_with_clipping(self):
         self._run_pair(clip=0.5)
 
+    def test_flat_adam_matches_adam_past_the_bias_correction(self):
+        """From step ~350, ``1 - 0.9**t`` rounds to 1.0 and the flat step
+        skips its division by it; the parameters must not notice."""
+        flat, graph = twin_networks()
+        ref_opt = Adam(list(graph.parameters()), learning_rate=0.01)
+        flat_opt = FlatAdam(flat, learning_rate=0.01)
+        rng = np.random.default_rng(100)
+        for _ in range(400):
+            set_twin_grads(flat_opt, graph, rng)
+            assert flat_opt.step(0.5) == clip_grad_norm(graph.parameters(), 0.5)
+            ref_opt.step()
+        assert 1.0 - flat_opt.beta1**flat_opt.step_count == 1.0
+        assert_same_state(flat, graph)
+
     def test_parameters_view_into_flat_buffer(self):
         net = ActorCritic(obs_dim=5, hidden_sizes=(6, 4), action_dim=3, seed=1)
         flat = net.flat_parameters
         base_addr = flat.__array_interface__["data"][0]
         offset = 0
-        for _, view in net.named_parameters():
-            size = view.size
+        state = net.state_dict()
+        views = parameter_arrays(net)
+        assert len(views) == len(state) == len(net.segments)
+        segments = zip(views, state.values(), net.segments)
+        for view, value, (start, size, shape) in segments:
+            assert (start, size, shape) == (offset, view.size, view.shape)
             np.testing.assert_array_equal(view.ravel(), flat[offset : offset + size])
+            np.testing.assert_array_equal(view, value)
             assert view.base is flat
             assert view.flags.c_contiguous
             # segment starts keep standalone-allocation alignment (64-byte)
@@ -129,7 +154,9 @@ class TestFlatOptimizersBitwise:
             assert (view_addr - base_addr) % 64 == 0
             offset += -(-size // 8) * 8
         assert flat.size == offset
-        assert net.num_parameters() == sum(v.size for _, v in net.named_parameters())
+        assert sum(size for _, size, _ in net.segments) == sum(
+            value.size for value in state.values()
+        )
 
     def test_data_rebind_is_readopted(self):
         """A ``load_state_dict`` between steps (a data re-bind on the graph
@@ -148,7 +175,7 @@ class TestFlatOptimizersBitwise:
         ref_opt.step()
         flat_opt.step(math.inf)
         assert_same_state(flat, graph)
-        for _, view in flat.named_parameters():
+        for view in parameter_arrays(flat):
             assert view.base is flat.flat_parameters
 
     def test_step_count_advances_like_reference(self):
@@ -368,7 +395,7 @@ class TestFusedActorCritic:
         # The optimiser steps the network's own buffer; every parameter
         # is a view into it.
         assert agent.optimizer.flat_grad.shape == net.flat_parameters.shape
-        for _, view in net.named_parameters():
+        for view in parameter_arrays(net):
             assert view.base is net.flat_parameters
 
     def test_act_batch_bitwise(self):
@@ -435,6 +462,41 @@ class TestFusedActorCritic:
             legacy_stats = legacy_agent.update(batch)
             assert fused_stats == legacy_stats, f"step {step}"
             assert_same_state(fused_agent.network, legacy_agent.network)
+
+    def test_update_bitwise_with_two_action_dims(self):
+        """The per-dim log-density terms are summed (not read off as the
+        one-dim column) and the log-prob gradient is broadcast over both
+        dims; stats and parameters still match the oracle exactly."""
+        config = PPOConfig(learning_rate=1e-3, entropy_coef=0.01)
+        kwargs = dict(obs_dim=6, hidden_sizes=(16, 16), action_dim=2, seed=0)
+        fused_agent = PPOAgent(ActorCritic(**kwargs), config)
+        legacy_agent = ReferencePPOAgent(GraphActorCritic(**kwargs), config)
+        rng = np.random.default_rng(0)
+        for step in range(8):
+            batch = random_minibatch(rng, 12, 6, 2)
+            assert fused_agent.update(batch) == legacy_agent.update(batch), step
+            assert_same_state(fused_agent.network, legacy_agent.network)
+
+    def test_branch_weight_table_is_the_mask_arithmetic(self):
+        """The surrogate's per-row branch weights come from a lookup table;
+        each entry must carry the bits, signed zeros included, of the
+        reference's mask arithmetic for that row: smaller, tie, larger,
+        and the NaN rows no comparison holds for."""
+        rows = 6
+        network = ActorCritic(obs_dim=3, hidden_sizes=(4,), seed=0)
+        workspace = UpdateWorkspace(network, rows)
+        unclipped = np.array([1.0, 2.0, 3.0, np.nan, 0.0, -1.0])
+        clipped = np.array([2.0, 2.0, 1.0, 1.0, np.nan, -1.0])
+        g_surr = -1.0 * (1.0 / rows)
+        smaller, tie = unclipped < clipped, unclipped == clipped
+        expected = (
+            g_surr * (smaller + 0.5 * tie),
+            g_surr * (~smaller & ~tie) + g_surr * 0.5 * tie,
+        )
+        case = (unclipped <= clipped).astype(np.uint8) + (unclipped < clipped)
+        for branch, weights in enumerate(expected):
+            looked_up = workspace.branch_weights[branch][case]
+            assert looked_up.tobytes() == weights.tobytes(), branch
 
     def test_update_single_sample_batch(self):
         """size-1 batches skip advantage normalisation in both paths."""

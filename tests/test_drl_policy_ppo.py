@@ -139,7 +139,8 @@ class TestActorCritic:
 
     def test_log_std_is_trainable(self):
         net = ActorCritic(obs_dim=4, seed=0)
-        assert dict(net.named_parameters())["log_std"] is net.log_std
+        assert next(iter(net.state_dict())) == "log_std"
+        assert np.shares_memory(net.log_std, net.views_of(net.flat_parameters)[0])
         agent = PPOAgent(net, PPOConfig(learning_rate=1e-2, entropy_coef=0.1))
         before = net.log_std.copy()
         agent.update(make_batch(agent))

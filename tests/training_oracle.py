@@ -9,13 +9,17 @@ training benchmark) can pin the fast path against them bit for bit:
 - scalar per-trajectory GAE: :func:`discounted_returns`,
   :func:`generalized_advantages` and the paper's Eq. (18)
   :func:`paper_advantages`;
-- the per-transition :class:`RolloutBuffer` and
-  :func:`concatenate_minibatches`;
+- the per-transition :class:`RolloutBuffer`,
+  :func:`concatenate_minibatches` and the per-epoch
+  :func:`sample_minibatch` (one ``choice`` and one gather per epoch, which
+  ``repro.drl.buffer.sample_minibatches`` does for a whole phase);
 - :class:`ReferencePPOAgent`: graph act/value and the autograd PPO update
   over per-parameter ``Adam``, all from ``tests/autograd_oracle.py``'s
   :class:`GraphActorCritic`. It has the ``PPOAgent`` surface, so it plugs
   into the production ``VectorTrainer``;
-- the scalar Algorithm-1 :class:`Trainer` over a single env;
+- the scalar Algorithm-1 :class:`Trainer` over a single env, and
+  :class:`PerEpochVectorTrainer`, the production trainer with the
+  per-epoch sampling its phase gather replaced;
 - :class:`MigrationGameEnv`, the scalar Sec. IV-A POMDP (a history deque,
   one ``round_outcome`` solve per step, one info dict per round) that the
   array-native :class:`repro.env.VectorMigrationEnv` is pinned against.
@@ -34,7 +38,7 @@ import numpy as np
 from autograd_oracle import Adam, GraphActorCritic, Tensor, clip_grad_norm, no_grad
 
 from repro.core.stackelberg import StackelbergMarket
-from repro.drl.buffer import MiniBatch, sample_minibatch
+from repro.drl.buffer import MiniBatch
 from repro.drl.policy import ActionScaler
 from repro.drl.ppo import PPOConfig, UpdateStats
 from repro.drl.trainer import TrainerConfig, TrainingResult, VectorTrainer
@@ -213,6 +217,31 @@ class RolloutBuffer:
         return batches
 
 
+def sample_minibatch(
+    full: MiniBatch, batch_size: int, seed: SeedLike = None
+) -> MiniBatch:
+    """Draw one random mini-batch from a stacked segment (Algorithm 1, line 12).
+
+    Sampling is uniform over the population, with replacement only when the
+    population is smaller than ``batch_size``; one ``choice`` call per
+    mini-batch, so the per-epoch trainers consume their RNG stream exactly
+    like the production phase sampler.
+    """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    rng = as_generator(seed)
+    count = len(full.observations)
+    replace = batch_size > count
+    idx = rng.choice(count, size=batch_size, replace=replace)
+    return MiniBatch(
+        observations=full.observations[idx],
+        actions=full.actions[idx],
+        old_log_probs=full.old_log_probs[idx],
+        advantages=full.advantages[idx],
+        returns=full.returns[idx],
+    )
+
+
 def concatenate_minibatches(batches: list[MiniBatch]) -> MiniBatch:
     """Pool stacked segments along the batch axis, in list order."""
     if not batches:
@@ -388,6 +417,23 @@ class Trainer:
         return float(self.scaler.to_price(raw_action[0]))
 
 
+class PerEpochVectorTrainer(VectorTrainer):
+    """``VectorTrainer`` sampling each PPO epoch right before its update.
+
+    One ``choice`` and one gather per epoch (:func:`sample_minibatch`), the
+    form the production phase gather replaced: the same draws in the same
+    order, so a production run must reproduce it bit for bit.
+    """
+
+    def _update(self, bootstrap_values) -> None:
+        cfg = self.config
+        pool = self._storage.pooled(bootstrap_values)
+        for _ in range(cfg.update_epochs):
+            batch = sample_minibatch(pool, cfg.batch_size, seed=self._rng)
+            self.result.update_stats.append(self.agent.update(batch))
+        self._storage.clear()
+
+
 def train_reference(
     env,
     *,
@@ -400,15 +446,15 @@ def train_reference(
 
     Builds the graph network and scaler exactly as the production entry
     point builds its network (same seed stream, same draw order). A vector
-    env (anything with ``num_envs``) trains through the production
-    ``VectorTrainer``; a scalar env trains through the oracle
+    env (anything with ``num_envs``) trains through
+    :class:`PerEpochVectorTrainer`; a scalar env trains through the oracle
     :class:`Trainer`. Returns ``(agent, result, scaler)``.
     """
     rng = as_generator(seed)
     network = GraphActorCritic(env.observation_dim, hidden_sizes, seed=rng)
     agent = ReferencePPOAgent(network, ppo_config)
     scaler = ActionScaler(low=env.action_low, high=env.action_high)
-    trainer_cls = VectorTrainer if hasattr(env, "num_envs") else Trainer
+    trainer_cls = PerEpochVectorTrainer if hasattr(env, "num_envs") else Trainer
     result = trainer_cls(env, agent, scaler, trainer_config, seed=rng).train()
     return agent, result, scaler
 
