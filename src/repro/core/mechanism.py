@@ -26,11 +26,6 @@ class RoundRecord:
     demands: tuple[float, ...]
     msp_utility: float
 
-    @property
-    def total_demand(self) -> float:
-        """Σ b_n of the round (natural units)."""
-        return float(sum(self.demands))
-
 
 @dataclass
 class GameHistory:

@@ -426,8 +426,3 @@ class StackelbergMarket:
         """A copy of this market with a different population
         (the Fig. 3(c-d) sweep)."""
         return StackelbergMarket(vmus, config=self._config, link=self._link)
-
-    def with_link(self, link: RsuLink) -> "StackelbergMarket":
-        """A copy of this market on a different RSU link (fading or
-        distance drift)."""
-        return StackelbergMarket(self._vmus, config=self._config, link=link)

@@ -46,6 +46,16 @@ _META_FIELDS = {
     "clip_epsilon": _is_number,
 }
 
+# The rest of PPOConfig, type-checked when present: version-1 checkpoints
+# written before these fields joined the metadata lack them and load with
+# PPOConfig's defaults.
+_OPTIONAL_META_FIELDS = {
+    "value_coef": _is_number,
+    "entropy_coef": _is_number,
+    "max_grad_norm": _is_number,
+    "normalize_advantages": lambda v: isinstance(v, bool),
+}
+
 
 def save_agent(
     path: str | Path,
@@ -54,7 +64,9 @@ def save_agent(
     *,
     history_length: int | None = None,
 ) -> Path:
-    """Write the agent's parameters and architecture to ``path`` (.npz).
+    """Write the agent's parameters, architecture and whole
+    :class:`PPOConfig` to ``path`` (.npz). The optimiser's Adam moments and
+    step count are not saved: a loaded agent starts a fresh optimiser.
 
     The archive is written through a per-writer-unique temporary file,
     ``fsync``-ed, and renamed into place, so a checkpoint parked as a
@@ -74,6 +86,10 @@ def save_agent(
         "history_length": history_length,
         "learning_rate": agent.config.learning_rate,
         "clip_epsilon": agent.config.clip_epsilon,
+        "value_coef": agent.config.value_coef,
+        "entropy_coef": agent.config.entropy_coef,
+        "max_grad_norm": agent.config.max_grad_norm,
+        "normalize_advantages": agent.config.normalize_advantages,
     }
     arrays = {
         name.replace(".", "__"): tensor
@@ -113,6 +129,12 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
     required field of the right type and a usable value, a parameter set
     that does not match the rebuilt network exactly, or non-finite weights
     raise :class:`ConfigurationError` naming the path.
+
+    The agent's :class:`PPOConfig` is rebuilt from every field the
+    metadata holds. A version-1 checkpoint written before ``value_coef``,
+    ``entropy_coef``, ``max_grad_norm`` and ``normalize_advantages`` joined
+    the metadata lacks them and loads with ``PPOConfig``'s defaults; when
+    present they are type-checked like the required fields.
     """
     try:
         meta, state = _read_archive(Path(path))
@@ -133,6 +155,10 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
         config = PPOConfig(
             learning_rate=float(meta["learning_rate"]),
             clip_epsilon=float(meta["clip_epsilon"]),
+            **{
+                key: meta[key] if isinstance(meta[key], bool) else float(meta[key])
+                for key in _OPTIONAL_META_FIELDS.keys() & meta.keys()
+            },
         )
         scaler = ActionScaler(
             low=float(meta["action_low"]), high=float(meta["action_high"])
@@ -164,7 +190,8 @@ def load_agent(path: str | Path) -> tuple[PPOAgent, ActionScaler, dict]:
 def _check_meta(path: str | Path, meta: object) -> None:
     """Raise :class:`ConfigurationError` naming ``path`` unless ``meta`` is
     a JSON object of the current format holding every field of
-    :data:`_META_FIELDS` with its JSON type."""
+    :data:`_META_FIELDS`, and those of :data:`_OPTIONAL_META_FIELDS` it
+    has, with their JSON types."""
     if not isinstance(meta, dict):
         raise ConfigurationError(
             f"{path}: checkpoint metadata must be a JSON object, "
@@ -175,12 +202,13 @@ def _check_meta(path: str | Path, meta: object) -> None:
             f"{path}: unsupported checkpoint version "
             f"{meta.get('format_version')!r}"
         )
-    for key, has_type in _META_FIELDS.items():
+    for key in _META_FIELDS:
         if key not in meta:
             raise ConfigurationError(
                 f"{path}: checkpoint metadata lacks field {key!r}"
             )
-        if not has_type(meta[key]):
+    for key, has_type in (*_META_FIELDS.items(), *_OPTIONAL_META_FIELDS.items()):
+        if key in meta and not has_type(meta[key]):
             raise ConfigurationError(
                 f"{path}: checkpoint metadata field {key!r} has the wrong "
                 f"type: {meta[key]!r}"

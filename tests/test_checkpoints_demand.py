@@ -144,6 +144,75 @@ class TestCheckpoints:
         with pytest.raises(ConfigurationError, match=key.split("_")[-1]):
             load_agent(path)
 
+    def _rewrite_meta(self, path, edit):
+        """Rewrite a checkpoint's metadata object through ``edit(meta)``."""
+
+        def rewrite(arrays):
+            meta = json.loads(bytes(arrays["__checkpoint_meta__"]).decode("utf-8"))
+            arrays["__checkpoint_meta__"] = np.frombuffer(
+                json.dumps(edit(meta)).encode("utf-8"), dtype=np.uint8
+            )
+
+        self._rewrite_checkpoint(path, rewrite)
+
+    NON_DEFAULT_CONFIG = PPOConfig(
+        learning_rate=1e-3,
+        clip_epsilon=0.1,
+        value_coef=1.0,
+        entropy_coef=0.01,
+        max_grad_norm=2.0,
+        normalize_advantages=False,
+    )
+    LATER_FIELDS = (
+        "value_coef", "entropy_coef", "max_grad_norm", "normalize_advantages"
+    )
+
+    def test_round_trip_keeps_whole_ppo_config(self, tmp_path):
+        network = ActorCritic(obs_dim=12, hidden_sizes=(16, 16), seed=0)
+        agent = PPOAgent(network, self.NON_DEFAULT_CONFIG)
+        path = save_agent(tmp_path / "a.npz", agent, ActionScaler(5.0, 50.0))
+        loaded, _, meta = load_agent(path)
+        assert loaded.config == self.NON_DEFAULT_CONFIG
+        assert meta["normalize_advantages"] is False
+
+    def test_metadata_without_later_fields_loads_defaults(self, tmp_path):
+        """A version-1 checkpoint written before the last four PPOConfig
+        fields joined the metadata restores PPOConfig's defaults for them."""
+        network = ActorCritic(obs_dim=12, hidden_sizes=(16, 16), seed=0)
+        agent = PPOAgent(network, self.NON_DEFAULT_CONFIG)
+        path = save_agent(tmp_path / "a.npz", agent, ActionScaler(5.0, 50.0))
+        self._rewrite_meta(
+            path,
+            lambda meta: {
+                k: v for k, v in meta.items() if k not in self.LATER_FIELDS
+            },
+        )
+        loaded, _, _ = load_agent(path)
+        assert loaded.config == PPOConfig(learning_rate=1e-3, clip_epsilon=0.1)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("value_coef", "1.0"),
+            ("value_coef", True),
+            ("value_coef", -1.0),
+            ("entropy_coef", None),
+            ("entropy_coef", float("nan")),
+            ("max_grad_norm", [2.0]),
+            ("max_grad_norm", 0.0),
+            ("normalize_advantages", 1),
+            ("normalize_advantages", "false"),
+        ],
+    )
+    def test_bad_later_field_raises_configuration_error_naming_file(
+        self, tmp_path, key, value
+    ):
+        agent, scaler = self._agent()
+        path = save_agent(tmp_path / "bad.npz", agent, scaler)
+        self._rewrite_meta(path, lambda meta: {**meta, key: value})
+        with pytest.raises(ConfigurationError, match=f"bad.npz.*{key}"):
+            load_agent(path)
+
     def test_loaded_agent_can_keep_training(self, tmp_path):
         from training_oracle import RolloutBuffer
 
@@ -290,9 +359,15 @@ class TestCheckpointCompatibility:
             load_agent(path)
 
     def test_save_load_round_trip_is_byte_stable(self, tmp_path):
-        """Re-saving the loaded fixture reproduces every archive member
-        byte for byte (the zip container itself carries timestamps)."""
+        """Re-saving the loaded fixture reproduces every parameter member
+        byte for byte (the zip container itself carries timestamps), and
+        its metadata is the fixture's with the PPOConfig fields the fixture
+        predates appended at their defaults."""
         agent, scaler, meta = load_agent(FIXTURES / "parent_agent.npz")
+        assert agent.config == PPOConfig(
+            learning_rate=meta["learning_rate"],
+            clip_epsilon=meta["clip_epsilon"],
+        )
         path = save_agent(
             tmp_path / "again.npz",
             agent,
@@ -306,7 +381,21 @@ class TestCheckpointCompatibility:
             with zipfile.ZipFile(path) as resaved:
                 assert sorted(original.namelist()) == sorted(resaved.namelist())
                 for member in original.namelist():
+                    if member == "__checkpoint_meta__.npy":
+                        continue
                     assert original.read(member) == resaved.read(member), member
+        defaults = PPOConfig()
+        expected_meta = {
+            **meta,
+            "value_coef": defaults.value_coef,
+            "entropy_coef": defaults.entropy_coef,
+            "max_grad_norm": defaults.max_grad_norm,
+            "normalize_advantages": defaults.normalize_advantages,
+        }
+        with np.load(path) as archive:
+            assert bytes(archive["__checkpoint_meta__"]) == json.dumps(
+                expected_meta
+            ).encode("utf-8")
 
 
 class TestCapacitySizing:

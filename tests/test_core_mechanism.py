@@ -91,10 +91,6 @@ class TestGameHistory:
         price = policy.propose_price(GameHistory())
         assert 5.0 <= price <= 50.0
 
-    def test_total_demand(self):
-        record = self._record(0, 10.0, 1.0)
-        assert record.total_demand == pytest.approx(0.3)
-
 
 class TestRunRounds:
     def test_fixed_policy_constant_outcomes(self, market):

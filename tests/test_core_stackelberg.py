@@ -236,7 +236,7 @@ class TestConstraints:
         with pytest.raises(ConfigurationError, match="spectral efficiency"):
             StackelbergMarket(paper_fig2_population(), link=link)
         with pytest.raises(ConfigurationError, match="spectral efficiency"):
-            market.with_link(link)
+            StackelbergMarket(market.vmus, config=market.config, link=link)
 
     def test_invalid_price_rejected(self, market):
         with pytest.raises(ConfigurationError):

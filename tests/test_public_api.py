@@ -1,6 +1,10 @@
 """Public-API surface tests: every __all__ name resolves, constants sane."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,39 @@ def test_quickstart_from_docstring():
     market = StackelbergMarket(paper_fig2_population())
     eq = market.equilibrium()
     assert eq.price > 0 and eq.msp_utility > 0
+
+
+def test_cold_import_loads_no_scipy():
+    """A fresh interpreter imports every entry-point package and serves a
+    live price without loading scipy (or numpy.f2py, which scipy.special
+    drags in); the first confidence interval then loads scipy.special."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    script = (
+        "import sys\n"
+        "import repro, repro.experiments, repro.queue, repro.service\n"
+        "import repro.drl, repro.experiments.run\n"
+        "from repro.mobility.citygrid import CityGridSpec, city_markets\n"
+        "from repro.service import LivePricingService\n"
+        "spec = CityGridSpec.for_markets(8, seed=0)\n"
+        "service = LivePricingService(city_markets(spec))\n"
+        "quote = service.query(3)\n"
+        "assert quote.market_index == 3 and quote.feasible, quote\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy'\n"
+        "                or m.startswith(('scipy.', 'numpy.f2py')))\n"
+        "assert not loaded, f'loaded at import: {loaded}'\n"
+        "from repro.utils import summarize\n"
+        "summarize([1.0, 2.0])\n"
+        "assert 'scipy.special' in sys.modules, 'summarize loaded no scipy'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestConstants:
