@@ -16,9 +16,10 @@ Acceptance (ISSUE 6): the M = 10000 solve completes, its traced peak
 stays inside the chunk budget, and throughput clears 50 markets/second.
 
 Construction floor: ``city_columns`` at M = 10000 must beat the
-per-index column loop it replaced (one ``np.random.default_rng([seed,
-i])`` and one ``math.hypot`` scan per junction, kept below as the oracle)
-by ``MIN_BUILD_SPEEDUP``, on the best of interleaved runs so host speed
+per-index column loop it replaced (each junction drawn by its own
+``np.random.default_rng([seed, i])``, ``rng_oracle.generator_draws``,
+and one ``math.hypot`` scan per junction, kept as the oracle) by
+``MIN_BUILD_SPEEDUP``, on the best of interleaved runs so host speed
 cancels out, with bitwise-equal columns. The table goes to
 ``benchmarks/results/cityscale_build.txt``.
 """
@@ -36,6 +37,7 @@ from repro.core.marketstack import solve_scratch_bytes_per_market
 from repro.mobility import citygrid
 from repro.mobility.citygrid import CityGridSpec, city_columns
 from repro.utils.tables import Table
+from rng_oracle import generator_draws
 
 pytestmark = pytest.mark.slow
 
@@ -44,7 +46,7 @@ CHUNK_BYTES = 32 * 1024 * 1024
 MIN_MARKETS_PER_SECOND = 50.0
 BUILD_MARKETS = 10000
 BUILD_REPEATS = 7
-MIN_BUILD_SPEEDUP = 1.5
+MIN_BUILD_SPEEDUP = 4.5
 COLUMN_FIELDS = (
     "counts", "immersion_coefs", "data_sizes_mb", "data_units",
     "spectral_efficiencies", "max_bandwidths", "distances_m", "unit_costs",
@@ -116,11 +118,6 @@ def test_cityscale_throughput_and_memory(record_table):
     assert largest["traced_peak_mb"] * 1e6 <= CHUNK_BYTES
 
 
-def per_index_generators(seed, start, stop):
-    """The oracle's seeding: one freshly built generator per junction."""
-    return (np.random.default_rng([seed, i]) for i in range(start, stop))
-
-
 def per_index_road_lengths(spec, indices):
     """The oracle's geometry: a ``math.hypot`` scan of each junction's
     in-grid neighbours, one junction at a time."""
@@ -151,7 +148,7 @@ def test_city_columns_beat_the_per_index_loop(monkeypatch, record_table):
         elapsed, columns = timed_build(spec)
         fast.append(elapsed)
         with monkeypatch.context() as patch:
-            patch.setattr(citygrid, "indexed_generators", per_index_generators)
+            patch.setattr(citygrid, "indexed_draws", generator_draws)
             patch.setattr(citygrid, "_road_lengths", per_index_road_lengths)
             elapsed, expected = timed_build(spec)
         oracle.append(elapsed)

@@ -21,12 +21,13 @@ whole slice is one array pass.
 
 Determinism contract
 --------------------
-Market ``i`` is a pure function of ``(spec, i)``: every random draw comes
-from the generator ``np.random.default_rng([spec.seed, i])`` would be, and
-the junction geometry is derived from the grid parameters alone. The
-generators of a slice are seeded together
-(:func:`repro.utils.rng.indexed_generators` hashes every index's seed
-sequence in one array pass), which changes no draw. The columns of markets
+Market ``i`` is a pure function of ``(spec, i)``: every random draw is
+the one ``np.random.default_rng([spec.seed, i])`` would take, and the
+junction geometry is derived from the grid parameters alone. No
+generator is built per junction: :func:`repro.utils.rng.indexed_draws`
+computes a whole slice's draws from each junction's raw PCG64 stream in
+array passes, replicating numpy's algorithms bit for bit, which changes
+no draw. The columns of markets
 ``[start, stop)`` therefore equal that index range of the full build's
 columns (every ``(M,)`` entry, and every VMU entry of those markets), and
 the markets built from them equal the full build's objects, at a cost of
@@ -50,7 +51,7 @@ from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import population_columns, population_ranges
 from repro.errors import ConfigurationError
 from repro.mobility.demand import sized_capacity
-from repro.utils.rng import indexed_generators
+from repro.utils.rng import POISSON_LAM_MAX, indexed_draws
 from repro.utils.validation import require_positive
 
 __all__ = ["CityGridSpec", "city_columns", "city_markets"]
@@ -66,8 +67,8 @@ _CITY_CONFIG = MarketConfig()
 """Every junction market's config, apart from its ``B_max``."""
 _POPULATION_RANGES = population_ranges()
 _MAX_MARKETS = 1 << 32
-"""Market indices key their generators as one uint32 word each
-(:func:`repro.utils.rng.indexed_generators`)."""
+"""Market indices key their streams as one uint32 word each
+(:func:`repro.utils.rng.indexed_draws`)."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,12 @@ class CityGridSpec:
         for name in ("block_m", "speed_limit_mps", "vehicles_per_cell",
                      "target_aotm"):
             require_positive(name, getattr(self, name))
+        if self.vehicles_per_cell > POISSON_LAM_MAX:
+            raise ConfigurationError(
+                f"vehicles_per_cell must be <= {POISSON_LAM_MAX!r}, numpy's "
+                f"Poisson limit (each cell's vehicle count is a Poisson "
+                f"draw), got {self.vehicles_per_cell!r}"
+            )
         if self.coverage_radius_m is not None:
             require_positive("coverage_radius_m", self.coverage_radius_m)
 
@@ -193,7 +200,7 @@ def city_columns(
     that rate. :func:`~repro.mobility.demand.capacity_for_demand`'s sizing
     sets the market's ``B_max`` from that rate at the junction link's
     actual spectral efficiency. The VMU population and per-cell congestion
-    are drawn from the per-index generator (see the module docstring's
+    are the per-index generator's draws (see the module docstring's
     determinism contract).
 
     The geometry is analytic: junction ``(r, c)`` sits at
@@ -204,10 +211,10 @@ def city_columns(
     ``spec.coverage_radius`` away). No road graph is built, so a slice
     costs O(stop − start).
 
-    Only the draws and the link's ``math.log2`` spectral efficiency run
-    per junction. The generator seeding, the geometry, the populations,
-    rates, population means and capacities are whole-slice array
-    expressions with the bits of the per-market scalar ones. No VMU,
+    Only the link's ``math.log2`` spectral efficiency runs per junction.
+    The draws (:func:`~repro.utils.rng.indexed_draws`), the geometry, the
+    populations, rates, population means and capacities are whole-slice
+    array expressions with the bits of the per-market scalar ones. No VMU,
     link, config or market object is built;
     :meth:`MarketStack.from_columns` validates the columns and
     :func:`city_markets` builds the objects from them.
@@ -220,16 +227,13 @@ def city_columns(
             f"{spec.num_markets} markets"
         )
     road_lengths = _road_lengths(spec, np.arange(start, stop))
-    counts, uniforms, vehicles, factors = [], [], [], []
-    for rng in indexed_generators(spec.seed, start, stop):
-        count = int(rng.integers(1, spec.max_vmus + 1))
-        counts.append(count)
-        uniforms.append(rng.random(2 * count))
-        vehicles.append(1 + int(rng.poisson(spec.vehicles_per_cell)))
-        factors.append(float(rng.uniform(0.6, 1.0)))
+    draws = indexed_draws(
+        spec.seed, start, stop, spec.max_vmus, spec.vehicles_per_cell,
+        0.6, 1.0,
+    )
     # VTs migrate at the coverage boundary, somewhere along the road —
     # the RSU-to-RSU link distance is a per-cell fraction of the block.
-    distances = road_lengths * np.array(factors, dtype=np.float64)
+    distances = road_lengths * draws.factors
     budget = _CITY_LINK.budget
     efficiencies = np.array(
         [budget.spectral_efficiency_at(d) for d in distances.tolist()],
@@ -245,15 +249,14 @@ def city_columns(
             f"got {efficiencies[index]!r} over {distances[index]!r} m "
             f"(block_m={spec.block_m!r})"
         )
-    counts = np.array(counts, dtype=np.int64)
+    counts = draws.counts
     data_sizes_mb, immersion_coefs = population_columns(
-        np.concatenate(uniforms) if uniforms else np.empty(0),
-        _POPULATION_RANGES,
+        draws.uniforms, _POPULATION_RANGES
     )
     # VmuProfile.data_units, elementwise.
     data_units = data_sizes_mb / constants.DATA_UNIT_MB
     crossing_rate_hz = (
-        np.array(vehicles, dtype=np.float64)
+        (draws.poissons + 1).astype(np.float64)
         * spec.speed_limit_mps
         / road_lengths
     )

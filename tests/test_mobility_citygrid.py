@@ -40,6 +40,8 @@ from repro.mobility.citygrid import (
     city_columns,
     city_markets,
 )
+from repro.utils.rng import POISSON_LAM_MAX
+from rng_oracle import ptrs_first_try
 
 SOFT_HANDOVER_FACTOR = 0.5
 CONCURRENCY_MARGIN = 1.5
@@ -159,14 +161,25 @@ SPEC_ON_CIRCLE = CityGridSpec.for_markets(rows=4, cols=5, coverage_radius_m=400.
 # A seed of more than one uint32 word keys a longer seed sequence.
 SPEC_WIDE_SEED = CityGridSpec.for_markets(rows=7, cols=13, block_m=333.3,
                                           seed=2**64 + 3)
+# integers(1, 2) draws no word, so the uniforms start at word 0.
+SPEC_ONE_VMU = CityGridSpec.for_markets(rows=6, cols=7, max_vmus=1, seed=11)
+# Below lam = 10 numpy's Poisson is the multiplication method, not PTRS.
+SPEC_FEW_VEHICLES = CityGridSpec.for_markets(rows=6, cols=7,
+                                             vehicles_per_cell=3.5, seed=12)
+# lam = 10 is PTRS's boundary, where its log test meets loggam's x < 7.
+SPEC_PTRS_EDGE = CityGridSpec.for_markets(rows=12, cols=13,
+                                          vehicles_per_cell=10.0, seed=13)
+ORACLE_SPECS = {
+    "100x100": SPEC_100x100, "truncated": SPEC_TRUNCATED,
+    "block0.1": SPEC_TINY_BLOCK, "soft": SPEC_SOFT,
+    "max_vmus11": SPEC_MANY_VMUS, "on-circle": SPEC_ON_CIRCLE,
+    "wide-seed": SPEC_WIDE_SEED, "max_vmus1": SPEC_ONE_VMU,
+    "vehicles3.5": SPEC_FEW_VEHICLES, "vehicles10": SPEC_PTRS_EDGE,
+}
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [SPEC_100x100, SPEC_TRUNCATED, SPEC_TINY_BLOCK, SPEC_SOFT, SPEC_MANY_VMUS,
-     SPEC_ON_CIRCLE, SPEC_WIDE_SEED],
-    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle",
-         "wide-seed"],
+    "spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys()
 )
 def test_full_build_matches_graph_oracle(spec):
     expected, _ = oracle_city(spec)
@@ -212,11 +225,7 @@ def assert_stacks_bitwise_equal(got, expected):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [SPEC_100x100, SPEC_TRUNCATED, SPEC_TINY_BLOCK, SPEC_SOFT, SPEC_MANY_VMUS,
-     SPEC_ON_CIRCLE, SPEC_WIDE_SEED],
-    ids=["100x100", "truncated", "block0.1", "soft", "max_vmus11", "on-circle",
-         "wide-seed"],
+    "spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys()
 )
 def test_column_stack_matches_graph_oracle(spec):
     expected, _ = oracle_city(spec)
@@ -318,6 +327,26 @@ def test_specs_reach_the_branches_they_pin():
     for spec in (SPEC_SOFT, SPEC_ON_CIRCLE):
         _, choices = oracle_city(spec)
         assert all(covered for _, _, covered in choices)
+    # SPEC_100x100's vehicle counts run PTRS: some first tries take its
+    # log test, and some draw again at once, so the pending lanes step
+    # their own streams. (The generator fallback, which no city lane
+    # reaches, is pinned in tests/test_utils_rng.py.)
+    tries = first_ptrs_tries(SPEC_100x100)
+    assert any(not t.fast and not t.retry for t in tries)
+    assert any(t.retry and not t.fast for t in tries)
+    # At lam = 10 some log tests evaluate loggam(k + 1) below 7, its
+    # shifted branch.
+    tries = first_ptrs_tries(SPEC_PTRS_EDGE)
+    assert any(not t.fast and not t.retry and t.k + 1 < 7 for t in tries)
+    assert SPEC_FEW_VEHICLES.vehicles_per_cell < 10.0
+    assert SPEC_ONE_VMU.max_vmus == 1
+
+
+def first_ptrs_tries(spec):
+    return [
+        ptrs_first_try(spec.seed, index, spec.max_vmus, spec.vehicles_per_cell)
+        for index in range(spec.num_markets)
+    ]
 
 
 def test_slice_builds_no_road_graph():
@@ -347,18 +376,38 @@ FLOAT_FIELDS = (
     "block_m", "coverage_radius_m", "speed_limit_mps", "vehicles_per_cell",
     "target_aotm",
 )
+DEGENERATE_FLOATS = {
+    f"{field}-{name}": (field, value, field)
+    for field in FLOAT_FIELDS
+    for name, value in (("nan", math.nan), ("inf", math.inf), ("zero", 0.0),
+                        ("negative", -1.0))
+}
+# A vehicle stream numpy cannot draw: its Poisson limit is ~9.22e18.
+DEGENERATE_FLOATS["vehicles_per_cell-past-poisson-limit"] = (
+    "vehicles_per_cell", 1e20, r"vehicles_per_cell.*9\.22\d*e\+18.*Poisson",
+)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0],
-                         ids=["nan", "inf", "zero", "negative"])
-@pytest.mark.parametrize("field", FLOAT_FIELDS)
-def test_spec_rejects_degenerate_floats(field, value):
-    with pytest.raises(ConfigurationError, match=field):
+@pytest.mark.parametrize(
+    "field, value, message", DEGENERATE_FLOATS.values(),
+    ids=DEGENERATE_FLOATS.keys(),
+)
+def test_spec_rejects_degenerate_floats(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
         CityGridSpec(num_markets=4, rows=2, cols=2, **{field: value})
     payload = CityGridSpec(num_markets=4, rows=2, cols=2).to_payload()
     payload[field] = value
-    with pytest.raises(ConfigurationError, match=field):
+    with pytest.raises(ConfigurationError, match=message):
         CityGridSpec.from_payload(payload)
+
+
+def test_spec_takes_numpys_largest_poisson_lam():
+    spec = CityGridSpec(num_markets=4, rows=2, cols=2,
+                        vehicles_per_cell=POISSON_LAM_MAX)
+    columns = city_columns(spec)
+    assert columns.counts.tolist() == [
+        int(np.random.default_rng([0, i]).integers(1, 7)) for i in range(4)
+    ]
 
 
 INT_FIELDS = ("num_markets", "rows", "cols", "max_vmus", "seed")
