@@ -62,11 +62,6 @@ class LinkBudget:
         )
 
     @property
-    def snr(self) -> float:
-        """Linear signal-to-noise ratio at the receiver."""
-        return self.received_power_w / self.noise_power_w
-
-    @property
     def spectral_efficiency(self) -> float:
         """Shannon spectral efficiency ``log2(1 + SNR)`` in bit/s/Hz."""
         return self.spectral_efficiency_at(self.distance_m)

@@ -41,10 +41,12 @@ candidate matrix, its evaluation, the argmax, the final outcome) is
 row-local: reductions run along the population or candidate axis, never
 across markets, so every chunk size gives bitwise the same rows
 (:meth:`MarketStack.equilibria_stacked_chunked` takes an explicit row
-count to show it). Each chunk evaluates the leader utility in place on a
-band allocated for it (:meth:`MarketStack._leader_utilities`); chunks
-of a few narrow rows solve row by row in Python floats instead, to the
-same bits (:data:`_SCALAR_SOLVE_MAX_ROWS`), and allocate no band.
+count to show it). Each chunk cuts every row's candidates to its distinct
+prices (:func:`_distinct_candidates`) and evaluates them once through the
+trusted body of :meth:`MarketStack.outcomes_stacked`; the winner's every
+field is read off that one evaluation. Chunks of a few narrow rows solve
+row by row in Python floats instead, to the same bits
+(:data:`_SCALAR_SOLVE_MAX_ROWS`).
 
 Live state
 ----------
@@ -103,49 +105,51 @@ DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 _SCALAR_SOLVE_MAX_ROWS = 24
 """Row-count ceiling of the row-by-row solve (see
 :meth:`MarketStack._solve_rows_scalar`). The numpy solve pays a fixed
-~80 array operations per chunk however few rows it holds, so chunks of at
-most this many rows whose widest population is below 8 solve row by row
-in Python floats instead, linear in rows and bitwise the same. The input
-size picks the path: ``StackelbergMarket.equilibrium()`` (``M = 1``) and
-small live re-solves take the rows, bulk solves the numpy form.
+~0.2 ms of array operations per chunk however few rows it holds, so
+chunks of at most this many rows whose widest population is below 8
+solve row by row in Python floats instead, linear in rows and bitwise the
+same. The input size picks the path: ``StackelbergMarket.equilibrium()``
+(``M = 1``) and small live re-solves take the rows, bulk solves the numpy
+form.
 
 Median time per ``_solve_rows`` call on ``rows`` markets drawn at random,
 400 draws each: city rows (``N_max`` 6, a 1000-market grid at seed 7)
 and random rows of 1–7 VMUs (1000 markets of the test suite's
-``random_markets`` at seed 3). 2-core x86 host, numpy 2, Python 3.11:
+``random_markets`` at seed 3). 2-core x86 host, numpy 2.4, Python 3.11:
 
 ====  =========  ==========  ===========  ============
 rows  city rows  city numpy  random rows  random numpy
 ====  =========  ==========  ===========  ============
-1     0.08 ms    0.39 ms     0.07 ms      0.32 ms
-8     0.24 ms    0.58 ms     0.21 ms      0.47 ms
-16    0.37 ms    0.59 ms     0.35 ms      0.64 ms
-24    0.51 ms    0.62 ms     0.50 ms      0.62 ms
-32    0.69 ms    0.75 ms     0.64 ms      0.66 ms
-40    0.84 ms    0.80 ms     0.77 ms      0.79 ms
+1     0.03 ms    0.19 ms     0.03 ms      0.19 ms
+8     0.11 ms    0.26 ms     0.10 ms      0.25 ms
+16    0.19 ms    0.30 ms     0.20 ms      0.31 ms
+24    0.29 ms    0.33 ms     0.28 ms      0.33 ms
+32    0.38 ms    0.34 ms     0.36 ms      0.36 ms
+40    0.46 ms    0.36 ms     0.39 ms      0.35 ms
 ====  =========  ==========  ===========  ============
 
-The crossover lies between 32 and 40 rows; the gate stays a step below
-it, where the row form wins on both populations by a margin that host
-noise does not erase.
+The crossover lies between 24 and 32 rows; the gate stays at 24, where
+the row form still wins on both populations.
 """
 
 
 def solve_scratch_bytes_per_market(n_max: int) -> int:
     """Estimated peak scratch bytes one market contributes to a chunk.
 
-    Sized for the widest evaluation of the solve: the ``(width, N_max)``
-    best-response/allocation band of the ``width = 3·N_max + 4``
-    Theorem-2 candidates, the transient grouped-reduction copies of that
-    band (ragged stacks), the ``(width,)``-shaped candidate/total/scale
-    temporaries, and the candidate-matrix intermediates. Deliberately
-    conservative so a chunk sized from a byte budget stays inside it
-    including numpy's untracked temporaries.
+    Sized for the widest evaluation of the solve: a row whose
+    ``width = 3·N_max + 4`` Theorem-2 candidates are all distinct, so the
+    outcome at its ``(width, N_max)`` price-by-population grid holds six
+    such arrays at once (best responses, masked demands, allocations, and
+    the follower utilities with their two temporaries); plus the
+    ``(width,)``-shaped candidate/total/scale temporaries and the
+    candidate-matrix intermediates. Deliberately conservative so a chunk
+    sized from a byte budget stays inside it including numpy's untracked
+    temporaries.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     width = 3 * n_max + 4
-    return 8 * (3 * width * n_max + 12 * width + 32 * n_max + 128)
+    return 8 * (6 * width * n_max + 12 * width + 32 * n_max + 128)
 
 
 def _chunk_rows(n_max: int) -> int:
@@ -186,6 +190,36 @@ def _per_market_totals(
     for n, members in groups:
         totals[members] = values[members, ..., :n].sum(axis=-1)
     return totals
+
+
+def _distinct_candidates(candidates: np.ndarray) -> np.ndarray:
+    """Each row of a :meth:`MarketStack._candidate_rows` layout cut to its
+    distinct prices, in first-occurrence order, and padded to the widest
+    row with the row's first candidate ``C``.
+
+    No sort is needed: the sorted boundaries repeat only adjacently, and a
+    segment's optimum or saturating price is new only strictly inside
+    ``(low, high)`` — otherwise it is a filled-in or clamped copy of a
+    boundary. Evaluating a repeat gives its first occurrence's bits, so
+    the first argmax over the cut row is the one over the full row, and a
+    rare leftover repeat (a segment's optimum equal to its saturating
+    price) is harmless.
+    """
+    segments = (candidates.shape[1] - 1) // 3
+    low = candidates[:, :segments]
+    high = candidates[:, 1 : segments + 1]
+    optima = candidates[:, segments + 1 :].reshape(-1, 2, segments)
+    inside = (low[:, np.newaxis] < optima) & (optima < high[:, np.newaxis])
+    m = len(candidates)
+    keep = np.concatenate(
+        [np.ones((m, 1), dtype=bool), high != low, inside.reshape(m, -1)],
+        axis=1,
+    )
+    slots = np.cumsum(keep, axis=1) - 1
+    rows, cols = np.nonzero(keep)
+    grid = np.repeat(candidates[:, :1], slots[:, -1].max() + 1, axis=1)
+    grid[rows, slots[rows, cols]] = candidates[rows, cols]
+    return grid
 
 
 @dataclass(frozen=True)
@@ -833,8 +867,8 @@ class MarketStack:
         come out of its own ``[C, p_max]`` clamp, so they are finite and
         positive by construction and re-validating them every step is pure
         overhead on the training hot path. The equilibrium solve calls it
-        per chunk for the outcome at the winning prices. It reads the
-        padding flags as they stand: callers on a written stack run
+        once per chunk, on the chunk's distinct candidate prices. It reads
+        the padding flags as they stand: callers on a written stack run
         :meth:`_sync_padding` first.
         """
         grid = p.ndim == 2
@@ -959,55 +993,6 @@ class MarketStack:
         )
         return candidates, feasible
 
-    def _leader_utilities(
-        self, prices: np.ndarray, sl: slice | np.ndarray
-    ) -> np.ndarray:
-        """Leader utilities of rows ``sl`` at their ``(m, R)`` price grid
-        ``prices`` (``R`` at most the candidate matrix's ``3·N_max + 4``).
-
-        Bitwise ``outcomes_stacked(prices).msp_utilities`` for these rows:
-        every expression is the elementwise
-        ``_follower_best_response_rows`` → ``_rationing_rows`` →
-        ``_msp_utilities_rows`` chain, evaluated in place on one
-        ``(m, R, N_max)`` band allocated per call — the stack validated its
-        parameters at construction, and the solve's prices lie inside
-        ``[C, p_max]``.
-        """
-        alphas = self._alphas[sl][:, np.newaxis]
-        # The division the best-response kernel performs, hoisted: the
-        # same operands give the same bits.
-        ratio = (self._data[sl] / self._se[sl][:, np.newaxis])[:, np.newaxis]
-        pad = ~self._mask[sl][:, np.newaxis]
-        caps = self._effective_caps[sl][:, np.newaxis]
-        costs = self._unit_costs[sl][:, np.newaxis]
-        # Full-width row sums are bitwise-equal to the per-market ``[:n]``
-        # reductions when the row holds non-negative values with trailing
-        # ``+0.0`` padding AND both widths reduce in numpy's sequential
-        # regime (width < 8): each padded add is then an exact identity
-        # (no partial sum is ``-0.0`` — demands are ``maximum(0, a-b)``
-        # with ``a, b >= 0``, which never rounds to ``-0.0``). At width 8
-        # numpy switches to an 8-accumulator pairwise kernel that
-        # associates differently, so wider ragged stacks keep the grouped
-        # reduction. ``tests/test_core_solve_kernel.py`` pins both sides
-        # of this boundary against the validating ``outcomes_stacked``.
-        groups = _population_groups(
-            self._counts[sl], ragged=self._ragged and self.max_vmus >= 8
-        )
-        # b*_n = max(0, α_n/p − D_n/SE), padded slots zeroed.
-        band = np.divide(alphas, prices[..., np.newaxis])
-        np.subtract(band, ratio, out=band)
-        np.maximum(band, 0.0, out=band)
-        np.copyto(band, 0.0, where=pad)
-        demand_totals = _per_market_totals(band, groups)
-        # Proportional rationing in place: the quotient is evaluated only
-        # where totals exceed the capacity (the same bits as the
-        # where-guarded scale expression); rows within capacity keep
-        # exactly 1.0.
-        scales = np.ones(prices.shape)
-        np.divide(caps, demand_totals, out=scales, where=demand_totals > caps)
-        np.multiply(band, scales[..., np.newaxis], out=band)
-        return (prices - costs) * _per_market_totals(band, groups)
-
     def _solve_rows_scalar(
         self, sl: slice | np.ndarray
     ) -> dict[str, np.ndarray]:
@@ -1016,10 +1001,11 @@ class MarketStack:
 
         Per row: :meth:`_candidate_rows`' segments over the row's own
         population, each distinct candidate's leader utility by
-        :meth:`_leader_utilities`' chain, the first argmax
-        and the outcome at it. The follower utilities are left to numpy,
-        since ``math.log1p`` and ``np.log1p`` round differently on some
-        inputs; an infeasible row's ``nan`` allocations make them ``nan``.
+        :meth:`_outcomes_trusted`' demand → rationing → utility chain, the
+        first argmax and the outcome at it. The follower utilities are left
+        to numpy, since ``math.log1p`` and ``np.log1p`` round differently
+        on some inputs; an infeasible row's ``nan`` allocations make them
+        ``nan``.
 
         The bits are the numpy form's. Python floats and float64 round
         alike, every expression keeps the numpy operation order
@@ -1124,8 +1110,9 @@ class MarketStack:
     def _solve_rows(self, sl: slice | np.ndarray) -> dict[str, np.ndarray]:
         """Equilibrium arrays for rows ``sl``: one chunk of the solve.
 
-        The argmax of the leader utility over Theorem 2's candidates,
-        then the full outcome at that price. The candidate set holds the
+        One outcome over each row's distinct Theorem-2 candidates
+        (:func:`_distinct_candidates`), its first leader-utility argmax,
+        and every field read at that winner. The candidate set holds the
         exact maximiser, so no search refines it. Every step is row-local,
         so the arrays are bitwise the rows any other chunking produces.
 
@@ -1137,18 +1124,23 @@ class MarketStack:
         if counts.shape[0] <= _SCALAR_SOLVE_MAX_ROWS and int(counts.max()) < 8:
             return self._solve_rows_scalar(sl)
         candidates, feasible = self._candidate_rows(sl)
-        values = self._leader_utilities(candidates, sl)
-        best = np.argmax(values, axis=1)[:, np.newaxis]
-        prices = np.take_along_axis(candidates, best, axis=1)[:, 0]
-        outcome = self._outcomes_trusted(prices, sl)
+        grid = _distinct_candidates(candidates)
+        outcome = self._outcomes_trusted(grid, sl)
+        best = np.argmax(outcome.msp_utilities, axis=1)
+        winner = (np.arange(len(grid)), best)
+        prices = grid[winner]
         price_cap_binding = np.abs(prices - self._max_prices[sl]) < 1e-9
         rows = feasible[:, np.newaxis]
         return {
             "prices": np.where(feasible, prices, np.nan),
-            "demands": np.where(rows, outcome.allocations, np.nan),
-            "msp_utilities": np.where(feasible, outcome.msp_utilities, np.nan),
-            "vmu_utilities": np.where(rows, outcome.vmu_utilities, np.nan),
-            "capacity_binding": outcome.capacity_binding & feasible,
+            "demands": np.where(rows, outcome.allocations[winner], np.nan),
+            "msp_utilities": np.where(
+                feasible, outcome.msp_utilities[winner], np.nan
+            ),
+            "vmu_utilities": np.where(
+                rows, outcome.vmu_utilities[winner], np.nan
+            ),
+            "capacity_binding": outcome.capacity_binding[winner] & feasible,
             "price_cap_binding": price_cap_binding & feasible,
             "feasible": feasible,
         }

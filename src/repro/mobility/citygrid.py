@@ -46,7 +46,11 @@ import numpy as np
 
 from repro import constants
 from repro.channel.link import paper_link
-from repro.core.marketstack import MarketColumns
+from repro.core.marketstack import (
+    DEFAULT_CHUNK_BYTES,
+    MarketColumns,
+    solve_scratch_bytes_per_market,
+)
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import population_columns, population_ranges
 from repro.errors import ConfigurationError
@@ -117,6 +121,12 @@ class CityGridSpec:
         if self.max_vmus < 1:
             raise ConfigurationError(
                 f"max_vmus must be >= 1, got {self.max_vmus}"
+            )
+        if solve_scratch_bytes_per_market(self.max_vmus) > DEFAULT_CHUNK_BYTES:
+            raise ConfigurationError(
+                f"max_vmus={self.max_vmus} is too large: one market of that "
+                f"many VMUs does not fit a {DEFAULT_CHUNK_BYTES}-byte solve "
+                f"chunk"
             )
         for name in ("block_m", "speed_limit_mps", "vehicles_per_cell",
                      "target_aotm"):

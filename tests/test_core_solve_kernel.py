@@ -1,21 +1,21 @@
-"""The equilibrium solve's two forms and its leader-utility kernel.
+"""The equilibrium solve's two forms.
 
-Every candidate evaluation of the numpy form of
-``MarketStack.equilibria_stacked`` runs through one kernel,
-``MarketStack._leader_utilities``. It re-implements the
-best-response → proportional-rationing → leader-utility chain in place on
-a band allocated per chunk (hoisted ``D/SE``, ragged grouping, guarded
-division), so it is pinned here **bitwise** against the public validating
-path ``outcomes_stacked(p).msp_utilities``:
+The numpy form of ``MarketStack._solve_rows`` cuts each row of Theorem 2's
+candidate layout (``MarketStack._candidate_rows``) to its distinct prices
+(``marketstack._distinct_candidates``), evaluates that grid once through
+``MarketStack._outcomes_trusted`` and reads every field at the first
+argmax of the leader utility. It is pinned **bitwise** on every field
+against an in-test oracle that skips the cut: the full layout through
+the validating ``outcomes_stacked``, first argmax, outcome at the winner.
 
-- ``(m, R)`` price grids up to the candidate matrix's width, including
-  the Theorem-2 candidate matrix the solve evaluates;
 - ragged stacks with ``N_max`` 7 and 11, on both sides of numpy's width-8
-  pairwise-summation boundary where the kernel switches between the
-  full-width row sum and the grouped per-population reduction;
+  pairwise-summation boundary;
 - non-enforcing, capacity-binding and infeasible rows;
-- row ranges and gathered row indices evaluated one after another, as
-  the chunked solve and the live re-solve stream them.
+- the whole stack, row ranges of 5, and the same rows gathered in
+  reverse, as the chunked solve and the live re-solve hand them over,
+  each in exactly one evaluation;
+- each cut row holds the full row's distinct prices in first-occurrence
+  order, then padding only.
 
 The row-by-row form ``MarketStack._solve_rows_scalar``, which small
 chunks take, is pinned the same way against the numpy form on every
@@ -62,60 +62,84 @@ def kernel_stack(n_max, seed):
     return stack
 
 
-def price_sets(stack, seed):
-    """``(M, R)`` prices inside each row's ``[C, p_max]``."""
-    rng = np.random.default_rng(seed)
-    low, high = stack.unit_costs, stack.max_prices
-    # As wide as the candidate matrix, the widest evaluation the solve
-    # runs.
-    width = 3 * stack.max_vmus + 4
-    grid = low[:, None] + (high - low)[:, None] * np.sort(
-        rng.uniform(size=(low.size, width)), axis=1
+def candidate_oracle(stack):
+    """The solve without compaction, for the whole stack: every slot of
+    ``_candidate_rows``' full layout through the validating
+    ``outcomes_stacked``, the first argmax, and each field at the winner."""
+    candidates, feasible = stack._candidate_rows(slice(None))
+    outcome = stack.outcomes_stacked(candidates)
+    winner = (
+        np.arange(stack.num_markets),
+        np.argmax(outcome.msp_utilities, axis=1),
     )
-    grid[:, 0] = low  # cheapest price: capacity binds where it can
-    candidates, _ = stack._candidate_rows(slice(None))
-    return {"grid": grid, "candidates": candidates}
-
-
-@pytest.mark.parametrize("n_max", [7, 11])
-@pytest.mark.parametrize("form", ["grid", "candidates"])
-def test_kernel_matches_outcomes_stacked_bitwise(n_max, form):
-    stack = kernel_stack(n_max, seed=100 + n_max)
-    prices = price_sets(stack, seed=n_max)[form]
-    reference = stack.outcomes_stacked(prices)
-    values = stack._leader_utilities(prices, slice(None))
-    assert values.shape == prices.shape
-    assert np.array_equal(values, reference.msp_utilities)
-    if form == "grid":
-        # The set really covers every row kind.
-        enforce = np.array([m.config.enforce_capacity for m in stack.markets])
-        assert reference.capacity_binding.any()
-        assert (~enforce).any()
-        assert (reference.msp_utilities[4] == 0.0).all()  # infeasible row
-
-
-@pytest.mark.parametrize("n_max", [7, 11])
-def test_streamed_row_slices_match_the_full_stack(n_max):
-    """Row ranges of 5 evaluated one after another, and the same rows
-    gathered by index, give the full-stack bits for both price sets."""
-    stack = kernel_stack(n_max, seed=200 + n_max)
-    prices = price_sets(stack, seed=3 * n_max)
-    full = {
-        form: stack.outcomes_stacked(p).msp_utilities
-        for form, p in prices.items()
+    prices = candidates[winner]
+    rows = feasible[:, None]
+    return {
+        "prices": np.where(feasible, prices, np.nan),
+        "demands": np.where(rows, outcome.allocations[winner], np.nan),
+        "msp_utilities": np.where(
+            feasible, outcome.msp_utilities[winner], np.nan
+        ),
+        "vmu_utilities": np.where(rows, outcome.vmu_utilities[winner], np.nan),
+        "capacity_binding": outcome.capacity_binding[winner] & feasible,
+        "price_cap_binding": (np.abs(prices - stack.max_prices) < 1e-9)
+        & feasible,
+        "feasible": feasible,
     }
+
+
+@pytest.mark.parametrize("n_max", [7, 11])
+def test_compacted_rows_hold_each_distinct_candidate_once(n_max):
+    stack = kernel_stack(n_max, seed=100 + n_max)
+    candidates, _ = stack._candidate_rows(slice(None))
+    grid = marketstack._distinct_candidates(candidates)
+    assert grid.shape[1] < candidates.shape[1]
+    for full, compact in zip(candidates.tolist(), grid.tolist()):
+        distinct = list(dict.fromkeys(full))
+        assert compact[: len(distinct)] == distinct
+        assert set(compact[len(distinct) :]) <= {full[0]}  # padding
+
+
+@pytest.fixture
+def trusted_calls(monkeypatch):
+    """Counts the solve's evaluations through ``_outcomes_trusted``."""
+    calls = []
+    original = MarketStack._outcomes_trusted
+
+    def counted(self, p, sl=slice(None)):
+        calls.append(p.shape)
+        return original(self, p, sl)
+
+    monkeypatch.setattr(MarketStack, "_outcomes_trusted", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", [7, 11])
+def test_numpy_form_matches_the_candidate_oracle_bitwise(
+    n_max, monkeypatch, trusted_calls
+):
+    """The whole stack, row ranges of 5 one after another, and the same
+    rows gathered in reverse, each in one evaluation per chunk."""
+    stack = kernel_stack(n_max, seed=200 + n_max)
+    oracle = candidate_oracle(stack)
+    # The stack really covers every row kind.
+    enforce = np.array([m.config.enforce_capacity for m in stack.markets])
+    assert oracle["capacity_binding"].any() and (~enforce).any()
+    assert not oracle["feasible"][4]
     rows = np.arange(stack.num_markets)
+    chunks = [slice(None)]
     for start in range(0, stack.num_markets, 5):
         sl = slice(start, min(start + 5, stack.num_markets))
-        gathered = rows[::-1][sl]
-        for form, p in prices.items():
-            assert np.array_equal(
-                stack._leader_utilities(p[sl], sl), full[form][sl]
-            ), (form, sl)
-            assert np.array_equal(
-                stack._leader_utilities(p[gathered], gathered),
-                full[form][gathered],
-            ), (form, gathered)
+        chunks += [sl, rows[::-1][sl]]
+    trusted_calls.clear()
+    for chunk in chunks:
+        solved = solve_rows(stack, chunk, 0, monkeypatch)
+        assert solved.keys() == oracle.keys()
+        for key, values in solved.items():
+            expected = oracle[key][chunk]
+            assert values.dtype == expected.dtype, key
+            assert values.tobytes() == expected.tobytes(), (key, chunk)
+    assert len(trusted_calls) == len(chunks)
 
 
 FUZZ_KINDS = ("plain", "flat", "priced_out", "unenforced", "tiny_capacity")

@@ -28,7 +28,11 @@ import pytest
 import repro
 from repro import constants
 from repro.channel.link import LinkBudget, paper_link
-from repro.core.marketstack import MarketStack
+from repro.core.marketstack import (
+    DEFAULT_CHUNK_BYTES,
+    MarketStack,
+    solve_scratch_bytes_per_market,
+)
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
@@ -447,6 +451,26 @@ def test_spec_rejects_more_markets_than_uint32_indices():
     (last,) = city_columns(spec, 2**32 - 1).counts.tolist()
     rng = np.random.default_rng([1, 2**32 - 1])
     assert last == int(rng.integers(1, spec.max_vmus + 1))
+
+
+def test_spec_rejects_a_market_wider_than_one_solve_chunk():
+    """A ``max_vmus`` whose single market overflows the solve's chunk
+    budget is refused at construction, before numpy's bare bounds error
+    (``2**63``) or a draw of ~2**41 doubles (``2**40``)."""
+    largest = 680
+    assert solve_scratch_bytes_per_market(largest) <= DEFAULT_CHUNK_BYTES
+    assert solve_scratch_bytes_per_market(largest + 1) > DEFAULT_CHUNK_BYTES
+    for value in (2**63, 2**40, largest + 1):
+        with pytest.raises(ConfigurationError, match="max_vmus"):
+            CityGridSpec(num_markets=4, rows=2, cols=2, max_vmus=value)
+        payload = CityGridSpec(num_markets=4, rows=2, cols=2).to_payload()
+        payload["max_vmus"] = value
+        with pytest.raises(ConfigurationError, match="max_vmus"):
+            CityGridSpec.from_payload(payload)
+    spec = CityGridSpec(num_markets=4, rows=2, cols=2, max_vmus=largest)
+    solved = MarketStack.from_columns(city_columns(spec)).equilibria_stacked()
+    assert solved.feasible.all()
+    assert solved.demands.shape[1] <= largest
 
 
 def test_a_link_whose_spectral_efficiency_rounds_to_zero_is_rejected():
