@@ -11,9 +11,9 @@ the validating ``outcomes_stacked``, first argmax, outcome at the winner.
 - ragged stacks with ``N_max`` 7 and 11, on both sides of numpy's width-8
   pairwise-summation boundary;
 - non-enforcing, capacity-binding and infeasible rows;
-- the whole stack, row ranges of 5, and the same rows gathered in
-  reverse, as the chunked solve and the live re-solve hand them over,
-  each in exactly one evaluation;
+- the whole stack, and row ranges of 5 and the same rows gathered in
+  reverse, as the chunked solve and the live re-solve stream them, each
+  in exactly one evaluation;
 - each cut row holds the full row's distinct prices in first-occurrence
   order, then padding only.
 
@@ -114,24 +114,10 @@ def trusted_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_max", [7, 11])
-def test_numpy_form_matches_the_candidate_oracle_bitwise(
-    n_max, monkeypatch, trusted_calls
-):
-    """The whole stack, row ranges of 5 one after another, and the same
-    rows gathered in reverse, each in one evaluation per chunk."""
-    stack = kernel_stack(n_max, seed=200 + n_max)
-    oracle = candidate_oracle(stack)
-    # The stack really covers every row kind.
-    enforce = np.array([m.config.enforce_capacity for m in stack.markets])
-    assert oracle["capacity_binding"].any() and (~enforce).any()
-    assert not oracle["feasible"][4]
-    rows = np.arange(stack.num_markets)
-    chunks = [slice(None)]
-    for start in range(0, stack.num_markets, 5):
-        sl = slice(start, min(start + 5, stack.num_markets))
-        chunks += [sl, rows[::-1][sl]]
-    trusted_calls.clear()
+def assert_solved_like_oracle(stack, oracle, chunks, monkeypatch, calls):
+    """Each chunk solved by the numpy form in one evaluation, every field
+    bitwise the oracle's rows."""
+    calls.clear()
     for chunk in chunks:
         solved = solve_rows(stack, chunk, 0, monkeypatch)
         assert solved.keys() == oracle.keys()
@@ -139,7 +125,40 @@ def test_numpy_form_matches_the_candidate_oracle_bitwise(
             expected = oracle[key][chunk]
             assert values.dtype == expected.dtype, key
             assert values.tobytes() == expected.tobytes(), (key, chunk)
-    assert len(trusted_calls) == len(chunks)
+    assert len(calls) == len(chunks)
+
+
+@pytest.mark.parametrize("n_max", [7, 11])
+def test_numpy_form_matches_the_candidate_oracle_bitwise(
+    n_max, monkeypatch, trusted_calls
+):
+    """The whole stack in one evaluation."""
+    stack = kernel_stack(n_max, seed=200 + n_max)
+    oracle = candidate_oracle(stack)
+    # The stack really covers every row kind.
+    enforce = np.array([m.config.enforce_capacity for m in stack.markets])
+    assert oracle["capacity_binding"].any() and (~enforce).any()
+    assert not oracle["feasible"][4]
+    assert_solved_like_oracle(
+        stack, oracle, [slice(None)], monkeypatch, trusted_calls
+    )
+
+
+@pytest.mark.parametrize("n_max", [7, 11])
+def test_streamed_row_slices_match_the_full_stack(
+    n_max, monkeypatch, trusted_calls
+):
+    """Row ranges of 5 solved one after another, and the same rows
+    gathered in reverse, give the full-stack bits in one evaluation per
+    chunk."""
+    stack = kernel_stack(n_max, seed=300 + n_max)
+    oracle = candidate_oracle(stack)
+    rows = np.arange(stack.num_markets)
+    chunks = []
+    for start in range(0, stack.num_markets, 5):
+        sl = slice(start, min(start + 5, stack.num_markets))
+        chunks += [sl, rows[::-1][sl]]
+    assert_solved_like_oracle(stack, oracle, chunks, monkeypatch, trusted_calls)
 
 
 FUZZ_KINDS = ("plain", "flat", "priced_out", "unenforced", "tiny_capacity")
