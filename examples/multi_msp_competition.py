@@ -17,7 +17,6 @@ shows the classic economics:
 
 from repro.core import StackelbergMarket
 from repro.core.multimsp import MspSpec, MultiMspMarket
-from repro.core.utilities import vmu_utilities
 from repro.entities import paper_fig2_population
 from repro.utils import Table
 
@@ -32,16 +31,7 @@ def main() -> None:
     )
 
     def vmu_welfare(market: MultiMspMarket, prices) -> float:
-        outcome = market.outcome(list(prices))
-        best_price = float(min(prices))
-        utilities = vmu_utilities(
-            market._alphas,  # noqa: SLF001 - illustrative script
-            market._data,
-            outcome.vmu_allocations,
-            best_price,
-            market.spectral_efficiency,
-        )
-        return float(utilities.sum())
+        return float(market.outcome(list(prices)).vmu_utilities.sum())
 
     # 1. single MSP == the paper's monopoly
     single = MultiMspMarket(vmus, [MspSpec("msp", unit_cost=5.0, capacity=0.5)])

@@ -217,7 +217,7 @@ class LearnedPricing:
         for _ in range(self.history_length - len(records)):
             price = float(self._rng.uniform(config.unit_cost, config.max_price))
             prices.append(price)
-            allocations.append(self.market.allocate(price))
+            allocations.append(self.market.round_outcome(price).allocations)
         for record in records:
             prices.append(record.price)
             allocations.append(np.asarray(record.demands, dtype=float))

@@ -1,4 +1,9 @@
-"""Wireless channel substrate: path loss, fading, link budget, rationing."""
+"""Wireless channel substrate: path loss, fading and link budget.
+
+The ``B_max`` rationing rule lives here too, as the private
+``repro.channel.ofdma._rationing_rows`` kernel of the one Eq. 2/4/8 and
+rationing chain (see :mod:`repro.core.utilities`).
+"""
 
 from repro.channel.fading import (
     FadingModel,
@@ -8,7 +13,6 @@ from repro.channel.fading import (
     RicianFading,
 )
 from repro.channel.link import LinkBudget, RsuLink, paper_link
-from repro.channel.ofdma import proportional_rationing
 from repro.channel.pathloss import FreeSpacePathLoss, LogDistancePathLoss, PathLossModel
 
 __all__ = [
@@ -20,7 +24,6 @@ __all__ = [
     "LinkBudget",
     "RsuLink",
     "paper_link",
-    "proportional_rationing",
     "PathLossModel",
     "LogDistancePathLoss",
     "FreeSpacePathLoss",

@@ -11,6 +11,11 @@ Solve entry points, scalar to stacked:
   equilibrium of one market / of ``M`` markets as the argmax of one
   stacked evaluation of Theorem 2's candidates (the scalar call is the
   ``M = 1`` case of the stacked solve, so the two agree bitwise).
+
+All of them, and :class:`MultiMspMarket`, run one implementation of the
+game's formulas: the private ``_*_rows`` kernels of
+:mod:`repro.core.utilities` (Eqs. 2, 4 and 8) and
+``repro.channel.ofdma._rationing_rows`` (the ``B_max`` rule).
 """
 
 from repro.core.mechanism import GameHistory, PricingPolicy, RoundRecord
@@ -50,12 +55,6 @@ from repro.core.stackelberg import (
     StackelbergEquilibrium,
     StackelbergMarket,
 )
-from repro.core.utilities import (
-    follower_best_response,
-    msp_utility,
-    vmu_utilities,
-    vmu_utility,
-)
 
 __all__ = [
     "MarketColumns",
@@ -87,8 +86,4 @@ __all__ = [
     "PriceBatchOutcome",
     "StackelbergEquilibrium",
     "StackelbergMarket",
-    "follower_best_response",
-    "msp_utility",
-    "vmu_utilities",
-    "vmu_utility",
 ]

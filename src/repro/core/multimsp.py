@@ -18,11 +18,15 @@ an Edgeworth cycle — detected exactly (profiles on the tick lattice
 repeat bitwise) and reported as a diagnosis (cycle length and price
 interval) rather than a bare ``converged=False``.
 
-Each MSP's lattice best response is evaluated as **one batched pass**
-(the whole candidate lattice against fixed rivals in a single set of
-vectorised array ops), bitwise-equal to the scalar one-``outcome()``-call-
-per-lattice-point reference in ``tests/game_oracle.py``, which the
-property tests and the speedup bench pin it against.
+The market runs the library's one Eq. 2/4/8 and rationing chain, the
+``_*_rows`` kernels of :mod:`repro.core.utilities` and
+:mod:`repro.channel.ofdma`, with ``M = 1``: :meth:`MultiMspMarket.outcome`
+passes the cheapest price as ``(1,)``, and each MSP's lattice best
+response passes the whole candidate lattice as one ``(1, P)`` grid
+against fixed rivals. The batched lattice is bitwise-equal to the
+scalar one-``outcome()``-call-per-lattice-point reference in
+``tests/game_oracle.py``, which the property tests and the speedup bench
+pin it against.
 """
 
 from __future__ import annotations
@@ -34,8 +38,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.channel.link import RsuLink, paper_link
-from repro.channel.ofdma import proportional_rationing
-from repro.core.utilities import follower_best_response, vmu_utilities
+from repro.channel.ofdma import _rationing_rows
+from repro.core.utilities import (
+    _follower_best_response_rows,
+    _msp_utilities_rows,
+    _vmu_utilities_rows,
+)
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError, GameError
 from repro.utils.validation import require_in_range, require_positive
@@ -160,8 +168,10 @@ class MultiMspMarket:
         self._max_price = float(max_price)
         self._price_tick = float(price_tick)
         self._link = link if link is not None else paper_link()
-        self._alphas = np.array([v.immersion_coef for v in vmus])
-        self._data = np.array([v.data_units for v in vmus])
+        # One-market rows (M = 1) of the kernels' (M, N) / (M,) inputs.
+        self._alphas = np.array([[v.immersion_coef for v in vmus]])
+        self._data = np.array([[v.data_units for v in vmus]])
+        self._se = np.array([self._link.spectral_efficiency])
         self._unit_costs = np.array([m.unit_cost for m in msps])
 
     @property
@@ -200,41 +210,47 @@ class MultiMspMarket:
         VMUs buy from the cheapest provider (ties split demand evenly);
         each provider rations its own capacity proportionally.
         """
-        prices = np.asarray(prices, dtype=float)
-        if prices.shape != (self.num_msps,):
-            raise ConfigurationError(
-                f"expected {self.num_msps} prices, got shape {prices.shape}"
-            )
-        if np.any(prices <= 0.0):
-            raise ConfigurationError("prices must be > 0")
-        best_price = prices.min()
+        prices = self._checked_prices(prices, "prices")
+        best_price = prices.min(keepdims=True)
         winners = np.flatnonzero(np.isclose(prices, best_price, rtol=1e-12))
-        demands = follower_best_response(
-            self._alphas, self._data, float(best_price), self.spectral_efficiency
+        demands = _follower_best_response_rows(
+            self._alphas, self._data, best_price, self._se
         )
         sales = np.zeros(self.num_msps)
         allocations = np.zeros(len(self._vmus))
         share = demands / len(winners)
+        totals = share.sum(axis=-1)
         for msp_index in winners:
-            granted = proportional_rationing(
-                share, self._msps[msp_index].capacity
-            )
+            capacity = np.array([self._msps[msp_index].capacity])
+            granted = _rationing_rows(share, capacity, totals)[0]
             sales[msp_index] = granted.sum()
             allocations += granted
-        utilities = (prices - self._unit_costs) * sales
+        # Eq. (4) per provider: each MSP is one row, its sales the total.
+        utilities = _msp_utilities_rows(prices, self._unit_costs, sales)
         return OligopolyOutcome(
             prices=prices,
             msp_utilities=utilities,
             msp_sales=sales,
             vmu_allocations=allocations,
-            vmu_utilities=vmu_utilities(
+            vmu_utilities=_vmu_utilities_rows(
                 self._alphas,
                 self._data,
-                allocations,
-                float(best_price),
-                self.spectral_efficiency,
-            ),
+                allocations[np.newaxis],
+                best_price,
+                self._se,
+            )[0],
         )
+
+    def _checked_prices(self, prices: Sequence[float], what: str) -> np.ndarray:
+        """``prices`` as a float vector with one finite, positive price per MSP."""
+        prices = np.asarray(prices, dtype=float)
+        if prices.shape != (self.num_msps,):
+            raise ConfigurationError(
+                f"expected {self.num_msps} {what}, got shape {prices.shape}"
+            )
+        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
+            raise ConfigurationError(f"{what} must be finite and > 0, got {prices!r}")
+        return prices
 
     def msp_utility(self, msp_index: int, price: float, rival_prices: Sequence[float]) -> float:
         """Utility of one MSP at ``price`` given the rivals' prices."""
@@ -272,12 +288,12 @@ class MultiMspMarket:
     ) -> np.ndarray:
         """Utility of ``msp_index`` at each candidate own-price, batched.
 
-        One vectorised pass over the whole candidate vector with rivals
-        fixed at ``prices`` — bitwise-equal to calling
-        :meth:`msp_utility` once per candidate (every array op below is
-        the elementwise replica of the scalar ``outcome()`` chain,
-        including the ``np.isclose`` winner test and the per-row
-        contiguous-sum rationing).
+        One pass of the kernels over the whole candidate vector, as a
+        ``(1, P)`` price grid with rivals fixed at ``prices`` —
+        bitwise-equal to calling :meth:`msp_utility` once per candidate
+        (every array op below is the elementwise replica of the scalar
+        ``outcome()`` chain, including the ``np.isclose`` winner test and
+        the per-row contiguous-sum rationing).
         """
         spec = self._msps[msp_index]
         candidates = np.asarray(candidates, dtype=float)
@@ -294,13 +310,18 @@ class MultiMspMarket:
         else:
             rival_wins = np.zeros(candidates.shape, dtype=int)
         num_winners = self_wins.astype(int) + rival_wins
-        demands = follower_best_response(
-            self._alphas, self._data, best, self.spectral_efficiency
+        demands = _follower_best_response_rows(
+            self._alphas, self._data, best[np.newaxis], self._se
         )
         share = demands / num_winners[:, np.newaxis]
-        granted = proportional_rationing(share, spec.capacity)
-        sales = np.where(self_wins, granted.sum(axis=-1), 0.0)
-        return (candidates - spec.unit_cost) * sales
+        capacity = np.array([spec.capacity])
+        granted = _rationing_rows(share, capacity, share.sum(axis=-1))
+        sales = np.where(self_wins, granted[0].sum(axis=-1), 0.0)
+        return _msp_utilities_rows(
+            candidates[np.newaxis],
+            np.array([spec.unit_cost]),
+            sales[np.newaxis],
+        )[0]
 
     def _best_response_price(self, msp_index: int, prices: np.ndarray) -> float:
         """Best response over the discrete price lattice (batched).
@@ -352,12 +373,7 @@ class MultiMspMarket:
             return np.array(
                 [min(self._max_price, 2.0 * m.unit_cost) for m in self._msps]
             )
-        prices = np.asarray(initial_prices, dtype=float).copy()
-        if prices.shape != (self.num_msps,):
-            raise ConfigurationError(
-                f"expected {self.num_msps} initial prices"
-            )
-        return prices
+        return self._checked_prices(initial_prices, "initial prices").copy()
 
     def equilibrium(
         self,

@@ -4,9 +4,14 @@ The :class:`StackelbergMarket` binds a VMU population to an RSU link and the
 MSP's market parameters, and answers every question the rest of the library
 asks about the game:
 
-- follower best responses and drop-out thresholds (Eq. 8);
-- the leader's utility landscape with B_max rationing and follower
-  drop-out (Eq. 9 generalised to the constrained case);
+- one trading round at a price or a price vector: follower demands
+  (Eq. 8), B_max rationing and both stages' utilities (Eqs. 2 and 4),
+  through the ``M = 1`` case of
+  :meth:`repro.core.marketstack.MarketStack.outcomes_stacked` and its
+  one demand → rationing → utility chain (see
+  :mod:`repro.core.utilities`);
+- the follower drop-out thresholds and the leader's utility landscape
+  (Eq. 9 generalised to the constrained case);
 - the unique Stackelberg equilibrium (Theorems 1-2), the best of the
   closed-form candidates per active set.
 
@@ -25,8 +30,6 @@ import numpy as np
 
 from repro import constants
 from repro.channel.link import RsuLink, paper_link
-from repro.channel.ofdma import proportional_rationing
-from repro.core.utilities import follower_best_response
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
 from repro.game.solvers import uniform_price_grid
@@ -265,35 +268,6 @@ class StackelbergMarket:
         """Per-VMU price above which the best response hits zero:
         ``t_n = α_n · SE / D_n``."""
         return self._alphas * self.spectral_efficiency / self._data_units
-
-    def best_response(self, price: float) -> np.ndarray:
-        """Follower best responses at ``price`` (Eq. 8), natural units."""
-        return follower_best_response(
-            self._alphas, self._data_units, price, self.spectral_efficiency
-        )
-
-    def best_response_batch(self, prices: np.ndarray) -> np.ndarray:
-        """Best-response matrix for a price vector ``(P,)``: shape ``(P, N)``."""
-        return follower_best_response(
-            self._alphas,
-            self._data_units,
-            self._as_price_batch(prices),
-            self.spectral_efficiency,
-        )
-
-    def allocate(self, price: float) -> np.ndarray:
-        """Granted bandwidth after B_max proportional rationing."""
-        demands = self.best_response(price)
-        if not self._config.enforce_capacity:
-            return demands
-        return proportional_rationing(demands, self._config.capacity_natural)
-
-    def allocate_batch(self, prices: np.ndarray) -> np.ndarray:
-        """Granted bandwidth per price after rationing, shape ``(P, N)``."""
-        demands = self.best_response_batch(prices)
-        if not self._config.enforce_capacity:
-            return demands
-        return proportional_rationing(demands, self._config.capacity_natural)
 
     def _as_price_batch(self, prices: np.ndarray) -> np.ndarray:
         batch = np.asarray(prices, dtype=float)

@@ -24,11 +24,6 @@ class ChannelError(ReproError):
     """The wireless-channel substrate was asked to do something impossible."""
 
 
-class AllocationError(ChannelError):
-    """Bandwidth rationing was given demands it cannot ration (negative,
-    non-finite, or of the wrong shape)."""
-
-
 class GameError(ReproError):
     """A game-theoretic computation failed (no equilibrium, empty market...)."""
 

@@ -4,6 +4,12 @@ Tests and benchmarks import this module as ``game_oracle``. None of it is
 a production path; each piece is the loop-shaped reference a vectorised
 production path is pinned or timed against:
 
+- :func:`vmu_utility`, :func:`vmu_utilities`, :func:`msp_utility`,
+  :func:`follower_best_response` and :func:`proportional_rationing` — the
+  game's formulas (Eqs. 2, 4 and 8 and the ``B_max`` rule) in their
+  validating scalar and price-batch forms, independent of the stacked
+  ``_*_rows`` kernels the library runs; :func:`scalar_round` chains them
+  into one trading round;
 - :func:`scalar_landscape` — one scalar Stackelberg solve per price, the
   baseline of :meth:`StackelbergMarket.outcomes_batch`;
 - :func:`run_rounds` — the classic round-by-round repeated-game loop,
@@ -46,6 +52,174 @@ from repro.core.stackelberg import (
 )
 from repro.errors import GameError
 from repro.game.solvers import grid_then_golden_batch
+from repro.utils.validation import require_non_negative, require_positive
+
+
+def vmu_utility(
+    immersion_coef: float,
+    data_units: float,
+    bandwidth: float,
+    price: float,
+    spectral_efficiency: float,
+) -> float:
+    """Utility of one VMU at purchase ``bandwidth`` under ``price`` (Eq. 2)."""
+    require_positive("immersion_coef", immersion_coef)
+    require_positive("data_units", data_units)
+    require_non_negative("bandwidth", bandwidth)
+    require_non_negative("price", price)
+    require_positive("spectral_efficiency", spectral_efficiency)
+    gain = immersion_coef * np.log1p(bandwidth * spectral_efficiency / data_units)
+    return float(gain - price * bandwidth)
+
+
+def vmu_utilities(
+    immersion_coefs: np.ndarray,
+    data_units: np.ndarray,
+    bandwidths: np.ndarray,
+    price: float | np.ndarray,
+    spectral_efficiency: float,
+) -> np.ndarray:
+    """Vectorised Eq. (2) over a population, optionally batched over prices.
+
+    With a scalar ``price`` and ``bandwidths`` of shape ``(N,)`` this is the
+    per-population form. With ``price`` of shape ``(P,)`` and
+    ``bandwidths`` of shape ``(P, N)`` it returns per-price utilities
+    ``(P, N)`` in one pass.
+    """
+    alphas = np.asarray(immersion_coefs, dtype=float)
+    data = np.asarray(data_units, dtype=float)
+    bands = np.asarray(bandwidths, dtype=float)
+    prices = np.asarray(price, dtype=float)
+    if prices.ndim == 1:
+        if bands.ndim != 2 or bands.shape[0] != prices.shape[0]:
+            raise ValueError(
+                f"price batch of shape {prices.shape} needs bandwidths of "
+                f"shape (P, N), got {bands.shape}"
+            )
+        prices = prices[:, np.newaxis]
+    gains = alphas * np.log1p(bands * spectral_efficiency / data)
+    return gains - prices * bands
+
+
+def msp_utility(
+    price: float | np.ndarray, unit_cost: float, bandwidths: np.ndarray
+) -> float | np.ndarray:
+    """Leader utility ``Σ (p − C)·b_n`` (Eq. 4).
+
+    Scalar ``price`` + ``(N,)`` bandwidths returns a float; a price batch
+    ``(P,)`` + ``(P, N)`` bandwidths returns the per-price utilities ``(P,)``.
+    """
+    require_positive("unit_cost", unit_cost)
+    bands = np.asarray(bandwidths, dtype=float)
+    if np.any(bands < 0.0):
+        raise ValueError("bandwidths must be >= 0")
+    prices = np.asarray(price, dtype=float)
+    if prices.ndim == 0:
+        require_non_negative("price", float(prices))
+        return float((float(prices) - unit_cost) * bands.sum())
+    if np.any(~np.isfinite(prices)) or np.any(prices < 0.0):
+        raise ValueError(f"prices must be finite and >= 0, got {prices!r}")
+    if bands.ndim != 2 or bands.shape[0] != prices.shape[0]:
+        raise ValueError(
+            f"price batch of shape {prices.shape} needs bandwidths of shape "
+            f"(P, N), got {bands.shape}"
+        )
+    return (prices - unit_cost) * bands.sum(axis=-1)
+
+
+def follower_best_response(
+    immersion_coefs: np.ndarray,
+    data_units: np.ndarray,
+    price: float | np.ndarray,
+    spectral_efficiency: float,
+) -> np.ndarray:
+    """Vectorised best response of Eq. (8), truncated at zero.
+
+    ``b*_n = max(0, α_n/p − D_n/SE)``. The truncation implements the
+    feasibility constraint ``b_n > 0`` of Problem 1: a VMU facing a price
+    above its drop-out threshold ``α_n·SE/D_n`` buys nothing.
+
+    ``price`` may be a scalar (returns ``(N,)``) or a vector of shape
+    ``(P,)`` (returns the best-response matrix ``(P, N)``, one row per
+    posted price).
+    """
+    require_positive("spectral_efficiency", spectral_efficiency)
+    alphas = np.asarray(immersion_coefs, dtype=float)
+    data = np.asarray(data_units, dtype=float)
+    if np.any(alphas <= 0.0) or np.any(data <= 0.0):
+        raise ValueError("immersion coefficients and data sizes must be > 0")
+    prices = np.asarray(price, dtype=float)
+    if prices.ndim == 0:
+        require_positive("price", float(prices))
+        return np.maximum(0.0, alphas / float(prices) - data / spectral_efficiency)
+    if np.any(~np.isfinite(prices)) or np.any(prices <= 0.0):
+        raise ValueError(f"prices must be finite and > 0, got {prices!r}")
+    return np.maximum(
+        0.0,
+        alphas[np.newaxis, :] / prices[:, np.newaxis]
+        - data[np.newaxis, :] / spectral_efficiency,
+    )
+
+
+def proportional_rationing(
+    demands: list[float] | np.ndarray, capacity: float
+) -> list[float] | np.ndarray:
+    """Scale ``demands`` down proportionally so their sum fits ``capacity``.
+
+    Every VMU receives the same fraction of its request; demands within
+    capacity are returned unchanged. Accepts a plain list (returns a
+    list), a 1-D array of per-VMU demands (returns an array), or a batched
+    array of shape ``(P, N)`` — one demand row per posted price — where
+    each row is rationed independently against the same ``capacity``.
+    """
+    require_positive("capacity", capacity)
+    array_in = isinstance(demands, np.ndarray)
+    rows = np.asarray(demands, dtype=float)
+    if rows.ndim not in (1, 2):
+        raise ValueError(
+            f"demands must be 1-D (N,) or batched (P, N), got shape {rows.shape}"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"demands must be finite, got {demands!r}")
+    if np.any(rows < 0.0):
+        raise ValueError(f"demands must be >= 0, got {demands!r}")
+    totals = rows.sum(axis=-1)
+    # np.where evaluates both branches, so guard the division against the
+    # rows it will discard (zero or subnormal totals divide to inf/nan).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scales = np.where(totals > capacity, capacity / totals, 1.0)
+    granted = rows * (scales if rows.ndim == 1 else scales[:, np.newaxis])
+    if array_in:
+        return granted
+    return [float(g) for g in granted]
+
+
+def scalar_round(market: StackelbergMarket, price: float) -> MarketOutcome:
+    """One trading round at ``price`` through the functions above.
+
+    Eq. (8) demands, ``B_max`` rationing when the market enforces it,
+    Eq. (4) and Eq. (2) at the granted bandwidth: the independent chain the
+    stacked production path (``MarketStack.outcomes_stacked``) is pinned
+    against bit for bit.
+    """
+    config = market.config
+    alphas, data = market.immersion_coefs, market.data_units
+    se = market.spectral_efficiency
+    demands = follower_best_response(alphas, data, price, se)
+    allocations = demands
+    if config.enforce_capacity:
+        allocations = proportional_rationing(demands, config.capacity_natural)
+    return MarketOutcome(
+        price=float(price),
+        demands=demands,
+        allocations=allocations,
+        msp_utility=msp_utility(price, config.unit_cost, allocations),
+        vmu_utilities=vmu_utilities(alphas, data, allocations, price, se),
+        capacity_binding=bool(
+            config.enforce_capacity
+            and demands.sum() >= config.capacity_natural * (1.0 - 1e-9)
+        ),
+    )
 
 
 def scalar_landscape(

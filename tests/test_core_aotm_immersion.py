@@ -2,20 +2,21 @@
 
 Production code carries Eq. (1) as the link's transfer time
 (:meth:`RsuLink.transfer_time`) and the immersion gain inside the follower
-utility (:func:`vmu_utility`, whose gain at price 0 is
-``α·ln(1 + b·SE/D)``). Both are checked here against the scalar
+utility (the Eq. (2) kernel ``_vmu_utilities_rows``, whose gain at price 0
+is ``α·ln(1 + b·SE/D)``). Both are checked here against the scalar
 ``aotm``/``immersion`` oracle of ``test_core_equilibrium_oracle``.
 """
 
 import math
 
+import numpy as np
 import pytest
 from game_oracle import numerical_derivative
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.channel.link import paper_link
-from repro.core.utilities import vmu_utility
+from repro.core.utilities import _vmu_utilities_rows
 from repro.entities.vmu import VmuProfile
 from repro.errors import ConfigurationError
 
@@ -27,7 +28,14 @@ SE = LINK.spectral_efficiency
 
 def gain(alpha, data, bandwidth):
     """The immersion ``G(b)`` inside production Eq. (2) (price 0)."""
-    return vmu_utility(alpha, data, bandwidth, 0.0, SE)
+    utilities = _vmu_utilities_rows(
+        np.array([[alpha]]),
+        np.array([[data]]),
+        np.array([[bandwidth]]),
+        np.array([0.0]),
+        np.array([SE]),
+    )
+    return float(utilities[0, 0])
 
 
 def bandwidth_at_age(data, age):
@@ -100,9 +108,9 @@ class TestFreshnessGain:
         assert gains[0] > gains[1] > gains[2]
 
     def test_nonpositive_rejected(self):
-        # A = 0 needs a zero-size twin, which the follower stage rejects.
+        # A = 0 needs a zero-size twin, which the VMU profile rejects.
         with pytest.raises(ConfigurationError):
-            vmu_utility(1.0, 0.0, 1.0, 0.0, SE)
+            VmuProfile("v", data_size_mb=0.0, immersion_coef=1.0)
 
 
 class TestImmersion:

@@ -39,8 +39,8 @@ shave rounding off the flat top.
 The paper states the follower's payoff through its freshness metric:
 Eq. (1)'s AoTM ``A = D / (b·SE)`` and the immersion ``α·ln(1 + 1/A)``.
 :func:`aotm` and :func:`immersion` keep that scalar form, and the
-production ``vmu_utilities`` must equal ``immersion − p·b`` on every
-lattice market across its price range.
+production Eq. (2) kernel ``_vmu_utilities_rows`` must equal
+``immersion − p·b`` on every lattice market across its price range.
 """
 
 import math
@@ -55,7 +55,7 @@ from repro.core.bayesian import (
     sample_market_distribution,
 )
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.core.utilities import vmu_utilities
+from repro.core.utilities import _vmu_utilities_rows
 from repro.entities.vmu import VmuProfile, paper_fig2_population
 from repro.mobility.citygrid import CityGridSpec, city_columns
 
@@ -248,14 +248,14 @@ def test_vmu_utilities_match_aotm_immersion_form():
         low, high = model["cost"], model["max_price"]
         prices = [low + k * (high - low) / 8 for k in range(9)]
         bandwidths = [allocations(model, price) for price in prices]
-        got = vmu_utilities(
-            np.array(model["alphas"]),
-            np.array(model["data"]),
-            np.array(bandwidths),
-            np.array(prices),
-            model["se"],
+        got = _vmu_utilities_rows(
+            np.array([model["alphas"]]),
+            np.array([model["data"]]),
+            np.array([bandwidths]),
+            np.array([prices]),
+            np.array([model["se"]]),
         )
-        for price, row, got_row in zip(prices, bandwidths, got.tolist()):
+        for price, row, got_row in zip(prices, bandwidths, got[0].tolist()):
             expected = [
                 immersion(alpha, aotm(d, b, model["se"])) - price * b
                 for alpha, d, b in zip(model["alphas"], model["data"], row)

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from game_oracle import scalar_round
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,35 @@ class TestStackedEqualsScalar:
             assert (rows.msp_utilities == reference.msp_utilities).all()
             assert (rows.vmu_utilities == reference.vmu_utilities).all()
             assert (rows.capacity_binding == reference.capacity_binding).all()
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["(M,)", "(M,R)"])
+    def test_stack_matches_the_oracle_scalar_chain_bitwise(self, grid):
+        """The stacked kernels against the independent scalar chain of
+        ``game_oracle`` (Eq. 8, rationing, Eqs. 4 and 2), market by market
+        and price by price, on a ragged stack whose rows cover capacity
+        enforced and not, and enforced capacity binding and slack."""
+        markets = random_markets(40, root_seed=11)
+        stack = MarketStack(markets)
+        rng = np.random.default_rng(5)
+        prices = np.stack([random_prices(markets, rng) for _ in range(6)], axis=1)
+        stacked = stack.outcomes_stacked(prices if grid else prices[:, 0])
+        regimes = set()
+        for m, market in enumerate(markets):
+            rows = stacked.market_rows(m) if grid else None
+            for r in range(prices.shape[1] if grid else 1):
+                got = rows.row(r) if grid else stacked.row(m)
+                want = scalar_round(market, float(prices[m, r]))
+                assert got.price == want.price
+                assert got.demands.tobytes() == want.demands.tobytes()
+                assert got.allocations.tobytes() == want.allocations.tobytes()
+                assert got.msp_utility == want.msp_utility
+                assert got.vmu_utilities.tobytes() == want.vmu_utilities.tobytes()
+                assert got.capacity_binding == want.capacity_binding
+                regimes.add(
+                    (market.config.enforce_capacity, want.capacity_binding)
+                )
+        assert len({len(m.vmus) for m in markets}) > 1
+        assert regimes == {(False, False), (True, False), (True, True)}
 
     def test_single_market_stack_is_outcomes_batch(self):
         """M = 1 broadcast case: the stack reproduces the market's own

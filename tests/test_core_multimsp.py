@@ -45,7 +45,7 @@ class TestOutcome:
         )
         outcome = market.outcome([20.0, 25.0])
         np.testing.assert_allclose(
-            outcome.vmu_allocations, mono.best_response(20.0)
+            outcome.vmu_allocations, mono.round_outcome(20.0).demands
         )
 
     def test_capacity_rationing_per_msp(self):
@@ -60,6 +60,20 @@ class TestOutcome:
             market.outcome([20.0])
         with pytest.raises(ConfigurationError):
             market.outcome([20.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "prices",
+        [[float("nan"), 10.0], [float("inf"), 10.0], [float("inf"), float("inf")]],
+        ids=["nan", "inf", "inf-inf"],
+    )
+    def test_non_finite_prices_rejected(self, prices):
+        market = duopoly()
+        with pytest.raises(ConfigurationError, match="finite"):
+            market.outcome(prices)
+        with pytest.raises(ConfigurationError, match="finite"):
+            market.msp_utility(0, prices[0], [prices[1]])
+        with pytest.raises(ConfigurationError, match="finite"):
+            market.equilibrium(initial_prices=prices)
 
     def test_utilities_are_margin_times_sales(self):
         market = duopoly()

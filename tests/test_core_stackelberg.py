@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from game_oracle import is_concave_on, verify_best_response
+from game_oracle import is_concave_on, verify_best_response, vmu_utility
 
 from repro.channel.link import paper_link
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.core.utilities import vmu_utility
 from repro.entities.vmu import VmuProfile, paper_fig2_population, uniform_population
 from repro.errors import ConfigurationError, InfeasibleMarketError
 from repro.game.solvers import grid_then_golden
@@ -41,12 +40,12 @@ class TestFollowerStage:
         p = 20.0
         se = market.spectral_efficiency
         expected = np.array([5.0 / p - 2.0 / se, 5.0 / p - 1.0 / se])
-        np.testing.assert_allclose(market.best_response(p), expected)
+        np.testing.assert_allclose(market.round_outcome(p).demands, expected)
 
     def test_best_response_truncates_at_dropout(self, market):
         thresholds = market.dropout_thresholds()
         price = float(thresholds.min()) * 1.01
-        demands = market.best_response(price)
+        demands = market.round_outcome(price).demands
         assert demands[0] == 0.0  # the big-D VMU drops out first
         assert demands[1] > 0.0
 
@@ -66,7 +65,7 @@ class TestFollowerStage:
         """Theorem 1: Eq. (8) maximises the strictly concave U_n(b)."""
         market = random_market([alpha], [data * 100.0], 5.0)
         se = market.spectral_efficiency
-        b_star = float(market.best_response(price)[0])
+        b_star = float(market.round_outcome(price).demands[0])
 
         def utility(b):
             return vmu_utility(alpha, data, b, price, se)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.core.utilities import msp_utility
+from repro.core.utilities import _msp_utilities_rows
 from repro.entities.vmu import (
     VmuProfile,
     paper_fig2_population,
@@ -40,23 +40,23 @@ class TestEdgeServerAndRsu:
 
 class TestMsp:
     """The MSP's pricing rules: the ``[C, p_max]`` interval of
-    ``MarketConfig``, the Eq. (4) ``msp_utility`` and the env's clamp."""
+    ``MarketConfig``, the Eq. (4) kernel ``_msp_utilities_rows`` and the
+    env's clamp."""
 
     def test_ledger_accounting(self):
-        # Eq. (4): revenue 25·3 minus cost 5·3.
-        assert msp_utility(25.0, 5.0, np.array([2.0, 1.0])) == pytest.approx(60.0)
-        batch = msp_utility(
-            np.array([25.0, 30.0]), 5.0, np.array([[2.0, 1.0], [1.0, 1.0]])
+        # Eq. (4): revenue 25·3 minus cost 5·3, from the demand total 3.
+        single = _msp_utilities_rows(np.array([25.0]), np.array([5.0]), np.array([3.0]))
+        assert single[0] == pytest.approx(60.0)
+        grid = _msp_utilities_rows(
+            np.array([[25.0, 30.0]]), np.array([5.0]), np.array([[3.0, 2.0]])
         )
-        np.testing.assert_allclose(batch, [60.0, 50.0])
+        np.testing.assert_allclose(grid, [[60.0, 50.0]])
 
     def test_price_validation(self):
         market = StackelbergMarket(paper_fig2_population())
         for price in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 market.round_outcome(price)
-        with pytest.raises(ValueError):
-            msp_utility(-1.0, 5.0, np.array([1.0]))
 
     def test_clamp_price(self):
         # Each env clamps the posted price to its own market's [C, p_max].

@@ -11,10 +11,10 @@ from game_oracle import (
     numerical_second_derivative,
     verify_best_response,
     verify_no_profitable_deviation,
+    vmu_utility,
 )
 
 from repro.core.stackelberg import StackelbergMarket
-from repro.core.utilities import vmu_utility
 from repro.entities.vmu import paper_fig2_population
 from repro.errors import GameError
 
@@ -111,7 +111,7 @@ class TestFollowerStage:
         market = StackelbergMarket(paper_fig2_population())
         se = market.spectral_efficiency
         price = 12.0
-        demands = market.best_response(price)
+        demands = market.round_outcome(price).demands
         utilities = [
             lambda b, a=a, d=d: vmu_utility(a, d, b, price, se)
             for a, d in zip(market.immersion_coefs, market.data_units)

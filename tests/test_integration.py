@@ -10,11 +10,10 @@ learning quality, not just plumbing.
 
 import numpy as np
 import pytest
-from game_oracle import run_rounds, verify_best_response
+from game_oracle import run_rounds, verify_best_response, vmu_utility
 
 from repro.baselines import OraclePricing, RandomPricing
 from repro.core.stackelberg import StackelbergMarket
-from repro.core.utilities import vmu_utility
 from repro.entities.vmu import paper_fig2_population
 from repro.experiments import (
     ExperimentConfig,

@@ -4,8 +4,9 @@ Builds a 1024-market RSU grid and solves it in chunks of as many rows as
 a 4 MiB budget holds by the solve's own estimate,
 ``solve_scratch_bytes_per_market``. ``tracemalloc`` (which sees numpy's
 allocations) must report a traced peak within the budget during the
-solve: each chunk allocates its own band and streams, so the peak is
-~1.3 MB here, while any regression that materialises full-stack
+solve: each chunk runs one evaluation over its distinct Theorem-2
+candidates and streams, so the peak is ~0.68 MB here, while any
+regression that materialises full-stack
 ``(M, grid, N)`` temporaries (~12.6 MB at this size) blows straight
 through the 4 MiB assertion. Run by the dedicated CI memory-smoke step,
 excluded from the main tier-1 step.

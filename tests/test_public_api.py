@@ -24,6 +24,8 @@ PACKAGES = [
     "repro.baselines",
     "repro.experiments",
     "repro.service",
+    "repro.queue",
+    "repro.sim",
 ]
 
 

@@ -8,13 +8,24 @@ on the policy-evaluation fast paths.
 
 import numpy as np
 import pytest
-from game_oracle import run_rounds, scalar_landscape
+from game_oracle import (
+    follower_best_response,
+    msp_utility,
+    proportional_rationing,
+    run_rounds,
+    scalar_landscape,
+    vmu_utilities,
+)
 
 from repro.baselines import FixedPricing, GreedyPricing, OraclePricing, RandomPricing
-from repro.channel.ofdma import proportional_rationing
+from repro.channel.ofdma import _rationing_rows
 from repro.core.mechanism import GameHistory
 from repro.core.stackelberg import MarketConfig, StackelbergMarket
-from repro.core.utilities import follower_best_response, msp_utility, vmu_utilities
+from repro.core.utilities import (
+    _follower_best_response_rows,
+    _msp_utilities_rows,
+    _vmu_utilities_rows,
+)
 from repro.entities.vmu import VmuProfile, paper_fig2_population
 from repro.errors import ConfigurationError
 from repro.sim import (
@@ -124,16 +135,24 @@ class TestPriceBatchOutcome:
         assert batch.prices[-1] == pytest.approx(config.max_price)
 
 
+def one_market(market):
+    """The market's parameters as the kernels' ``M = 1`` rows."""
+    return (
+        market.immersion_coefs[np.newaxis],
+        market.data_units[np.newaxis],
+        np.array([market.spectral_efficiency]),
+    )
+
+
 class TestVectorizedPrimitives:
+    """The ``M = 1`` grid form of each production kernel, one ``(1, P)``
+    price grid, against the oracle's scalar form at every price."""
+
     def test_follower_best_response_price_batch(self, market):
         prices = np.array([10.0, 25.0, 40.0])
-        batched = follower_best_response(
-            market.immersion_coefs,
-            market.data_units,
-            prices,
-            market.spectral_efficiency,
-        )
-        assert batched.shape == (3, market.num_vmus)
+        alphas, data, se = one_market(market)
+        batched = _follower_best_response_rows(alphas, data, prices[np.newaxis], se)
+        assert batched.shape == (1, 3, market.num_vmus)
         for i, price in enumerate(prices):
             scalar = follower_best_response(
                 market.immersion_coefs,
@@ -141,54 +160,43 @@ class TestVectorizedPrimitives:
                 float(price),
                 market.spectral_efficiency,
             )
-            assert (batched[i] == scalar).all()
+            assert (batched[0, i] == scalar).all()
 
     def test_msp_utility_price_batch(self):
         prices = np.array([10.0, 20.0])
         bands = np.array([[1.0, 2.0], [0.5, 0.25]])
-        batched = msp_utility(prices, 5.0, bands)
-        assert batched.shape == (2,)
+        batched = _msp_utilities_rows(
+            prices[np.newaxis], np.array([5.0]), bands.sum(axis=-1)[np.newaxis]
+        )
+        assert batched.shape == (1, 2)
         for i, price in enumerate(prices):
-            assert batched[i] == msp_utility(float(price), 5.0, bands[i])
-
-    def test_msp_utility_batch_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            msp_utility(np.array([10.0, 20.0]), 5.0, np.array([1.0, 2.0, 3.0]))
+            assert batched[0, i] == msp_utility(float(price), 5.0, bands[i])
 
     def test_vmu_utilities_price_batch(self, market):
         prices = np.array([10.0, 25.0])
-        bands = market.best_response_batch(prices)
-        batched = vmu_utilities(
-            market.immersion_coefs,
-            market.data_units,
-            bands,
-            prices,
-            market.spectral_efficiency,
-        )
+        alphas, data, se = one_market(market)
+        bands = _follower_best_response_rows(alphas, data, prices[np.newaxis], se)
+        batched = _vmu_utilities_rows(alphas, data, bands, prices[np.newaxis], se)
         for i, price in enumerate(prices):
             scalar = vmu_utilities(
                 market.immersion_coefs,
                 market.data_units,
-                bands[i],
+                bands[0, i],
                 float(price),
                 market.spectral_efficiency,
             )
-            assert (batched[i] == scalar).all()
+            assert (batched[0, i] == scalar).all()
 
     def test_proportional_rationing_batch_rows_independent(self):
-        demands = np.array([[6.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        granted = proportional_rationing(demands, 4.0)
+        demands = np.array([[[6.0, 2.0], [1.0, 2.0], [0.0, 0.0]]])
+        granted = _rationing_rows(demands, np.array([4.0]), demands.sum(axis=-1))
         assert granted.shape == demands.shape
-        assert granted.sum(axis=-1)[0] == pytest.approx(4.0)
-        assert (granted[1] == demands[1]).all()
-        assert (granted[2] == 0.0).all()
+        assert granted[0].sum(axis=-1)[0] == pytest.approx(4.0)
+        assert (granted[0, 1] == demands[0, 1]).all()
+        assert (granted[0, 2] == 0.0).all()
         for row in range(3):
-            legacy = proportional_rationing([float(d) for d in demands[row]], 4.0)
-            np.testing.assert_allclose(granted[row], legacy, rtol=0.0, atol=1e-12)
-
-    def test_proportional_rationing_list_api_unchanged(self):
-        assert proportional_rationing([1.0, 2.0], 10.0) == [1.0, 2.0]
-        assert isinstance(proportional_rationing([1.0], 10.0), list)
+            scalar = proportional_rationing(demands[0, row], 4.0)
+            assert (granted[0, row] == scalar).all()
 
 
 def play_one(market, policy, num_rounds):

@@ -469,7 +469,7 @@ class MigrationGameEnv:
 
     Observation: the last ``L`` (price / p_max, allocations / B_max)
     entries, primed at reset by ``L`` random prices drawn in one
-    ``uniform(size=L)`` call and solved with ``allocate_batch``. Each step
+    ``uniform(size=L)`` call and solved with ``outcomes_batch``. Each step
     clamps the action to ``[C, p_max]``, plays ``round_outcome`` and
     applies the Eq. (12) reward (``"paper"``, with a tolerance relative to
     the utility scale) or the scaled utility (``"utility"``).
@@ -536,7 +536,8 @@ class MigrationGameEnv:
             config.unit_cost, config.max_price, size=self.history_length
         )
         self._history.clear()
-        for price, allocations in zip(prices, self.market.allocate_batch(prices)):
+        solved = self.market.outcomes_batch(prices)
+        for price, allocations in zip(prices, solved.allocations):
             self._history.append(self._entry(float(price), allocations))
         self._round = 0
         self._best_utility = float("-inf")
