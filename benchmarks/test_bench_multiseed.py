@@ -1,6 +1,6 @@
-"""Market-stack axis and multiseed sharding: speedup evidence.
+"""Market-stack axis and multiseed fan-out: speedup evidence.
 
-Times the two scale levers this PR adds and records the evidence in
+Times two scale levers and records the evidence in
 ``benchmarks/results/multiseed_speedup.txt``:
 
 - **Stacked market solve** — a heterogeneous grid of ``M`` markets (ragged
@@ -8,9 +8,10 @@ Times the two scale levers this PR adds and records the evidence in
   through one ``MarketStack.outcomes_stacked`` pass vs. ``M`` per-market
   ``outcomes_batch`` calls (which are themselves already vectorised over
   ``R`` — the baseline here is the *strong* one).
-- **Sharded multiseed** — the ``multiseed`` spec fanning its per-seed
-  runs over ``QueueScheduler(queue_dir, workers=k)`` (the inline worker
-  plus ``k - 1`` local worker processes) vs. the in-process run.
+- **Fanned-out multiseed** — the ``multiseed`` spec running its per-seed
+  ``market_scheme`` jobs (one DRL training each) over
+  ``QueueScheduler(queue_dir, workers=k)`` (the inline worker plus
+  ``k - 1`` local worker processes) vs. the in-process run.
 
 Both comparisons are exact by construction (see
 ``tests/test_core_marketstack.py`` and
@@ -37,7 +38,7 @@ pytestmark = pytest.mark.slow
 NUM_MARKETS = 64
 GRID_POINTS = 128
 SEEDS = tuple(range(6))
-SHARDS = 3
+WORKERS = 3
 
 
 def best_of(fn, repeats: int) -> float:
@@ -99,7 +100,7 @@ def stacked_solve_table() -> tuple[Table, float]:
     return table, speedup
 
 
-def shard_table(queue_dir) -> tuple[Table, float]:
+def fanout_table(queue_dir) -> tuple[Table, float]:
     market = StackelbergMarket(paper_fig2_population())
     # A reduced quick budget: heavy enough per seed (~2 s of DRL training)
     # that the process fan-out dominates worker start-up, light enough to
@@ -116,28 +117,28 @@ def shard_table(queue_dir) -> tuple[Table, float]:
     sequential_result = run_experiment("multiseed", params)
     sequential = time.perf_counter() - start
     start = time.perf_counter()
-    sharded_result = run_experiment(
-        "multiseed", params, scheduler=QueueScheduler(queue_dir, workers=SHARDS)
+    fanned_result = run_experiment(
+        "multiseed", params, scheduler=QueueScheduler(queue_dir, workers=WORKERS)
     )
-    sharded = time.perf_counter() - start
-    assert sharded_result == sequential_result  # sharding never changes data
-    speedup = sequential / sharded
+    fanned = time.perf_counter() - start
+    assert fanned_result == sequential_result  # fan-out never changes data
+    speedup = sequential / fanned
 
-    # Shard speedup scales with the cores actually granted to the run (a
+    # Fan-out speedup scales with the cores actually granted to the run (a
     # single-core box can at best break even), so record the budget next
     # to the measurement.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     table = Table(
-        headers=("path", "seeds", "shards", "cores", "seconds", "speedup"),
-        title="Multiseed — process-sharded vs sequential",
+        headers=("path", "seeds", "workers", "cores", "seconds", "speedup"),
+        title="Multiseed — per-seed jobs over queue workers vs sequential",
     )
     table.add_row("sequential", len(SEEDS), 1, cores, sequential, 1.0)
     table.add_row(
-        f"sharded ({SHARDS} processes)",
+        f"fanned out ({WORKERS} workers)",
         len(SEEDS),
-        SHARDS,
+        WORKERS,
         cores,
-        sharded,
+        fanned,
         speedup,
     )
     return table, speedup
@@ -145,12 +146,12 @@ def shard_table(queue_dir) -> tuple[Table, float]:
 
 def test_multiseed_speedups(record_table, tmp_path):
     stacked_table, stacked_speedup = stacked_solve_table()
-    sharded_table, shard_speedup = shard_table(tmp_path)
-    record_table("multiseed_speedup", stacked_table, sharded_table)
+    fanned_table, _ = fanout_table(tmp_path)
+    record_table("multiseed_speedup", stacked_table, fanned_table)
 
     # Acceptance floor: the stacked pass must clearly beat M separate
     # (already-vectorised) solves — typically 2.5-3x, floor kept loose for
-    # noisy shared runners. Shard speedup is recorded as evidence but not
+    # noisy shared runners. Fan-out speedup is recorded as evidence but not
     # asserted — it depends on the core budget (a 1-core box breaks even),
     # and exactness is already pinned above and in the test suite.
     assert stacked_speedup >= 1.5

@@ -20,10 +20,6 @@ class UnitError(ConfigurationError):
     """A quantity was supplied in the wrong unit or with an invalid value."""
 
 
-class ChannelError(ReproError):
-    """The wireless-channel substrate was asked to do something impossible."""
-
-
 class GameError(ReproError):
     """A game-theoretic computation failed (no equilibrium, empty market...)."""
 

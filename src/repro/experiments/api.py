@@ -528,24 +528,12 @@ def run_experiment(
     — with caching and kill-resume for free. Both ways return a
     bitwise-equal result.
 
-    Specs with a ``shards`` parameter (multiseed) fan out per shard: when
-    a scheduler is supplied and ``shards`` is unset, it defaults to the
-    scheduler's worker count so ``--workers N`` actually yields ``N``
-    jobs.
-
     Raises:
         ConfigurationError: on an unknown experiment, an unknown parameter
             key (named in the message), an ill-typed parameter value, or
             an empty sweep axis.
     """
     spec = _resolve_spec(experiment)
-    params = dict(params or {})
-    if (
-        scheduler is not None
-        and params.get("shards") is None
-        and any(p.name == "shards" for p in spec.params)
-    ):
-        params["shards"] = scheduler.workers
     plan = spec.plan(spec.validate(params))
     if scheduler is None:
         results = [execute_job(job) for job in plan.jobs]

@@ -37,8 +37,8 @@ Results are bitwise identical either way.
 The default preset is ``quick`` (a reduced training budget);
 ``--param preset=paper`` uses the full Sec. V-A budget (E = 500 episodes —
 slow on a laptop but faithful). ``run multiseed --workers k`` fans the
-seeds-axis comparison out as ``k`` shard jobs (``--param shards=N``
-overrides the count).
+seeds-axis comparison out as one job per seed and DRL/greedy scheme over
+``k`` executors.
 
 The ``schedule`` subcommand executes an explicit job-spec file — a JSON
 list of ``{"kind": ..., "payload": ...}`` entries (the
@@ -237,7 +237,7 @@ def run_main(argv: list[str] | None = None) -> int:
         try:
             result = run_experiment(spec, params, scheduler=scheduler)
         except ValueError as exc:
-            # The specs' validations (bad shard counts, draws < 2, unknown
+            # The specs' validations (too few seeds, draws < 2, unknown
             # scheme names, empty sweep axes) raise ConfigurationError, a
             # ValueError — a clean CLI error, not a traceback. Other
             # ValueErrors from the library get the same treatment.

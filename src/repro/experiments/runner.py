@@ -297,7 +297,7 @@ def run_market_scheme_job(payload: Mapping) -> dict:
 
     The Fig. 3 sweeps' per-market unit: rebuilds the market and config
     from their payloads, builds the scheme's policy (for ``drl`` this is a
-    full PPO training — the expensive, independent unit worth sharding),
+    full PPO training — the expensive, independent unit worth fanning out),
     evaluates it, and ships the evaluation home as a JSON payload. A
     trained DRL agent is also persisted via
     :func:`repro.drl.checkpoints.save_agent` — to an explicit

@@ -87,7 +87,6 @@ cache written under one directory spelling resumes under any other.
 # import them without this module importing the (higher-level) modules that
 # define them — the registry stays cycle-free and pickles as plain strings.
 _BUILTIN_JOB_KINDS: dict[str, str] = {
-    "multiseed_shard": "repro.experiments.multiseed:run_shard_job",
     "market_scheme": "repro.experiments.runner:run_market_scheme_job",
     "equilibrium_cell": "repro.experiments.scheduler:run_equilibrium_cell_job",
     "city_chunk": "repro.experiments.cityscale:run_city_chunk_job",

@@ -316,8 +316,8 @@ class QueueScheduler:
     ``jobs_executed`` (the batch's misses, each unique spec once),
     ``jobs_completed_elsewhere`` (misses not executed inline) and
     ``job_sources`` (``"cache"`` or ``"executed"`` per submitted job).
-    ``workers`` also sizes shard-style plan fan-out (the ``shards``
-    parameter default).
+    ``workers`` sizes only this fan-out; it never changes what a plan
+    contains.
 
     ``job_timeout=t`` is a hang guard: an inline job cannot be
     interrupted, so with ``t`` set all ``workers`` executors are local

@@ -13,6 +13,7 @@ or more samples, and :func:`compare_means` imports ``scipy.stats``.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -82,10 +83,32 @@ def compare_means(
 
     Used by tests/benches to claim "scheme A beats scheme B" with
     statistical backing rather than a single-seed comparison.
+
+    A constant group (every sample equal, e.g. the seed-invariant
+    equilibrium scheme) is handled explicitly, without scipy's
+    catastrophic-cancellation warning:
+
+    - one constant group: scipy's Welch value, warning suppressed;
+    - both constant with different means: ``(±inf, 0.0)``, the sign of
+      ``mean(a) - mean(b)``;
+    - both constant and equal: ``(0.0, 1.0)``.
     """
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least two samples per group")
+    a_constant = min(a) == max(a)
+    b_constant = min(b) == max(b)
+    if a_constant and b_constant:
+        if a[0] == b[0]:
+            return 0.0, 1.0
+        return math.copysign(math.inf, a[0] - b[0]), 0.0
     from scipy import stats as scipy_stats  # slow import; multiseed only
 
-    t_stat, p_value = scipy_stats.ttest_ind(a, b, equal_var=False)
+    with warnings.catch_warnings():
+        if a_constant or b_constant:
+            # The constant group's variance is zero up to the rounding of
+            # its mean, which scipy reports as precision loss.
+            warnings.filterwarnings(
+                "ignore", "Precision loss", category=RuntimeWarning
+            )
+        t_stat, p_value = scipy_stats.ttest_ind(a, b, equal_var=False)
     return float(t_stat), float(p_value)

@@ -1,6 +1,6 @@
 """CLI smoke tests: `list`, `describe` for every registered experiment,
 one tiny `run fig2` end-to-end (fan-out flags + cache resume), a
-sharded `run multiseed`, a three-job `run city_sweep` over two workers,
+`run multiseed` over two workers, a three-job `run city_sweep` over two workers,
 and the read-only `queue stats <dir>`.
 
 This is the CI smoke job (run under pytest-timeout): it pins that the
@@ -67,9 +67,10 @@ class TestRunEndToEnd:
         )
         assert resumed == result
 
-    def test_multiseed_shards_over_workers(self, tmp_path, capsys):
-        """`run multiseed --workers 2` fans the seeds out as two shard
-        jobs (the seeds-axis comparison has no subcommand of its own)."""
+    def test_multiseed_seeds_over_workers(self, tmp_path, capsys):
+        """`run multiseed --workers 2` fans the seeds' DRL trainings out
+        as two market_scheme jobs (the seeds-axis comparison has no
+        subcommand of its own)."""
         argv = [
             "run", "multiseed",
             "--workers", "2",
@@ -134,14 +135,14 @@ class TestRunEndToEnd:
             main(["run", "welfare", "--workers", "0"])
 
     def test_run_domain_validation_is_clean_cli_error(self, capsys):
-        """Spec-level ValueErrors (bad draws/shards/schemes) must exit as
+        """Spec-level ValueErrors (bad draws/seeds/schemes) must exit as
         parser errors on the generic path, not raw tracebacks."""
         with pytest.raises(SystemExit):
             main(["run", "fading_sweep", "--param", "draws=1"])
         assert "draws" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            main(["run", "multiseed", "--param", "shards=0"])
-        assert "shards" in capsys.readouterr().err
+            main(["run", "multiseed", "--param", "seeds=0"])
+        assert "seeds" in capsys.readouterr().err
 
 
 class TestQueueStats:

@@ -207,8 +207,8 @@ class TestCli:
             assert name in err
 
     def test_multiseed_subcommand(self, capsys, tmp_path):
-        """The seeds-axis comparison runs as `run multiseed`, sharded by
-        --workers."""
+        """The seeds-axis comparison runs as `run multiseed`, one greedy
+        job per seed fanned over --workers."""
         assert (
             main(
                 [
@@ -221,7 +221,7 @@ class TestCli:
                     "--param",
                     "seeds=0,1,2",
                     "--param",
-                    "schemes=random,equilibrium",
+                    "schemes=greedy,random,equilibrium",
                     "--output",
                     str(tmp_path),
                 ]
@@ -230,5 +230,5 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "Multi-seed comparison" in out
-        assert "2 job(s) executed" in out
+        assert "3 job(s) executed" in out
         assert (tmp_path / "multiseed.json").exists()

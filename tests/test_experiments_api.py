@@ -148,10 +148,14 @@ class TestJobsPathBitwiseEqualsDirect:
             "capacity_ablation", TINY_PARAMS["capacity_ablation"]
         )
         assert [j.kind for j in capacity.jobs] == ["equilibrium_cell"] * 2
-        shards = schedule(
-            "multiseed", {**TINY_PARAMS["multiseed"], "shards": 2}
+        multiseed = schedule(
+            "multiseed",
+            {
+                **TINY_PARAMS["multiseed"],
+                "schemes": ("greedy", "random", "equilibrium"),
+            },
         )
-        assert [j.kind for j in shards.jobs] == ["multiseed_shard"] * 2
+        assert [j.kind for j in multiseed.jobs] == ["market_scheme"] * 2
 
 
 # The job kinds whose results the equilibrium solve feeds.
@@ -162,7 +166,6 @@ SOLVE_FED_KINDS = {
     "bayesian_pricing",
     "welfare_report",
     "market_scheme",
-    "multiseed_shard",
 }
 
 
@@ -334,28 +337,18 @@ class TestParamValidation:
             api.resolve_config({"preset": "huge"})
 
 
-class TestShardsFollowScheduler:
-    def test_multiseed_shards_default_to_scheduler_workers(
-        self, in_process_results, tmp_path
-    ):
-        """run_experiment('multiseed', ..., scheduler=N workers) must fan
-        out N shard jobs when shards is unset — --workers alone may not
-        silently collapse to one sequential job."""
+class TestMultiseedFansOutPerSeed:
+    def test_multiseed_runs_one_job_per_seed_over_workers(self, tmp_path):
+        """A history-dependent scheme is one market_scheme job per seed,
+        fanned over the scheduler's workers, with the in-process result."""
+        params = {
+            **TINY_PARAMS["multiseed"],
+            "schemes": ("greedy", "random", "equilibrium"),
+        }
         scheduler = QueueScheduler(tmp_path, workers=2)
-        result = run_experiment(
-            "multiseed", TINY_PARAMS["multiseed"], scheduler=scheduler
-        )
+        result = run_experiment("multiseed", params, scheduler=scheduler)
         assert scheduler.jobs_executed == 2
-        assert result == in_process_results["multiseed"]
-
-    def test_explicit_shards_win_over_scheduler_workers(self, tmp_path):
-        scheduler = QueueScheduler(tmp_path, workers=2)
-        run_experiment(
-            "multiseed",
-            {**TINY_PARAMS["multiseed"], "shards": 1},
-            scheduler=scheduler,
-        )
-        assert scheduler.jobs_executed == 1
+        assert result == run_experiment("multiseed", params)
 
 
 class TestResumeFromCache:
@@ -570,7 +563,6 @@ class TestSpecValidationErrorsAreTyped:
             ("fading_sweep", {"draws": 1}, "draws must be >= 2"),
             ("population_sweep", {"draws": 1}, "draws must be >= 2"),
             ("population_sweep", {"num_vmus": 0}, "num_vmus must be >= 1"),
-            ("multiseed", {"shards": 0}, "shards must be >= 1"),
             ("multiseed", {"seeds": (1, 1)}, "duplicate seeds"),
             ("multiseed", {"seeds": (3,)}, "at least two seeds"),
             ("multiseed", {"metric": "bogus"}, "PolicyEvaluation field"),

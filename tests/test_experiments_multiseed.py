@@ -1,14 +1,19 @@
-"""Multi-seed spec tests: aggregation, payloads, and shard fan-out."""
+"""Multi-seed spec tests: aggregation, payloads, and per-seed jobs."""
 
 import pytest
 
+from repro.core.stackelberg import StackelbergMarket
+from repro.entities.vmu import paper_fig2_population
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments.multiseed import (
+from repro.experiments import (
+    ExperimentConfig,
     MultiSeedResult,
-    _merge_shards,
-    _partition_seeds,
+    result_from_payload,
+    result_to_payload,
+    run_experiment,
+    schedule,
 )
+from repro.experiments.runner import plan_scheme_jobs
 from repro.queue import QueueScheduler
 from repro.utils.serialization import load_json, save_json
 
@@ -69,132 +74,83 @@ class TestMultiSeed:
 
 class TestPayloadRoundTrip:
     def test_to_payload_from_payload_identity(self, result):
-        assert MultiSeedResult.from_payload(result.to_payload()) == result
+        payload = result_to_payload(result)
+        assert result_from_payload(MultiSeedResult, payload) == result
 
     def test_round_trips_through_save_load_json(self, result, tmp_path):
-        path = save_json(tmp_path / "multiseed.json", result.to_payload())
-        assert MultiSeedResult.from_payload(load_json(path)) == result
+        path = save_json(tmp_path / "multiseed.json", result_to_payload(result))
+        assert result_from_payload(MultiSeedResult, load_json(path)) == result
 
     def test_malformed_payloads_rejected(self):
-        with pytest.raises(ExperimentError):
-            MultiSeedResult.from_payload([1, 2, 3])
-        with pytest.raises(ExperimentError):
-            MultiSeedResult.from_payload({"metric": "m", "seeds": []})
-        with pytest.raises(ExperimentError):
-            MultiSeedResult.from_payload(
-                {"metric": "m", "seeds": [], "samples": "oops"}
-            )
-        with pytest.raises(ExperimentError):
-            MultiSeedResult.from_payload(
-                {"metric": "m", "seeds": 5, "samples": {}}
-            )
+        for payload in (
+            [1, 2, 3],
+            {"metric": "m", "seeds": []},
+            {"metric": "m", "seeds": [], "samples": "oops"},
+            {"metric": "m", "seeds": 5, "samples": {}},
+        ):
+            with pytest.raises(ExperimentError):
+                result_from_payload(MultiSeedResult, payload)
 
 
-class TestSharding:
-    def test_partition_is_deterministic_round_robin(self):
-        assert _partition_seeds((0, 1, 2, 3, 4), 2) == [(0, 2, 4), (1, 3)]
-        assert _partition_seeds((5, 6), 8) == [(5,), (6,)]
-
-    def test_sharded_equals_sequential_exactly(self, tmp_path):
-        """Acceptance: k shard jobs — in-process or over k local queue
-        executors — return samples exactly equal to (and in the same seed
-        order as) the single-shard run."""
-        seeds = (0, 1, 2, 3, 4)
-        sequential = multiseed(seeds)
-        for shards in (2, 3):
-            assert multiseed(seeds, shards=shards) == sequential
-            fanned = QueueScheduler(tmp_path / f"queue{shards}", workers=shards)
-            assert multiseed(seeds, scheduler=fanned) == sequential
-            assert fanned.jobs_executed == shards
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            multiseed((0, 1), schemes=("random",), shards=0)
-
-    def test_invalid_shards_rejected_before_seed_validation(self):
-        """shards=0 must error up front — before seed validation or any
-        other work."""
-        with pytest.raises(ValueError, match="shards"):
-            # seeds=(0,) is itself invalid — shards must win
-            multiseed((0,), schemes=("random",), shards=0)
+SCHEMES = ("greedy", "random", "equilibrium")
 
 
-def _shard_payload(seeds, samples):
-    return MultiSeedResult(
-        metric="mean_msp_utility", samples=samples, seeds=tuple(seeds)
-    ).to_payload()
+class TestPerSeedJobs:
+    """Each seed is one Fig. 3-style scheme comparison: one
+    ``market_scheme`` job per history-dependent scheme, the plannable
+    schemes evaluated at assemble time."""
 
-
-class TestMergeValidation:
-    """A crashed or short shard must fail the merge loudly — the old
-    pre-fill-with-0.0 merge silently corrupted means/CIs/p-values."""
-
-    SEEDS = (0, 1, 2, 3)
-    SCHEMES = ("random", "equilibrium")
-
-    def _full_payloads(self):
-        return [
-            _shard_payload(
-                (0, 2), {"random": [1.0, 3.0], "equilibrium": [5.0, 7.0]}
-            ),
-            _shard_payload(
-                (1, 3), {"random": [2.0, 4.0], "equilibrium": [6.0, 8.0]}
-            ),
-        ]
-
-    def test_complete_payloads_merge_in_seed_order(self):
-        merged = _merge_shards(
-            "mean_msp_utility", self.SEEDS, self.SCHEMES, self._full_payloads()
+    def test_plans_one_job_per_seed_and_history_dependent_scheme(self):
+        plan = schedule(
+            "multiseed",
+            {
+                "config": ExperimentConfig.smoke(),
+                "seeds": (0, 1, 2),
+                "schemes": ("drl", *SCHEMES),
+            },
         )
-        assert merged.samples["random"] == [1.0, 2.0, 3.0, 4.0]
-        assert merged.samples["equilibrium"] == [5.0, 6.0, 7.0, 8.0]
-
-    def test_dropped_shard_raises_naming_missing_cells(self):
-        payloads = self._full_payloads()[:1]  # shard for seeds (1, 3) died
-        with pytest.raises(ExperimentError, match="seed 1") as excinfo:
-            _merge_shards(
-                "mean_msp_utility", self.SEEDS, self.SCHEMES, payloads
-            )
-        assert "seed 3" in str(excinfo.value)
-        assert "missing 4 sample" in str(excinfo.value)
-
-    def test_short_shard_payload_raises(self):
-        payloads = [
-            self._full_payloads()[0],
-            _shard_payload(
-                (1, 3), {"random": [2.0], "equilibrium": [6.0, 8.0]}
-            ),  # 'random' lost its seed-3 sample
+        assert [job.kind for job in plan.jobs] == ["market_scheme"] * 6
+        assert [job.payload["scheme"] for job in plan.jobs] == [
+            "drl", "greedy"
+        ] * 3
+        assert [job.payload["config"]["seed"] for job in plan.jobs] == [
+            0, 0, 1, 1, 2, 2
         ]
-        with pytest.raises(ExperimentError, match=r"\('random', seed 3\)"):
-            _merge_shards(
-                "mean_msp_utility", self.SEEDS, self.SCHEMES, payloads
-            )
 
-    def test_missing_scheme_raises(self):
-        payloads = [
-            self._full_payloads()[0],
-            _shard_payload((1, 3), {"random": [2.0, 4.0]}),
-        ]
-        with pytest.raises(ExperimentError, match="'equilibrium'"):
-            _merge_shards(
-                "mean_msp_utility", self.SEEDS, self.SCHEMES, payloads
-            )
+    def test_plannable_schemes_plan_no_jobs(self, result, tmp_path):
+        params = {
+            "config": ExperimentConfig.smoke(),
+            "seeds": (0, 1, 2),
+            "schemes": ("random", "equilibrium"),
+        }
+        assert schedule("multiseed", params).jobs == []
+        scheduler = QueueScheduler(tmp_path)
+        assert multiseed((0, 1, 2), scheduler=scheduler) == result
+        assert scheduler.jobs_executed == 0
 
-    def test_unknown_seed_raises(self):
-        payloads = [
-            self._full_payloads()[0],
-            _shard_payload(
-                (1, 9), {"random": [2.0, 4.0], "equilibrium": [6.0, 8.0]}
-            ),
-        ]
-        with pytest.raises(ExperimentError, match="seed 9"):
-            _merge_shards(
-                "mean_msp_utility", self.SEEDS, self.SCHEMES, payloads
-            )
+    def test_fanned_equals_in_process_exactly(self, tmp_path):
+        """Acceptance: the per-seed jobs over 2 or 3 local queue workers
+        return samples exactly equal to (and in the same seed order as)
+        the in-process run."""
+        seeds = (0, 1, 2, 3, 4)
+        in_process = multiseed(seeds, schemes=SCHEMES)
+        for workers in (2, 3):
+            fanned = QueueScheduler(tmp_path / f"queue{workers}", workers=workers)
+            assert multiseed(seeds, schemes=SCHEMES, scheduler=fanned) == in_process
+            assert fanned.jobs_executed == len(seeds)
 
-    def test_duplicate_cell_raises(self):
-        payloads = [*self._full_payloads(), self._full_payloads()[0]]
-        with pytest.raises(ExperimentError, match="both carry"):
-            _merge_shards(
-                "mean_msp_utility", self.SEEDS, self.SCHEMES, payloads
-            )
+    def test_resumes_seed_by_seed_from_the_store(self, tmp_path):
+        """A seed's job already in the store (here run on its own, as
+        Fig. 3's per-market unit) is a cache hit; only the other seeds'
+        jobs execute."""
+        seeds = (0, 1, 2)
+        in_process = multiseed(seeds, schemes=SCHEMES)
+        market = StackelbergMarket(paper_fig2_population())
+        seed_jobs, _ = plan_scheme_jobs(
+            [market], ExperimentConfig.smoke().with_seed(1), ("greedy",)
+        )
+        QueueScheduler(tmp_path).run(seed_jobs)
+        scheduler = QueueScheduler(tmp_path)
+        assert multiseed(seeds, schemes=SCHEMES, scheduler=scheduler) == in_process
+        assert scheduler.jobs_executed == 2
+        assert scheduler.cache_hits == 1

@@ -92,7 +92,7 @@ class TestJob:
     def test_hash_distinguishes_payloads_and_kinds(self):
         base = Job("equilibrium_cell", {"x": 1})
         assert base.job_hash() != Job("equilibrium_cell", {"x": 2}).job_hash()
-        assert base.job_hash() != Job("multiseed_shard", {"x": 1}).job_hash()
+        assert base.job_hash() != Job("market_scheme", {"x": 1}).job_hash()
 
     def test_hash_survives_json_round_trip(self):
         market = StackelbergMarket(paper_fig2_population())
@@ -388,12 +388,12 @@ class TestQueueScheduler:
         path = _entries(tmp_path)[0]
         entry = load_json(path)
         # A foreign file: another kind's entry occupying this job's slot.
-        entry["job"] = {"kind": "multiseed_shard", "payload": {"seeds": [0]}}
+        entry["job"] = {"kind": "market_scheme", "payload": {"seed": 0}}
         path.write_text(json.dumps(entry))
         with pytest.raises(ExperimentError) as excinfo:
             QueueScheduler(tmp_path).run(jobs)
         message = str(excinfo.value)
-        assert "found kind 'multiseed_shard'" in message
+        assert "found kind 'market_scheme'" in message
         assert "expected kind 'equilibrium_cell'" in message
         assert "foreign file" in message
         assert "SHA-256 collision" not in message
@@ -701,13 +701,13 @@ class TestScheduledSweeps:
         params = {
             "config": ExperimentConfig.smoke(),
             "seeds": (0, 1, 2, 3),
-            "schemes": ("random", "equilibrium"),
+            "schemes": ("greedy", "random", "equilibrium"),
         }
         sequential = run_experiment("multiseed", params)
         scheduler = QueueScheduler(tmp_path, workers=2, poll_interval=0.01)
-        sharded = run_experiment("multiseed", params, scheduler=scheduler)
-        assert sharded == sequential
-        assert scheduler.jobs_executed == 2
+        fanned = run_experiment("multiseed", params, scheduler=scheduler)
+        assert fanned == sequential
+        assert scheduler.jobs_executed == 4
         resumed_scheduler = QueueScheduler(
             tmp_path, workers=2, poll_interval=0.01
         )
@@ -716,7 +716,7 @@ class TestScheduledSweeps:
         )
         assert resumed == sequential
         assert resumed_scheduler.jobs_executed == 0
-        assert resumed_scheduler.cache_hits == 2
+        assert resumed_scheduler.cache_hits == 4
 
 
 class TestScheduleCli:

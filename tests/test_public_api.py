@@ -116,7 +116,6 @@ class TestConstants:
 
         for name in (
             "ConfigurationError",
-            "ChannelError",
             "GameError",
             "NeuralNetworkError",
             "ExperimentError",

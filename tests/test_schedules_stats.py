@@ -1,6 +1,7 @@
 """Statistics-helper tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ class TestBootstrapAndTtest:
                 float(expected.statistic),
                 float(expected.pvalue),
             )
+
+    def test_ttest_handles_constant_groups_without_warning(self):
+        varied = [1.0, 2.0, 3.5, 2.2, 1.1]
+        constant = [6.443559322299207] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = scipy_stats.ttest_ind(constant, varied, equal_var=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compare_means(constant, varied) == (
+                float(expected.statistic),
+                float(expected.pvalue),
+            )
+            assert compare_means([2.0, 2.0, 2.0], [1.0] * 4) == (math.inf, 0.0)
+            assert compare_means([1.0] * 4, [2.0, 2.0]) == (-math.inf, 0.0)
+            assert compare_means(constant, constant[:3]) == (0.0, 1.0)
 
     def test_ttest_needs_samples(self):
         with pytest.raises(ValueError):
