@@ -23,7 +23,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import api
 from repro.experiments.api import CONFIG_PARAMS, MARKET_PARAM, ExperimentPlan, ParamSpec
 from repro.experiments.runner import (
@@ -145,6 +145,14 @@ def _assemble(plan: ExperimentPlan, results: list) -> MultiSeedResult:
         samples={scheme: [] for scheme in schemes},
         seeds=context["seeds"],
     )
+    # The results split into equal per-seed slices by position, so a short
+    # or padded list would shift every later seed's samples.
+    expected = len(result.seeds) * len(slots)
+    if len(results) != expected:
+        raise ExperimentError(
+            f"multiseed expected {expected} job results ({len(slots)} per "
+            f"seed for {len(result.seeds)} seeds), got {len(results)}"
+        )
     for index, seed in enumerate(result.seeds):
         (evaluations,) = assemble_scheme_results(
             [context["market"]],

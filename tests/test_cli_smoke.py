@@ -144,6 +144,14 @@ class TestRunEndToEnd:
             main(["run", "multiseed", "--param", "seeds=0"])
         assert "seeds" in capsys.readouterr().err
 
+    def test_removed_shards_param_is_clean_cli_error(self, capsys):
+        """`shards` is no longer a multiseed parameter; an old command
+        line exits as a parser error naming it, not a traceback."""
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "multiseed", "--param", "shards=2"])
+        assert raised.value.code == 2
+        assert "shards" in capsys.readouterr().err
+
 
 class TestQueueStats:
     def test_counts_a_queue_directory(self, tmp_path, capsys):

@@ -350,6 +350,19 @@ class TestMultiseedFansOutPerSeed:
         assert scheduler.jobs_executed == 2
         assert result == run_experiment("multiseed", params)
 
+    def test_each_seed_is_its_own_job(self):
+        """The seed is part of each job's payload, so the store keeps one
+        entry per seed rather than one cache hit for all of them."""
+        plan = schedule(
+            "multiseed",
+            {
+                **TINY_PARAMS["multiseed"],
+                "seeds": (0, 1, 2),
+                "schemes": ("greedy", "random"),
+            },
+        )
+        assert len({job.job_hash() for job in plan.jobs}) == 3
+
 
 class TestResumeFromCache:
     """Acceptance: a killed fig2/ablation run resumes from its queue
@@ -563,6 +576,7 @@ class TestSpecValidationErrorsAreTyped:
             ("fading_sweep", {"draws": 1}, "draws must be >= 2"),
             ("population_sweep", {"draws": 1}, "draws must be >= 2"),
             ("population_sweep", {"num_vmus": 0}, "num_vmus must be >= 1"),
+            ("multiseed", {"shards": 2}, "unknown parameter 'shards'"),
             ("multiseed", {"seeds": (1, 1)}, "duplicate seeds"),
             ("multiseed", {"seeds": (3,)}, "at least two seeds"),
             ("multiseed", {"metric": "bogus"}, "PolicyEvaluation field"),

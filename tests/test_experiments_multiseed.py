@@ -8,12 +8,14 @@ from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
     MultiSeedResult,
+    execute_job,
+    get_experiment,
     result_from_payload,
     result_to_payload,
     run_experiment,
     schedule,
 )
-from repro.experiments.runner import plan_scheme_jobs
+from repro.experiments.runner import compare_schemes_stacked, plan_scheme_jobs
 from repro.queue import QueueScheduler
 from repro.utils.serialization import load_json, save_json
 
@@ -154,3 +156,66 @@ class TestPerSeedJobs:
         assert multiseed(seeds, schemes=SCHEMES, scheduler=scheduler) == in_process
         assert scheduler.jobs_executed == 2
         assert scheduler.cache_hits == 1
+
+
+class TestAssemble:
+    """Each seed's slice of the job results becomes that seed's samples,
+    exactly the in-process Fig. 3 comparison under ``config.with_seed``."""
+
+    def test_each_sample_is_the_in_process_comparison_under_its_seed(self):
+        seeds = (0, 1, 2)
+        result = multiseed(seeds, schemes=SCHEMES)
+        market = StackelbergMarket(paper_fig2_population())
+        for position, seed in enumerate(seeds):
+            (expected,) = compare_schemes_stacked(
+                [market], ExperimentConfig.smoke().with_seed(seed), schemes=SCHEMES
+            )
+            for scheme in SCHEMES:
+                assert result.samples[scheme][position] == (
+                    expected[scheme].mean_msp_utility
+                )
+
+    def test_samples_follow_the_requested_seed_order(self, result):
+        shuffled = multiseed((2, 0, 1))
+        assert shuffled.seeds == (2, 0, 1)
+        for scheme, values in result.samples.items():
+            assert shuffled.samples[scheme] == [values[2], values[0], values[1]]
+
+    def test_metric_reads_that_evaluation_field(self):
+        seeds = (0, 1)
+        prices = multiseed(seeds, metric="mean_price")
+        assert prices.metric == "mean_price"
+        market = StackelbergMarket(paper_fig2_population())
+        for position, seed in enumerate(seeds):
+            (expected,) = compare_schemes_stacked(
+                [market],
+                ExperimentConfig.smoke().with_seed(seed),
+                schemes=("random", "equilibrium"),
+            )
+            for scheme in ("random", "equilibrium"):
+                assert prices.samples[scheme][position] == (
+                    expected[scheme].mean_price
+                )
+
+    def _plan_and_results(self):
+        plan = schedule(
+            "multiseed",
+            {
+                "config": ExperimentConfig.smoke(),
+                "seeds": (0, 1, 2),
+                "schemes": SCHEMES,
+            },
+        )
+        return plan, [execute_job(job) for job in plan.jobs]
+
+    def test_short_result_list_raises(self):
+        """A lost job result must fail loudly, not shift a later seed's
+        slice onto the wrong seed."""
+        plan, results = self._plan_and_results()
+        with pytest.raises(ExperimentError, match="expected 3 job results"):
+            get_experiment("multiseed").assemble(plan, results[:-1])
+
+    def test_padded_result_list_raises(self):
+        plan, results = self._plan_and_results()
+        with pytest.raises(ExperimentError, match="got 4"):
+            get_experiment("multiseed").assemble(plan, [*results, results[0]])
